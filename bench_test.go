@@ -270,38 +270,20 @@ func benchDB(b *testing.B) *mstore.DB {
 	return db
 }
 
-func BenchmarkMstoreNestedLoops(b *testing.B) {
+func benchMstoreJoin(b *testing.B, alg join.Algorithm) {
 	db := benchDB(b)
 	tmp := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.NestedLoops(tmp); err != nil {
+		if _, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 16, TmpDir: tmp}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMstoreSortMerge(b *testing.B) {
-	db := benchDB(b)
-	tmp := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.SortMerge(tmp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMstoreGrace(b *testing.B) {
-	db := benchDB(b)
-	tmp := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Grace(tmp, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkMstoreNestedLoops(b *testing.B) { benchMstoreJoin(b, join.NestedLoops) }
+func BenchmarkMstoreSortMerge(b *testing.B)   { benchMstoreJoin(b, join.SortMerge) }
+func BenchmarkMstoreGrace(b *testing.B)       { benchMstoreJoin(b, join.Grace) }
 
 // BenchmarkMstoreSwizzlePass measures what exact positioning saves: a
 // full pointer-relocation pass over R (what an ObjectStore-style system

@@ -122,13 +122,13 @@ type report struct {
 func main() {
 	objects := flag.Int("objects", 25600, "objects per relation for the timed panel")
 	parallel := flag.Int("parallel", 4, "host workers for the parallel sweep timing (>= 1)")
-	out := flag.String("out", "BENCH_sweep.json", "output path for the JSON baseline")
+	out := flag.String("out", "", "output path for the sweep JSON baseline (required by the full run)")
 	baseSweepNs := flag.Int64("baseline-sweep-ns", 0,
 		"externally measured pre-optimization sequential wall-clock for the same panel (ns)")
 	msObjects := flag.Int("mstore-objects", 300000, "objects per relation for the mstore join panel")
 	msD := flag.Int("mstore-d", 4, "partitions for the mstore join panel")
 	msRuns := flag.Int("mstore-runs", 3, "repetitions per mstore panel point (best is kept)")
-	msOut := flag.String("mstore-out", "BENCH_mstore.json", "output path for the mstore panel baseline")
+	msOut := flag.String("mstore-out", "", "output path for the mstore panel baseline (required by the full run, -mstore-only and -shard-only)")
 	msOnly := flag.Bool("mstore-only", false, "run only the mstore join panel (CI smoke)")
 	msKernels := flag.Bool("mstore-kernels", false,
 		"run only the probe-kernel panel (ns-per-pair, allocs-per-pair, cache counters)")
@@ -140,7 +140,7 @@ func main() {
 	svcD := flag.Int("service-d", 4, "partitions for the service SLO panel")
 	svcDur := flag.Duration("service-duration", 2*time.Second, "load duration per service sweep point")
 	svcSeed := flag.Int64("service-seed", 42, "loadgen seed for the service SLO panel")
-	svcOut := flag.String("service-out", "BENCH_service.json", "output path for the service SLO baseline")
+	svcOut := flag.String("service-out", "", "output path for the service SLO baseline (required by -service-only)")
 	svcOnly := flag.Bool("service-only", false, "run only the service SLO panel")
 	shOnly := flag.Bool("shard-only", false, "run only the scatter-gather shard panel (merges into -mstore-out)")
 	shObjects := flag.Int("shard-objects", 120000, "objects per relation for the shard panel")
@@ -149,6 +149,25 @@ func main() {
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "bench: -parallel must be >= 1, got %d\n", *parallel)
 		os.Exit(2)
+	}
+	// No panel defaults to a tracked path: a run that would write a
+	// baseline must be told where, or it refuses before measuring.
+	type outFlag struct{ name, path string }
+	var needs []outFlag
+	switch {
+	case *msKernels: // prints and gates; writes nothing
+	case *msOnly, *shOnly:
+		needs = []outFlag{{"-mstore-out", *msOut}}
+	case *svcOnly:
+		needs = []outFlag{{"-service-out", *svcOut}}
+	default:
+		needs = []outFlag{{"-out", *out}, {"-mstore-out", *msOut}}
+	}
+	for _, f := range needs {
+		if f.path == "" {
+			fmt.Fprintf(os.Stderr, "bench: %s is required: the selected panel writes a baseline and has no default path\n", f.name)
+			os.Exit(2)
+		}
 	}
 
 	if *msKernels {

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,9 +54,9 @@ type mstoreReport struct {
 	// SkewPanel measures the grant-bounded probes under one hot key
 	// owning half of R: an undersized grant vs the unbounded baseline.
 	SkewPanel *skewPanel `json:"zipf_skew,omitempty"`
-	// Kernels measures the probe-stage kernels in isolation (ns-per-pair,
-	// allocs-per-pair, best-effort cache counters) and the radix
-	// partitioning passes — the regression surface the CI smoke gates on.
+	// Kernels measures the probe-stage kernel in isolation (ns-per-pair,
+	// allocs-per-pair, best-effort cache counters) — the regression
+	// surface the CI smoke gates on.
 	Kernels *kernelsPanel `json:"kernels,omitempty"`
 	// Shard measures the scatter-gather router against the single store
 	// it was split from (see cmd/bench/shard.go).
@@ -78,12 +77,14 @@ type perfCounts struct {
 	CacheMisses int64
 }
 
-// kernelProbePoint is one probe-kernel configuration measured over the
-// same materialized bucket set: the legacy per-bucket Go map, or the
-// flat arena-backed table at one gather-batch width.
+// kernelProbePoint is the probe kernel measured over a materialized
+// bucket set. Kernel and Batch name the point in the checked-in
+// baseline, which also holds the retired configurations (the map
+// kernel, gather widths 1 and 16); the store now has exactly one:
+// the flat arena-backed table at its fixed 64-wide gather.
 type kernelProbePoint struct {
-	Kernel        string  `json:"kernel"` // "map" or "flat"
-	Batch         int     `json:"batch,omitempty"`
+	Kernel        string  `json:"kernel"`
+	Batch         int     `json:"batch"`
 	Runs          int     `json:"runs"`
 	BestNs        int64   `json:"best_ns"`
 	NsPerPair     float64 `json:"ns_per_pair"`
@@ -94,28 +95,14 @@ type kernelProbePoint struct {
 	CacheMissesPerPair float64 `json:"cache_misses_per_pair,omitempty"`
 }
 
-// kernelRadixPoint times one full single-threaded Grace join at a K
-// large enough to need multi-pass radix partitioning.
-type kernelRadixPoint struct {
-	RadixBits int   `json:"radix_bits"`
-	K         int   `json:"k"`
-	Passes    int64 `json:"passes"`
-	Runs      int   `json:"runs"`
-	BestNs    int64 `json:"best_ns"`
-}
-
 type kernelsPanel struct {
 	Objects       int    `json:"objects"`
 	D             int    `json:"d"`
 	Buckets       int    `json:"buckets"`
 	PairsPerPass  int64  `json:"pairs_per_pass"`
 	CounterSource string `json:"counter_source"`
-	// Probe isolates the probe stage on identical bucket files.
+	// Probe isolates the probe stage on the bucket files.
 	Probe []kernelProbePoint `json:"probe"`
-	// SpeedupFlatVsMap is map ns-per-pair over the best flat point.
-	SpeedupFlatVsMap float64 `json:"speedup_flat_vs_map"`
-	// Radix times the whole join while varying the per-pass fan-out.
-	Radix []kernelRadixPoint `json:"radix"`
 }
 
 // skewRun is one skewed join under one memory regime.
@@ -310,13 +297,11 @@ func runSkewPanel(db *mstore.DB, dir string, runs int) (*skewPanel, error) {
 	return panel, nil
 }
 
-// runKernelsPanel measures the probe-stage kernels in isolation at the
+// runKernelsPanel measures the probe-stage kernel in isolation at the
 // conformance panel size: Grace buckets are materialized once, then
-// probed repeatedly through the legacy per-bucket Go map and through
-// the flat arena-backed table at several gather-batch widths — the
-// single-threaded ns-per-pair the rewrite is gated on. A second axis
-// times the whole Grace join at a K deep enough to need multi-pass
-// radix partitioning, varying the per-pass fan-out.
+// probed repeatedly through the flat arena-backed table — the
+// single-threaded ns-per-pair the CI gate holds against the checked-in
+// baseline.
 func runKernelsPanel(objects, d, runs int) (*kernelsPanel, error) {
 	dir, err := os.MkdirTemp("", "mmjoin-bench-kernels")
 	if err != nil {
@@ -337,100 +322,43 @@ func runKernelsPanel(objects, d, runs int) (*kernelsPanel, error) {
 	}
 	defer bs.Close()
 
-	panel := &kernelsPanel{
-		Objects: objects, D: d, Buckets: bs.Buckets(), PairsPerPass: want.Pairs,
+	if st := bs.ProbeFlat(); st != want { // warm the arena, check once
+		return nil, fmt.Errorf("kernels flat: stats %+v, want %+v", st, want)
 	}
-
-	type probeCfg struct {
-		kernel string
-		batch  int
-	}
-	cfgs := []probeCfg{{"map", 0}, {"flat", 1}, {"flat", 16}, {"flat", 64}}
-	probeOnce := func(c probeCfg) mstore.JoinStats {
-		if c.kernel == "map" {
-			return bs.ProbeMap()
+	best := int64(1<<63 - 1)
+	for run := 0; run < runs; run++ {
+		start := time.Now()
+		st := bs.ProbeFlat()
+		el := time.Since(start).Nanoseconds()
+		if st != want {
+			return nil, fmt.Errorf("kernels flat: stats diverged mid-measurement")
 		}
-		return bs.ProbeFlat(c.batch)
+		best = min(best, el)
 	}
 	pairs := float64(want.Pairs)
-	var mapNsPair float64
-	bestFlat := math.Inf(1)
-	for _, c := range cfgs {
-		if st := probeOnce(c); st != want { // warm the arena, check once
-			return nil, fmt.Errorf("kernels %s/%d: stats %+v, want %+v", c.kernel, c.batch, st, want)
-		}
-		best := int64(1<<63 - 1)
-		for run := 0; run < runs; run++ {
-			start := time.Now()
-			st := probeOnce(c)
-			el := time.Since(start).Nanoseconds()
-			if st != want {
-				return nil, fmt.Errorf("kernels %s/%d: stats diverged mid-measurement", c.kernel, c.batch)
-			}
-			best = min(best, el)
-		}
-		allocs := testing.AllocsPerRun(1, func() { probeOnce(c) })
-		counts := measureCounters(func() { probeOnce(c) })
-		panel.CounterSource = counts.Source
-		pt := kernelProbePoint{
-			Kernel: c.kernel, Batch: c.batch, Runs: runs, BestNs: best,
-			NsPerPair:     round2(float64(best) / pairs),
-			AllocsPerPair: allocs / pairs,
-		}
-		if counts.Source == "perf_event_open" {
-			pt.CacheRefsPerPair = round2(float64(counts.CacheRefs) / pairs)
-			pt.CacheMissesPerPair = round2(float64(counts.CacheMisses) / pairs)
-		}
-		if c.kernel == "map" {
-			mapNsPair = pt.NsPerPair
-		} else {
-			bestFlat = math.Min(bestFlat, pt.NsPerPair)
-		}
-		panel.Probe = append(panel.Probe, pt)
-		fmt.Printf("mstore kernels probe %-4s batch=%-2d: %6.2f ns/pair  %8.5f allocs/pair  (%s)\n",
-			c.kernel, c.batch, pt.NsPerPair, pt.AllocsPerPair, counts.Source)
+	allocs := testing.AllocsPerRun(1, func() { bs.ProbeFlat() })
+	counts := measureCounters(func() { bs.ProbeFlat() })
+	pt := kernelProbePoint{
+		Kernel: "flat", Batch: 64, Runs: runs, BestNs: best,
+		NsPerPair:     round2(float64(best) / pairs),
+		AllocsPerPair: allocs / pairs,
 	}
-	if mapNsPair > 0 && bestFlat > 0 && !math.IsInf(bestFlat, 1) {
-		panel.SpeedupFlatVsMap = round2(mapNsPair / bestFlat)
+	if counts.Source == "perf_event_open" {
+		pt.CacheRefsPerPair = round2(float64(counts.CacheRefs) / pairs)
+		pt.CacheMissesPerPair = round2(float64(counts.CacheMisses) / pairs)
 	}
-	fmt.Printf("mstore kernels probe speedup (flat vs map): %.2fx\n", panel.SpeedupFlatVsMap)
-
-	// Radix axis: K=600 needs 3 passes at 4 bits, 2 at the default 8,
-	// 1 at 12 — the executable counterpart of the model's radix term.
-	const radixK = 600
-	for _, bits := range []int{4, 8, 12} {
-		best := int64(1<<63 - 1)
-		var passes int64
-		for run := 0; run < runs; run++ {
-			tel := &mstore.JoinTelemetry{}
-			tmp := filepath.Join(dir, fmt.Sprintf("radix-%d-%d", bits, run))
-			start := time.Now()
-			st, err := db.Run(mstore.JoinRequest{
-				Algorithm: join.Grace, MRproc: 1 << 20, K: radixK,
-				RadixBits: bits, Workers: 1, Telemetry: tel, TmpDir: tmp,
-			})
-			el := time.Since(start).Nanoseconds()
-			if err != nil {
-				return nil, fmt.Errorf("kernels radix bits=%d: %w", bits, err)
-			}
-			if st != want {
-				return nil, fmt.Errorf("kernels radix bits=%d: stats %+v, want %+v", bits, st, want)
-			}
-			best = min(best, el)
-			passes = tel.RadixPasses.Load()
-		}
-		panel.Radix = append(panel.Radix, kernelRadixPoint{
-			RadixBits: bits, K: radixK, Passes: passes, Runs: runs, BestNs: best,
-		})
-		fmt.Printf("mstore kernels radix bits=%-2d: %d passes  %.0fms\n",
-			bits, passes, time.Duration(best).Seconds()*1000)
-	}
-	return panel, nil
+	fmt.Printf("mstore kernels probe flat: %6.2f ns/pair  %8.5f allocs/pair  (%s)\n",
+		pt.NsPerPair, pt.AllocsPerPair, counts.Source)
+	return &kernelsPanel{
+		Objects: objects, D: d, Buckets: bs.Buckets(), PairsPerPass: want.Pairs,
+		CounterSource: counts.Source, Probe: []kernelProbePoint{pt},
+	}, nil
 }
 
 // checkKernelsBaseline compares freshly measured probe points against
 // the checked-in baseline report, failing on a >20% ns-per-pair
-// regression in any configuration present in both — the CI smoke gate.
+// regression — the CI smoke gate. A point the baseline does not hold
+// fails too: a gate that compares nothing must not pass.
 func checkKernelsBaseline(path string, cur *kernelsPanel) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -450,7 +378,7 @@ func checkKernelsBaseline(path string, cur *kernelsPanel) error {
 	for _, pt := range cur.Probe {
 		b, ok := base[fmt.Sprintf("%s/%d", pt.Kernel, pt.Batch)]
 		if !ok || b <= 0 {
-			continue
+			return fmt.Errorf("baseline %s has no kernel %s batch=%d point to gate against", path, pt.Kernel, pt.Batch)
 		}
 		if pt.NsPerPair > 1.2*b {
 			return fmt.Errorf("kernel %s batch=%d regressed: %.2f ns/pair vs baseline %.2f (>20%%)",

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	loadgen -addr http://127.0.0.1:8080 [-mode poisson|burst|closed]
+//	loadgen -addr http://127.0.0.1:8080/v1 [-mode poisson|burst|closed]
 //	        [-rate RPS] [-duration 2s] [-seed 1] [-clients 8] [-think 5ms]
 //	        [-burst 16] [-lookup-frac 0.5] [-zipf 1.2] [-algs auto,grace,...]
 //	        [-retries 0] [-retry-cap 2s] [-membytes N] [-inflight 512]
@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "live mmdb serve base URL, e.g. http://127.0.0.1:8080")
+	addr := flag.String("addr", "", "live mmdb serve API root, e.g. http://127.0.0.1:8080/v1")
 	mode := flag.String("mode", "poisson", "arrival discipline: poisson, burst, closed")
 	rate := flag.Float64("rate", 100, "open-loop offered load, requests/sec")
 	duration := flag.Duration("duration", 2*time.Second, "run length")

@@ -7,7 +7,7 @@
 //
 //	mmdb create -dir DIR [-objects N] [-d D] [-objsize B] [-seed N] [-index]
 //	mmdb index  -dir DIR [-d D] [-workers N]
-//	mmdb join   -dir DIR [-alg all|auto|nested-loops|sort-merge|grace|hybrid-hash|index-nl|index-merge] [-k K] [-mrproc B] [-workers N] [-radix-bits N] [-probe-batch N]
+//	mmdb join   -dir DIR [-alg all|auto|nested-loops|sort-merge|grace|hybrid-hash|index-nl|index-merge] [-k K] [-mrproc B] [-workers N]
 //	mmdb bench  -dir DIR [-runs N] [-workers N]
 //	mmdb split  -src DIR -out DIR [-shards N] [-d D]
 //	mmdb serve  {-dir DIR | -shard-map FILE} [-addr :PORT] [-membudget B] [-maxqueue N] [-workers N]
@@ -321,8 +321,6 @@ func cmdJoin(args []string) {
 	k := fs.Int("k", 0, "Grace bucket count (0: derive from -mrproc)")
 	mrproc := fs.Int64("mrproc", 1<<20, "private memory grant per partition goroutine, bytes")
 	workers := fs.Int("workers", 0, "morsel-pool size, the CPU parallelism (0: GOMAXPROCS)")
-	radixBits := fs.Int("radix-bits", 0, "per-pass radix partitioning fan-out, bits (0: default 8)")
-	probeBatch := fs.Int("probe-batch", 0, "probe gather-batch width, refs (0: default 64)")
 	fs.Parse(args)
 	if *dir == "" {
 		fatal(fmt.Errorf("join: -dir required"))
@@ -338,7 +336,6 @@ func cmdJoin(args []string) {
 		start := time.Now()
 		st, err := db.Run(mstore.JoinRequest{
 			Algorithm: a, MRproc: *mrproc, K: *k, Workers: *workers,
-			RadixBits: *radixBits, ProbeBatch: *probeBatch,
 		})
 		if err != nil {
 			fatal(err)
@@ -366,7 +363,7 @@ func cmdJoin(args []string) {
 		}
 		choice, err := planner.New(model.Calibrate(mcfg, 400, 1), algs).ChooseFor(join.Request{
 			Config: mcfg,
-			Params: join.Params{Workload: w, MRproc: *mrproc, K: *k, RadixBits: *radixBits},
+			Params: join.Params{Workload: w, MRproc: *mrproc, K: *k},
 		})
 		if err != nil {
 			fatal(err)

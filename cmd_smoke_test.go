@@ -6,6 +6,8 @@ package mmjoin
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -112,10 +114,24 @@ func TestCmdJoinsimSmoke(t *testing.T) {
 	}
 }
 
+// TestCmdBenchSmoke runs the full bench at smoke scale into a temp dir
+// and checks that the tracked BENCH_*.json baselines at the repo root —
+// which the test binary's working directory is — come out byte-identical:
+// no bench panel defaults to a tracked path.
 func TestCmdBenchSmoke(t *testing.T) {
 	bin := buildCmd(t, "bench")
-	out := filepath.Join(t.TempDir(), "bench.json")
-	got := runCmd(t, bin, "-objects", "4000", "-parallel", "2", "-out", out)
+	tracked := map[string][]byte{}
+	for _, name := range []string{"BENCH_sweep.json", "BENCH_mstore.json", "BENCH_service.json"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracked[name] = data
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "sweep.json")
+	got := runCmd(t, bin, "-objects", "4000", "-parallel", "2", "-out", out,
+		"-mstore-out", filepath.Join(dir, "mstore.json"), "-mstore-objects", "4000", "-mstore-runs", "1")
 	for _, want := range []string{"speedup", "events/sec", "baseline written"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in output:\n%s", want, got)
@@ -133,6 +149,28 @@ func TestCmdBenchSmoke(t *testing.T) {
 	// -parallel below 1 is rejected.
 	if err := exec.Command(bin, "-parallel", "0").Run(); err == nil {
 		t.Error("-parallel 0 accepted")
+	}
+	// A panel that writes a baseline refuses to run without its output
+	// path, naming the flag, with the usage exit status.
+	for flagName, args := range map[string][]string{
+		"-out":         {"-mstore-out", filepath.Join(dir, "m.json")},
+		"-mstore-out":  {"-mstore-only"},
+		"-service-out": {"-service-only"},
+	} {
+		msg, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), flagName+" is required") {
+			t.Errorf("bench %v: err %v, output %q; want exit 2 naming %s", args, err, msg, flagName)
+		}
+	}
+	for name, before := range tracked {
+		after, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("bench rewrote the tracked baseline %s", name)
+		}
 	}
 }
 
@@ -194,7 +232,7 @@ func TestCmdMmdbServeSmoke(t *testing.T) {
 	}
 	base := line[i : i+j]
 
-	resp, err := http.Post(base+"/join", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(base+"/v1/join", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
 )
 
@@ -92,7 +93,7 @@ func main() {
 	// Explode the BOM: join every usage with its part and roll up mass
 	// and cost. The sort-merge pointer join keeps part reads sequential.
 	start := time.Now()
-	st, err := db.SortMerge(filepath.Join(dir, "tmp"))
+	st, err := db.Run(mstore.JoinRequest{Algorithm: join.SortMerge, TmpDir: filepath.Join(dir, "tmp")})
 	if err != nil {
 		log.Fatal(err)
 	}

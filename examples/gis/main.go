@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
 )
 
@@ -102,7 +103,9 @@ func main() {
 			perParcel[mstore.DecodeSPtr(db.R[i].Object(x))]++
 		}
 	}
-	st, err := db.HybridHash(filepath.Join(dir, "tmp"), 8, 0.5)
+	st, err := db.Run(mstore.JoinRequest{
+		Algorithm: join.HybridHash, K: 8, ResidentFrac: 0.5, TmpDir: filepath.Join(dir, "tmp"),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

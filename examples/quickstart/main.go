@@ -40,16 +40,9 @@ func main() {
 		20000, 20000, db.D)
 
 	tmp := filepath.Join(dir, "tmp")
-	for _, alg := range []struct {
-		name string
-		run  func() (mstore.JoinStats, error)
-	}{
-		{"nested-loops", func() (mstore.JoinStats, error) { return db.NestedLoops(tmp) }},
-		{"sort-merge", func() (mstore.JoinStats, error) { return db.SortMerge(tmp) }},
-		{"grace", func() (mstore.JoinStats, error) { return db.Grace(tmp, 8) }},
-	} {
+	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace} {
 		start := time.Now()
-		st, err := alg.run()
+		st, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 8, TmpDir: tmp})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +51,7 @@ func main() {
 			status = "WRONG RESULT"
 		}
 		fmt.Printf("  %-12s %6d pairs in %8v  (%s)\n",
-			alg.name, st.Pairs, time.Since(start).Round(time.Microsecond), status)
+			alg, st.Pairs, time.Since(start).Round(time.Microsecond), status)
 	}
 
 	// 2. The same algorithms on the simulated Sequent-class machine,

@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
 )
 
@@ -134,7 +135,7 @@ func main() {
 
 	// Pointer-join the postings with their terms (Grace) and verify the
 	// per-term counts against the df counters maintained at build time.
-	st, err := db.Grace(filepath.Join(dir, "tmp"), 8)
+	st, err := db.Run(mstore.JoinRequest{Algorithm: join.Grace, K: 8, TmpDir: filepath.Join(dir, "tmp")})
 	if err != nil {
 		log.Fatal(err)
 	}

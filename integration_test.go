@@ -143,18 +143,13 @@ func TestRealStorePaperScale(t *testing.T) {
 	defer db.Close()
 	want := db.ExpectedStats()
 	tmp := filepath.Join(dir, "tmp")
-	for name, fn := range map[string]func() (mstore.JoinStats, error){
-		"nested-loops": func() (mstore.JoinStats, error) { return db.NestedLoops(tmp) },
-		"sort-merge":   func() (mstore.JoinStats, error) { return db.SortMerge(tmp) },
-		"grace":        func() (mstore.JoinStats, error) { return db.Grace(tmp, 32) },
-		"hybrid-hash":  func() (mstore.JoinStats, error) { return db.HybridHash(tmp, 32, 0.5) },
-	} {
-		st, err := fn()
+	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
+		st, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 32, ResidentFrac: 0.5, TmpDir: tmp})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%v: %v", alg, err)
 		}
 		if st != want {
-			t.Errorf("%s: wrong join at paper scale", name)
+			t.Errorf("%v: wrong join at paper scale", alg)
 		}
 	}
 }

@@ -109,13 +109,6 @@ type Params struct {
 	K, TSize int
 	Fuzz     float64 // Grace hash-table overhead allowance; 0 ⇒ 1.2
 
-	// RadixBits bounds the per-pass fan-out of the real store's radix
-	// partitioning (mstore.JoinRequest.RadixBits); 0 ⇒ 8. The simulator
-	// ignores it — the paper's machine scatters straight into K buckets —
-	// but the planner forwards it to the model, which charges the extra
-	// partitioning passes the executor runs once K exceeds 2^RadixBits.
-	RadixBits int
-
 	// Workers is the CPU parallelism of a real-store execution
 	// (mstore.JoinRequest.Workers): the size of the morsel pool; 0 ⇒
 	// GOMAXPROCS. The simulator ignores it — the paper's model has one

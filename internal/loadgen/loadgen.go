@@ -96,7 +96,9 @@ type Mix struct {
 
 // Config parameterizes one load run.
 type Config struct {
-	// BaseURL is the live server root, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the live server's versioned API root, e.g.
+	// "http://127.0.0.1:8080/v1"; the generator appends /join, /lookup
+	// and /stats.
 	BaseURL string
 	// Seed makes the request schedule and key sequence deterministic.
 	Seed int64

@@ -56,9 +56,8 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	rsi := q.ri * in.Skew
 
 	f0, k, tsize := hybridPlan(c, in, rsi, q.sj)
-	passes := radixPasses(k, in.RadixBits)
-	kEff := min(k, 1<<in.RadixBits) // per-pass fan-out (see PredictGrace)
-	over := 1 - f0                  // overflow fraction
+	passes, kEff := radixPlan(k)
+	over := 1 - f0 // overflow fraction
 	prpi := pages(rpi*float64(in.R), c.B)
 	prsi := pages(over*rsi*float64(in.R), c.B)
 	priiOver := pages(over*rii*float64(in.R), c.B)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/sim"
 )
 
@@ -30,14 +31,6 @@ type Inputs struct {
 	// Grace tuning (0 ⇒ paper defaults).
 	K, TSize int
 	Fuzz     float64
-
-	// RadixBits bounds the per-pass fan-out of the executor's radix
-	// partitioning (mstore.JoinRequest.RadixBits): scatter passes write
-	// to at most 2^RadixBits destinations, so K beyond that reach costs
-	// extra partitioning passes. Zero selects the executor's default
-	// (8); the term is exactly zero whenever K ≤ 2^RadixBits, which
-	// keeps every paper-conformance prediction (K ≤ 256) untouched.
-	RadixBits int
 
 	// IndexFanout is the per-node key capacity of the store's persistent
 	// B-tree indexes, used by the index-path predictions. Zero selects
@@ -73,15 +66,6 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	if in.Fuzz == 0 {
 		in.Fuzz = 1.2
 	}
-	if in.RadixBits < 0 {
-		return fmt.Errorf("model: negative radix bits %d", in.RadixBits)
-	}
-	if in.RadixBits == 0 {
-		in.RadixBits = 8
-	}
-	if in.RadixBits > 16 {
-		in.RadixBits = 16
-	}
 	if in.IndexFanout < 0 {
 		return fmt.Errorf("model: negative index fanout %d", in.IndexFanout)
 	}
@@ -91,18 +75,16 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	return nil
 }
 
-// radixPasses mirrors the executor's radixPlan (internal/mstore): the
-// fewest scatter passes of at most 2^bits destinations each that reach
-// a k-way fan-out. The two must agree exactly for the partitioning-pass
-// term to be honest; both are pinned by tests against the same cases.
-func radixPasses(k, bits int) int {
-	maxFan := int64(1) << bits
-	passes := 1
-	for reach, span := maxFan, int64(1); reach < int64(k) && span < 1<<40; reach *= maxFan {
-		passes++
-		span *= maxFan
-	}
-	return passes
+// radixPlan is the partitioning plan the store's executor runs for a
+// k-way fan-out, read from the function the executor itself calls: the
+// pass count, and the per-pass fan-out the urn-model thrash terms see
+// (a scatter pass never targets more than 2^radix.Bits destinations at
+// once, so they see that, not the full K). Extra passes cost nothing
+// until K exceeds that reach, which keeps every paper-conformance
+// prediction (K ≤ 256) untouched.
+func radixPlan(k int) (passes, kEff int) {
+	passes, _ = radix.Plan(k, radix.Bits)
+	return passes, min(k, 1<<radix.Bits)
 }
 
 // Component is one named term of a prediction.
@@ -395,11 +377,7 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	prsi := pages(rsi*float64(in.R), c.B)
 
 	k, tsize := gracePlan(in, rsi)
-	passes := radixPasses(k, in.RadixBits)
-	// A radix scatter pass never targets more than 2^RadixBits
-	// destinations at once, so the urn-model thrash terms see the
-	// per-pass fan-out, not the full K.
-	kEff := min(k, 1<<in.RadixBits)
+	passes, kEff := radixPlan(k)
 	p := &Prediction{K: k, TSize: tsize}
 
 	// Setup: Ri, Si opened; RSi+RPi created; RSi re-opened for pass 1+j.
@@ -429,13 +407,13 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	thrash1 := GraceThrash(int(rpi), kEff, int(q.frames), 1, fill1)
 	p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
 
-	// Extra radix passes: once K exceeds the 2^RadixBits per-pass reach,
+	// Extra radix passes: once K exceeds the 2^radix.Bits per-pass reach,
 	// the partitioner re-reads and re-scatters every spilled reference
 	// (passes−1) more times — each pass a sequential re-read plus a
 	// rewrite of the RSi spill and up to kEff partial destination pages,
 	// plus one more bucket-hash and move per reference. This is the price
 	// paid for the capped fan-out the thrash terms above benefit from;
-	// the component is exactly zero when K ≤ 2^RadixBits.
+	// the component is exactly zero when K ≤ 2^radix.Bits.
 	if passes > 1 {
 		extra := float64(passes - 1)
 		p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+

@@ -3,31 +3,9 @@ package model
 import (
 	"testing"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/sim"
 )
-
-// TestRadixPassesMirrorsExecutor pins radixPasses to the same cases that
-// pin the executor's radixPlan (mstore's TestKernelRadixPlan) — the two
-// implementations must agree for the model's partitioning-pass term to
-// describe what the store actually runs.
-func TestRadixPassesMirrorsExecutor(t *testing.T) {
-	cases := []struct{ k, bits, passes int }{
-		{1, 8, 1},
-		{256, 8, 1},
-		{257, 8, 2},
-		{65536, 8, 2},
-		{65537, 8, 3},
-		{16, 4, 1},
-		{17, 4, 2},
-		{300, 4, 3},
-		{300, 12, 1},
-	}
-	for _, c := range cases {
-		if got := radixPasses(c.k, c.bits); got != c.passes {
-			t.Errorf("radixPasses(%d, %d) = %d, want %d", c.k, c.bits, got, c.passes)
-		}
-	}
-}
 
 func radixComponent(p *Prediction) (io sim.Time, present bool) {
 	for _, c := range p.Components {
@@ -39,10 +17,9 @@ func radixComponent(p *Prediction) (io sim.Time, present bool) {
 }
 
 // TestRadixPassTermInertAtSmallK is the conformance guard: with K within
-// one pass's reach the predictions must be bit-identical to what they
-// were before the term existed — no radix component, and no dependence
-// on RadixBits (kEff = K either way). Every paper-conformance case runs
-// at K ≤ 256, so Fig 5c stays untouched.
+// one pass's reach (2^radix.Bits) the predictions carry no radix
+// component. Every paper-conformance case runs at K ≤ 256, so Fig 5c
+// stays untouched.
 func TestRadixPassTermInertAtSmallK(t *testing.T) {
 	c := calibForTest(t)
 	// The small-K cases run at the conformance panel's scarce memory
@@ -70,30 +47,22 @@ func TestRadixPassTermInertAtSmallK(t *testing.T) {
 		if _, present := radixComponent(base); present {
 			t.Errorf("K=%d: radix component present in a single-pass plan", k)
 		}
-		in.RadixBits = 16
-		wide, err := PredictGrace(c, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Total != wide.Total {
-			t.Errorf("K=%d: single-pass prediction depends on RadixBits: %v vs %v",
-				k, base.Total, wide.Total)
-		}
 	}
 }
 
-// TestRadixPassTermAppears: once K exceeds 2^RadixBits the component
-// shows up, the prediction stays internally consistent, and narrowing
-// the fan-out (more passes over the same spill) costs more.
+// TestRadixPassTermAppears: once K exceeds 2^radix.Bits the component
+// shows up, the prediction stays internally consistent, and a K deep
+// enough for a third pass over the same spill costs more.
 func TestRadixPassTermAppears(t *testing.T) {
 	c := calibForTest(t)
 	// Ample frames: the radix-pass term does not depend on memory
 	// pressure, and K=600 under scarce memory sends the urn-model DP
 	// into a regime that takes minutes.
 	in := defaultInputs(32 << 20)
+	in.NR, in.NS = 300000, 300000 // 75,000 references a partition: room for K > 256²
 	in.K = 600
 
-	two, err := PredictGrace(c, in) // default 8 bits: 2 passes
+	two, err := PredictGrace(c, in) // 256 < 600 ≤ 256²: 2 passes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,26 +71,17 @@ func TestRadixPassTermAppears(t *testing.T) {
 	}
 	ioTwo, present := radixComponent(two)
 	if !present || ioTwo <= 0 {
-		t.Fatalf("K=600 bits=8: radix pass io missing or zero (%v)", ioTwo)
+		t.Fatalf("K=600: radix pass io missing or zero (%v)", ioTwo)
 	}
 
-	in.RadixBits = 12 // 600 ≤ 4096: single pass again
-	one, err := PredictGrace(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, present := radixComponent(one); present {
-		t.Error("K=600 bits=12: radix component present in a single-pass plan")
-	}
-
-	in.RadixBits = 4 // 3 passes
+	in.K = 1<<(2*radix.Bits) + 1 // 3 passes
 	three, err := PredictGrace(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ioThree, present := radixComponent(three)
 	if !present || ioThree <= ioTwo {
-		t.Errorf("narrower fan-out should cost more pass io: 3-pass %v vs 2-pass %v",
+		t.Errorf("a third pass should cost more pass io: 3-pass %v vs 2-pass %v",
 			ioThree, ioTwo)
 	}
 }
@@ -142,39 +102,14 @@ func TestRadixPassTermHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	if io, present := radixComponent(p); !present || io <= 0 {
-		t.Fatalf("hybrid K=600 bits=8: radix pass io missing or zero (%v)", io)
+		t.Fatalf("hybrid K=600: radix pass io missing or zero (%v)", io)
 	}
-	in.RadixBits = 12
-	wide, err := PredictHybridHash(c, in)
+	in.K = 1 << radix.Bits
+	one, err := PredictHybridHash(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present := radixComponent(wide); present {
-		t.Error("hybrid K=600 bits=12: radix component present in a single-pass plan")
-	}
-}
-
-// TestRadixBitsValidation: negative bits are rejected, oversized bits
-// clamp to the executor's 16-bit cap.
-func TestRadixBitsValidation(t *testing.T) {
-	c := calibForTest(t)
-	in := defaultInputs(32 << 20)
-	in.RadixBits = -1
-	if _, err := PredictGrace(c, in); err == nil {
-		t.Error("negative RadixBits accepted")
-	}
-	in.RadixBits = 40
-	in.K = 600
-	clamped, err := PredictGrace(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.RadixBits = 16
-	sixteen, err := PredictGrace(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped.Total != sixteen.Total {
-		t.Errorf("RadixBits=40 not clamped to 16: %v vs %v", clamped.Total, sixteen.Total)
+	if _, present := radixComponent(one); present {
+		t.Error("hybrid K=256: radix component present in a single-pass plan")
 	}
 }

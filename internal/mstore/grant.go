@@ -66,9 +66,9 @@ type GrantNegotiator interface {
 // are atomics so concurrently probing morsels record without locks; a
 // server folds them into its /stats counters after the join.
 type JoinTelemetry struct {
-	// TempFiles counts temporary relations actually created — with lazy
-	// bucket materialization this is the number of non-empty buckets,
-	// not D·K.
+	// TempFiles counts temporary relations actually created, by every
+	// operator and stage (the join's one temp owner counts them) — with
+	// lazy materialization that is the non-empty destinations, not D·K.
 	TempFiles atomic.Int64
 	// Restages counts oversized buckets re-partitioned into disk
 	// sub-buckets; RestagedRefs the references rewritten doing so.
@@ -87,8 +87,8 @@ type JoinTelemetry struct {
 	// probe memory (counted bytes). The grant-bound invariant is
 	// PeakTableBytes ≤ grant + ExtraGrantBytes.
 	PeakTableBytes atomic.Int64
-	// RadixPasses is the partitioning pass count the bucketed joins
-	// chose (radixPlan): 1 until K exceeds 2^RadixBits.
+	// RadixPasses is the partitioning pass count the staged joins ran
+	// (radix.Plan): 1 until K exceeds 2^radix.Bits.
 	RadixPasses atomic.Int64
 }
 

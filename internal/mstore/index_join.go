@@ -1,7 +1,6 @@
 package mstore
 
 import (
-	"context"
 	"fmt"
 
 	"mmjoin/internal/exec"
@@ -24,23 +23,18 @@ import (
 //
 // Both fold pairs through the same batched joinKernel as every other
 // operator, so Pairs/Signature are bit-identical to the reference
-// kernels at any worker count. Memory is grant-metered like PR 6, but
-// the footprint is O(workers): one probe batch per worker and no
-// tables, so the reservation is a fixed bite taken once up front.
+// kernels at any worker count. They share the skeleton's prologue and
+// epilogue (joinRun) and nothing else: index-merge never scans R, and
+// index-nl resolves every S location through a tree, so neither is a
+// staging configuration.
 
-// indexFootprint is the counted bytes of one worker's index-join state:
-// a probe batch (8 B rid + 12 B pointer per slot, padded) plus cursor
-// state.
-func indexFootprint(workers, batch int) int64 {
-	return int64(workers) * (int64(batch)*24 + 64)
-}
-
-// IndexNL runs the index-nested-loop join on an ephemeral
-// GOMAXPROCS-sized pool (the store must have indexes attached).
-func (db *DB) IndexNL() (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.indexNL(context.Background(), p, kernelConfig{}, newMemLimiter(0, nil, nil))
-	})
+// indexFootprint is the counted bytes of the index joins' state: per
+// worker a probe batch (8 B rid + 12 B pointer per slot, padded) plus
+// cursor state. It is a fixed O(workers) bite DB.Run reserves once up
+// front; if the grant cannot cover it there is nothing to shrink or
+// restage, so the join runs unmetered rather than failing.
+func indexFootprint(workers int) int64 {
+	return int64(workers) * (gatherWidth*24 + 64)
 }
 
 // indexNL scans R in morsels; each object's join attribute is turned
@@ -48,25 +42,13 @@ func (db *DB) IndexNL() (JoinStats, error) {
 // and probed through S's per-partition B-tree — a real root-to-leaf
 // descent per object, the cost the analytical model's index-probe term
 // prices.
-func (db *DB) indexNL(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
-	if !db.HasIndexes() {
-		return JoinStats{}, fmt.Errorf("mstore: index-nl needs attached indexes (run BuildIndexes or mmdb index)")
-	}
-	kc = kc.withDefaults()
-	kern := newJoinKernel(db, kc)
-	if need := indexFootprint(p.Workers(), kc.probeBatch); lim.reserve(need) {
-		// A fixed O(workers) footprint: if the grant cannot cover it there
-		// is nothing to shrink or restage, so an unreservable bite just
-		// runs unmetered rather than failing the join.
-		defer lim.release(need)
-	}
-	stats := newPerWorker(p)
+func (r *joinRun) indexNL() error {
+	db := r.db
 	var tasks []exec.Task
 	for i, ri := range db.R {
-		i := i
 		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
-			st := &stats[w].JoinStats
-			b := kern.newBatch()
+			st := &r.stats[w].JoinStats
+			b := r.kern.newBatch()
 			for x := lo; x < hi; x++ {
 				obj := ri.Object(x)
 				ptr := DecodeSPtr(obj)
@@ -80,18 +62,7 @@ func (db *DB) indexNL(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *m
 			return nil
 		})
 	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return JoinStats{}, err
-	}
-	return stats.total(), nil
-}
-
-// IndexMerge runs the sorted-range merge join on an ephemeral
-// GOMAXPROCS-sized pool (the store must have indexes attached).
-func (db *DB) IndexMerge() (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.indexMerge(context.Background(), p, kernelConfig{}, newMemLimiter(0, nil, nil))
-	})
+	return r.p.Run(r.ctx, tasks)
 }
 
 // indexMerge zips the two sides' leaf chains partition-locally: one
@@ -101,28 +72,16 @@ func (db *DB) IndexMerge() (JoinStats, error) {
 // space exactly, every morsel's output is disjoint and the fold is the
 // usual commutative sum — no global merge phase, no barrier between
 // cells (MPSM's shape on persistent indexes).
-func (db *DB) indexMerge(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
-	if !db.HasIndexes() {
-		return JoinStats{}, fmt.Errorf("mstore: index-merge needs attached indexes (run BuildIndexes or mmdb index)")
-	}
-	kc = kc.withDefaults()
-	kern := newJoinKernel(db, kc)
-	if need := indexFootprint(p.Workers(), kc.probeBatch); lim.reserve(need) {
-		defer lim.release(need)
-	}
-	stats := newPerWorker(p)
+func (r *joinRun) indexMerge() error {
+	db := r.db
 	var tasks []exec.Task
-	for i := range db.R {
-		i := i
-		rt := db.ridx[i]
+	for i, rt := range db.ridx {
 		rRel := db.R[i]
-		for j := range db.S {
-			j := j
-			st := db.sidx[j]
+		for j, st := range db.sidx {
 			base := uint64(j) << 32
 			tasks = rangeTasks(tasks, db.S[j].Count(), func(w, lo, hi int) error {
-				acc := &stats[w].JoinStats
-				b := kern.newBatch()
+				acc := &r.stats[w].JoinStats
+				b := r.kern.newBatch()
 				kLo, kHi := base|uint64(lo), base|uint64(hi-1)
 				sit := st.iter(kLo, kHi)
 				for rit := rt.iter(kLo, kHi); rit.valid(); rit.advance() {
@@ -144,8 +103,5 @@ func (db *DB) indexMerge(ctx context.Context, p *exec.Pool, kc kernelConfig, lim
 			})
 		}
 	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return JoinStats{}, err
-	}
-	return stats.total(), nil
+	return r.p.Run(r.ctx, tasks)
 }

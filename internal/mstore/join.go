@@ -2,22 +2,23 @@ package mstore
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/pheap"
+	"mmjoin/internal/radix"
 )
 
 // The joins are morsel-driven: each pass decomposes into fixed-size
 // object-range tasks pulled by a work-stealing pool (internal/exec)
 // whose size is the host CPU parallelism, independent of D. The paper's
 // structural parallelism — one Rproc per disk partition — survives as
-// the shape of the task lists (per-partition scans, staggered probe
+// the shape of the task lists (per-partition scans, staggered finish
 // order), but the number of goroutines touching the mapping at once is
 // the pool's, so a 16-core host saturates on a D=4 database and a
 // server running many joins on one shared pool never oversubscribes.
@@ -27,22 +28,12 @@ import (
 // commutative sums, so results are bit-identical at any worker count
 // and under any steal schedule.
 //
-// The inner loops themselves live in the kernel layer (kernel*.go):
-// batched pointer dereference, flat arena-backed probe tables, and
-// multi-pass radix partitioning, all gated on bit-identical
-// Pairs/Signature against the reference loops kept here (joinOne,
-// probeBucketMap).
-
-// joinOne dereferences one R object's stored pointer through the
-// mapping and folds the pair into st — the scalar reference kernel the
-// batched joinKernel is gated against.
-func (db *DB) joinOne(obj []byte, st *JoinStats) {
-	ptr := DecodeSPtr(obj)
-	s := db.S[ptr.Part].At(ptr.Off)
-	st.Pairs++
-	st.Signature += pairHash(binary.LittleEndian.Uint64(obj[ridOffset:]),
-		binary.LittleEndian.Uint64(s))
-}
+// The paper's three pointer joins are one shape (§5): scan Ri, join
+// what is local, stage the rest by S address, finish each staged run —
+// nested loops probes it, sort-merge orders it first, Grace hashes it.
+// That shape is written once, in joinRun.staged; the operators below it
+// are configurations (staging), and the inner loops live in the kernel
+// layer (kernel*.go).
 
 // morselObjs is the fixed morsel size: the number of objects one
 // work-stealing task covers. Around 4k objects a morsel is a few
@@ -58,8 +49,6 @@ type paddedStats struct {
 }
 
 type perWorker []paddedStats
-
-func newPerWorker(p *exec.Pool) perWorker { return make(perWorker, p.Workers()) }
 
 // total folds the per-worker accumulators; the fold is a commutative
 // sum, so the result is independent of which worker ran which morsel.
@@ -83,62 +72,11 @@ func morselCount(n int) int {
 // Empty inputs append nothing, and every emitted range is non-empty —
 // the pool never churns through zero-width morsels.
 func rangeTasks(tasks []exec.Task, n int, fn func(w, lo, hi int) error) []exec.Task {
-	if n <= 0 {
-		return tasks
-	}
 	for lo := 0; lo < n; lo += morselObjs {
-		lo, hi := lo, min(lo+morselObjs, n)
-		if hi <= lo {
-			continue
-		}
+		hi := min(lo+morselObjs, n)
 		tasks = append(tasks, func(w int) error { return fn(w, lo, hi) })
 	}
 	return tasks
-}
-
-// refCounts measures the pointer distribution of R morsel-parallel:
-// counts[i][j] is the number of Ri objects referencing partition Sj.
-// The joins size their temporary relations from this measure instead of
-// assuming worst-case |Ri| per file.
-func (db *DB) refCounts(ctx context.Context, p *exec.Pool) ([][]int64, error) {
-	d := db.D
-	counts := make([][]int64, d)
-	for i := range counts {
-		counts[i] = make([]int64, d)
-	}
-	var tasks []exec.Task
-	for i, ri := range db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(_, lo, hi int) error {
-			local := make([]int64, d)
-			for x := lo; x < hi; x++ {
-				part := int(DecodeSPtr(ri.Object(x)).Part)
-				if part >= d {
-					return fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, part)
-				}
-				local[part]++
-			}
-			for j, c := range local {
-				if c != 0 {
-					atomic.AddInt64(&counts[i][j], c)
-				}
-			}
-			return nil
-		})
-	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
-// ephemeralPool runs fn on a pool created for this one call (GOMAXPROCS
-// workers), the execution mode of the convenience methods below; Run
-// with JoinRequest.Workers or a shared Pool controls parallelism
-// explicitly.
-func ephemeralPool(fn func(p *exec.Pool) (JoinStats, error)) (JoinStats, error) {
-	p := exec.NewPool(0)
-	defer p.Close()
-	return fn(p)
 }
 
 // rankBucket maps the object of rank idx among n onto one of k
@@ -150,150 +88,371 @@ func rankBucket(idx, k, n int) int {
 		return 0
 	}
 	b := int(int64(idx) * int64(k) / int64(n))
-	if b < 0 {
-		b = 0
-	}
-	if b >= k {
-		b = k - 1
-	}
-	return b
+	return min(max(b, 0), k-1)
 }
 
-// tmpRelation creates a throwaway relation file under dir. Capacity 0
-// (a measured-empty partition or bucket) still allocates one slot so the
-// relation is well-formed.
-func (db *DB) tmpRelation(dir, name string, capacity int) (*Relation, error) {
+// temps owns every temporary relation of one join: it names them,
+// counts them into JoinTelemetry.TempFiles, and deletes whatever is
+// still live when the join returns, on every exit path. Stages that
+// know a temporary is dead sooner (a refined group, a probed bucket)
+// drop it early to bound the live set.
+type temps struct {
+	db  *DB
+	dir string
+	tel *JoinTelemetry
+
+	seq  atomic.Int64
+	mu   sync.Mutex
+	live map[*Relation]struct{}
+}
+
+func newTemps(db *DB, dir string, tel *JoinTelemetry) *temps {
+	return &temps{db: db, dir: dir, tel: tel, live: make(map[*Relation]struct{})}
+}
+
+// create makes a throwaway relation for capacity objects. Capacity 0
+// still allocates one slot so the relation is well-formed.
+func (t *temps) create(capacity int) (*Relation, error) {
 	capacity = max(capacity, 1)
-	path := filepath.Join(dir, name)
-	// Temp names must be unique within a join: Create truncates, so a
-	// colliding name would silently corrupt a live temporary (a real bug
-	// the multi-pass naming scheme once had) instead of failing.
+	path := filepath.Join(t.dir, fmt.Sprintf("t%d.seg", t.seq.Add(1)))
+	// Create truncates, so a name already present — two joins sharing a
+	// TmpDir — would silently corrupt a live temporary instead of failing.
 	if _, err := os.Lstat(path); err == nil {
 		return nil, fmt.Errorf("mstore: temp relation name collision: %s", path)
 	}
-	seg, err := Create(path, int64(db.ObjSize)*int64(capacity)+4096)
+	seg, err := Create(path, int64(t.db.ObjSize)*int64(capacity)+4096)
 	if err != nil {
 		return nil, err
 	}
-	return CreateRelation(seg, db.ObjSize, capacity)
-}
-
-// NestedLoops runs the parallel pointer-based nested loops join over
-// the mapped store on an ephemeral GOMAXPROCS-sized pool.
-func (db *DB) NestedLoops(tmpDir string) (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.nestedLoops(context.Background(), p, tmpDir, kernelConfig{})
-	})
-}
-
-// nestedLoops: pass 0 scans Ri in morsels, joining own-partition
-// references immediately through the batched kernel and
-// sub-partitioning the rest into temporary RP<i,j> relations; pass 1
-// probes the sub-partitions in the paper's staggered phase order (§5.1).
-func (db *DB) nestedLoops(ctx context.Context, p *exec.Pool, tmpDir string, kc kernelConfig) (JoinStats, error) {
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return JoinStats{}, err
-	}
-	d := db.D
-	kern := newJoinKernel(db, kc.withDefaults())
-	// Measured pointer distribution: counts[i][j] sizes RP<i,j> exactly.
-	// (The former sizing at |Ri| wrote D−1 full-size files per
-	// partition.) The Appender grows on overflow, so the measure is a
-	// sizing hint, not a correctness requirement.
-	counts, err := db.refCounts(ctx, p)
+	rel, err := CreateRelation(seg, t.db.ObjSize, capacity)
 	if err != nil {
-		return JoinStats{}, err
+		seg.Delete()
+		return nil, err
 	}
-	rp := make([][]*Appender, d)
-	defer func() {
-		for i := range rp {
-			for _, ap := range rp[i] {
-				if ap != nil {
-					ap.Relation().Segment().Delete()
-				}
-			}
-		}
-	}()
-	for i := 0; i < d; i++ {
-		rp[i] = make([]*Appender, d)
-		for j := 0; j < d; j++ {
-			if j == i || counts[i][j] == 0 {
-				continue
-			}
-			rel, err := db.tmpRelation(tmpDir, fmt.Sprintf("RP%d_%d.seg", i, j), int(counts[i][j]))
-			if err != nil {
-				return JoinStats{}, err
-			}
-			rp[i][j] = NewAppender(rel)
-		}
-	}
+	t.mu.Lock()
+	t.live[rel] = struct{}{}
+	t.mu.Unlock()
+	t.tel.TempFiles.Add(1)
+	return rel, nil
+}
 
-	stats := newPerWorker(p)
-	// Pass 0.
+// drop deletes one temporary before the join ends.
+func (t *temps) drop(rel *Relation) {
+	t.mu.Lock()
+	delete(t.live, rel)
+	t.mu.Unlock()
+	rel.Segment().Delete()
+}
+
+// close deletes every temporary still live. Callers run it after the
+// pool has retired the join's last task.
+func (t *temps) close() {
+	for rel := range t.live {
+		rel.Segment().Delete()
+	}
+	t.live = nil
+}
+
+// joinRun is the state every operator shares, built once by DB.Run: the
+// pool and context, the batched kernel, the grant limiter (whose
+// telemetry the temp owner counts into), the temp owner, the per-worker
+// accumulators and the per-worker probe-table arenas.
+type joinRun struct {
+	db     *DB
+	ctx    context.Context
+	p      *exec.Pool
+	kern   *joinKernel
+	lim    *memLimiter
+	tmp    *temps
+	stats  perWorker
+	arenas []probeArena
+	// fanBits is the per-pass partitioning fan-out, log2. DB.Run always
+	// sets radix.Bits; only in-package tests narrow it, to reach the
+	// deep refine recursion at small K.
+	fanBits int
+}
+
+func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, lim *memLimiter, tmpDir string) *joinRun {
+	return &joinRun{
+		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), lim: lim,
+		tmp:   newTemps(db, tmpDir, lim.tel),
+		stats: make(perWorker, p.Workers()), arenas: make([]probeArena, p.Workers()),
+		fanBits: radix.Bits,
+	}
+}
+
+// staging configures the skeleton for one operator. Destinations form
+// D rows of k order-preserving buckets; every destination holds
+// references into exactly one S partition.
+type staging struct {
+	k int
+	// resident references join during the scan and never touch
+	// temporary storage; nil means nothing is resident.
+	resident func(i int, p SPtr) bool
+	// dest places a non-resident reference found in Ri.
+	dest func(i int, p SPtr) (row, b int)
+	// finish joins one sealed final destination on worker w. It may run
+	// the work inline or enqueue it on the stage's job.
+	finish func(s *stagedRun, w int, rel *Relation) error
+}
+
+// stagedRun is one execution of the skeleton.
+type stagedRun struct {
+	*joinRun
+	staging
+	jb     *exec.Job
+	counts []int // final-destination occupancy, [row·k + b]
+	passes int   // partitioning passes, by radix.Plan
+}
+
+func sum(counts []int) (n int) {
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// staged is the one skeleton under nested loops, sort-merge, Grace and
+// hybrid hash: count → lazily create destinations → scan (resident
+// references fold immediately through the batched kernel, the rest
+// append to their destination) → one finish task per non-empty
+// destination. A k beyond the per-pass fan-out stages in coarse groups
+// of contiguous buckets that refine inside their finish task.
+func (r *joinRun) staged(cfg staging) error {
+	db, d, k := r.db, r.db.D, cfg.k
+	s := &stagedRun{joinRun: r, staging: cfg, counts: make([]int, d*k)}
+
+	// Count (morsel-parallel, one private array per worker): sizes every
+	// destination exactly, so a measured-empty one is never created.
+	local := make([][]int, r.p.Workers())
 	var tasks []exec.Task
 	for i, ri := range db.R {
 		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
-			st := &stats[w].JoinStats
-			b := kern.newBatch()
-			for x := lo; x < hi; x++ {
-				obj := ri.Object(x)
-				if part := int(DecodeSPtr(obj).Part); part == i {
-					b.add(obj, st)
-				} else if err := rp[i][part].Append(obj); err != nil {
-					return err
-				}
+			if local[w] == nil {
+				local[w] = make([]int, d*k)
 			}
-			b.flush(st)
+			cnt := local[w]
+			for x := lo; x < hi; x++ {
+				ptr := DecodeSPtr(ri.Object(x))
+				if int(ptr.Part) >= d {
+					return fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, ptr.Part)
+				}
+				if cfg.resident != nil && cfg.resident(i, ptr) {
+					continue
+				}
+				row, b := cfg.dest(i, ptr)
+				cnt[row*k+b]++
+			}
 			return nil
 		})
 	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return JoinStats{}, err
+	if err := r.p.Run(r.ctx, tasks); err != nil {
+		return err
 	}
-	for i := range rp {
-		for _, ap := range rp[i] {
-			if ap != nil {
-				ap.Seal()
-			}
+	for _, l := range local {
+		for x, c := range l {
+			s.counts[x] += c
 		}
 	}
 
-	// Pass 1: probe morsels enqueued in staggered phase order — Rproc i
-	// probes RP<i,(i+t) mod D> at phase t — so concurrently executing
-	// morsels tend to touch different S partitions.
+	// First-pass destinations: the final buckets themselves when span is
+	// 1, else one per contiguous group of span buckets. (Eager D·K
+	// creation meant 32k mmap'd files per join at D=64, K=512.)
+	passes, span := radix.Plan(k, r.fanBits)
+	s.passes = passes
+	shift := bits.TrailingZeros(uint(span))
+	groups := (k + span - 1) >> shift
+	r.lim.tel.RadixPasses.Store(int64(passes))
+	top := make([]*Appender, d*groups)
+	for g := range top {
+		row, b0 := g/groups, (g%groups)<<shift
+		n := sum(s.counts[row*k+b0 : row*k+min(b0+span, k)])
+		if n == 0 {
+			continue
+		}
+		rel, err := r.tmp.create(n)
+		if err != nil {
+			return err
+		}
+		top[g] = NewAppender(rel)
+	}
+
+	// Scan.
 	tasks = tasks[:0]
-	for t := 1; t < d; t++ {
-		for i := 0; i < d; i++ {
-			ap := rp[i][(i+t)%d]
+	for i, ri := range db.R {
+		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
+			st := &r.stats[w].JoinStats
+			batch := r.kern.newBatch()
+			for x := lo; x < hi; x++ {
+				obj := ri.Object(x)
+				ptr := DecodeSPtr(obj)
+				if cfg.resident != nil && cfg.resident(i, ptr) {
+					batch.add(obj, st)
+					continue
+				}
+				row, b := cfg.dest(i, ptr)
+				if err := top[row*groups+b>>shift].Append(obj); err != nil {
+					return err
+				}
+			}
+			batch.flush(st)
+			return nil
+		})
+	}
+	if err := r.p.Run(r.ctx, tasks); err != nil {
+		return err
+	}
+
+	// Finish, one dynamic job: a destination's task may enqueue more
+	// (morsels, sort stages) without a barrier across destinations.
+	// Tasks are enqueued in the paper's staggered phase order (§5.1) —
+	// row i takes group (i+t) mod groups at phase t — so concurrently
+	// executing tasks tend to touch different S partitions.
+	s.jb = r.p.Begin(r.ctx)
+	tasks = tasks[:0]
+	for t := 0; t < groups; t++ {
+		for row := 0; row < d; row++ {
+			g := (row + t) % groups
+			ap := top[row*groups+g]
 			if ap == nil {
 				continue
 			}
-			sub := ap.Relation()
-			tasks = rangeTasks(tasks, sub.Count(), func(w, lo, hi int) error {
-				kern.joinRange(sub, lo, hi, &stats[w].JoinStats)
-				return nil
+			ap.Seal()
+			tasks = append(tasks, func(w int) error {
+				return s.refine(w, ap.Relation(), row, g<<shift, span)
 			})
 		}
 	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return JoinStats{}, err
+	_ = s.jb.Add(tasks...) // a failed Add has failed the job; Wait reports it
+	return s.jb.Wait()
+}
+
+// refine finishes one staged group holding row's final buckets
+// [b0, b0+span). A final bucket (span 1) goes to the operator's finish;
+// a coarse group scatters into at most 2^fanBits sub-groups and
+// recurses, all within one task — plain appends, no atomics — so a
+// group whose references are ready finishes while other groups are
+// still partitioning. Sub-group sizes come from the global counting
+// pass, so no re-count scan is needed.
+func (s *stagedRun) refine(w int, src *Relation, row, b0, span int) error {
+	if span == 1 {
+		return s.finish(s, w, src)
 	}
-	return stats.total(), nil
+	k := s.k
+	sub := max(span>>s.fanBits, 1)
+	bEnd := min(b0+span, k)
+	rels := make([]*Relation, (bEnd-b0+sub-1)/sub)
+	for c := range rels {
+		n := sum(s.counts[row*k+b0+c*sub : row*k+min(b0+(c+1)*sub, bEnd)])
+		if n == 0 {
+			continue
+		}
+		var err error
+		if rels[c], err = s.tmp.create(n); err != nil {
+			return err
+		}
+	}
+	view, base, size := src.seg.data, int64(src.data), src.size
+	for x, n := 0, src.Count(); x < n; x++ {
+		obj := view[base+int64(x)*size : base+int64(x+1)*size]
+		_, b := s.dest(row, DecodeSPtr(obj))
+		if _, err := rels[(b-b0)/sub].Append(obj); err != nil {
+			return err
+		}
+	}
+	s.tmp.drop(src)
+	for c, rel := range rels {
+		if rel == nil {
+			continue
+		}
+		if err := s.refine(w, rel, row, b0+c*sub, sub); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// SortMerge runs the parallel pointer-based sort-merge join on an
-// ephemeral GOMAXPROCS-sized pool.
-func (db *DB) SortMerge(tmpDir string) (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.sortMerge(context.Background(), p, tmpDir, kernelConfig{})
-	})
+// The operators: (resident, dest, k, finish).
+
+// nestedLoops (§5.1): own-partition references join during the scan,
+// the rest sub-partition into RP<i,j>, probed in staggered order.
+func (db *DB) nestedLoops() staging {
+	return staging{
+		k:        db.D,
+		resident: func(i int, p SPtr) bool { return int(p.Part) == i },
+		dest:     func(i int, p SPtr) (int, int) { return i, int(p.Part) },
+		finish:   (*stagedRun).scanProbe,
+	}
 }
 
-// sortSplitCount picks how many address-range splits one RSi
+// sortMerge (§5.2): every reference stages into its S partition's RSj,
+// which the finish orders by S address before probing.
+func (db *DB) sortMerge() staging {
+	return staging{
+		k:      1,
+		dest:   func(_ int, p SPtr) (int, int) { return int(p.Part), 0 },
+		finish: (*stagedRun).sortProbe,
+	}
+}
+
+// grace (§5.3) is hybrid hash with nothing resident.
+func (db *DB) grace(k int) staging { return db.hybridHash(k, 0) }
+
+// hybridHash: references into a resident prefix of each S partition
+// (residentFrac of its objects) join during the scan; the remainder
+// hashes into k order-preserving buckets per S partition — bucket by
+// position of the S offset within the partition's data area — each
+// probed through a grant-metered flat table.
+func (db *DB) hybridHash(k int, residentFrac float64) staging {
+	residentUpTo := make([]int, db.D)
+	for j, rel := range db.S {
+		residentUpTo[j] = int(residentFrac * float64(rel.Count()))
+	}
+	cfg := staging{
+		k: k,
+		dest: func(_ int, p SPtr) (int, int) {
+			rel, lo := db.S[p.Part], residentUpTo[p.Part]
+			return int(p.Part), rankBucket(rel.IndexOf(p.Off)-lo, k, rel.Count()-lo)
+		},
+		finish: (*stagedRun).tableProbe,
+	}
+	if residentFrac > 0 {
+		cfg.resident = func(_ int, p SPtr) bool {
+			return db.S[p.Part].IndexOf(p.Off) < residentUpTo[p.Part]
+		}
+	}
+	return cfg
+}
+
+// The finish kinds.
+
+// scanProbe joins a destination in file order, morsel-parallel.
+func (s *stagedRun) scanProbe(_ int, rel *Relation) error {
+	return s.jb.Add(rangeTasks(nil, rel.Count(), func(w, lo, hi int) error {
+		s.kern.joinRange(rel, lo, hi, &s.stats[w].JoinStats)
+		return nil
+	})...)
+}
+
+// tableProbe joins a destination through a flat table within the
+// grant. Under multi-pass partitioning it then drops the bucket — K is
+// large there and the final buckets of a row must not all stay live.
+// Single-pass buckets wait for the temp owner's close instead:
+// unmapping a file while the other workers are still faulting their
+// buckets in stalls them (+50% on a lib_fit-sized Grace join).
+func (s *stagedRun) tableProbe(w int, rel *Relation) error {
+	err := s.probe(w, rel, &s.stats[w].JoinStats, 0)
+	if s.passes > 1 {
+		s.tmp.drop(rel)
+	}
+	return err
+}
+
+// sortSplitCount picks how many address-range splits one destination's
 // partition-then-sort uses: enough tasks to occupy the pool across all
 // D partitions (with headroom for stealing), but never splits smaller
-// than a morsel. One worker gets one split per partition — exactly the
-// old sequential in-place sort.
+// than a morsel. One worker gets one split per partition — exactly a
+// sequential in-place sort.
 func sortSplitCount(workers, d, count int) int {
 	s := (4*workers + d - 1) / d
 	if maxS := count/morselObjs + 1; s > maxS {
@@ -302,188 +461,94 @@ func sortSplitCount(workers, d, count int) int {
 	return max(s, 1)
 }
 
-// sortMerge: passes 0/1 form the RSj partitions directly through
-// concurrent appenders (one atomic slot claim per object); each RSj is
-// then sorted by S address via parallel partition-then-sort and the
-// final scan batch-probes Si in ascending address order within every
-// split.
+// sortProbe orders a destination by S address via parallel
+// partition-then-sort and batch-probes its S partition in ascending
+// address order within every split.
 //
-// The sort-probe phase is MPSM-style partition-local: all of it runs as
-// ONE dynamic job with no global barrier between stages. The last
-// split-count morsel of partition j immediately builds j's prefix sums,
-// creates its split-layout relation, and enqueues j's scatter; the last
-// scatter morsel enqueues j's sort+probe splits. A small partition
-// sorts and probes while a large one is still counting — under skew the
-// former global barriers idled every worker on the largest partition
-// three times.
-func (db *DB) sortMerge(ctx context.Context, p *exec.Pool, tmpDir string, kc kernelConfig) (JoinStats, error) {
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return JoinStats{}, err
+// It is MPSM-style partition-local, with no barrier between stages: the
+// last split-count morsel builds the prefix sums, creates the
+// split-layout relation and enqueues the scatter; the last scatter
+// morsel enqueues the sort+probe splits. A small destination sorts and
+// probes while a large one is still counting — under skew a global
+// barrier would idle every worker on the largest partition three times.
+func (s *stagedRun) sortProbe(_ int, rel *Relation) error {
+	n := rel.Count()
+	sRel := s.db.S[DecodeSPtr(rel.Object(0)).Part]
+	splits := sortSplitCount(s.p.Workers(), s.db.D, n)
+	splitOf := func(obj []byte) int {
+		return rankBucket(sRel.IndexOf(DecodeSPtr(obj).Off), splits, sRel.Count())
 	}
-	d := db.D
-	kern := newJoinKernel(db, kc.withDefaults())
-	counts, err := db.refCounts(ctx, p)
-	if err != nil {
-		return JoinStats{}, err
-	}
-	rsTotal := make([]int64, d)
-	for j := 0; j < d; j++ {
-		for i := 0; i < d; i++ {
-			rsTotal[j] += counts[i][j]
-		}
-	}
+	splitCounts := make([]int64, splits)
+	starts := make([]int64, splits)         // split start offsets after prefix sums
+	cursors := make([]atomic.Int64, splits) // scatter cursors per split
+	var countLeft, scatterLeft atomic.Int64
+	countLeft.Store(int64(morselCount(n)))
+	scatterLeft.Store(int64(morselCount(n)))
+	var dst *Relation
 
-	rs := make([]*Appender, d)
-	srt := make([]*Relation, d)
-	defer func() {
-		for j := 0; j < d; j++ {
-			if rs[j] != nil {
-				rs[j].Relation().Segment().Delete()
-			}
-			if srt[j] != nil {
-				srt[j].Segment().Delete()
-			}
-		}
-	}()
-	for j := 0; j < d; j++ {
-		rel, err := db.tmpRelation(tmpDir, fmt.Sprintf("RS%d.seg", j), int(rsTotal[j]))
-		if err != nil {
-			return JoinStats{}, err
-		}
-		rs[j] = NewAppender(rel)
-	}
-	var tasks []exec.Task
-	for _, ri := range db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(_, lo, hi int) error {
-			for x := lo; x < hi; x++ {
-				obj := ri.Object(x)
-				if err := rs[DecodeSPtr(obj).Part].Append(obj); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	if err := p.Run(ctx, tasks); err != nil {
-		return JoinStats{}, err
-	}
-	for j := 0; j < d; j++ {
-		rs[j].Seal()
-	}
-
-	// Partition-local sort-merge: split each RSj into contiguous
-	// S-address ranges so the splits sort and probe independently.
-	splits := make([]int, d)
-	splitCounts := make([][]int64, d)
-	starts := make([][]int64, d)         // split start offsets after prefix sums
-	cursors := make([][]atomic.Int64, d) // scatter cursors per split
-	countLeft := make([]atomic.Int64, d)
-	scatterLeft := make([]atomic.Int64, d)
-	stats := newPerWorker(p)
-	splitOf := func(j int, off Ptr) int {
-		rel := db.S[j]
-		return rankBucket(rel.IndexOf(off), splits[j], rel.Count())
-	}
-
-	jb := p.Begin(ctx)
 	// One split's terminal stage: heap-sort a handle array over the
 	// mapped records by S pointer, apply the permutation in place, then
-	// batch-probe — sequential in both the split and Si.
-	sortProbe := func(j, lo, hi int) exec.Task {
+	// batch-probe — sequential in both the split and the S partition.
+	sortSplit := func(lo, hi int) exec.Task {
 		return func(w int) error {
-			rel := srt[j]
 			handles := make([]int32, hi-lo)
 			for h := range handles {
 				handles[h] = int32(h)
 			}
 			pheap.Sort(handles, func(a, b int32) bool {
-				return DecodeSPtr(rel.Object(lo+int(a))).Off < DecodeSPtr(rel.Object(lo+int(b))).Off
+				return DecodeSPtr(dst.Object(lo+int(a))).Off < DecodeSPtr(dst.Object(lo+int(b))).Off
 			})
-			permuteRange(rel, lo, handles)
-			kern.joinRange(rel, lo, hi, &stats[w].JoinStats)
+			permuteRange(dst, lo, handles)
+			s.kern.joinRange(dst, lo, hi, &s.stats[w].JoinStats)
 			return nil
 		}
 	}
-	for j := 0; j < d; j++ {
-		j := j
-		rel := rs[j].Relation()
-		n := rel.Count()
-		if n == 0 {
-			continue
+	scatter := func(_, lo, hi int) error {
+		// Slots are claimed atomically, so no two writers touch one
+		// record; order within a split is arbitrary — the sort imposes
+		// the final order.
+		for x := lo; x < hi; x++ {
+			obj := rel.Object(x)
+			slot := cursors[splitOf(obj)].Add(1) - 1
+			copy(dst.seg.Bytes(dst.PtrAt(int(slot)), dst.size), obj)
 		}
-		splits[j] = sortSplitCount(p.Workers(), d, n)
-		splitCounts[j] = make([]int64, splits[j])
-		countLeft[j].Store(int64(morselCount(n)))
-		scatterLeft[j].Store(int64(morselCount(n)))
-
-		scatter := func(_, lo, hi int) error {
-			dst := srt[j]
-			// Slots are claimed atomically, so no two writers touch one
-			// record; order within a split is arbitrary — the sort
-			// imposes the final order.
-			for x := lo; x < hi; x++ {
-				obj := rel.Object(x)
-				slot := cursors[j][splitOf(j, DecodeSPtr(obj).Off)].Add(1) - 1
-				copy(dst.seg.Bytes(dst.PtrAt(int(slot)), dst.size), obj)
-			}
-			if scatterLeft[j].Add(-1) == 0 {
-				// Partition j fully scattered: enqueue its sort+probe
-				// splits without waiting for the other partitions.
-				var sp []exec.Task
-				for b := 0; b < splits[j]; b++ {
-					lo, hi := int(starts[j][b]), int(starts[j][b]+splitCounts[j][b])
-					if lo < hi {
-						sp = append(sp, sortProbe(j, lo, hi))
-					}
-				}
-				return jb.Add(sp...)
-			}
+		if scatterLeft.Add(-1) != 0 {
 			return nil
 		}
-
-		var count []exec.Task
-		count = rangeTasks(count, n, func(_, lo, hi int) error {
-			local := make([]int64, splits[j])
-			for x := lo; x < hi; x++ {
-				local[splitOf(j, DecodeSPtr(rel.Object(x)).Off)]++
+		var sp []exec.Task
+		for b := range starts {
+			if lo, hi := int(starts[b]), int(starts[b]+splitCounts[b]); lo < hi {
+				sp = append(sp, sortSplit(lo, hi))
 			}
-			for b, c := range local {
-				if c != 0 {
-					atomic.AddInt64(&splitCounts[j][b], c)
-				}
-			}
-			if countLeft[j].Add(-1) == 0 {
-				// Partition j fully counted: prefix sums, split-layout
-				// relation, and its scatter morsels — still inside the
-				// same job.
-				starts[j] = make([]int64, splits[j])
-				cursors[j] = make([]atomic.Int64, splits[j])
-				off := int64(0)
-				for b := 0; b < splits[j]; b++ {
-					starts[j][b] = off
-					cursors[j][b].Store(off)
-					off += splitCounts[j][b]
-				}
-				dst, err := db.tmpRelation(tmpDir, fmt.Sprintf("SRT%d.seg", j), n)
-				if err != nil {
-					return err
-				}
-				dst.SetCount(n)
-				srt[j] = dst
-				var sc []exec.Task
-				sc = rangeTasks(sc, n, scatter)
-				return jb.Add(sc...)
-			}
-			return nil
-		})
-		if err := jb.Add(count...); err != nil {
-			break // the job is failed; Wait returns the error
 		}
+		return s.jb.Add(sp...)
 	}
-	if err := jb.Wait(); err != nil {
-		return JoinStats{}, err
-	}
-	return stats.total(), nil
+	return s.jb.Add(rangeTasks(nil, n, func(_, lo, hi int) error {
+		local := make([]int64, splits)
+		for x := lo; x < hi; x++ {
+			local[splitOf(rel.Object(x))]++
+		}
+		for b, c := range local {
+			if c != 0 {
+				atomic.AddInt64(&splitCounts[b], c)
+			}
+		}
+		if countLeft.Add(-1) != 0 {
+			return nil
+		}
+		off := int64(0)
+		for b := range starts {
+			starts[b] = off
+			cursors[b].Store(off)
+			off += splitCounts[b]
+		}
+		var err error
+		if dst, err = s.tmp.create(n); err != nil {
+			return err
+		}
+		dst.SetCount(n)
+		return s.jb.Add(rangeTasks(nil, n, scatter)...)
+	})...)
 }
 
 // permuteRange reorders rel[lo : lo+len(handles)] so record lo+x
@@ -513,61 +578,6 @@ func permuteRange(rel *Relation, lo int, handles []int32) {
 	}
 }
 
-// Grace runs the parallel pointer-based Grace join on an ephemeral
-// GOMAXPROCS-sized pool with no probe-memory bound.
-func (db *DB) Grace(tmpDir string, k int) (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.grace(context.Background(), p, tmpDir, k, kernelConfig{}, newMemLimiter(0, nil, nil))
-	})
-}
-
-// grace: the scan hashes every R object into one of k order-preserving
-// buckets per S partition — multi-pass radix partitioning when k
-// exceeds the per-pass fan-out (see bucketedJoin) — then every
-// (partition, bucket) pair probes independently through the flat-table
-// kernel. Probe memory is metered by lim; oversized buckets restage or
-// stream (see probeEnv) instead of overshooting the grant.
-func (db *DB) grace(ctx context.Context, p *exec.Pool, tmpDir string, k int, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
-	if k < 1 {
-		return JoinStats{}, fmt.Errorf("mstore: Grace needs k >= 1, got %d", k)
-	}
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return JoinStats{}, err
-	}
-	bj := &bucketedJoin{
-		db: db, tmpDir: tmpDir, prefix: "gr", k: k, kc: kc.withDefaults(), lim: lim,
-		// The order-preserving hash: bucket by position of the S offset
-		// within the partition's data area.
-		bucketOf: func(ptr SPtr) int {
-			rel := db.S[ptr.Part]
-			return rankBucket(rel.IndexOf(ptr.Off), k, rel.Count())
-		},
-	}
-	return bj.run(ctx, p)
-}
-
-// probeBucketMap joins one bucket through the original per-bucket Go
-// map. It is the reference kernel the flat table is gated against
-// (TestKernelFlatMatchesMap) and the "map" baseline of the bench
-// kernels panel; the joins themselves always use probeFlat.
-func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
-	table := make(map[Ptr][]int, rel.Count())
-	for x := 0; x < rel.Count(); x++ {
-		off := DecodeSPtr(rel.Object(x)).Off
-		table[off] = append(table[off], x)
-	}
-	offs := make([]Ptr, 0, len(table))
-	for off := range table {
-		offs = append(offs, off)
-	}
-	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
-	for _, off := range offs {
-		for _, x := range table[off] {
-			db.joinOne(rel.Object(x), st)
-		}
-	}
-}
-
 // tableBytesFor is the counted footprint of one bucket's flat probe
 // table: the open-addressing slot arrays (8 B key + 4 B head per slot,
 // power-of-two slots at ≤3/4 load factor) plus the per-reference chain
@@ -577,61 +587,42 @@ func tableBytesFor(refs int) int64 {
 	return tableSlots(refs)*12 + int64(refs)*16
 }
 
-// probeEnv carries the grant machinery of one join's probe stage. Each
-// probe task reserves its table's counted bytes from the shared limiter
-// before building it, so the sum over concurrently built tables never
-// exceeds the grant — the invariant the skew tests assert. The flat
-// tables build inside per-worker arenas; an arena retains its high-water
-// capacity between buckets (that is the zero-alloc steady state), which
-// stays within the accounting because a worker builds one table at a
-// time and every build is reserved at full size first.
-type probeEnv struct {
-	db     *DB
-	kern   *joinKernel
-	lim    *memLimiter
-	tmpDir string
-	seq    atomic.Int64 // unique names for restage temp relations
-	arenas []probeArena // per-worker table storage
-}
-
-func newProbeEnv(db *DB, kern *joinKernel, lim *memLimiter, tmpDir string, workers int) *probeEnv {
-	return &probeEnv{db: db, kern: kern, lim: lim, tmpDir: tmpDir, arenas: make([]probeArena, workers)}
-}
-
-// probe joins one bucket within the grant on worker w. The fast path
-// reserves the table's bytes (waiting for concurrent probes when the
-// grant is temporarily occupied) and builds the flat table in w's
-// arena. A bucket whose table can never fit — renegotiation included —
+// probe joins one bucket within the grant on worker w. Each probe
+// reserves its table's counted bytes from the join's limiter before
+// building it, so the sum over concurrently built tables never exceeds
+// the grant — the invariant the skew tests assert. The fast path
+// reserves (waiting for concurrent probes when the grant is temporarily
+// occupied) and builds the flat table in w's arena; an arena retains
+// its high-water capacity between buckets (that is the zero-alloc
+// steady state), which stays within the accounting because a worker
+// builds one table at a time and every build is reserved at full size
+// first. A bucket whose table can never fit — renegotiation included —
 // is restaged into sub-buckets on disk until each fits, and a bucket
 // whose references collapse onto a single S object (one hot key)
 // streams instead: restaging cannot split it, but it also needs no
 // table.
-func (e *probeEnv) probe(w int, rel *Relation, st *JoinStats, depth int) error {
+func (r *joinRun) probe(w int, rel *Relation, st *JoinStats, depth int) error {
 	need := tableBytesFor(rel.Count())
-	if e.lim.reserve(need) {
-		defer e.lim.release(need)
-		e.kern.probeFlat(&e.arenas[w], rel, st)
+	if r.lim.reserve(need) {
+		defer r.lim.release(need)
+		r.kern.probeFlat(&r.arenas[w], rel, st)
 		return nil
 	}
-	lo, hi := e.indexSpan(rel)
-	if depth >= maxRestageDepth || lo >= hi {
-		return e.streamProbe(rel, st)
-	}
-	return e.restage(w, rel, st, lo, hi, depth)
-}
-
-// indexSpan scans a bucket and returns the minimum and maximum S index
-// its references name (every reference in a bucket points into one S
-// partition, so the indexes are comparable).
-func (e *probeEnv) indexSpan(rel *Relation) (lo, hi int) {
-	lo, hi = int(^uint(0)>>1), -1
+	// The minimum and maximum S index the bucket's references name
+	// (they all point into one S partition, so indexes are comparable).
+	lo, hi := int(^uint(0)>>1), -1
 	for x := 0; x < rel.Count(); x++ {
-		ptr := DecodeSPtr(rel.Object(x))
-		idx := e.db.S[ptr.Part].IndexOf(ptr.Off)
+		idx := r.sIndex(DecodeSPtr(rel.Object(x)))
 		lo, hi = min(lo, idx), max(hi, idx)
 	}
-	return lo, hi
+	if depth >= maxRestageDepth || lo >= hi {
+		return r.streamProbe(rel, st)
+	}
+	return r.restage(w, rel, st, lo, hi, depth)
 }
+
+// sIndex is the rank of the S object p names within its partition.
+func (r *joinRun) sIndex(p SPtr) int { return r.db.S[p.Part].IndexOf(p.Off) }
 
 // restage re-partitions one oversized bucket into sub-buckets on disk —
 // the spill path of the dynamic hybrid-hash design. The fan-out is just
@@ -639,57 +630,41 @@ func (e *probeEnv) indexSpan(rel *Relation) (lo, hi int) {
 // grant; skew that concentrates references recurses, narrowing the
 // S-index span every pass (min and max always separate), until each
 // sub-bucket either fits or has collapsed onto a single hot key.
-func (e *probeEnv) restage(w int, rel *Relation, st *JoinStats, lo, hi, depth int) error {
+func (r *joinRun) restage(w int, rel *Relation, st *JoinStats, lo, hi, depth int) error {
 	span := hi - lo + 1
-	budget := max(e.lim.budgetNow(), 1)
+	budget := max(r.lim.budgetNow(), 1)
 	sub := int((tableBytesFor(rel.Count()) + budget - 1) / budget)
 	sub = max(min(sub, maxRestageFanout, span), 2)
-
-	cnts := make([]int64, sub)
-	subIdx := func(ptr SPtr) int {
-		return rankBucket(e.db.S[ptr.Part].IndexOf(ptr.Off)-lo, sub, span)
+	subOf := func(x int) int {
+		return rankBucket(r.sIndex(DecodeSPtr(rel.Object(x)))-lo, sub, span)
 	}
+	cnts := make([]int, sub)
 	for x := 0; x < rel.Count(); x++ {
-		cnts[subIdx(DecodeSPtr(rel.Object(x)))]++
+		cnts[subOf(x)]++
 	}
-	aps := make([]*Appender, sub)
-	defer func() {
-		for _, ap := range aps {
-			if ap != nil {
-				ap.Relation().Segment().Delete()
+	subs := make([]*Relation, sub)
+	for x := 0; x < rel.Count(); x++ {
+		b := subOf(x)
+		if subs[b] == nil {
+			var err error
+			if subs[b], err = r.tmp.create(cnts[b]); err != nil {
+				return err
 			}
 		}
-	}()
-	for b := 0; b < sub; b++ {
-		if cnts[b] == 0 {
-			continue
-		}
-		r, err := e.db.tmpRelation(e.tmpDir,
-			fmt.Sprintf("rs_%d_%d.seg", depth, e.seq.Add(1)), int(cnts[b])+1)
-		if err != nil {
-			return err
-		}
-		e.lim.tel.TempFiles.Add(1)
-		aps[b] = NewAppender(r)
-	}
-	for x := 0; x < rel.Count(); x++ {
-		obj := rel.Object(x)
-		if err := aps[subIdx(DecodeSPtr(obj))].Append(obj); err != nil {
+		if _, err := subs[b].Append(rel.Object(x)); err != nil {
 			return err
 		}
 	}
-	e.lim.tel.Restages.Add(1)
-	e.lim.tel.RestagedRefs.Add(int64(rel.Count()))
-	for b := 0; b < sub; b++ {
-		if aps[b] == nil {
+	r.lim.tel.Restages.Add(1)
+	r.lim.tel.RestagedRefs.Add(int64(rel.Count()))
+	for _, s := range subs {
+		if s == nil {
 			continue
 		}
-		aps[b].Seal()
-		if err := e.probe(w, aps[b].Relation(), st, depth+1); err != nil {
+		if err := r.probe(w, s, st, depth+1); err != nil {
 			return err
 		}
-		aps[b].Relation().Segment().Delete()
-		aps[b] = nil
+		r.tmp.drop(s)
 	}
 	return nil
 }
@@ -701,25 +676,21 @@ func (e *probeEnv) restage(w int, rel *Relation, st *JoinStats, lo, hi, depth in
 // ordered walk is batch-gathered like every other kernel. Correctness
 // does not depend on the order — Pairs and Signature fold as
 // commutative sums — so the result stays bit-identical.
-func (e *probeEnv) streamProbe(rel *Relation, st *JoinStats) error {
-	e.lim.tel.StreamProbes.Add(1)
+func (r *joinRun) streamProbe(rel *Relation, st *JoinStats) error {
+	r.lim.tel.StreamProbes.Add(1)
 	n := rel.Count()
 	chunk := n
-	if e.lim.bounded() {
-		chunk = int(min(int64(n), max(e.lim.budgetNow()/streamHandleBytes, 1)))
+	if r.lim.bounded() {
+		chunk = int(min(int64(n), max(r.lim.budgetNow()/streamHandleBytes, 1)))
 	}
 	bytes := int64(chunk) * streamHandleBytes
-	if !e.lim.reserve(bytes) {
+	if !r.lim.reserve(bytes) {
 		// A grant below one handle: degenerate, but still bounded — scan
 		// in file order with no auxiliary memory at all.
-		b := e.kern.newBatch()
-		for x := 0; x < n; x++ {
-			b.add(rel.Object(x), st)
-		}
-		b.flush(st)
+		r.kern.joinRange(rel, 0, n, st)
 		return nil
 	}
-	defer e.lim.release(bytes)
+	defer r.lim.release(bytes)
 	handles := make([]int32, chunk)
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
@@ -730,53 +701,11 @@ func (e *probeEnv) streamProbe(rel *Relation, st *JoinStats) error {
 		pheap.Sort(h, func(a, b int32) bool {
 			return DecodeSPtr(rel.Object(int(a))).Off < DecodeSPtr(rel.Object(int(b))).Off
 		})
-		b := e.kern.newBatch()
+		b := r.kern.newBatch()
 		for _, x := range h {
 			b.add(rel.Object(int(x)), st)
 		}
 		b.flush(st)
 	}
 	return nil
-}
-
-// HybridHash runs the parallel pointer-based hybrid-hash join on an
-// ephemeral GOMAXPROCS-sized pool with no probe-memory bound.
-func (db *DB) HybridHash(tmpDir string, k int, residentFrac float64) (JoinStats, error) {
-	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.hybridHash(context.Background(), p, tmpDir, k, residentFrac, kernelConfig{}, newMemLimiter(0, nil, nil))
-	})
-}
-
-// hybridHash: references into a resident prefix of each S partition
-// (residentFrac of its objects) join immediately during the scan
-// morsels and never touch temporary storage; the remainder goes through
-// Grace-style ordered buckets (radix-partitioned like grace), probed
-// under lim's memory grant.
-func (db *DB) hybridHash(ctx context.Context, p *exec.Pool, tmpDir string, k int, residentFrac float64, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
-	if k < 1 {
-		return JoinStats{}, fmt.Errorf("mstore: HybridHash needs k >= 1, got %d", k)
-	}
-	if residentFrac < 0 || residentFrac > 1 {
-		return JoinStats{}, fmt.Errorf("mstore: residentFrac %g out of [0,1]", residentFrac)
-	}
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return JoinStats{}, err
-	}
-	d := db.D
-	residentUpTo := make([]int, d)
-	for j := 0; j < d; j++ {
-		residentUpTo[j] = int(residentFrac * float64(db.S[j].Count()))
-	}
-	bj := &bucketedJoin{
-		db: db, tmpDir: tmpDir, prefix: "hh", k: k, kc: kc.withDefaults(), lim: lim,
-		bucketOf: func(ptr SPtr) int {
-			rel := db.S[ptr.Part]
-			lo := residentUpTo[ptr.Part]
-			return rankBucket(rel.IndexOf(ptr.Off)-lo, k, rel.Count()-lo)
-		},
-		resident: func(ptr SPtr) bool {
-			return db.S[ptr.Part].IndexOf(ptr.Off) < residentUpTo[ptr.Part]
-		},
-	}
-	return bj.run(ctx, p)
 }

@@ -12,75 +12,40 @@ import "encoding/binary"
 //     a batch's S-side reads back-to-back (independent loads, so the
 //     cache misses overlap in the memory pipeline) before the join stage
 //     folds the pairs. Go has no prefetch intrinsics; the stride-ahead
-//     read loop is the software equivalent, and cmd/bench measures it
-//     instead of assuming (batch widths 1/16/64 in the kernels panel).
+//     read loop is the software equivalent.
 //   - probeArena (kernel_table.go) replaces the per-bucket Go map with a
 //     flat open-addressing table carved from a reusable per-worker
 //     arena: zero steady-state allocations on the probe path.
-//   - radixPlan (kernel_radix.go) splits a k-way bucket fan-out into
-//     passes of at most 1<<radixBits destinations each, so every scatter
+//   - radix.Plan (internal/radix) splits a k-way bucket fan-out into
+//     passes of at most 2^radix.Bits destinations each, so every scatter
 //     pass's working set of destination pages stays cache-sized.
 //
 // Every kernel is gated on bit-identical Pairs/Signature against the
-// straight-line reference loops: the signatures fold as commutative
-// sums, so batching, table layout, and pass structure are free to
-// reorder work (TestKernelSignatureGrid asserts the whole grid).
+// straight-line reference loops kept in kernel_test.go: the signatures
+// fold as commutative sums, so batching, table layout, and pass
+// structure are free to reorder work.
 
-const (
-	// defaultRadixBits bounds one partitioning pass to 2^8 = 256
-	// destination buckets — with 4 KiB bucket pages that is a ~1 MiB
-	// destination working set, sized to stay inside a typical L2 and
-	// well within TLB reach. JoinRequest.RadixBits overrides.
-	defaultRadixBits = 8
-	// maxRadixBits caps the per-pass fan-out (2^16 destinations); more
-	// never helps and the counting arrays are sized by it.
-	maxRadixBits = 16
-	// defaultProbeBatch is the gather width of the batched probe
-	// kernels; measured best on the bench hosts (see BENCH_mstore.json
-	// kernels panel). JoinRequest.ProbeBatch overrides.
-	defaultProbeBatch = 64
-	// maxProbeBatch bounds the batch buffers carried on morsel stacks.
-	maxProbeBatch = 64
-)
-
-// kernelConfig carries the two kernel tuning knobs through a join.
-type kernelConfig struct {
-	radixBits  int // per-pass partitioning fan-out is 1<<radixBits
-	probeBatch int // gather width of the batched probe kernels
-}
-
-func (c kernelConfig) withDefaults() kernelConfig {
-	if c.radixBits <= 0 {
-		c.radixBits = defaultRadixBits
-	}
-	if c.radixBits > maxRadixBits {
-		c.radixBits = maxRadixBits
-	}
-	if c.probeBatch <= 0 {
-		c.probeBatch = defaultProbeBatch
-	}
-	if c.probeBatch > maxProbeBatch {
-		c.probeBatch = maxProbeBatch
-	}
-	return c
-}
+// gatherWidth is the fixed width of the batched gather. It was a
+// request knob until the one multi-core, larger-than-LLC measurement
+// (EXPERIMENTS.md "Cache-conscious kernels") showed folding every pair
+// at once no better than the 64-wide gather: the gather stays, and its
+// one value in use is a constant.
+const gatherWidth = 64
 
 // joinKernel is one join's view of the mapped store for the batched
 // kernels: a full-segment byte view per S partition (the base relations
-// never grow during a join, so the views are stable), and the batch
-// width. One joinKernel is shared read-only by all of a join's morsels.
+// never grow during a join, so the views are stable). One joinKernel is
+// shared read-only by all of a join's morsels.
 type joinKernel struct {
-	db    *DB
-	sv    [][]byte // segment views indexed by S partition
-	batch int
+	sv [][]byte // segment views indexed by S partition
 }
 
-func newJoinKernel(db *DB, kc kernelConfig) *joinKernel {
+func newJoinKernel(db *DB) *joinKernel {
 	sv := make([][]byte, len(db.S))
 	for j, rel := range db.S {
 		sv[j] = rel.seg.data
 	}
-	return &joinKernel{db: db, sv: sv, batch: kc.probeBatch}
+	return &joinKernel{sv: sv}
 }
 
 // sWord reads the identity word of the S object at ptr through the
@@ -98,8 +63,8 @@ func (k *joinKernel) sWord(p SPtr) uint64 {
 type joinBatch struct {
 	k   *joinKernel
 	n   int
-	rid [maxProbeBatch]uint64
-	ptr [maxProbeBatch]SPtr
+	rid [gatherWidth]uint64
+	ptr [gatherWidth]SPtr
 }
 
 func (k *joinKernel) newBatch() joinBatch { return joinBatch{k: k} }
@@ -117,7 +82,7 @@ func (b *joinBatch) addPair(rid uint64, p SPtr, st *JoinStats) {
 	b.ptr[b.n] = p
 	b.rid[b.n] = rid
 	b.n++
-	if b.n >= b.k.batch {
+	if b.n == gatherWidth {
 		b.flush(st)
 	}
 }
@@ -128,7 +93,7 @@ func (b *joinBatch) flush(st *JoinStats) {
 	if n == 0 {
 		return
 	}
-	var sw [maxProbeBatch]uint64
+	var sw [gatherWidth]uint64
 	for i := 0; i < n; i++ { // gather: S-side reads back-to-back
 		sw[i] = b.k.sWord(b.ptr[i])
 	}

@@ -1,72 +1,49 @@
 package mstore
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"mmjoin/internal/exec"
+)
 
 // BucketSet materializes a database's Grace buckets once so the probe
 // stage can be driven — and timed — in isolation, bucket partitioning
 // excluded. cmd/bench's kernels panel and the go-bench suite probe one
-// BucketSet repeatedly through both kernels (flat table at several
-// batch widths, legacy map) and compare ns-per-pair and allocs-per-pair
-// on identical inputs; the Signature equality between the two is also
-// the differential gate TestKernelFlatMatchesMap asserts.
+// BucketSet repeatedly through the flat-table kernel and report
+// ns-per-pair and allocs-per-pair; TestKernelFlatMatchesMap probes the
+// same buckets through the map reference kernel as a differential gate.
 type BucketSet struct {
-	db    *DB
 	rels  []*Relation
 	refs  int64
 	kern  *joinKernel
 	arena probeArena
+	tmp   *temps
 }
 
 // BuildGraceBuckets partitions R into k order-preserving Grace buckets
 // per S partition under tmpDir and returns the non-empty ones ready for
-// repeated probing. The build runs sequentially — it is setup for
-// measurement, not the measured stage. Close deletes the bucket files.
+// repeated probing: the Grace staging with a finish that keeps each
+// bucket instead of probing it. The build runs on one worker — it is
+// setup for measurement, not the measured stage. Close deletes the
+// bucket files.
 func (db *DB) BuildGraceBuckets(tmpDir string, k int) (*BucketSet, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mstore: BuildGraceBuckets needs k >= 1, got %d", k)
 	}
-	d := db.D
-	bucketOf := func(ptr SPtr) int {
-		rel := db.S[ptr.Part]
-		return rankBucket(rel.IndexOf(ptr.Off), k, rel.Count())
+	p := exec.NewPool(1)
+	defer p.Close()
+	r := newJoinRun(context.Background(), db, p, newMemLimiter(0, nil, nil), tmpDir)
+	bs := &BucketSet{kern: r.kern, tmp: r.tmp}
+	cfg := db.grace(k)
+	cfg.finish = func(_ *stagedRun, _ int, rel *Relation) error {
+		bs.rels = append(bs.rels, rel)
+		bs.refs += int64(rel.Count())
+		return nil
 	}
-	counts := make([][]int64, d)
-	for j := range counts {
-		counts[j] = make([]int64, k)
-	}
-	for _, ri := range db.R {
-		for x := 0; x < ri.Count(); x++ {
-			ptr := DecodeSPtr(ri.Object(x))
-			counts[ptr.Part][bucketOf(ptr)]++
-		}
-	}
-	bs := &BucketSet{db: db, kern: newJoinKernel(db, kernelConfig{}.withDefaults())}
-	rels := make([][]*Relation, d)
-	for j := 0; j < d; j++ {
-		rels[j] = make([]*Relation, k)
-		for b := 0; b < k; b++ {
-			if counts[j][b] == 0 {
-				continue
-			}
-			rel, err := db.tmpRelation(tmpDir, fmt.Sprintf("bench_gr_%d_%d.seg", j, b), int(counts[j][b]))
-			if err != nil {
-				bs.Close()
-				return nil, err
-			}
-			rels[j][b] = rel
-			bs.rels = append(bs.rels, rel)
-			bs.refs += counts[j][b]
-		}
-	}
-	for _, ri := range db.R {
-		for x := 0; x < ri.Count(); x++ {
-			obj := ri.Object(x)
-			ptr := DecodeSPtr(obj)
-			if _, err := rels[ptr.Part][bucketOf(ptr)].Append(obj); err != nil {
-				bs.Close()
-				return nil, err
-			}
-		}
+	if err := r.staged(cfg); err != nil {
+		bs.Close()
+		return nil, err
 	}
 	return bs, nil
 }
@@ -78,35 +55,20 @@ func (bs *BucketSet) Buckets() int { return len(bs.rels) }
 // pass folds exactly this many pairs.
 func (bs *BucketSet) Refs() int64 { return bs.refs }
 
-// ProbeFlat probes every bucket through the flat arena-backed table at
-// the given batch width (0 selects the default) and returns the folded
-// stats. After the first call the arena has reached its high-water
-// capacity and subsequent calls allocate nothing.
-func (bs *BucketSet) ProbeFlat(batch int) JoinStats {
-	old := bs.kern.batch
-	bs.kern.batch = kernelConfig{probeBatch: batch}.withDefaults().probeBatch
+// ProbeFlat probes every bucket through the flat arena-backed table
+// and returns the folded stats. After the first call the arena has
+// reached its high-water capacity and subsequent calls allocate
+// nothing.
+func (bs *BucketSet) ProbeFlat() JoinStats {
 	var st JoinStats
 	for _, rel := range bs.rels {
 		bs.kern.probeFlat(&bs.arena, rel, &st)
-	}
-	bs.kern.batch = old
-	return st
-}
-
-// ProbeMap probes every bucket through the legacy per-bucket Go map —
-// the baseline the flat kernel is measured and gated against.
-func (bs *BucketSet) ProbeMap() JoinStats {
-	var st JoinStats
-	for _, rel := range bs.rels {
-		bs.db.probeBucketMap(rel, &st)
 	}
 	return st
 }
 
 // Close deletes the bucket files.
 func (bs *BucketSet) Close() {
-	for _, rel := range bs.rels {
-		rel.Segment().Delete()
-	}
+	bs.tmp.close()
 	bs.rels = nil
 }

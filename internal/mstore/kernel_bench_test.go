@@ -6,13 +6,12 @@ import (
 )
 
 // The go-bench counterpart of cmd/bench's kernels panel: probe a fixed
-// Grace bucket set through each kernel. Run with
+// Grace bucket set through the flat-table kernel. Run with
 //
 //	go test -bench ProbeKernel -benchmem ./internal/mstore/
 //
-// BenchmarkProbeKernelFlat* must report 0 allocs/op — the steady state
-// the per-worker arena buys; BenchmarkProbeKernelMap is the baseline it
-// is measured against.
+// BenchmarkProbeKernelFlat must report 0 allocs/op — the steady state
+// the per-worker arena buys.
 
 func benchBuckets(b *testing.B) *BucketSet {
 	b.Helper()
@@ -29,31 +28,14 @@ func benchBuckets(b *testing.B) *BucketSet {
 	return bs
 }
 
-func benchProbeFlat(b *testing.B, batch int) {
+func BenchmarkProbeKernelFlat(b *testing.B) {
 	bs := benchBuckets(b)
-	want := bs.ProbeFlat(batch) // warm the arena to high-water capacity
-	b.SetBytes(bs.Refs() * 8)   // gathered S words per pass
+	want := bs.ProbeFlat()    // warm the arena to high-water capacity
+	b.SetBytes(bs.Refs() * 8) // gathered S words per pass
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if st := bs.ProbeFlat(batch); st != want {
-			b.Fatal("stats diverged")
-		}
-	}
-}
-
-func BenchmarkProbeKernelFlat1(b *testing.B)  { benchProbeFlat(b, 1) }
-func BenchmarkProbeKernelFlat16(b *testing.B) { benchProbeFlat(b, 16) }
-func BenchmarkProbeKernelFlat64(b *testing.B) { benchProbeFlat(b, 64) }
-
-func BenchmarkProbeKernelMap(b *testing.B) {
-	bs := benchBuckets(b)
-	want := bs.ProbeMap()
-	b.SetBytes(bs.Refs() * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if st := bs.ProbeMap(); st != want {
+		if st := bs.ProbeFlat(); st != want {
 			b.Fatal("stats diverged")
 		}
 	}

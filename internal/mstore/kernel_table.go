@@ -154,11 +154,10 @@ func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 	// Every reference in a bucket names one S partition; read it off the
 	// first record.
 	sview := k.sv[binary.LittleEndian.Uint32(view[base:])]
-	batch := k.batch
 	pairs := int64(0)
-	var sw [maxProbeBatch]uint64
-	for lo := 0; lo < distinct; lo += batch {
-		hi := min(lo+batch, distinct)
+	var sw [gatherWidth]uint64
+	for lo := 0; lo < distinct; lo += gatherWidth {
+		hi := min(lo+gatherWidth, distinct)
 		for i := lo; i < hi; i++ { // gather
 			sw[i-lo] = binary.LittleEndian.Uint64(sview[dkeys[i]:])
 		}

@@ -1,55 +1,76 @@
 package mstore
 
 import (
+	"context"
+	"encoding/binary"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
+	"mmjoin/internal/radix"
 )
 
-// TestKernelSignatureGrid is the property grid gating the kernel
-// rewrite: every algorithm × radix bits {4, 8, 12} × batch width
-// {1, 16, 64} × worker count {1, 2, GOMAXPROCS} × corpus {uniform,
-// Zipf hot-key} must produce Pairs/Signature bit-identical to the
-// store's independently computed ground truth. K=40 covers both
-// single-pass partitioning (8 and 12 bits) and two-pass (4 bits);
-// deeper pass counts are TestKernelMultiPassDeep's job.
+// segFiles lists the temporary segment files left under dir.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestKernelSignatureGrid is the property grid over what the collapsed
+// executor can vary: six operators × workers {1, 2, 4} × corpus
+// {uniform, Zipf hot-key} × K {1, 37, 600} × {unbounded, 64 KiB grant}.
+// Every point must produce Pairs/Signature bit-identical to the store's
+// independently computed ground truth, keep the peak of counted probe
+// memory within grant + renegotiated bytes, and leave an explicit
+// TmpDir without a single temporary segment — the one temp owner is the
+// behaviour under test. K=600 partitions in two passes; deeper pass
+// counts are TestKernelMultiPassDeep's job.
 func TestKernelSignatureGrid(t *testing.T) {
-	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
+	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace,
+		join.HybridHash, join.IndexNL, join.IndexMerge}
 	corpora := map[string]func(*testing.T, int) *DB{
 		"uniform": makeDB,
 		"zipf":    zipfDB,
 	}
-	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for name, mk := range corpora {
-		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			db := mk(t, 6000)
+			db := indexedDB(t, mk(t, 6000))
 			want := db.ExpectedStats()
-			for _, bits := range []int{4, 8, 12} {
-				for _, batch := range []int{1, 16, 64} {
-					for _, w := range workers {
-						for _, alg := range algs {
-							// K and radix bits only reach the bucketed
-							// joins; run the other two once per
-							// batch/worker point.
-							if (alg == join.NestedLoops || alg == join.SortMerge) && bits != 4 {
+			tmp := filepath.Join(t.TempDir(), "tmp")
+			for _, alg := range algs {
+				for _, w := range []int{1, 2, 4} {
+					for _, k := range []int{1, 37, 600} {
+						for _, grant := range []int64{-1, 64 << 10} {
+							// K only reaches the bucketed joins; run the
+							// others once per worker/grant point.
+							if alg != join.Grace && alg != join.HybridHash && k != 37 {
 								continue
 							}
+							var tel JoinTelemetry
 							got, err := db.Run(JoinRequest{
-								Algorithm:  alg,
-								K:          40,
-								RadixBits:  bits,
-								ProbeBatch: batch,
-								Workers:    w,
+								Algorithm: alg, K: k, Workers: w,
+								MemGrant: grant, Telemetry: &tel, TmpDir: tmp,
 							})
 							if err != nil {
-								t.Fatalf("%v bits=%d batch=%d w=%d: %v", alg, bits, batch, w, err)
+								t.Fatalf("%v k=%d w=%d grant=%d: %v", alg, k, w, grant, err)
 							}
 							if got != want {
-								t.Fatalf("%v bits=%d batch=%d w=%d: got %+v want %+v",
-									alg, bits, batch, w, got, want)
+								t.Fatalf("%v k=%d w=%d grant=%d: got %+v want %+v", alg, k, w, grant, got, want)
+							}
+							if bound := grant + tel.ExtraGrantBytes.Load(); grant > 0 && tel.PeakTableBytes.Load() > bound {
+								t.Fatalf("%v k=%d w=%d: peak %d exceeds grant %d",
+									alg, k, w, tel.PeakTableBytes.Load(), bound)
+							}
+							if left := segFiles(t, tmp); len(left) != 0 {
+								t.Fatalf("%v k=%d w=%d grant=%d: temporaries left behind: %v", alg, k, w, grant, left)
 							}
 						}
 					}
@@ -59,28 +80,91 @@ func TestKernelSignatureGrid(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context that cancels itself the n-th time the pool
+// consults it (once before every morsel), which lands the cancellation
+// deterministically inside a chosen pass.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestKernelCancelMidScanLeavesNoTemporaries cancels each staging
+// operator after its count pass (8 morsels) and inside its scan pass —
+// every destination file exists and is half written — and demands the
+// temp owner still empties the explicit TmpDir.
+func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
+	db := makeDB(t, 20000) // 4 partitions × 5000 objects: 2 morsels each
+	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
+		ctx := &cancelAfter{}
+		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
+		ctx.left.Store(12)
+		tmp := filepath.Join(t.TempDir(), "tmp")
+		var tel JoinTelemetry
+		_, err := db.Run(JoinRequest{
+			Algorithm: alg, K: 300, ResidentFrac: 0.3, Workers: 2,
+			Ctx: ctx, Telemetry: &tel, TmpDir: tmp,
+		})
+		if err == nil {
+			t.Fatalf("%v: cancelled join reported success", alg)
+		}
+		if tel.TempFiles.Load() == 0 {
+			t.Fatalf("%v: cancelled before any temporary existed; the test no longer lands mid-scan", alg)
+		}
+		if left := segFiles(t, tmp); len(left) != 0 {
+			t.Fatalf("%v: temporaries left behind after cancel: %v", alg, left)
+		}
+	}
+}
+
+// runStaged drives the skeleton the way DB.Run does, but with the
+// per-pass fan-out narrowed — the one thing no request can do.
+func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, grant int64, tel *JoinTelemetry) (JoinStats, error) {
+	t.Helper()
+	p := exec.NewPool(workers)
+	defer p.Close()
+	lim := newMemLimiter(grant, nil, tel)
+	defer lim.close()
+	tmp := t.TempDir()
+	r := newJoinRun(context.Background(), db, p, lim, tmp)
+	r.fanBits = fanBits
+	err := r.staged(cfg)
+	r.tmp.close()
+	if left := segFiles(t, tmp); len(left) != 0 {
+		t.Fatalf("temporaries left behind: %v", left)
+	}
+	return r.stats.total(), err
+}
+
 // TestKernelMultiPassDeep drives the partitioning through three radix
-// passes (K=300 at 4 bits; 2 passes at 8) on both corpora — the regime
+// passes (K=300 at a 4-bit fan-out, which only an in-package caller can
+// select; 2 passes at the constant 8) on both corpora — the regime
 // where intermediate scatter files are created, refined, and deleted
-// inside the probe tasks.
+// inside the finish tasks.
 func TestKernelMultiPassDeep(t *testing.T) {
 	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
-		for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
-			for _, bits := range []int{4, 8} {
+		for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
+			for _, bits := range []int{4, radix.Bits} {
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-					got, err := db.Run(JoinRequest{
-						Algorithm: alg,
-						K:         300,
-						RadixBits: bits,
-						Workers:   w,
-					})
+					var tel JoinTelemetry
+					got, err := runStaged(t, db, cfg, bits, w, 0, &tel)
 					if err != nil {
-						t.Fatalf("%v bits=%d w=%d: %v", alg, bits, w, err)
+						t.Fatalf("%s bits=%d w=%d: %v", name, bits, w, err)
 					}
 					if got != want {
-						t.Fatalf("%v bits=%d w=%d: got %+v want %+v", alg, bits, w, got, want)
+						t.Fatalf("%s bits=%d w=%d: got %+v want %+v", name, bits, w, got, want)
+					}
+					if passes, _ := radix.Plan(300, bits); tel.RadixPasses.Load() != int64(passes) {
+						t.Fatalf("%s bits=%d: ran %d passes, want %d", name, bits, tel.RadixPasses.Load(), passes)
 					}
 				}
 			}
@@ -90,56 +174,96 @@ func TestKernelMultiPassDeep(t *testing.T) {
 
 // TestKernelGridUnderGrant re-runs a slice of the grid with a grant
 // small enough to force restaging and hot-key streaming, so the batched
-// kernels are also exercised on the spill paths.
+// kernels are also exercised on the spill paths — at the constant
+// fan-out and, in-package, at the narrow one.
 func TestKernelGridUnderGrant(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
-	for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
-		for _, bits := range []int{4, 8} {
-			for _, batch := range []int{1, 64} {
-				var tel JoinTelemetry
-				got, err := db.Run(JoinRequest{
-					Algorithm:  alg,
-					K:          40,
-					RadixBits:  bits,
-					ProbeBatch: batch,
-					MemGrant:   32 << 10,
-					Telemetry:  &tel,
-				})
-				if err != nil {
-					t.Fatalf("%v bits=%d batch=%d: %v", alg, bits, batch, err)
-				}
-				if got != want {
-					t.Fatalf("%v bits=%d batch=%d: got %+v want %+v", alg, bits, batch, got, want)
-				}
-				if peak, grant := tel.PeakTableBytes.Load(), int64(32<<10); peak > grant {
-					t.Fatalf("%v bits=%d batch=%d: peak %d exceeds grant %d", alg, bits, batch, peak, grant)
-				}
+	const grant = int64(32 << 10)
+	for name, cfg := range map[string]staging{"grace": db.grace(40), "hybrid-hash": db.hybridHash(40, 0)} {
+		for _, bits := range []int{4, radix.Bits} {
+			var tel JoinTelemetry
+			got, err := runStaged(t, db, cfg, bits, 0, grant, &tel)
+			if err != nil {
+				t.Fatalf("%s bits=%d: %v", name, bits, err)
+			}
+			if got != want {
+				t.Fatalf("%s bits=%d: got %+v want %+v", name, bits, got, want)
+			}
+			if peak := tel.PeakTableBytes.Load(); peak > grant {
+				t.Fatalf("%s bits=%d: peak %d exceeds grant %d", name, bits, peak, grant)
+			}
+			if tel.Restages.Load() == 0 || tel.StreamProbes.Load() == 0 {
+				t.Fatalf("%s bits=%d: grant forced %d restages and %d stream probes, want both",
+					name, bits, tel.Restages.Load(), tel.StreamProbes.Load())
 			}
 		}
 	}
 }
 
+// The map reference kernel: one bucket joined through a per-bucket Go
+// map, one pair at a time. It was the probe kernel before the flat
+// table and lives on only here, as what the flat table is gated
+// against.
+
+// joinOne dereferences one R object's stored pointer through the
+// mapping and folds the pair into st.
+func (db *DB) joinOne(obj []byte, st *JoinStats) {
+	ptr := DecodeSPtr(obj)
+	s := db.S[ptr.Part].At(ptr.Off)
+	st.Pairs++
+	st.Signature += pairHash(ridFromObj(obj), binary.LittleEndian.Uint64(s))
+}
+
+func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
+	table := make(map[Ptr][]int, rel.Count())
+	for x := 0; x < rel.Count(); x++ {
+		off := DecodeSPtr(rel.Object(x)).Off
+		table[off] = append(table[off], x)
+	}
+	offs := make([]Ptr, 0, len(table))
+	for off := range table {
+		offs = append(offs, off)
+	}
+	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
+	for _, off := range offs {
+		for _, x := range table[off] {
+			db.joinOne(rel.Object(x), st)
+		}
+	}
+}
+
+// probeMap probes every bucket of the set through the map kernel.
+func probeMap(db *DB, bs *BucketSet) JoinStats {
+	var st JoinStats
+	for _, rel := range bs.rels {
+		db.probeBucketMap(rel, &st)
+	}
+	return st
+}
+
 // TestKernelFlatMatchesMap is the differential gate between the two
-// probe kernels on identical bucket files: flat table at every batch
-// width vs the legacy Go map vs ground truth.
+// probe kernels on identical bucket files: flat table vs the reference
+// Go map vs ground truth.
 func TestKernelFlatMatchesMap(t *testing.T) {
 	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 5000)
 		want := db.ExpectedStats()
-		bs, err := db.BuildGraceBuckets(t.TempDir(), 37)
+		tmp := t.TempDir()
+		bs, err := db.BuildGraceBuckets(tmp, 37)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := bs.ProbeMap(); got != want {
-			t.Fatalf("ProbeMap: got %+v want %+v", got, want)
+		if got := probeMap(db, bs); got != want {
+			t.Fatalf("probeMap: got %+v want %+v", got, want)
 		}
-		for _, batch := range []int{1, 16, 64} {
-			if got := bs.ProbeFlat(batch); got != want {
-				t.Fatalf("ProbeFlat(%d): got %+v want %+v", batch, got, want)
-			}
+		if got := bs.ProbeFlat(); got != want {
+			t.Fatalf("ProbeFlat: got %+v want %+v", got, want)
 		}
 		bs.Close()
+		if left := segFiles(t, tmp); len(left) != 0 {
+			t.Fatalf("bucket files left behind after Close: %v", left)
+		}
 	}
 }
 
@@ -153,8 +277,8 @@ func TestKernelProbeFlatZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs.Close()
-	bs.ProbeFlat(0) // warm the arena
-	if allocs := testing.AllocsPerRun(5, func() { bs.ProbeFlat(0) }); allocs != 0 {
+	bs.ProbeFlat() // warm the arena
+	if allocs := testing.AllocsPerRun(5, func() { bs.ProbeFlat() }); allocs != 0 {
 		t.Fatalf("steady-state ProbeFlat allocates %.1f times per pass", allocs)
 	}
 }
@@ -163,9 +287,8 @@ func TestKernelProbeFlatZeroAllocs(t *testing.T) {
 // model must agree on.
 func TestKernelRadixPlan(t *testing.T) {
 	cases := []struct {
-		k, bits int
-		passes  int
-		span    int64
+		k, bits      int
+		passes, span int
 	}{
 		{1, 8, 1, 1},
 		{256, 8, 1, 1},
@@ -178,9 +301,9 @@ func TestKernelRadixPlan(t *testing.T) {
 		{300, 12, 1, 1},
 	}
 	for _, c := range cases {
-		passes, span := radixPlan(c.k, c.bits)
+		passes, span := radix.Plan(c.k, c.bits)
 		if passes != c.passes || span != c.span {
-			t.Errorf("radixPlan(%d, %d) = (%d, %d), want (%d, %d)",
+			t.Errorf("radix.Plan(%d, %d) = (%d, %d), want (%d, %d)",
 				c.k, c.bits, passes, span, c.passes, c.span)
 		}
 	}
@@ -248,7 +371,6 @@ func TestKernelSharedPoolGrid(t *testing.T) {
 			got, err := db.Run(JoinRequest{
 				Algorithm: alg,
 				K:         300,
-				RadixBits: 4,
 				TmpDir:    t.TempDir(),
 				Pool:      p,
 			})

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"mmjoin/internal/join"
 )
 
 func TestSegmentCreateOpenRoundTrip(t *testing.T) {
@@ -286,15 +288,15 @@ func TestRealJoinsAgree(t *testing.T) {
 	want := db.ExpectedStats()
 	tmp := t.TempDir()
 
-	nl, err := db.NestedLoops(filepath.Join(tmp, "nl"))
+	nl, err := db.Run(JoinRequest{Algorithm: join.NestedLoops, TmpDir: filepath.Join(tmp, "nl")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := db.SortMerge(filepath.Join(tmp, "sm"))
+	sm, err := db.Run(JoinRequest{Algorithm: join.SortMerge, TmpDir: filepath.Join(tmp, "sm")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := db.Grace(filepath.Join(tmp, "gr"), 8)
+	gr, err := db.Run(JoinRequest{Algorithm: join.Grace, K: 8, TmpDir: filepath.Join(tmp, "gr")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,16 +311,13 @@ func TestGraceBucketCounts(t *testing.T) {
 	db := makeDB(t, 1000)
 	want := db.ExpectedStats()
 	for _, k := range []int{1, 3, 16} {
-		st, err := db.Grace(filepath.Join(t.TempDir(), "g"), k)
+		st, err := db.Run(JoinRequest{Algorithm: join.Grace, K: k, TmpDir: filepath.Join(t.TempDir(), "g")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != want {
 			t.Errorf("k=%d: wrong join", k)
 		}
-	}
-	if _, err := db.Grace(t.TempDir(), 0); err == nil {
-		t.Error("k=0 accepted")
 	}
 }
 
@@ -337,9 +336,9 @@ func TestQuickRealJoinEquivalence(t *testing.T) {
 		defer db.Close()
 		want := db.ExpectedStats()
 		tmp := t.TempDir()
-		nl, err1 := db.NestedLoops(filepath.Join(tmp, "nl"))
-		sm, err2 := db.SortMerge(filepath.Join(tmp, "sm"))
-		gr, err3 := db.Grace(filepath.Join(tmp, "gr"), 5)
+		nl, err1 := db.Run(JoinRequest{Algorithm: join.NestedLoops, TmpDir: filepath.Join(tmp, "nl")})
+		sm, err2 := db.Run(JoinRequest{Algorithm: join.SortMerge, TmpDir: filepath.Join(tmp, "sm")})
+		gr, err3 := db.Run(JoinRequest{Algorithm: join.Grace, K: 5, TmpDir: filepath.Join(tmp, "gr")})
 		return err1 == nil && err2 == nil && err3 == nil &&
 			nl == want && sm == want && gr == want
 	}
@@ -351,20 +350,19 @@ func TestQuickRealJoinEquivalence(t *testing.T) {
 func TestHybridHashRealStore(t *testing.T) {
 	db := makeDB(t, 3000)
 	want := db.ExpectedStats()
-	for _, frac := range []float64{0, 0.3, 0.7, 1.0} {
-		st, err := db.HybridHash(filepath.Join(t.TempDir(), "hh"), 6, frac)
+	// A zero ResidentFrac derives from MRproc (none here: nothing
+	// resident), a negative one forces zero.
+	for _, frac := range []float64{-1, 0, 0.3, 0.7, 1.0} {
+		st, err := db.Run(JoinRequest{
+			Algorithm: join.HybridHash, K: 6, ResidentFrac: frac,
+			TmpDir: filepath.Join(t.TempDir(), "hh"),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != want {
 			t.Errorf("residentFrac=%g: wrong join result", frac)
 		}
-	}
-	if _, err := db.HybridHash(t.TempDir(), 0, 0.5); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := db.HybridHash(t.TempDir(), 4, 1.5); err == nil {
-		t.Error("frac>1 accepted")
 	}
 }
 

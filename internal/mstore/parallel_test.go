@@ -96,30 +96,22 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 	if want.Pairs != 4000 {
 		t.Fatalf("skew db has %d pairs", want.Pairs)
 	}
-	p := exec.NewPool(0)
-	defer p.Close()
-	counts, err := db.refCounts(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < db.D; i++ {
-		for j := 0; j < db.D; j++ {
-			wantC := int64(0)
-			if j == 0 {
-				wantC = int64(db.R[i].Count())
-			}
-			if counts[i][j] != wantC {
-				t.Fatalf("counts[%d][%d] = %d, want %d", i, j, counts[i][j], wantC)
-			}
-		}
-	}
+	// The counting pass measures the distribution, so only the non-empty
+	// destinations materialize: RP<i,0> for i ≠ 0 (R0's references are
+	// its own partition's and join during the scan), RS0 plus its sorted
+	// copy, and Grace's 4 buckets of S0.
+	files := map[join.Algorithm]int64{join.NestedLoops: int64(db.D - 1), join.SortMerge: 2, join.Grace: 4}
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace} {
-		st, err := db.Run(JoinRequest{Algorithm: alg, K: 4, TmpDir: filepath.Join(t.TempDir(), alg.String())})
+		var tel JoinTelemetry
+		st, err := db.Run(JoinRequest{Algorithm: alg, K: 4, Telemetry: &tel, TmpDir: filepath.Join(t.TempDir(), alg.String())})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if st != want {
 			t.Fatalf("%v: stats %+v, want %+v", alg, st, want)
+		}
+		if got := tel.TempFiles.Load(); got != files[alg] {
+			t.Fatalf("%v: %d temp files, want %d", alg, got, files[alg])
 		}
 	}
 }

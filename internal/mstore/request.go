@@ -69,22 +69,11 @@ type JoinRequest struct {
 	// to restaging; everything obtained is given back when Run returns.
 	Negotiator GrantNegotiator
 
-	// RadixBits bounds one partitioning pass of the bucketed joins to
-	// 2^RadixBits destination buckets; a K beyond that partitions in
-	// multiple cache-sized passes. 0 selects the default (8); values
-	// above 16 are clamped.
-	RadixBits int
-
-	// ProbeBatch is the gather width of the batched probe kernels: how
-	// many S-side reads one batch issues ahead of the join stage. 0
-	// selects the default (64, also the maximum).
-	ProbeBatch int
-
 	// TmpDir holds the temporary partition/bucket relations; "" creates
 	// a fresh per-call directory under the db dir (removed on return).
-	// An explicit TmpDir must be unique per concurrent Run call: bucket
-	// file names are fixed, so two joins sharing a TmpDir corrupt each
-	// other's temporaries.
+	// An explicit TmpDir must be unique per concurrent Run call: every
+	// join numbers its temporaries from one, so two joins sharing a
+	// TmpDir collide. Run leaves no temporary behind on any exit path.
 	TmpDir string
 
 	// Workers is the CPU parallelism: the size of the work-stealing pool
@@ -126,11 +115,8 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	if req.MRproc < 0 {
 		return fmt.Errorf("mstore: negative memory grant %d", req.MRproc)
 	}
-	if req.RadixBits < 0 {
-		return fmt.Errorf("mstore: negative radix bits %d", req.RadixBits)
-	}
-	if req.ProbeBatch < 0 {
-		return fmt.Errorf("mstore: negative probe batch %d", req.ProbeBatch)
+	if req.Workers < 0 {
+		return fmt.Errorf("mstore: negative worker count %d", req.Workers)
 	}
 	if req.Fuzz == 0 {
 		req.Fuzz = 1.2
@@ -238,12 +224,13 @@ func (req *JoinRequest) grantBudget(db *DB) int64 {
 // use by multiple goroutines with the default TmpDir (each call gets a
 // fresh temp directory; the base relations are only read); concurrent
 // calls sharing req.Pool additionally share its CPU bound.
+//
+// Everything the operators share is set up and torn down here, once:
+// the temp directory, the pool, the grant limiter and the joinRun that
+// owns the kernel, the per-worker accumulators and the temporaries.
 func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	if err := req.withDefaults(db); err != nil {
 		return JoinStats{}, err
-	}
-	if req.Workers < 0 {
-		return JoinStats{}, fmt.Errorf("mstore: negative worker count %d", req.Workers)
 	}
 	if req.TmpDir == "" {
 		dir, err := os.MkdirTemp(db.Dir, "tmp-")
@@ -252,6 +239,8 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		}
 		defer os.RemoveAll(dir)
 		req.TmpDir = dir
+	} else if err := os.MkdirAll(req.TmpDir, 0o755); err != nil {
+		return JoinStats{}, err
 	}
 	ctx := req.Ctx
 	if ctx == nil {
@@ -262,29 +251,35 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		p = exec.NewPool(req.Workers)
 		defer p.Close()
 	}
-	kc := kernelConfig{radixBits: req.RadixBits, probeBatch: req.ProbeBatch}
+	lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
+	defer lim.close()
+	r := newJoinRun(ctx, db, p, lim, req.TmpDir)
+	defer r.tmp.close()
+
+	var err error
 	switch req.Algorithm {
 	case join.NestedLoops:
-		return db.nestedLoops(ctx, p, req.TmpDir, kc)
+		err = r.staged(db.nestedLoops())
 	case join.SortMerge:
-		return db.sortMerge(ctx, p, req.TmpDir, kc)
+		err = r.staged(db.sortMerge())
 	case join.Grace:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.grace(ctx, p, req.TmpDir, req.K, kc, lim)
-	case join.IndexNL:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.indexNL(ctx, p, kc, lim)
-	case join.IndexMerge:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.indexMerge(ctx, p, kc, lim)
-	default: // join.HybridHash, by withDefaults
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.hybridHash(ctx, p, req.TmpDir, req.K, req.ResidentFrac, kc, lim)
+		err = r.staged(db.grace(req.K))
+	case join.HybridHash:
+		err = r.staged(db.hybridHash(req.K, req.ResidentFrac))
+	default: // join.IndexNL or join.IndexMerge, by withDefaults
+		if need := indexFootprint(p.Workers()); lim.reserve(need) {
+			defer lim.release(need)
+		}
+		if req.Algorithm == join.IndexNL {
+			err = r.indexNL()
+		} else {
+			err = r.indexMerge()
+		}
 	}
+	if err != nil {
+		return JoinStats{}, err
+	}
+	return r.stats.total(), nil
 }
 
 // Workload converts the stored relations into the simulator's workload

@@ -109,7 +109,6 @@ func InputsFor(req join.Request) (model.Inputs, error) {
 		MRproc:    req.MRproc, MSproc: req.MSproc, G: req.G,
 		IRun: req.IRun, NRunABL: req.NRunABL, NRunLast: req.NRunLast,
 		K: req.K, TSize: req.TSize, Fuzz: req.Fuzz,
-		RadixBits: req.RadixBits,
 	}, nil
 }
 

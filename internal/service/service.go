@@ -343,18 +343,15 @@ func (s *Server) add(name string, d int64) {
 
 // Handler returns the service's HTTP mux. The surface is versioned
 // under /v1/ — POST /v1/join, GET /v1/lookup, GET /v1/stats,
-// GET /v1/healthz, and shard management under /v1/shards — with the
-// original unversioned paths kept as aliases for existing clients.
-// Every handler runs behind panic isolation — a panicking request
+// GET /v1/healthz, and shard management under /v1/shards; there are no
+// unversioned aliases. Every handler runs behind panic isolation — a panicking request
 // answers 500 and the server keeps serving.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("POST "+prefix+"/join", s.handleJoin)
-		mux.HandleFunc("GET "+prefix+"/lookup", s.handleLookup)
-		mux.HandleFunc("GET "+prefix+"/stats", s.handleStats)
-		mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-	}
+	mux.HandleFunc("POST /v1/join", s.handleJoin)
+	mux.HandleFunc("GET /v1/lookup", s.handleLookup)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/shards", s.handleShardsList)
 	mux.HandleFunc("POST /v1/shards", s.handleShardsAdd)
 	mux.HandleFunc("DELETE /v1/shards/{id}", s.handleShardsRemove)

@@ -54,7 +54,7 @@ func expectedStats(t *testing.T, s *Server) mstore.JoinStats {
 func postJoin(t *testing.T, ts *httptest.Server, req JoinRequest) (*http.Response, JoinResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := ts.Client().Post(ts.URL+"/join", "application/json", bytes.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}()
 	waitDraining(t, s)
 
-	if resp, err := ts.Client().Get(ts.URL + "/healthz"); err != nil {
+	if resp, err := ts.Client().Get(ts.URL + "/v1/healthz"); err != nil {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: %d", resp.StatusCode)
@@ -280,7 +280,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		t.Fatalf("join while draining: %d", resp.StatusCode)
 	}
 	// Lookups read the mapping too, so drain refuses them as well.
-	if resp, err := ts.Client().Get(ts.URL + "/lookup?part=0&index=0"); err != nil {
+	if resp, err := ts.Client().Get(ts.URL + "/v1/lookup?part=0&index=0"); err != nil {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("lookup while draining: %d", resp.StatusCode)
@@ -371,7 +371,7 @@ func TestServeLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/lookup?part=1&index=5")
+	resp, err := ts.Client().Get(ts.URL + "/v1/lookup?part=1&index=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestServeLookup(t *testing.T) {
 	if lr.RID != want.RID || lr.SPart != want.SPart || lr.SIndex != want.SIndex || lr.SWord != want.SWord {
 		t.Fatalf("lookup %+v, want %+v", lr, want)
 	}
-	for _, bad := range []string{"/lookup?part=9&index=0", "/lookup?part=0&index=999999", "/lookup"} {
+	for _, bad := range []string{"/v1/lookup?part=9&index=0", "/v1/lookup?part=0&index=999999", "/v1/lookup"} {
 		resp, err := ts.Client().Get(ts.URL + bad)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +406,7 @@ func TestServeStats(t *testing.T) {
 	if resp, _ := postJoin(t, ts, JoinRequest{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("join: %d", resp.StatusCode)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/stats")
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
