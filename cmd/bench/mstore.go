@@ -101,7 +101,7 @@ type kernelsPanel struct {
 	Buckets       int    `json:"buckets"`
 	PairsPerPass  int64  `json:"pairs_per_pass"`
 	CounterSource string `json:"counter_source"`
-	// Probe isolates the probe stage on the bucket files.
+	// Probe isolates the probe stage on the materialized buckets.
 	Probe []kernelProbePoint `json:"probe"`
 }
 

@@ -1,0 +1,170 @@
+package mstore
+
+import (
+	"cmp"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"mmjoin/internal/join"
+)
+
+func cmpRef(a, b ref) int {
+	return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.rid, b.rid))
+}
+
+// TestArenaPartitionInPlace: the one re-partitioning primitive under
+// refine and restage moves every reference into its class's range,
+// losing and duplicating none, for any class sizes — empty ones
+// included.
+func TestArenaPartitionInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		classes := 1 + rng.Intn(20)
+		refs := make([]ref, rng.Intn(500))
+		bounds := make([]int, classes+1)
+		for x := range refs {
+			c := rng.Intn(classes)
+			if classes > 2 && c%3 == 1 {
+				c-- // leave some classes empty
+			}
+			refs[x] = ref{off: Ptr(c), rid: uint64(x)}
+			bounds[c+1]++
+		}
+		for c := range classes {
+			bounds[c+1] += bounds[c]
+		}
+		partition(refs, bounds, func(e ref) int { return int(e.off) })
+		seen := make([]bool, len(refs))
+		for c := range classes {
+			for _, e := range refs[bounds[c]:bounds[c+1]] {
+				if int(e.off) != c || seen[e.rid] {
+					t.Fatalf("trial %d: class %d range holds %+v (seen=%v)", trial, c, e, seen[e.rid])
+				}
+				seen[e.rid] = true
+			}
+		}
+	}
+}
+
+// TestArenaExtentsTileExactly is the layout property: for random
+// destination counts (random k, a random many-to-one bucket map that
+// leaves destinations empty, a random resident share) at workers
+// {1, 2, 4, 8} and fan-outs that refine zero to three times, the
+// extents handed to finish tile the arena exactly — no gap, no overlap,
+// arena bytes = staged references × 16 + header — and each
+// destination's extent holds exactly the multiset of references the
+// scan should have staged there. Under -race it is also the proof that
+// concurrent morsels claiming runs of one extent never share a slot.
+func TestArenaExtentsTileExactly(t *testing.T) {
+	db := makeDB(t, 3*morselObjs+123)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 24; trial++ {
+		workers := []int{1, 2, 4, 8}[trial%4]
+		k := 1 + rng.Intn(60)
+		fanBits := []int{2, 4, 8}[rng.Intn(3)]
+		bucketOf := make([]int, k)
+		for b := range bucketOf {
+			bucketOf[b] = rng.Intn(k)
+		}
+		residentMod := 2 + rng.Intn(5)
+		cfg := staging{
+			k: k,
+			resident: func(_ int, p SPtr) bool {
+				return db.S[p.Part].IndexOf(p.Off)%residentMod == 0
+			},
+			dest: func(_ int, p SPtr) int { return bucketOf[db.S[p.Part].IndexOf(p.Off)%k] },
+		}
+		want := make([][]ref, db.D*k)
+		staged := 0
+		for i, ri := range db.R {
+			for x := 0; x < ri.Count(); x++ {
+				obj := ri.Object(x)
+				if p := DecodeSPtr(obj); !cfg.resident(i, p) {
+					dst := int(p.Part)*k + cfg.dest(i, p)
+					want[dst] = append(want[dst], ref{off: p.Off, rid: ridFromObj(obj)})
+					staged++
+				}
+			}
+		}
+
+		type extent struct {
+			lo, dst int
+			refs    []ref
+		}
+		var mu sync.Mutex
+		var got []extent
+		r, done := newTestRun(t, db, workers, 0, nil)
+		r.fanBits = fanBits
+		cfg.finish = func(s *stagedRun, _, part int, refs []ref) error {
+			// refs is a two-index slice of the arena, so its capacity
+			// runs to the arena's end and gives away where it starts.
+			e := extent{
+				lo:   len(s.tmp.refs) - cap(refs),
+				dst:  part*k + cfg.dest(0, SPtr{Part: uint32(part), Off: refs[0].off}),
+				refs: slices.Clone(refs),
+			}
+			mu.Lock()
+			got = append(got, e)
+			mu.Unlock()
+			return nil
+		}
+		err := r.staged(cfg)
+		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
+		done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arenaRefs != staged || arenaBytes != headerSize+int64(staged)*refBytes {
+			t.Fatalf("trial %d: arena holds %d references in %d bytes, want %d references × 16 + header",
+				trial, arenaRefs, arenaBytes, staged)
+		}
+		slices.SortFunc(got, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
+		next := 0
+		for _, e := range got {
+			if e.lo != next {
+				t.Fatalf("trial %d: extent of destination %d starts at %d, previous one ended at %d", trial, e.dst, e.lo, next)
+			}
+			next += len(e.refs)
+			slices.SortFunc(e.refs, cmpRef)
+			slices.SortFunc(want[e.dst], cmpRef)
+			if !slices.Equal(e.refs, want[e.dst]) {
+				t.Fatalf("trial %d (k=%d bits=%d w=%d): destination %d read back %d references, staged %d, or their contents differ",
+					trial, k, fanBits, workers, e.dst, len(e.refs), len(want[e.dst]))
+			}
+			want[e.dst] = nil
+		}
+		if next != staged {
+			t.Fatalf("trial %d: extents cover %d of %d staged references", trial, next, staged)
+		}
+		for dst, w := range want {
+			if len(w) != 0 {
+				t.Fatalf("trial %d: destination %d's %d references never reached a finish", trial, dst, len(w))
+			}
+		}
+	}
+}
+
+// TestArenaNameCollision: a file already carrying the arena's name —
+// what a second join sharing an explicit TmpDir would find — fails the
+// join with the collision error and is neither truncated nor removed.
+func TestArenaNameCollision(t *testing.T) {
+	db := makeDB(t, 2000)
+	tmp := t.TempDir()
+	path := filepath.Join(tmp, "arena.seg")
+	live := []byte("another join's live references")
+	if err := os.WriteFile(path, live, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Run(JoinRequest{Algorithm: join.Grace, K: 4, TmpDir: tmp})
+	if err == nil || !strings.Contains(err.Error(), "collision") {
+		t.Fatalf("join over an occupied TmpDir returned %v, want the collision error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(live) {
+		t.Fatalf("the occupying file was touched: %q, %v", got, err)
+	}
+}

@@ -155,8 +155,8 @@ func (t *BTree) setRefAt(n Ptr, i int, v Ptr) {
 
 // Posting-chain accessors.
 
-func (t *BTree) postNext(blk Ptr) Ptr      { return Ptr(t.seg.U64(blk)) }
-func (t *BTree) postCount(blk Ptr) int     { return int(t.seg.U32(blk + 8)) }
+func (t *BTree) postNext(blk Ptr) Ptr  { return Ptr(t.seg.U64(blk)) }
+func (t *BTree) postCount(blk Ptr) int { return int(t.seg.U32(blk + 8)) }
 func (t *BTree) postVal(blk Ptr, i int) Ptr {
 	return Ptr(t.seg.U64(blk + 16 + Ptr(8*i)))
 }

@@ -19,7 +19,8 @@ import (
 //     that would overshoot together wait their turn.
 //   - A bucket whose table can never fit — even alone — first asks the
 //     GrantNegotiator for more memory, and failing that is restaged:
-//     re-partitioned into sub-buckets on disk until each fits.
+//     re-partitioned in place, within its extent of the temp arena,
+//     into sub-buckets until each fits.
 //   - A bucket one hot key dominates cannot be split by restaging (every
 //     reference names the same S object), so it falls back to a
 //     streaming sorted-probe that never builds the table at all.
@@ -38,15 +39,15 @@ import (
 // chunk handle array (one int32 index).
 const streamHandleBytes = 4
 
-// maxRestageFanout caps how many sub-buckets one restage pass creates;
-// a bucket that overshoots further recurses instead of opening an
-// unbounded number of temp files at once.
+// maxRestageFanout caps how many sub-buckets one restage pass creates,
+// keeping the pass's write cursors cache-resident; a bucket that
+// overshoots further recurses.
 const maxRestageFanout = 64
 
 // maxRestageDepth is a safety rail on restage recursion. The recursion
 // provably terminates without it (every pass separates the span's min
 // and max S index), but a rail keeps a future bucketing bug from
-// turning into runaway temp-file creation.
+// turning into runaway recursion.
 const maxRestageDepth = 32
 
 // GrantNegotiator lets a join that discovers mid-flight it was
@@ -66,11 +67,11 @@ type GrantNegotiator interface {
 // are atomics so concurrently probing morsels record without locks; a
 // server folds them into its /stats counters after the join.
 type JoinTelemetry struct {
-	// TempFiles counts temporary relations actually created, by every
-	// operator and stage (the join's one temp owner counts them) — with
-	// lazy materialization that is the non-empty destinations, not D·K.
+	// TempFiles counts temporary files actually created. Every staging
+	// operator keeps all its destinations, at every stage, in one arena
+	// file, so a join adds 1 — or 0 when it staged nothing.
 	TempFiles atomic.Int64
-	// Restages counts oversized buckets re-partitioned into disk
+	// Restages counts oversized buckets re-partitioned into
 	// sub-buckets; RestagedRefs the references rewritten doing so.
 	Restages     atomic.Int64
 	RestagedRefs atomic.Int64
@@ -92,11 +93,11 @@ type JoinTelemetry struct {
 	RadixPasses atomic.Int64
 }
 
-// Fold merges another join's telemetry into t: every counter adds
-// (including RadixPasses — passes are work performed, so shards' passes
-// accumulate), while PeakTableBytes folds as a max, since each source's
-// peak was measured against its own independent budget. A shard router
-// folds per-shard telemetry into the request's shared struct this way.
+// Fold merges another join's telemetry into t: the event counters add,
+// while PeakTableBytes and RadixPasses fold as a max — each source's
+// peak was measured against its own independent budget, and shards that
+// each partition in one pass make a one-pass join. A shard router folds
+// per-shard telemetry into the request's shared struct this way.
 func (t *JoinTelemetry) Fold(from *JoinTelemetry) {
 	t.TempFiles.Add(from.TempFiles.Load())
 	t.Restages.Add(from.Restages.Load())
@@ -105,13 +106,13 @@ func (t *JoinTelemetry) Fold(from *JoinTelemetry) {
 	t.Renegotiations.Add(from.Renegotiations.Load())
 	t.RenegotiationsDenied.Add(from.RenegotiationsDenied.Load())
 	t.ExtraGrantBytes.Add(from.ExtraGrantBytes.Load())
-	t.RadixPasses.Add(from.RadixPasses.Load())
-	for {
-		peak := from.PeakTableBytes.Load()
-		cur := t.PeakTableBytes.Load()
-		if peak <= cur || t.PeakTableBytes.CompareAndSwap(cur, peak) {
-			return
-		}
+	storeMax(&t.RadixPasses, from.RadixPasses.Load())
+	storeMax(&t.PeakTableBytes, from.PeakTableBytes.Load())
+}
+
+// storeMax raises a to at least v.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
 	}
 }
 
@@ -178,12 +179,7 @@ func (l *memLimiter) reserve(need int64) bool {
 		l.cond.Wait()
 	}
 	l.used += need
-	for {
-		cur := l.tel.PeakTableBytes.Load()
-		if l.used <= cur || l.tel.PeakTableBytes.CompareAndSwap(cur, l.used) {
-			break
-		}
-	}
+	storeMax(&l.tel.PeakTableBytes, l.used)
 	return true
 }
 

@@ -1,12 +1,11 @@
 package mstore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"os"
-	"path/filepath"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
@@ -91,71 +90,20 @@ func rankBucket(idx, k, n int) int {
 	return min(max(b, 0), k-1)
 }
 
-// temps owns every temporary relation of one join: it names them,
-// counts them into JoinTelemetry.TempFiles, and deletes whatever is
-// still live when the join returns, on every exit path. Stages that
-// know a temporary is dead sooner (a refined group, a probed bucket)
-// drop it early to bound the live set.
-type temps struct {
-	db  *DB
-	dir string
-	tel *JoinTelemetry
-
-	seq  atomic.Int64
-	mu   sync.Mutex
-	live map[*Relation]struct{}
-}
-
-func newTemps(db *DB, dir string, tel *JoinTelemetry) *temps {
-	return &temps{db: db, dir: dir, tel: tel, live: make(map[*Relation]struct{})}
-}
-
-// create makes a throwaway relation for capacity objects. Capacity 0
-// still allocates one slot so the relation is well-formed.
-func (t *temps) create(capacity int) (*Relation, error) {
-	capacity = max(capacity, 1)
-	path := filepath.Join(t.dir, fmt.Sprintf("t%d.seg", t.seq.Add(1)))
-	// Create truncates, so a name already present — two joins sharing a
-	// TmpDir — would silently corrupt a live temporary instead of failing.
-	if _, err := os.Lstat(path); err == nil {
-		return nil, fmt.Errorf("mstore: temp relation name collision: %s", path)
-	}
-	seg, err := Create(path, int64(t.db.ObjSize)*int64(capacity)+4096)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := CreateRelation(seg, t.db.ObjSize, capacity)
-	if err != nil {
-		seg.Delete()
-		return nil, err
-	}
-	t.mu.Lock()
-	t.live[rel] = struct{}{}
-	t.mu.Unlock()
-	t.tel.TempFiles.Add(1)
-	return rel, nil
-}
-
-// drop deletes one temporary before the join ends.
-func (t *temps) drop(rel *Relation) {
-	t.mu.Lock()
-	delete(t.live, rel)
-	t.mu.Unlock()
-	rel.Segment().Delete()
-}
-
-// close deletes every temporary still live. Callers run it after the
-// pool has retired the join's last task.
-func (t *temps) close() {
-	for rel := range t.live {
-		rel.Segment().Delete()
-	}
-	t.live = nil
+// stageScratch is one worker's private buffer for the scan morsel it is
+// running: the morsel's non-resident references and their first-pass
+// destinations, decoded once, plus a per-destination count and write
+// cursor. cnt is all zero between morsels.
+type stageScratch struct {
+	refs [morselObjs]ref
+	dst  [morselObjs]int32
+	cnt  []int
+	pos  []int
 }
 
 // joinRun is the state every operator shares, built once by DB.Run: the
 // pool and context, the batched kernel, the grant limiter (whose
-// telemetry the temp owner counts into), the temp owner, the per-worker
+// telemetry the temp arena counts into), the temp arena, the per-worker
 // accumulators and the per-worker probe-table arenas.
 type joinRun struct {
 	db     *DB
@@ -163,7 +111,7 @@ type joinRun struct {
 	p      *exec.Pool
 	kern   *joinKernel
 	lim    *memLimiter
-	tmp    *temps
+	tmp    tempArena
 	stats  perWorker
 	arenas []probeArena
 	// fanBits is the per-pass partitioning fan-out, log2. DB.Run always
@@ -175,55 +123,59 @@ type joinRun struct {
 func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, lim *memLimiter, tmpDir string) *joinRun {
 	return &joinRun{
 		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), lim: lim,
-		tmp:   newTemps(db, tmpDir, lim.tel),
+		tmp:   tempArena{dir: tmpDir, tel: lim.tel},
 		stats: make(perWorker, p.Workers()), arenas: make([]probeArena, p.Workers()),
 		fanBits: radix.Bits,
 	}
 }
 
 // staging configures the skeleton for one operator. Destinations form
-// D rows of k order-preserving buckets; every destination holds
-// references into exactly one S partition.
+// D rows of k order-preserving buckets; row j holds the references into
+// S partition j, which is why a staged reference need not name it.
 type staging struct {
 	k int
 	// resident references join during the scan and never touch
 	// temporary storage; nil means nothing is resident.
 	resident func(i int, p SPtr) bool
-	// dest places a non-resident reference found in Ri.
-	dest func(i int, p SPtr) (row, b int)
-	// finish joins one sealed final destination on worker w. It may run
-	// the work inline or enqueue it on the stage's job.
-	finish func(s *stagedRun, w int, rel *Relation) error
+	// dest places a non-resident reference found in Ri into a bucket of
+	// row p.Part. A staged reference no longer knows i, so a dest that
+	// reads it must keep k within one pass's fan-out: refine re-derives
+	// buckets from (row, S offset) alone.
+	dest func(i int, p SPtr) int
+	// finish joins one non-empty final destination — an extent of the
+	// arena holding references into S partition part — on worker w. It
+	// may run the work inline or enqueue it on the stage's job.
+	finish func(s *stagedRun, w, part int, refs []ref) error
 }
 
 // stagedRun is one execution of the skeleton.
 type stagedRun struct {
 	*joinRun
 	staging
-	jb     *exec.Job
-	counts []int // final-destination occupancy, [row·k + b]
-	passes int   // partitioning passes, by radix.Plan
-}
-
-func sum(counts []int) (n int) {
-	for _, c := range counts {
-		n += c
-	}
-	return n
+	jb *exec.Job
+	// starts lays every destination out in the arena: (row, b) owns
+	// refs[starts[row·k+b] : starts[row·k+b+1]]. Buckets of a row are
+	// adjacent, so a coarse group of them is one extent too, at every
+	// level of refinement.
+	starts []int
 }
 
 // staged is the one skeleton under nested loops, sort-merge, Grace and
-// hybrid hash: count → lazily create destinations → scan (resident
-// references fold immediately through the batched kernel, the rest
-// append to their destination) → one finish task per non-empty
-// destination. A k beyond the per-pass fan-out stages in coarse groups
-// of contiguous buckets that refine inside their finish task.
+// hybrid hash: count → lay the destinations out back to back in one
+// exactly sized arena → scan (resident references fold immediately
+// through the batched kernel, the rest are stored into their
+// destination's extent) → one finish task per first-pass destination,
+// which returns at once when its extent is empty. A k beyond the
+// per-pass fan-out stages in coarse groups of contiguous buckets that
+// refine inside their finish task.
 func (r *joinRun) staged(cfg staging) error {
 	db, d, k := r.db, r.db.D, cfg.k
-	s := &stagedRun{joinRun: r, staging: cfg, counts: make([]int, d*k)}
+	s := &stagedRun{joinRun: r, staging: cfg, starts: make([]int, d*k+1)}
 
 	// Count (morsel-parallel, one private array per worker): sizes every
-	// destination exactly, so a measured-empty one is never created.
+	// destination exactly. The per-worker split means nothing to the
+	// scan — morsels are stolen between the two passes — only the sums
+	// are kept, as prefix sums.
 	local := make([][]int, r.p.Workers())
 	var tasks []exec.Task
 	for i, ri := range db.R {
@@ -240,8 +192,7 @@ func (r *joinRun) staged(cfg staging) error {
 				if cfg.resident != nil && cfg.resident(i, ptr) {
 					continue
 				}
-				row, b := cfg.dest(i, ptr)
-				cnt[row*k+b]++
+				cnt[int(ptr.Part)*k+cfg.dest(i, ptr)]++
 			}
 			return nil
 		})
@@ -251,38 +202,45 @@ func (r *joinRun) staged(cfg staging) error {
 	}
 	for _, l := range local {
 		for x, c := range l {
-			s.counts[x] += c
+			s.starts[x+1] += c
 		}
 	}
+	for x := range d * k {
+		s.starts[x+1] += s.starts[x]
+	}
+	if err := r.tmp.open(s.starts[d*k]); err != nil {
+		return err
+	}
+	refs := r.tmp.refs
 
 	// First-pass destinations: the final buckets themselves when span is
-	// 1, else one per contiguous group of span buckets. (Eager D·K
-	// creation meant 32k mmap'd files per join at D=64, K=512.)
+	// 1, else one per contiguous group of span buckets. Each has a claim
+	// cursor running over its extent.
 	passes, span := radix.Plan(k, r.fanBits)
-	s.passes = passes
 	shift := bits.TrailingZeros(uint(span))
 	groups := (k + span - 1) >> shift
-	r.lim.tel.RadixPasses.Store(int64(passes))
-	top := make([]*Appender, d*groups)
-	for g := range top {
-		row, b0 := g/groups, (g%groups)<<shift
-		n := sum(s.counts[row*k+b0 : row*k+min(b0+span, k)])
-		if n == 0 {
-			continue
-		}
-		rel, err := r.tmp.create(n)
-		if err != nil {
-			return err
-		}
-		top[g] = NewAppender(rel)
+	storeMax(&r.lim.tel.RadixPasses, int64(passes))
+	cur := make([]atomic.Int64, d*groups)
+	for g := range cur {
+		cur[g].Store(int64(s.starts[g/groups*k+(g%groups)<<shift]))
 	}
 
-	// Scan.
+	// Scan. A morsel decodes its references into the worker's scratch,
+	// claims one contiguous run per destination it touched with a single
+	// atomic add, and fills the runs with plain stores: no lock, and no
+	// two writers ever share a slot.
+	scratch := make([]*stageScratch, r.p.Workers())
 	tasks = tasks[:0]
 	for i, ri := range db.R {
 		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
 			st := &r.stats[w].JoinStats
+			sc := scratch[w]
+			if sc == nil {
+				sc = &stageScratch{cnt: make([]int, len(cur)), pos: make([]int, len(cur))}
+				scratch[w] = sc
+			}
 			batch := r.kern.newBatch()
+			n := 0
 			for x := lo; x < hi; x++ {
 				obj := ri.Object(x)
 				ptr := DecodeSPtr(obj)
@@ -290,12 +248,20 @@ func (r *joinRun) staged(cfg staging) error {
 					batch.add(obj, st)
 					continue
 				}
-				row, b := cfg.dest(i, ptr)
-				if err := top[row*groups+b>>shift].Append(obj); err != nil {
-					return err
-				}
+				g := int(ptr.Part)*groups + cfg.dest(i, ptr)>>shift
+				sc.refs[n], sc.dst[n] = ref{off: ptr.Off, rid: ridFromObj(obj)}, int32(g)
+				sc.cnt[g]++
+				n++
 			}
 			batch.flush(st)
+			for x, g := range sc.dst[:n] {
+				if c := sc.cnt[g]; c != 0 {
+					sc.pos[g] = int(cur[g].Add(int64(c))) - c
+					sc.cnt[g] = 0
+				}
+				refs[sc.pos[g]] = sc.refs[x]
+				sc.pos[g]++
+			}
 			return nil
 		})
 	}
@@ -304,22 +270,17 @@ func (r *joinRun) staged(cfg staging) error {
 	}
 
 	// Finish, one dynamic job: a destination's task may enqueue more
-	// (morsels, sort stages) without a barrier across destinations.
-	// Tasks are enqueued in the paper's staggered phase order (§5.1) —
-	// row i takes group (i+t) mod groups at phase t — so concurrently
-	// executing tasks tend to touch different S partitions.
+	// (morsels) without a barrier across destinations. Tasks are
+	// enqueued in the paper's staggered phase order (§5.1) — row i takes
+	// group (i+t) mod groups at phase t — so concurrently executing
+	// tasks tend to touch different S partitions.
 	s.jb = r.p.Begin(r.ctx)
 	tasks = tasks[:0]
 	for t := 0; t < groups; t++ {
 		for row := 0; row < d; row++ {
 			g := (row + t) % groups
-			ap := top[row*groups+g]
-			if ap == nil {
-				continue
-			}
-			ap.Seal()
 			tasks = append(tasks, func(w int) error {
-				return s.refine(w, ap.Relation(), row, g<<shift, span)
+				return s.refine(w, row, g<<shift, span)
 			})
 		}
 	}
@@ -327,45 +288,33 @@ func (r *joinRun) staged(cfg staging) error {
 	return s.jb.Wait()
 }
 
-// refine finishes one staged group holding row's final buckets
-// [b0, b0+span). A final bucket (span 1) goes to the operator's finish;
-// a coarse group scatters into at most 2^fanBits sub-groups and
-// recurses, all within one task — plain appends, no atomics — so a
-// group whose references are ready finishes while other groups are
-// still partitioning. Sub-group sizes come from the global counting
+// refine finishes the extent holding row's final buckets [b0, b0+span).
+// A final bucket (span 1) goes to the operator's finish; a coarse group
+// is partitioned in place into at most 2^fanBits sub-groups and
+// recurses, all within one task — plain moves, no atomics — so a group
+// whose references are ready finishes while other groups are still
+// partitioning. Sub-group boundaries come from the global counting
 // pass, so no re-count scan is needed.
-func (s *stagedRun) refine(w int, src *Relation, row, b0, span int) error {
+func (s *stagedRun) refine(w, row, b0, span int) error {
+	base, bEnd := row*s.k, min(b0+span, s.k)
+	lo, hi := s.starts[base+b0], s.starts[base+bEnd]
+	if lo == hi {
+		return nil
+	}
+	refs := s.tmp.refs[lo:hi]
 	if span == 1 {
-		return s.finish(s, w, src)
+		return s.finish(s, w, row, refs)
 	}
-	k := s.k
 	sub := max(span>>s.fanBits, 1)
-	bEnd := min(b0+span, k)
-	rels := make([]*Relation, (bEnd-b0+sub-1)/sub)
-	for c := range rels {
-		n := sum(s.counts[row*k+b0+c*sub : row*k+min(b0+(c+1)*sub, bEnd)])
-		if n == 0 {
-			continue
-		}
-		var err error
-		if rels[c], err = s.tmp.create(n); err != nil {
-			return err
-		}
+	var bounds []int
+	for b := b0; b < bEnd; b += sub {
+		bounds = append(bounds, s.starts[base+b]-lo)
 	}
-	view, base, size := src.seg.data, int64(src.data), src.size
-	for x, n := 0, src.Count(); x < n; x++ {
-		obj := view[base+int64(x)*size : base+int64(x+1)*size]
-		_, b := s.dest(row, DecodeSPtr(obj))
-		if _, err := rels[(b-b0)/sub].Append(obj); err != nil {
-			return err
-		}
-	}
-	s.tmp.drop(src)
-	for c, rel := range rels {
-		if rel == nil {
-			continue
-		}
-		if err := s.refine(w, rel, row, b0+c*sub, sub); err != nil {
+	partition(refs, append(bounds, hi-lo), func(e ref) int {
+		return (s.dest(row, SPtr{Part: uint32(row), Off: e.off}) - b0) / sub
+	})
+	for b := b0; b < bEnd; b += sub {
+		if err := s.refine(w, row, b, sub); err != nil {
 			return err
 		}
 	}
@@ -375,22 +324,30 @@ func (s *stagedRun) refine(w int, src *Relation, row, b0, span int) error {
 // The operators: (resident, dest, k, finish).
 
 // nestedLoops (§5.1): own-partition references join during the scan,
-// the rest sub-partition into RP<i,j>, probed in staggered order.
+// the rest sub-partition into RP<i,j> — row j, bucket i — probed in
+// staggered order. Past one pass's fan-out neighbouring origins share a
+// destination (see staging.dest); up to it the mapping is the identity.
 func (db *DB) nestedLoops() staging {
+	k := min(db.D, 1<<radix.Bits)
 	return staging{
-		k:        db.D,
+		k:        k,
 		resident: func(i int, p SPtr) bool { return int(p.Part) == i },
-		dest:     func(i int, p SPtr) (int, int) { return i, int(p.Part) },
+		dest:     func(i int, _ SPtr) int { return rankBucket(i, k, db.D) },
 		finish:   (*stagedRun).scanProbe,
 	}
 }
 
-// sortMerge (§5.2): every reference stages into its S partition's RSj,
-// which the finish orders by S address before probing.
-func (db *DB) sortMerge() staging {
+// sortMerge (§5.2): every reference stages into RSj — its S partition's
+// row — already split into address ranges, so ordering RSj by S address
+// is an independent in-place sort per split.
+func (db *DB) sortMerge(workers int) staging {
+	splits := sortSplitCount(workers, db.D, db.CountR()/db.D)
 	return staging{
-		k:      1,
-		dest:   func(_ int, p SPtr) (int, int) { return int(p.Part), 0 },
+		k: splits,
+		dest: func(_ int, p SPtr) int {
+			rel := db.S[p.Part]
+			return rankBucket(rel.IndexOf(p.Off), splits, rel.Count())
+		},
 		finish: (*stagedRun).sortProbe,
 	}
 }
@@ -410,9 +367,9 @@ func (db *DB) hybridHash(k int, residentFrac float64) staging {
 	}
 	cfg := staging{
 		k: k,
-		dest: func(_ int, p SPtr) (int, int) {
+		dest: func(_ int, p SPtr) int {
 			rel, lo := db.S[p.Part], residentUpTo[p.Part]
-			return int(p.Part), rankBucket(rel.IndexOf(p.Off)-lo, k, rel.Count()-lo)
+			return rankBucket(rel.IndexOf(p.Off)-lo, k, rel.Count()-lo)
 		},
 		finish: (*stagedRun).tableProbe,
 	}
@@ -426,32 +383,25 @@ func (db *DB) hybridHash(k int, residentFrac float64) staging {
 
 // The finish kinds.
 
-// scanProbe joins a destination in file order, morsel-parallel.
-func (s *stagedRun) scanProbe(_ int, rel *Relation) error {
-	return s.jb.Add(rangeTasks(nil, rel.Count(), func(w, lo, hi int) error {
-		s.kern.joinRange(rel, lo, hi, &s.stats[w].JoinStats)
+// scanProbe joins a destination in extent order, morsel-parallel.
+func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
+	return s.jb.Add(rangeTasks(nil, len(refs), func(w, lo, hi int) error {
+		s.kern.joinRefs(part, refs[lo:hi], &s.stats[w].JoinStats)
 		return nil
 	})...)
 }
 
-// tableProbe joins a destination through a flat table within the
-// grant. Under multi-pass partitioning it then drops the bucket — K is
-// large there and the final buckets of a row must not all stay live.
-// Single-pass buckets wait for the temp owner's close instead:
-// unmapping a file while the other workers are still faulting their
-// buckets in stalls them (+50% on a lib_fit-sized Grace join).
-func (s *stagedRun) tableProbe(w int, rel *Relation) error {
-	err := s.probe(w, rel, &s.stats[w].JoinStats, 0)
-	if s.passes > 1 {
-		s.tmp.drop(rel)
-	}
-	return err
+// tableProbe joins a destination through a flat table within the grant.
+func (s *stagedRun) tableProbe(w, part int, refs []ref) error {
+	return s.probe(w, part, refs, &s.stats[w].JoinStats, 0)
 }
 
-// sortSplitCount picks how many address-range splits one destination's
-// partition-then-sort uses: enough tasks to occupy the pool across all
-// D partitions (with headroom for stealing), but never splits smaller
-// than a morsel. One worker gets one split per partition — exactly a
+// sortSplitCount picks how many address-range splits sort-merge gives
+// each S partition's references: enough tasks to occupy the pool across
+// all D partitions (with headroom for stealing), but never splits
+// smaller than a morsel at count references per partition — the
+// expected |R|/D, since k is fixed before the count pass measures the
+// real sizes. One worker gets one split per partition — exactly a
 // sequential in-place sort.
 func sortSplitCount(workers, d, count int) int {
 	s := (4*workers + d - 1) / d
@@ -461,121 +411,14 @@ func sortSplitCount(workers, d, count int) int {
 	return max(s, 1)
 }
 
-// sortProbe orders a destination by S address via parallel
-// partition-then-sort and batch-probes its S partition in ascending
-// address order within every split.
-//
-// It is MPSM-style partition-local, with no barrier between stages: the
-// last split-count morsel builds the prefix sums, creates the
-// split-layout relation and enqueues the scatter; the last scatter
-// morsel enqueues the sort+probe splits. A small destination sorts and
-// probes while a large one is still counting — under skew a global
-// barrier would idle every worker on the largest partition three times.
-func (s *stagedRun) sortProbe(_ int, rel *Relation) error {
-	n := rel.Count()
-	sRel := s.db.S[DecodeSPtr(rel.Object(0)).Part]
-	splits := sortSplitCount(s.p.Workers(), s.db.D, n)
-	splitOf := func(obj []byte) int {
-		return rankBucket(sRel.IndexOf(DecodeSPtr(obj).Off), splits, sRel.Count())
-	}
-	splitCounts := make([]int64, splits)
-	starts := make([]int64, splits)         // split start offsets after prefix sums
-	cursors := make([]atomic.Int64, splits) // scatter cursors per split
-	var countLeft, scatterLeft atomic.Int64
-	countLeft.Store(int64(morselCount(n)))
-	scatterLeft.Store(int64(morselCount(n)))
-	var dst *Relation
-
-	// One split's terminal stage: heap-sort a handle array over the
-	// mapped records by S pointer, apply the permutation in place, then
-	// batch-probe — sequential in both the split and the S partition.
-	sortSplit := func(lo, hi int) exec.Task {
-		return func(w int) error {
-			handles := make([]int32, hi-lo)
-			for h := range handles {
-				handles[h] = int32(h)
-			}
-			pheap.Sort(handles, func(a, b int32) bool {
-				return DecodeSPtr(dst.Object(lo+int(a))).Off < DecodeSPtr(dst.Object(lo+int(b))).Off
-			})
-			permuteRange(dst, lo, handles)
-			s.kern.joinRange(dst, lo, hi, &s.stats[w].JoinStats)
-			return nil
-		}
-	}
-	scatter := func(_, lo, hi int) error {
-		// Slots are claimed atomically, so no two writers touch one
-		// record; order within a split is arbitrary — the sort imposes
-		// the final order.
-		for x := lo; x < hi; x++ {
-			obj := rel.Object(x)
-			slot := cursors[splitOf(obj)].Add(1) - 1
-			copy(dst.seg.Bytes(dst.PtrAt(int(slot)), dst.size), obj)
-		}
-		if scatterLeft.Add(-1) != 0 {
-			return nil
-		}
-		var sp []exec.Task
-		for b := range starts {
-			if lo, hi := int(starts[b]), int(starts[b]+splitCounts[b]); lo < hi {
-				sp = append(sp, sortSplit(lo, hi))
-			}
-		}
-		return s.jb.Add(sp...)
-	}
-	return s.jb.Add(rangeTasks(nil, n, func(_, lo, hi int) error {
-		local := make([]int64, splits)
-		for x := lo; x < hi; x++ {
-			local[splitOf(rel.Object(x))]++
-		}
-		for b, c := range local {
-			if c != 0 {
-				atomic.AddInt64(&splitCounts[b], c)
-			}
-		}
-		if countLeft.Add(-1) != 0 {
-			return nil
-		}
-		off := int64(0)
-		for b := range starts {
-			starts[b] = off
-			cursors[b].Store(off)
-			off += splitCounts[b]
-		}
-		var err error
-		if dst, err = s.tmp.create(n); err != nil {
-			return err
-		}
-		dst.SetCount(n)
-		return s.jb.Add(rangeTasks(nil, n, scatter)...)
-	})...)
-}
-
-// permuteRange reorders rel[lo : lo+len(handles)] so record lo+x
-// becomes the record previously at lo+handles[x], cycle-chasing with
-// one scratch record.
-func permuteRange(rel *Relation, lo int, handles []int32) {
-	n := len(handles)
-	visited := make([]bool, n)
-	scratch := make([]byte, rel.ObjSize())
-	for start := 0; start < n; start++ {
-		if visited[start] || int(handles[start]) == start {
-			visited[start] = true
-			continue
-		}
-		copy(scratch, rel.Object(lo+start))
-		x := start
-		for {
-			src := int(handles[x])
-			visited[x] = true
-			if src == start {
-				copy(rel.Object(lo+x), scratch)
-				break
-			}
-			copy(rel.Object(lo+x), rel.Object(lo+src))
-			x = src
-		}
-	}
+// sortProbe orders one split by S address in place and probes it in
+// that order. Splits partition the S partition's address range in
+// order, so the whole of RSj is probed ascending within every split,
+// MPSM-style partition-local: a small split sorts and probes while a
+// large one is still sorting, with no barrier between them.
+func (s *stagedRun) sortProbe(w, part int, refs []ref) error {
+	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.off, b.off) })
+	return s.scanProbe(w, part, refs)
 }
 
 // tableBytesFor is the counted footprint of one bucket's flat probe
@@ -587,84 +430,71 @@ func tableBytesFor(refs int) int64 {
 	return tableSlots(refs)*12 + int64(refs)*16
 }
 
-// probe joins one bucket within the grant on worker w. Each probe
-// reserves its table's counted bytes from the join's limiter before
-// building it, so the sum over concurrently built tables never exceeds
-// the grant — the invariant the skew tests assert. The fast path
-// reserves (waiting for concurrent probes when the grant is temporarily
-// occupied) and builds the flat table in w's arena; an arena retains
-// its high-water capacity between buckets (that is the zero-alloc
-// steady state), which stays within the accounting because a worker
-// builds one table at a time and every build is reserved at full size
-// first. A bucket whose table can never fit — renegotiation included —
-// is restaged into sub-buckets on disk until each fits, and a bucket
-// whose references collapse onto a single S object (one hot key)
-// streams instead: restaging cannot split it, but it also needs no
-// table.
-func (r *joinRun) probe(w int, rel *Relation, st *JoinStats, depth int) error {
-	need := tableBytesFor(rel.Count())
+// probe joins one bucket — references into S partition part — within
+// the grant on worker w. Each probe reserves its table's counted bytes
+// from the join's limiter before building it, so the sum over
+// concurrently built tables never exceeds the grant — the invariant the
+// skew tests assert. The fast path reserves (waiting for concurrent
+// probes when the grant is temporarily occupied) and builds the flat
+// table in w's arena; an arena retains its high-water capacity between
+// buckets (that is the zero-alloc steady state), which stays within the
+// accounting because a worker builds one table at a time and every
+// build is reserved at full size first. A bucket whose table can never
+// fit — renegotiation included — is restaged into sub-buckets until
+// each fits, and a bucket whose references collapse onto a single S
+// object (one hot key) streams instead: restaging cannot split it, but
+// it also needs no table.
+func (r *joinRun) probe(w, part int, refs []ref, st *JoinStats, depth int) error {
+	need := tableBytesFor(len(refs))
 	if r.lim.reserve(need) {
 		defer r.lim.release(need)
-		r.kern.probeFlat(&r.arenas[w], rel, st)
+		r.kern.probeFlat(&r.arenas[w], part, refs, st)
 		return nil
 	}
-	// The minimum and maximum S index the bucket's references name
-	// (they all point into one S partition, so indexes are comparable).
+	// The minimum and maximum S index the bucket's references name.
+	sRel := r.db.S[part]
 	lo, hi := int(^uint(0)>>1), -1
-	for x := 0; x < rel.Count(); x++ {
-		idx := r.sIndex(DecodeSPtr(rel.Object(x)))
+	for _, e := range refs {
+		idx := sRel.IndexOf(e.off)
 		lo, hi = min(lo, idx), max(hi, idx)
 	}
 	if depth >= maxRestageDepth || lo >= hi {
-		return r.streamProbe(rel, st)
+		return r.streamProbe(part, refs, st)
 	}
-	return r.restage(w, rel, st, lo, hi, depth)
+	return r.restage(w, part, refs, st, lo, hi, depth)
 }
 
-// sIndex is the rank of the S object p names within its partition.
-func (r *joinRun) sIndex(p SPtr) int { return r.db.S[p.Part].IndexOf(p.Off) }
-
-// restage re-partitions one oversized bucket into sub-buckets on disk —
-// the spill path of the dynamic hybrid-hash design. The fan-out is just
-// large enough that an average sub-bucket's table fits the current
-// grant; skew that concentrates references recurses, narrowing the
-// S-index span every pass (min and max always separate), until each
-// sub-bucket either fits or has collapsed onto a single hot key.
-func (r *joinRun) restage(w int, rel *Relation, st *JoinStats, lo, hi, depth int) error {
+// restage re-partitions one oversized bucket into sub-buckets, in place
+// within its extent — the spill path of the dynamic hybrid-hash design.
+// The fan-out is just large enough that an average sub-bucket's table
+// fits the current grant; skew that concentrates references recurses,
+// narrowing the S-index span every pass (min and max always separate),
+// until each sub-bucket either fits or has collapsed onto a single hot
+// key.
+func (r *joinRun) restage(w, part int, refs []ref, st *JoinStats, lo, hi, depth int) error {
 	span := hi - lo + 1
 	budget := max(r.lim.budgetNow(), 1)
-	sub := int((tableBytesFor(rel.Count()) + budget - 1) / budget)
+	sub := int((tableBytesFor(len(refs)) + budget - 1) / budget)
 	sub = max(min(sub, maxRestageFanout, span), 2)
-	subOf := func(x int) int {
-		return rankBucket(r.sIndex(DecodeSPtr(rel.Object(x)))-lo, sub, span)
+	sRel := r.db.S[part]
+	subOf := func(e ref) int { return rankBucket(sRel.IndexOf(e.off)-lo, sub, span) }
+	bounds := make([]int, sub+1)
+	for _, e := range refs {
+		bounds[subOf(e)+1]++
 	}
-	cnts := make([]int, sub)
-	for x := 0; x < rel.Count(); x++ {
-		cnts[subOf(x)]++
+	for b := range sub {
+		bounds[b+1] += bounds[b]
 	}
-	subs := make([]*Relation, sub)
-	for x := 0; x < rel.Count(); x++ {
-		b := subOf(x)
-		if subs[b] == nil {
-			var err error
-			if subs[b], err = r.tmp.create(cnts[b]); err != nil {
-				return err
-			}
-		}
-		if _, err := subs[b].Append(rel.Object(x)); err != nil {
-			return err
-		}
-	}
+	partition(refs, bounds, subOf)
 	r.lim.tel.Restages.Add(1)
-	r.lim.tel.RestagedRefs.Add(int64(rel.Count()))
-	for _, s := range subs {
-		if s == nil {
+	r.lim.tel.RestagedRefs.Add(int64(len(refs)))
+	for b := range sub {
+		if bounds[b] == bounds[b+1] {
 			continue
 		}
-		if err := r.probe(w, s, st, depth+1); err != nil {
+		if err := r.probe(w, part, refs[bounds[b]:bounds[b+1]], st, depth+1); err != nil {
 			return err
 		}
-		r.tmp.drop(s)
 	}
 	return nil
 }
@@ -676,9 +506,9 @@ func (r *joinRun) restage(w int, rel *Relation, st *JoinStats, lo, hi, depth int
 // ordered walk is batch-gathered like every other kernel. Correctness
 // does not depend on the order — Pairs and Signature fold as
 // commutative sums — so the result stays bit-identical.
-func (r *joinRun) streamProbe(rel *Relation, st *JoinStats) error {
+func (r *joinRun) streamProbe(part int, refs []ref, st *JoinStats) error {
 	r.lim.tel.StreamProbes.Add(1)
-	n := rel.Count()
+	n := len(refs)
 	chunk := n
 	if r.lim.bounded() {
 		chunk = int(min(int64(n), max(r.lim.budgetNow()/streamHandleBytes, 1)))
@@ -686,8 +516,8 @@ func (r *joinRun) streamProbe(rel *Relation, st *JoinStats) error {
 	bytes := int64(chunk) * streamHandleBytes
 	if !r.lim.reserve(bytes) {
 		// A grant below one handle: degenerate, but still bounded — scan
-		// in file order with no auxiliary memory at all.
-		r.kern.joinRange(rel, 0, n, st)
+		// in extent order with no auxiliary memory at all.
+		r.kern.joinRefs(part, refs, st)
 		return nil
 	}
 	defer r.lim.release(bytes)
@@ -698,12 +528,10 @@ func (r *joinRun) streamProbe(rel *Relation, st *JoinStats) error {
 		for i := range h {
 			h[i] = int32(lo + i)
 		}
-		pheap.Sort(h, func(a, b int32) bool {
-			return DecodeSPtr(rel.Object(int(a))).Off < DecodeSPtr(rel.Object(int(b))).Off
-		})
+		pheap.Sort(h, func(a, b int32) bool { return refs[a].off < refs[b].off })
 		b := r.kern.newBatch()
 		for _, x := range h {
-			b.add(rel.Object(int(x)), st)
+			b.addPair(refs[x].rid, SPtr{Part: uint32(part), Off: refs[x].off}, st)
 		}
 		b.flush(st)
 	}

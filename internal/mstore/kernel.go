@@ -104,13 +104,12 @@ func (b *joinBatch) flush(st *JoinStats) {
 	b.n = 0
 }
 
-// joinRange batch-joins the objects [lo, hi) of an R-layout relation —
-// the kernel form of the old per-object joinOne loop.
-func (k *joinKernel) joinRange(rel *Relation, lo, hi int, st *JoinStats) {
-	view, base, size := rel.seg.data, int64(rel.data), rel.size
+// joinRefs batch-joins staged references into S partition part, in
+// slice order.
+func (k *joinKernel) joinRefs(part int, refs []ref, st *JoinStats) {
 	b := k.newBatch()
-	for x := lo; x < hi; x++ {
-		b.add(view[base+int64(x)*size:base+int64(x+1)*size], st)
+	for _, e := range refs {
+		b.addPair(e.rid, SPtr{Part: uint32(part), Off: e.off}, st)
 	}
 	b.flush(st)
 }

@@ -14,11 +14,18 @@ import (
 // ns-per-pair and allocs-per-pair; TestKernelFlatMatchesMap probes the
 // same buckets through the map reference kernel as a differential gate.
 type BucketSet struct {
-	rels  []*Relation
-	refs  int64
-	kern  *joinKernel
-	arena probeArena
-	tmp   *temps
+	buckets []bucket
+	refs    int64
+	kern    *joinKernel
+	arena   probeArena
+	tmp     *tempArena
+}
+
+// bucket is one non-empty Grace bucket: an extent of the set's temp
+// arena holding references into S partition part.
+type bucket struct {
+	part int
+	refs []ref
 }
 
 // BuildGraceBuckets partitions R into k order-preserving Grace buckets
@@ -26,7 +33,7 @@ type BucketSet struct {
 // repeated probing: the Grace staging with a finish that keeps each
 // bucket instead of probing it. The build runs on one worker — it is
 // setup for measurement, not the measured stage. Close deletes the
-// bucket files.
+// arena the buckets live in.
 func (db *DB) BuildGraceBuckets(tmpDir string, k int) (*BucketSet, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mstore: BuildGraceBuckets needs k >= 1, got %d", k)
@@ -34,11 +41,11 @@ func (db *DB) BuildGraceBuckets(tmpDir string, k int) (*BucketSet, error) {
 	p := exec.NewPool(1)
 	defer p.Close()
 	r := newJoinRun(context.Background(), db, p, newMemLimiter(0, nil, nil), tmpDir)
-	bs := &BucketSet{kern: r.kern, tmp: r.tmp}
+	bs := &BucketSet{kern: r.kern, tmp: &r.tmp}
 	cfg := db.grace(k)
-	cfg.finish = func(_ *stagedRun, _ int, rel *Relation) error {
-		bs.rels = append(bs.rels, rel)
-		bs.refs += int64(rel.Count())
+	cfg.finish = func(_ *stagedRun, _, part int, refs []ref) error {
+		bs.buckets = append(bs.buckets, bucket{part, refs})
+		bs.refs += int64(len(refs))
 		return nil
 	}
 	if err := r.staged(cfg); err != nil {
@@ -49,7 +56,7 @@ func (db *DB) BuildGraceBuckets(tmpDir string, k int) (*BucketSet, error) {
 }
 
 // Buckets returns the number of non-empty buckets.
-func (bs *BucketSet) Buckets() int { return len(bs.rels) }
+func (bs *BucketSet) Buckets() int { return len(bs.buckets) }
 
 // Refs returns the total reference count across buckets — one probe
 // pass folds exactly this many pairs.
@@ -61,14 +68,14 @@ func (bs *BucketSet) Refs() int64 { return bs.refs }
 // nothing.
 func (bs *BucketSet) ProbeFlat() JoinStats {
 	var st JoinStats
-	for _, rel := range bs.rels {
-		bs.kern.probeFlat(&bs.arena, rel, &st)
+	for _, b := range bs.buckets {
+		bs.kern.probeFlat(&bs.arena, b.part, b.refs, &st)
 	}
 	return st
 }
 
-// Close deletes the bucket files.
+// Close deletes the arena.
 func (bs *BucketSet) Close() {
 	bs.tmp.close()
-	bs.rels = nil
+	bs.buckets = nil
 }

@@ -94,20 +94,20 @@ func siftKeyedHeads(keys []Ptr, heads []int32, root, n int) {
 	}
 }
 
-// probeFlat joins one sealed bucket through a flat table carved from
-// the worker's arena. Build chains the references per distinct S
+// probeFlat joins one bucket of staged references into S partition
+// part through a flat table carved from the worker's arena. Build
+// chains the references per distinct S
 // offset; the sweep orders the distinct offsets ascending so each S
 // object is read once, sequentially; the probe runs in batches — the
 // gather loop issues a batch of S-side reads back-to-back before the
 // fold loop walks each offset's chain. Chain order within a key differs
 // from the old map kernel (prepend vs append), which the commutative
 // Signature fold makes invisible.
-func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
-	n := rel.Count()
+func (k *joinKernel) probeFlat(a *probeArena, part int, refs []ref, st *JoinStats) {
+	n := len(refs)
 	if n == 0 {
 		return
 	}
-	view, base, size := rel.seg.data, int64(rel.data), rel.size
 	slots := int(tableSlots(n))
 	mask := uint64(slots - 1)
 	a.heads = grow32(a.heads, slots)
@@ -118,8 +118,8 @@ func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 		heads[i] = -1
 	}
 	distinct := 0
-	for x := 0; x < n; x++ {
-		key := Ptr(binary.LittleEndian.Uint64(view[base+int64(x)*size+4:]))
+	for x, e := range refs {
+		key := e.off
 		h := hashPtr(key) & mask
 		for {
 			head := heads[h]
@@ -151,9 +151,7 @@ func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 	}
 	sortKeyedHeads(dkeys, dhead)
 
-	// Every reference in a bucket names one S partition; read it off the
-	// first record.
-	sview := k.sv[binary.LittleEndian.Uint32(view[base:])]
+	sview := k.sv[part]
 	pairs := int64(0)
 	var sw [gatherWidth]uint64
 	for lo := 0; lo < distinct; lo += gatherWidth {
@@ -164,8 +162,7 @@ func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 		for i := lo; i < hi; i++ { // fold: walk the key's chain
 			w := sw[i-lo]
 			for x := dhead[i]; x >= 0; x = next[x] {
-				rid := binary.LittleEndian.Uint64(view[base+int64(x)*size+ridOffset:])
-				st.Signature += pairHash(rid, w)
+				st.Signature += pairHash(refs[x].rid, w)
 				pairs++
 			}
 		}

@@ -3,6 +3,7 @@ package mstore
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -29,8 +30,9 @@ func segFiles(t *testing.T, dir string) []string {
 // {uniform, Zipf hot-key} × K {1, 37, 600} × {unbounded, 64 KiB grant}.
 // Every point must produce Pairs/Signature bit-identical to the store's
 // independently computed ground truth, keep the peak of counted probe
-// memory within grant + renegotiated bytes, and leave an explicit
-// TmpDir without a single temporary segment — the one temp owner is the
+// memory within grant + renegotiated bytes, create at most 2·D temp
+// files (the index operators none), and leave an explicit TmpDir
+// without a single temporary segment — the one temp arena is the
 // behaviour under test. K=600 partitions in two passes; deeper pass
 // counts are TestKernelMultiPassDeep's job.
 func TestKernelSignatureGrid(t *testing.T) {
@@ -69,6 +71,10 @@ func TestKernelSignatureGrid(t *testing.T) {
 								t.Fatalf("%v k=%d w=%d: peak %d exceeds grant %d",
 									alg, k, w, tel.PeakTableBytes.Load(), bound)
 							}
+							staging := alg != join.IndexNL && alg != join.IndexMerge
+							if files := tel.TempFiles.Load(); files > int64(2*db.D) || !staging && files != 0 {
+								t.Fatalf("%v k=%d w=%d grant=%d: %d temp files", alg, k, w, grant, files)
+							}
 							if left := segFiles(t, tmp); len(left) != 0 {
 								t.Fatalf("%v k=%d w=%d grant=%d: temporaries left behind: %v", alg, k, w, grant, left)
 							}
@@ -98,8 +104,8 @@ func (c *cancelAfter) Err() error {
 
 // TestKernelCancelMidScanLeavesNoTemporaries cancels each staging
 // operator after its count pass (8 morsels) and inside its scan pass —
-// every destination file exists and is half written — and demands the
-// temp owner still empties the explicit TmpDir.
+// the arena exists and is half written — and demands the explicit
+// TmpDir is still emptied.
 func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000) // 4 partitions × 5000 objects: 2 morsels each
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
@@ -124,22 +130,65 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 	}
 }
 
-// runStaged drives the skeleton the way DB.Run does, but with the
-// per-pass fan-out narrowed — the one thing no request can do.
-func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, grant int64, tel *JoinTelemetry) (JoinStats, error) {
+// TestKernelCancelInsideRefineLeavesNoTemporaries cancels a multi-pass
+// join from inside refine: the first final bucket to reach its finish —
+// its group partitioned in place, its siblings still waiting — cancels
+// the context, so the remaining groups' tasks are dropped with the
+// arena fully written and partly permuted.
+func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
+	db := makeDB(t, 20000)
+	for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
+		var tel JoinTelemetry
+		r, done := newTestRun(t, db, 2, 0, &tel)
+		ctx, cancel := context.WithCancel(r.ctx)
+		r.ctx, r.fanBits = ctx, 4
+		probe := cfg.finish
+		cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+			cancel()
+			return probe(s, w, part, refs)
+		}
+		err := r.staged(cfg)
+		done()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: join cancelled inside refine returned %v", name, err)
+		}
+		if tel.TempFiles.Load() != 1 || tel.RadixPasses.Load() != 3 {
+			t.Fatalf("%s: %d temp files, %d passes: the test no longer lands inside a refine",
+				name, tel.TempFiles.Load(), tel.RadixPasses.Load())
+		}
+	}
+}
+
+// newTestRun builds a joinRun over a fresh TmpDir the way DB.Run does,
+// for tests that drive the skeleton directly: to narrow the per-pass
+// fan-out or wrap a finish — the things no request can do — and to look
+// at the arena before it is unlinked. The returned teardown closes the
+// arena, the limiter and the pool and fails the test if a temporary is
+// left behind.
+func newTestRun(t *testing.T, db *DB, workers int, grant int64, tel *JoinTelemetry) (*joinRun, func()) {
 	t.Helper()
 	p := exec.NewPool(workers)
-	defer p.Close()
 	lim := newMemLimiter(grant, nil, tel)
-	defer lim.close()
 	tmp := t.TempDir()
 	r := newJoinRun(context.Background(), db, p, lim, tmp)
+	return r, func() {
+		t.Helper()
+		r.tmp.close()
+		lim.close()
+		p.Close()
+		if left := segFiles(t, tmp); len(left) != 0 {
+			t.Fatalf("temporaries left behind: %v", left)
+		}
+	}
+}
+
+// runStaged runs one staging configuration at the given fan-out.
+func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, grant int64, tel *JoinTelemetry) (JoinStats, error) {
+	t.Helper()
+	r, done := newTestRun(t, db, workers, grant, tel)
+	defer done()
 	r.fanBits = fanBits
 	err := r.staged(cfg)
-	r.tmp.close()
-	if left := segFiles(t, tmp); len(left) != 0 {
-		t.Fatalf("temporaries left behind: %v", left)
-	}
 	return r.stats.total(), err
 }
 
@@ -206,20 +255,12 @@ func TestKernelGridUnderGrant(t *testing.T) {
 // table and lives on only here, as what the flat table is gated
 // against.
 
-// joinOne dereferences one R object's stored pointer through the
-// mapping and folds the pair into st.
-func (db *DB) joinOne(obj []byte, st *JoinStats) {
-	ptr := DecodeSPtr(obj)
-	s := db.S[ptr.Part].At(ptr.Off)
-	st.Pairs++
-	st.Signature += pairHash(ridFromObj(obj), binary.LittleEndian.Uint64(s))
-}
-
-func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
-	table := make(map[Ptr][]int, rel.Count())
-	for x := 0; x < rel.Count(); x++ {
-		off := DecodeSPtr(rel.Object(x)).Off
-		table[off] = append(table[off], x)
+// probeBucketMap joins one bucket of staged references through a Go
+// map, dereferencing each pair through the relation API.
+func (db *DB) probeBucketMap(b bucket, st *JoinStats) {
+	table := make(map[Ptr][]uint64, len(b.refs))
+	for _, e := range b.refs {
+		table[e.off] = append(table[e.off], e.rid)
 	}
 	offs := make([]Ptr, 0, len(table))
 	for off := range table {
@@ -227,8 +268,10 @@ func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
 	}
 	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
 	for _, off := range offs {
-		for _, x := range table[off] {
-			db.joinOne(rel.Object(x), st)
+		sWord := binary.LittleEndian.Uint64(db.S[b.part].At(off))
+		for _, rid := range table[off] {
+			st.Pairs++
+			st.Signature += pairHash(rid, sWord)
 		}
 	}
 }
@@ -236,14 +279,14 @@ func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
 // probeMap probes every bucket of the set through the map kernel.
 func probeMap(db *DB, bs *BucketSet) JoinStats {
 	var st JoinStats
-	for _, rel := range bs.rels {
-		db.probeBucketMap(rel, &st)
+	for _, b := range bs.buckets {
+		db.probeBucketMap(b, &st)
 	}
 	return st
 }
 
 // TestKernelFlatMatchesMap is the differential gate between the two
-// probe kernels on identical bucket files: flat table vs the reference
+// probe kernels on identical buckets: flat table vs the reference
 // Go map vs ground truth.
 func TestKernelFlatMatchesMap(t *testing.T) {
 	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {

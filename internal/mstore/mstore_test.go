@@ -2,9 +2,7 @@ package mstore
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,34 +210,6 @@ func TestRelationErrors(t *testing.T) {
 	rel.Append(make([]byte, 32))
 	if _, err := rel.Append(make([]byte, 32)); err == nil {
 		t.Error("append beyond capacity accepted")
-	}
-}
-
-func TestPermuteRecords(t *testing.T) {
-	s, _ := Create(filepath.Join(t.TempDir(), "p"), 1<<16)
-	defer s.Close()
-	rel, _ := CreateRelation(s, 32, 16)
-	rng := rand.New(rand.NewSource(4))
-	keys := make([]int, 16)
-	obj := make([]byte, 32)
-	for i := range keys {
-		keys[i] = rng.Intn(1000)
-		EncodeSPtr(obj, SPtr{Part: 0, Off: Ptr(keys[i])})
-		rel.Append(obj)
-	}
-	handles := make([]int32, 16)
-	for i := range handles {
-		handles[i] = int32(i)
-	}
-	sort.Slice(handles, func(a, b int) bool { return keys[handles[a]] < keys[handles[b]] })
-	permuteRange(rel, 0, handles)
-	prev := -1
-	for i := 0; i < rel.Count(); i++ {
-		k := int(DecodeSPtr(rel.Object(i)).Off)
-		if k < prev {
-			t.Fatalf("records not sorted at %d", i)
-		}
-		prev = k
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // morsel layer promises: Pairs and Signature are bit-identical at every
 // worker count because they fold as commutative sums, no matter how the
 // work-stealing schedule interleaves morsels. Run under -race it also
-// exercises the concurrent appenders and per-worker accumulators.
+// exercises the concurrent extent claims and per-worker accumulators.
 func TestJoinStatsDeterministicAcrossWorkerCounts(t *testing.T) {
 	db := makeDB(t, 4000)
 	want := db.ExpectedStats()
@@ -86,9 +86,12 @@ func skewDB(t *testing.T, nr int) *DB {
 }
 
 // TestNestedLoopsSkewHeavy: with every reference pointing at S0, the
-// measured distribution concentrates all temporary RP<i,0> files at full
-// partition size and leaves the other D−2 per partition empty — the
-// former |Ri| sizing wasted (D−1)·|Ri| slots per partition. The joins
+// measured distribution concentrates all staged references in row 0 and
+// leaves every other destination empty. A measured-empty destination
+// must cost nothing: the count pass sizes the join's one arena at
+// exactly the staged references — 16 bytes each — so the empty
+// destinations are zero-length extents of it, not files or slots (the
+// former |Ri| sizing wasted (D−1)·|Ri| slots per partition). The joins
 // must still be exact.
 func TestNestedLoopsSkewHeavy(t *testing.T) {
 	db := skewDB(t, 4000)
@@ -96,87 +99,64 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 	if want.Pairs != 4000 {
 		t.Fatalf("skew db has %d pairs", want.Pairs)
 	}
-	// The counting pass measures the distribution, so only the non-empty
-	// destinations materialize: RP<i,0> for i ≠ 0 (R0's references are
-	// its own partition's and join during the scan), RS0 plus its sorted
-	// copy, and Grace's 4 buckets of S0.
-	files := map[join.Algorithm]int64{join.NestedLoops: int64(db.D - 1), join.SortMerge: 2, join.Grace: 4}
-	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace} {
+	// R0's references are its own partition's and join during the
+	// nested-loops scan; sort-merge and Grace stage all of R.
+	staged := map[string]int{"nested-loops": 4000 - db.R[0].Count(), "sort-merge": 4000, "grace": 4000}
+	for name, cfg := range map[string]staging{"nested-loops": db.nestedLoops(), "sort-merge": db.sortMerge(2), "grace": db.grace(4)} {
 		var tel JoinTelemetry
-		st, err := db.Run(JoinRequest{Algorithm: alg, K: 4, Telemetry: &tel, TmpDir: filepath.Join(t.TempDir(), alg.String())})
+		var mu sync.Mutex
+		rows := map[int]int{} // row → references its non-empty destinations hold
+		finish := cfg.finish
+		cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+			mu.Lock()
+			rows[part] += len(refs)
+			mu.Unlock()
+			return finish(s, w, part, refs)
+		}
+		r, done := newTestRun(t, db, 2, 0, &tel)
+		err := r.staged(cfg)
+		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
+		done()
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if st != want {
-			t.Fatalf("%v: stats %+v, want %+v", alg, st, want)
+		if st := r.stats.total(); st != want {
+			t.Fatalf("%s: stats %+v, want %+v", name, st, want)
 		}
-		if got := tel.TempFiles.Load(); got != files[alg] {
-			t.Fatalf("%v: %d temp files, want %d", alg, got, files[alg])
+		if got := tel.TempFiles.Load(); got != 1 {
+			t.Fatalf("%s: %d temp files, want the one arena", name, got)
+		}
+		if arenaRefs != staged[name] || arenaBytes != headerSize+int64(staged[name])*refBytes {
+			t.Fatalf("%s: arena holds %d references in %d bytes, want %d references × 16 + header",
+				name, arenaRefs, arenaBytes, staged[name])
+		}
+		if len(rows) != 1 || rows[0] != staged[name] {
+			t.Fatalf("%s: non-empty destinations by row %v, want only row 0 with %d references", name, rows, staged[name])
 		}
 	}
 }
 
-// TestAppenderGrowsUnderConcurrency drives a deliberately undersized
-// relation through concurrent appends and checks every object survives
-// the in-place growth (which remaps the segment under a write lock).
-func TestAppenderGrowsUnderConcurrency(t *testing.T) {
-	seg, err := Create(filepath.Join(t.TempDir(), "a.seg"), 1<<16)
+// TestNestedLoopsBeyondOnePassFanout: a staged reference does not carry
+// the R partition it came from, so nested loops cannot refine RP<i,j>
+// by origin; with more partitions than one pass fans out to,
+// neighbouring origins share a destination and the join stays one pass
+// and exact.
+func TestNestedLoopsBeyondOnePassFanout(t *testing.T) {
+	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 300, 3000, 3000, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.Close()
-	rel, err := CreateRelation(seg, 32, 4) // 4 slots for 4000 appends
+	defer db.Close()
+	var tel JoinTelemetry
+	st, err := db.Run(JoinRequest{Algorithm: join.NestedLoops, Telemetry: &tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := NewAppender(rel)
-	const n, writers = 4000, 8
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			obj := make([]byte, 32)
-			for x := 0; x < n/writers; x++ {
-				EncodeSPtr(obj, SPtr{Part: uint32(w), Off: Ptr(x)})
-				if err := ap.Append(obj); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(w)
+	if want := db.ExpectedStats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	wg.Wait()
-	ap.Seal()
-	if rel.Count() != n {
-		t.Fatalf("count %d, want %d", rel.Count(), n)
-	}
-	seen := make(map[SPtr]bool, n)
-	for x := 0; x < n; x++ {
-		seen[DecodeSPtr(rel.Object(x))] = true
-	}
-	if len(seen) != n {
-		t.Fatalf("%d distinct objects, want %d (lost writes during growth)", len(seen), n)
-	}
-}
-
-// TestGrowCapacityRejectsNonTopAllocation: growth is only legal while
-// the relation's data area is the segment's top allocation.
-func TestGrowCapacityRejectsNonTopAllocation(t *testing.T) {
-	seg, err := Create(filepath.Join(t.TempDir(), "b.seg"), 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	rel, err := CreateRelation(seg, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seg.Alloc(64); err != nil { // something now sits above the data area
-		t.Fatal(err)
-	}
-	if err := rel.GrowCapacity(100); err == nil {
-		t.Fatal("grow of a buried relation accepted")
+	if tel.RadixPasses.Load() != 1 {
+		t.Fatalf("ran %d passes", tel.RadixPasses.Load())
 	}
 }
 

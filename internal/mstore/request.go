@@ -52,7 +52,7 @@ type JoinRequest struct {
 	// MemGrant is the join-wide probe-memory budget in bytes for
 	// Grace/hybrid-hash: the total counted size of concurrently built
 	// bucket tables (and stream-probe handle arrays) never exceeds it —
-	// oversized buckets restage into sub-buckets on disk or stream
+	// oversized buckets restage into sub-buckets or stream
 	// instead of overshooting. Zero derives D·MRproc (the sum of the
 	// per-partition grants; unbounded when MRproc is 0 too); negative
 	// disables the bound entirely.
@@ -69,11 +69,12 @@ type JoinRequest struct {
 	// to restaging; everything obtained is given back when Run returns.
 	Negotiator GrantNegotiator
 
-	// TmpDir holds the temporary partition/bucket relations; "" creates
-	// a fresh per-call directory under the db dir (removed on return).
-	// An explicit TmpDir must be unique per concurrent Run call: every
-	// join numbers its temporaries from one, so two joins sharing a
-	// TmpDir collide. Run leaves no temporary behind on any exit path.
+	// TmpDir holds the join's temp arena; "" creates a fresh per-call
+	// directory under the db dir (removed on return). An explicit TmpDir
+	// must be unique per concurrent Run call: every join gives its arena
+	// the same name, so the second of two joins sharing a TmpDir fails
+	// with a collision error. Run leaves no temporary behind on any exit
+	// path.
 	TmpDir string
 
 	// Workers is the CPU parallelism: the size of the work-stealing pool
@@ -124,7 +125,7 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	if req.K <= 0 {
 		req.K = db.deriveK(req.MRproc, req.Fuzz)
 	} else if max := db.maxK(); req.K > max {
-		// Bucket state (D·K index slices, D·K temp relations) is sized
+		// Bucket state (D·K counters and extent boundaries) is sized
 		// directly by K and is not covered by the MRproc grant, so an
 		// explicit K is clamped to the same per-partition reference
 		// ceiling deriveK enforces: buckets beyond the number of
@@ -227,7 +228,7 @@ func (req *JoinRequest) grantBudget(db *DB) int64 {
 //
 // Everything the operators share is set up and torn down here, once:
 // the temp directory, the pool, the grant limiter and the joinRun that
-// owns the kernel, the per-worker accumulators and the temporaries.
+// owns the kernel, the per-worker accumulators and the temp arena.
 func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	if err := req.withDefaults(db); err != nil {
 		return JoinStats{}, err
@@ -261,7 +262,7 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	case join.NestedLoops:
 		err = r.staged(db.nestedLoops())
 	case join.SortMerge:
-		err = r.staged(db.sortMerge())
+		err = r.staged(db.sortMerge(p.Workers()))
 	case join.Grace:
 		err = r.staged(db.grace(req.K))
 	case join.HybridHash:

@@ -57,8 +57,15 @@ func Create(path string, size int64) (*Segment, error) {
 	if size < minSegment {
 		size = minSegment
 	}
-	size = (size + int64(headerSize) + 4095) &^ 4095
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return create(path, (size+int64(headerSize)+4095)&^4095, os.O_TRUNC)
+}
+
+// create makes and maps a segment file of exactly size bytes, header
+// included. flag says what an existing file means: os.O_TRUNC replaces
+// it, os.O_EXCL fails — a join's temporary must never truncate a file
+// somebody else is using.
+func create(path string, size int64, flag int) (*Segment, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("mstore: create %s: %w", path, err)
 	}
@@ -146,10 +153,19 @@ func (s *Segment) Sync() error {
 func (s *Segment) Close() error {
 	var first error
 	if s.data != nil {
-		if err := s.Sync(); err != nil {
-			first = err
-		}
-		if err := syscall.Munmap(s.data); err != nil && first == nil {
+		first = s.Sync()
+	}
+	if err := s.unmap(); first == nil {
+		first = err
+	}
+	return first
+}
+
+// unmap releases the mapping and the file descriptor without syncing.
+func (s *Segment) unmap() error {
+	var first error
+	if s.data != nil {
+		if err := syscall.Munmap(s.data); err != nil {
 			first = fmt.Errorf("mstore: munmap %s: %w", s.path, err)
 		}
 		s.data = nil
@@ -163,14 +179,15 @@ func (s *Segment) Close() error {
 	return first
 }
 
-// Delete closes the segment and removes its backing file (deleteMap).
+// Delete unmaps the segment and removes its backing file (deleteMap).
+// Nothing is synced: the pages of a file about to be unlinked have no
+// reader left to be durable for.
 func (s *Segment) Delete() error {
-	path := s.path
-	if err := s.Close(); err != nil {
-		os.Remove(path)
-		return err
+	err := s.unmap()
+	if rmErr := os.Remove(s.path); err == nil {
+		err = rmErr
 	}
-	return os.Remove(path)
+	return err
 }
 
 // Grow remaps the segment with at least min usable bytes. Virtual

@@ -217,34 +217,42 @@ func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 }
 
 // TestSkewEmptyBucketsCreateNoFiles: with every reference in partition
-// 0, the other partitions' buckets are measured empty and must not
-// materialize segment files (the former eager D×K creation opened all
-// of them).
+// 0, the other partitions' buckets are measured empty and must cost
+// nothing — they are zero-length extents of the one arena, which the
+// count pass sized at exactly the staged references (the former eager
+// D×K creation opened a file for each of them).
 func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 	db := skewDB(t, 4000) // every reference → partition 0
 	want := db.ExpectedStats()
 	const k = 8
 	tel := &JoinTelemetry{}
-	tmp := filepath.Join(t.TempDir(), "tmp")
-	st, err := db.Run(JoinRequest{
-		Algorithm: join.Grace, K: k, MemGrant: -1, Telemetry: tel, TmpDir: tmp,
-	})
+	cfg := db.grace(k)
+	var mu sync.Mutex
+	var starts []int
+	cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+		mu.Lock()
+		starts = s.starts
+		mu.Unlock()
+		return s.tableProbe(w, part, refs)
+	}
+	r, done := newTestRun(t, db, 2, 0, tel)
+	err := r.staged(cfg)
+	arenaBytes := r.tmp.seg.Size()
+	done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != want {
+	if st := r.stats.total(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if files := tel.TempFiles.Load(); files > k {
-		t.Fatalf("%d temp files for %d non-empty buckets (eager creation would make %d)",
-			files, k, db.D*k)
+	if files := tel.TempFiles.Load(); files != 1 {
+		t.Fatalf("%d temp files, want the one arena (eager creation would make %d)", files, db.D*k)
 	}
-	ents, err := os.ReadDir(tmp)
-	if err != nil {
-		t.Fatal(err)
+	if len(starts) != db.D*k+1 || starts[k] != 4000 || starts[db.D*k] != 4000 {
+		t.Fatalf("extent layout %v: want all 4000 references in row 0's %d buckets and zero-length extents after them", starts, k)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("%d bucket files left behind in %s", len(ents), tmp)
+	if want := headerSize + 4000*refBytes; arenaBytes != want {
+		t.Fatalf("arena is %d bytes, want %d: the count pass sizes it at the staged references", arenaBytes, want)
 	}
 }
 
