@@ -8,7 +8,6 @@
 //	mmdb create -dir DIR [-objects N] [-d D] [-objsize B] [-seed N] [-index]
 //	mmdb index  -dir DIR [-d D] [-workers N]
 //	mmdb join   -dir DIR [-alg all|auto|nested-loops|sort-merge|grace|hybrid-hash|index-nl|index-merge] [-k K] [-mrproc B] [-workers N]
-//	mmdb bench  -dir DIR [-runs N] [-workers N]
 //	mmdb split  -src DIR -out DIR [-shards N] [-d D]
 //	mmdb serve  {-dir DIR | -shard-map FILE} [-addr :PORT] [-membudget B] [-maxqueue N] [-workers N]
 //
@@ -56,8 +55,6 @@ func main() {
 		cmdIndex(os.Args[2:])
 	case "join":
 		cmdJoin(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	case "verify":
 		cmdVerify(os.Args[2:])
 	case "split":
@@ -70,7 +67,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mmdb create|index|join|bench|verify|split|serve [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mmdb create|index|join|verify|split|serve [flags]")
 	os.Exit(2)
 }
 
@@ -268,8 +265,7 @@ func cmdCreate(args []string) {
 }
 
 // buildIndexes bulk-loads the persistent indexes on a pool of the given
-// size and prints the build time — the amortization denominator the
-// bench index panel reports.
+// size and prints the build time.
 func buildIndexes(db *mstore.DB, workers int) {
 	p := exec.NewPool(workers)
 	defer p.Close()
@@ -382,43 +378,6 @@ func cmdJoin(args []string) {
 		if *alg == "all" || *alg == a.String() {
 			run(a)
 		}
-	}
-}
-
-func cmdBench(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	dir := fs.String("dir", "", "database directory")
-	d := fs.Int("d", 4, "partitions")
-	runs := fs.Int("runs", 3, "repetitions per algorithm")
-	k := fs.Int("k", 0, "Grace bucket count (0: derive from -mrproc)")
-	mrproc := fs.Int64("mrproc", 1<<20, "private memory grant per partition goroutine, bytes")
-	workers := fs.Int("workers", 0, "morsel-pool size, the CPU parallelism (0: GOMAXPROCS)")
-	fs.Parse(args)
-	if *dir == "" {
-		fatal(fmt.Errorf("bench: -dir required"))
-	}
-	db, err := mstore.OpenDB(*dir, *d)
-	if err != nil {
-		fatal(err)
-	}
-	defer db.Close()
-
-	algs := realAlgorithms
-	if db.HasIndexes() {
-		algs = append(append([]join.Algorithm(nil), algs...), indexAlgorithms...)
-	}
-	for _, a := range algs {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < *runs; r++ {
-			start := time.Now()
-			if _, err := db.Run(mstore.JoinRequest{Algorithm: a, MRproc: *mrproc, K: *k, Workers: *workers}); err != nil {
-				fatal(err)
-			}
-			if el := time.Since(start); el < best {
-				best = el
-			}
-		}
-		fmt.Printf("%-12s  best of %d: %v\n", a, *runs, best.Round(time.Microsecond))
 	}
 }
 

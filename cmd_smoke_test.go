@@ -6,8 +6,6 @@ package mmjoin
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -114,66 +112,6 @@ func TestCmdJoinsimSmoke(t *testing.T) {
 	}
 }
 
-// TestCmdBenchSmoke runs the full bench at smoke scale into a temp dir
-// and checks that the tracked BENCH_*.json baselines at the repo root —
-// which the test binary's working directory is — come out byte-identical:
-// no bench panel defaults to a tracked path.
-func TestCmdBenchSmoke(t *testing.T) {
-	bin := buildCmd(t, "bench")
-	tracked := map[string][]byte{}
-	for _, name := range []string{"BENCH_sweep.json", "BENCH_mstore.json", "BENCH_service.json"} {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracked[name] = data
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "sweep.json")
-	got := runCmd(t, bin, "-objects", "4000", "-parallel", "2", "-out", out,
-		"-mstore-out", filepath.Join(dir, "mstore.json"), "-mstore-objects", "4000", "-mstore-runs", "1")
-	for _, want := range []string{"speedup", "events/sec", "baseline written"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in output:\n%s", want, got)
-		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"mmjoin-bench/v1", "sequential_ns", "dispatch_ping_pong", "allocs_per_op"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("missing %q in %s", want, out)
-		}
-	}
-	// -parallel below 1 is rejected.
-	if err := exec.Command(bin, "-parallel", "0").Run(); err == nil {
-		t.Error("-parallel 0 accepted")
-	}
-	// A panel that writes a baseline refuses to run without its output
-	// path, naming the flag, with the usage exit status.
-	for flagName, args := range map[string][]string{
-		"-out":         {"-mstore-out", filepath.Join(dir, "m.json")},
-		"-mstore-out":  {"-mstore-only"},
-		"-service-out": {"-service-only"},
-	} {
-		msg, err := exec.Command(bin, args...).CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), flagName+" is required") {
-			t.Errorf("bench %v: err %v, output %q; want exit 2 naming %s", args, err, msg, flagName)
-		}
-	}
-	for name, before := range tracked {
-		after, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Errorf("bench rewrote the tracked baseline %s", name)
-		}
-	}
-}
-
 func TestCmdMmdbSmoke(t *testing.T) {
 	bin := buildCmd(t, "mmdb")
 	dir := filepath.Join(t.TempDir(), "db")
@@ -184,10 +122,6 @@ func TestCmdMmdbSmoke(t *testing.T) {
 	out = runCmd(t, bin, "join", "-dir", dir)
 	if strings.Contains(out, "MISMATCH") || !strings.Contains(out, "hybrid-hash") {
 		t.Errorf("join output:\n%s", out)
-	}
-	out = runCmd(t, bin, "bench", "-dir", dir, "-runs", "1")
-	if !strings.Contains(out, "best of 1") {
-		t.Errorf("bench output:\n%s", out)
 	}
 	// Planner-chosen algorithm prints the candidate table and verifies.
 	out = runCmd(t, bin, "join", "-dir", dir, "-alg", "auto")

@@ -16,7 +16,7 @@ import (
 )
 
 // segFiles lists the temporary segment files left under dir.
-func segFiles(t *testing.T, dir string) []string {
+func segFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
@@ -38,7 +38,7 @@ func segFiles(t *testing.T, dir string) []string {
 func TestKernelSignatureGrid(t *testing.T) {
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace,
 		join.HybridHash, join.IndexNL, join.IndexMerge}
-	corpora := map[string]func(*testing.T, int) *DB{
+	corpora := map[string]func(testing.TB, int) *DB{
 		"uniform": makeDB,
 		"zipf":    zipfDB,
 	}
@@ -165,7 +165,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 // at the arena before it is unlinked. The returned teardown closes the
 // arena, the limiter and the pool and fails the test if a temporary is
 // left behind.
-func newTestRun(t *testing.T, db *DB, workers int, grant int64, tel *JoinTelemetry) (*joinRun, func()) {
+func newTestRun(t testing.TB, db *DB, workers int, grant int64, tel *JoinTelemetry) (*joinRun, func()) {
 	t.Helper()
 	p := exec.NewPool(workers)
 	lim := newMemLimiter(grant, nil, tel)
@@ -198,7 +198,7 @@ func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, grant in
 // where intermediate scatter files are created, refined, and deleted
 // inside the finish tasks.
 func TestKernelMultiPassDeep(t *testing.T) {
-	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
+	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
 		for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
@@ -276,8 +276,60 @@ func (db *DB) probeBucketMap(b bucket, st *JoinStats) {
 	}
 }
 
+// bucketSet is a database's Grace buckets, materialized once so the
+// probe stage can be driven — and timed — in isolation, partitioning
+// excluded: TestKernelFlatMatchesMap probes the same buckets through
+// both kernels, BenchmarkProbeKernelFlat probes them repeatedly and
+// reports ns and allocations per pass.
+type bucketSet struct {
+	buckets []bucket
+	refs    int64 // one probe pass folds exactly this many pairs
+	kern    *joinKernel
+	arena   probeArena
+}
+
+// bucket is one non-empty Grace bucket: an extent of the run's temp
+// arena holding references into S partition part.
+type bucket struct {
+	part int
+	refs []ref
+}
+
+// graceBuckets partitions R into k order-preserving Grace buckets per S
+// partition and keeps the non-empty ones: the Grace staging with a
+// finish that records each bucket instead of probing it, on one worker.
+// The arena the buckets live in is closed, and checked gone, when the
+// test ends.
+func graceBuckets(t testing.TB, db *DB, k int) *bucketSet {
+	t.Helper()
+	r, done := newTestRun(t, db, 1, 0, nil)
+	t.Cleanup(done)
+	bs := &bucketSet{kern: r.kern}
+	cfg := db.grace(k)
+	cfg.finish = func(_ *stagedRun, _, part int, refs []ref) error {
+		bs.buckets = append(bs.buckets, bucket{part, refs})
+		bs.refs += int64(len(refs))
+		return nil
+	}
+	if err := r.staged(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
+// probeFlat probes every bucket through the flat arena-backed table.
+// After the first call the arena has reached its high-water capacity
+// and later calls allocate nothing.
+func (bs *bucketSet) probeFlat() JoinStats {
+	var st JoinStats
+	for _, b := range bs.buckets {
+		bs.kern.probeFlat(&bs.arena, b.part, b.refs, &st)
+	}
+	return st
+}
+
 // probeMap probes every bucket of the set through the map kernel.
-func probeMap(db *DB, bs *BucketSet) JoinStats {
+func probeMap(db *DB, bs *bucketSet) JoinStats {
 	var st JoinStats
 	for _, b := range bs.buckets {
 		db.probeBucketMap(b, &st)
@@ -289,23 +341,15 @@ func probeMap(db *DB, bs *BucketSet) JoinStats {
 // probe kernels on identical buckets: flat table vs the reference
 // Go map vs ground truth.
 func TestKernelFlatMatchesMap(t *testing.T) {
-	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
+	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 5000)
 		want := db.ExpectedStats()
-		tmp := t.TempDir()
-		bs, err := db.BuildGraceBuckets(tmp, 37)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bs := graceBuckets(t, db, 37)
 		if got := probeMap(db, bs); got != want {
 			t.Fatalf("probeMap: got %+v want %+v", got, want)
 		}
-		if got := bs.ProbeFlat(); got != want {
-			t.Fatalf("ProbeFlat: got %+v want %+v", got, want)
-		}
-		bs.Close()
-		if left := segFiles(t, tmp); len(left) != 0 {
-			t.Fatalf("bucket files left behind after Close: %v", left)
+		if got := bs.probeFlat(); got != want {
+			t.Fatalf("probeFlat: got %+v want %+v", got, want)
 		}
 	}
 }
@@ -314,15 +358,10 @@ func TestKernelFlatMatchesMap(t *testing.T) {
 // arena to its high-water capacity, the flat probe path allocates
 // nothing — the steady state the per-bucket Go map could never reach.
 func TestKernelProbeFlatZeroAllocs(t *testing.T) {
-	db := makeDB(t, 5000)
-	bs, err := db.BuildGraceBuckets(t.TempDir(), 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bs.Close()
-	bs.ProbeFlat() // warm the arena
-	if allocs := testing.AllocsPerRun(5, func() { bs.ProbeFlat() }); allocs != 0 {
-		t.Fatalf("steady-state ProbeFlat allocates %.1f times per pass", allocs)
+	bs := graceBuckets(t, makeDB(t, 5000), 37)
+	bs.probeFlat() // warm the arena
+	if allocs := testing.AllocsPerRun(5, func() { bs.probeFlat() }); allocs != 0 {
+		t.Fatalf("steady-state probeFlat allocates %.1f times per pass", allocs)
 	}
 }
 

@@ -213,7 +213,7 @@ func TestRelationErrors(t *testing.T) {
 	}
 }
 
-func makeDB(t *testing.T, nr int) *DB {
+func makeDB(t testing.TB, nr int) *DB {
 	t.Helper()
 	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 4, nr, nr, 64, 1)
 	if err != nil {

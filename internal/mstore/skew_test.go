@@ -19,7 +19,7 @@ import (
 // other half spreads deterministically over every partition. This is
 // the workload the planner's memory estimate gets most wrong — one
 // Grace bucket holds ~50% of R no matter what K says.
-func zipfDB(t *testing.T, nr int) *DB {
+func zipfDB(t testing.TB, nr int) *DB {
 	t.Helper()
 	db := makeDB(t, nr)
 	hot := SPtr{Part: 0, Off: db.S[0].PtrAt(0)}

@@ -440,7 +440,7 @@ type JoinResponse struct {
 
 	// Memory-adaptation telemetry (Grace/hybrid-hash): how the join
 	// behaved when its grant was tight. Zero values are omitted.
-	Restages       int64 `json:"restages,omitempty"`       // oversized buckets respilled to disk
+	Restages       int64 `json:"restages,omitempty"`       // oversized buckets re-partitioned in place
 	StreamProbes   int64 `json:"streamProbes,omitempty"`   // hot-key buckets joined by streaming
 	Renegotiations int64 `json:"renegotiations,omitempty"` // mid-join grant growths obtained
 	RadixPasses    int64 `json:"radixPasses,omitempty"`    // cache-conscious partitioning passes
@@ -521,11 +521,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// K sizes real per-partition bucket state in Grace/hybrid-hash
-	// (D·K index slices plus D·K temp files), entirely outside the
-	// memory grant the admission controller charges — so an absurd wire
-	// value must be rejected here, not trusted. More buckets than R
-	// objects can never help; mstore additionally clamps K to the
-	// per-partition reference count.
+	// (D·K counters per scan worker plus D·K+1 extent bounds of the one
+	// temp arena), entirely outside the memory grant the admission
+	// controller charges — so an absurd wire value must be rejected
+	// here, not trusted. More buckets than R objects can never help;
+	// mstore additionally clamps K to the per-partition reference count.
 	if maxK := s.store.CountR(); req.K < 0 || req.K > maxK {
 		s.inc("bad_requests")
 		writeError(rw, http.StatusBadRequest, "bad_request",

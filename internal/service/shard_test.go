@@ -63,6 +63,22 @@ func newShardedServer(t *testing.T, objects int, cfg Config) (*Server, *httptest
 	return s, ts, m, want
 }
 
+// expectedOver folds the ground truth of the given shards: what a join
+// over exactly that membership must return.
+func expectedOver(t *testing.T, shards []shard.Entry) mstore.JoinStats {
+	t.Helper()
+	var st mstore.JoinStats
+	for _, e := range shards {
+		db, err := mstore.OpenDB(e.Dir, e.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Fold(db.ExpectedStats())
+		db.Close()
+	}
+	return st
+}
+
 func decodeError(t *testing.T, resp *http.Response) ErrorBody {
 	t.Helper()
 	var env ErrorEnvelope
@@ -217,15 +233,7 @@ func TestShardedServiceMembership(t *testing.T) {
 	}
 
 	// Joins now cover two shards only.
-	var reduced mstore.JoinStats
-	for _, e := range m.Shards[:2] {
-		db, err := mstore.OpenDB(e.Dir, e.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reduced.Fold(db.ExpectedStats())
-		db.Close()
-	}
+	reduced := expectedOver(t, m.Shards[:2])
 	body, _ := json.Marshal(JoinRequest{Algorithm: "grace"})
 	resp, err = client.Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
 	if err != nil {

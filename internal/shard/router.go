@@ -474,14 +474,15 @@ func (r *Router) Workload() (*relation.Workload, error) {
 	return merged, nil
 }
 
-// CountR totals R objects over live shards.
+// CountR totals R objects over live shards. Like Stats it reads the
+// members under the read lock: a shard is closed only after RemoveShard
+// or Close has taken it out of the membership under the write lock, so
+// no mapping read here can have been released.
 func (r *Router) CountR() int {
-	shards, _, err := r.snapshot()
-	if err != nil {
-		return 0
-	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	n := 0
-	for _, h := range shards {
+	for _, h := range r.shards {
 		n += h.db.CountR()
 	}
 	return n
@@ -490,12 +491,10 @@ func (r *Router) CountR() int {
 // CountS totals S objects over live shards (counting every replica in
 // the replicated-S layout).
 func (r *Router) CountS() int {
-	shards, _, err := r.snapshot()
-	if err != nil {
-		return 0
-	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	n := 0
-	for _, h := range shards {
+	for _, h := range r.shards {
 		n += h.db.CountS()
 	}
 	return n

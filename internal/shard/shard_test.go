@@ -375,6 +375,28 @@ func TestShardDrainMidJoinSoak(t *testing.T) {
 		}(g)
 	}
 
+	// The service sizes every join request's K bound with CountR, so the
+	// totals are read while membership churns: they must never touch a
+	// shard's mapping after the removal has released it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if nr, ns := r.CountR(), r.CountS(); nr <= 0 || ns <= 0 {
+				select {
+				case errc <- fmt.Errorf("CountR=%d CountS=%d with live shards", nr, ns):
+				default:
+				}
+				return
+			}
+		}
+	}()
+
 	time.Sleep(30 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	if err := r.RemoveShard(ctx, "shard-1"); err != nil {
