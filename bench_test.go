@@ -5,8 +5,8 @@ package mmjoin
 // DESIGN.md. Simulated experiments run at a reduced default scale
 // (|R| = |S| = 20480) so `go test -bench .` completes quickly; set
 // -paperscale to run the full 102,400-object configuration of §8.
-// Simulated elapsed times are reported as sim-s/op metrics; real-store
-// benches report wall time as usual.
+// Simulated elapsed times are reported as sim-s/op metrics; the one
+// real-store bench (the swizzle pass) reports wall time as usual.
 
 import (
 	"flag"
@@ -258,8 +258,8 @@ func BenchmarkModelEvaluation(b *testing.B) {
 	}
 }
 
-// Real-store benches: wall-clock times of the three joins over actual
-// mmap segments.
+// Real-store bench. Store joins are timed by benchmark/ alone; the one
+// real-store point kept here measures a claim it does not.
 func benchDB(b *testing.B) *mstore.DB {
 	b.Helper()
 	db, err := mstore.CreateDB(filepath.Join(b.TempDir(), "db"), 4, 40000, 40000, 128, 1)
@@ -269,21 +269,6 @@ func benchDB(b *testing.B) *mstore.DB {
 	b.Cleanup(func() { db.Close() })
 	return db
 }
-
-func benchMstoreJoin(b *testing.B, alg join.Algorithm) {
-	db := benchDB(b)
-	tmp := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 16, TmpDir: tmp}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMstoreNestedLoops(b *testing.B) { benchMstoreJoin(b, join.NestedLoops) }
-func BenchmarkMstoreSortMerge(b *testing.B)   { benchMstoreJoin(b, join.SortMerge) }
-func BenchmarkMstoreGrace(b *testing.B)       { benchMstoreJoin(b, join.Grace) }
 
 // BenchmarkMstoreSwizzlePass measures what exact positioning saves: a
 // full pointer-relocation pass over R (what an ObjectStore-style system

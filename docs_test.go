@@ -1,16 +1,22 @@
 package mmjoin
 
 // Tests that hold the prose to the tree: a metric name the docs cite
-// must be one the benchmark declares, and README's Layout block must
-// list the directories that exist.
+// must be one the benchmark declares, an option they cite must be a
+// field of the struct they name, and README's Layout block must list
+// the directories that exist.
 
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"mmjoin/internal/mstore"
+	"mmjoin/internal/service"
+	"mmjoin/internal/shard"
 )
 
 var (
@@ -80,6 +86,40 @@ func TestDocsCiteKnownMetrics(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Error("no metric citation found in any doc; the patterns no longer match how the docs write them")
+	}
+}
+
+// TestDocsCiteRealFields: every `JoinRequest.X`, `service.Config.X` and
+// `shard.Config.X` README.md and DESIGN.md name is a field of that
+// struct, so the docs cannot go on citing a deleted knob. A bare
+// JoinRequest is the store's.
+func TestDocsCiteRealFields(t *testing.T) {
+	structs := map[string]reflect.Type{
+		"JoinRequest":         reflect.TypeOf(mstore.JoinRequest{}),
+		"mstore.JoinRequest":  reflect.TypeOf(mstore.JoinRequest{}),
+		"service.JoinRequest": reflect.TypeOf(service.JoinRequest{}),
+		"service.Config":      reflect.TypeOf(service.Config{}),
+		"shard.Config":        reflect.TypeOf(shard.Config{}),
+	}
+	fieldRef := regexp.MustCompile(`((?:[a-z]+\.)?JoinRequest|service\.Config|shard\.Config)\.([A-Z]\w*)`)
+	cited := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fieldRef.FindAllStringSubmatch(string(text), -1) {
+			cited++
+			typ, ok := structs[m[1]]
+			if !ok {
+				t.Errorf("%s cites %s, a struct this test does not know", doc, m[0])
+			} else if _, ok := typ.FieldByName(m[2]); !ok {
+				t.Errorf("%s cites %s, which is not a field of %v", doc, m[0], typ)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("no field citation found; the pattern no longer matches how the docs write them")
 	}
 }
 

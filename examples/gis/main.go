@@ -104,7 +104,9 @@ func main() {
 		}
 	}
 	st, err := db.Run(mstore.JoinRequest{
-		Algorithm: join.HybridHash, K: 8, ResidentFrac: 0.5, TmpDir: filepath.Join(dir, "tmp"),
+		// A grant of half a parcel partition keeps that half resident.
+		Algorithm: join.HybridHash, K: 8, MRproc: parcels / d * objSize / 2,
+		TmpDir: filepath.Join(dir, "tmp"),
 	})
 	if err != nil {
 		log.Fatal(err)

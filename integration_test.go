@@ -144,7 +144,8 @@ func TestRealStorePaperScale(t *testing.T) {
 	want := db.ExpectedStats()
 	tmp := filepath.Join(dir, "tmp")
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
-		st, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 32, ResidentFrac: 0.5, TmpDir: tmp})
+		// MRproc is half an S partition (25,600 × 128 B): 0.5 resident.
+		st, err := db.Run(mstore.JoinRequest{Algorithm: alg, K: 32, MRproc: 1600 << 10, TmpDir: tmp})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

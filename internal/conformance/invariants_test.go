@@ -191,7 +191,6 @@ func (e *modelExperiment) predict(t *testing.T, alg join.Algorithm, frac float64
 		Skew:      e.w.Skew(),
 		DistinctS: int64(maxDistinct),
 		MRproc:    int64(frac * float64(int64(spec.NR)*int64(spec.RSize))),
-		Fuzz:      1.2,
 	}
 	in.MSproc = in.MRproc
 	switch alg {

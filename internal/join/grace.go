@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
 )
@@ -31,7 +32,7 @@ func (r *runner) runGrace() {
 	}
 	k := r.prm.K
 	if k <= 0 {
-		need := r.prm.Fuzz * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)
+		need := radix.Fuzz * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)
 		k = int(need)
 		if float64(k) < need {
 			k++

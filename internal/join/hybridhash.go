@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/sim"
 )
 
@@ -49,7 +50,7 @@ func (r *runner) runHybridHash() {
 	// Ordered buckets for the overflow portion, Grace-sized.
 	k := r.prm.K
 	if k <= 0 {
-		need := r.prm.Fuzz * (1 - f0) * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)
+		need := radix.Fuzz * (1 - f0) * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)
 		k = int(need)
 		if float64(k) < need {
 			k++

@@ -104,10 +104,9 @@ type Params struct {
 	// (IRUN = M/(r+hp), NRUNABL = M/3B, NRUNLAST = M/2B).
 	IRun, NRunABL, NRunLast int
 
-	// Grace tuning; zero values select K = ⌈fuzz·|RSi|·r / M⌉ and
+	// Grace tuning; zero values select K = ⌈radix.Fuzz·|RSi|·r / M⌉ and
 	// TSIZE ≈ bucket objects / 4.
 	K, TSize int
-	Fuzz     float64 // Grace hash-table overhead allowance; 0 ⇒ 1.2
 
 	// Workers is the CPU parallelism of a real-store execution
 	// (mstore.JoinRequest.Workers): the size of the morsel pool; 0 ⇒
@@ -151,9 +150,6 @@ func (prm *Params) withDefaults(cfg machine.Config) error {
 	}
 	if prm.G == 0 {
 		prm.G = int64(cfg.B())
-	}
-	if prm.Fuzz == 0 {
-		prm.Fuzz = 1.2
 	}
 	return nil
 }

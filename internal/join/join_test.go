@@ -592,9 +592,6 @@ func TestRequestValidateFoldsDefaults(t *testing.T) {
 	if req.G != int64(smallCfg().B()) {
 		t.Errorf("G not defaulted: %d", req.G)
 	}
-	if req.Fuzz != 1.2 {
-		t.Errorf("Fuzz not defaulted: %g", req.Fuzz)
-	}
 	// Idempotent: validating again changes nothing and still succeeds.
 	before := req
 	if err := req.Validate(); err != nil {

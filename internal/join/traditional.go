@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/sim"
 )
@@ -31,7 +32,7 @@ func (r *runner) runTraditionalGrace() {
 	}
 	k := r.prm.K
 	if k <= 0 {
-		need := r.prm.Fuzz * float64(maxS) * float64(r.s+int64(r.m.Cfg.HeapPtrBytes)) /
+		need := radix.Fuzz * float64(maxS) * float64(r.s+int64(r.m.Cfg.HeapPtrBytes)) /
 			float64(r.prm.MRproc)
 		k = int(need)
 		if float64(k) < need {

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func hybridPlan(c Calibration, in Inputs, rsi, sj float64) (f0 float64, k, tsize
 	}
 	k = in.K
 	if k <= 0 {
-		need := in.Fuzz * (1 - f0) * rsi * float64(in.R) / float64(in.MRproc)
+		need := radix.Fuzz * (1 - f0) * rsi * float64(in.R) / float64(in.MRproc)
 		k = int(math.Ceil(need))
 	}
 	if f0 >= 1 {

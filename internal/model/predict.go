@@ -30,21 +30,12 @@ type Inputs struct {
 	IRun, NRunABL, NRunLast int
 	// Grace tuning (0 ⇒ paper defaults).
 	K, TSize int
-	Fuzz     float64
 
 	// IndexFanout is the per-node key capacity of the store's persistent
 	// B-tree indexes, used by the index-path predictions. Zero selects
 	// the executor's 4 KiB-node capacity (253 keys; see
 	// mstore.indexNodeBytes and btMaxKeys).
 	IndexFanout int
-
-	// ColdSproc selects the paper's literal §5.3 formula, which charges
-	// pass 1's Si faults as if the Sproc buffer were cold. The default
-	// (false) applies a warm-continuation refinement: passes 0 and 1 are
-	// one reference stream, so pass 1 faults are Ylru(x0+x1) − Ylru(x0).
-	// The refinement matters once MSproc approaches |Si| and the buffer
-	// stays warm across passes.
-	ColdSproc bool
 }
 
 func (in *Inputs) withDefaults(c Calibration) error {
@@ -62,9 +53,6 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	}
 	if in.G == 0 {
 		in.G = c.B
-	}
-	if in.Fuzz == 0 {
-		in.Fuzz = 1.2
 	}
 	if in.IndexFanout < 0 {
 		return fmt.Errorf("model: negative index fanout %d", in.IndexFanout)
@@ -196,13 +184,13 @@ func PredictNestedLoops(c Calibration, in Inputs) (*Prediction, error) {
 	// Pass 1: RPi read sequentially, Si read randomly.
 	band1 := q.psi + prpi
 	p.add("pass1 read RPi", sim.Time(prpi*c.DTTR.Eval(band1)))
-	pass1Faults := Ylru(rsi, q.psi, distinct, q.sframes, rpi)
-	if !in.ColdSproc {
-		// Warm continuation: the Sproc buffer already holds the pages
-		// faulted during pass 0.
-		pass1Faults = Ylru(rsi, q.psi, distinct, q.sframes, rii+rpi) -
-			Ylru(rsi, q.psi, distinct, q.sframes, rii)
-	}
+	// Warm continuation, a refinement of the paper's literal §5.3
+	// formula (which charges pass 1 as if the Sproc buffer were cold):
+	// passes 0 and 1 are one reference stream and the buffer already
+	// holds the pages faulted during pass 0, so pass 1 faults are
+	// Ylru(x0+x1) − Ylru(x0). It matters once MSproc approaches |Si|.
+	pass1Faults := Ylru(rsi, q.psi, distinct, q.sframes, rii+rpi) -
+		Ylru(rsi, q.psi, distinct, q.sframes, rii)
 	p.add("pass1 read Si", sim.Time(pass1Faults*c.DTTR.Eval(band1)))
 
 	// CPU: moves, buffer transfers, context switches, partition mapping.
@@ -341,7 +329,7 @@ func gMerge(c Calibration, h int) float64 {
 func gracePlan(in Inputs, rsi float64) (k, tsize int) {
 	k = in.K
 	if k <= 0 {
-		need := in.Fuzz * rsi * float64(in.R) / float64(in.MRproc)
+		need := radix.Fuzz * rsi * float64(in.R) / float64(in.MRproc)
 		k = int(math.Ceil(need))
 	}
 	if k < 1 {

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 
+	"mmjoin/internal/radix"
 	"mmjoin/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func PredictTraditionalGrace(c Calibration, in Inputs) (*Prediction, error) {
 
 	k := in.K
 	if k <= 0 {
-		need := in.Fuzz * q.sj * float64(in.S+c.HP) / float64(in.MRproc)
+		need := radix.Fuzz * q.sj * float64(in.S+c.HP) / float64(in.MRproc)
 		k = int(math.Ceil(need))
 	}
 	if k < 1 {

@@ -14,16 +14,16 @@ import (
 // following the dynamic hybrid-hash playbook (per-bucket spill/restage,
 // growth-triggered repartitioning, mid-join grant renegotiation):
 //
-//   - memLimiter meters every in-memory probe structure (hash tables,
-//     sort handles) against a join-wide byte budget; concurrent probes
-//     that would overshoot together wait their turn.
+//   - memLimiter meters every probe table against a join-wide byte
+//     budget; concurrent probes that would overshoot together wait
+//     their turn.
 //   - A bucket whose table can never fit — even alone — first asks the
 //     GrantNegotiator for more memory, and failing that is restaged:
 //     re-partitioned in place, within its extent of the temp arena,
 //     into sub-buckets until each fits.
 //   - A bucket one hot key dominates cannot be split by restaging (every
-//     reference names the same S object), so it falls back to a
-//     streaming sorted-probe that never builds the table at all.
+//     reference names the same S object), so it is joined in extent
+//     order: no table, nothing to reserve.
 //
 // All of it is gated, as every execution change in this repo, on
 // bit-identical Pairs/Signature: the adaptations reorder work, and the
@@ -34,10 +34,6 @@ import (
 // their real load factor plus the per-reference chain and sweep
 // entries. The limiter's bound is over these counted bytes — the same
 // accounting the grant-bound invariant tests measure.
-
-// streamHandleBytes is the per-reference cost of the streaming probe's
-// chunk handle array (one int32 index).
-const streamHandleBytes = 4
 
 // maxRestageFanout caps how many sub-buckets one restage pass creates,
 // keeping the pass's write cursors cache-resident; a bucket that
@@ -75,8 +71,8 @@ type JoinTelemetry struct {
 	// sub-buckets; RestagedRefs the references rewritten doing so.
 	Restages     atomic.Int64
 	RestagedRefs atomic.Int64
-	// StreamProbes counts buckets joined by the bounded streaming
-	// fallback (hot-key buckets restaging cannot split).
+	// StreamProbes counts buckets joined in extent order with no table
+	// (hot-key buckets restaging cannot split).
 	StreamProbes atomic.Int64
 	// Renegotiations counts successful mid-join grant growths;
 	// RenegotiationsDenied the growth requests the admission layer
@@ -116,8 +112,8 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// memLimiter enforces a join-wide byte budget over the in-memory
-// structures the probes build. budget 0 means unbounded — reservations
+// memLimiter enforces a join-wide byte budget over the tables the
+// probes build. budget 0 means unbounded — reservations
 // are accounted (so telemetry still reports the peak) but never denied
 // and never wait.
 type memLimiter struct {
@@ -141,9 +137,6 @@ func newMemLimiter(budget int64, neg GrantNegotiator, tel *JoinTelemetry) *memLi
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
-
-// bounded reports whether the limiter enforces a budget.
-func (l *memLimiter) bounded() bool { return l.budget > 0 }
 
 // budgetNow reads the current budget (it grows under renegotiation).
 func (l *memLimiter) budgetNow() int64 {

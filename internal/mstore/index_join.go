@@ -26,16 +26,9 @@ import (
 // kernels at any worker count. They share the skeleton's prologue and
 // epilogue (joinRun) and nothing else: index-merge never scans R, and
 // index-nl resolves every S location through a tree, so neither is a
-// staging configuration.
-
-// indexFootprint is the counted bytes of the index joins' state: per
-// worker a probe batch (8 B rid + 12 B pointer per slot, padded) plus
-// cursor state. It is a fixed O(workers) bite DB.Run reserves once up
-// front; if the grant cannot cover it there is nothing to shrink or
-// restage, so the join runs unmetered rather than failing.
-func indexFootprint(workers int) int64 {
-	return int64(workers) * (gatherWidth*24 + 64)
-}
+// staging configuration. Neither builds a table, so — like nested loops
+// and sort-merge, which run the same stack batches — neither reserves
+// anything from the grant.
 
 // indexNL scans R in morsels; each object's join attribute is turned
 // into its canonical index key (pure offset arithmetic, no S access)

@@ -54,8 +54,10 @@ func TestBuildIndexesVerify(t *testing.T) {
 
 // TestIndexJoinGrid is the tentpole invariant: both index operators
 // reproduce the exact Pairs/Signature of the pointer ground truth for
-// uniform and Zipf-skewed stores at every worker count — the same
-// bit-identical gate the kernel rewrites are held to.
+// uniform and Zipf-skewed stores at every worker count and under any
+// MRproc — they build no table, so the grant changes nothing and they
+// reserve none of it — the same bit-identical gate the kernel rewrites
+// are held to.
 func TestIndexJoinGrid(t *testing.T) {
 	dbs := map[string]*DB{
 		"uniform": indexedDB(t, makeDB(t, 4000)),
@@ -66,37 +68,19 @@ func TestIndexJoinGrid(t *testing.T) {
 		want := db.ExpectedStats()
 		for _, alg := range []join.Algorithm{join.IndexNL, join.IndexMerge} {
 			for _, w := range workerGrid {
-				got, err := db.Run(JoinRequest{Algorithm: alg, Workers: w})
-				if err != nil {
-					t.Fatalf("%s/%v/w=%d: %v", name, alg, w, err)
+				for _, mrproc := range []int64{0, 1, 1 << 20} {
+					var tel JoinTelemetry
+					got, err := db.Run(JoinRequest{Algorithm: alg, Workers: w, MRproc: mrproc, Telemetry: &tel})
+					if err != nil {
+						t.Fatalf("%s/%v/w=%d/mrproc=%d: %v", name, alg, w, mrproc, err)
+					}
+					if got != want {
+						t.Errorf("%s/%v/w=%d/mrproc=%d: stats %+v, want %+v", name, alg, w, mrproc, got, want)
+					}
+					if peak := tel.PeakTableBytes.Load(); peak != 0 {
+						t.Errorf("%s/%v/w=%d/mrproc=%d: reserved %d bytes for no table", name, alg, w, mrproc, peak)
+					}
 				}
-				if got != want {
-					t.Errorf("%s/%v/w=%d: stats %+v, want %+v", name, alg, w, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestIndexJoinGrantMetered: the index operators run under the same
-// grant plumbing as the bucketed joins; a tiny grant must not change the
-// result (their footprint is O(workers) and simply runs unmetered when
-// the bite doesn't fit).
-func TestIndexJoinGrantMetered(t *testing.T) {
-	db := indexedDB(t, makeDB(t, 2000))
-	want := db.ExpectedStats()
-	for _, alg := range []join.Algorithm{join.IndexNL, join.IndexMerge} {
-		for _, grant := range []int64{-1, 1, 1 << 20} {
-			var tel JoinTelemetry
-			got, err := db.Run(JoinRequest{Algorithm: alg, MemGrant: grant, Telemetry: &tel, Workers: 2})
-			if err != nil {
-				t.Fatalf("%v/grant=%d: %v", alg, grant, err)
-			}
-			if got != want {
-				t.Errorf("%v/grant=%d: stats %+v, want %+v", alg, grant, got, want)
-			}
-			if grant >= indexFootprint(2) && tel.PeakTableBytes.Load() == 0 {
-				t.Errorf("%v/grant=%d: no peak bytes recorded", alg, grant)
 			}
 		}
 	}

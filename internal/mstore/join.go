@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
-	"mmjoin/internal/pheap"
 	"mmjoin/internal/radix"
 )
 
@@ -443,7 +442,7 @@ func tableBytesFor(refs int) int64 {
 // fit — renegotiation included — is restaged into sub-buckets until
 // each fits, and a bucket whose references collapse onto a single S
 // object (one hot key) streams instead: restaging cannot split it, but
-// it also needs no table.
+// it also needs no table — and reserves nothing.
 func (r *joinRun) probe(w, part int, refs []ref, st *JoinStats, depth int) error {
 	need := tableBytesFor(len(refs))
 	if r.lim.reserve(need) {
@@ -459,7 +458,8 @@ func (r *joinRun) probe(w, part int, refs []ref, st *JoinStats, depth int) error
 		lo, hi = min(lo, idx), max(hi, idx)
 	}
 	if depth >= maxRestageDepth || lo >= hi {
-		return r.streamProbe(part, refs, st)
+		r.streamProbe(part, refs, st)
+		return nil
 	}
 	return r.restage(w, part, refs, st, lo, hi, depth)
 }
@@ -499,41 +499,11 @@ func (r *joinRun) restage(w, part int, refs []ref, st *JoinStats, lo, hi, depth 
 	return nil
 }
 
-// streamProbe joins one bucket without ever building its table: the
-// bucket is processed in grant-sized chunks whose handles are sorted by
-// S address, so memory is bounded by one chunk's handle array while the
-// probe still walks S in ascending order within each chunk — and the
-// ordered walk is batch-gathered like every other kernel. Correctness
-// does not depend on the order — Pairs and Signature fold as
-// commutative sums — so the result stays bit-identical.
-func (r *joinRun) streamProbe(part int, refs []ref, st *JoinStats) error {
+// streamProbe joins one bucket the ladder cannot put in a table — every
+// reference names one S object, so restaging cannot split it, or the
+// depth rail was hit — in extent order: no table, no reservation. The
+// fold is commutative, so any order is bit-identical.
+func (r *joinRun) streamProbe(part int, refs []ref, st *JoinStats) {
 	r.lim.tel.StreamProbes.Add(1)
-	n := len(refs)
-	chunk := n
-	if r.lim.bounded() {
-		chunk = int(min(int64(n), max(r.lim.budgetNow()/streamHandleBytes, 1)))
-	}
-	bytes := int64(chunk) * streamHandleBytes
-	if !r.lim.reserve(bytes) {
-		// A grant below one handle: degenerate, but still bounded — scan
-		// in extent order with no auxiliary memory at all.
-		r.kern.joinRefs(part, refs, st)
-		return nil
-	}
-	defer r.lim.release(bytes)
-	handles := make([]int32, chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		h := handles[:hi-lo]
-		for i := range h {
-			h[i] = int32(lo + i)
-		}
-		pheap.Sort(h, func(a, b int32) bool { return refs[a].off < refs[b].off })
-		b := r.kern.newBatch()
-		for _, x := range h {
-			b.addPair(refs[x].rid, SPtr{Part: uint32(part), Off: refs[x].off}, st)
-		}
-		b.flush(st)
-	}
-	return nil
+	r.kern.joinRefs(part, refs, st)
 }

@@ -27,7 +27,8 @@ func segFiles(t testing.TB, dir string) []string {
 
 // TestKernelSignatureGrid is the property grid over what the collapsed
 // executor can vary: six operators × workers {1, 2, 4} × corpus
-// {uniform, Zipf hot-key} × K {1, 37, 600} × {unbounded, 64 KiB grant}.
+// {uniform, Zipf hot-key} × K {1, 37, 600} × MRproc {unbounded, 16 KiB:
+// a 64 KiB grant}.
 // Every point must produce Pairs/Signature bit-identical to the store's
 // independently computed ground truth, keep the peak of counted probe
 // memory within grant + renegotiated bytes, create at most 2·D temp
@@ -50,7 +51,8 @@ func TestKernelSignatureGrid(t *testing.T) {
 			for _, alg := range algs {
 				for _, w := range []int{1, 2, 4} {
 					for _, k := range []int{1, 37, 600} {
-						for _, grant := range []int64{-1, 64 << 10} {
+						for _, mrproc := range []int64{0, 16 << 10} {
+							grant := mrproc * int64(db.D)
 							// K only reaches the bucketed joins; run the
 							// others once per worker/grant point.
 							if alg != join.Grace && alg != join.HybridHash && k != 37 {
@@ -59,7 +61,7 @@ func TestKernelSignatureGrid(t *testing.T) {
 							var tel JoinTelemetry
 							got, err := db.Run(JoinRequest{
 								Algorithm: alg, K: k, Workers: w,
-								MemGrant: grant, Telemetry: &tel, TmpDir: tmp,
+								MRproc: mrproc, Telemetry: &tel, TmpDir: tmp,
 							})
 							if err != nil {
 								t.Fatalf("%v k=%d w=%d grant=%d: %v", alg, k, w, grant, err)
@@ -115,7 +117,8 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 		tmp := filepath.Join(t.TempDir(), "tmp")
 		var tel JoinTelemetry
 		_, err := db.Run(JoinRequest{
-			Algorithm: alg, K: 300, ResidentFrac: 0.3, Workers: 2,
+			// 96,000 of a partition's 5000·64 S bytes: 0.3 resident.
+			Algorithm: alg, K: 300, MRproc: 96000, Workers: 2,
 			Ctx: ctx, Telemetry: &tel, TmpDir: tmp,
 		})
 		if err == nil {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mmjoin/internal/join"
+	"mmjoin/internal/radix"
 )
 
 func TestSegmentCreateOpenRoundTrip(t *testing.T) {
@@ -320,13 +321,10 @@ func TestQuickRealJoinEquivalence(t *testing.T) {
 func TestHybridHashRealStore(t *testing.T) {
 	db := makeDB(t, 3000)
 	want := db.ExpectedStats()
-	// A zero ResidentFrac derives from MRproc (none here: nothing
-	// resident), a negative one forces zero.
-	for _, frac := range []float64{-1, 0, 0.3, 0.7, 1.0} {
-		st, err := db.Run(JoinRequest{
-			Algorithm: join.HybridHash, K: 6, ResidentFrac: frac,
-			TmpDir: filepath.Join(t.TempDir(), "hh"),
-		})
+	// A request derives the resident fraction from MRproc; the fixed
+	// fractions go to the staging configuration directly.
+	for _, frac := range []float64{0, 0.3, 0.7, 1.0} {
+		st, err := runStaged(t, db, db.hybridHash(6, frac), radix.Bits, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,8 @@ func TestJoinStatsDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
 		for _, w := range counts {
 			st, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 5, ResidentFrac: 0.3, Workers: w,
+				// 19,200 of a partition's 1000·64 S bytes: 0.3 resident.
+				Algorithm: alg, K: 5, MRproc: 19200, Workers: w,
 				TmpDir: filepath.Join(t.TempDir(), "tmp"),
 			})
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
+	"mmjoin/internal/radix"
 	"mmjoin/internal/relation"
 )
 
@@ -23,10 +24,11 @@ import (
 //   - MRproc is the per-goroutine private-memory grant in bytes, the
 //     real-store analogue of join.Params.MRproc. Grace derives its
 //     bucket count K from it with the simulator's rule
-//     K = ⌈Fuzz·|RSi|·r / MRproc⌉, and hybrid-hash sizes its resident
-//     S prefix as the part of an S partition that fits in MRproc.
-//   - K and Fuzz override/tune that derivation exactly as in
-//     join.Params.
+//     K = ⌈fuzz·|RSi|·r / MRproc⌉ (fuzz is radix.Fuzz), hybrid-hash
+//     sizes its resident S prefix as the part of an S partition that
+//     fits in MRproc, and the join's probe tables are metered against
+//     D·MRproc — the one memory number a join takes (§7).
+//   - K overrides that derivation exactly as in join.Params.
 //
 // The pointer vocabularies map as follows: the simulator's
 // relation.SPtr{Part, Index} addresses S objects by index, the store's
@@ -36,27 +38,16 @@ type JoinRequest struct {
 	Algorithm join.Algorithm
 
 	// MRproc is the private memory grant per partition goroutine, bytes.
-	// Zero selects a grant large enough that Grace uses one bucket.
+	// The D grants pool into the join-wide probe budget D·MRproc for
+	// Grace/hybrid-hash: the total counted size of concurrently built
+	// bucket tables never exceeds it — an oversized bucket restages into
+	// sub-buckets, and one that names a single S object joins in extent
+	// order with no table. Zero means unbounded: one bucket, nothing
+	// resident, no probe bound.
 	MRproc int64
 
 	// K is the Grace/hybrid-hash bucket count; 0 derives it from MRproc.
 	K int
-	// Fuzz is the hash-table overhead allowance in the K derivation;
-	// 0 selects the simulator's default 1.2.
-	Fuzz float64
-
-	// ResidentFrac is the hybrid-hash resident fraction of each S
-	// partition; 0 derives it from MRproc (negative forces 0).
-	ResidentFrac float64
-
-	// MemGrant is the join-wide probe-memory budget in bytes for
-	// Grace/hybrid-hash: the total counted size of concurrently built
-	// bucket tables (and stream-probe handle arrays) never exceeds it —
-	// oversized buckets restage into sub-buckets or stream
-	// instead of overshooting. Zero derives D·MRproc (the sum of the
-	// per-partition grants; unbounded when MRproc is 0 too); negative
-	// disables the bound entirely.
-	MemGrant int64
 
 	// Telemetry, when non-nil, receives the join's memory-adaptation
 	// counters (temp files, restages, stream probes, renegotiations,
@@ -65,7 +56,7 @@ type JoinRequest struct {
 	Telemetry *JoinTelemetry
 
 	// Negotiator, when non-nil, lets a join that discovers it was
-	// under-granted ask for memory beyond MemGrant before it falls back
+	// under-granted ask for memory beyond D·MRproc before it falls back
 	// to restaging; everything obtained is given back when Run returns.
 	Negotiator GrantNegotiator
 
@@ -119,11 +110,8 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	if req.Workers < 0 {
 		return fmt.Errorf("mstore: negative worker count %d", req.Workers)
 	}
-	if req.Fuzz == 0 {
-		req.Fuzz = 1.2
-	}
 	if req.K <= 0 {
-		req.K = db.deriveK(req.MRproc, req.Fuzz)
+		req.K = db.deriveK(req.MRproc)
 	} else if max := db.maxK(); req.K > max {
 		// Bucket state (D·K counters and extent boundaries) is sized
 		// directly by K and is not covered by the MRproc grant, so an
@@ -132,25 +120,16 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 		// references a partition can hold never pay for themselves.
 		req.K = max
 	}
-	if req.ResidentFrac == 0 {
-		req.ResidentFrac = db.deriveResidentFrac(req.MRproc)
-	}
-	if req.ResidentFrac < 0 {
-		req.ResidentFrac = 0
-	}
-	if req.ResidentFrac > 1 {
-		req.ResidentFrac = 1
-	}
 	return nil
 }
 
 // deriveK applies the simulator's Grace rule K = ⌈fuzz·|RSi|·r/M⌉ with
 // |RSi| = |R|/D (each partition's expected reference load).
-func (db *DB) deriveK(mrproc int64, fuzz float64) int {
+func (db *DB) deriveK(mrproc int64) int {
 	if mrproc <= 0 {
 		return 1
 	}
-	k := int(math.Ceil(fuzz * float64(db.CountR()) / float64(db.D) * float64(db.ObjSize) / float64(mrproc)))
+	k := int(math.Ceil(radix.Fuzz * float64(db.CountR()) / float64(db.D) * float64(db.ObjSize) / float64(mrproc)))
 	if k < 1 {
 		k = 1
 	}
@@ -169,9 +148,9 @@ func (db *DB) maxK() int {
 	return 1
 }
 
-// deriveResidentFrac sizes the hybrid-hash resident prefix: the share of
+// deriveResident sizes the hybrid-hash resident prefix: the share of
 // one S partition that fits in the per-goroutine grant.
-func (db *DB) deriveResidentFrac(mrproc int64) float64 {
+func (db *DB) deriveResident(mrproc int64) float64 {
 	if mrproc <= 0 {
 		return 0
 	}
@@ -202,22 +181,6 @@ func (db *DB) CountS() int {
 		n += rel.Count()
 	}
 	return n
-}
-
-// grantBudget resolves the effective probe-memory budget: an explicit
-// MemGrant wins, zero derives D·MRproc (every partition goroutine's
-// grant, pooled), and a negative MemGrant — or no MRproc to derive
-// from — means unbounded (0).
-func (req *JoinRequest) grantBudget(db *DB) int64 {
-	switch {
-	case req.MemGrant > 0:
-		return req.MemGrant
-	case req.MemGrant < 0:
-		return 0
-	case req.MRproc > 0:
-		return req.MRproc * int64(db.D)
-	}
-	return 0
 }
 
 // Run validates the request, folds in derived defaults, and executes the
@@ -252,7 +215,7 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		p = exec.NewPool(req.Workers)
 		defer p.Close()
 	}
-	lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
+	lim := newMemLimiter(req.MRproc*int64(db.D), req.Negotiator, req.Telemetry)
 	defer lim.close()
 	r := newJoinRun(ctx, db, p, lim, req.TmpDir)
 	defer r.tmp.close()
@@ -266,16 +229,11 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	case join.Grace:
 		err = r.staged(db.grace(req.K))
 	case join.HybridHash:
-		err = r.staged(db.hybridHash(req.K, req.ResidentFrac))
-	default: // join.IndexNL or join.IndexMerge, by withDefaults
-		if need := indexFootprint(p.Workers()); lim.reserve(need) {
-			defer lim.release(need)
-		}
-		if req.Algorithm == join.IndexNL {
-			err = r.indexNL()
-		} else {
-			err = r.indexMerge()
-		}
+		err = r.staged(db.hybridHash(req.K, db.deriveResident(req.MRproc)))
+	case join.IndexNL:
+		err = r.indexNL()
+	default: // join.IndexMerge, by withDefaults
+		err = r.indexMerge()
 	}
 	if err != nil {
 		return JoinStats{}, err

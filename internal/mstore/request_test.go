@@ -57,9 +57,6 @@ func TestRequestDerivesGraceParameters(t *testing.T) {
 	if req.K != 10 {
 		t.Errorf("derived K = %d, want 10", req.K)
 	}
-	if req.Fuzz != 1.2 {
-		t.Errorf("Fuzz = %g", req.Fuzz)
-	}
 	// TmpDir stays empty after defaulting: Run creates (and removes) a
 	// per-call temp directory so concurrent default-TmpDir joins cannot
 	// collide on the fixed bucket file names.
@@ -82,12 +79,11 @@ func TestRequestDerivesGraceParameters(t *testing.T) {
 		t.Errorf("explicit K overridden to %d", explicit.K)
 	}
 	// Hybrid-hash residency: the share of one S partition that fits.
-	hh := JoinRequest{Algorithm: join.HybridHash, MRproc: 8000}
-	if err := hh.withDefaults(db); err != nil {
-		t.Fatal(err)
+	if got, want := db.deriveResident(8000), 8000.0/(1000*32); got != want {
+		t.Errorf("resident fraction = %g, want %g", got, want)
 	}
-	if want := 8000.0 / (1000 * 32); hh.ResidentFrac != want {
-		t.Errorf("ResidentFrac = %g, want %g", hh.ResidentFrac, want)
+	if got := db.deriveResident(1 << 30); got != 1 {
+		t.Errorf("ample-memory resident fraction = %g, want 1", got)
 	}
 }
 

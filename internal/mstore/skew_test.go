@@ -12,6 +12,7 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
+	"mmjoin/internal/radix"
 )
 
 // zipfDB rewrites the db's R pointers into a Zipf-like worst case: one
@@ -46,19 +47,21 @@ func zipfDB(t testing.TB, nr int) *DB {
 // hot-key workload with a deliberately undersized grant, Grace and
 // hybrid-hash complete with bit-identical Pairs/Signature vs the
 // unbounded baseline, while the measured peak of counted probe-table
-// bytes never exceeds the grant. The hot bucket's table alone
-// (tableBytesFor(4000) ≈ 158 KiB: 8192 slots · 12 B + 4000 refs · 16 B)
-// cannot fit the 32 KiB grant, so the join must restage it and
-// ultimately stream the hot key.
+// bytes never exceeds the grant D·MRproc. Grace's hot bucket's table
+// alone (tableBytesFor(4000) ≈ 158 KiB: 8192 slots · 12 B + 4000 refs ·
+// 16 B) cannot fit the 32 KiB grant, so the join must restage it and
+// ultimately stream the hot key; hybrid-hash keeps the hot key (index 0)
+// in the resident prefix its MRproc derives, so it owes only the bound.
 func TestSkewGrantBoundedGraceHybrid(t *testing.T) {
 	db := zipfDB(t, 8000)
 	want := db.ExpectedStats()
 	const grant = 32 << 10
+	mrproc := int64(grant / db.D)
 
 	for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
 		for _, w := range []int{1, 4} {
 			base, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 4, ResidentFrac: -1, Workers: w, MemGrant: -1,
+				Algorithm: alg, K: 4, Workers: w,
 				TmpDir: filepath.Join(t.TempDir(), "base"),
 			})
 			if err != nil {
@@ -70,8 +73,8 @@ func TestSkewGrantBoundedGraceHybrid(t *testing.T) {
 
 			tel := &JoinTelemetry{}
 			st, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 4, ResidentFrac: -1, Workers: w,
-				MemGrant: grant, Telemetry: tel,
+				Algorithm: alg, K: 4, Workers: w,
+				MRproc: mrproc, Telemetry: tel,
 				TmpDir: filepath.Join(t.TempDir(), "bounded"),
 			})
 			if err != nil {
@@ -82,6 +85,9 @@ func TestSkewGrantBoundedGraceHybrid(t *testing.T) {
 			}
 			if peak := tel.PeakTableBytes.Load(); peak > grant {
 				t.Fatalf("%v workers=%d: peak table bytes %d exceed grant %d", alg, w, peak, grant)
+			}
+			if alg != join.Grace {
+				continue
 			}
 			if tel.Restages.Load() < 1 {
 				t.Errorf("%v workers=%d: oversized bucket never restaged", alg, w)
@@ -106,8 +112,8 @@ func TestSkewZipfCorpusAllAlgorithms(t *testing.T) {
 		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			tel := &JoinTelemetry{}
 			st, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 3, ResidentFrac: 0.25, Workers: w,
-				MemGrant: 48 << 10, Telemetry: tel,
+				Algorithm: alg, K: 3, Workers: w,
+				MRproc: 12 << 10, Telemetry: tel,
 				TmpDir: filepath.Join(t.TempDir(), fmt.Sprintf("%v-%d", alg, w)),
 			})
 			if err != nil {
@@ -132,7 +138,7 @@ func TestSkewRenegotiationGrowsGrant(t *testing.T) {
 	neg := &fakeNegotiator{spare: 1 << 20}
 	tel := &JoinTelemetry{}
 	st, err := db.Run(JoinRequest{
-		Algorithm: join.Grace, K: 4, MemGrant: 16 << 10,
+		Algorithm: join.Grace, K: 4, MRproc: 4 << 10,
 		Telemetry: tel, Negotiator: neg,
 		TmpDir: filepath.Join(t.TempDir(), "tmp"),
 	})
@@ -288,14 +294,16 @@ func TestRankBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestSkewStreamProbeDegenerateGrant: a grant too small for even the
-// streaming handle chunk still completes exactly (the pure-scan path).
+// TestSkewStreamProbeDegenerateGrant: under a grant no table fits (the
+// smallest is 112 bytes) every bucket restages down to single keys and
+// joins them in extent order — exactly, and without reserving a byte:
+// tables are the only thing the limiter meters.
 func TestSkewStreamProbeDegenerateGrant(t *testing.T) {
 	db := zipfDB(t, 2000)
 	want := db.ExpectedStats()
 	tel := &JoinTelemetry{}
 	st, err := db.Run(JoinRequest{
-		Algorithm: join.Grace, K: 2, MemGrant: 64, Telemetry: tel,
+		Algorithm: join.Grace, K: 2, MRproc: 16, Telemetry: tel,
 		TmpDir: filepath.Join(t.TempDir(), "tmp"),
 	})
 	if err != nil {
@@ -304,8 +312,47 @@ func TestSkewStreamProbeDegenerateGrant(t *testing.T) {
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if peak := tel.PeakTableBytes.Load(); peak > 64 {
-		t.Fatalf("peak %d over 64-byte grant", peak)
+	if tel.StreamProbes.Load() < 1 {
+		t.Fatal("no bucket streamed under a 64-byte grant")
+	}
+	if peak := tel.PeakTableBytes.Load(); peak != 0 {
+		t.Fatalf("reserved %d bytes under a 64-byte grant that fits no table", peak)
+	}
+}
+
+// TestSkewProbeLadder pins the two rungs below "the table fits" on
+// buckets built for them, under the same 64-byte grant: a bucket naming
+// two S objects restages — once, into two single-key sub-buckets; it is
+// never streamed whole — and a bucket naming one S object streams
+// without a restage. Neither reserves a byte, both are exact.
+func TestSkewProbeLadder(t *testing.T) {
+	for _, c := range []struct {
+		keys              int
+		restages, streams int64
+	}{{keys: 2, restages: 1, streams: 2}, {keys: 1, restages: 0, streams: 1}} {
+		db := makeDB(t, 400)
+		s0 := db.S[0]
+		n := 0
+		for _, ri := range db.R {
+			for x := 0; x < ri.Count(); x++ {
+				EncodeSPtr(ri.Object(x), SPtr{Part: 0, Off: s0.PtrAt(n % c.keys * (s0.Count() - 1))})
+				n++
+			}
+		}
+		tel := &JoinTelemetry{}
+		st, err := runStaged(t, db, db.grace(1), radix.Bits, 2, 64, tel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := db.ExpectedStats(); st != want {
+			t.Errorf("%d keys: stats %+v, want %+v", c.keys, st, want)
+		}
+		if r, s := tel.Restages.Load(), tel.StreamProbes.Load(); r != c.restages || s != c.streams {
+			t.Errorf("%d keys: %d restages and %d stream probes, want %d and %d", c.keys, r, s, c.restages, c.streams)
+		}
+		if peak := tel.PeakTableBytes.Load(); peak != 0 {
+			t.Errorf("%d keys: reserved %d bytes for no table", c.keys, peak)
+		}
 	}
 }
 
@@ -379,7 +426,7 @@ func TestSkewSharedPoolBoundedJoins(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			st, err := db.Run(JoinRequest{
-				Algorithm: join.Grace, K: 4, MemGrant: 32 << 10, Pool: pool,
+				Algorithm: join.Grace, K: 4, MRproc: 8 << 10, Pool: pool,
 				TmpDir: filepath.Join(t.TempDir(), fmt.Sprintf("g%d", g)),
 			})
 			if err != nil {

@@ -108,7 +108,7 @@ func InputsFor(req join.Request) (model.Inputs, error) {
 		DistinctS: int64(maxDistinct),
 		MRproc:    req.MRproc, MSproc: req.MSproc, G: req.G,
 		IRun: req.IRun, NRunABL: req.NRunABL, NRunLast: req.NRunLast,
-		K: req.K, TSize: req.TSize, Fuzz: req.Fuzz,
+		K: req.K, TSize: req.TSize,
 	}, nil
 }
 

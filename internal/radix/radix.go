@@ -12,6 +12,13 @@ package radix
 // one, so it is a constant.
 const Bits = 8
 
+// Fuzz is the hash-table overhead allowance in the bucket-count
+// derivation K = ⌈Fuzz·|RSi|·r / MRproc⌉ (§7) that the simulator, the
+// model and the store all apply. No caller ever set another value, and
+// the golden replay corpus and the Fig 5 conformance are recorded at
+// this one.
+const Fuzz = 1.2
+
 // Plan splits a k-way partitioning fan-out into the fewest passes of at
 // most 1<<bits destinations each. It returns the pass count and the
 // top-pass group span — the number of final buckets one first-pass

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRetryAfterHintGrowsWithQueueDepth: the 429 hint is queue depth ×
-// mean admitted-service time, not the configured constant — a deeper
-// queue must produce a larger hint, clamped to [floor, 30s].
+// mean admitted-service time, not a constant — a deeper queue must
+// produce a larger hint, clamped to [1s, 30s].
 func TestRetryAfterHintGrowsWithQueueDepth(t *testing.T) {
 	s := newTestServer(t, 300, Config{})
 	s.meanServiceNs.Store(int64(2 * time.Second))
@@ -21,7 +21,7 @@ func TestRetryAfterHintGrowsWithQueueDepth(t *testing.T) {
 		depth int
 		want  time.Duration
 	}{
-		{0, time.Second},        // empty queue: configured floor
+		{0, time.Second},        // empty queue: the 1s floor
 		{1, 2 * time.Second},    // one slot-recycle ahead
 		{5, 10 * time.Second},   // linear in depth
 		{100, 30 * time.Second}, // capped
@@ -40,19 +40,15 @@ func TestRetryAfterHintGrowsWithQueueDepth(t *testing.T) {
 		}
 		prev = h
 	}
-}
 
-// TestRetryAfterConfigIsFloor: a configured RetryAfter larger than the
-// computed estimate wins — the config value is a floor, never exceeded
-// downward.
-func TestRetryAfterConfigIsFloor(t *testing.T) {
-	s := newTestServer(t, 300, Config{RetryAfter: 5 * time.Second})
-	s.meanServiceNs.Store(int64(500 * time.Millisecond))
-	if got := s.hintFor(1); got != 5*time.Second {
-		t.Fatalf("hintFor(1) = %v, want the 5s configured floor", got)
+	// The floor is one second whatever the mean: a fast service still
+	// never hints below what the whole-seconds header can carry.
+	s.meanServiceNs.Store(int64(50 * time.Millisecond))
+	if got := s.hintFor(3); got != time.Second {
+		t.Errorf("hintFor(3) at a 50ms mean = %v, want the 1s floor", got)
 	}
-	if got := s.hintFor(20); got != 10*time.Second {
-		t.Fatalf("hintFor(20) = %v, want 10s (20 × 500ms above the floor)", got)
+	if got := s.hintFor(40); got != 2*time.Second {
+		t.Errorf("hintFor(40) at a 50ms mean = %v, want 2s (above the floor)", got)
 	}
 }
 

@@ -56,8 +56,6 @@ type Config struct {
 	// RequestTimeout caps each request's admission wait plus execution
 	// (default 30s; requests may shorten it per call).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// CalibrationOps is the analytical-model calibration effort at
 	// startup (default 800 measured I/Os per band size).
 	CalibrationOps int
@@ -92,9 +90,6 @@ func (cfg *Config) withDefaults() error {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.CalibrationOps <= 0 {
 		cfg.CalibrationOps = 800
@@ -146,11 +141,10 @@ type Server struct {
 	// deterministic.
 	preJoin func()
 
-	mu        sync.Mutex // guards reg and the instrument maps
-	reg       *metrics.Registry
-	counters  map[string]*metrics.Counter
-	hists     map[string]*metrics.Histogram
-	histOrder []string
+	mu       sync.Mutex // guards reg and the instrument maps
+	reg      *metrics.Registry
+	counters map[string]*metrics.Counter
+	hists    map[string]*metrics.Histogram
 }
 
 // New opens (or adopts) the store, derives its workload shape,
@@ -246,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 		"join_executed_grace", "join_executed_hybrid-hash", "join_executed_auto",
 		"radix_passes_total", "shard_adds_total", "shard_removes_total",
 	} {
-		s.counter(name)
+		s.add(name, 0)
 	}
 	return s, nil
 }
@@ -303,8 +297,25 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
-// counter returns (creating on first use) a named counter.
-func (s *Server) counter(name string) *metrics.Counter {
+// observe records a wall-clock duration in a named histogram, created on
+// first use.
+func (s *Server) observe(name string, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h, ok := s.hists[name]
+	if !ok {
+		h = s.reg.Histogram(name)
+		s.hists[name] = h
+	}
+	h.Observe(sim.Time(d))
+}
+
+// inc bumps a named counter (thread-safe).
+func (s *Server) inc(name string) { s.add(name, 1) }
+
+// add increases a named counter, created on first use, by d
+// (thread-safe).
+func (s *Server) add(name string, d int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.counters[name]
@@ -312,33 +323,7 @@ func (s *Server) counter(name string) *metrics.Counter {
 		c = s.reg.Counter(name)
 		s.counters[name] = c
 	}
-	return c
-}
-
-// observe records a wall-clock duration in a named histogram.
-func (s *Server) observe(name string, d time.Duration) {
-	s.mu.Lock()
-	h, ok := s.hists[name]
-	if !ok {
-		h = s.reg.Histogram(name)
-		s.hists[name] = h
-		s.histOrder = append(s.histOrder, name)
-	}
-	s.mu.Unlock()
-	s.mu.Lock()
-	h.Observe(sim.Time(d))
-	s.mu.Unlock()
-}
-
-// inc bumps a named counter (thread-safe).
-func (s *Server) inc(name string) { s.add(name, 1) }
-
-// add increases a named counter by d (thread-safe).
-func (s *Server) add(name string, d int64) {
-	c := s.counter(name)
-	s.mu.Lock()
 	c.Add(d)
-	s.mu.Unlock()
 }
 
 // Handler returns the service's HTTP mux. The surface is versioned
@@ -644,11 +629,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		// pools). Passing ctx aborts the join between morsels when the
 		// client abandons it, releasing the grant early. The grant
 		// charged at admission is the join's probe-memory bound
-		// (MemGrant), and a join that outgrows it renegotiates against
+		// (D·MRproc), and a join that outgrows it renegotiates against
 		// the same shared budget through the controller.
 		jr := mstore.JoinRequest{
 			Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: tmp,
-			MemGrant: grant, Telemetry: tel, Negotiator: grantGrower{s.adm},
+			Telemetry: tel, Negotiator: grantGrower{s.adm},
 			Pool: s.pool, Ctx: ctx,
 		}
 		var out outcome
@@ -736,29 +721,21 @@ func (s *Server) recordServiceTime(d time.Duration) {
 	}
 }
 
-// retryAfterHintCap bounds the dynamic Retry-After hint: past 30s a
-// client should treat the service as down, not politely spin.
-const retryAfterHintCap = 30 * time.Second
+// The dynamic Retry-After hint is clamped to [1s, 30s]: the header
+// carries whole seconds, and past 30s a client should treat the service
+// as down, not politely spin.
+const (
+	retryAfterHintFloor = time.Second
+	retryAfterHintCap   = 30 * time.Second
+)
 
 // hintFor estimates how long a rejected client should back off given the
 // current queue depth: roughly one mean admitted-service time per queued
 // request ahead of it (the rate budget slots recycle at), clamped to
-// [cfg.RetryAfter, 30s] — the configured value is the floor, not a
-// constant.
+// [1s, 30s].
 func (s *Server) hintFor(queueDepth int) time.Duration {
-	floor := s.cfg.RetryAfter
-	if floor < time.Second {
-		floor = time.Second
-	}
-	mean := time.Duration(s.meanServiceNs.Load())
-	hint := time.Duration(queueDepth) * mean
-	if hint < floor {
-		hint = floor
-	}
-	if hint > retryAfterHintCap {
-		hint = retryAfterHintCap
-	}
-	return hint
+	hint := time.Duration(queueDepth) * time.Duration(s.meanServiceNs.Load())
+	return min(max(hint, retryAfterHintFloor), retryAfterHintCap)
 }
 
 // retryAfterHint is hintFor at the live queue depth.

@@ -18,7 +18,7 @@ import (
 // PlanFunc chooses the algorithm one shard executes when the request
 // asks for join.Auto: it receives the shard's id, the shard's own
 // measured workload, and the per-shard request (with the shard's share
-// of the memory grant already folded into MRproc/MemGrant). Each shard
+// of the memory grant already folded into MRproc). Each shard
 // plans independently — a skew-heavy shard may pick Grace while its
 // uniform peers pick hybrid-hash — because the merged JoinStats are
 // bit-identical regardless of which algorithm each shard runs.
@@ -29,9 +29,6 @@ type Config struct {
 	// MapPath is recorded in Stats as the store's "dir" (description
 	// only; the Router never re-reads the file).
 	MapPath string
-	// Replicas is the virtual-node count per shard on the routing ring
-	// (0: 64).
-	Replicas int
 	// WorkersPerShard sizes each shard's private morsel pool
 	// (0: GOMAXPROCS). Total CPU fan-out of one scatter-gather join is
 	// shards × WorkersPerShard; on small hosts size it accordingly.
@@ -47,7 +44,6 @@ type Config struct {
 type handle struct {
 	id   string
 	dir  string
-	d    int
 	db   *mstore.DB
 	pool *exec.Pool
 
@@ -88,6 +84,8 @@ func (h *handle) workload() (*relation.Workload, error) {
 // concurrently with serving.
 type Router struct {
 	cfg Config
+	// replicas is the shard map's virtual-node count per shard (0: 64).
+	replicas int
 
 	mu     sync.RWMutex
 	shards []*handle // live membership, in add order
@@ -108,13 +106,10 @@ func Open(m *Map, cfg Config) (*Router, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = m.Replicas
-	}
 	if cfg.WorkersPerShard == 0 {
 		cfg.WorkersPerShard = m.WorkersPerShard
 	}
-	r := &Router{cfg: cfg, ring: newRing(nil, cfg.Replicas)}
+	r := &Router{cfg: cfg, replicas: m.Replicas, ring: newRing(nil, m.Replicas)}
 	for _, e := range m.Shards {
 		if err := r.AddShard(e.ID, e.Dir, e.D); err != nil {
 			r.Close()
@@ -133,7 +128,7 @@ func (r *Router) AddShard(id, dir string, d int) error {
 	if err != nil {
 		return fmt.Errorf("shard %q: %w", id, err)
 	}
-	h := &handle{id: id, dir: dir, d: d, db: db, pool: exec.NewPool(r.cfg.WorkersPerShard)}
+	h := &handle{id: id, dir: dir, db: db, pool: exec.NewPool(r.cfg.WorkersPerShard)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -208,7 +203,7 @@ func (r *Router) rebuildRingLocked() {
 	for i, h := range r.shards {
 		ids[i] = h.id
 	}
-	r.ring = newRing(ids, r.cfg.Replicas)
+	r.ring = newRing(ids, r.replicas)
 }
 
 // snapshot returns the live membership and ring under the read lock.
@@ -236,10 +231,10 @@ func (r *Router) Run(req mstore.JoinRequest) (mstore.JoinStats, error) {
 // JoinStats fold — commutative sums — into one merged result that is
 // bit-identical to a single-store join over the same logical relation.
 //
-// Grant split: a positive req.MemGrant is divided evenly across the
-// participating shards (each share floored at one page per partition
-// goroutine), and each shard's MRproc is re-derived as share/D so K and
-// resident-fraction derivations see the shard's true budget. req.Pool
+// Grant split: a positive req.MRproc is divided evenly across the
+// participating shards (each share floored at one page), so a shard's K
+// and resident-fraction derivations and its probe bound D·MRproc see
+// the shard's true budget; 0 stays unbounded on every shard. req.Pool
 // and req.Workers are ignored — each shard executes on its own pool.
 // req.Telemetry, when set, receives the folded per-shard telemetry
 // (counters sum, PeakTableBytes maxes).
@@ -293,13 +288,8 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 			sub.Workers = 0
 			tel := &mstore.JoinTelemetry{}
 			sub.Telemetry = tel
-			if req.MemGrant > 0 {
-				share := req.MemGrant / int64(len(live))
-				if floor := int64(h.d) * 4096; share < floor {
-					share = floor
-				}
-				sub.MemGrant = share
-				sub.MRproc = share / int64(h.d)
+			if req.MRproc > 0 {
+				sub.MRproc = max(req.MRproc/int64(len(live)), 4096)
 			}
 			if req.TmpDir != "" {
 				sub.TmpDir = filepath.Join(req.TmpDir, "shard-"+h.id)
@@ -397,17 +387,9 @@ func (r *Router) Lookup(part, index int) (mstore.LookupResult, error) {
 	return mstore.LookupResult{}, fmt.Errorf("shard: lookup routing did not settle (membership churn)")
 }
 
-// lookupOn dereferences on one shard, validating against that shard's
-// own partition count and sizes.
+// lookupOn dereferences on one shard; the store validates the name
+// against that shard's own partition count and sizes.
 func (r *Router) lookupOn(h *handle, part, index int) (mstore.LookupResult, error) {
-	if part < 0 || part >= h.db.D {
-		return mstore.LookupResult{}, fmt.Errorf("%w: R%d, shard %q has [0,%d)",
-			mstore.ErrPartRange, part, h.id, h.db.D)
-	}
-	if index < 0 || index >= h.db.R[part].Count() {
-		return mstore.LookupResult{}, fmt.Errorf("%w: R%d[%d], shard %q partition has %d objects",
-			mstore.ErrIndexRange, part, index, h.id, h.db.R[part].Count())
-	}
 	res, err := h.db.Lookup(part, index)
 	if err != nil {
 		return mstore.LookupResult{}, fmt.Errorf("shard %q: %w", h.id, err)
@@ -537,7 +519,7 @@ func (r *Router) Close() error {
 	r.shards, r.detached = nil, nil
 	closed := r.closed
 	r.closed = true
-	r.ring = newRing(nil, r.cfg.Replicas)
+	r.ring = newRing(nil, r.replicas)
 	r.mu.Unlock()
 	if closed {
 		return nil

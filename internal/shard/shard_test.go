@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestShardScatterGatherBitIdentical(t *testing.T) {
 	for _, alg := range algs {
 		tel := &mstore.JoinTelemetry{}
 		st, details, err := r.RunShards(mstore.JoinRequest{
-			Algorithm: alg, MRproc: 1 << 20, MemGrant: 3 << 20, Telemetry: tel,
+			Algorithm: alg, MRproc: 768 << 10, Telemetry: tel,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -254,11 +255,11 @@ func TestShardLookupRouting(t *testing.T) {
 		t.Errorf("lookups hit %d shards, want spread: %v", len(byShard), byShard)
 	}
 
-	if _, err := r.Lookup(99, 0); !errorsIs(err, mstore.ErrPartRange) {
-		t.Errorf("part 99: %v, want ErrPartRange", err)
+	if _, err := r.Lookup(99, 0); !errorsIs(err, mstore.ErrPartRange) || !strings.Contains(err.Error(), `shard "`) {
+		t.Errorf("part 99: %v, want ErrPartRange naming the shard", err)
 	}
-	if _, err := r.Lookup(0, 1<<30); !errorsIs(err, mstore.ErrIndexRange) {
-		t.Errorf("huge index: %v, want ErrIndexRange", err)
+	if _, err := r.Lookup(0, 1<<30); !errorsIs(err, mstore.ErrIndexRange) || !strings.Contains(err.Error(), `shard "`) {
+		t.Errorf("huge index: %v, want ErrIndexRange naming the shard", err)
 	}
 }
 
@@ -516,18 +517,31 @@ func TestShardMapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardGrantSplitBounds checks the byte-denominated budget is
-// divided across shards and respected: with a tight total grant, every
-// shard's counted probe memory stays within its share (plus nothing —
-// no negotiator is offered).
+// TestShardGrantSplitBounds checks the per-partition grant is divided
+// across shards and respected: Σ over shards of D_shard·MRproc_shard
+// never exceeds the request's D·MRproc, every shard's counted probe
+// memory stays within its own share (plus nothing — no negotiator is
+// offered) even where a bucket's table is larger than it, and an
+// unbounded request (MRproc 0) stays unbounded on every shard.
 func TestShardGrantSplitBounds(t *testing.T) {
-	_, m, want := buildSharded(t, 3000, 2, 3)
-	r := openRouter(t, m, Config{WorkersPerShard: 1})
+	const d, shards = 2, 3
+	_, m, want := buildSharded(t, 3000, d, shards)
+	var mu sync.Mutex
+	mrprocOf := map[string]int64{}
+	r := openRouter(t, m, Config{WorkersPerShard: 1,
+		PlanFunc: func(id string, _ *relation.Workload, sub mstore.JoinRequest) (join.Algorithm, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			mrprocOf[id] = sub.MRproc
+			return join.Grace, nil
+		}})
 
-	const total = 192 << 10 // 64 KiB per shard
+	// One bucket per partition holds ~500 references: a ~20 KiB table
+	// against an 8 KiB share, so the bound is met only by restaging.
+	const mrproc = shards * 4096
 	tel := &mstore.JoinTelemetry{}
 	st, details, err := r.RunShards(mstore.JoinRequest{
-		Algorithm: join.Grace, MRproc: 1 << 20, K: 4, MemGrant: total, Telemetry: tel,
+		Algorithm: join.Auto, MRproc: mrproc, K: 1, Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -535,13 +549,31 @@ func TestShardGrantSplitBounds(t *testing.T) {
 	if st != want {
 		t.Fatalf("bounded merged %+v, want %+v", st, want)
 	}
-	share := int64(total / 3)
+	var sum, maxShare int64
 	for _, det := range details {
-		if det.PeakTableBytes > share {
+		share := d * mrprocOf[det.Shard]
+		sum += share
+		maxShare = max(maxShare, share)
+		if share == 0 || det.PeakTableBytes > share {
 			t.Errorf("shard %s peak %d exceeds its share %d", det.Shard, det.PeakTableBytes, share)
 		}
+		if det.Restages == 0 {
+			t.Errorf("shard %s never restaged: the share bounded nothing", det.Shard)
+		}
 	}
-	if tel.PeakTableBytes.Load() > share {
-		t.Errorf("folded peak %d exceeds per-shard share %d (folds as max)", tel.PeakTableBytes.Load(), share)
+	if sum > d*mrproc {
+		t.Errorf("shares sum to %d, over the request's D·MRproc = %d", sum, d*mrproc)
+	}
+	if tel.PeakTableBytes.Load() > maxShare {
+		t.Errorf("folded peak %d exceeds the largest share %d (folds as max)", tel.PeakTableBytes.Load(), maxShare)
+	}
+
+	if _, _, err := r.RunShards(mstore.JoinRequest{Algorithm: join.Auto}); err != nil {
+		t.Fatal(err)
+	}
+	for id, got := range mrprocOf {
+		if got != 0 {
+			t.Errorf("shard %s: unbounded request became MRproc %d", id, got)
+		}
 	}
 }
