@@ -26,6 +26,8 @@ type CorpusEntry struct {
 	Alg     join.Algorithm
 	Frac    float64 // MRproc / (|R|·r)
 	Policy  vm.Policy
+	Naive   bool // Stagger off: every Rproc walks the S partitions in the same order
+	Sync    bool // SyncPhases: a barrier after every pass-1 phase
 }
 
 // Corpus returns the replay corpus. Entries are chosen to exercise every
@@ -33,7 +35,10 @@ type CorpusEntry struct {
 // through the low-memory Grace and sort-merge runs — heavy deferred
 // write-back traffic, so a regression in any disk/vm mechanism (for
 // example the flusher's re-dirty-during-flush handling) perturbs at
-// least one snapshot.
+// least one snapshot. The last six pin the branches the algorithms'
+// shared partitioning skeleton merges: synchronized against free-running
+// phases, the naive phase order, hybrid hash under skew and with
+// everything resident (K = 0), and D = 1, which has no pass-1 phases.
 func Corpus() []CorpusEntry {
 	return []CorpusEntry{
 		{Name: "nl-uniform-d4", Objects: 4000, D: 4, Seed: 7, Alg: join.NestedLoops, Frac: 0.15},
@@ -47,6 +52,13 @@ func Corpus() []CorpusEntry {
 			Policy: vm.FIFO},
 		{Name: "nl-hot-clock-d4", Objects: 4000, D: 4, Seed: 7, Dist: relation.HotPartition,
 			HotFrac: 0.4, Alg: join.NestedLoops, Frac: 0.10, Policy: vm.Clock},
+		{Name: "nl-sync-d4", Objects: 4000, D: 4, Seed: 7, Alg: join.NestedLoops, Frac: 0.15, Sync: true},
+		{Name: "nl-naive-d4", Objects: 4000, D: 4, Seed: 7, Alg: join.NestedLoops, Frac: 0.15, Naive: true},
+		{Name: "sm-naive-d4", Objects: 4000, D: 4, Seed: 7, Alg: join.SortMerge, Frac: 0.02, Naive: true},
+		{Name: "hybrid-zipf-d4", Objects: 4000, D: 4, Seed: 7, Dist: relation.Zipf, Theta: 1.5,
+			Alg: join.HybridHash, Frac: 0.03},
+		{Name: "hybrid-ample-d4", Objects: 4000, D: 4, Seed: 7, Alg: join.HybridHash, Frac: 0.60},
+		{Name: "grace-d1", Objects: 2000, D: 1, Seed: 11, Alg: join.Grace, Frac: 0.02},
 	}
 }
 
@@ -76,7 +88,8 @@ func (e CorpusEntry) Run() (*join.Result, *relation.Workload, error) {
 	res, err := join.Request{
 		Algorithm: e.Alg,
 		Config:    cfg,
-		Params:    join.Params{Workload: w, MRproc: mem, Stagger: true, Policy: e.Policy},
+		Params: join.Params{Workload: w, MRproc: mem, Stagger: !e.Naive, SyncPhases: e.Sync,
+			Policy: e.Policy},
 	}.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("conformance: corpus %s: %w", e.Name, err)

@@ -50,15 +50,6 @@ func NewExperiment(cfg machine.Config, spec relation.Spec) (*Experiment, error) 
 	}, nil
 }
 
-// MustNewExperiment is NewExperiment, panicking on error.
-func MustNewExperiment(cfg machine.Config, spec relation.Spec) *Experiment {
-	e, err := NewExperiment(cfg, spec)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // TotalRBytes returns |R|·r, the denominator of the paper's memory axis.
 func (e *Experiment) TotalRBytes() int64 {
 	return int64(e.Spec.NR) * int64(e.Spec.RSize)
@@ -100,22 +91,14 @@ func (e *Experiment) Inputs(prm join.Params) model.Inputs {
 	return in
 }
 
-// Predict evaluates the analytical model for the same configuration.
+// Predict evaluates the analytical model for the same configuration,
+// through the planner's algorithm-to-model dispatch.
 func (e *Experiment) Predict(alg join.Algorithm, prm join.Params) (*model.Prediction, error) {
-	in := e.Inputs(prm)
-	switch alg {
-	case join.NestedLoops:
-		return model.PredictNestedLoops(e.Calib, in)
-	case join.SortMerge:
-		return model.PredictSortMerge(e.Calib, in)
-	case join.Grace:
-		return model.PredictGrace(e.Calib, in)
-	case join.HybridHash:
-		return model.PredictHybridHash(e.Calib, in)
-	case join.TraditionalGrace:
-		return model.PredictTraditionalGrace(e.Calib, in)
+	ch, err := planner.New(e.Calib, []join.Algorithm{alg}).Choose(e.Inputs(prm))
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	return ch.Best.Prediction, nil
 }
 
 // Comparison is one model-vs-experiment data point.

@@ -1,6 +1,11 @@
 // Package join implements the paper's three parallel pointer-based join
 // algorithms — nested loops, sort-merge, and the Grace variant — executing
-// on the simulated memory-mapped machine.
+// on the simulated memory-mapped machine. The paper states them as one
+// shape (sort-merge's passes 0 and 1 "are the nested-loops partitioning
+// passes except that all objects are written out", Grace's hash into K
+// ordered buckets), and so does the code: partitionJoin runs the two
+// partitioning passes and each algorithm is a passes value saying where a
+// reference goes and what happens to RSi afterwards.
 //
 // The algorithms never issue explicit I/O: they touch mapped addresses and
 // all disk traffic arises from page faults and page replacement in the
@@ -107,16 +112,6 @@ type Params struct {
 	// Grace tuning; zero values select K = ⌈radix.Fuzz·|RSi|·r / M⌉ and
 	// TSIZE ≈ bucket objects / 4.
 	K, TSize int
-
-	// Workers is the CPU parallelism of a real-store execution
-	// (mstore.JoinRequest.Workers): the size of the morsel pool; 0 ⇒
-	// GOMAXPROCS. The simulator ignores it — the paper's model has one
-	// process per partition by construction — and the planner's cost
-	// math never reads it: MRproc, K, and the resident fraction describe
-	// how the data and memory are laid out, which is the same no matter
-	// how many OS threads execute the morsels. Workers changes only
-	// elapsed wall-clock time, never the I/O or memory the model counts.
-	Workers int
 
 	// Policy selects the pagers' replacement algorithm. The default LRU
 	// approximates a mature Unix pager; FIFO approximates the "simple"

@@ -1,96 +1,17 @@
 package join
 
-import (
-	"fmt"
-
-	"mmjoin/internal/sim"
-)
+import "mmjoin/internal/sim"
 
 // runNestedLoops executes the parallel pointer-based nested loops join
-// (§5). Pass 0 scans Ri, immediately joining the Ri,i objects with Si
-// through the G buffer and sub-partitioning the rest into RPi,j on the
-// same disk. Pass 1 walks the sub-partitions in D−1 phases whose offsets
-// stagger access to the S partitions so that, absent skew, each Sj serves
-// one Rproc at a time.
+// (§5): the partitioning passes with every object joined on arrival —
+// Ri,i with Si during the pass-0 scan, RPi,j with Sj in its pass-1 phase
+// — through the G buffer, so nothing is written but RPi.
 func (r *runner) runNestedLoops() {
-	counts := r.w.SubCounts()
-	r.spawnSprocs()
-	var barrier *sim.Barrier
-	if r.prm.SyncPhases {
-		barrier = sim.NewBarrier("nl-phase", r.d)
-	}
-	for i := 0; i < r.d; i++ {
-		i := i
-		r.m.K.Spawn(fmt.Sprintf("Rproc%d", i), func(p *sim.Proc) {
-			pg := r.newPager(fmt.Sprintf("Rproc%d", i), r.prm.MRproc)
-			mgr := r.m.Mgr[i]
-
-			// Setup: map Ri and Si, create the temporary RPi after them
-			// on the same disk. Mapping manipulation serializes on the
-			// system-wide lock, giving the paper's D× setup factor.
-			mgr.OpenMap(p, r.segR[i])
-			mgr.OpenMap(p, r.segS[i])
-			offsets, total := r.subLayout(i, counts)
-			rp := mgr.NewMap(p, fmt.Sprintf("RP%d", i), total)
-			r.markPhase(p, "setup")
-
-			// Pass 0: sequential scan of Ri.
-			gbuf := r.newGBuffer(i, i)
-			cursors := make([]int64, r.d)
-			rpRefs := make([][]pendingJoin, r.d)
-			for x, ptr := range r.w.Refs[i] {
-				pg.Touch(p, r.segR[i], int64(x)*r.r, r.r, false)
-				j := int(ptr.Part)
-				if j == i {
-					// Immediate join through the shared buffer.
-					p.Advance(r.m.Cfg.MapCost)
-					gbuf.add(p, int32(i), int32(x), ptr)
-					continue
-				}
-				// Copy the object to its RPi,j sub-partition (a private
-				// memory-to-memory move thanks to the combined segment).
-				p.Advance(r.m.Cfg.MapCost + r.m.Cfg.TransferPP(r.r))
-				pg.Touch(p, rp, offsets[j]+cursors[j]*r.r, r.r, true)
-				cursors[j]++
-				rpRefs[j] = append(rpRefs[j], pendingJoin{ri: int32(i), x: int32(x), ptr: ptr})
-			}
-			gbuf.flush(p)
-			r.markPhase(p, "pass0")
-
-			// Pass 1: staggered phases over the remaining sub-partitions.
-			for t := 1; t < r.d; t++ {
-				j := r.phasePartition(i, t)
-				gb := r.newGBuffer(i, j)
-				for n, pj := range rpRefs[j] {
-					pg.Touch(p, rp, offsets[j]+int64(n)*r.r, r.r, false)
-					gb.add(p, pj.ri, pj.x, pj.ptr)
-				}
-				gb.flush(p)
-				if barrier != nil {
-					barrier.Wait(p)
-				}
-			}
-			r.markPhase(p, "pass1")
-
-			r.addPagerStats(pg)
-			r.rprocDone(p, i)
-		})
-	}
-	r.m.K.Run()
-	r.finishPhases([]string{"setup", "pass0", "pass1"})
-}
-
-// phasePartition returns the S partition Rproc i visits in phase t.
-// Staggered (the paper's offset(i,t)): partition (i+t) mod D, so no two
-// Rprocs share a partition in a phase. Naive: every Rproc walks the
-// partitions in the same ascending order, colliding on each one.
-func (r *runner) phasePartition(i, t int) int {
-	if r.prm.Stagger {
-		return (i + t) % r.d
-	}
-	j := t - 1
-	if j >= i {
-		j = t
-	}
-	return j
+	r.partitionJoin(passes{
+		barrier: "nl-phase",
+		place: func(rp *rproc, _ int, pj pendingJoin, g *gBuffer, owed sim.Time) {
+			rp.p.Advance(owed)
+			g.add(rp.p, pj.ri, pj.x, pj.ptr)
+		},
+	})
 }

@@ -17,208 +17,152 @@ import (
 // IRUN objects, fan-in NRUN), and the final merge pass reads Si
 // sequentially to compute the join.
 func (r *runner) runSortMerge() {
-	counts := r.w.SubCounts()
-	rsCounts := r.w.RSCounts()
-	r.spawnSprocs()
-	bar := sim.NewBarrier("sm-phase", r.d)
-
 	// Shared append state of the RSj partitions (one writer at a time
 	// thanks to the staggered, synchronized phases).
-	rsSeg := make([]*seg.Segment, r.d)
 	rsObjs := make([][]pendingJoin, r.d)
-	rsCursor := make([]int64, r.d) // appended objects
+	mergeSeg := make([]*seg.Segment, r.d)
+	r.partitionJoin(passes{
+		barrier: "sm-phase",
+		rsObjs:  r.w.RSCounts(),
+		setup: func(rp *rproc) {
+			mergeSeg[rp.i] = rp.mgr.NewMap(rp.p, fmt.Sprintf("Merge%d", rp.i), rp.rs[rp.i].Bytes())
+		},
+		// RSj is mapped into Rproci's private memory, so the move is a
+		// private-to-private transfer.
+		place: func(rp *rproc, j int, pj pendingJoin, _ *gBuffer, owed sim.Time) {
+			rp.p.Advance(owed + r.m.Cfg.TransferPP(r.r))
+			rp.pg.Touch(rp.p, rp.rs[j], int64(len(rsObjs[j]))*r.r, r.r, true)
+			rsObjs[j] = append(rsObjs[j], pj)
+		},
+		finish: func(rp *rproc) { r.sortRS(rp, rsObjs[rp.i], mergeSeg[rp.i]) },
+		phases: []string{"pass2", "merge", "join"},
+	})
+}
 
-	for i := 0; i < r.d; i++ {
-		i := i
-		r.m.K.Spawn(fmt.Sprintf("Rproc%d", i), func(p *sim.Proc) {
-			pg := r.newPager(fmt.Sprintf("Rproc%d", i), r.prm.MRproc)
-			mgr := r.m.Mgr[i]
+// sortRS sorts the completed RSi and joins it with Si: pass 2 heap-sorts
+// runs of IRUN objects, the merge passes alternate RSi and Mergei until
+// at most NRUNLAST runs remain, and the final merge joins.
+func (r *runner) sortRS(rp *rproc, rsObjs []pendingJoin, mergeSeg *seg.Segment) {
+	p, pg, mgr, i := rp.p, rp.pg, rp.mgr, rp.i
+	rsSeg := rp.rs[i]
 
-			// Setup: Ri, Si, then RSi, RPi, Mergei in creation order —
-			// the paper's disk layout for this algorithm.
-			mgr.OpenMap(p, r.segR[i])
-			mgr.OpenMap(p, r.segS[i])
-			rsBytes := int64(rsCounts[i]) * r.r
-			if rsBytes == 0 {
-				rsBytes = 1
-			}
-			rsSeg[i] = mgr.NewMap(p, fmt.Sprintf("RS%d", i), rsBytes)
-			offsets, total := r.subLayout(i, counts)
-			rp := mgr.NewMap(p, fmt.Sprintf("RP%d", i), total)
-			mergeSeg := mgr.NewMap(p, fmt.Sprintf("Merge%d", i), rsBytes)
-			r.markPhase(p, "setup")
-			bar.Wait(p) // all RSj exist before anyone appends
-
-			// Pass 0: scan Ri; own references append to RSi, the rest
-			// sub-partition into RPi,j.
-			cursors := make([]int64, r.d)
-			rpRefs := make([][]pendingJoin, r.d)
-			for x, ptr := range r.w.Refs[i] {
-				pg.Touch(p, r.segR[i], int64(x)*r.r, r.r, false)
-				p.Advance(r.m.Cfg.MapCost + r.m.Cfg.TransferPP(r.r))
-				j := int(ptr.Part)
-				if j == i {
-					pg.Touch(p, rsSeg[i], rsCursor[i]*r.r, r.r, true)
-					rsObjs[i] = append(rsObjs[i], pendingJoin{ri: int32(i), x: int32(x), ptr: ptr})
-					rsCursor[i]++
-					continue
-				}
-				pg.Touch(p, rp, offsets[j]+cursors[j]*r.r, r.r, true)
-				cursors[j]++
-				rpRefs[j] = append(rpRefs[j], pendingJoin{ri: int32(i), x: int32(x), ptr: ptr})
-			}
-			r.markPhase(p, "pass0")
-			bar.Wait(p)
-
-			// Pass 1: staggered, synchronized phases move each RPi,j
-			// into RSj (mapped into Rproci's private memory, so the move
-			// is a private-to-private transfer).
-			for t := 1; t < r.d; t++ {
-				j := r.phasePartition(i, t)
-				for n, pj := range rpRefs[j] {
-					pg.Touch(p, rp, offsets[j]+int64(n)*r.r, r.r, false)
-					p.Advance(r.m.Cfg.TransferPP(r.r))
-					pg.Touch(p, rsSeg[j], rsCursor[j]*r.r, r.r, true)
-					rsObjs[j] = append(rsObjs[j], pj)
-					rsCursor[j]++
-				}
-				bar.Wait(p)
-			}
-			// Hand the foreign RSj pages back to their owners: write out
-			// our dirty pages and drop them from our memory.
-			for j := 0; j < r.d; j++ {
-				if j != i {
-					pg.FlushSegment(p, rsSeg[j])
-					pg.DropSegment(rsSeg[j])
-				}
-			}
-			r.markPhase(p, "pass1")
-			bar.Wait(p)
-
-			// Pass 2: heap-sort runs of IRUN objects in place.
-			n := len(rsObjs[i])
-			irun := r.prm.IRun
-			if irun <= 0 {
-				irun = int(r.prm.MRproc / (r.r + int64(r.m.Cfg.HeapPtrBytes)))
-			}
-			if irun < 1 {
-				irun = 1
-			}
-			nrunABL := r.prm.NRunABL
-			if nrunABL <= 0 {
-				nrunABL = int(r.prm.MRproc / (3 * r.b))
-			}
-			if nrunABL < 2 {
-				nrunABL = 2
-			}
-			nrunLast := r.prm.NRunLast
-			if nrunLast <= 0 {
-				nrunLast = int(r.prm.MRproc / (2 * r.b))
-			}
-			if nrunLast < 2 {
-				nrunLast = 2
-			}
-			if irun > r.res.IRun {
-				r.res.IRun = irun
-			}
-
-			// The heap of pointers is memory-resident alongside the run.
-			heapFrames := int((int64(irun)*int64(r.m.Cfg.HeapPtrBytes) + r.b - 1) / r.b)
-			var runs []int // run start indices (end = next start or n)
-			for start := 0; start < n; start += irun {
-				end := start + irun
-				if end > n {
-					end = n
-				}
-				runs = append(runs, start)
-				granted := r.reserve(p, pg, heapFrames)
-				pg.Touch(p, rsSeg[i], int64(start)*r.r, int64(end-start)*r.r, false)
-				seq := rsObjs[i][start:end]
-				handles := make([]int32, end-start)
-				for h := range handles {
-					handles[h] = int32(h)
-				}
-				costs := pheap.Sort(handles, func(a, b int32) bool {
-					return seq[a].ptr.Less(seq[b].ptr)
-				})
-				r.res.Heap.Add(costs)
-				// Charge the heap work plus the in-place move of the
-				// R-objects along the sorted pointer list.
-				p.Advance(r.heapTime(costs) + r.m.Cfg.TransferPP(int64(end-start)*r.r))
-				applyPermutation(seq, handles)
-				pg.Touch(p, rsSeg[i], int64(start)*r.r, int64(end-start)*r.r, true)
-				pg.Unreserve(granted)
-			}
-			if n == 0 {
-				runs = nil
-			}
-			r.markPhase(p, "pass2")
-
-			// Merge passes: groups of NRUNABL runs, alternating RSi and
-			// Mergei as source and destination, until at most NRUNLAST
-			// runs remain for the final joining merge.
-			src, dst := rsSeg[i], mergeSeg
-			srcObjs := rsObjs[i]
-			mkEnds := func(starts []int, total int) []int {
-				ends := make([]int, len(starts))
-				for k := range starts {
-					if k+1 < len(starts) {
-						ends[k] = starts[k+1]
-					} else {
-						ends[k] = total
-					}
-				}
-				return ends
-			}
-			npass := 1 // the final merge always happens
-			for len(runs) > nrunLast {
-				npass++
-				allEnds := mkEnds(runs, len(srcObjs))
-				dstObjs := make([]pendingJoin, 0, n)
-				var dstRuns []int
-				for g := 0; g < len(runs); g += nrunABL {
-					hi := g + nrunABL
-					if hi > len(runs) {
-						hi = len(runs)
-					}
-					dstRuns = append(dstRuns, len(dstObjs))
-					r.mergeRuns(p, pg, src, srcObjs, runs[g:hi], allEnds[g:hi], func(obj pendingJoin) {
-						pg.Touch(p, dst, int64(len(dstObjs))*r.r, r.r, true)
-						p.Advance(r.m.Cfg.TransferPP(r.r))
-						dstObjs = append(dstObjs, obj)
-					})
-				}
-				pg.FlushSegment(p, dst)
-				// Swap roles: destroy the exhausted source, make a fresh
-				// destination (the paper's deleteMap+newMap per pass).
-				pg.DropSegment(src)
-				mgr.DeleteMap(p, src)
-				src, srcObjs, runs = dst, dstObjs, dstRuns
-				dst = mgr.NewMap(p, fmt.Sprintf("Merge%d.%d", i, npass), rsBytes)
-			}
-			r.markPhase(p, "merge")
-
-			// Final pass: merge the last LRUN runs, joining each object
-			// with Si read sequentially through the shared buffer.
-			if npass > r.res.NPass {
-				r.res.NPass = npass
-			}
-			if len(runs) > r.res.LRun {
-				r.res.LRun = len(runs)
-			}
-			gbuf := r.newGBuffer(i, i)
-			r.mergeRuns(p, pg, src, srcObjs, runs, mkEnds(runs, len(srcObjs)), func(obj pendingJoin) {
-				gbuf.add(p, obj.ri, obj.x, obj.ptr)
-			})
-			gbuf.flush(p)
-			r.markPhase(p, "join")
-
-			r.addPagerStats(pg)
-			r.rprocDone(p, i)
-		})
+	// Pass 2: heap-sort runs of IRUN objects in place.
+	n := len(rsObjs)
+	irun := r.prm.IRun
+	if irun <= 0 {
+		irun = int(r.prm.MRproc / (r.r + int64(r.m.Cfg.HeapPtrBytes)))
 	}
-	r.m.K.Run()
-	r.finishPhases([]string{"setup", "pass0", "pass1", "pass2", "merge", "join"})
+	if irun < 1 {
+		irun = 1
+	}
+	nrunABL := r.prm.NRunABL
+	if nrunABL <= 0 {
+		nrunABL = int(r.prm.MRproc / (3 * r.b))
+	}
+	if nrunABL < 2 {
+		nrunABL = 2
+	}
+	nrunLast := r.prm.NRunLast
+	if nrunLast <= 0 {
+		nrunLast = int(r.prm.MRproc / (2 * r.b))
+	}
+	if nrunLast < 2 {
+		nrunLast = 2
+	}
+	if irun > r.res.IRun {
+		r.res.IRun = irun
+	}
+
+	// The heap of pointers is memory-resident alongside the run.
+	heapFrames := int((int64(irun)*int64(r.m.Cfg.HeapPtrBytes) + r.b - 1) / r.b)
+	var runs []int // run start indices (end = next start or n)
+	for start := 0; start < n; start += irun {
+		end := start + irun
+		if end > n {
+			end = n
+		}
+		runs = append(runs, start)
+		granted := r.reserve(p, pg, heapFrames)
+		pg.Touch(p, rsSeg, int64(start)*r.r, int64(end-start)*r.r, false)
+		seq := rsObjs[start:end]
+		handles := make([]int32, end-start)
+		for h := range handles {
+			handles[h] = int32(h)
+		}
+		costs := pheap.Sort(handles, func(a, b int32) bool {
+			return seq[a].ptr.Less(seq[b].ptr)
+		})
+		r.res.Heap.Add(costs)
+		// Charge the heap work plus the in-place move of the
+		// R-objects along the sorted pointer list.
+		p.Advance(r.heapTime(costs) + r.m.Cfg.TransferPP(int64(end-start)*r.r))
+		applyPermutation(seq, handles)
+		pg.Touch(p, rsSeg, int64(start)*r.r, int64(end-start)*r.r, true)
+		pg.Unreserve(granted)
+	}
+	if n == 0 {
+		runs = nil
+	}
+	r.markPhase(p, "pass2")
+
+	// Merge passes: groups of NRUNABL runs, alternating RSi and
+	// Mergei as source and destination, until at most NRUNLAST
+	// runs remain for the final joining merge.
+	src, dst := rsSeg, mergeSeg
+	srcObjs := rsObjs
+	mkEnds := func(starts []int, total int) []int {
+		ends := make([]int, len(starts))
+		for k := range starts {
+			if k+1 < len(starts) {
+				ends[k] = starts[k+1]
+			} else {
+				ends[k] = total
+			}
+		}
+		return ends
+	}
+	npass := 1 // the final merge always happens
+	for len(runs) > nrunLast {
+		npass++
+		allEnds := mkEnds(runs, len(srcObjs))
+		dstObjs := make([]pendingJoin, 0, n)
+		var dstRuns []int
+		for g := 0; g < len(runs); g += nrunABL {
+			hi := g + nrunABL
+			if hi > len(runs) {
+				hi = len(runs)
+			}
+			dstRuns = append(dstRuns, len(dstObjs))
+			r.mergeRuns(p, pg, src, srcObjs, runs[g:hi], allEnds[g:hi], func(obj pendingJoin) {
+				pg.Touch(p, dst, int64(len(dstObjs))*r.r, r.r, true)
+				p.Advance(r.m.Cfg.TransferPP(r.r))
+				dstObjs = append(dstObjs, obj)
+			})
+		}
+		pg.FlushSegment(p, dst)
+		// Swap roles: destroy the exhausted source, make a fresh
+		// destination (the paper's deleteMap+newMap per pass).
+		pg.DropSegment(src)
+		mgr.DeleteMap(p, src)
+		src, srcObjs, runs = dst, dstObjs, dstRuns
+		dst = mgr.NewMap(p, fmt.Sprintf("Merge%d.%d", i, npass), rsSeg.Bytes())
+	}
+	r.markPhase(p, "merge")
+
+	// Final pass: merge the last LRUN runs, joining each object
+	// with Si read sequentially through the shared buffer.
+	if npass > r.res.NPass {
+		r.res.NPass = npass
+	}
+	if len(runs) > r.res.LRun {
+		r.res.LRun = len(runs)
+	}
+	gbuf := r.newGBuffer(i, i)
+	r.mergeRuns(p, pg, src, srcObjs, runs, mkEnds(runs, len(srcObjs)), func(obj pendingJoin) {
+		gbuf.add(p, obj.ri, obj.x, obj.ptr)
+	})
+	gbuf.flush(p)
+	r.markPhase(p, "join")
 }
 
 // mergeRuns merges the runs of srcObjs delimited by starts/ends using a

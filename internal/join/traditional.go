@@ -5,6 +5,7 @@ import (
 
 	"mmjoin/internal/radix"
 	"mmjoin/internal/relation"
+	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
 )
 
@@ -112,15 +113,13 @@ func (r *runner) runTraditionalGrace() {
 	sBuck := make([][][]relation_S, r.d)
 	rCur := make([][]int64, r.d)
 	sCur := make([][]int64, r.d)
-	rhSeg := make([]*segRef, r.d)
-	shSeg := make([]*segRef, r.d)
+	rhSeg := make([]*seg.Segment, r.d) // each filled by its owner before the first barrier
+	shSeg := make([]*seg.Segment, r.d)
 	for j := 0; j < r.d; j++ {
 		rBuck[j] = make([][]ref, k)
 		sBuck[j] = make([][]relation_S, k)
 		rCur[j] = make([]int64, k)
 		sCur[j] = make([]int64, k)
-		rhSeg[j] = &segRef{}
-		shSeg[j] = &segRef{}
 	}
 	for i := 0; i < r.d; i++ {
 		i := i
@@ -130,8 +129,8 @@ func (r *runner) runTraditionalGrace() {
 
 			mgr.OpenMap(p, r.segR[i])
 			mgr.OpenMap(p, r.segS[i])
-			rhSeg[i].s = mgr.NewMap(p, fmt.Sprintf("RH%d", i), max64(1, rTotal[i]*r.r))
-			shSeg[i].s = mgr.NewMap(p, fmt.Sprintf("SH%d", i), max64(1, sTotal[i]*r.s))
+			rhSeg[i] = mgr.NewMap(p, fmt.Sprintf("RH%d", i), max64(1, rTotal[i]*r.r))
+			shSeg[i] = mgr.NewMap(p, fmt.Sprintf("SH%d", i), max64(1, sTotal[i]*r.s))
 			rpSeg := mgr.NewMap(p, fmt.Sprintf("RX%d", i), max64(1, int64(r.w.SizeR(i))*r.r))
 			spSeg := mgr.NewMap(p, fmt.Sprintf("SX%d", i), max64(1, int64(r.w.SizeS(i))*r.s))
 			r.markPhase(p, "setup")
@@ -140,14 +139,14 @@ func (r *runner) runTraditionalGrace() {
 			writeR := func(j int, rf ref) {
 				b := bucketOfKey(rf.key)
 				off := (rStart[j][b] + rCur[j][b]) * r.r
-				pg.Touch(p, rhSeg[j].s, off, r.r, true)
+				pg.Touch(p, rhSeg[j], off, r.r, true)
 				rCur[j][b]++
 				rBuck[j][b] = append(rBuck[j][b], rf)
 			}
 			writeS := func(j int, so relation_S) {
 				b := bucketOfKey(so.key)
 				off := (sStart[j][b] + sCur[j][b]) * r.s
-				pg.Touch(p, shSeg[j].s, off, r.s, true)
+				pg.Touch(p, shSeg[j], off, r.s, true)
 				sCur[j][b]++
 				sBuck[j][b] = append(sBuck[j][b], so)
 			}
@@ -223,10 +222,10 @@ func (r *runner) runTraditionalGrace() {
 			}
 			for j := 0; j < r.d; j++ {
 				if j != i {
-					pg.FlushSegment(p, rhSeg[j].s)
-					pg.DropSegment(rhSeg[j].s)
-					pg.FlushSegment(p, shSeg[j].s)
-					pg.DropSegment(shSeg[j].s)
+					pg.FlushSegment(p, rhSeg[j])
+					pg.DropSegment(rhSeg[j])
+					pg.FlushSegment(p, shSeg[j])
+					pg.DropSegment(shSeg[j])
 				}
 			}
 			r.markPhase(p, "pass1")
@@ -241,13 +240,13 @@ func (r *runner) runTraditionalGrace() {
 				reserve := r.reserve(p, pg, int((overhead+r.b-1)/r.b))
 				for n, so := range sObjs {
 					off := (sStart[i][b] + int64(n)) * r.s
-					pg.Touch(p, shSeg[i].s, off, r.s, false)
+					pg.Touch(p, shSeg[i], off, r.s, false)
 					p.Advance(r.m.Cfg.HashCost)
 					table[so.key] = n
 				}
 				for n, rf := range rBuck[i][b] {
 					off := (rStart[i][b] + int64(n)) * r.r
-					pg.Touch(p, rhSeg[i].s, off, r.r, false)
+					pg.Touch(p, rhSeg[i], off, r.r, false)
 					p.Advance(r.m.Cfg.HashCost)
 					if _, ok := table[rf.key]; ok {
 						p.Advance(r.m.Cfg.TransferPS(r.r + r.s))

@@ -14,8 +14,6 @@ package model
 import (
 	"fmt"
 	"sort"
-
-	"mmjoin/internal/sim"
 )
 
 // Curve is a measured machine function sampled at increasing x values and
@@ -70,9 +68,6 @@ func (c Curve) Eval(x float64) float64 {
 	y0, y1 := c.ys[i-1], c.ys[i]
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
-
-// EvalTime interpolates and converts to sim.Time.
-func (c Curve) EvalTime(x float64) sim.Time { return sim.Time(c.Eval(x)) }
 
 // Points returns copies of the sample vectors.
 func (c Curve) Points() (xs, ys []float64) {

@@ -83,11 +83,6 @@ func (pl *Planner) predict(alg join.Algorithm, in model.Inputs) (*model.Predicti
 // every tuning knob copied through. It is the bridge that lets callers
 // hand the planner the same Request they would execute, instead of
 // hand-assembling model.Inputs.
-//
-// req.Workers is deliberately not an input: the model costs I/O and
-// per-partition memory (MRproc), which depend on the data layout and
-// the grants, not on how many OS threads execute the morsels. A plan
-// chosen at Workers=1 is the same plan at Workers=64.
 func InputsFor(req join.Request) (model.Inputs, error) {
 	w := req.Workload
 	if w == nil {

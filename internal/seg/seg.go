@@ -55,9 +55,6 @@ func NewSystem(cost SetupCost) *System {
 	return &System{lock: sim.NewResource("map-lock"), cost: cost}
 }
 
-// Cost returns the system's setup-cost model.
-func (sys *System) Cost() SetupCost { return sys.cost }
-
 // Manager allocates segments on one disk. Extents are handed out
 // first-fit from a free list, falling back to a bump pointer, so segments
 // created in sequence are laid out contiguously in creation order —
@@ -124,9 +121,6 @@ func (s *Segment) OnDisk(page int) bool { return s.onDisk[page] }
 
 // MarkOnDisk records that the page's contents were written to disk.
 func (s *Segment) MarkOnDisk(page int) { s.onDisk[page] = true }
-
-// Deleted reports whether DeleteMap destroyed the segment.
-func (s *Segment) Deleted() bool { return s.deleted }
 
 func (m *Manager) pagesFor(bytes int64) int {
 	b := int64(m.BlockBytes())

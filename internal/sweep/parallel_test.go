@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mmjoin/internal/core"
 	"mmjoin/internal/join"
@@ -163,6 +164,12 @@ func TestForEachCancellation(t *testing.T) {
 		ran.Add(1)
 		if i == 5 {
 			return fmt.Errorf("point %d: %w", i, boom)
+		}
+		if i > 5 {
+			// Later points take real time, as sweep points do: with empty
+			// ones the other workers can drain all 64 indexes before the
+			// failing worker is scheduled again to record its error.
+			time.Sleep(time.Millisecond)
 		}
 		return nil
 	}, nil)

@@ -184,9 +184,6 @@ func (pg *Pager) Policy() Policy { return pg.policy }
 // Name returns the pager's diagnostic name.
 func (pg *Pager) Name() string { return pg.name }
 
-// Frames returns the total frame quota.
-func (pg *Pager) Frames() int { return pg.frames }
-
 // Resident returns the number of resident pages.
 func (pg *Pager) Resident() int { return pg.count }
 
