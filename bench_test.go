@@ -21,6 +21,7 @@ import (
 	"mmjoin/internal/machine"
 	"mmjoin/internal/model"
 	"mmjoin/internal/mstore"
+	"mmjoin/internal/planner"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sweep"
@@ -253,6 +254,26 @@ func BenchmarkModelEvaluation(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := model.PredictGrace(calib, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChooseFor measures what an `auto` join pays to be planned
+// once its workload's reference statistics are counted: six candidates
+// on the 200,000-object shape, nothing per R object.
+func BenchmarkChooseFor(b *testing.B) {
+	spec := relation.DefaultSpec()
+	spec.NR, spec.NS = 200000, 200000
+	pl := planner.New(model.Calibrate(machine.DefaultConfig(), 500, 1), planner.IndexAlgorithms)
+	req := join.Request{Params: join.Params{Workload: relation.MustGenerate(spec), MRproc: 1 << 20}}
+	if _, err := pl.ChooseFor(req); err != nil { // counts the statistics
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.ChooseFor(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"mmjoin/internal/machine"
 	"mmjoin/internal/metrics"
 	"mmjoin/internal/model"
+	"mmjoin/internal/planner"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
@@ -177,34 +178,17 @@ func (e *modelExperiment) predict(t *testing.T, alg join.Algorithm, frac float64
 	if e.w == nil {
 		e.w = relation.MustGenerate(smallSpec(4000, 4, 1))
 	}
-	spec := e.w.Spec
-	maxDistinct := 0
-	for _, n := range e.w.DistinctRefCounts() {
-		if n > maxDistinct {
-			maxDistinct = n
-		}
+	in, err := planner.InputsFor(join.Request{Params: join.Params{Workload: e.w}})
+	if err != nil {
+		return nil, err
 	}
-	in := model.Inputs{
-		NR: int64(spec.NR), NS: int64(spec.NS),
-		R: int64(spec.RSize), S: int64(spec.SSize), Ptr: int64(spec.PtrSize),
-		D:         spec.D,
-		Skew:      e.w.Skew(),
-		DistinctS: int64(maxDistinct),
-		MRproc:    int64(frac * float64(int64(spec.NR)*int64(spec.RSize))),
-	}
+	in.MRproc = int64(frac * float64(in.NR*in.R))
 	in.MSproc = in.MRproc
-	switch alg {
-	case join.NestedLoops:
-		return model.PredictNestedLoops(e.calib, in)
-	case join.SortMerge:
-		return model.PredictSortMerge(e.calib, in)
-	case join.Grace:
-		return model.PredictGrace(e.calib, in)
-	case join.HybridHash:
-		return model.PredictHybridHash(e.calib, in)
-	default:
-		return model.PredictTraditionalGrace(e.calib, in)
+	ch, err := planner.New(e.calib, []join.Algorithm{alg}).Choose(in)
+	if err != nil {
+		return nil, err
 	}
+	return ch.Best.Prediction, nil
 }
 
 // TestPagerInvariantsUnderRandomTraffic drives one pager with seeded

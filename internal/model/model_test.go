@@ -173,6 +173,63 @@ func TestGraceThrashBehaviour(t *testing.T) {
 	}
 }
 
+// graceThrashByTheBook is §7.3's sum as first written: every epoch raises
+// (1−1/k) to the epoch's length with math.Pow and asks ProbEmptyAtMost,
+// whatever z is. GraceThrash skips both where the answer is known (the
+// power is 1 after the first epoch; the probability is 1 once z ≥ k), and
+// a planner's Choice may not move by one bit for it.
+func graceThrashByTheBook(nHashed, k, frames, current int, fillPerObject float64) float64 {
+	if nHashed <= 0 || k <= 1 || frames <= 0 {
+		return 0
+	}
+	oneMinus := 1 - 1/float64(k)
+	total, h, surv := 0.0, 0.0, 1.0
+	for e := 0; ; e++ {
+		alpha := 1.0
+		if e == 0 {
+			alpha = float64(k)
+		}
+		y := surv * (1 - math.Pow(oneMinus, alpha))
+		if y < 1e-12 || h > float64(nHashed) {
+			break
+		}
+		z := float64(k) + h*fillPerObject + float64(current) - float64(frames)
+		total += ProbEmptyAtMost(int(h), k, z) * y
+		h += alpha
+		surv *= math.Pow(oneMinus, alpha)
+	}
+	return total * float64(nHashed)
+}
+
+func TestGraceThrashBitIdenticalToTheBook(t *testing.T) {
+	check := func(n, k, frames, current int, fill float64) {
+		t.Helper()
+		got, want := GraceThrash(n, k, frames, current, fill), graceThrashByTheBook(n, k, frames, current, fill)
+		if got != want {
+			t.Errorf("GraceThrash(%d, %d, %d, %d, %g) = %v, by the book %v", n, k, frames, current, fill, got, want)
+		}
+	}
+	// Small urns, so the book's occupancy DP per epoch stays cheap where
+	// z < k holds for every epoch (fill 0, frames above current).
+	for _, n := range []int{1, 50, 600} {
+		for _, k := range []int{2, 3, 20} {
+			for _, frames := range []int{1, 4, 16, 80} {
+				for _, current := range []int{1, 4, 6} {
+					for _, fill := range []float64{0, 1.0 / 32, 0.1} {
+						check(n, k, frames, current, fill)
+					}
+				}
+			}
+		}
+	}
+	// The benchmark's shapes: a 16 KiB grant (4 frames) at one pass's
+	// fan-out, where z ≥ k from the first epoch, and the mixed case above.
+	check(40000, 256, 4, 4, 3.0/32)
+	check(30000, 256, 4, 1, 1.0/32)
+	check(10000, 64, 16, 4, 0.1)
+	check(50000, 8, 256, 4, 3.0/32)
+}
+
 func calibForTest(t *testing.T) Calibration {
 	t.Helper()
 	cfg := machine.DefaultConfig()

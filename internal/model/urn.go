@@ -177,20 +177,26 @@ func GraceThrash(nHashed, k, frames, current int, fillPerObject float64) float64
 	total := 0.0
 	h := 0.0    // H_e: objects hashed before epoch e starts
 	surv := 1.0 // (1−1/k)^{H_e}: no hit during the first H_e objects
-	for e := 0; ; e++ {
-		alpha := 1.0
-		if e == 0 {
-			alpha = float64(k)
-		}
-		y := surv * (1 - math.Pow(oneMinus, alpha))
+	// alpha and step = (1−1/k)^alpha are the epoch's length and its
+	// no-hit probability: k objects for the first epoch, one after it.
+	alpha, step := float64(k), math.Pow(oneMinus, float64(k))
+	for {
+		y := surv * (1 - step)
 		if y < 1e-12 || h > float64(nHashed) {
 			break
 		}
 		fills := h * fillPerObject
 		z := float64(k) + fills + float64(current) - float64(frames)
-		total += ProbEmptyAtMost(int(h), k, z) * y
+		// Pr[empty ≤ z] is 1 once z reaches k; most of the ~28·k epochs
+		// are past that point and need no call.
+		if z >= float64(k) {
+			total += y
+		} else {
+			total += ProbEmptyAtMost(int(h), k, z) * y
+		}
 		h += alpha
-		surv *= math.Pow(oneMinus, alpha)
+		surv *= step
+		alpha, step = 1, oneMinus
 	}
 	return total * float64(nHashed)
 }

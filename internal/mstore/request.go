@@ -247,6 +247,12 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 // (relation.SPtr.Index = Relation.IndexOf(SPtr.Off)). The result lets
 // the planner cost this exact database through planner.InputsFor with
 // measured skew and distinct-reference counts rather than assumptions.
+//
+// Each call scans every R object and allocates 8 B per object; the
+// statistics are then counted once per returned workload, by its first
+// reader. A server calls this once when it opens the store (service.New,
+// or once per shard) and shares the result between requests, so no
+// request pays either; a caller that asks again pays both again.
 func (db *DB) Workload() (*relation.Workload, error) {
 	if len(db.R) != db.D || len(db.S) != db.D {
 		return nil, fmt.Errorf("mstore: %d/%d relations for D=%d", len(db.R), len(db.S), db.D)
@@ -267,10 +273,12 @@ func (db *DB) Workload() (*relation.Workload, error) {
 			if int(ptr.Part) >= db.D {
 				return nil, fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, ptr.Part)
 			}
-			refs[x] = relation.SPtr{
-				Part:  int32(ptr.Part),
-				Index: int32(db.S[ptr.Part].IndexOf(ptr.Off)),
+			s := db.S[ptr.Part]
+			idx := s.IndexOf(ptr.Off)
+			if idx < 0 || idx >= s.Count() {
+				return nil, fmt.Errorf("mstore: R%d[%d] points to S%d[%d] of %d", i, x, ptr.Part, idx, s.Count())
 			}
+			refs[x] = relation.SPtr{Part: int32(ptr.Part), Index: int32(idx)}
 		}
 		w.Refs[i] = refs
 	}

@@ -116,3 +116,19 @@ func TestWorkloadMirrorsStoredPointers(t *testing.T) {
 		t.Errorf("uniform db skew = %g", skew)
 	}
 }
+
+// A stored pointer before S's first object or past its last would become
+// a negative or unbounded relation.SPtr.Index, which the workload's
+// statistics bitmap indexes by; Workload rejects it like a bad partition.
+func TestWorkloadRejectsDanglingPointers(t *testing.T) {
+	for name, off := range map[string]func(s *Relation) Ptr{
+		"before the first object": func(s *Relation) Ptr { return s.PtrAt(0) - Ptr(s.size) },
+		"past the last object":    func(s *Relation) Ptr { return s.PtrAt(s.Count()) },
+	} {
+		db := testDB(t, 2, 100)
+		db.R[1].SetJoinAttr(5, SPtr{Part: 0, Off: off(db.S[0])})
+		if w, err := db.Workload(); err == nil {
+			t.Errorf("pointer %s: got a workload (%d refs), want an error", name, len(w.Refs[1]))
+		}
+	}
+}

@@ -4,6 +4,10 @@
 // planner costs every pointer-based algorithm analytically — microseconds
 // of work, no execution — and picks the cheapest, optionally locating the
 // memory crossover points where the best plan changes.
+//
+// Statistics are an input to planning, not part of it: skew and distinct
+// references per partition are counted once per relation.Workload, by
+// the workload, and a Choose after that touches no reference.
 package planner
 
 import (
@@ -79,8 +83,9 @@ func (pl *Planner) predict(alg join.Algorithm, in model.Inputs) (*model.Predicti
 
 // InputsFor derives the analytical model's inputs from a fully-specified
 // join request: shape and sizes from the workload spec, skew and the
-// distinct-reference count measured from the generated references, and
-// every tuning knob copied through. It is the bridge that lets callers
+// distinct-reference count as the workload measured them from its
+// references (one pass, the first time anyone asks; a read afterwards),
+// and every tuning knob copied through. It is the bridge that lets callers
 // hand the planner the same Request they would execute, instead of
 // hand-assembling model.Inputs.
 func InputsFor(req join.Request) (model.Inputs, error) {

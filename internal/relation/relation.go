@@ -13,7 +13,10 @@ package relation
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // SPtr is a virtual pointer to an object of S: the partition (disk) it
@@ -122,10 +125,19 @@ func (s Spec) Validate() error {
 // Workload is a generated pair of relations. Only the join attributes are
 // materialized (the rest of each 128-byte object is payload whose content
 // never matters); storage layout and I/O are the simulator's concern.
+//
+// A Workload is immutable once Generate, mstore's DB.Workload or shard's
+// Router.Workload has returned it: the reference statistics (SubCounts,
+// RSCounts, DistinctRefCounts, Skew) are counted once, by the first call
+// to any of them on any goroutine, and only read afterwards. Hold it by
+// pointer; a later write to Spec or Refs would leave them stale.
 type Workload struct {
 	Spec Spec
 	// Refs[i][x] is the join attribute (S-pointer) of object x of Ri.
 	Refs [][]SPtr
+
+	once sync.Once
+	st   refStats
 }
 
 // Generate builds a workload from the spec deterministically.
@@ -208,47 +220,81 @@ func partSize(n, d, i int) int {
 	return base
 }
 
+// refStats is what the model and the simulator read off the references:
+// |Ri,j|, |RSj|, distinct S objects referenced per partition, the skew.
+type refStats struct {
+	sub      [][]int
+	rs       []int
+	distinct []int
+	skew     float64
+}
+
+// stats counts the references the first time it is asked, in one pass:
+// |Ri,j| by increment, the distinct count by setting one bit per
+// referenced S index and counting the bits afterwards. The bitmaps grow
+// to the largest index seen rather than trusting SizeS, which is an even
+// deal of Spec.NS that a stored or merged workload need not follow; they
+// are dropped when the pass returns.
+func (w *Workload) stats() *refStats {
+	w.once.Do(func() {
+		d := w.Spec.D
+		st := refStats{sub: make([][]int, d), rs: make([]int, d), distinct: make([]int, d)}
+		seen := make([][]uint64, d)
+		for j := range seen {
+			seen[j] = make([]uint64, w.SizeS(j)/64+1)
+		}
+		for i := range st.sub {
+			st.sub[i] = make([]int, d)
+			for _, ptr := range w.Refs[i] {
+				st.sub[i][ptr.Part]++
+				word := int(ptr.Index >> 6)
+				if word >= len(seen[ptr.Part]) {
+					seen[ptr.Part] = append(seen[ptr.Part], make([]uint64, word+1-len(seen[ptr.Part]))...)
+				}
+				seen[ptr.Part][word] |= 1 << (ptr.Index & 63)
+			}
+			expect := float64(w.SizeR(i)) / float64(d)
+			for j, c := range st.sub[i] {
+				st.rs[j] += c
+				if v := float64(c) / expect; v > st.skew {
+					st.skew = v
+				}
+			}
+		}
+		for j, words := range seen {
+			for _, x := range words {
+				st.distinct[j] += bits.OnesCount64(x)
+			}
+		}
+		w.st = st
+	})
+	return &w.st
+}
+
 // SubCounts returns counts[i][j] = |Ri,j|, the number of Ri objects whose
-// join attribute points into Sj.
+// join attribute points into Sj. Like RSCounts and DistinctRefCounts it
+// returns a copy the caller may write to.
 func (w *Workload) SubCounts() [][]int {
 	c := make([][]int, w.Spec.D)
-	for i := range c {
-		c[i] = make([]int, w.Spec.D)
-		for _, ptr := range w.Refs[i] {
-			c[i][ptr.Part]++
-		}
+	for i, row := range w.stats().sub {
+		c[i] = slices.Clone(row)
 	}
 	return c
 }
 
 // Skew returns the paper's skew metric: max over i,j of
 // |Ri,j| / (|Ri|/D). A perfectly even workload has skew 1.
-func (w *Workload) Skew() float64 {
-	counts := w.SubCounts()
-	skew := 0.0
-	for i := range counts {
-		expect := float64(w.SizeR(i)) / float64(w.Spec.D)
-		for _, c := range counts[i] {
-			if v := float64(c) / expect; v > skew {
-				skew = v
-			}
-		}
-	}
-	return skew
-}
+func (w *Workload) Skew() float64 { return w.stats().skew }
 
 // RSCounts returns counts[j] = |RSj| = Σi |Ri,j|, the number of R objects
 // referencing partition Sj.
-func (w *Workload) RSCounts() []int {
-	sub := w.SubCounts()
-	out := make([]int, w.Spec.D)
-	for i := range sub {
-		for j, c := range sub[i] {
-			out[j] += c
-		}
-	}
-	return out
-}
+func (w *Workload) RSCounts() []int { return slices.Clone(w.stats().rs) }
+
+// DistinctRefCounts returns, per S partition j, the number of distinct S
+// objects referenced by any R object — the i parameter of the
+// Mackert–Lohman approximation. Under uniform references it approaches
+// |RSj|·(1−1/e); under Zipf it collapses to the hot set.
+func (w *Workload) DistinctRefCounts() []int { return slices.Clone(w.stats().distinct) }
 
 // PairHash is the canonical hash of one joined pair: Ri object x joined
 // with the S object its attribute points to. Summing PairHash over all
@@ -325,24 +371,4 @@ func (k *Keys) KeyOf(ptr SPtr) uint64 {
 // processes it in a traditional parallel hash join).
 func (k *Keys) NodeOf(key uint64) int {
 	return int(key * uint64(k.w.Spec.D) / uint64(k.w.Spec.NS))
-}
-
-// DistinctRefCounts returns, per S partition j, the number of distinct S
-// objects referenced by any R object — the i parameter of the
-// Mackert–Lohman approximation. Under uniform references it approaches
-// |RSj|·(1−1/e); under Zipf it collapses to the hot set.
-func (w *Workload) DistinctRefCounts() []int {
-	out := make([]int, w.Spec.D)
-	for j := 0; j < w.Spec.D; j++ {
-		seen := make(map[int32]struct{})
-		for i := 0; i < w.Spec.D; i++ {
-			for _, ptr := range w.Refs[i] {
-				if int(ptr.Part) == j {
-					seen[ptr.Index] = struct{}{}
-				}
-			}
-		}
-		out[j] = len(seen)
-	}
-	return out
 }

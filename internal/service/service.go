@@ -181,6 +181,7 @@ func New(cfg Config) (*Server, error) {
 		store.Close()
 		return nil, err
 	}
+	w.Skew() // counts the reference statistics here, once, so no join request pays the pass
 	mcfg := machine.DefaultConfig()
 	mcfg.D = cfg.D
 	calib := model.Calibrate(mcfg, cfg.CalibrationOps, 1)

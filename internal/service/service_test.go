@@ -53,19 +53,27 @@ func expectedStats(t *testing.T, s *Server) mstore.JoinStats {
 
 func postJoin(t *testing.T, ts *httptest.Server, req JoinRequest) (*http.Response, JoinResponse) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
+	resp, jr, err := doJoin(ts, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var jr JoinResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return resp, jr
+}
+
+// doJoin is postJoin for goroutines other than the test's own, which may
+// not call t.Fatal.
+func doJoin(ts *httptest.Server, req JoinRequest) (*http.Response, JoinResponse, error) {
+	var jr JoinResponse
+	body, _ := json.Marshal(req)
+	resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, jr, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+	}
+	return resp, jr, err
 }
 
 func TestServeJoinAuto(t *testing.T) {

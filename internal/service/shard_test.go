@@ -20,6 +20,15 @@ import (
 // and the source's expected stats.
 func newShardedServer(t *testing.T, objects int, cfg Config) (*Server, *httptest.Server, *shard.Map, mstore.JoinStats) {
 	t.Helper()
+	return newPlannedShardedServer(t, objects, cfg, func(string, *relation.Workload, mstore.JoinRequest) (join.Algorithm, error) {
+		return join.Grace, nil
+	})
+}
+
+// newPlannedShardedServer is newShardedServer with the router's per-shard
+// planning supplied by the caller.
+func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.PlanFunc) (*Server, *httptest.Server, *shard.Map, mstore.JoinStats) {
+	t.Helper()
 	base := t.TempDir()
 	srcDir := filepath.Join(base, "src")
 	src, err := mstore.CreateDB(srcDir, 3, objects, objects, 32, 23)
@@ -41,9 +50,7 @@ func newShardedServer(t *testing.T, objects int, cfg Config) (*Server, *httptest
 	router, err := shard.Open(m, shard.Config{
 		MapPath:         filepath.Join(base, "shards.json"),
 		WorkersPerShard: 1,
-		PlanFunc: func(id string, w *relation.Workload, req mstore.JoinRequest) (join.Algorithm, error) {
-			return join.Grace, nil
-		},
+		PlanFunc:        plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -70,10 +70,16 @@ func (h *handle) begin() bool {
 
 func (h *handle) end() { h.inflight.Done() }
 
-// workload lazily derives (and caches) the shard's planner view; the
-// first auto-planned join pays the scan.
+// workload lazily derives (and caches) the shard's planner view with its
+// reference statistics counted: the first caller — Router.Workload under
+// service.New, else the first auto-planned join — pays the scan and the
+// count; concurrent PlanFunc calls after it only read.
 func (h *handle) workload() (*relation.Workload, error) {
-	h.wOnce.Do(func() { h.w, h.wErr = h.db.Workload() })
+	h.wOnce.Do(func() {
+		if h.w, h.wErr = h.db.Workload(); h.wErr == nil {
+			h.w.Skew()
+		}
+	})
 	return h.w, h.wErr
 }
 
