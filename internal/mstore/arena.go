@@ -28,7 +28,7 @@ const refBytes = int64(unsafe.Sizeof(ref{}))
 // after the count pass has sized it and never grown or remapped. The
 // stages address it as extents — index ranges of refs — so a
 // measured-empty destination is a zero-length range and costs nothing,
-// and re-partitioning (refine, restage) permutes an extent in place
+// and re-partitioning (refine, orderProbe) permutes an extent in place
 // instead of allocating the next one. close unmaps and unlinks without
 // syncing: nothing ever reopens a temporary.
 type tempArena struct {

@@ -18,7 +18,7 @@ func cmpRef(a, b ref) int {
 }
 
 // TestArenaPartitionInPlace: the one re-partitioning primitive under
-// refine and restage moves every reference into its class's range,
+// refine and orderProbe moves every reference into its class's range,
 // losing and duplicating none, for any class sizes — empty ones
 // included.
 func TestArenaPartitionInPlace(t *testing.T) {
@@ -98,7 +98,7 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var got []extent
-		r, done := newTestRun(t, db, workers, 0, nil)
+		r, done := newTestRun(t, db, workers, nil)
 		r.fanBits = fanBits
 		cfg.finish = func(s *stagedRun, _, part int, refs []ref) error {
 			// refs is a two-index slice of the arena, so its capacity

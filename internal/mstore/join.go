@@ -1,11 +1,9 @@
 package mstore
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
@@ -28,10 +26,11 @@ import (
 //
 // The paper's three pointer joins are one shape (§5): scan Ri, join
 // what is local, stage the rest by S address, finish each staged run —
-// nested loops probes it, sort-merge orders it first, Grace hashes it.
-// That shape is written once, in joinRun.staged; the operators below it
-// are configurations (staging), and the inner loops live in the kernel
-// layer (kernel*.go).
+// nested loops probes it as it lies; sort-merge, Grace and hybrid hash
+// order it in place into cache-sized S windows first. That shape is
+// written once, in joinRun.staged; the operators below it are
+// configurations (staging), and the inner loops live in the kernel
+// layer (kernel.go).
 
 // morselObjs is the fixed morsel size: the number of objects one
 // work-stealing task covers. Around 4k objects a morsel is a few
@@ -100,31 +99,38 @@ type stageScratch struct {
 	pos  []int
 }
 
+// windowBits is log2 of the probe window: the S address span, 1 MiB,
+// that orderProbe lets one in-order sweep cover — half of one core's
+// 2 MiB L2 on the 2-CPU Xeon the benchmark was measured on.
+const windowBits = 20
+
 // joinRun is the state every operator shares, built once by DB.Run: the
-// pool and context, the batched kernel, the grant limiter (whose
-// telemetry the temp arena counts into), the temp arena, the per-worker
-// accumulators and the per-worker probe-table arenas.
+// pool and context, the batched kernel, the telemetry (which the temp
+// arena counts into), the temp arena and the per-worker accumulators.
 type joinRun struct {
-	db     *DB
-	ctx    context.Context
-	p      *exec.Pool
-	kern   *joinKernel
-	lim    *memLimiter
-	tmp    tempArena
-	stats  perWorker
-	arenas []probeArena
-	// fanBits is the per-pass partitioning fan-out, log2. DB.Run always
-	// sets radix.Bits; only in-package tests narrow it, to reach the
-	// deep refine recursion at small K.
-	fanBits int
+	db    *DB
+	ctx   context.Context
+	p     *exec.Pool
+	kern  *joinKernel
+	tel   *JoinTelemetry
+	tmp   tempArena
+	stats perWorker
+	// fanBits is the per-pass partitioning fan-out, log2, and windowBits
+	// the probe window, log2 bytes. DB.Run always sets radix.Bits and
+	// the windowBits constant; only in-package tests narrow them, to
+	// reach the deep refine and ordering recursions on small stores.
+	fanBits, windowBits int
 }
 
-func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, lim *memLimiter, tmpDir string) *joinRun {
+func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, tmpDir string) *joinRun {
+	if tel == nil {
+		tel = &JoinTelemetry{}
+	}
 	return &joinRun{
-		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), lim: lim,
-		tmp:   tempArena{dir: tmpDir, tel: lim.tel},
-		stats: make(perWorker, p.Workers()), arenas: make([]probeArena, p.Workers()),
-		fanBits: radix.Bits,
+		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), tel: tel,
+		tmp:     tempArena{dir: tmpDir, tel: tel},
+		stats:   make(perWorker, p.Workers()),
+		fanBits: radix.Bits, windowBits: windowBits,
 	}
 }
 
@@ -218,7 +224,7 @@ func (r *joinRun) staged(cfg staging) error {
 	passes, span := radix.Plan(k, r.fanBits)
 	shift := bits.TrailingZeros(uint(span))
 	groups := (k + span - 1) >> shift
-	storeMax(&r.lim.tel.RadixPasses, int64(passes))
+	storeMax(&r.tel.RadixPasses, int64(passes))
 	cur := make([]atomic.Int64, d*groups)
 	for g := range cur {
 		cur[g].Store(int64(s.starts[g/groups*k+(g%groups)<<shift]))
@@ -337,8 +343,9 @@ func (db *DB) nestedLoops() staging {
 }
 
 // sortMerge (§5.2): every reference stages into RSj — its S partition's
-// row — already split into address ranges, so ordering RSj by S address
-// is an independent in-place sort per split.
+// row — already split into address ranges, so the first level of
+// ordering RSj by S address is done by the scan, and each split orders
+// the rest independently, in parallel with the others.
 func (db *DB) sortMerge(workers int) staging {
 	splits := sortSplitCount(workers, db.D, db.CountR()/db.D)
 	return staging{
@@ -347,7 +354,7 @@ func (db *DB) sortMerge(workers int) staging {
 			rel := db.S[p.Part]
 			return rankBucket(rel.IndexOf(p.Off), splits, rel.Count())
 		},
-		finish: (*stagedRun).sortProbe,
+		finish: (*stagedRun).orderProbe,
 	}
 }
 
@@ -358,7 +365,7 @@ func (db *DB) grace(k int) staging { return db.hybridHash(k, 0) }
 // (residentFrac of its objects) join during the scan; the remainder
 // hashes into k order-preserving buckets per S partition — bucket by
 // position of the S offset within the partition's data area — each
-// probed through a grant-metered flat table.
+// ordered into S windows and probed in place.
 func (db *DB) hybridHash(k int, residentFrac float64) staging {
 	residentUpTo := make([]int, db.D)
 	for j, rel := range db.S {
@@ -370,7 +377,7 @@ func (db *DB) hybridHash(k int, residentFrac float64) staging {
 			rel, lo := db.S[p.Part], residentUpTo[p.Part]
 			return rankBucket(rel.IndexOf(p.Off)-lo, k, rel.Count()-lo)
 		},
-		finish: (*stagedRun).tableProbe,
+		finish: (*stagedRun).orderProbe,
 	}
 	if residentFrac > 0 {
 		cfg.resident = func(_ int, p SPtr) bool {
@@ -390,18 +397,13 @@ func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
 	})...)
 }
 
-// tableProbe joins a destination through a flat table within the grant.
-func (s *stagedRun) tableProbe(w, part int, refs []ref) error {
-	return s.probe(w, part, refs, &s.stats[w].JoinStats, 0)
-}
-
 // sortSplitCount picks how many address-range splits sort-merge gives
 // each S partition's references: enough tasks to occupy the pool across
 // all D partitions (with headroom for stealing), but never splits
 // smaller than a morsel at count references per partition — the
 // expected |R|/D, since k is fixed before the count pass measures the
 // real sizes. One worker gets one split per partition — exactly a
-// sequential in-place sort.
+// sequential in-place ordering.
 func sortSplitCount(workers, d, count int) int {
 	s := (4*workers + d - 1) / d
 	if maxS := count/morselObjs + 1; s > maxS {
@@ -410,100 +412,60 @@ func sortSplitCount(workers, d, count int) int {
 	return max(s, 1)
 }
 
-// sortProbe orders one split by S address in place and probes it in
-// that order. Splits partition the S partition's address range in
-// order, so the whole of RSj is probed ascending within every split,
-// MPSM-style partition-local: a small split sorts and probes while a
-// large one is still sorting, with no barrier between them.
-func (s *stagedRun) sortProbe(w, part int, refs []ref) error {
-	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.off, b.off) })
-	return s.scanProbe(w, part, refs)
-}
-
-// tableBytesFor is the counted footprint of one bucket's flat probe
-// table: the open-addressing slot arrays (8 B key + 4 B head per slot,
-// power-of-two slots at ≤3/4 load factor) plus the per-reference chain
-// link (4 B) and the distinct-key sweep arrays (worst case 12 B per
-// reference, when every reference is distinct).
-func tableBytesFor(refs int) int64 {
-	return tableSlots(refs)*12 + int64(refs)*16
-}
-
-// probe joins one bucket — references into S partition part — within
-// the grant on worker w. Each probe reserves its table's counted bytes
-// from the join's limiter before building it, so the sum over
-// concurrently built tables never exceeds the grant — the invariant the
-// skew tests assert. The fast path reserves (waiting for concurrent
-// probes when the grant is temporarily occupied) and builds the flat
-// table in w's arena; an arena retains its high-water capacity between
-// buckets (that is the zero-alloc steady state), which stays within the
-// accounting because a worker builds one table at a time and every
-// build is reserved at full size first. A bucket whose table can never
-// fit — renegotiation included — is restaged into sub-buckets until
-// each fits, and a bucket whose references collapse onto a single S
-// object (one hot key) streams instead: restaging cannot split it, but
-// it also needs no table — and reserves nothing.
-func (r *joinRun) probe(w, part int, refs []ref, st *JoinStats, depth int) error {
-	need := tableBytesFor(len(refs))
-	if r.lim.reserve(need) {
-		defer r.lim.release(need)
-		r.kern.probeFlat(&r.arenas[w], part, refs, st)
-		return nil
+// orderProbe is the finish of sort-merge, Grace and hybrid hash. S is
+// laid out by address, so a reference's S offset is its own order key:
+// there is nothing to hash and no need to sort below the size of a
+// cache. The extent is read once for its least and greatest offset; if
+// they lie within one window the extent is probed as it lies, and
+// otherwise it is ordered in place into consecutive windows and probed
+// window by window, each stretch of the sweep reading one cache-sized
+// part of S. Every extent is finished on its own, MPSM-style
+// partition-local: a small one orders and probes while a large one is
+// still ordering, with no barrier between them.
+func (s *stagedRun) orderProbe(w, part int, refs []ref) error {
+	lo, hi := refs[0].off, refs[0].off
+	for _, e := range refs[1:] {
+		lo, hi = min(lo, e.off), max(hi, e.off)
 	}
-	// The minimum and maximum S index the bucket's references name.
-	sRel := r.db.S[part]
-	lo, hi := int(^uint(0)>>1), -1
+	return s.orderWindows(w, part, refs, lo, bits.Len64(uint64(hi-lo)))
+}
+
+// orderWindows finishes refs, whose S offsets all lie in
+// [lo, lo + 2^width). Within one window (width ≤ windowBits) it probes:
+// inline on worker w up to a morsel — no task, no allocation, which is
+// what the thousands of small Grace buckets of a skewed store need —
+// else through scanProbe's morsels. A wider range is split in place into
+// at most 2^fanBits classes of (off − lo) >> shift, counted in one pass,
+// and each class recurses in address order. Classes are aligned on lo,
+// so every leaf is exactly one window of the extent's range.
+func (s *stagedRun) orderWindows(w, part int, refs []ref, lo Ptr, width int) error {
+	if width <= s.windowBits {
+		if len(refs) <= morselObjs {
+			s.kern.joinRefs(part, refs, &s.stats[w].JoinStats)
+			return nil
+		}
+		return s.scanProbe(w, part, refs)
+	}
+	shift := max(width-s.fanBits, s.windowBits)
+	class := func(e ref) int { return int((e.off - lo) >> shift) }
+	bounds := make([]int, 1<<(width-shift)+1)
 	for _, e := range refs {
-		idx := sRel.IndexOf(e.off)
-		lo, hi = min(lo, idx), max(hi, idx)
+		bounds[class(e)+1]++
 	}
-	if depth >= maxRestageDepth || lo >= hi {
-		r.streamProbe(part, refs, st)
-		return nil
+	for c := 1; c < len(bounds); c++ {
+		bounds[c] += bounds[c-1]
 	}
-	return r.restage(w, part, refs, st, lo, hi, depth)
-}
-
-// restage re-partitions one oversized bucket into sub-buckets, in place
-// within its extent — the spill path of the dynamic hybrid-hash design.
-// The fan-out is just large enough that an average sub-bucket's table
-// fits the current grant; skew that concentrates references recurses,
-// narrowing the S-index span every pass (min and max always separate),
-// until each sub-bucket either fits or has collapsed onto a single hot
-// key.
-func (r *joinRun) restage(w, part int, refs []ref, st *JoinStats, lo, hi, depth int) error {
-	span := hi - lo + 1
-	budget := max(r.lim.budgetNow(), 1)
-	sub := int((tableBytesFor(len(refs)) + budget - 1) / budget)
-	sub = max(min(sub, maxRestageFanout, span), 2)
-	sRel := r.db.S[part]
-	subOf := func(e ref) int { return rankBucket(sRel.IndexOf(e.off)-lo, sub, span) }
-	bounds := make([]int, sub+1)
-	for _, e := range refs {
-		bounds[subOf(e)+1]++
-	}
-	for b := range sub {
-		bounds[b+1] += bounds[b]
-	}
-	partition(refs, bounds, subOf)
-	r.lim.tel.Restages.Add(1)
-	r.lim.tel.RestagedRefs.Add(int64(len(refs)))
-	for b := range sub {
-		if bounds[b] == bounds[b+1] {
+	partition(refs, bounds, class)
+	for c := range len(bounds) - 1 {
+		if bounds[c] == bounds[c+1] {
 			continue
 		}
-		if err := r.probe(w, part, refs[bounds[b]:bounds[b+1]], st, depth+1); err != nil {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		if err := s.orderWindows(w, part, refs[bounds[c]:bounds[c+1]], lo+Ptr(c)<<shift, shift); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// streamProbe joins one bucket the ladder cannot put in a table — every
-// reference names one S object, so restaging cannot split it, or the
-// depth rail was hit — in extent order: no table, no reservation. The
-// fold is commutative, so any order is bit-identical.
-func (r *joinRun) streamProbe(part int, refs []ref, st *JoinStats) {
-	r.lim.tel.StreamProbes.Add(1)
-	r.kern.joinRefs(part, refs, st)
 }

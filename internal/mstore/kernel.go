@@ -13,17 +13,19 @@ import "encoding/binary"
 //     cache misses overlap in the memory pipeline) before the join stage
 //     folds the pairs. Go has no prefetch intrinsics; the stride-ahead
 //     read loop is the software equivalent.
-//   - probeArena (kernel_table.go) replaces the per-bucket Go map with a
-//     flat open-addressing table carved from a reusable per-worker
-//     arena: zero steady-state allocations on the probe path.
+//   - orderProbe (join.go) replaces the per-bucket probe table: it
+//     orders an extent in place, by S offset, only as far as windows of
+//     2^windowBits bytes of S and feeds each window to joinRefs, so the
+//     gathers of one stretch hit one cache-sized part of S — with no
+//     table, no sort and zero allocations for an extent within a window.
 //   - radix.Plan (internal/radix) splits a k-way bucket fan-out into
 //     passes of at most 2^radix.Bits destinations each, so every scatter
 //     pass's working set of destination pages stays cache-sized.
 //
 // Every kernel is gated on bit-identical Pairs/Signature against the
 // straight-line reference loops kept in kernel_test.go: the signatures
-// fold as commutative sums, so batching, table layout, and pass
-// structure are free to reorder work.
+// fold as commutative sums, so batching, ordering, and pass structure
+// are free to reorder work.
 
 // gatherWidth is the fixed width of the batched gather. It was a
 // request knob until the one multi-core, larger-than-LLC measurement

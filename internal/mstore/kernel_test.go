@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/bits"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -30,12 +33,12 @@ func segFiles(t testing.TB, dir string) []string {
 // {uniform, Zipf hot-key} × K {1, 37, 600} × MRproc {unbounded, 16 KiB:
 // a 64 KiB grant}.
 // Every point must produce Pairs/Signature bit-identical to the store's
-// independently computed ground truth, keep the peak of counted probe
-// memory within grant + renegotiated bytes, create at most 2·D temp
-// files (the index operators none), and leave an explicit TmpDir
-// without a single temporary segment — the one temp arena is the
-// behaviour under test. K=600 partitions in two passes; deeper pass
-// counts are TestKernelMultiPassDeep's job.
+// independently computed ground truth, leave the retired probe-table
+// counters at zero, create at most 2·D temp files (the index operators
+// none), and leave an explicit TmpDir without a single temporary
+// segment — the one temp arena is the behaviour under test. K=600
+// partitions in two passes; deeper pass counts are
+// TestKernelMultiPassDeep's job.
 func TestKernelSignatureGrid(t *testing.T) {
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace,
 		join.HybridHash, join.IndexNL, join.IndexMerge}
@@ -69,10 +72,7 @@ func TestKernelSignatureGrid(t *testing.T) {
 							if got != want {
 								t.Fatalf("%v k=%d w=%d grant=%d: got %+v want %+v", alg, k, w, grant, got, want)
 							}
-							if bound := grant + tel.ExtraGrantBytes.Load(); grant > 0 && tel.PeakTableBytes.Load() > bound {
-								t.Fatalf("%v k=%d w=%d: peak %d exceeds grant %d",
-									alg, k, w, tel.PeakTableBytes.Load(), bound)
-							}
+							retiredZero(t, &tel)
 							staging := alg != join.IndexNL && alg != join.IndexMerge
 							if files := tel.TempFiles.Load(); files > int64(2*db.D) || !staging && files != 0 {
 								t.Fatalf("%v k=%d w=%d grant=%d: %d temp files", alg, k, w, grant, files)
@@ -133,16 +133,21 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 	}
 }
 
-// TestKernelCancelInsideRefineLeavesNoTemporaries cancels a multi-pass
-// join from inside refine: the first final bucket to reach its finish —
-// its group partitioned in place, its siblings still waiting — cancels
-// the context, so the remaining groups' tasks are dropped with the
-// arena fully written and partly permuted.
+// TestKernelCancelInsideRefineLeavesNoTemporaries cancels a join from
+// inside its finish in two places. Refine: in a multi-pass join the
+// first final bucket to reach its finish — its group partitioned in
+// place, its siblings still waiting — cancels the context, so the
+// remaining groups' tasks are dropped with the arena fully written and
+// partly permuted. Ordering: at a 4 KiB window every Grace bucket of
+// the store spans many windows, and the cancel lands just before
+// orderProbe partitions one, so the finish itself must notice it
+// between classes and return context.Canceled. Either way the join
+// fails with context.Canceled and the TmpDir is left empty.
 func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000)
 	for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
 		var tel JoinTelemetry
-		r, done := newTestRun(t, db, 2, 0, &tel)
+		r, done := newTestRun(t, db, 2, &tel)
 		ctx, cancel := context.WithCancel(r.ctx)
 		r.ctx, r.fanBits = ctx, 4
 		probe := cfg.finish
@@ -160,24 +165,55 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 				name, tel.TempFiles.Load(), tel.RadixPasses.Load())
 		}
 	}
+
+	for name, cfg := range map[string]staging{"sort-merge": db.sortMerge(2), "grace": db.grace(4)} {
+		var tel JoinTelemetry
+		r, done := newTestRun(t, db, 2, &tel)
+		ctx, cancel := context.WithCancel(r.ctx)
+		r.ctx, r.windowBits = ctx, 12
+		var mu sync.Mutex
+		var finishErrs []error
+		cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+			if _, width := extentWidth(refs); width <= s.windowBits {
+				t.Errorf("%s: an extent fits one window; the cancel would not land inside the ordering", name)
+			}
+			cancel()
+			err := s.orderProbe(w, part, refs)
+			mu.Lock()
+			finishErrs = append(finishErrs, err)
+			mu.Unlock()
+			return err
+		}
+		err := r.staged(cfg)
+		done()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: join cancelled inside the ordering returned %v", name, err)
+		}
+		if len(finishErrs) == 0 {
+			t.Fatalf("%s: no finish ran", name)
+		}
+		for _, err := range finishErrs {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: orderProbe returned %v: the cancel was not seen inside the ordering recursion", name, err)
+			}
+		}
+	}
 }
 
 // newTestRun builds a joinRun over a fresh TmpDir the way DB.Run does,
 // for tests that drive the skeleton directly: to narrow the per-pass
-// fan-out or wrap a finish — the things no request can do — and to look
-// at the arena before it is unlinked. The returned teardown closes the
-// arena, the limiter and the pool and fails the test if a temporary is
-// left behind.
-func newTestRun(t testing.TB, db *DB, workers int, grant int64, tel *JoinTelemetry) (*joinRun, func()) {
+// fan-out or the probe window, or wrap a finish — the things no request
+// can do — and to look at the arena before it is unlinked. The returned
+// teardown closes the arena and the pool and fails the test if a
+// temporary is left behind.
+func newTestRun(t testing.TB, db *DB, workers int, tel *JoinTelemetry) (*joinRun, func()) {
 	t.Helper()
 	p := exec.NewPool(workers)
-	lim := newMemLimiter(grant, nil, tel)
 	tmp := t.TempDir()
-	r := newJoinRun(context.Background(), db, p, lim, tmp)
+	r := newJoinRun(context.Background(), db, p, tel, tmp)
 	return r, func() {
 		t.Helper()
 		r.tmp.close()
-		lim.close()
 		p.Close()
 		if left := segFiles(t, tmp); len(left) != 0 {
 			t.Fatalf("temporaries left behind: %v", left)
@@ -186,13 +222,32 @@ func newTestRun(t testing.TB, db *DB, workers int, grant int64, tel *JoinTelemet
 }
 
 // runStaged runs one staging configuration at the given fan-out.
-func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, grant int64, tel *JoinTelemetry) (JoinStats, error) {
+func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, tel *JoinTelemetry) (JoinStats, error) {
 	t.Helper()
-	r, done := newTestRun(t, db, workers, grant, tel)
+	r, done := newTestRun(t, db, workers, tel)
 	defer done()
 	r.fanBits = fanBits
 	err := r.staged(cfg)
 	return r.stats.total(), err
+}
+
+// retiredZero fails the test unless the four probe-table counters that
+// JoinTelemetry keeps for the benchmark harness read zero.
+func retiredZero(t testing.TB, tel *JoinTelemetry) {
+	t.Helper()
+	if r, rr, sp, pk := tel.Restages.Load(), tel.RestagedRefs.Load(), tel.StreamProbes.Load(), tel.PeakTableBytes.Load(); r|rr|sp|pk != 0 {
+		t.Fatalf("retired counters moved: %d restages, %d restaged refs, %d stream probes, %d peak table bytes", r, rr, sp, pk)
+	}
+}
+
+// extentWidth is what orderProbe reads off an extent: its least S
+// offset and the bit width of its span.
+func extentWidth(refs []ref) (lo Ptr, width int) {
+	lo, hi := refs[0].off, refs[0].off
+	for _, e := range refs {
+		lo, hi = min(lo, e.off), max(hi, e.off)
+	}
+	return lo, bits.Len64(uint64(hi - lo))
 }
 
 // TestKernelMultiPassDeep drives the partitioning through three radix
@@ -208,7 +263,7 @@ func TestKernelMultiPassDeep(t *testing.T) {
 			for _, bits := range []int{4, radix.Bits} {
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 					var tel JoinTelemetry
-					got, err := runStaged(t, db, cfg, bits, w, 0, &tel)
+					got, err := runStaged(t, db, cfg, bits, w, &tel)
 					if err != nil {
 						t.Fatalf("%s bits=%d w=%d: %v", name, bits, w, err)
 					}
@@ -224,39 +279,37 @@ func TestKernelMultiPassDeep(t *testing.T) {
 	}
 }
 
-// TestKernelGridUnderGrant re-runs a slice of the grid with a grant
-// small enough to force restaging and hot-key streaming, so the batched
-// kernels are also exercised on the spill paths — at the constant
-// fan-out and, in-package, at the narrow one.
+// TestKernelGridUnderGrant re-runs a slice of the grid on the hot-key
+// store at grants from one that fits nothing (MRproc 64 B: K clamps to
+// one bucket per reference) through 32 KiB to unbounded, at the
+// constant fan-out and, in-package, at the narrow one. The grant now
+// reaches the join only through K and the resident prefix, so every
+// point is exact and no retired counter moves.
 func TestKernelGridUnderGrant(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
-	const grant = int64(32 << 10)
-	for name, cfg := range map[string]staging{"grace": db.grace(40), "hybrid-hash": db.hybridHash(40, 0)} {
-		for _, bits := range []int{4, radix.Bits} {
-			var tel JoinTelemetry
-			got, err := runStaged(t, db, cfg, bits, 0, grant, &tel)
-			if err != nil {
-				t.Fatalf("%s bits=%d: %v", name, bits, err)
-			}
-			if got != want {
-				t.Fatalf("%s bits=%d: got %+v want %+v", name, bits, got, want)
-			}
-			if peak := tel.PeakTableBytes.Load(); peak > grant {
-				t.Fatalf("%s bits=%d: peak %d exceeds grant %d", name, bits, peak, grant)
-			}
-			if tel.Restages.Load() == 0 || tel.StreamProbes.Load() == 0 {
-				t.Fatalf("%s bits=%d: grant forced %d restages and %d stream probes, want both",
-					name, bits, tel.Restages.Load(), tel.StreamProbes.Load())
+	for _, mrproc := range []int64{64, 32 << 10, 0} {
+		k := db.deriveK(mrproc)
+		for name, cfg := range map[string]staging{"grace": db.grace(k), "hybrid-hash": db.hybridHash(k, db.deriveResident(mrproc))} {
+			for _, bits := range []int{4, radix.Bits} {
+				var tel JoinTelemetry
+				got, err := runStaged(t, db, cfg, bits, 0, &tel)
+				if err != nil {
+					t.Fatalf("%s mrproc=%d bits=%d: %v", name, mrproc, bits, err)
+				}
+				if got != want {
+					t.Fatalf("%s mrproc=%d bits=%d: got %+v want %+v", name, mrproc, bits, got, want)
+				}
+				retiredZero(t, &tel)
 			}
 		}
 	}
 }
 
 // The map reference kernel: one bucket joined through a per-bucket Go
-// map, one pair at a time. It was the probe kernel before the flat
-// table and lives on only here, as what the flat table is gated
-// against.
+// map, one pair at a time, in S address order. It was the probe kernel
+// before the flat table, which orderProbe replaced in turn, and lives on
+// only here, as what the finish is gated against.
 
 // probeBucketMap joins one bucket of staged references through a Go
 // map, dereferencing each pair through the relation API.
@@ -280,15 +333,14 @@ func (db *DB) probeBucketMap(b bucket, st *JoinStats) {
 }
 
 // bucketSet is a database's Grace buckets, materialized once so the
-// probe stage can be driven — and timed — in isolation, partitioning
-// excluded: TestKernelFlatMatchesMap probes the same buckets through
-// both kernels, BenchmarkProbeKernelFlat probes them repeatedly and
-// reports ns and allocations per pass.
+// finish can be driven — and timed — in isolation, staging excluded:
+// TestKernelOrderProbeMatchesMap finishes the buckets and probes them
+// through the map kernel, BenchmarkOrderProbe finishes them repeatedly
+// and reports ns and allocations per pass.
 type bucketSet struct {
 	buckets []bucket
-	refs    int64 // one probe pass folds exactly this many pairs
-	kern    *joinKernel
-	arena   probeArena
+	refs    int64 // one pass folds exactly this many pairs
+	s       *stagedRun
 }
 
 // bucket is one non-empty Grace bucket: an extent of the run's temp
@@ -300,16 +352,21 @@ type bucket struct {
 
 // graceBuckets partitions R into k order-preserving Grace buckets per S
 // partition and keeps the non-empty ones: the Grace staging with a
-// finish that records each bucket instead of probing it, on one worker.
-// The arena the buckets live in is closed, and checked gone, when the
-// test ends.
-func graceBuckets(t testing.TB, db *DB, k int) *bucketSet {
+// finish that records each bucket instead of probing it, on one worker,
+// whose probe window is then narrowed to 2^windowBits bytes. Every
+// bucket must fit a morsel, so that orderProbe probes each window inline
+// on the calling worker and never needs the staging's job. The arena the
+// buckets live in is closed, and checked gone, when the test ends.
+func graceBuckets(t testing.TB, db *DB, k, windowBits int) *bucketSet {
 	t.Helper()
-	r, done := newTestRun(t, db, 1, 0, nil)
+	r, done := newTestRun(t, db, 1, nil)
 	t.Cleanup(done)
-	bs := &bucketSet{kern: r.kern}
+	bs := &bucketSet{}
 	cfg := db.grace(k)
 	cfg.finish = func(_ *stagedRun, _, part int, refs []ref) error {
+		if len(refs) > morselObjs {
+			return fmt.Errorf("a bucket of %d references exceeds a morsel", len(refs))
+		}
 		bs.buckets = append(bs.buckets, bucket{part, refs})
 		bs.refs += int64(len(refs))
 		return nil
@@ -317,17 +374,21 @@ func graceBuckets(t testing.TB, db *DB, k int) *bucketSet {
 	if err := r.staged(cfg); err != nil {
 		t.Fatal(err)
 	}
+	r.windowBits = windowBits
+	bs.s = &stagedRun{joinRun: r, staging: cfg}
 	return bs
 }
 
-// probeFlat probes every bucket through the flat arena-backed table.
-// After the first call the arena has reached its high-water capacity
-// and later calls allocate nothing.
-func (bs *bucketSet) probeFlat() JoinStats {
-	var st JoinStats
+// orderProbe finishes every bucket of the set on worker 0 and returns
+// what the pass folded.
+func (bs *bucketSet) orderProbe(t testing.TB) JoinStats {
 	for _, b := range bs.buckets {
-		bs.kern.probeFlat(&bs.arena, b.part, b.refs, &st)
+		if err := bs.s.orderProbe(0, b.part, b.refs); err != nil {
+			t.Fatal(err)
+		}
 	}
+	st := bs.s.stats.total()
+	clear(bs.s.stats)
 	return st
 }
 
@@ -340,31 +401,81 @@ func probeMap(db *DB, bs *bucketSet) JoinStats {
 	return st
 }
 
-// TestKernelFlatMatchesMap is the differential gate between the two
-// probe kernels on identical buckets: flat table vs the reference
-// Go map vs ground truth.
-func TestKernelFlatMatchesMap(t *testing.T) {
-	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
-		db := mk(t, 5000)
-		want := db.ExpectedStats()
-		bs := graceBuckets(t, db, 37)
-		if got := probeMap(db, bs); got != want {
-			t.Fatalf("probeMap: got %+v want %+v", got, want)
+// TestKernelOrderProbeMatchesMap is the differential gate on the one
+// finish: on identical buckets, orderProbe and the map kernel both fold
+// the ground truth, and afterwards every bucket's window index,
+// (off − lo) >> windowBits with lo its least offset, is non-decreasing
+// along the extent. The inputs cover the finish's shapes: one hot key
+// (a span of one object), buckets spanning a whole S partition over
+// many windows, the Zipf store, and a window and fan-out narrow enough
+// that the ordering recurses at least two levels.
+func TestKernelOrderProbeMatchesMap(t *testing.T) {
+	hot := func(t testing.TB, nr int) *DB {
+		db := makeDB(t, nr)
+		p := SPtr{Part: 1, Off: db.S[1].PtrAt(7)}
+		for _, ri := range db.R {
+			for x := range ri.Count() {
+				EncodeSPtr(ri.Object(x), p)
+			}
 		}
-		if got := bs.probeFlat(); got != want {
-			t.Fatalf("probeFlat: got %+v want %+v", got, want)
+		return db
+	}
+	for _, c := range []struct {
+		name                string
+		mk                  func(testing.TB, int) *DB
+		k, fanBits, winBits int
+		minLevels           int // ordering levels the widest bucket needs
+	}{
+		{"hot-key", hot, 4, radix.Bits, windowBits, 0},
+		{"whole-partition", makeDB, 1, radix.Bits, 12, 1},
+		{"zipf", zipfDB, 37, radix.Bits, 9, 1},
+		{"two-level", makeDB, 2, 2, 8, 2},
+	} {
+		db := c.mk(t, 4000)
+		want := db.ExpectedStats()
+		bs := graceBuckets(t, db, c.k, c.winBits)
+		bs.s.fanBits = c.fanBits
+		levels := 0
+		for _, b := range bs.buckets {
+			_, width := extentWidth(b.refs)
+			levels = max(levels, (max(width-c.winBits, 0)+c.fanBits-1)/c.fanBits)
+		}
+		if levels < c.minLevels {
+			t.Fatalf("%s: the widest bucket needs %d ordering levels, the case is meant to reach %d", c.name, levels, c.minLevels)
+		}
+		if got := probeMap(db, bs); got != want {
+			t.Fatalf("%s: map kernel: got %+v want %+v", c.name, got, want)
+		}
+		if got := bs.orderProbe(t); got != want {
+			t.Fatalf("%s: orderProbe: got %+v want %+v", c.name, got, want)
+		}
+		for i, b := range bs.buckets {
+			lo, _ := extentWidth(b.refs)
+			prev := Ptr(0)
+			for x, e := range b.refs {
+				win := (e.off - lo) >> c.winBits
+				if win < prev {
+					t.Fatalf("%s: bucket %d: window %d at %d follows window %d", c.name, i, win, x, prev)
+				}
+				prev = win
+			}
 		}
 	}
 }
 
-// TestKernelProbeFlatZeroAllocs: after the first pass has grown the
-// arena to its high-water capacity, the flat probe path allocates
-// nothing — the steady state the per-bucket Go map could never reach.
-func TestKernelProbeFlatZeroAllocs(t *testing.T) {
-	bs := graceBuckets(t, makeDB(t, 5000), 37)
-	bs.probeFlat() // warm the arena
-	if allocs := testing.AllocsPerRun(5, func() { bs.probeFlat() }); allocs != 0 {
-		t.Fatalf("steady-state probeFlat allocates %.1f times per pass", allocs)
+// TestKernelOrderProbeZeroAllocs: an extent within one window and one
+// morsel — every bucket of a skewed store's thousands, on the benchmark
+// — is probed inline with no allocation at all: no task, no closure, no
+// table.
+func TestKernelOrderProbeZeroAllocs(t *testing.T) {
+	bs := graceBuckets(t, makeDB(t, 5000), 37, windowBits)
+	for _, b := range bs.buckets {
+		if _, width := extentWidth(b.refs); width > windowBits {
+			t.Fatalf("a bucket spans 2^%d bytes, more than one window", width)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { bs.orderProbe(t) }); allocs != 0 {
+		t.Fatalf("finishing in-window extents allocates %.1f times per pass", allocs)
 	}
 }
 
@@ -390,26 +501,6 @@ func TestKernelRadixPlan(t *testing.T) {
 		if passes != c.passes || span != c.span {
 			t.Errorf("radix.Plan(%d, %d) = (%d, %d), want (%d, %d)",
 				c.k, c.bits, passes, span, c.passes, c.span)
-		}
-	}
-}
-
-// TestKernelTableSlots pins the load-factor geometry tableBytesFor and
-// the grant accounting are built on.
-func TestKernelTableSlots(t *testing.T) {
-	cases := []struct {
-		refs  int
-		slots int64
-	}{
-		{0, 8}, {1, 8}, {6, 8}, {7, 16}, {12, 16}, {13, 32},
-		{3072, 4096}, {3073, 8192}, {4000, 8192},
-	}
-	for _, c := range cases {
-		if got := tableSlots(c.refs); got != c.slots {
-			t.Errorf("tableSlots(%d) = %d, want %d", c.refs, got, c.slots)
-		}
-		if bytes := tableBytesFor(c.refs); bytes < int64(c.refs)*16 {
-			t.Errorf("tableBytesFor(%d) = %d below the per-ref floor", c.refs, bytes)
 		}
 	}
 }

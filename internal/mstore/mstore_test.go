@@ -324,7 +324,7 @@ func TestHybridHashRealStore(t *testing.T) {
 	// A request derives the resident fraction from MRproc; the fixed
 	// fractions go to the staging configuration directly.
 	for _, frac := range []float64{0, 0.3, 0.7, 1.0} {
-		st, err := runStaged(t, db, db.hybridHash(6, frac), radix.Bits, 2, 0, nil)
+		st, err := runStaged(t, db, db.hybridHash(6, frac), radix.Bits, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 			mu.Unlock()
 			return finish(s, w, part, refs)
 		}
-		r, done := newTestRun(t, db, 2, 0, &tel)
+		r, done := newTestRun(t, db, 2, &tel)
 		err := r.staged(cfg)
 		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
 		done()

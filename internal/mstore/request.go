@@ -24,10 +24,9 @@ import (
 //   - MRproc is the per-goroutine private-memory grant in bytes, the
 //     real-store analogue of join.Params.MRproc. Grace derives its
 //     bucket count K from it with the simulator's rule
-//     K = ⌈fuzz·|RSi|·r / MRproc⌉ (fuzz is radix.Fuzz), hybrid-hash
+//     K = ⌈fuzz·|RSi|·r / MRproc⌉ (fuzz is radix.Fuzz), and hybrid-hash
 //     sizes its resident S prefix as the part of an S partition that
-//     fits in MRproc, and the join's probe tables are metered against
-//     D·MRproc — the one memory number a join takes (§7).
+//     fits in MRproc — the one memory number a join takes (§7).
 //   - K overrides that derivation exactly as in join.Params.
 //
 // The pointer vocabularies map as follows: the simulator's
@@ -38,27 +37,20 @@ type JoinRequest struct {
 	Algorithm join.Algorithm
 
 	// MRproc is the private memory grant per partition goroutine, bytes.
-	// The D grants pool into the join-wide probe budget D·MRproc for
-	// Grace/hybrid-hash: the total counted size of concurrently built
-	// bucket tables never exceeds it — an oversized bucket restages into
-	// sub-buckets, and one that names a single S object joins in extent
-	// order with no table. Zero means unbounded: one bucket, nothing
-	// resident, no probe bound.
+	// It shapes the plan — Grace/hybrid-hash K and the hybrid-hash
+	// resident prefix — and is not metered while the join runs: every
+	// finish orders its extent in place in the temp arena, so no
+	// structure grows with a bucket. Zero means unbounded: one bucket,
+	// nothing resident.
 	MRproc int64
 
 	// K is the Grace/hybrid-hash bucket count; 0 derives it from MRproc.
 	K int
 
-	// Telemetry, when non-nil, receives the join's memory-adaptation
-	// counters (temp files, restages, stream probes, renegotiations,
-	// peak table bytes). The struct must be zero-valued or the counts
+	// Telemetry, when non-nil, receives the join's counters (temp files
+	// and radix passes). The struct must be zero-valued or the counts
 	// accumulate across joins, which is also a supported use.
 	Telemetry *JoinTelemetry
-
-	// Negotiator, when non-nil, lets a join that discovers it was
-	// under-granted ask for memory beyond D·MRproc before it falls back
-	// to restaging; everything obtained is given back when Run returns.
-	Negotiator GrantNegotiator
 
 	// TmpDir holds the join's temp arena; "" creates a fresh per-call
 	// directory under the db dir (removed on return). An explicit TmpDir
@@ -190,8 +182,8 @@ func (db *DB) CountS() int {
 // calls sharing req.Pool additionally share its CPU bound.
 //
 // Everything the operators share is set up and torn down here, once:
-// the temp directory, the pool, the grant limiter and the joinRun that
-// owns the kernel, the per-worker accumulators and the temp arena.
+// the temp directory, the pool and the joinRun that owns the kernel,
+// the telemetry, the per-worker accumulators and the temp arena.
 func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	if err := req.withDefaults(db); err != nil {
 		return JoinStats{}, err
@@ -215,9 +207,7 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		p = exec.NewPool(req.Workers)
 		defer p.Close()
 	}
-	lim := newMemLimiter(req.MRproc*int64(db.D), req.Negotiator, req.Telemetry)
-	defer lim.close()
-	r := newJoinRun(ctx, db, p, lim, req.TmpDir)
+	r := newJoinRun(ctx, db, p, req.Telemetry, req.TmpDir)
 	defer r.tmp.close()
 
 	var err error

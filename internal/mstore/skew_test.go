@@ -12,7 +12,6 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/radix"
 )
 
 // zipfDB rewrites the db's R pointers into a Zipf-like worst case: one
@@ -43,148 +42,105 @@ func zipfDB(t testing.TB, nr int) *DB {
 	return db
 }
 
-// TestSkewGrantBoundedGraceHybrid is the tentpole invariant: under a
-// hot-key workload with a deliberately undersized grant, Grace and
-// hybrid-hash complete with bit-identical Pairs/Signature vs the
-// unbounded baseline, while the measured peak of counted probe-table
-// bytes never exceeds the grant D·MRproc. Grace's hot bucket's table
-// alone (tableBytesFor(4000) ≈ 158 KiB: 8192 slots · 12 B + 4000 refs ·
-// 16 B) cannot fit the 32 KiB grant, so the join must restage it and
-// ultimately stream the hot key; hybrid-hash keeps the hot key (index 0)
-// in the resident prefix its MRproc derives, so it owes only the bound.
+// skewGrants are the per-partition grants the skew tests sweep: one no
+// structure could fit (64 B, which clamps K to one bucket per
+// reference), a tight one (32 KiB) and none at all.
+var skewGrants = []int64{64, 32 << 10, 0}
+
+// TestSkewGrantBoundedGraceHybrid: under the hot-key workload, where
+// one Grace bucket holds half of R whatever K says, Grace and hybrid
+// hash produce the ground truth at every grant and worker count. The
+// grant reaches them only as K and the hybrid-hash resident prefix: the
+// hot bucket is ordered and probed in place in the arena like any
+// other, so no grant is too small, nothing is metered, and no retired
+// counter moves.
 func TestSkewGrantBoundedGraceHybrid(t *testing.T) {
 	db := zipfDB(t, 8000)
 	want := db.ExpectedStats()
-	const grant = 32 << 10
-	mrproc := int64(grant / db.D)
-
 	for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
 		for _, w := range []int{1, 4} {
-			base, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 4, Workers: w,
-				TmpDir: filepath.Join(t.TempDir(), "base"),
-			})
-			if err != nil {
-				t.Fatalf("%v unbounded: %v", alg, err)
-			}
-			if base != want {
-				t.Fatalf("%v unbounded: %+v, want %+v", alg, base, want)
-			}
-
-			tel := &JoinTelemetry{}
-			st, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 4, Workers: w,
-				MRproc: mrproc, Telemetry: tel,
-				TmpDir: filepath.Join(t.TempDir(), "bounded"),
-			})
-			if err != nil {
-				t.Fatalf("%v bounded: %v", alg, err)
-			}
-			if st != want {
-				t.Fatalf("%v bounded workers=%d: %+v, want %+v", alg, w, st, want)
-			}
-			if peak := tel.PeakTableBytes.Load(); peak > grant {
-				t.Fatalf("%v workers=%d: peak table bytes %d exceed grant %d", alg, w, peak, grant)
-			}
-			if alg != join.Grace {
-				continue
-			}
-			if tel.Restages.Load() < 1 {
-				t.Errorf("%v workers=%d: oversized bucket never restaged", alg, w)
-			}
-			if tel.StreamProbes.Load() < 1 {
-				t.Errorf("%v workers=%d: hot-key bucket never streamed", alg, w)
+			for _, mrproc := range skewGrants {
+				tel := &JoinTelemetry{}
+				st, err := db.Run(JoinRequest{
+					Algorithm: alg, Workers: w, MRproc: mrproc, Telemetry: tel,
+					TmpDir: filepath.Join(t.TempDir(), "tmp"),
+				})
+				if err != nil {
+					t.Fatalf("%v workers=%d mrproc=%d: %v", alg, w, mrproc, err)
+				}
+				if st != want {
+					t.Fatalf("%v workers=%d mrproc=%d: %+v, want %+v", alg, w, mrproc, st, want)
+				}
+				retiredZero(t, tel)
 			}
 		}
 	}
 }
 
 // TestSkewZipfCorpusAllAlgorithms is the conformance corpus: the
-// hot-key workload across all four algorithms × worker counts, each
-// result bit-identical to the pointer-walk ground truth. Under -race it
-// additionally exercises concurrent appends, restages, and the shared
-// memory limiter.
+// hot-key workload across all four algorithms × worker counts × grants,
+// each result bit-identical to the pointer-walk ground truth. Under
+// -race it additionally exercises concurrent claims on the arena and
+// concurrent in-place ordering of its extents.
 func TestSkewZipfCorpusAllAlgorithms(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
 	for _, alg := range algs {
 		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			tel := &JoinTelemetry{}
-			st, err := db.Run(JoinRequest{
-				Algorithm: alg, K: 3, Workers: w,
-				MRproc: 12 << 10, Telemetry: tel,
-				TmpDir: filepath.Join(t.TempDir(), fmt.Sprintf("%v-%d", alg, w)),
-			})
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", alg, w, err)
-			}
-			if st != want {
-				t.Fatalf("%v workers=%d: %+v, want %+v", alg, w, st, want)
-			}
-			if peak := tel.PeakTableBytes.Load(); peak > 48<<10 {
-				t.Fatalf("%v workers=%d: peak %d over grant", alg, w, peak)
+			for _, mrproc := range skewGrants {
+				st, err := db.Run(JoinRequest{
+					Algorithm: alg, Workers: w, MRproc: mrproc,
+					TmpDir: filepath.Join(t.TempDir(), fmt.Sprintf("%v-%d", alg, w)),
+				})
+				if err != nil {
+					t.Fatalf("%v workers=%d mrproc=%d: %v", alg, w, mrproc, err)
+				}
+				if st != want {
+					t.Fatalf("%v workers=%d mrproc=%d: %+v, want %+v", alg, w, mrproc, st, want)
+				}
 			}
 		}
 	}
 }
 
-// TestSkewRenegotiationGrowsGrant: a negotiator with spare memory lets
-// the oversized bucket's table build in place of restaging, and every
-// renegotiated byte is given back when the join returns.
-func TestSkewRenegotiationGrowsGrant(t *testing.T) {
-	db := zipfDB(t, 4000)
-	want := db.ExpectedStats()
-	neg := &fakeNegotiator{spare: 1 << 20}
-	tel := &JoinTelemetry{}
-	st, err := db.Run(JoinRequest{
-		Algorithm: join.Grace, K: 4, MRproc: 4 << 10,
-		Telemetry: tel, Negotiator: neg,
-		TmpDir: filepath.Join(t.TempDir(), "tmp"),
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestSkewGraceHeapFlatInR counts the heap a Grace join allocates
+// (runtime.MemStats.TotalAlloc, least of three joins) on the hot-key
+// store at K=4, for 8,000 and for 80,000 objects. Half of R lands in one
+// bucket, and a probe table for it took 16 B or more per reference. The
+// staged references live in the mapped arena instead, ordered in place,
+// so ten times the references may add less than one heap byte per added
+// object — what is left grows with the morsel count only. One worker,
+// because each worker that runs a scan morsel allocates its own scratch
+// once, and with more than one that depends on the schedule.
+func TestSkewGraceHeapFlatInR(t *testing.T) {
+	p := exec.NewPool(1)
+	defer p.Close()
+	heap := func(nr int) uint64 {
+		db := zipfDB(t, nr)
+		want := db.ExpectedStats()
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			st, err := db.Run(JoinRequest{Algorithm: join.Grace, K: 4, Pool: p})
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != want {
+				t.Fatalf("%d objects: %+v, want %+v", nr, st, want)
+			}
+			least = min(least, ms.TotalAlloc-before)
+		}
+		return least
 	}
-	if st != want {
-		t.Fatalf("stats %+v, want %+v", st, want)
+	small, large := heap(8000), heap(80000)
+	if large > small+72000 {
+		t.Fatalf("a Grace join allocates %d heap bytes at 8,000 objects and %d at 80,000: the heap grows with |R|", small, large)
 	}
-	if tel.Renegotiations.Load() < 1 {
-		t.Fatal("under-granted join never renegotiated")
-	}
-	if tel.Restages.Load() != 0 {
-		t.Errorf("restaged %d times despite available renegotiation", tel.Restages.Load())
-	}
-	neg.mu.Lock()
-	defer neg.mu.Unlock()
-	if neg.out != 0 {
-		t.Fatalf("%d renegotiated bytes never given back", neg.out)
-	}
-	if peak := tel.PeakTableBytes.Load(); peak > 16<<10+tel.ExtraGrantBytes.Load() {
-		t.Fatalf("peak %d exceeds grant+extra %d", peak, 16<<10+tel.ExtraGrantBytes.Load())
-	}
-}
-
-// fakeNegotiator grants growth from a fixed spare pool.
-type fakeNegotiator struct {
-	mu    sync.Mutex
-	spare int64
-	out   int64
-}
-
-func (f *fakeNegotiator) TryGrow(bytes int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if bytes > f.spare-f.out {
-		return false
-	}
-	f.out += bytes
-	return true
-}
-
-func (f *fakeNegotiator) GiveBack(bytes int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.out -= bytes
+	t.Logf("heap per Grace join: %d B at 8,000 objects, %d B at 80,000", small, large)
 }
 
 // TestSkewConcurrentDefaultTmpDirGrace is the regression for the shared
@@ -239,9 +195,9 @@ func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 		mu.Lock()
 		starts = s.starts
 		mu.Unlock()
-		return s.tableProbe(w, part, refs)
+		return s.orderProbe(w, part, refs)
 	}
-	r, done := newTestRun(t, db, 2, 0, tel)
+	r, done := newTestRun(t, db, 2, tel)
 	err := r.staged(cfg)
 	arenaBytes := r.tmp.seg.Size()
 	done()
@@ -294,106 +250,6 @@ func TestRankBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestSkewStreamProbeDegenerateGrant: under a grant no table fits (the
-// smallest is 112 bytes) every bucket restages down to single keys and
-// joins them in extent order — exactly, and without reserving a byte:
-// tables are the only thing the limiter meters.
-func TestSkewStreamProbeDegenerateGrant(t *testing.T) {
-	db := zipfDB(t, 2000)
-	want := db.ExpectedStats()
-	tel := &JoinTelemetry{}
-	st, err := db.Run(JoinRequest{
-		Algorithm: join.Grace, K: 2, MRproc: 16, Telemetry: tel,
-		TmpDir: filepath.Join(t.TempDir(), "tmp"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != want {
-		t.Fatalf("stats %+v, want %+v", st, want)
-	}
-	if tel.StreamProbes.Load() < 1 {
-		t.Fatal("no bucket streamed under a 64-byte grant")
-	}
-	if peak := tel.PeakTableBytes.Load(); peak != 0 {
-		t.Fatalf("reserved %d bytes under a 64-byte grant that fits no table", peak)
-	}
-}
-
-// TestSkewProbeLadder pins the two rungs below "the table fits" on
-// buckets built for them, under the same 64-byte grant: a bucket naming
-// two S objects restages — once, into two single-key sub-buckets; it is
-// never streamed whole — and a bucket naming one S object streams
-// without a restage. Neither reserves a byte, both are exact.
-func TestSkewProbeLadder(t *testing.T) {
-	for _, c := range []struct {
-		keys              int
-		restages, streams int64
-	}{{keys: 2, restages: 1, streams: 2}, {keys: 1, restages: 0, streams: 1}} {
-		db := makeDB(t, 400)
-		s0 := db.S[0]
-		n := 0
-		for _, ri := range db.R {
-			for x := 0; x < ri.Count(); x++ {
-				EncodeSPtr(ri.Object(x), SPtr{Part: 0, Off: s0.PtrAt(n % c.keys * (s0.Count() - 1))})
-				n++
-			}
-		}
-		tel := &JoinTelemetry{}
-		st, err := runStaged(t, db, db.grace(1), radix.Bits, 2, 64, tel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := db.ExpectedStats(); st != want {
-			t.Errorf("%d keys: stats %+v, want %+v", c.keys, st, want)
-		}
-		if r, s := tel.Restages.Load(), tel.StreamProbes.Load(); r != c.restages || s != c.streams {
-			t.Errorf("%d keys: %d restages and %d stream probes, want %d and %d", c.keys, r, s, c.restages, c.streams)
-		}
-		if peak := tel.PeakTableBytes.Load(); peak != 0 {
-			t.Errorf("%d keys: reserved %d bytes for no table", c.keys, peak)
-		}
-	}
-}
-
-// TestMemLimiterConcurrentReservations hammers one limiter from many
-// goroutines and checks the accounting balances and the peak honors the
-// budget.
-func TestMemLimiterConcurrentReservations(t *testing.T) {
-	tel := &JoinTelemetry{}
-	lim := newMemLimiter(1000, nil, tel)
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if !lim.reserve(100) {
-					t.Error("fitting reservation denied")
-					return
-				}
-				lim.release(100)
-			}
-		}()
-	}
-	wg.Wait()
-	if lim.used != 0 {
-		t.Fatalf("leaked %d reserved bytes", lim.used)
-	}
-	if peak := tel.PeakTableBytes.Load(); peak > 1000 {
-		t.Fatalf("peak %d over budget 1000", peak)
-	}
-	if lim.reserve(1001) {
-		t.Fatal("impossible reservation accepted")
-	}
-	// An unbounded limiter accounts but never denies.
-	free := newMemLimiter(0, nil, nil)
-	if !free.reserve(1 << 40) {
-		t.Fatal("unbounded limiter denied")
-	}
-	free.release(1 << 40)
-}
-
 // TestSkewExplicitTmpDirStillWorks: an explicit caller-unique TmpDir
 // keeps working (and is the caller's to clean up).
 func TestSkewExplicitTmpDirStillWorks(t *testing.T) {
@@ -413,8 +269,9 @@ func TestSkewExplicitTmpDirStillWorks(t *testing.T) {
 }
 
 // TestSkewSharedPoolBoundedJoins: bounded skewed joins on one shared
-// pool — restage recursion runs inline in probe tasks, so this must not
-// deadlock the work-stealing pool — and results stay exact.
+// pool — the ordering recursion runs inline in finish tasks and hands
+// large windows back to the pool, so this must not deadlock the
+// work-stealing pool — and results stay exact.
 func TestSkewSharedPoolBoundedJoins(t *testing.T) {
 	db := zipfDB(t, 4000)
 	want := db.ExpectedStats()

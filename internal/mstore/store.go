@@ -91,8 +91,8 @@ type ShardInfo struct {
 }
 
 // ShardJoinStat is one shard's contribution to a scatter-gather join:
-// the per-shard statistics and memory-adaptation telemetry a router
-// folds into the merged response.
+// the per-shard statistics and telemetry a router folds into the merged
+// response.
 type ShardJoinStat struct {
 	Shard     string
 	Algorithm string // the algorithm this shard executed (per-shard planning may differ)
@@ -100,13 +100,8 @@ type ShardJoinStat struct {
 	Signature uint64
 	ElapsedNs int64
 
-	Restages       int64
-	RestagedRefs   int64
-	StreamProbes   int64
-	Renegotiations int64
-	RadixPasses    int64
-	PeakTableBytes int64
-	TempFiles      int64
+	RadixPasses int64
+	TempFiles   int64
 }
 
 // ShardRunner is the optional capability of sharded stores: Run with

@@ -49,12 +49,10 @@ type Admission struct {
 	maxQueue int
 	queue    []*waiter
 
-	admitted     int64 // grants charged (immediate + after queueing)
-	queued       int64 // grants that had to wait
-	rejected     int64 // ErrSaturated rejections
-	canceled     int64 // waiters abandoned by context cancellation
-	renegotiated int64 // mid-join TryAcquire growths granted
-	renegDenied  int64 // mid-join TryAcquire growths refused
+	admitted int64 // grants charged (immediate + after queueing)
+	queued   int64 // grants that had to wait
+	rejected int64 // ErrSaturated rejections
+	canceled int64 // waiters abandoned by context cancellation
 }
 
 // NewAdmission creates a controller over a byte budget with at most
@@ -125,30 +123,6 @@ func (a *Admission) Acquire(ctx context.Context, bytes int64) error {
 	}
 }
 
-// TryAcquire charges bytes immediately if they fit the budget right now
-// and nobody is queued ahead, and reports whether it did. It never
-// waits: it is the mid-join renegotiation path (mstore.GrantNegotiator),
-// called by an executing join that discovered its grant was too small —
-// blocking there would hold the original grant while waiting for more,
-// a deadlock recipe, and jumping ahead of queued waiters would break the
-// controller's strict-FIFO fairness. A denial is not an error: the join
-// restages or streams under its original grant instead.
-func (a *Admission) TryAcquire(bytes int64) bool {
-	if bytes <= 0 {
-		return false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.queue) > 0 || a.used+bytes > a.budget {
-		a.renegDenied++
-		return false
-	}
-	a.charge(bytes)
-	a.admitted-- // charge counts admissions; a growth is not a new join
-	a.renegotiated++
-	return true
-}
-
 // Release returns bytes to the budget and admits as many queued waiters
 // as now fit, in arrival order.
 func (a *Admission) Release(bytes int64) {
@@ -201,10 +175,6 @@ type AdmissionStats struct {
 	Queued        int64 `json:"queued"`
 	Rejected      int64 `json:"rejected"`
 	Canceled      int64 `json:"canceled"`
-	// Renegotiated / RenegotiationsDenied count mid-join TryAcquire
-	// grant growths (granted and refused).
-	Renegotiated         int64 `json:"renegotiated"`
-	RenegotiationsDenied int64 `json:"renegotiationsDenied"`
 }
 
 // Stats snapshots the controller's counters and current occupancy.
@@ -221,8 +191,5 @@ func (a *Admission) Stats() AdmissionStats {
 		Queued:        a.queued,
 		Rejected:      a.rejected,
 		Canceled:      a.canceled,
-
-		Renegotiated:         a.renegotiated,
-		RenegotiationsDenied: a.renegDenied,
 	}
 }

@@ -157,17 +157,15 @@ func closedLoop(clients, n int, client func(c int) func(), after func(k int)) {
 	wg.Wait()
 }
 
-// sample takes one snapshot and checks the request and memory-adaptation
-// counters only ever grow. Snapshots are taken under the lock so two
+// sample takes one snapshot and checks the request and join counters
+// only ever grow. Snapshots are taken under the lock so two
 // clients' samples cannot be compared out of order.
 func (e *reconcileEnv) sample() {
 	e.sampleMu.Lock()
 	defer e.sampleMu.Unlock()
 	st := e.s.StatsSnapshot()
 	for _, name := range []string{
-		"join_requests_total", "lookups_total",
-		"grant_renegotiations_total", "grant_renegotiations_denied_total",
-		"spill_restages_total", "stream_probes_total", "temp_relations_total",
+		"join_requests_total", "lookups_total", "temp_relations_total", "radix_passes_total",
 	} {
 		if v := st.Counters[name]; v < e.last[name] {
 			e.t.Errorf("counter %s went backwards: %d -> %d", name, e.last[name], v)

@@ -127,10 +127,6 @@ type Server struct {
 	draining atomic.Bool
 	reqSeq   atomic.Int64
 
-	// peakTableBytes is the server-wide high-water mark of any single
-	// join's counted probe-table memory, exported as a gauge.
-	peakTableBytes atomic.Int64
-
 	// meanServiceNs is an EWMA of admitted-join execution time (the time
 	// a grant stays charged), the rate at which budget slots recycle. It
 	// feeds the dynamic Retry-After hint.
@@ -220,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Gauge("pool_queued_morsels", func() float64 { return float64(s.pool.Stats().Queued) })
 	s.reg.Gauge("pool_steals", func() float64 { return float64(s.pool.Stats().Steals) })
 	s.reg.Gauge("pool_executed_morsels", func() float64 { return float64(s.pool.Stats().Executed) })
-	s.reg.Gauge("probe_table_peak_bytes", func() float64 { return float64(s.peakTableBytes.Load()) })
 	// Admission occupancy as live gauges, so load tooling can watch the
 	// queue drain without diffing counters.
 	s.reg.Gauge("admission_queue_depth", func() float64 { return float64(s.adm.QueueDepth()) })
@@ -230,8 +225,6 @@ func New(cfg Config) (*Server, error) {
 	// before the first request arrives — client/server reconciliation
 	// diffs these keys and must find them on both snapshots.
 	for _, name := range []string{
-		"spill_restages_total", "spill_restaged_refs_total", "stream_probes_total",
-		"grant_renegotiations_total", "grant_renegotiations_denied_total",
 		"temp_relations_total",
 		"join_requests_total", "bad_requests", "errors_internal", "join_abandoned",
 		"rejected_saturated", "rejected_deadline", "rejected_too_large", "rejected_draining",
@@ -423,14 +416,7 @@ type JoinResponse struct {
 	ElapsedNs   int64       `json:"elapsedNs"` // execution, excluding queue
 	Plan        []PlanEntry `json:"plan,omitempty"`
 	PredictedNs int64       `json:"predictedNs,omitempty"` // model's per-join virtual-time estimate
-
-	// Memory-adaptation telemetry (Grace/hybrid-hash): how the join
-	// behaved when its grant was tight. Zero values are omitted.
-	Restages       int64 `json:"restages,omitempty"`       // oversized buckets re-partitioned in place
-	StreamProbes   int64 `json:"streamProbes,omitempty"`   // hot-key buckets joined by streaming
-	Renegotiations int64 `json:"renegotiations,omitempty"` // mid-join grant growths obtained
-	RadixPasses    int64 `json:"radixPasses,omitempty"`    // cache-conscious partitioning passes
-	PeakTableBytes int64 `json:"peakTableBytes,omitempty"` // high-water counted probe memory
+	RadixPasses int64       `json:"radixPasses,omitempty"` // cache-conscious partitioning passes
 
 	// Shards carries the per-shard breakdown of a scatter-gather join
 	// (sharded stores only): which algorithm each shard planned, its
@@ -441,27 +427,14 @@ type JoinResponse struct {
 
 // ShardJoinDetail is one shard's contribution on the wire.
 type ShardJoinDetail struct {
-	Shard          string `json:"shard"`
-	Algorithm      string `json:"algorithm"`
-	Pairs          int64  `json:"pairs"`
-	Signature      string `json:"signature"` // hex, same encoding as the merged one
-	ElapsedNs      int64  `json:"elapsedNs"`
-	Restages       int64  `json:"restages,omitempty"`
-	StreamProbes   int64  `json:"streamProbes,omitempty"`
-	Renegotiations int64  `json:"renegotiations,omitempty"`
-	RadixPasses    int64  `json:"radixPasses,omitempty"`
-	PeakTableBytes int64  `json:"peakTableBytes,omitempty"`
-	TempFiles      int64  `json:"tempFiles,omitempty"`
+	Shard       string `json:"shard"`
+	Algorithm   string `json:"algorithm"`
+	Pairs       int64  `json:"pairs"`
+	Signature   string `json:"signature"` // hex, same encoding as the merged one
+	ElapsedNs   int64  `json:"elapsedNs"`
+	RadixPasses int64  `json:"radixPasses,omitempty"`
+	TempFiles   int64  `json:"tempFiles,omitempty"`
 }
-
-// grantGrower adapts the admission controller to the store's mid-join
-// renegotiation interface: growth requests charge the shared budget
-// without waiting (and without jumping queued joins), give-backs release
-// into it.
-type grantGrower struct{ adm *Admission }
-
-func (g grantGrower) TryGrow(bytes int64) bool { return g.adm.TryAcquire(bytes) }
-func (g grantGrower) GiveBack(bytes int64)     { g.adm.Release(bytes) }
 
 // executable maps wire names onto the store's runnable algorithms.
 // index-nl and index-merge parse unconditionally; the store rejects
@@ -629,13 +602,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		// execute morsels (a sharded store substitutes its per-shard
 		// pools). Passing ctx aborts the join between morsels when the
 		// client abandons it, releasing the grant early. The grant
-		// charged at admission is the join's probe-memory bound
-		// (D·MRproc), and a join that outgrows it renegotiates against
-		// the same shared budget through the controller.
+		// charged at admission derives the join's K and resident prefix
+		// (through MRproc) and is held, unchanged, until the join ends.
 		jr := mstore.JoinRequest{
 			Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: tmp,
-			Telemetry: tel, Negotiator: grantGrower{s.adm},
-			Pool: s.pool, Ctx: ctx,
+			Telemetry: tel, Pool: s.pool, Ctx: ctx,
 		}
 		var out outcome
 		if s.shardRunner != nil {
@@ -661,18 +632,12 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		resp.Pairs = out.st.Pairs
 		resp.Signature = fmt.Sprintf("%016x", out.st.Signature)
 		resp.ElapsedNs = elapsed.Nanoseconds()
-		resp.Restages = tel.Restages.Load()
-		resp.StreamProbes = tel.StreamProbes.Load()
-		resp.Renegotiations = tel.Renegotiations.Load()
 		resp.RadixPasses = tel.RadixPasses.Load()
-		resp.PeakTableBytes = tel.PeakTableBytes.Load()
 		for _, det := range out.details {
 			resp.Shards = append(resp.Shards, ShardJoinDetail{
 				Shard: det.Shard, Algorithm: det.Algorithm,
 				Pairs: det.Pairs, Signature: fmt.Sprintf("%016x", det.Signature),
-				ElapsedNs: det.ElapsedNs, Restages: det.Restages,
-				StreamProbes: det.StreamProbes, Renegotiations: det.Renegotiations,
-				RadixPasses: det.RadixPasses, PeakTableBytes: det.PeakTableBytes,
+				ElapsedNs: det.ElapsedNs, RadixPasses: det.RadixPasses,
 				TempFiles: det.TempFiles,
 			})
 		}
@@ -684,23 +649,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// foldTelemetry rolls one finished join's memory-adaptation counters
-// into the server's /stats counters and peak gauge.
+// foldTelemetry rolls one finished join's counters into the server's
+// /stats counters.
 func (s *Server) foldTelemetry(tel *mstore.JoinTelemetry) {
-	s.add("spill_restages_total", tel.Restages.Load())
-	s.add("spill_restaged_refs_total", tel.RestagedRefs.Load())
-	s.add("stream_probes_total", tel.StreamProbes.Load())
-	s.add("grant_renegotiations_total", tel.Renegotiations.Load())
-	s.add("grant_renegotiations_denied_total", tel.RenegotiationsDenied.Load())
 	s.add("temp_relations_total", tel.TempFiles.Load())
 	s.add("radix_passes_total", tel.RadixPasses.Load())
-	for {
-		peak := tel.PeakTableBytes.Load()
-		cur := s.peakTableBytes.Load()
-		if peak <= cur || s.peakTableBytes.CompareAndSwap(cur, peak) {
-			return
-		}
-	}
 }
 
 // recordServiceTime folds one admitted join's grant-holding time into

@@ -239,11 +239,11 @@ func (r *Router) Run(req mstore.JoinRequest) (mstore.JoinStats, error) {
 //
 // Grant split: a positive req.MRproc is divided evenly across the
 // participating shards (each share floored at one page), so a shard's K
-// and resident-fraction derivations and its probe bound D·MRproc see
-// the shard's true budget; 0 stays unbounded on every shard. req.Pool
-// and req.Workers are ignored — each shard executes on its own pool.
-// req.Telemetry, when set, receives the folded per-shard telemetry
-// (counters sum, PeakTableBytes maxes).
+// and resident-fraction derivations see the shard's true budget; 0
+// stays unbounded on every shard. req.Pool and req.Workers are ignored
+// — each shard executes on its own pool. req.Telemetry, when set,
+// receives the folded per-shard telemetry (TempFiles sums, RadixPasses
+// maxes).
 //
 // With req.Algorithm == join.Auto each shard plans independently
 // through Config.PlanFunc against its own measured workload.
@@ -325,18 +325,13 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 			}
 			results[i] = result{
 				stat: mstore.ShardJoinStat{
-					Shard:          h.id,
-					Algorithm:      sub.Algorithm.String(),
-					Pairs:          st.Pairs,
-					Signature:      st.Signature,
-					ElapsedNs:      time.Since(start).Nanoseconds(),
-					Restages:       tel.Restages.Load(),
-					RestagedRefs:   tel.RestagedRefs.Load(),
-					StreamProbes:   tel.StreamProbes.Load(),
-					Renegotiations: tel.Renegotiations.Load(),
-					RadixPasses:    tel.RadixPasses.Load(),
-					PeakTableBytes: tel.PeakTableBytes.Load(),
-					TempFiles:      tel.TempFiles.Load(),
+					Shard:       h.id,
+					Algorithm:   sub.Algorithm.String(),
+					Pairs:       st.Pairs,
+					Signature:   st.Signature,
+					ElapsedNs:   time.Since(start).Nanoseconds(),
+					RadixPasses: tel.RadixPasses.Load(),
+					TempFiles:   tel.TempFiles.Load(),
 				},
 				tel: tel,
 			}
