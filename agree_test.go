@@ -79,7 +79,7 @@ func TestSimulatorAndStoreAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.Open(m, shard.Config{WorkersPerShard: 1})
+	r, err := shard.Open(m, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func cmdServe(args []string) {
 	maxQueue := fs.Int("maxqueue", 0, "admission queue bound (0: default, <0: no queue)")
 	timeout := fs.Duration("timeout", 0, "per-request timeout (0: default)")
 	calOps := fs.Int("calops", 0, "planner calibration effort (0: default)")
-	workers := fs.Int("workers", 0, "morsel-pool size: shared pool (single) or per shard (sharded) (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "size of the one morsel pool every join shares, single or sharded (0: GOMAXPROCS)")
 	drainWait := fs.Duration("drainwait", 30*time.Second, "graceful drain limit on SIGTERM")
 	fs.Parse(args)
 	if *dir == "" && *shardMap == "" {
@@ -125,7 +125,7 @@ func cmdServe(args []string) {
 	}
 	serving := *dir
 	if *shardMap != "" {
-		router, err := openRouter(*shardMap, *workers, *calOps)
+		router, err := openRouter(*shardMap, *calOps)
 		if err != nil {
 			fatal(err)
 		}
@@ -176,7 +176,7 @@ func cmdServe(args []string) {
 // per-shard auto planning through the calibrated analytical model: each
 // shard's PlanFunc call costs that shard's own measured workload, so a
 // skewed shard may pick a different algorithm than its peers.
-func openRouter(mapPath string, workers, calOps int) (*shard.Router, error) {
+func openRouter(mapPath string, calOps int) (*shard.Router, error) {
 	m, err := shard.LoadMap(mapPath)
 	if err != nil {
 		return nil, err
@@ -207,11 +207,7 @@ func openRouter(mapPath string, workers, calOps int) (*shard.Router, error) {
 		}
 		return choice.Best.Algorithm, nil
 	}
-	r, err = shard.Open(m, shard.Config{
-		MapPath:         mapPath,
-		WorkersPerShard: workers,
-		PlanFunc:        planFn,
-	})
+	r, err = shard.Open(m, shard.Config{MapPath: mapPath, PlanFunc: planFn})
 	return r, err
 }
 
@@ -327,11 +323,13 @@ func cmdJoin(args []string) {
 	}
 	defer db.Close()
 	want := db.ExpectedStats()
+	pool := exec.NewPool(*workers)
+	defer pool.Close()
 
 	run := func(a join.Algorithm) {
 		start := time.Now()
 		st, err := db.Run(mstore.JoinRequest{
-			Algorithm: a, MRproc: *mrproc, K: *k, Workers: *workers,
+			Algorithm: a, MRproc: *mrproc, K: *k, Pool: pool,
 		})
 		if err != nil {
 			fatal(err)

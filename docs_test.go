@@ -89,10 +89,10 @@ func TestDocsCiteKnownMetrics(t *testing.T) {
 	}
 }
 
-// TestDocsCiteRealFields: every `JoinRequest.X`, `service.Config.X` and
-// `shard.Config.X` README.md and DESIGN.md name is a field of that
-// struct, so the docs cannot go on citing a deleted knob. A bare
-// JoinRequest is the store's.
+// TestDocsCiteRealFields: every `JoinRequest.X`, `service.Config.X`,
+// `shard.Config.X` and `shard.Map.X` README.md and DESIGN.md name is a
+// field of that struct, so the docs cannot go on citing a deleted knob.
+// A bare JoinRequest is the store's.
 func TestDocsCiteRealFields(t *testing.T) {
 	structs := map[string]reflect.Type{
 		"JoinRequest":         reflect.TypeOf(mstore.JoinRequest{}),
@@ -100,8 +100,9 @@ func TestDocsCiteRealFields(t *testing.T) {
 		"service.JoinRequest": reflect.TypeOf(service.JoinRequest{}),
 		"service.Config":      reflect.TypeOf(service.Config{}),
 		"shard.Config":        reflect.TypeOf(shard.Config{}),
+		"shard.Map":           reflect.TypeOf(shard.Map{}),
 	}
-	fieldRef := regexp.MustCompile(`((?:[a-z]+\.)?JoinRequest|service\.Config|shard\.Config)\.([A-Z]\w*)`)
+	fieldRef := regexp.MustCompile(`((?:[a-z]+\.)?JoinRequest|service\.Config|shard\.Config|shard\.Map)\.([A-Z]\w*)`)
 	cited := 0
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)

@@ -292,7 +292,11 @@ func (p *Pool) next(id int) (morsel, bool) {
 	defer p.mu.Unlock()
 	for {
 		if q := p.deques[id]; len(q) > 0 {
+			// A dequeued slot is cleared: the backing array outlives the
+			// job, and a stale morsel would keep its closure — and the
+			// finished join's state — reachable.
 			m := q[len(q)-1] // own work: LIFO for locality
+			q[len(q)-1] = morsel{}
 			p.deques[id] = q[:len(q)-1]
 			return p.take(m), true
 		}
@@ -300,6 +304,7 @@ func (p *Pool) next(id int) (morsel, bool) {
 			v := (id + off) % p.workers
 			if q := p.deques[v]; len(q) > 0 {
 				m := q[0] // steal: FIFO from the victim's head
+				q[0] = morsel{}
 				p.deques[v] = q[1:]
 				p.steals.Add(1)
 				return p.take(m), true

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 func TestRunExecutesEveryTask(t *testing.T) {
@@ -311,4 +313,33 @@ func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
 	if p.Workers() < 1 {
 		t.Fatalf("workers = %d", p.Workers())
 	}
+}
+
+// TestPoolRetainsNoFinishedTasks checks a long-lived pool lets go of a
+// job once Run returns: the state its tasks captured is collectable,
+// whether a worker popped them from its own deque or stole them.
+func TestPoolRetainsNoFinishedTasks(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	held := runCapturing(t, p)
+	for i := 0; i < 3 && held.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if held.Value() != nil {
+		t.Fatal("a finished job's task state is still reachable from the pool")
+	}
+}
+
+// runCapturing runs 64 tasks that write into one buffer and returns a
+// weak pointer to it; once it returns, only the pool could hold it.
+func runCapturing(t *testing.T, p *Pool) weak.Pointer[[64 << 10]byte] {
+	buf := new([64 << 10]byte)
+	tasks := make([]Task, 64)
+	for i := range tasks {
+		tasks[i] = func(w int) error { buf[i] = byte(w); return nil }
+	}
+	if err := p.Run(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(buf)
 }

@@ -67,8 +67,9 @@ func TestIndexJoinGrid(t *testing.T) {
 		want := db.ExpectedStats()
 		for _, alg := range []join.Algorithm{join.IndexNL, join.IndexMerge} {
 			for _, w := range workerGrid {
+				p := newPool(t, w)
 				for _, mrproc := range []int64{0, 1, 1 << 20} {
-					got, err := db.Run(JoinRequest{Algorithm: alg, Workers: w, MRproc: mrproc})
+					got, err := db.Run(JoinRequest{Algorithm: alg, Pool: p, MRproc: mrproc})
 					if err != nil {
 						t.Fatalf("%s/%v/w=%d/mrproc=%d: %v", name, alg, w, mrproc, err)
 					}
@@ -284,7 +285,7 @@ func TestIndexJoinMatchesOtherKernels(t *testing.T) {
 		join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash,
 		join.IndexNL, join.IndexMerge,
 	} {
-		got, err := db.Run(JoinRequest{Algorithm: alg, Workers: 2})
+		got, err := db.Run(JoinRequest{Algorithm: alg, Pool: newPool(t, 2)})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

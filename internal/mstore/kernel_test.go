@@ -53,6 +53,7 @@ func TestKernelSignatureGrid(t *testing.T) {
 			tmp := filepath.Join(t.TempDir(), "tmp")
 			for _, alg := range algs {
 				for _, w := range []int{1, 2, 4} {
+					p := newPool(t, w)
 					for _, k := range []int{1, 37, 600} {
 						for _, mrproc := range []int64{0, 16 << 10} {
 							grant := mrproc * int64(db.D)
@@ -63,7 +64,7 @@ func TestKernelSignatureGrid(t *testing.T) {
 							}
 							var tel JoinTelemetry
 							got, err := db.Run(JoinRequest{
-								Algorithm: alg, K: k, Workers: w,
+								Algorithm: alg, K: k, Pool: p,
 								MRproc: mrproc, Telemetry: &tel, TmpDir: tmp,
 							})
 							if err != nil {
@@ -118,7 +119,7 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 		var tel JoinTelemetry
 		_, err := db.Run(JoinRequest{
 			// 96,000 of a partition's 5000·64 S bytes: 0.3 resident.
-			Algorithm: alg, K: 300, MRproc: 96000, Workers: 2,
+			Algorithm: alg, K: 300, MRproc: 96000, Pool: newPool(t, 2),
 			Ctx: ctx, Telemetry: &tel, TmpDir: tmp,
 		})
 		if err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/radix"
 )
@@ -222,6 +223,13 @@ func makeDB(t testing.TB, nr int) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// newPool gives a test a pool of w workers that closes when it ends.
+func newPool(t testing.TB, w int) *exec.Pool {
+	p := exec.NewPool(w)
+	t.Cleanup(p.Close)
+	return p
 }
 
 func TestDBCreateOpen(t *testing.T) {

@@ -25,7 +25,7 @@ func TestJoinStatsDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, w := range counts {
 			st, err := db.Run(JoinRequest{
 				// 19,200 of a partition's 1000·64 S bytes: 0.3 resident.
-				Algorithm: alg, K: 5, MRproc: 19200, Workers: w,
+				Algorithm: alg, K: 5, MRproc: 19200, Pool: newPool(t, w),
 				TmpDir: filepath.Join(t.TempDir(), "tmp"),
 			})
 			if err != nil {

@@ -60,18 +60,12 @@ type JoinRequest struct {
 	// path.
 	TmpDir string
 
-	// Workers is the CPU parallelism: the size of the work-stealing pool
-	// the join's morsels run on; 0 selects GOMAXPROCS. It is orthogonal
-	// to the memory model — MRproc grants memory per data partition
-	// (the paper's Rproc, a property of the layout and of the K/resident
-	// derivations above), while Workers only decides how many OS threads
-	// chew through the morsels, touching neither per-partition memory
-	// nor the I/O pattern the cost model counts.
-	Workers int
-
-	// Pool, when non-nil, runs the join's morsels on a shared
-	// work-stealing pool instead of an ephemeral one (Workers is then
-	// ignored). A server points every in-flight join at one pool so total
+	// Pool is the join's CPU parallelism: the work-stealing pool its
+	// morsels run on; nil runs them on a GOMAXPROCS pool made for the
+	// call. It is orthogonal to the memory model — MRproc grants memory
+	// per data partition (the paper's Rproc), while the pool's size only
+	// decides how many goroutines chew through the morsels. A server
+	// points every in-flight join, sharded or not, at one pool so total
 	// CPU fan-out stays bounded by the host.
 	Pool *exec.Pool
 
@@ -98,9 +92,6 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	}
 	if req.MRproc < 0 {
 		return fmt.Errorf("mstore: negative memory grant %d", req.MRproc)
-	}
-	if req.Workers < 0 {
-		return fmt.Errorf("mstore: negative worker count %d", req.Workers)
 	}
 	if req.K <= 0 {
 		req.K = db.deriveK(req.MRproc)
@@ -204,7 +195,7 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	}
 	p := req.Pool
 	if p == nil {
-		p = exec.NewPool(req.Workers)
+		p = exec.NewPool(0)
 		defer p.Close()
 	}
 	r := newJoinRun(ctx, db, p, req.Telemetry, req.TmpDir)

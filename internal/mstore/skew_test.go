@@ -59,10 +59,11 @@ func TestSkewGrantBoundedGraceHybrid(t *testing.T) {
 	want := db.ExpectedStats()
 	for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
 		for _, w := range []int{1, 4} {
+			p := newPool(t, w)
 			for _, mrproc := range skewGrants {
 				tel := &JoinTelemetry{}
 				st, err := db.Run(JoinRequest{
-					Algorithm: alg, Workers: w, MRproc: mrproc, Telemetry: tel,
+					Algorithm: alg, Pool: p, MRproc: mrproc, Telemetry: tel,
 					TmpDir: filepath.Join(t.TempDir(), "tmp"),
 				})
 				if err != nil {
@@ -88,9 +89,10 @@ func TestSkewZipfCorpusAllAlgorithms(t *testing.T) {
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
 	for _, alg := range algs {
 		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			p := newPool(t, w)
 			for _, mrproc := range skewGrants {
 				st, err := db.Run(JoinRequest{
-					Algorithm: alg, Workers: w, MRproc: mrproc,
+					Algorithm: alg, Pool: p, MRproc: mrproc,
 					TmpDir: filepath.Join(t.TempDir(), fmt.Sprintf("%v-%d", alg, w)),
 				})
 				if err != nil {

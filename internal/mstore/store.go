@@ -85,8 +85,11 @@ type ShardInfo struct {
 	// Draining reports an in-progress RemoveShard: the shard no longer
 	// accepts new work and disappears once in-flight joins finish.
 	Draining bool `json:"draining"`
-	// Pool is the shard's private morsel pool (each shard executes on
-	// its own work-stealing pool, independent of its peers).
+	// Pool is always zero: shards own no pool, and a sharded join runs
+	// on the caller's (the service's one pool, reported at the top of
+	// /v1/stats). It remains only because the benchmark harness
+	// (benchmark/serve.go) still reads it; it goes when that reader
+	// points at the top-level pool.
 	Pool exec.Stats `json:"pool"`
 }
 

@@ -598,9 +598,9 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 			s.preJoin()
 		}
 		// The join's morsels run on the server's shared pool: however
-		// many joins are in flight, at most cfg.Workers goroutines
-		// execute morsels (a sharded store substitutes its per-shard
-		// pools). Passing ctx aborts the join between morsels when the
+		// many joins are in flight, and however many shards each one
+		// scatters to, at most cfg.Workers goroutines execute morsels.
+		// Passing ctx aborts the join between morsels when the
 		// client abandons it, releasing the grant early. The grant
 		// charged at admission derives the join's K and resident prefix
 		// (through MRproc) and is held, unchanged, until the join ends.
@@ -874,11 +874,13 @@ type Stats struct {
 	Draining  bool    `json:"draining"`
 	// DB describes the served store. Kind distinguishes a single mapped
 	// database from a sharded router; the latter carries one entry per
-	// live shard (its own counts, pool occupancy, and draining flag).
+	// live shard (its own counts and draining flag; its Pool is always
+	// zero, since sharded joins run on the pool below).
 	DB        mstore.StoreStats `json:"db"`
 	Admission AdmissionStats    `json:"admission"`
-	// Pool is the shared morsel pool: occupancy (Busy/PeakBusy vs
-	// Workers), morsel queue depth, and steal/executed counts.
+	// Pool is the process's one morsel pool, single or sharded:
+	// occupancy (Busy/PeakBusy vs Workers), morsel queue depth, and
+	// steal/executed counts.
 	Pool exec.Stats `json:"pool"`
 	// Gauges mirrors every gauge registered on the internal metrics
 	// registry (the pool gauges today), read live at snapshot time.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
 	"mmjoin/internal/relation"
@@ -48,9 +49,8 @@ func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.P
 		t.Fatal(err)
 	}
 	router, err := shard.Open(m, shard.Config{
-		MapPath:         filepath.Join(base, "shards.json"),
-		WorkersPerShard: 1,
-		PlanFunc:        plan,
+		MapPath:  filepath.Join(base, "shards.json"),
+		PlanFunc: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +182,21 @@ func TestShardedServiceLookup(t *testing.T) {
 	}
 }
 
-// TestShardedServiceStats checks /v1/stats carries the per-shard layout.
+// TestShardedServiceStats checks /v1/stats carries the per-shard layout,
+// and that a sharded join runs on the service's one pool: the top-level
+// pool executes its morsels, and no shard reports a pool of its own.
 func TestShardedServiceStats(t *testing.T) {
 	_, ts, _, _ := newShardedServer(t, 600, Config{})
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	body, _ := json.Marshal(JoinRequest{Algorithm: "grace"})
+	resp, err := http.Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +207,14 @@ func TestShardedServiceStats(t *testing.T) {
 	resp.Body.Close()
 	if st.DB.Kind != "sharded" || len(st.DB.Shards) != 3 {
 		t.Fatalf("kind %q with %d shards", st.DB.Kind, len(st.DB.Shards))
+	}
+	if st.Pool.Executed == 0 {
+		t.Errorf("a sharded join executed no morsels on the service pool: %+v", st.Pool)
+	}
+	for _, sh := range st.DB.Shards {
+		if sh.Pool != (exec.Stats{}) {
+			t.Errorf("shard %s reports a pool of its own: %+v", sh.ID, sh.Pool)
+		}
 	}
 	var nr int
 	for _, sh := range st.DB.Shards {

@@ -29,23 +29,18 @@ type Config struct {
 	// MapPath is recorded in Stats as the store's "dir" (description
 	// only; the Router never re-reads the file).
 	MapPath string
-	// WorkersPerShard sizes each shard's private morsel pool
-	// (0: GOMAXPROCS). Total CPU fan-out of one scatter-gather join is
-	// shards × WorkersPerShard; on small hosts size it accordingly.
-	WorkersPerShard int
 	// PlanFunc enables join.Auto requests (nil: auto requests fail).
 	PlanFunc PlanFunc
 }
 
-// handle is one mounted shard: its mapped database, its private exec
-// pool, and the PR-4 drain discipline (register in-flight work under
-// drainMu before checking the draining flag, so a drain can never
-// return while a request is about to touch the mapping).
+// handle is one mounted shard: its mapped database and the PR-4 drain
+// discipline (register in-flight work under drainMu before checking the
+// draining flag, so a drain can never return while a request is about
+// to touch the mapping).
 type handle struct {
-	id   string
-	dir  string
-	db   *mstore.DB
-	pool *exec.Pool
+	id  string
+	dir string
+	db  *mstore.DB
 
 	drainMu  sync.Mutex
 	inflight sync.WaitGroup
@@ -112,9 +107,6 @@ func Open(m *Map, cfg Config) (*Router, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WorkersPerShard == 0 {
-		cfg.WorkersPerShard = m.WorkersPerShard
-	}
 	r := &Router{cfg: cfg, replicas: m.Replicas, ring: newRing(nil, m.Replicas)}
 	for _, e := range m.Shards {
 		if err := r.AddShard(e.ID, e.Dir, e.D); err != nil {
@@ -125,26 +117,24 @@ func Open(m *Map, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// AddShard mounts one shard (opening its mapped database and starting
-// its pool) and rebuilds the routing ring, moving ~1/N of the lookup
-// keyspace onto the newcomer. Joins scattered after the add include the
-// new shard's objects.
+// AddShard mounts one shard (opening its mapped database) and rebuilds
+// the routing ring, moving ~1/N of the lookup keyspace onto the
+// newcomer. Joins scattered after the add include the new shard's
+// objects.
 func (r *Router) AddShard(id, dir string, d int) error {
 	db, err := mstore.OpenDB(dir, d)
 	if err != nil {
 		return fmt.Errorf("shard %q: %w", id, err)
 	}
-	h := &handle{id: id, dir: dir, db: db, pool: exec.NewPool(r.cfg.WorkersPerShard)}
+	h := &handle{id: id, dir: dir, db: db}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		h.pool.Close()
 		db.Close()
 		return fmt.Errorf("shard: router closed")
 	}
 	for _, old := range r.shards {
 		if old.id == id {
-			h.pool.Close()
 			db.Close()
 			return fmt.Errorf("shard: duplicate shard id %q", id)
 		}
@@ -192,7 +182,6 @@ func (r *Router) RemoveShard(ctx context.Context, id string) error {
 	}()
 	select {
 	case <-done:
-		h.pool.Close()
 		return h.db.Close()
 	case <-ctx.Done():
 		r.mu.Lock()
@@ -232,18 +221,19 @@ func (r *Router) Run(req mstore.JoinRequest) (mstore.JoinStats, error) {
 }
 
 // RunShards executes one join scatter-gather: every live shard runs the
-// request over its own slice of R (with its own pool, its share of the
-// memory grant, and its own temp subdirectory), and the per-shard
-// JoinStats fold — commutative sums — into one merged result that is
-// bit-identical to a single-store join over the same logical relation.
+// request over its own slice of R (with its share of the memory grant
+// and its own temp subdirectory), and the per-shard JoinStats fold —
+// commutative sums — into one merged result that is bit-identical to a
+// single-store join over the same logical relation.
 //
 // Grant split: a positive req.MRproc is divided evenly across the
 // participating shards (each share floored at one page), so a shard's K
 // and resident-fraction derivations see the shard's true budget; 0
-// stays unbounded on every shard. req.Pool and req.Workers are ignored
-// — each shard executes on its own pool. req.Telemetry, when set,
-// receives the folded per-shard telemetry (TempFiles sums, RadixPasses
-// maxes).
+// stays unbounded on every shard. Every shard's morsels run on req.Pool,
+// so one pool bounds the CPU fan-out of the whole scatter; a nil Pool
+// gets one GOMAXPROCS pool for this call, shared by the shards and
+// closed on return, as DB.Run does. req.Telemetry, when set, receives
+// the folded per-shard telemetry (TempFiles sums, RadixPasses maxes).
 //
 // With req.Algorithm == join.Auto each shard plans independently
 // through Config.PlanFunc against its own measured workload.
@@ -268,6 +258,10 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 	if len(live) == 0 {
 		return mstore.JoinStats{}, nil, fmt.Errorf("shard: no live shards")
 	}
+	if req.Pool == nil {
+		req.Pool = exec.NewPool(0)
+		defer req.Pool.Close()
+	}
 
 	baseCtx := req.Ctx
 	if baseCtx == nil {
@@ -290,8 +284,6 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 			defer h.end()
 			sub := req // per-shard copy
 			sub.Ctx = ctx
-			sub.Pool = h.pool
-			sub.Workers = 0
 			tel := &mstore.JoinTelemetry{}
 			sub.Telemetry = tel
 			if req.MRproc > 0 {
@@ -483,8 +475,8 @@ func (r *Router) CountS() int {
 	return n
 }
 
-// Stats describes the sharded layout: one ShardInfo per live shard,
-// including each shard's private pool occupancy.
+// Stats describes the sharded layout: one ShardInfo per live shard.
+// Shards own no pool, so every ShardInfo.Pool is zero.
 func (r *Router) Stats() mstore.StoreStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -497,7 +489,6 @@ func (r *Router) Stats() mstore.StoreStats {
 			ID: h.id, Dir: h.dir, D: h.db.D, ObjSize: h.db.ObjSize,
 			NR: h.db.CountR(), NS: h.db.CountS(),
 			Draining: h.draining.Load(),
-			Pool:     h.pool.Stats(),
 		}
 		st.Shards = append(st.Shards, info)
 		st.NR += info.NR
@@ -527,7 +518,6 @@ func (r *Router) Close() error {
 	}
 	var first error
 	for _, h := range shards {
-		h.pool.Close()
 		if err := h.db.Close(); err != nil && first == nil {
 			first = err
 		}

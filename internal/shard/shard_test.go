@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
 	"mmjoin/internal/relation"
@@ -64,7 +68,7 @@ func roundRobinPlan(shardID string, w *relation.Workload, req mstore.JoinRequest
 // algorithm and for auto (per-shard planning).
 func TestShardScatterGatherBitIdentical(t *testing.T) {
 	_, m, want := buildSharded(t, 4800, 4, 3)
-	r := openRouter(t, m, Config{WorkersPerShard: 2, PlanFunc: roundRobinPlan})
+	r := openRouter(t, m, Config{PlanFunc: roundRobinPlan})
 
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash, join.Auto}
 	for _, alg := range algs {
@@ -114,7 +118,7 @@ func TestShardAutoPlansPerShard(t *testing.T) {
 		mu.Unlock()
 		return join.Grace, nil
 	}
-	r := openRouter(t, m, Config{WorkersPerShard: 1, PlanFunc: plan})
+	r := openRouter(t, m, Config{PlanFunc: plan})
 	st, err := r.Run(mstore.JoinRequest{Algorithm: join.Auto, MRproc: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +213,7 @@ func TestShardSplitShapes(t *testing.T) {
 // shard rather than any global shape.
 func TestShardLookupRouting(t *testing.T) {
 	_, m, _ := buildSharded(t, 900, 3, 3)
-	r := openRouter(t, m, Config{WorkersPerShard: 1})
+	r := openRouter(t, m, Config{})
 
 	// The smallest per-shard per-partition count bounds always-valid
 	// indexes.
@@ -327,7 +331,7 @@ func TestShardRingStability(t *testing.T) {
 // see all three again. Run with -race in CI.
 func TestShardDrainMidJoinSoak(t *testing.T) {
 	_, m, wantFull := buildSharded(t, 1500, 2, 3)
-	r := openRouter(t, m, Config{WorkersPerShard: 1})
+	r := openRouter(t, m, Config{})
 
 	// Ground truth for the reduced membership: fold the survivors.
 	var wantReduced mstore.JoinStats
@@ -454,7 +458,7 @@ func TestShardWorkloadMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := openRouter(t, m, Config{WorkersPerShard: 1})
+	r := openRouter(t, m, Config{})
 	w, err := r.Workload()
 	if err != nil {
 		t.Fatal(err)
@@ -486,8 +490,7 @@ func TestShardWorkloadMerge(t *testing.T) {
 func TestShardMapRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "map.json")
 	m := &Map{
-		Replicas:        32,
-		WorkersPerShard: 2,
+		Replicas: 32,
 		Shards: []Entry{
 			{ID: "a", Dir: "/x/a", D: 4},
 			{ID: "b", Dir: "/x/b", D: 4},
@@ -500,7 +503,7 @@ func TestShardMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != MapSchema || len(got.Shards) != 2 || got.Replicas != 32 || got.WorkersPerShard != 2 {
+	if got.Schema != MapSchema || len(got.Shards) != 2 || got.Replicas != 32 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	for _, bad := range []*Map{
@@ -527,7 +530,7 @@ func TestShardGrantSplitBounds(t *testing.T) {
 	_, m, want := buildSharded(t, 3000, d, shards)
 	var mu sync.Mutex
 	mrprocOf := map[string]int64{}
-	r := openRouter(t, m, Config{WorkersPerShard: 1,
+	r := openRouter(t, m, Config{
 		PlanFunc: func(id string, _ *relation.Workload, sub mstore.JoinRequest) (join.Algorithm, error) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -564,5 +567,96 @@ func TestShardGrantSplitBounds(t *testing.T) {
 		if got != 0 {
 			t.Errorf("shard %s: unbounded request became MRproc %d", id, got)
 		}
+	}
+}
+
+// TestShardRunsOnCallersPool checks every shard's morsels run on the
+// request's pool: one worker bounds the whole scatter, the pool counts a
+// job from each shard, and the fold is still exact.
+func TestShardRunsOnCallersPool(t *testing.T) {
+	const shards = 3
+	_, m, want := buildSharded(t, 1500, 2, shards)
+	r := openRouter(t, m, Config{})
+	p := exec.NewPool(1)
+	defer p.Close()
+	st, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, Pool: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != want {
+		t.Fatalf("merged %+v, want %+v", st, want)
+	}
+	ps := p.Stats()
+	if ps.Jobs < shards || ps.PeakBusy > 1 {
+		t.Fatalf("caller's pool ran %d jobs at peak occupancy %d, want >= %d jobs on 1 worker", ps.Jobs, ps.PeakBusy, shards)
+	}
+}
+
+// TestShardRouterLeaksNoGoroutines checks the pool a nil-Pool join makes
+// is closed on every exit: after a successful join, a join that fails
+// because one shard's temp subdirectory cannot be created, a removal and
+// Close, the goroutine count returns to where it started.
+func TestShardRouterLeaksNoGoroutines(t *testing.T) {
+	_, m, want := buildSharded(t, 900, 2, 3)
+	before := runtime.NumGoroutine()
+	r, err := Open(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r.Run(mstore.JoinRequest{Algorithm: join.HybridHash, MRproc: 1 << 20}); err != nil || st != want {
+		t.Fatalf("join: %+v, %v; want %+v", st, err, want)
+	}
+	// A regular file where shard-1's subdirectory belongs fails that
+	// shard, while its peers run.
+	tmp := t.TempDir()
+	if err := os.WriteFile(filepath.Join(tmp, "shard-shard-1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, TmpDir: tmp}); err == nil {
+		t.Fatal("join with an uncreatable shard temp dir succeeded")
+	}
+	if err := r.RemoveShard(context.Background(), "shard-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Close, %d before Open", n, before)
+	}
+}
+
+// TestShardMapIgnoresWorkersPerShard checks a map written when shards
+// owned pools still loads: encoding/json drops the retired
+// "workersPerShard" key and the rest of the map is unchanged.
+func TestShardMapIgnoresWorkersPerShard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map.json")
+	old := `{
+  "schema": "mmjoin-shardmap/v1",
+  "replicas": 32,
+  "workersPerShard": 2,
+  "shards": [
+    {"id": "a", "dir": "/x/a", "d": 4},
+    {"id": "b", "dir": "/x/b", "d": 4}
+  ]
+}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadMap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Map{Schema: MapSchema, Replicas: 32, Shards: []Entry{
+		{ID: "a", Dir: "/x/a", D: 4},
+		{ID: "b", Dir: "/x/b", D: 4},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old map loaded as %+v, want %+v", got, want)
 	}
 }

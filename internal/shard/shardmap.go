@@ -24,7 +24,6 @@ type Entry struct {
 //	{
 //	  "schema": "mmjoin-shardmap/v1",
 //	  "replicas": 64,
-//	  "workersPerShard": 0,
 //	  "shards": [
 //	    {"id": "shard-0", "dir": "/data/shard-0", "d": 4},
 //	    {"id": "shard-1", "dir": "/data/shard-1", "d": 4}
@@ -32,13 +31,12 @@ type Entry struct {
 //	}
 //
 // Replicas is the virtual-node count per shard on the routing ring
-// (0: default 64). WorkersPerShard sizes each shard's private morsel
-// pool (0: GOMAXPROCS).
+// (0: default 64). Shards own no pool, so the map sizes none; a
+// "workersPerShard" key in an older map is ignored.
 type Map struct {
-	Schema          string  `json:"schema"`
-	Replicas        int     `json:"replicas,omitempty"`
-	WorkersPerShard int     `json:"workersPerShard,omitempty"`
-	Shards          []Entry `json:"shards"`
+	Schema   string  `json:"schema"`
+	Replicas int     `json:"replicas,omitempty"`
+	Shards   []Entry `json:"shards"`
 }
 
 // Validate checks structural sanity: at least one shard, unique

@@ -131,7 +131,7 @@ func TestChooseForMatchesMapBasedStatistics(t *testing.T) {
 		defer sdb.Close()
 		storeW("shard "+sh.ID, sdb)
 	}
-	r, err := shard.Open(m, shard.Config{WorkersPerShard: 1})
+	r, err := shard.Open(m, shard.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
