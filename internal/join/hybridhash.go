@@ -1,35 +1,21 @@
 package join
 
 import (
-	"math"
 	"slices"
 	"sort"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/sim"
 )
 
 // runGrace executes the parallel pointer-based Grace join variant (§7):
-// hashJoin with nothing resident. K is chosen so one bucket plus its
-// hash-table overhead fits in MRproc (with the paper's fuzz allowance),
-// unless overridden, and never exceeds the objects there are to spread.
+// hashJoin with nothing resident, K and TSIZE by the shared rules
+// (internal/params) at the largest |RSi|, K never exceeding the
+// references there are to spread.
 func (r *runner) runGrace() {
-	maxRS := slices.Max(r.w.RSCounts())
-	k := r.prm.K
-	if k <= 0 {
-		k = int(math.Ceil(radix.Fuzz * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)))
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > maxRS && maxRS > 0 {
-		k = maxRS
-	}
-	tsize := r.prm.TSize
-	if tsize <= 0 {
-		tsize = tableSize(maxRS / k)
-	}
-	r.hashJoin("grace-phase", 0, k, tsize)
+	maxRS := float64(slices.Max(r.w.RSCounts()))
+	k := params.Cap(params.Buckets(r.prm.K, 0, maxRS, r.r, r.prm.MRproc), maxRS)
+	r.hashJoin("grace-phase", 0, k, params.TableSize(r.prm.TSize, maxRS, k))
 }
 
 // runHybridHash executes a parallel pointer-based hybrid-hash join — the
@@ -43,40 +29,14 @@ func (r *runner) runGrace() {
 // degenerates to pure immediate joining; with scarce memory it converges
 // to Grace.
 func (r *runner) runHybridHash() {
-	maxRS := slices.Max(r.w.RSCounts())
+	maxRS := float64(slices.Max(r.w.RSCounts()))
 	maxS := 0
 	for j := 0; j < r.d; j++ {
 		maxS = max(maxS, r.w.SizeS(j))
 	}
-	// Resident fraction: the prefix of each Sj that fits (with headroom)
-	// in the Sproc's buffer, so immediate joins against it re-fault
-	// rarely.
-	f0 := 0.8 * float64(r.prm.MSproc) / (float64(maxS) * float64(r.s))
-	if f0 > 1 {
-		f0 = 1
-	}
-	if f0 < 0 {
-		f0 = 0
-	}
-	// Ordered buckets for the overflow portion, Grace-sized.
-	k := r.prm.K
-	if k <= 0 {
-		k = int(math.Ceil(radix.Fuzz * (1 - f0) * float64(maxRS) * float64(r.r) / float64(r.prm.MRproc)))
-	}
-	if f0 >= 1 {
-		k = 0
-	} else if k < 1 {
-		k = 1
-	}
-	tsize := r.prm.TSize
-	if tsize <= 0 {
-		avgBucket := 0
-		if k > 0 {
-			avgBucket = int((1 - f0) * float64(maxRS) / float64(k))
-		}
-		tsize = tableSize(avgBucket)
-	}
-	r.hashJoin("hh-phase", f0, k, tsize)
+	f0 := params.Resident(r.prm.MSproc, float64(maxS), r.s)
+	k := params.Buckets(r.prm.K, f0, maxRS, r.r, r.prm.MRproc)
+	r.hashJoin("hh-phase", f0, k, params.TableSize(r.prm.TSize, (1-f0)*maxRS, k))
 }
 
 // hashJoin runs the partitioning passes with join attributes hashed into
@@ -180,14 +140,4 @@ func (r *runner) hashJoin(barrier string, f0 float64, k, tsize int) {
 		},
 		phases: []string{"probe"},
 	})
-}
-
-// tableSize is the TSIZE rule: the power of two, at least 16, nearest a
-// quarter of the average bucket.
-func tableSize(avgBucket int) int {
-	t := 16
-	for t < avgBucket/4 {
-		t *= 2
-	}
-	return t
 }

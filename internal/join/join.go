@@ -106,11 +106,12 @@ type Params struct {
 	SyncPhases bool
 
 	// Sort-merge tuning; zero values select the paper's rules
-	// (IRUN = M/(r+hp), NRUNABL = M/3B, NRUNLAST = M/2B).
+	// (IRUN = M/(r+hp), NRUNABL = M/3B, NRUNLAST = M/2B; params.Runs).
 	IRun, NRunABL, NRunLast int
 
-	// Grace tuning; zero values select K = ⌈radix.Fuzz·|RSi|·r / M⌉ and
-	// TSIZE ≈ bucket objects / 4.
+	// Grace and hybrid-hash tuning; zero values select
+	// K = ⌈Fuzz·(1−f0)·|RSi|·r / M⌉ (params.Buckets, f0 = 0 for Grace)
+	// and TSIZE ≈ bucket objects / 4 (params.TableSize).
 	K, TSize int
 
 	// Policy selects the pagers' replacement algorithm. The default LRU

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 
+	"mmjoin/internal/params"
 	"mmjoin/internal/pheap"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
@@ -48,27 +49,8 @@ func (r *runner) sortRS(rp *rproc, rsObjs []pendingJoin, mergeSeg *seg.Segment) 
 
 	// Pass 2: heap-sort runs of IRUN objects in place.
 	n := len(rsObjs)
-	irun := r.prm.IRun
-	if irun <= 0 {
-		irun = int(r.prm.MRproc / (r.r + int64(r.m.Cfg.HeapPtrBytes)))
-	}
-	if irun < 1 {
-		irun = 1
-	}
-	nrunABL := r.prm.NRunABL
-	if nrunABL <= 0 {
-		nrunABL = int(r.prm.MRproc / (3 * r.b))
-	}
-	if nrunABL < 2 {
-		nrunABL = 2
-	}
-	nrunLast := r.prm.NRunLast
-	if nrunLast <= 0 {
-		nrunLast = int(r.prm.MRproc / (2 * r.b))
-	}
-	if nrunLast < 2 {
-		nrunLast = 2
-	}
+	irun, nrunABL, nrunLast := params.Runs(r.prm.IRun, r.prm.NRunABL, r.prm.NRunLast,
+		r.prm.MRproc, r.r, int64(r.m.Cfg.HeapPtrBytes), r.b)
 	if irun > r.res.IRun {
 		r.res.IRun = irun
 	}

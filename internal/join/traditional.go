@@ -3,7 +3,7 @@ package join
 import (
 	"fmt"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
@@ -31,18 +31,7 @@ func (r *runner) runTraditionalGrace() {
 			maxS = n
 		}
 	}
-	k := r.prm.K
-	if k <= 0 {
-		need := radix.Fuzz * float64(maxS) * float64(r.s+int64(r.m.Cfg.HeapPtrBytes)) /
-			float64(r.prm.MRproc)
-		k = int(need)
-		if float64(k) < need {
-			k++
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
+	k := params.Buckets(r.prm.K, 0, float64(maxS), r.s+int64(r.m.Cfg.HeapPtrBytes), r.prm.MRproc)
 	r.res.K = k
 	bucketOfKey := func(key uint64) int {
 		d := uint64(r.d)

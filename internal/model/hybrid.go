@@ -3,43 +3,9 @@ package model
 import (
 	"math"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/sim"
 )
-
-// hybridPlan mirrors the executable hybrid-hash parameter rules: the
-// resident fraction f0 of each S partition (sized to the Sproc buffer)
-// and the overflow bucket count K.
-func hybridPlan(c Calibration, in Inputs, rsi, sj float64) (f0 float64, k, tsize int) {
-	f0 = 0.8 * float64(in.MSproc) / (sj * float64(in.S))
-	if f0 > 1 {
-		f0 = 1
-	}
-	if f0 < 0 {
-		f0 = 0
-	}
-	k = in.K
-	if k <= 0 {
-		need := radix.Fuzz * (1 - f0) * rsi * float64(in.R) / float64(in.MRproc)
-		k = int(math.Ceil(need))
-	}
-	if f0 >= 1 {
-		k = 0
-	} else if k < 1 {
-		k = 1
-	}
-	tsize = in.TSize
-	if tsize <= 0 {
-		tsize = 16
-		if k > 0 {
-			avgBucket := int((1 - f0) * rsi / float64(k))
-			for tsize < avgBucket/4 {
-				tsize *= 2
-			}
-		}
-	}
-	return f0, k, tsize
-}
 
 // PredictHybridHash evaluates the analytical model for the parallel
 // pointer-based hybrid-hash join (the repository's future-work
@@ -56,14 +22,15 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	rpi := q.ri*in.Skew - rii
 	rsi := q.ri * in.Skew
 
-	f0, k, tsize := hybridPlan(c, in, rsi, q.sj)
+	f0 := params.Resident(in.MSproc, q.sj, in.S)
+	k := params.Buckets(in.K, f0, rsi, in.R, in.MRproc)
 	passes, kEff := radixPlan(k)
 	over := 1 - f0 // overflow fraction
 	prpi := pages(rpi*float64(in.R), c.B)
 	prsi := pages(over*rsi*float64(in.R), c.B)
 	priiOver := pages(over*rii*float64(in.R), c.B)
 
-	p := &Prediction{K: k, TSize: tsize}
+	p := &Prediction{K: k, TSize: params.TableSize(in.TSize, over*rsi, k)}
 
 	// Setup matches Grace (the RS mapping is just smaller).
 	p.add("setup", sim.Time(d*(c.OpenMap.Eval(q.pri)+c.OpenMap.Eval(q.psi)+
@@ -106,9 +73,6 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	if k > 0 {
 		bandProbe := math.Max(1, prsi/float64(k)/2)
 		p.add("probe io", sim.Time((prsi+over*q.psi)*c.DTTR.Eval(bandProbe)))
-		if t := restageIO(c, in, over*rsi, k, bandProbe); t > 0 {
-			p.add("restage io", t)
-		}
 	}
 
 	// CPU: every reference is mapped and hashed once; overflow objects

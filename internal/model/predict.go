@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/sim"
 )
 
@@ -66,13 +66,13 @@ func (in *Inputs) withDefaults(c Calibration) error {
 // radixPlan is the partitioning plan the store's executor runs for a
 // k-way fan-out, read from the function the executor itself calls: the
 // pass count, and the per-pass fan-out the urn-model thrash terms see
-// (a scatter pass never targets more than 2^radix.Bits destinations at
+// (a scatter pass never targets more than 2^params.Bits destinations at
 // once, so they see that, not the full K). Extra passes cost nothing
 // until K exceeds that reach, which keeps every paper-conformance
 // prediction (K ≤ 256) untouched.
 func radixPlan(k int) (passes, kEff int) {
-	passes, _ = radix.Plan(k, radix.Bits)
-	return passes, min(k, 1<<radix.Bits)
+	passes, _ = params.Passes(k, params.Bits)
+	return passes, min(k, 1<<params.Bits)
 }
 
 // Component is one named term of a prediction.
@@ -202,30 +202,10 @@ func PredictNestedLoops(c Calibration, in Inputs) (*Prediction, error) {
 	return p, nil
 }
 
-// smPlan computes IRUN, NRUNABL, NRUNLAST, NPASS and LRUN exactly as the
-// executable sort-merge does.
-func smPlan(c Calibration, in Inputs, rsi float64) (irun, nrunABL, nrunLast, npass, lrun int) {
-	irun = in.IRun
-	if irun <= 0 {
-		irun = int(in.MRproc / (in.R + c.HP))
-	}
-	if irun < 1 {
-		irun = 1
-	}
-	nrunABL = in.NRunABL
-	if nrunABL <= 0 {
-		nrunABL = int(in.MRproc / (3 * c.B))
-	}
-	if nrunABL < 2 {
-		nrunABL = 2
-	}
-	nrunLast = in.NRunLast
-	if nrunLast <= 0 {
-		nrunLast = int(in.MRproc / (2 * c.B))
-	}
-	if nrunLast < 2 {
-		nrunLast = 2
-	}
+// smPlan is the executable sort-merge's run plan (params.Runs) plus the
+// merge passes it implies for rsi objects: NPASS and LRUN.
+func smPlan(c Calibration, in Inputs, rsi float64) (irun, nrunABL, npass, lrun int) {
+	irun, nrunABL, nrunLast := params.Runs(in.IRun, in.NRunABL, in.NRunLast, in.MRproc, in.R, c.HP, c.B)
 	runs := int(math.Ceil(rsi / float64(irun)))
 	if runs < 1 {
 		runs = 1
@@ -236,7 +216,7 @@ func smPlan(c Calibration, in Inputs, rsi float64) (irun, nrunABL, nrunLast, npa
 		npass++
 	}
 	lrun = runs
-	return irun, nrunABL, nrunLast, npass, lrun
+	return irun, nrunABL, npass, lrun
 }
 
 // PredictSortMerge evaluates the §6.3 analysis.
@@ -255,8 +235,7 @@ func PredictSortMerge(c Calibration, in Inputs) (*Prediction, error) {
 	prsi := pages(rsi*float64(in.R), c.B)
 	pmerge := prsi
 
-	irun, nrunABL, nrunLast, npass, lrun := smPlan(c, in, rsi)
-	_ = nrunLast
+	irun, nrunABL, npass, lrun := smPlan(c, in, rsi)
 
 	p := &Prediction{IRun: irun, NPass: npass, LRun: lrun}
 
@@ -325,30 +304,6 @@ func gMerge(c Calibration, h int) float64 {
 	return (2*float64(c.Compare) + float64(c.Swap)) * levels
 }
 
-// gracePlan mirrors the executable Grace parameter rules.
-func gracePlan(in Inputs, rsi float64) (k, tsize int) {
-	k = in.K
-	if k <= 0 {
-		need := radix.Fuzz * rsi * float64(in.R) / float64(in.MRproc)
-		k = int(math.Ceil(need))
-	}
-	if k < 1 {
-		k = 1
-	}
-	if float64(k) > rsi && rsi >= 1 {
-		k = int(rsi)
-	}
-	tsize = in.TSize
-	if tsize <= 0 {
-		avgBucket := int(rsi) / k
-		tsize = 16
-		for tsize < avgBucket/4 {
-			tsize *= 2
-		}
-	}
-	return k, tsize
-}
-
 // PredictGrace evaluates the §7.3 analysis, including the urn-model
 // estimate of premature page replacement at low memory.
 func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
@@ -364,9 +319,9 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	prpi := pages(rpi*float64(in.R), c.B)
 	prsi := pages(rsi*float64(in.R), c.B)
 
-	k, tsize := gracePlan(in, rsi)
+	k := params.Cap(params.Buckets(in.K, 0, rsi, in.R, in.MRproc), rsi)
 	passes, kEff := radixPlan(k)
-	p := &Prediction{K: k, TSize: tsize}
+	p := &Prediction{K: k, TSize: params.TableSize(in.TSize, rsi, k)}
 
 	// Setup: Ri, Si opened; RSi+RPi created; RSi re-opened for pass 1+j.
 	p.add("setup", sim.Time(d*(c.OpenMap.Eval(q.pri)+c.OpenMap.Eval(q.psi)+
@@ -395,13 +350,13 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	thrash1 := GraceThrash(int(rpi), kEff, int(q.frames), 1, fill1)
 	p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
 
-	// Extra radix passes: once K exceeds the 2^radix.Bits per-pass reach,
+	// Extra radix passes: once K exceeds the 2^params.Bits per-pass reach,
 	// the partitioner re-reads and re-scatters every spilled reference
 	// (passes−1) more times — each pass a sequential re-read plus a
 	// rewrite of the RSi spill and up to kEff partial destination pages,
 	// plus one more bucket-hash and move per reference. This is the price
 	// paid for the capped fan-out the thrash terms above benefit from;
-	// the component is exactly zero when K ≤ 2^radix.Bits.
+	// the component is exactly zero when K ≤ 2^params.Bits.
 	if passes > 1 {
 		extra := float64(passes - 1)
 		p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+
@@ -415,10 +370,6 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	bandProbe := math.Max(1, prsi/float64(k)/2)
 	p.add("probe io", sim.Time((prsi+q.psi)*c.DTTR.Eval(bandProbe)))
 
-	if t := restageIO(c, in, rsi, k, bandProbe); t > 0 {
-		p.add("restage io", t)
-	}
-
 	// CPU.
 	p.add("map", sim.Time(q.ri)*c.Map)
 	p.add("hash pass0", sim.Time(rii)*c.Hash)
@@ -429,25 +380,4 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	p.add("probe transfer", sim.Time(rsi*float64(in.R+in.Ptr+in.S)*c.MTps))
 	p.add("context switches", gSwitch(c, q, rsi))
 	return p, nil
-}
-
-// restageIO costs the dynamic spill/restage passes the executor performs
-// when skew concentrates references into one bucket whose table
-// overflows the memory grant. The hottest bucket holds about
-// rsi/k·Skew references; when its bytes exceed MRproc, the executor
-// rewrites it to disk once per restage pass (read + write), and each
-// pass divides the bucket by up to the maximum fan-out (64). At
-// Skew≈1 with a grant-derived K the term is zero — the honest-planner
-// guarantee that uniform predictions are untouched.
-func restageIO(c Calibration, in Inputs, rsi float64, k int, band float64) sim.Time {
-	if k < 1 || in.MRproc <= 0 {
-		return 0
-	}
-	hotBytes := rsi / float64(k) * in.Skew * float64(in.R)
-	if hotBytes <= float64(in.MRproc) {
-		return 0
-	}
-	passes := math.Ceil(math.Log(hotBytes/float64(in.MRproc)) / math.Log(64))
-	passes = math.Max(passes, 1)
-	return sim.Time(passes * pages(hotBytes, c.B) * (c.DTTR.Eval(band) + c.DTTW.Eval(band)))
 }

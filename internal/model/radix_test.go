@@ -3,7 +3,7 @@ package model
 import (
 	"testing"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/sim"
 )
 
@@ -17,7 +17,7 @@ func radixComponent(p *Prediction) (io sim.Time, present bool) {
 }
 
 // TestRadixPassTermInertAtSmallK is the conformance guard: with K within
-// one pass's reach (2^radix.Bits) the predictions carry no radix
+// one pass's reach (2^params.Bits) the predictions carry no radix
 // component. Every paper-conformance case runs at K ≤ 256, so Fig 5c
 // stays untouched.
 func TestRadixPassTermInertAtSmallK(t *testing.T) {
@@ -50,7 +50,7 @@ func TestRadixPassTermInertAtSmallK(t *testing.T) {
 	}
 }
 
-// TestRadixPassTermAppears: once K exceeds 2^radix.Bits the component
+// TestRadixPassTermAppears: once K exceeds 2^params.Bits the component
 // shows up, the prediction stays internally consistent, and a K deep
 // enough for a third pass over the same spill costs more.
 func TestRadixPassTermAppears(t *testing.T) {
@@ -74,7 +74,7 @@ func TestRadixPassTermAppears(t *testing.T) {
 		t.Fatalf("K=600: radix pass io missing or zero (%v)", ioTwo)
 	}
 
-	in.K = 1<<(2*radix.Bits) + 1 // 3 passes
+	in.K = 1<<(2*params.Bits) + 1 // 3 passes
 	three, err := PredictGrace(c, in)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRadixPassTermHybrid(t *testing.T) {
 	if io, present := radixComponent(p); !present || io <= 0 {
 		t.Fatalf("hybrid K=600: radix pass io missing or zero (%v)", io)
 	}
-	in.K = 1 << radix.Bits
+	in.K = 1 << params.Bits
 	one, err := PredictHybridHash(c, in)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package model
 import (
 	"math"
 
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/sim"
 )
 
@@ -28,14 +28,7 @@ func PredictTraditionalGrace(c Calibration, in Inputs) (*Prediction, error) {
 	sLocal := q.sj / d
 	sForeign := q.sj - sLocal
 
-	k := in.K
-	if k <= 0 {
-		need := radix.Fuzz * q.sj * float64(in.S+c.HP) / float64(in.MRproc)
-		k = int(math.Ceil(need))
-	}
-	if k < 1 {
-		k = 1
-	}
+	k := params.Buckets(in.K, 0, q.sj, in.S+c.HP, in.MRproc)
 	tsize := in.TSize
 	if tsize <= 0 {
 		tsize = 16

@@ -3,8 +3,9 @@ package mstore
 import "sync/atomic"
 
 // A join's memory grant, JoinRequest.MRproc, shapes the plan and meters
-// nothing while it runs: it derives Grace's and hybrid hash's bucket
-// count K (deriveK) and hybrid hash's resident prefix (deriveResident).
+// nothing while it runs: DB.plan derives Grace's and hybrid hash's
+// bucket count K and hybrid hash's resident prefix f0 from it, with the
+// rules the simulator and the model use (internal/params).
 // Beyond per-worker scratch, the only memory a staging join holds is its
 // temp arena, exactly 16 B per staged reference, and every finish orders
 // its extent in place inside that arena (orderProbe, join.go). No probe
@@ -20,7 +21,7 @@ type JoinTelemetry struct {
 	// file, so a join adds 1 — or 0 when it staged nothing.
 	TempFiles atomic.Int64
 	// RadixPasses is the partitioning pass count the staged joins ran
-	// (radix.Plan): 1 until K exceeds 2^radix.Bits.
+	// (params.Passes): 1 until K exceeds 2^params.Bits.
 	RadixPasses atomic.Int64
 
 	// Restages, RestagedRefs, StreamProbes and PeakTableBytes are always

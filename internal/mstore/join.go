@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 )
 
 // The joins are morsel-driven: each pass decomposes into fixed-size
@@ -116,7 +116,7 @@ type joinRun struct {
 	tmp   tempArena
 	stats perWorker
 	// fanBits is the per-pass partitioning fan-out, log2, and windowBits
-	// the probe window, log2 bytes. DB.Run always sets radix.Bits and
+	// the probe window, log2 bytes. DB.Run always sets params.Bits and
 	// the windowBits constant; only in-package tests narrow them, to
 	// reach the deep refine and ordering recursions on small stores.
 	fanBits, windowBits int
@@ -130,7 +130,7 @@ func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, t
 		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), tel: tel,
 		tmp:     tempArena{dir: tmpDir, tel: tel},
 		stats:   make(perWorker, p.Workers()),
-		fanBits: radix.Bits, windowBits: windowBits,
+		fanBits: params.Bits, windowBits: windowBits,
 	}
 }
 
@@ -221,7 +221,7 @@ func (r *joinRun) staged(cfg staging) error {
 	// First-pass destinations: the final buckets themselves when span is
 	// 1, else one per contiguous group of span buckets. Each has a claim
 	// cursor running over its extent.
-	passes, span := radix.Plan(k, r.fanBits)
+	passes, span := params.Passes(k, r.fanBits)
 	shift := bits.TrailingZeros(uint(span))
 	groups := (k + span - 1) >> shift
 	storeMax(&r.tel.RadixPasses, int64(passes))
@@ -333,7 +333,7 @@ func (s *stagedRun) refine(w, row, b0, span int) error {
 // staggered order. Past one pass's fan-out neighbouring origins share a
 // destination (see staging.dest); up to it the mapping is the identity.
 func (db *DB) nestedLoops() staging {
-	k := min(db.D, 1<<radix.Bits)
+	k := min(db.D, 1<<params.Bits)
 	return staging{
 		k:        k,
 		resident: func(i int, p SPtr) bool { return int(p.Part) == i },
@@ -342,20 +342,13 @@ func (db *DB) nestedLoops() staging {
 	}
 }
 
-// sortMerge (§5.2): every reference stages into RSj — its S partition's
-// row — already split into address ranges, so the first level of
-// ordering RSj by S address is done by the scan, and each split orders
-// the rest independently, in parallel with the others.
+// sortMerge (§5.2) is Grace at sortSplitCount buckets: every reference
+// stages into RSj — its S partition's row — already split into address
+// ranges, so the first level of ordering RSj by S address is done by the
+// scan, and each split orders the rest independently, in parallel with
+// the others.
 func (db *DB) sortMerge(workers int) staging {
-	splits := sortSplitCount(workers, db.D, db.CountR()/db.D)
-	return staging{
-		k: splits,
-		dest: func(_ int, p SPtr) int {
-			rel := db.S[p.Part]
-			return rankBucket(rel.IndexOf(p.Off), splits, rel.Count())
-		},
-		finish: (*stagedRun).orderProbe,
-	}
+	return db.grace(sortSplitCount(workers, db.D, db.CountR()/db.D))
 }
 
 // grace (§5.3) is hybrid hash with nothing resident.
@@ -365,7 +358,8 @@ func (db *DB) grace(k int) staging { return db.hybridHash(k, 0) }
 // (residentFrac of its objects) join during the scan; the remainder
 // hashes into k order-preserving buckets per S partition — bucket by
 // position of the S offset within the partition's data area — each
-// ordered into S windows and probed in place.
+// ordered into S windows and probed in place. k = 0 comes only with
+// residentFrac = 1: every reference is resident and nothing stages.
 func (db *DB) hybridHash(k int, residentFrac float64) staging {
 	residentUpTo := make([]int, db.D)
 	for j, rel := range db.S {

@@ -18,8 +18,8 @@ import "encoding/binary"
 //     2^windowBits bytes of S and feeds each window to joinRefs, so the
 //     gathers of one stretch hit one cache-sized part of S — with no
 //     table, no sort and zero allocations for an extent within a window.
-//   - radix.Plan (internal/radix) splits a k-way bucket fan-out into
-//     passes of at most 2^radix.Bits destinations each, so every scatter
+//   - params.Passes (internal/params) splits a k-way bucket fan-out into
+//     passes of at most 2^params.Bits destinations each, so every scatter
 //     pass's working set of destination pages stays cache-sized.
 //
 // Every kernel is gated on bit-identical Pairs/Signature against the

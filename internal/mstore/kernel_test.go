@@ -15,7 +15,7 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 )
 
 // segFiles lists the temporary segment files left under dir.
@@ -261,7 +261,7 @@ func TestKernelMultiPassDeep(t *testing.T) {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
 		for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
-			for _, bits := range []int{4, radix.Bits} {
+			for _, bits := range []int{4, params.Bits} {
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 					var tel JoinTelemetry
 					got, err := runStaged(t, db, cfg, bits, w, &tel)
@@ -271,7 +271,7 @@ func TestKernelMultiPassDeep(t *testing.T) {
 					if got != want {
 						t.Fatalf("%s bits=%d w=%d: got %+v want %+v", name, bits, w, got, want)
 					}
-					if passes, _ := radix.Plan(300, bits); tel.RadixPasses.Load() != int64(passes) {
+					if passes, _ := params.Passes(300, bits); tel.RadixPasses.Load() != int64(passes) {
 						t.Fatalf("%s bits=%d: ran %d passes, want %d", name, bits, tel.RadixPasses.Load(), passes)
 					}
 				}
@@ -290,9 +290,11 @@ func TestKernelGridUnderGrant(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
 	for _, mrproc := range []int64{64, 32 << 10, 0} {
-		k := db.deriveK(mrproc)
-		for name, cfg := range map[string]staging{"grace": db.grace(k), "hybrid-hash": db.hybridHash(k, db.deriveResident(mrproc))} {
-			for _, bits := range []int{4, radix.Bits} {
+		for name, cfg := range map[string]staging{
+			"grace":       db.hybridHash(db.plan(join.Grace, 0, mrproc)),
+			"hybrid-hash": db.hybridHash(db.plan(join.HybridHash, 0, mrproc)),
+		} {
+			for _, bits := range []int{4, params.Bits} {
 				var tel JoinTelemetry
 				got, err := runStaged(t, db, cfg, bits, 0, &tel)
 				if err != nil {
@@ -427,9 +429,9 @@ func TestKernelOrderProbeMatchesMap(t *testing.T) {
 		k, fanBits, winBits int
 		minLevels           int // ordering levels the widest bucket needs
 	}{
-		{"hot-key", hot, 4, radix.Bits, windowBits, 0},
-		{"whole-partition", makeDB, 1, radix.Bits, 12, 1},
-		{"zipf", zipfDB, 37, radix.Bits, 9, 1},
+		{"hot-key", hot, 4, params.Bits, windowBits, 0},
+		{"whole-partition", makeDB, 1, params.Bits, 12, 1},
+		{"zipf", zipfDB, 37, params.Bits, 9, 1},
 		{"two-level", makeDB, 2, 2, 8, 2},
 	} {
 		db := c.mk(t, 4000)
@@ -477,32 +479,6 @@ func TestKernelOrderProbeZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, func() { bs.orderProbe(t) }); allocs != 0 {
 		t.Fatalf("finishing in-window extents allocates %.1f times per pass", allocs)
-	}
-}
-
-// TestKernelRadixPlan pins the pass structure the executor and the cost
-// model must agree on.
-func TestKernelRadixPlan(t *testing.T) {
-	cases := []struct {
-		k, bits      int
-		passes, span int
-	}{
-		{1, 8, 1, 1},
-		{256, 8, 1, 1},
-		{257, 8, 2, 256},
-		{65536, 8, 2, 256},
-		{65537, 8, 3, 65536},
-		{16, 4, 1, 1},
-		{17, 4, 2, 16},
-		{300, 4, 3, 256},
-		{300, 12, 1, 1},
-	}
-	for _, c := range cases {
-		passes, span := radix.Plan(c.k, c.bits)
-		if passes != c.passes || span != c.span {
-			t.Errorf("radix.Plan(%d, %d) = (%d, %d), want (%d, %d)",
-				c.k, c.bits, passes, span, c.passes, c.span)
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 )
 
 func TestSegmentCreateOpenRoundTrip(t *testing.T) {
@@ -332,7 +332,7 @@ func TestHybridHashRealStore(t *testing.T) {
 	// A request derives the resident fraction from MRproc; the fixed
 	// fractions go to the staging configuration directly.
 	for _, frac := range []float64{0, 0.3, 0.7, 1.0} {
-		st, err := runStaged(t, db, db.hybridHash(6, frac), radix.Bits, 2, nil)
+		st, err := runStaged(t, db, db.hybridHash(6, frac), params.Bits, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

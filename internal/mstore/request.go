@@ -3,12 +3,11 @@ package mstore
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/radix"
+	"mmjoin/internal/params"
 	"mmjoin/internal/relation"
 )
 
@@ -22,11 +21,12 @@ import (
 //     (TraditionalGrace exists only as an analytical baseline in the
 //     simulator).
 //   - MRproc is the per-goroutine private-memory grant in bytes, the
-//     real-store analogue of join.Params.MRproc. Grace derives its
-//     bucket count K from it with the simulator's rule
-//     K = ⌈fuzz·|RSi|·r / MRproc⌉ (fuzz is radix.Fuzz), and hybrid-hash
-//     sizes its resident S prefix as the part of an S partition that
-//     fits in MRproc — the one memory number a join takes (§7).
+//     real-store analogue of join.Params.MRproc and the one memory
+//     number a join takes. Grace and hybrid hash derive their bucket
+//     count K and hybrid hash its resident S prefix f0 from it, with the
+//     rules the simulator and the model use (internal/params) at each
+//     partition's expected load |R|/D: f0 = min(1, 0.8·MRproc/(|Sj|·s)),
+//     K = ⌈Fuzz·(1−f0)·|RSi|·r / MRproc⌉, and K = 0 when f0 = 1.
 //   - K overrides that derivation exactly as in join.Params.
 //
 // The pointer vocabularies map as follows: the simulator's
@@ -74,9 +74,9 @@ type JoinRequest struct {
 	Ctx context.Context
 }
 
-// withDefaults folds derived defaults into the request, mirroring
-// join.Params.withDefaults.
-func (req *JoinRequest) withDefaults(db *DB) error {
+// validate rejects a request the store cannot execute. K and the
+// resident prefix are derived at execution (DB.plan), not folded in.
+func (req *JoinRequest) validate(db *DB) error {
 	switch req.Algorithm {
 	case join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash:
 	case join.IndexNL, join.IndexMerge:
@@ -93,59 +93,22 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	if req.MRproc < 0 {
 		return fmt.Errorf("mstore: negative memory grant %d", req.MRproc)
 	}
-	if req.K <= 0 {
-		req.K = db.deriveK(req.MRproc)
-	} else if max := db.maxK(); req.K > max {
-		// Bucket state (D·K counters and extent boundaries) is sized
-		// directly by K and is not covered by the MRproc grant, so an
-		// explicit K is clamped to the same per-partition reference
-		// ceiling deriveK enforces: buckets beyond the number of
-		// references a partition can hold never pay for themselves.
-		req.K = max
-	}
 	return nil
 }
 
-// deriveK applies the simulator's Grace rule K = ⌈fuzz·|RSi|·r/M⌉ with
-// |RSi| = |R|/D (each partition's expected reference load).
-func (db *DB) deriveK(mrproc int64) int {
-	if mrproc <= 0 {
-		return 1
+// plan derives a staged hash join's bucket count K and resident fraction
+// f0 (hybrid hash only; Grace keeps nothing resident) with the shared
+// rules, at the expected reference load |R|/D of a partition and the
+// average S partition. K is capped at one bucket per expected reference:
+// bucket state (D·K counters and extent bounds) is sized by K and not
+// covered by the grant, so more buckets than references never pay.
+func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
+	refs, size := float64(db.CountR())/float64(db.D), int64(db.ObjSize)
+	f0 := 0.0
+	if alg == join.HybridHash {
+		f0 = params.Resident(mrproc, float64(db.CountS())/float64(db.D), size)
 	}
-	k := int(math.Ceil(radix.Fuzz * float64(db.CountR()) / float64(db.D) * float64(db.ObjSize) / float64(mrproc)))
-	if k < 1 {
-		k = 1
-	}
-	if max := db.maxK(); k > max {
-		k = max
-	}
-	return k
-}
-
-// maxK is the largest useful bucket count: one bucket per expected
-// reference in a partition (at least 1).
-func (db *DB) maxK() int {
-	if k := db.CountR() / db.D; k > 1 {
-		return k
-	}
-	return 1
-}
-
-// deriveResident sizes the hybrid-hash resident prefix: the share of
-// one S partition that fits in the per-goroutine grant.
-func (db *DB) deriveResident(mrproc int64) float64 {
-	if mrproc <= 0 {
-		return 0
-	}
-	perPart := float64(db.CountS()) / float64(db.D) * float64(db.ObjSize)
-	if perPart <= 0 {
-		return 0
-	}
-	frac := float64(mrproc) / perPart
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
+	return params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs), f0
 }
 
 // CountR returns the total number of R objects across partitions.
@@ -166,7 +129,7 @@ func (db *DB) CountS() int {
 	return n
 }
 
-// Run validates the request, folds in derived defaults, and executes the
+// Run validates the request, derives its plan, and executes the
 // selected algorithm over the mapped store. It is safe for concurrent
 // use by multiple goroutines with the default TmpDir (each call gets a
 // fresh temp directory; the base relations are only read); concurrent
@@ -176,7 +139,7 @@ func (db *DB) CountS() int {
 // the temp directory, the pool and the joinRun that owns the kernel,
 // the telemetry, the per-worker accumulators and the temp arena.
 func (db *DB) Run(req JoinRequest) (JoinStats, error) {
-	if err := req.withDefaults(db); err != nil {
+	if err := req.validate(db); err != nil {
 		return JoinStats{}, err
 	}
 	if req.TmpDir == "" {
@@ -207,13 +170,11 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		err = r.staged(db.nestedLoops())
 	case join.SortMerge:
 		err = r.staged(db.sortMerge(p.Workers()))
-	case join.Grace:
-		err = r.staged(db.grace(req.K))
-	case join.HybridHash:
-		err = r.staged(db.hybridHash(req.K, db.deriveResident(req.MRproc)))
+	case join.Grace, join.HybridHash:
+		err = r.staged(db.hybridHash(db.plan(req.Algorithm, req.K, req.MRproc)))
 	case join.IndexNL:
 		err = r.indexNL()
-	default: // join.IndexMerge, by withDefaults
+	default: // join.IndexMerge, by validate
 		err = r.indexMerge()
 	}
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmjoin/internal/join"
+	"mmjoin/internal/params"
 )
 
 func testDB(t *testing.T, d, n int) *DB {
@@ -50,40 +51,84 @@ func TestRequestDerivesGraceParameters(t *testing.T) {
 	db := testDB(t, 2, 2000)
 	// K follows the simulator's rule K = ceil(fuzz*|RSi|*r/M) with
 	// |RSi| = |R|/D: 1.2*1000*32/4096 = 9.375 -> 10.
-	req := JoinRequest{Algorithm: join.Grace, MRproc: 4096}
-	if err := req.withDefaults(db); err != nil {
-		t.Fatal(err)
+	if k, f0 := db.plan(join.Grace, 0, 4096); k != 10 || f0 != 0 {
+		t.Errorf("derived (K, f0) = (%d, %g), want (10, 0)", k, f0)
 	}
-	if req.K != 10 {
-		t.Errorf("derived K = %d, want 10", req.K)
+	// An ample grant collapses to one bucket; an explicit K wins, up to
+	// one bucket per expected reference.
+	if k, _ := db.plan(join.Grace, 0, 1<<30); k != 1 {
+		t.Errorf("ample-memory K = %d, want 1", k)
 	}
-	// TmpDir stays empty after defaulting: Run creates (and removes) a
-	// per-call temp directory so concurrent default-TmpDir joins cannot
-	// collide on the fixed bucket file names.
-	if req.TmpDir != "" {
-		t.Errorf("TmpDir defaulted to %q, want per-call MkdirTemp in Run", req.TmpDir)
+	if k, _ := db.plan(join.Grace, 3, 4096); k != 3 {
+		t.Errorf("explicit K overridden to %d", k)
 	}
-	// An ample grant collapses to one bucket; an explicit K wins.
-	ample := JoinRequest{Algorithm: join.Grace, MRproc: 1 << 30}
-	if err := ample.withDefaults(db); err != nil {
-		t.Fatal(err)
+	if k, _ := db.plan(join.Grace, 5000, 4096); k != 1000 {
+		t.Errorf("explicit K = %d past |R|/D, want the cap 1000", k)
 	}
-	if ample.K != 1 {
-		t.Errorf("ample-memory K = %d, want 1", ample.K)
+	// Hybrid-hash residency: the share of one S partition that fits in
+	// 0.8 of the grant, and K shrunk to the overflow:
+	// 1.2*(1-0.2)*1000*32/8000 = 3.84 -> 4.
+	if k, f0 := db.plan(join.HybridHash, 0, 8000); k != 4 || f0 != 0.8*8000/(1000*32) {
+		t.Errorf("hybrid (K, f0) = (%d, %g), want (4, %g)", k, f0, 0.8*8000/(1000*32))
 	}
-	explicit := JoinRequest{Algorithm: join.Grace, MRproc: 4096, K: 3}
-	if err := explicit.withDefaults(db); err != nil {
-		t.Fatal(err)
+	if k, f0 := db.plan(join.HybridHash, 0, 1<<30); k != 0 || f0 != 1 {
+		t.Errorf("ample-memory hybrid (K, f0) = (%d, %g), want (0, 1)", k, f0)
 	}
-	if explicit.K != 3 {
-		t.Errorf("explicit K overridden to %d", explicit.K)
+	// Zero is unbounded: one bucket, nothing resident.
+	if k, f0 := db.plan(join.HybridHash, 0, 0); k != 1 || f0 != 0 {
+		t.Errorf("unbounded hybrid (K, f0) = (%d, %g), want (1, 0)", k, f0)
 	}
-	// Hybrid-hash residency: the share of one S partition that fits.
-	if got, want := db.deriveResident(8000), 8000.0/(1000*32); got != want {
-		t.Errorf("resident fraction = %g, want %g", got, want)
+}
+
+// TestRequestPlanIsTheSharedRule: the store's K and resident fraction
+// are the shared rules' answer at the store's inputs — |R|/D references,
+// the average S partition, MRproc as the one memory figure — across a
+// sweep of grants from below a page to past the whole S partition.
+func TestRequestPlanIsTheSharedRule(t *testing.T) {
+	db := testDB(t, 3, 6000)
+	refs, sObjs, size := 2000.0, 2000.0, int64(32)
+	for mrproc := int64(0); mrproc <= 1<<17; mrproc = mrproc*3/2 + 512 {
+		for _, k := range []int{0, 7} {
+			wantF0 := params.Resident(mrproc, sObjs, size)
+			want := params.Cap(params.Buckets(k, wantF0, refs, size, mrproc), refs)
+			if got, f0 := db.plan(join.HybridHash, k, mrproc); got != want || f0 != wantF0 {
+				t.Errorf("hybrid MRproc=%d k=%d: (K, f0) = (%d, %g), want (%d, %g)", mrproc, k, got, f0, want, wantF0)
+			}
+			want = params.Cap(params.Buckets(k, 0, refs, size, mrproc), refs)
+			if got, f0 := db.plan(join.Grace, k, mrproc); got != want || f0 != 0 {
+				t.Errorf("grace MRproc=%d k=%d: (K, f0) = (%d, %g), want (%d, 0)", mrproc, k, got, f0, want)
+			}
+		}
 	}
-	if got := db.deriveResident(1 << 30); got != 1 {
-		t.Errorf("ample-memory resident fraction = %g, want 1", got)
+}
+
+// TestHybridHashFullyResidentStagesNothing: a grant whose 0.8 covers an
+// S partition makes f0 = 1, so K = 0 even when the request names a K —
+// every reference joins during the scan, no arena is created, and the
+// join is exact. A served join on the default grant takes this path.
+func TestHybridHashFullyResidentStagesNothing(t *testing.T) {
+	db := testDB(t, 2, 2000)
+	want := db.ExpectedStats()
+	mrproc := int64(1000*32*10/8 + 1) // |Sj|·s / 0.8, rounded up
+	for _, k := range []int{0, 5} {
+		if got, f0 := db.plan(join.HybridHash, k, mrproc); got != 0 || f0 != 1 {
+			t.Fatalf("k=%d: (K, f0) = (%d, %g), want (0, 1)", k, got, f0)
+		}
+		var tel JoinTelemetry
+		tmp := t.TempDir()
+		st, err := db.Run(JoinRequest{Algorithm: join.HybridHash, MRproc: mrproc, K: k, Telemetry: &tel, TmpDir: tmp})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if st != want {
+			t.Errorf("k=%d: %+v, want %+v", k, st, want)
+		}
+		if n := tel.TempFiles.Load(); n != 0 {
+			t.Errorf("k=%d: %d temp files, want 0", k, n)
+		}
+		if left, _ := filepath.Glob(filepath.Join(tmp, "*")); len(left) != 0 {
+			t.Errorf("k=%d: staged into %v", k, left)
+		}
 	}
 }
 
