@@ -38,7 +38,9 @@ func TestArenaPartitionInPlace(t *testing.T) {
 		for c := range classes {
 			bounds[c+1] += bounds[c]
 		}
-		partition(refs, bounds, func(e ref) int { return int(e.off) })
+		if !partition(refs, bounds, func(e ref) int { return int(e.off) }) {
+			t.Fatalf("trial %d: exact bounds reported stale", trial)
+		}
 		seen := make([]bool, len(refs))
 		for c := range classes {
 			for _, e := range refs[bounds[c]:bounds[c+1]] {
@@ -49,43 +51,59 @@ func TestArenaPartitionInPlace(t *testing.T) {
 			}
 		}
 	}
+	// Bounds that give class 0 one slot for its two references — a stale
+	// layout — are reported, and nothing moves out of range.
+	refs := []ref{{off: 1}, {off: 0}, {off: 0}}
+	if partition(refs, []int{0, 1, 3}, func(e ref) int { return int(e.off) }) {
+		t.Fatal("undercounted bounds were not reported")
+	}
 }
 
 // TestArenaExtentsTileExactly is the layout property: for random
-// destination counts (random k, a random many-to-one bucket map that
-// leaves destinations empty, a random resident share) at workers
-// {1, 2, 4, 8} and fan-outs that refine zero to three times, the
-// extents handed to finish tile the arena exactly — no gap, no overlap,
-// arena bytes = staged references × 16 + header — and each
-// destination's extent holds exactly the multiset of references the
-// scan should have staged there. Under -race it is also the proof that
-// concurrent morsels claiming runs of one extent never share a slot.
+// destination counts (random k, random cell-to-bucket tables drawn from
+// a random many-to-one bucket map that leaves destinations empty, and a
+// random resident-cell prefix per S partition) at workers {1, 2, 4, 8}
+// and fan-outs that refine zero to three times, the extents handed to
+// finish tile the arena exactly — no gap, no overlap, arena bytes =
+// staged references × 16 + header — and each destination's extent holds
+// exactly the multiset of references the scan should have staged there.
+// Under -race it is also the proof that concurrent morsels claiming
+// runs of one extent never share a slot.
 func TestArenaExtentsTileExactly(t *testing.T) {
 	db := makeDB(t, 3*morselObjs+123)
+	h := histOf(t, db)
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 24; trial++ {
 		workers := []int{1, 2, 4, 8}[trial%4]
 		k := 1 + rng.Intn(60)
 		fanBits := []int{2, 4, 8}[rng.Intn(3)]
-		bucketOf := make([]int, k)
+		bucketOf := make([]int32, k)
 		for b := range bucketOf {
-			bucketOf[b] = rng.Intn(k)
+			bucketOf[b] = int32(rng.Intn(k))
 		}
-		residentMod := 2 + rng.Intn(5)
-		cfg := staging{
-			k: k,
-			resident: func(_ int, p SPtr) bool {
-				return db.S[p.Part].IndexOf(p.Off)%residentMod == 0
-			},
-			dest: func(_ int, p SPtr) int { return bucketOf[db.S[p.Part].IndexOf(p.Off)%k] },
+		tables := make([][]int32, db.D)
+		for j := range tables {
+			tables[j] = make([]int32, len(h.cells[j]))
+			resident := rng.Intn(len(tables[j])/2 + 1)
+			for c := range tables[j] {
+				tables[j][c] = -1
+				if c >= resident {
+					tables[j][c] = bucketOf[rng.Intn(k)]
+				}
+			}
+		}
+		cfg := h.byCell(k, tables)
+		dest := func(j int, off Ptr) int {
+			m := cfg.maps[0][j]
+			return int(m.bucket[uint64(off-m.base)>>m.shift])
 		}
 		want := make([][]ref, db.D*k)
 		staged := 0
-		for i, ri := range db.R {
+		for _, ri := range db.R {
 			for x := 0; x < ri.Count(); x++ {
 				obj := ri.Object(x)
-				if p := DecodeSPtr(obj); !cfg.resident(i, p) {
-					dst := int(p.Part)*k + cfg.dest(i, p)
+				if p := DecodeSPtr(obj); dest(int(p.Part), p.Off) >= 0 {
+					dst := int(p.Part)*k + dest(int(p.Part), p.Off)
 					want[dst] = append(want[dst], ref{off: p.Off, rid: ridFromObj(obj)})
 					staged++
 				}
@@ -105,7 +123,7 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 			// runs to the arena's end and gives away where it starts.
 			e := extent{
 				lo:   len(s.tmp.refs) - cap(refs),
-				dst:  part*k + cfg.dest(0, SPtr{Part: uint32(part), Off: refs[0].off}),
+				dst:  part*k + dest(part, refs[0].off),
 				refs: slices.Clone(refs),
 			}
 			mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // DB is a partitioned pair of relations R and S stored in one
@@ -22,6 +23,14 @@ type DB struct {
 	// Per-partition B-tree indexes (index.go); attached all-or-nothing
 	// by OpenDB/BuildIndexes, nil on an unindexed store.
 	ridx, sidx []*BTree
+
+	// The reference histogram (hist.go), or the bad pointer that stopped
+	// it, set by the handle's first staging join; histPasses counts the
+	// counts begun. All three are guarded by histMu.
+	histMu     sync.Mutex
+	hist       *refHist
+	histErr    error
+	histPasses int
 }
 
 // ridOffset is where the 8-byte R id lives inside an R object, right

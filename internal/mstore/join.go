@@ -28,9 +28,9 @@ import (
 // what is local, stage the rest by S address, finish each staged run —
 // nested loops probes it as it lies; sort-merge, Grace and hybrid hash
 // order it in place into cache-sized S windows first. That shape is
-// written once, in joinRun.staged; the operators below it are
-// configurations (staging), and the inner loops live in the kernel
-// layer (kernel.go).
+// written once, in joinRun.staged; the operators are configurations
+// (staging) read off the handle's reference histogram (hist.go), and the
+// inner loops live in the kernel layer (kernel.go).
 
 // morselObjs is the fixed morsel size: the number of objects one
 // work-stealing task covers. Around 4k objects a morsel is a few
@@ -74,18 +74,6 @@ func rangeTasks(tasks []exec.Task, n int, fn func(w, lo, hi int) error) []exec.T
 		tasks = append(tasks, func(w int) error { return fn(w, lo, hi) })
 	}
 	return tasks
-}
-
-// rankBucket maps the object of rank idx among n onto one of k
-// order-preserving buckets. The product idx·k overflows int on 32-bit
-// platforms at realistic sizes (a 10M-object partition times k=512
-// exceeds 2^31), so the math is done in int64.
-func rankBucket(idx, k, n int) int {
-	if n < 1 || k < 1 {
-		return 0
-	}
-	b := int(int64(idx) * int64(k) / int64(n))
-	return min(max(b, 0), k-1)
 }
 
 // stageScratch is one worker's private buffer for the scan morsel it is
@@ -139,14 +127,18 @@ func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, t
 // S partition j, which is why a staged reference need not name it.
 type staging struct {
 	k int
-	// resident references join during the scan and never touch
-	// temporary storage; nil means nothing is resident.
-	resident func(i int, p SPtr) bool
-	// dest places a non-resident reference found in Ri into a bucket of
-	// row p.Part. A staged reference no longer knows i, so a dest that
-	// reads it must keep k within one pass's fan-out: refine re-derives
-	// buckets from (row, S offset) alone.
-	dest func(i int, p SPtr) int
+	// maps[i][j] places Ri's references into S partition j: a bucket of
+	// row j, or resident — joined during the scan, never staged. An
+	// operator whose maps do not depend on the origin shares one []rowMap
+	// across every i. A staged reference no longer knows i, and refine
+	// re-derives buckets from maps[0][row], so an operator whose maps do
+	// depend on it (nested loops) must keep k within one pass's fan-out.
+	maps [][]rowMap
+	// starts lays every destination out in the arena: (row, b) owns
+	// refs[starts[row·k+b] : starts[row·k+b+1]]. Buckets of a row are
+	// adjacent, so a coarse group of them is one extent too, at every
+	// level of refinement.
+	starts []int
 	// finish joins one non-empty final destination — an extent of the
 	// arena holding references into S partition part — on worker w. It
 	// may run the work inline or enqueue it on the stage's job.
@@ -158,61 +150,30 @@ type stagedRun struct {
 	*joinRun
 	staging
 	jb *exec.Job
-	// starts lays every destination out in the arena: (row, b) owns
-	// refs[starts[row·k+b] : starts[row·k+b+1]]. Buckets of a row are
-	// adjacent, so a coarse group of them is one extent too, at every
-	// level of refinement.
-	starts []int
+}
+
+// staleRef reports a reference the scan found outside the handle's
+// histogram: R_i[x] now holds ptr.
+func staleRef(i, x int, ptr SPtr) error {
+	return fmt.Errorf("%w: R%d[%d] points to %d/%d", errStale, i, x, ptr.Part, ptr.Off)
 }
 
 // staged is the one skeleton under nested loops, sort-merge, Grace and
-// hybrid hash: count → lay the destinations out back to back in one
-// exactly sized arena → scan (resident references fold immediately
-// through the batched kernel, the rest are stored into their
-// destination's extent) → one finish task per first-pass destination,
-// which returns at once when its extent is empty. A k beyond the
-// per-pass fan-out stages in coarse groups of contiguous buckets that
-// refine inside their finish task.
+// hybrid hash. The histogram has been counted and the operator's
+// layout read off it, so the join opens its one exactly sized arena at
+// once → scan (resident references fold immediately through the batched
+// kernel, the rest are stored into their destination's extent) → one
+// finish task per first-pass destination, which returns at once when
+// its extent is empty. A k beyond the per-pass fan-out stages in coarse
+// groups of contiguous buckets that refine inside their finish task.
+//
+// The scan checks every reference against the histogram it was laid out
+// from, so a pointer rewritten after the histogram was counted fails
+// the join with errStale rather than overrunning an extent: no claim may
+// run past its extent's end, and every claim cursor must reach it.
 func (r *joinRun) staged(cfg staging) error {
-	db, d, k := r.db, r.db.D, cfg.k
-	s := &stagedRun{joinRun: r, staging: cfg, starts: make([]int, d*k+1)}
-
-	// Count (morsel-parallel, one private array per worker): sizes every
-	// destination exactly. The per-worker split means nothing to the
-	// scan — morsels are stolen between the two passes — only the sums
-	// are kept, as prefix sums.
-	local := make([][]int, r.p.Workers())
-	var tasks []exec.Task
-	for i, ri := range db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
-			if local[w] == nil {
-				local[w] = make([]int, d*k)
-			}
-			cnt := local[w]
-			for x := lo; x < hi; x++ {
-				ptr := DecodeSPtr(ri.Object(x))
-				if int(ptr.Part) >= d {
-					return fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, ptr.Part)
-				}
-				if cfg.resident != nil && cfg.resident(i, ptr) {
-					continue
-				}
-				cnt[int(ptr.Part)*k+cfg.dest(i, ptr)]++
-			}
-			return nil
-		})
-	}
-	if err := r.p.Run(r.ctx, tasks); err != nil {
-		return err
-	}
-	for _, l := range local {
-		for x, c := range l {
-			s.starts[x+1] += c
-		}
-	}
-	for x := range d * k {
-		s.starts[x+1] += s.starts[x]
-	}
+	d, k := r.db.D, cfg.k
+	s := &stagedRun{joinRun: r, staging: cfg}
 	if err := r.tmp.open(s.starts[d*k]); err != nil {
 		return err
 	}
@@ -220,23 +181,28 @@ func (r *joinRun) staged(cfg staging) error {
 
 	// First-pass destinations: the final buckets themselves when span is
 	// 1, else one per contiguous group of span buckets. Each has a claim
-	// cursor running over its extent.
+	// cursor running over its extent, up to end.
 	passes, span := params.Passes(k, r.fanBits)
 	shift := bits.TrailingZeros(uint(span))
 	groups := (k + span - 1) >> shift
 	storeMax(&r.tel.RadixPasses, int64(passes))
 	cur := make([]atomic.Int64, d*groups)
+	end := make([]int, d*groups)
 	for g := range cur {
-		cur[g].Store(int64(s.starts[g/groups*k+(g%groups)<<shift]))
+		base, b := g/groups*k, (g%groups)<<shift
+		cur[g].Store(int64(s.starts[base+b]))
+		end[g] = s.starts[base+min(b+span, k)]
 	}
 
 	// Scan. A morsel decodes its references into the worker's scratch,
 	// claims one contiguous run per destination it touched with a single
 	// atomic add, and fills the runs with plain stores: no lock, and no
-	// two writers ever share a slot.
+	// two writers ever share a slot. A morsel that fails drops its
+	// worker's scratch, whose counts it leaves unsettled.
 	scratch := make([]*stageScratch, r.p.Workers())
-	tasks = tasks[:0]
-	for i, ri := range db.R {
+	var tasks []exec.Task
+	for i, ri := range r.db.R {
+		maps := cfg.maps[i]
 		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
 			st := &r.stats[w].JoinStats
 			sc := scratch[w]
@@ -249,11 +215,22 @@ func (r *joinRun) staged(cfg staging) error {
 			for x := lo; x < hi; x++ {
 				obj := ri.Object(x)
 				ptr := DecodeSPtr(obj)
-				if cfg.resident != nil && cfg.resident(i, ptr) {
-					batch.add(obj, st)
+				if int(ptr.Part) >= d {
+					scratch[w] = nil
+					return staleRef(i, x, ptr)
+				}
+				m := &maps[ptr.Part]
+				o := uint64(ptr.Off - m.base)
+				if o >= m.span {
+					scratch[w] = nil
+					return staleRef(i, x, ptr)
+				}
+				b := m.bucket[o>>m.shift]
+				if b < 0 {
+					batch.addPair(ridFromObj(obj), ptr, st)
 					continue
 				}
-				g := int(ptr.Part)*groups + cfg.dest(i, ptr)>>shift
+				g := int(ptr.Part)*groups + int(b)>>shift
 				sc.refs[n], sc.dst[n] = ref{off: ptr.Off, rid: ridFromObj(obj)}, int32(g)
 				sc.cnt[g]++
 				n++
@@ -261,7 +238,12 @@ func (r *joinRun) staged(cfg staging) error {
 			batch.flush(st)
 			for x, g := range sc.dst[:n] {
 				if c := sc.cnt[g]; c != 0 {
-					sc.pos[g] = int(cur[g].Add(int64(c))) - c
+					to := int(cur[g].Add(int64(c)))
+					if to > end[g] {
+						scratch[w] = nil
+						return fmt.Errorf("%w: more references into S%d than it counted", errStale, int(g)/groups)
+					}
+					sc.pos[g] = to - c
 					sc.cnt[g] = 0
 				}
 				refs[sc.pos[g]] = sc.refs[x]
@@ -272,6 +254,11 @@ func (r *joinRun) staged(cfg staging) error {
 	}
 	if err := r.p.Run(r.ctx, tasks); err != nil {
 		return err
+	}
+	for g := range cur {
+		if int(cur[g].Load()) != end[g] {
+			return fmt.Errorf("%w: fewer references into S%d than it counted", errStale, g/groups)
+		}
 	}
 
 	// Finish, one dynamic job: a destination's task may enqueue more
@@ -298,8 +285,8 @@ func (r *joinRun) staged(cfg staging) error {
 // is partitioned in place into at most 2^fanBits sub-groups and
 // recurses, all within one task — plain moves, no atomics — so a group
 // whose references are ready finishes while other groups are still
-// partitioning. Sub-group boundaries come from the global counting
-// pass, so no re-count scan is needed.
+// partitioning. Sub-group boundaries are the layout's own starts, and a
+// staged reference's bucket is one shift and one table lookup away.
 func (s *stagedRun) refine(w, row, b0, span int) error {
 	base, bEnd := row*s.k, min(b0+span, s.k)
 	lo, hi := s.starts[base+b0], s.starts[base+bEnd]
@@ -311,74 +298,23 @@ func (s *stagedRun) refine(w, row, b0, span int) error {
 		return s.finish(s, w, row, refs)
 	}
 	sub := max(span>>s.fanBits, 1)
+	subShift := bits.TrailingZeros(uint(sub))
 	var bounds []int
 	for b := b0; b < bEnd; b += sub {
 		bounds = append(bounds, s.starts[base+b]-lo)
 	}
-	partition(refs, append(bounds, hi-lo), func(e ref) int {
-		return (s.dest(row, SPtr{Part: uint32(row), Off: e.off}) - b0) / sub
-	})
+	m := &s.maps[0][row]
+	if !partition(refs, append(bounds, hi-lo), func(e ref) int {
+		return (int(m.bucket[uint64(e.off-m.base)>>m.shift]) - b0) >> subShift
+	}) {
+		return fmt.Errorf("%w: a bucket of S%d holds more references than it counted", errStale, row)
+	}
 	for b := b0; b < bEnd; b += sub {
 		if err := s.refine(w, row, b, sub); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// The operators: (resident, dest, k, finish).
-
-// nestedLoops (§5.1): own-partition references join during the scan,
-// the rest sub-partition into RP<i,j> — row j, bucket i — probed in
-// staggered order. Past one pass's fan-out neighbouring origins share a
-// destination (see staging.dest); up to it the mapping is the identity.
-func (db *DB) nestedLoops() staging {
-	k := min(db.D, 1<<params.Bits)
-	return staging{
-		k:        k,
-		resident: func(i int, p SPtr) bool { return int(p.Part) == i },
-		dest:     func(i int, _ SPtr) int { return rankBucket(i, k, db.D) },
-		finish:   (*stagedRun).scanProbe,
-	}
-}
-
-// sortMerge (§5.2) is Grace at sortSplitCount buckets: every reference
-// stages into RSj — its S partition's row — already split into address
-// ranges, so the first level of ordering RSj by S address is done by the
-// scan, and each split orders the rest independently, in parallel with
-// the others.
-func (db *DB) sortMerge(workers int) staging {
-	return db.grace(sortSplitCount(workers, db.D, db.CountR()/db.D))
-}
-
-// grace (§5.3) is hybrid hash with nothing resident.
-func (db *DB) grace(k int) staging { return db.hybridHash(k, 0) }
-
-// hybridHash: references into a resident prefix of each S partition
-// (residentFrac of its objects) join during the scan; the remainder
-// hashes into k order-preserving buckets per S partition — bucket by
-// position of the S offset within the partition's data area — each
-// ordered into S windows and probed in place. k = 0 comes only with
-// residentFrac = 1: every reference is resident and nothing stages.
-func (db *DB) hybridHash(k int, residentFrac float64) staging {
-	residentUpTo := make([]int, db.D)
-	for j, rel := range db.S {
-		residentUpTo[j] = int(residentFrac * float64(rel.Count()))
-	}
-	cfg := staging{
-		k: k,
-		dest: func(_ int, p SPtr) int {
-			rel, lo := db.S[p.Part], residentUpTo[p.Part]
-			return rankBucket(rel.IndexOf(p.Off)-lo, k, rel.Count()-lo)
-		},
-		finish: (*stagedRun).orderProbe,
-	}
-	if residentFrac > 0 {
-		cfg.resident = func(_ int, p SPtr) bool {
-			return db.S[p.Part].IndexOf(p.Off) < residentUpTo[p.Part]
-		}
-	}
-	return cfg
 }
 
 // The finish kinds.
@@ -394,10 +330,9 @@ func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
 // sortSplitCount picks how many address-range splits sort-merge gives
 // each S partition's references: enough tasks to occupy the pool across
 // all D partitions (with headroom for stealing), but never splits
-// smaller than a morsel at count references per partition — the
-// expected |R|/D, since k is fixed before the count pass measures the
-// real sizes. One worker gets one split per partition — exactly a
-// sequential in-place ordering.
+// smaller than a morsel at count references per partition (|R|/D). One
+// worker gets one split per partition — exactly a sequential in-place
+// ordering.
 func sortSplitCount(workers, d, count int) int {
 	s := (4*workers + d - 1) / d
 	if maxS := count/morselObjs + 1; s > maxS {
@@ -449,7 +384,7 @@ func (s *stagedRun) orderWindows(w, part int, refs []ref, lo Ptr, width int) err
 	for c := 1; c < len(bounds); c++ {
 		bounds[c] += bounds[c-1]
 	}
-	partition(refs, bounds, class)
+	partition(refs, bounds, class) // exact bounds: it cannot fail
 	for c := range len(bounds) - 1 {
 		if bounds[c] == bounds[c+1] {
 			continue

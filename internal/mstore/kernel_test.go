@@ -106,15 +106,17 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestKernelCancelMidScanLeavesNoTemporaries cancels each staging
-// operator after its count pass (8 morsels) and inside its scan pass —
-// the arena exists and is half written — and demands the explicit
-// TmpDir is still emptied.
+// operator inside its scan — the handle's histogram is counted up
+// front, so the scan's 8 morsels are the join's first, and the fourth
+// cancels with the arena open and half written — and demands the
+// explicit TmpDir is still emptied.
 func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000) // 4 partitions × 5000 objects: 2 morsels each
+	histOf(t, db)
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
 		ctx := &cancelAfter{}
 		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
-		ctx.left.Store(12)
+		ctx.left.Store(4)
 		tmp := filepath.Join(t.TempDir(), "tmp")
 		var tel JoinTelemetry
 		_, err := db.Run(JoinRequest{
@@ -146,7 +148,8 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 // fails with context.Canceled and the TmpDir is left empty.
 func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000)
-	for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
+	h := histOf(t, db)
+	for name, cfg := range map[string]staging{"grace": h.grace(300), "hybrid-hash": h.hybridHash(300, 0.3)} {
 		var tel JoinTelemetry
 		r, done := newTestRun(t, db, 2, &tel)
 		ctx, cancel := context.WithCancel(r.ctx)
@@ -167,7 +170,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 		}
 	}
 
-	for name, cfg := range map[string]staging{"sort-merge": db.sortMerge(2), "grace": db.grace(4)} {
+	for name, cfg := range map[string]staging{"sort-merge": h.sortMerge(2), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		r, done := newTestRun(t, db, 2, &tel)
 		ctx, cancel := context.WithCancel(r.ctx)
@@ -222,6 +225,20 @@ func newTestRun(t testing.TB, db *DB, workers int, tel *JoinTelemetry) (*joinRun
 	}
 }
 
+// histOf returns db's reference histogram, counting it through the
+// handle's cache, for tests that build a staging configuration
+// themselves.
+func histOf(t testing.TB, db *DB) *refHist {
+	t.Helper()
+	p := exec.NewPool(1)
+	defer p.Close()
+	h, err := db.histogram(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // runStaged runs one staging configuration at the given fan-out.
 func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, tel *JoinTelemetry) (JoinStats, error) {
 	t.Helper()
@@ -260,7 +277,8 @@ func TestKernelMultiPassDeep(t *testing.T) {
 	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
-		for name, cfg := range map[string]staging{"grace": db.grace(300), "hybrid-hash": db.hybridHash(300, 0.3)} {
+		h := histOf(t, db)
+		for name, cfg := range map[string]staging{"grace": h.grace(300), "hybrid-hash": h.hybridHash(300, 0.3)} {
 			for _, bits := range []int{4, params.Bits} {
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
 					var tel JoinTelemetry
@@ -289,10 +307,11 @@ func TestKernelMultiPassDeep(t *testing.T) {
 func TestKernelGridUnderGrant(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
+	h := histOf(t, db)
 	for _, mrproc := range []int64{64, 32 << 10, 0} {
 		for name, cfg := range map[string]staging{
-			"grace":       db.hybridHash(db.plan(join.Grace, 0, mrproc)),
-			"hybrid-hash": db.hybridHash(db.plan(join.HybridHash, 0, mrproc)),
+			"grace":       h.hybridHash(db.plan(join.Grace, 0, mrproc)),
+			"hybrid-hash": h.hybridHash(db.plan(join.HybridHash, 0, mrproc)),
 		} {
 			for _, bits := range []int{4, params.Bits} {
 				var tel JoinTelemetry
@@ -365,7 +384,7 @@ func graceBuckets(t testing.TB, db *DB, k, windowBits int) *bucketSet {
 	r, done := newTestRun(t, db, 1, nil)
 	t.Cleanup(done)
 	bs := &bucketSet{}
-	cfg := db.grace(k)
+	cfg := histOf(t, db).grace(k)
 	cfg.finish = func(_ *stagedRun, _, part int, refs []ref) error {
 		if len(refs) > morselObjs {
 			return fmt.Errorf("a bucket of %d references exceeds a morsel", len(refs))

@@ -331,8 +331,9 @@ func TestHybridHashRealStore(t *testing.T) {
 	want := db.ExpectedStats()
 	// A request derives the resident fraction from MRproc; the fixed
 	// fractions go to the staging configuration directly.
+	h := histOf(t, db)
 	for _, frac := range []float64{0, 0.3, 0.7, 1.0} {
-		st, err := runStaged(t, db, db.hybridHash(6, frac), params.Bits, 2, nil)
+		st, err := runStaged(t, db, h.hybridHash(6, frac), params.Bits, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

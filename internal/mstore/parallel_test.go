@@ -89,8 +89,8 @@ func skewDB(t *testing.T, nr int) *DB {
 // TestNestedLoopsSkewHeavy: with every reference pointing at S0, the
 // measured distribution concentrates all staged references in row 0 and
 // leaves every other destination empty. A measured-empty destination
-// must cost nothing: the count pass sizes the join's one arena at
-// exactly the staged references — 16 bytes each — so the empty
+// must cost nothing: the layout read off the histogram sizes the join's
+// one arena at exactly the staged references — 16 bytes each — so the empty
 // destinations are zero-length extents of it, not files or slots (the
 // former |Ri| sizing wasted (D−1)·|Ri| slots per partition). The joins
 // must still be exact.
@@ -103,7 +103,8 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 	// R0's references are its own partition's and join during the
 	// nested-loops scan; sort-merge and Grace stage all of R.
 	staged := map[string]int{"nested-loops": 4000 - db.R[0].Count(), "sort-merge": 4000, "grace": 4000}
-	for name, cfg := range map[string]staging{"nested-loops": db.nestedLoops(), "sort-merge": db.sortMerge(2), "grace": db.grace(4)} {
+	h := histOf(t, db)
+	for name, cfg := range map[string]staging{"nested-loops": h.nestedLoops(), "sort-merge": h.sortMerge(2), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		var mu sync.Mutex
 		rows := map[int]int{} // row → references its non-empty destinations hold

@@ -111,6 +111,18 @@ func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 	return params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs), f0
 }
 
+// staging reads a staging join's configuration off the histogram.
+func (db *DB) staging(h *refHist, req JoinRequest, workers int) staging {
+	switch req.Algorithm {
+	case join.NestedLoops:
+		return h.nestedLoops()
+	case join.SortMerge:
+		return h.sortMerge(workers)
+	default: // join.Grace, join.HybridHash
+		return h.hybridHash(db.plan(req.Algorithm, req.K, req.MRproc))
+	}
+}
+
 // CountR returns the total number of R objects across partitions.
 func (db *DB) CountR() int {
 	n := 0
@@ -166,16 +178,15 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 
 	var err error
 	switch req.Algorithm {
-	case join.NestedLoops:
-		err = r.staged(db.nestedLoops())
-	case join.SortMerge:
-		err = r.staged(db.sortMerge(p.Workers()))
-	case join.Grace, join.HybridHash:
-		err = r.staged(db.hybridHash(db.plan(req.Algorithm, req.K, req.MRproc)))
 	case join.IndexNL:
 		err = r.indexNL()
-	default: // join.IndexMerge, by validate
+	case join.IndexMerge:
 		err = r.indexMerge()
+	default: // a staging join, by validate
+		var h *refHist
+		if h, err = db.histogram(ctx, p); err == nil {
+			err = r.staged(db.staging(h, req, p.Workers()))
+		}
 	}
 	if err != nil {
 		return JoinStats{}, err

@@ -1,6 +1,7 @@
 package mstore
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -174,6 +175,31 @@ func TestWorkloadRejectsDanglingPointers(t *testing.T) {
 		db.R[1].SetJoinAttr(5, SPtr{Part: 0, Off: off(db.S[0])})
 		if w, err := db.Workload(); err == nil {
 			t.Errorf("pointer %s: got a workload (%d refs), want an error", name, len(w.Refs[1]))
+		}
+	}
+}
+
+// TestRunRejectsDanglingPointers mirrors TestWorkloadRejectsDanglingPointers
+// for the staging joins: the histogram pass rejects such a pointer, and
+// caches the verdict, so every staging operator fails on the handle and
+// keeps failing without counting again — none reads the segment header
+// or the slack space after the last object as an S word.
+func TestRunRejectsDanglingPointers(t *testing.T) {
+	for name, off := range map[string]func(s *Relation) Ptr{
+		"before the first object": func(s *Relation) Ptr { return s.PtrAt(0) - Ptr(s.size) },
+		"past the last object":    func(s *Relation) Ptr { return s.PtrAt(s.Count()) },
+	} {
+		db := testDB(t, 2, 100)
+		db.R[1].SetJoinAttr(5, SPtr{Part: 0, Off: off(db.S[0])})
+		for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
+			for try := range 2 {
+				if st, err := db.Run(JoinRequest{Algorithm: alg}); !errors.Is(err, errBadPointer) {
+					t.Errorf("pointer %s, %v (join %d): %+v, %v, want the dangling-pointer error", name, alg, try+1, st, err)
+				}
+			}
+		}
+		if n := histPassesOf(db); n != 1 {
+			t.Errorf("pointer %s: %d histogram counts, want 1", name, n)
 		}
 	}
 }

@@ -183,14 +183,14 @@ func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 // TestSkewEmptyBucketsCreateNoFiles: with every reference in partition
 // 0, the other partitions' buckets are measured empty and must cost
 // nothing — they are zero-length extents of the one arena, which the
-// count pass sized at exactly the staged references (the former eager
-// D×K creation opened a file for each of them).
+// layout read off the histogram sizes at exactly the staged references
+// (the former eager D×K creation opened a file for each of them).
 func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 	db := skewDB(t, 4000) // every reference → partition 0
 	want := db.ExpectedStats()
 	const k = 8
 	tel := &JoinTelemetry{}
-	cfg := db.grace(k)
+	cfg := histOf(t, db).grace(k)
 	var mu sync.Mutex
 	var starts []int
 	cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
@@ -216,39 +216,7 @@ func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 		t.Fatalf("extent layout %v: want all 4000 references in row 0's %d buckets and zero-length extents after them", starts, k)
 	}
 	if want := headerSize + 4000*refBytes; arenaBytes != want {
-		t.Fatalf("arena is %d bytes, want %d: the count pass sizes it at the staged references", arenaBytes, want)
-	}
-}
-
-// TestRankBucketBoundaries pins the int64 bucket math: the former
-// int-typed idx*k product overflows 32-bit ints at realistic sizes
-// (10M-object partition × k=512 ≈ 2^32.3).
-func TestRankBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		idx, k, n int
-		want      int
-	}{
-		{0, 4, 100, 0},
-		{99, 4, 100, 3},
-		{0, 1, 1, 0},
-		{math.MaxInt32 - 1, 1 << 20, math.MaxInt32, 1<<20 - 1},
-		{math.MaxInt32 / 2, 1 << 20, math.MaxInt32, 1<<19 - 1},
-		{10_000_000 - 1, 512, 10_000_000, 511},
-		{0, 512, 10_000_000, 0},
-	}
-	for _, c := range cases {
-		if got := rankBucket(c.idx, c.k, c.n); got != c.want {
-			t.Errorf("rankBucket(%d, %d, %d) = %d, want %d", c.idx, c.k, c.n, got, c.want)
-		}
-	}
-	// Monotone and in-range over a sweep.
-	prev := 0
-	for idx := 0; idx < 1000; idx++ {
-		b := rankBucket(idx, 7, 1000)
-		if b < prev || b < 0 || b >= 7 {
-			t.Fatalf("rankBucket not monotone in range at idx=%d: %d after %d", idx, b, prev)
-		}
-		prev = b
+		t.Fatalf("arena is %d bytes, want %d: the layout sizes it at the staged references", arenaBytes, want)
 	}
 }
 
