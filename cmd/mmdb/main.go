@@ -111,7 +111,7 @@ func cmdServe(args []string) {
 	grant := fs.Int64("grant", 0, "default per-request memory grant, bytes (0: default)")
 	maxQueue := fs.Int("maxqueue", 0, "admission queue bound (0: default, <0: no queue)")
 	timeout := fs.Duration("timeout", 0, "per-request timeout (0: default)")
-	calOps := fs.Int("calops", 0, "planner calibration effort (0: default)")
+	calOps := fs.Int("calops", 0, "with -shard-map: calibration effort of the per-shard auto planner (0: default); a single store plans on its own measured profile")
 	workers := fs.Int("workers", 0, "size of the one morsel pool every join shares, single or sharded (0: GOMAXPROCS)")
 	drainWait := fs.Duration("drainwait", 30*time.Second, "graceful drain limit on SIGTERM")
 	fs.Parse(args)
@@ -121,7 +121,7 @@ func cmdServe(args []string) {
 
 	cfg := service.Config{
 		MemBudget: *budget, DefaultGrant: *grant, MaxQueue: *maxQueue,
-		RequestTimeout: *timeout, CalibrationOps: *calOps, Workers: *workers,
+		RequestTimeout: *timeout, Workers: *workers,
 	}
 	serving := *dir
 	if *shardMap != "" {
@@ -297,14 +297,6 @@ func cmdIndex(args []string) {
 	}
 }
 
-// realAlgorithms are the pointer-based plans the mapped store executes;
-// indexAlgorithms are the additional plans an indexed store unlocks.
-var realAlgorithms = []join.Algorithm{
-	join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash,
-}
-
-var indexAlgorithms = []join.Algorithm{join.IndexNL, join.IndexMerge}
-
 func cmdJoin(args []string) {
 	fs := flag.NewFlagSet("join", flag.ExitOnError)
 	dir := fs.String("dir", "", "database directory")
@@ -326,11 +318,11 @@ func cmdJoin(args []string) {
 	pool := exec.NewPool(*workers)
 	defer pool.Close()
 
-	run := func(a join.Algorithm) {
+	req := mstore.JoinRequest{MRproc: *mrproc, K: *k, Pool: pool}
+	run := func(a join.Algorithm, note string) {
+		req.Algorithm = a
 		start := time.Now()
-		st, err := db.Run(mstore.JoinRequest{
-			Algorithm: a, MRproc: *mrproc, K: *k, Pool: pool,
-		})
+		st, err := db.Run(req)
 		if err != nil {
 			fatal(err)
 		}
@@ -338,43 +330,28 @@ func cmdJoin(args []string) {
 		if st != want {
 			ok = "MISMATCH"
 		}
-		fmt.Printf("%-12s  %8d pairs  %10v  verification %s\n",
-			a, st.Pairs, time.Since(start).Round(time.Microsecond), ok)
+		fmt.Printf("%-12s  %8d pairs  %10v  verification %s%s\n",
+			a, st.Pairs, time.Since(start).Round(time.Microsecond), ok, note)
 	}
+	ops := mstore.Operators(db.HasIndexes())
 	if *alg == "auto" {
-		// Cost this exact database (its measured pointer distribution)
-		// through the calibrated analytical model and run the winner; an
-		// indexed store widens the candidate set with the index paths.
-		w, err := db.Workload()
+		// Explain the join under every operator — the store's own plan,
+		// priced on its measured profile — and run the cheapest, as the
+		// service's auto does.
+		plans, err := mstore.Rank(db, req, ops)
 		if err != nil {
 			fatal(err)
 		}
-		mcfg := machine.DefaultConfig()
-		mcfg.D = *d
-		var algs []join.Algorithm
-		if db.HasIndexes() {
-			algs = planner.IndexAlgorithms
+		for _, p := range plans {
+			fmt.Printf("  plan: %-12s predicted %10v  (staged %d, arena %d B)\n",
+				p.Algorithm, time.Duration(p.PredictedNs).Round(time.Microsecond), p.Staged, p.ArenaBytes)
 		}
-		choice, err := planner.New(model.Calibrate(mcfg, 400, 1), algs).ChooseFor(join.Request{
-			Config: mcfg,
-			Params: join.Params{Workload: w, MRproc: *mrproc, K: *k},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, c := range choice.Candidates {
-			fmt.Printf("  plan: %-16s predicted %v\n", c.Algorithm, time.Duration(c.Predicted))
-		}
-		run(choice.Best.Algorithm)
+		run(plans[0].Algorithm, fmt.Sprintf("  (predicted %v)", time.Duration(plans[0].PredictedNs).Round(time.Microsecond)))
 		return
 	}
-	all := realAlgorithms
-	if db.HasIndexes() {
-		all = append(append([]join.Algorithm(nil), all...), indexAlgorithms...)
-	}
-	for _, a := range all {
+	for _, a := range ops {
 		if *alg == "all" || *alg == a.String() {
-			run(a)
+			run(a, "")
 		}
 	}
 }

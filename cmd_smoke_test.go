@@ -123,9 +123,10 @@ func TestCmdMmdbSmoke(t *testing.T) {
 	if strings.Contains(out, "MISMATCH") || !strings.Contains(out, "hybrid-hash") {
 		t.Errorf("join output:\n%s", out)
 	}
-	// Planner-chosen algorithm prints the candidate table and verifies.
+	// Auto prints every operator's explained plan and predicted time,
+	// then runs the cheapest beside its prediction and verifies.
 	out = runCmd(t, bin, "join", "-dir", dir, "-alg", "auto")
-	if !strings.Contains(out, "plan:") || strings.Contains(out, "MISMATCH") {
+	if strings.Count(out, "plan:") != 4 || !strings.Contains(out, "(predicted ") || strings.Contains(out, "MISMATCH") {
 		t.Errorf("auto join output:\n%s", out)
 	}
 	// Missing -dir fails.
@@ -142,7 +143,7 @@ func TestCmdMmdbServeSmoke(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	runCmd(t, bin, "create", "-dir", dir, "-objects", "5000")
 
-	cmd := exec.Command(bin, "serve", "-dir", dir, "-addr", "127.0.0.1:0", "-calops", "60")
+	cmd := exec.Command(bin, "serve", "-dir", dir, "-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

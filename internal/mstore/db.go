@@ -31,6 +31,13 @@ type DB struct {
 	hist       *refHist
 	histErr    error
 	histPasses int
+
+	// The unit-cost profile Explain prices plans with (explain.go), set by
+	// the handle's first Explain; profPasses counts the measurements
+	// begun. All three are guarded by profMu.
+	profMu     sync.Mutex
+	prof       *profile
+	profPasses int
 }
 
 // ridOffset is where the 8-byte R id lives inside an R object, right

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/join"
 	"mmjoin/internal/params"
 )
 
@@ -59,6 +61,13 @@ type refHist struct {
 	geo   []cellGeo // per S partition
 	rows  []int     // |Ri,j| at i·d + j
 	cells [][]int   // per S partition: references into each cell, from all of R
+
+	// layouts caches each configuration read off the histogram with what
+	// it stages (explain.go): joins and plans of one key share the first
+	// one's layout. layoutBytes is what the cached layouts hold.
+	layoutsMu   sync.Mutex
+	layouts     map[planKey]*layout
+	layoutBytes int
 }
 
 // histogram returns the handle's reference histogram, counting it on
@@ -71,7 +80,7 @@ func (db *DB) histogram(ctx context.Context, p *exec.Pool) (*refHist, error) {
 	defer db.histMu.Unlock()
 	if db.hist == nil && db.histErr == nil {
 		db.histPasses++
-		h, err := countHist(ctx, db, p)
+		h, err := countHist(ctx, db, p, func(i int) (int, int) { return 0, db.R[i].Count() })
 		if err != nil && !errors.Is(err, errBadPointer) {
 			return nil, err
 		}
@@ -80,10 +89,11 @@ func (db *DB) histogram(ctx context.Context, p *exec.Pool) (*refHist, error) {
 	return db.hist, db.histErr
 }
 
-// countHist counts the histogram in one morsel-parallel pass over R,
-// each worker into private counters summed at the end, and rejects a
-// pointer no join can follow.
-func countHist(ctx context.Context, db *DB, p *exec.Pool) (*refHist, error) {
+// countHist counts the histogram of the R objects [lo, hi) = span(i) of
+// each partition Ri in one morsel-parallel pass, each worker into private
+// counters summed at the end, and rejects a pointer no join can follow.
+// A handle's histogram spans all of R; the profile counts its samples'.
+func countHist(ctx context.Context, db *DB, p *exec.Pool, span func(i int) (int, int)) (*refHist, error) {
 	d := db.D
 	geo := make([]cellGeo, d)
 	for j, rel := range db.S {
@@ -99,7 +109,9 @@ func countHist(ctx context.Context, db *DB, p *exec.Pool) (*refHist, error) {
 	local := make([]*refHist, p.Workers())
 	var tasks []exec.Task
 	for i, ri := range db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
+		from, to := span(i)
+		tasks = rangeTasks(tasks, to-from, func(w, lo, hi int) error {
+			lo, hi = lo+from, hi+from
 			c := local[w]
 			if c == nil {
 				c = counts()
@@ -145,6 +157,33 @@ func countHist(ctx context.Context, db *DB, p *exec.Pool) (*refHist, error) {
 
 // The operators, read off the histogram: (k, maps, starts, finish).
 
+// planKey names one staging configuration: the operator and the bucket
+// count and resident fraction it derives for a request (DB.planKey).
+// Requests with one key lay out the same arena.
+type planKey struct {
+	alg join.Algorithm
+	k   int
+	f0  float64
+}
+
+// configure reads the configuration key names off the histogram.
+// Sort-merge is Grace at its split count.
+func (h *refHist) configure(key planKey) staging {
+	if key.alg == join.NestedLoops {
+		return h.nestedLoops()
+	}
+	return h.hybridHash(key.k, key.f0)
+}
+
+// refs is |R|: every reference the histogram counted.
+func (h *refHist) refs() int {
+	n := 0
+	for _, c := range h.rows {
+		n += c
+	}
+	return n
+}
+
 // rowMap places one R partition's references into one S partition: the
 // references in cell c of its grid go to bucket[c], or are resident —
 // joined during the scan, never staged — when bucket[c] < 0.
@@ -182,17 +221,14 @@ func (h *refHist) nestedLoops() staging {
 	return cfg
 }
 
-// sortMerge (§5.2) is Grace at sortSplitCount buckets: every reference
-// stages into RSj — its S partition's row — already split into address
-// ranges, so the first level of ordering RSj by S address is done by the
-// scan, and each split orders the rest independently, in parallel with
-// the others.
-func (h *refHist) sortMerge(workers int) staging {
-	n := 0
-	for _, c := range h.rows {
-		n += c
-	}
-	return h.grace(sortSplitCount(workers, h.d, n/h.d))
+// sortSplits is sort-merge's bucket count on a pool of workers. Sort-
+// merge (§5.2) is Grace at sortSplitCount buckets: every reference stages
+// into RSj — its S partition's row — already split into address ranges,
+// so the first level of ordering RSj by S address is done by the scan,
+// and each split orders the rest independently, in parallel with the
+// others.
+func (h *refHist) sortSplits(workers int) int {
+	return sortSplitCount(workers, h.d, h.refs()/h.d)
 }
 
 // grace (§5.3) is hybrid hash with nothing resident.

@@ -68,33 +68,38 @@ func (r *joinRun) indexNL() error {
 func (r *joinRun) indexMerge() error {
 	db := r.db
 	var tasks []exec.Task
-	for i, rt := range db.ridx {
-		rRel := db.R[i]
-		for j, st := range db.sidx {
-			base := uint64(j) << 32
+	for i := range db.ridx {
+		for j := range db.sidx {
 			tasks = rangeTasks(tasks, db.S[j].Count(), func(w, lo, hi int) error {
-				acc := &r.stats[w].JoinStats
-				b := r.kern.newBatch()
-				kLo, kHi := base|uint64(lo), base|uint64(hi-1)
-				sit := st.iter(kLo, kHi)
-				for rit := rt.iter(kLo, kHi); rit.valid(); rit.advance() {
-					k := rit.key()
-					for sit.valid() && sit.key() < k {
-						sit.advance()
-					}
-					if !sit.valid() || sit.key() != k {
-						return fmt.Errorf("mstore: R%d key %d missing from S%d index range", i, k, j)
-					}
-					sp := SPtr{Part: uint32(j), Off: st.firstValue(sit.ref())}
-					rt.forEachValue(rit.ref(), func(v Ptr) bool {
-						b.addPair(ridAt(rRel, v), sp, acc)
-						return true
-					})
-				}
-				b.flush(acc)
-				return nil
+				return r.kern.mergeCell(db, i, j, lo, hi, &r.stats[w].JoinStats)
 			})
 		}
 	}
 	return r.p.Run(r.ctx, tasks)
+}
+
+// mergeCell is one index-merge morsel: the references of R partition i
+// into S partition j's rows [lo, hi), folded into acc.
+func (k *joinKernel) mergeCell(db *DB, i, j, lo, hi int, acc *JoinStats) error {
+	rt, st, rRel := db.ridx[i], db.sidx[j], db.R[i]
+	b := k.newBatch()
+	base := uint64(j) << 32
+	kLo, kHi := base|uint64(lo), base|uint64(hi-1)
+	sit := st.iter(kLo, kHi)
+	for rit := rt.iter(kLo, kHi); rit.valid(); rit.advance() {
+		key := rit.key()
+		for sit.valid() && sit.key() < key {
+			sit.advance()
+		}
+		if !sit.valid() || sit.key() != key {
+			return fmt.Errorf("mstore: R%d key %d missing from S%d index range", i, key, j)
+		}
+		sp := SPtr{Part: uint32(j), Off: st.firstValue(sit.ref())}
+		rt.forEachValue(rit.ref(), func(v Ptr) bool {
+			b.addPair(ridAt(rRel, v), sp, acc)
+			return true
+		})
+	}
+	b.flush(acc)
+	return nil
 }

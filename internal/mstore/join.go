@@ -177,89 +177,20 @@ func (r *joinRun) staged(cfg staging) error {
 	if err := r.tmp.open(s.starts[d*k]); err != nil {
 		return err
 	}
-	refs := r.tmp.refs
-
-	// First-pass destinations: the final buckets themselves when span is
-	// 1, else one per contiguous group of span buckets. Each has a claim
-	// cursor running over its extent, up to end.
 	passes, span := params.Passes(k, r.fanBits)
-	shift := bits.TrailingZeros(uint(span))
-	groups := (k + span - 1) >> shift
 	storeMax(&r.tel.RadixPasses, int64(passes))
-	cur := make([]atomic.Int64, d*groups)
-	end := make([]int, d*groups)
-	for g := range cur {
-		base, b := g/groups*k, (g%groups)<<shift
-		cur[g].Store(int64(s.starts[base+b]))
-		end[g] = s.starts[base+min(b+span, k)]
-	}
-
-	// Scan. A morsel decodes its references into the worker's scratch,
-	// claims one contiguous run per destination it touched with a single
-	// atomic add, and fills the runs with plain stores: no lock, and no
-	// two writers ever share a slot. A morsel that fails drops its
-	// worker's scratch, whose counts it leaves unsettled.
-	scratch := make([]*stageScratch, r.p.Workers())
+	sc := r.newScan(cfg, span)
 	var tasks []exec.Task
 	for i, ri := range r.db.R {
-		maps := cfg.maps[i]
-		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
-			st := &r.stats[w].JoinStats
-			sc := scratch[w]
-			if sc == nil {
-				sc = &stageScratch{cnt: make([]int, len(cur)), pos: make([]int, len(cur))}
-				scratch[w] = sc
-			}
-			batch := r.kern.newBatch()
-			n := 0
-			for x := lo; x < hi; x++ {
-				obj := ri.Object(x)
-				ptr := DecodeSPtr(obj)
-				if int(ptr.Part) >= d {
-					scratch[w] = nil
-					return staleRef(i, x, ptr)
-				}
-				m := &maps[ptr.Part]
-				o := uint64(ptr.Off - m.base)
-				if o >= m.span {
-					scratch[w] = nil
-					return staleRef(i, x, ptr)
-				}
-				b := m.bucket[o>>m.shift]
-				if b < 0 {
-					batch.addPair(ridFromObj(obj), ptr, st)
-					continue
-				}
-				g := int(ptr.Part)*groups + int(b)>>shift
-				sc.refs[n], sc.dst[n] = ref{off: ptr.Off, rid: ridFromObj(obj)}, int32(g)
-				sc.cnt[g]++
-				n++
-			}
-			batch.flush(st)
-			for x, g := range sc.dst[:n] {
-				if c := sc.cnt[g]; c != 0 {
-					to := int(cur[g].Add(int64(c)))
-					if to > end[g] {
-						scratch[w] = nil
-						return fmt.Errorf("%w: more references into S%d than it counted", errStale, int(g)/groups)
-					}
-					sc.pos[g] = to - c
-					sc.cnt[g] = 0
-				}
-				refs[sc.pos[g]] = sc.refs[x]
-				sc.pos[g]++
-			}
-			return nil
-		})
+		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error { return sc.morsel(w, i, lo, hi) })
 	}
 	if err := r.p.Run(r.ctx, tasks); err != nil {
 		return err
 	}
-	for g := range cur {
-		if int(cur[g].Load()) != end[g] {
-			return fmt.Errorf("%w: fewer references into S%d than it counted", errStale, g/groups)
-		}
+	if err := sc.settled(); err != nil {
+		return err
 	}
+	shift, groups := sc.shift, sc.groups
 
 	// Finish, one dynamic job: a destination's task may enqueue more
 	// (morsels) without a barrier across destinations. Tasks are
@@ -278,6 +209,108 @@ func (r *joinRun) staged(cfg staging) error {
 	}
 	_ = s.jb.Add(tasks...) // a failed Add has failed the job; Wait reports it
 	return s.jb.Wait()
+}
+
+// scan is the staging scan of one configuration into the open arena.
+// First-pass destinations are the final buckets themselves when span is
+// 1, else one per contiguous group of span buckets; each has a claim
+// cursor running over its extent, up to end.
+type scan struct {
+	r       *joinRun
+	maps    [][]rowMap
+	shift   int // log2 of the span of final buckets one group covers
+	groups  int // first-pass destinations per S partition
+	cur     []atomic.Int64
+	end     []int
+	scratch []*stageScratch // per worker
+}
+
+// newScan sets cfg's claim cursors for a first pass whose groups cover
+// span final buckets each.
+func (r *joinRun) newScan(cfg staging, span int) *scan {
+	d, k := r.db.D, cfg.k
+	shift := bits.TrailingZeros(uint(span))
+	groups := (k + span - 1) >> shift
+	s := &scan{
+		r: r, maps: cfg.maps, shift: shift, groups: groups,
+		cur: make([]atomic.Int64, d*groups), end: make([]int, d*groups),
+		scratch: make([]*stageScratch, r.p.Workers()),
+	}
+	for g := range s.cur {
+		base, b := g/groups*k, (g%groups)<<shift
+		s.cur[g].Store(int64(cfg.starts[base+b]))
+		s.end[g] = cfg.starts[base+min(b+span, k)]
+	}
+	return s
+}
+
+// morsel scans Ri[lo:hi) on worker w. It decodes its references into
+// the worker's scratch, claims one contiguous run per destination it
+// touched with a single atomic add, and fills the runs with plain
+// stores: no lock, and no two writers ever share a slot. A morsel that
+// fails drops its worker's scratch, whose counts it leaves unsettled.
+func (s *scan) morsel(w, i, lo, hi int) error {
+	r, d, ri, maps := s.r, s.r.db.D, s.r.db.R[i], s.maps[i]
+	st := &r.stats[w].JoinStats
+	sc := s.scratch[w]
+	if sc == nil && len(s.cur) > 0 { // a configuration with no destination stages nothing
+		sc = &stageScratch{cnt: make([]int, len(s.cur)), pos: make([]int, len(s.cur))}
+		s.scratch[w] = sc
+	}
+	batch := r.kern.newBatch()
+	n := 0
+	for x := lo; x < hi; x++ {
+		obj := ri.Object(x)
+		ptr := DecodeSPtr(obj)
+		if int(ptr.Part) >= d {
+			s.scratch[w] = nil
+			return staleRef(i, x, ptr)
+		}
+		m := &maps[ptr.Part]
+		o := uint64(ptr.Off - m.base)
+		if o >= m.span {
+			s.scratch[w] = nil
+			return staleRef(i, x, ptr)
+		}
+		b := m.bucket[o>>m.shift]
+		if b < 0 {
+			batch.addPair(ridFromObj(obj), ptr, st)
+			continue
+		}
+		g := int(ptr.Part)*s.groups + int(b)>>s.shift
+		sc.refs[n], sc.dst[n] = ref{off: ptr.Off, rid: ridFromObj(obj)}, int32(g)
+		sc.cnt[g]++
+		n++
+	}
+	batch.flush(st)
+	if n == 0 {
+		return nil
+	}
+	refs := r.tmp.refs
+	for x, g := range sc.dst[:n] {
+		if c := sc.cnt[g]; c != 0 {
+			to := int(s.cur[g].Add(int64(c)))
+			if to > s.end[g] {
+				s.scratch[w] = nil
+				return fmt.Errorf("%w: more references into S%d than it counted", errStale, int(g)/s.groups)
+			}
+			sc.pos[g] = to - c
+			sc.cnt[g] = 0
+		}
+		refs[sc.pos[g]] = sc.refs[x]
+		sc.pos[g]++
+	}
+	return nil
+}
+
+// settled checks that every claim cursor reached its extent's end.
+func (s *scan) settled() error {
+	for g := range s.cur {
+		if int(s.cur[g].Load()) != s.end[g] {
+			return fmt.Errorf("%w: fewer references into S%d than it counted", errStale, g/s.groups)
+		}
+	}
+	return nil
 }
 
 // refine finishes the extent holding row's final buckets [b0, b0+span).

@@ -170,7 +170,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 		}
 	}
 
-	for name, cfg := range map[string]staging{"sort-merge": h.sortMerge(2), "grace": h.grace(4)} {
+	for name, cfg := range map[string]staging{"sort-merge": h.grace(h.sortSplits(2)), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		r, done := newTestRun(t, db, 2, &tel)
 		ctx, cancel := context.WithCancel(r.ctx)

@@ -111,16 +111,25 @@ func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 	return params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs), f0
 }
 
-// staging reads a staging join's configuration off the histogram.
-func (db *DB) staging(h *refHist, req JoinRequest, workers int) staging {
+// planKey derives the configuration a staging request runs on a pool of
+// workers: nested loops' is fixed, sort-merge's bucket count follows the
+// pool, and Grace's and hybrid hash's K and f0 follow the grant.
+func (db *DB) planKey(h *refHist, req JoinRequest, workers int) planKey {
+	key := planKey{alg: req.Algorithm}
 	switch req.Algorithm {
 	case join.NestedLoops:
-		return h.nestedLoops()
 	case join.SortMerge:
-		return h.sortMerge(workers)
+		key.k = h.sortSplits(workers)
 	default: // join.Grace, join.HybridHash
-		return h.hybridHash(db.plan(req.Algorithm, req.K, req.MRproc))
+		key.k, key.f0 = db.plan(req.Algorithm, req.K, req.MRproc)
 	}
+	return key
+}
+
+// staging returns a staging join's configuration, read off the
+// histogram once per key.
+func (db *DB) staging(h *refHist, req JoinRequest, workers int) staging {
+	return h.layout(db.planKey(h, req, workers)).cfg
 }
 
 // CountR returns the total number of R objects across partitions.
@@ -203,9 +212,10 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 //
 // Each call scans every R object and allocates 8 B per object; the
 // statistics are then counted once per returned workload, by its first
-// reader. A server calls this once when it opens the store (service.New,
-// or once per shard) and shares the result between requests, so no
-// request pays either; a caller that asks again pays both again.
+// reader. The shard router calls it once per shard, at the shard's first
+// auto join, for its PlanFunc, and shares the result between requests; a
+// caller that asks again pays both again. The store's own planning
+// (Explain) reads the histogram instead and needs no workload.
 func (db *DB) Workload() (*relation.Workload, error) {
 	if len(db.R) != db.D || len(db.S) != db.D {
 		return nil, fmt.Errorf("mstore: %d/%d relations for D=%d", len(db.R), len(db.S), db.D)

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"mmjoin/internal/exec"
-	"mmjoin/internal/relation"
 )
 
 // Store is what the query service serves: one logical pair of relations
@@ -19,15 +18,17 @@ type Store interface {
 	// bit-identical across equivalent physical layouts: Pairs and
 	// Signature fold as commutative sums (see JoinStats.Fold).
 	Run(req JoinRequest) (JoinStats, error)
+	// Explain returns the plan Run would execute for req, without
+	// running it, and its predicted wall-clock time (explain.go). A
+	// sharded store explains each live shard at its share of the grant
+	// and sums them.
+	Explain(req JoinRequest) (Plan, error)
 	// Lookup dereferences one R object's stored pointer. A sharded
 	// store routes the (part, index) name to exactly one shard and
 	// validates the bounds against that shard, reporting which shard
 	// answered in LookupResult.Shard. Out-of-range names fail with
 	// errors wrapping ErrPartRange / ErrIndexRange.
 	Lookup(part, index int) (LookupResult, error)
-	// Workload derives the planner's view of the logical relation (a
-	// sharded store merges its shards' workloads).
-	Workload() (*relation.Workload, error)
 	// CountR and CountS total the stored objects. A sharded store sums
 	// over shards; with the replicated-S layout Split produces, CountS
 	// counts every replica.

@@ -22,7 +22,7 @@ func fuzzServer(tb testing.TB) (*Server, *httptest.Server) {
 		tb.Fatal(err)
 	}
 	db.Close()
-	s, err := New(Config{Dir: dir, D: 3, CalibrationOps: 60})
+	s, err := New(Config{Dir: dir, D: 3})
 	if err != nil {
 		tb.Fatal(err)
 	}

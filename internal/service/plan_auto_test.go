@@ -16,11 +16,12 @@ import (
 	"mmjoin/internal/relation"
 )
 
-// TestAutoAgreesWithPlanner: the service's "auto" algorithm selection
-// must be exactly the library planner's ChooseFor verdict on the same
-// workload and per-partition memory — the HTTP layer adds admission and
-// execution, never a different plan.
-func TestAutoAgreesWithPlanner(t *testing.T) {
+// TestAutoAgreesWithExplain: the service's auto join runs the first
+// entry of its plan table and reports that entry's prediction; the table
+// is every operator the store runs, cheapest first, exactly as the store
+// explains them at the request's grant — the HTTP layer adds admission
+// and execution, never a different plan.
+func TestAutoAgreesWithExplain(t *testing.T) {
 	s := newTestServer(t, 1500, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -30,39 +31,33 @@ func TestAutoAgreesWithPlanner(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("grant %d: status %d", grant, resp.StatusCode)
 		}
-		choice, err := s.pl.ChooseFor(join.Request{
-			Config: s.sim,
-			Params: join.Params{Workload: s.w, MRproc: grant / int64(s.cfg.D)},
-		})
+		if len(jr.Plan) == 0 || jr.Algorithm != jr.Plan[0].Algorithm || jr.PredictedNs != jr.Plan[0].PredictedNs {
+			t.Fatalf("grant %d: ran %s predicted %d ns, plan table %+v", grant, jr.Algorithm, jr.PredictedNs, jr.Plan)
+		}
+		plans, err := mstore.Rank(s.store, mstore.JoinRequest{MRproc: grant / int64(s.cfg.D), Pool: s.pool}, mstore.Operators(false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if jr.Algorithm != choice.Best.Algorithm.String() {
-			t.Errorf("grant %d: service auto picked %s, planner library picks %v",
-				grant, jr.Algorithm, choice.Best.Algorithm)
+		if len(jr.Plan) != len(plans) {
+			t.Fatalf("grant %d: %d plan entries, the store explains %d operators", grant, len(jr.Plan), len(plans))
 		}
-		if jr.PredictedNs != int64(choice.Best.Predicted) {
-			t.Errorf("grant %d: predicted %d ns, planner says %d ns",
-				grant, jr.PredictedNs, int64(choice.Best.Predicted))
-		}
-		if len(jr.Plan) != len(choice.Candidates) {
-			t.Fatalf("grant %d: %d plan entries, planner costed %d candidates",
-				grant, len(jr.Plan), len(choice.Candidates))
-		}
-		for i, c := range choice.Candidates {
-			if jr.Plan[i].Algorithm != c.Algorithm.String() {
-				t.Errorf("grant %d: plan[%d] = %s, want %v", grant, i, jr.Plan[i].Algorithm, c.Algorithm)
+		for i, p := range plans {
+			if want := (PlanEntry{Algorithm: p.Algorithm.String(), PredictedNs: p.PredictedNs}); jr.Plan[i] != want {
+				t.Errorf("grant %d: plan[%d] = %+v, the store explains %+v", grant, i, jr.Plan[i], want)
+			}
+			if i > 0 && p.PredictedNs < plans[i-1].PredictedNs {
+				t.Errorf("grant %d: plan[%d] predicted %d ns after %d ns", grant, i, p.PredictedNs, plans[i-1].PredictedNs)
 			}
 		}
 	}
 }
 
 // TestConcurrentAutoJoinsShareOnePlan: a fresh server's first auto joins
-// arrive together and all plan from the one workload the server holds
-// (and, sharded, from each shard's, through PlanFunc calls that run
-// concurrently per shard). The statistics behind the plan are counted
-// once, so every response must carry the same plan table and every shard
-// the same choice; -race checks the sharing.
+// arrive together and all plan from the one histogram and profile each
+// store handle holds (and, sharded, each shard's PlanFunc from the
+// shard's one workload, in calls that run concurrently per shard). Both
+// are measured once, so every response must carry the same plan table
+// and every shard the same choice; -race checks the sharing.
 func TestConcurrentAutoJoinsShareOnePlan(t *testing.T) {
 	const clients, grant = 8, 128 << 10
 	fire := func(t *testing.T, ts *httptest.Server) {

@@ -17,12 +17,8 @@ import (
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/machine"
 	"mmjoin/internal/metrics"
-	"mmjoin/internal/model"
 	"mmjoin/internal/mstore"
-	"mmjoin/internal/planner"
-	"mmjoin/internal/relation"
 	"mmjoin/internal/sim"
 )
 
@@ -56,9 +52,6 @@ type Config struct {
 	// RequestTimeout caps each request's admission wait plus execution
 	// (default 30s; requests may shorten it per call).
 	RequestTimeout time.Duration
-	// CalibrationOps is the analytical-model calibration effort at
-	// startup (default 800 measured I/Os per band size).
-	CalibrationOps int
 
 	// Workers sizes the work-stealing morsel pool shared by every
 	// in-flight join (default GOMAXPROCS). However many joins run
@@ -91,9 +84,6 @@ func (cfg *Config) withDefaults() error {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.CalibrationOps <= 0 {
-		cfg.CalibrationOps = 800
-	}
 	return nil
 }
 
@@ -109,10 +99,8 @@ type Server struct {
 	// detail, and live add/remove-with-drain membership management.
 	shardRunner mstore.ShardRunner
 	shardMgr    ShardManager
-	d           int                // addressable partition count (store's D)
-	w           *relation.Workload // the store's shape+references, for the planner
-	pl          *planner.Planner
-	sim         machine.Config // simulated machine the planner costs against
+	d           int              // addressable partition count (store's D)
+	ops         []join.Algorithm // the operators auto plans over
 	adm         *Admission
 	pool        *exec.Pool // morsel pool shared by all in-flight joins
 
@@ -143,9 +131,10 @@ type Server struct {
 	hists    map[string]*metrics.Histogram
 }
 
-// New opens (or adopts) the store, derives its workload shape,
-// calibrates the planner, and assembles the admission controller. Close
-// releases the store.
+// New opens (or adopts) the store, explains a join at the default grant
+// once — which counts the store's reference histogram and measures its
+// cost profile, so that no request pays for either — and assembles the
+// admission controller. Close releases the store.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -172,35 +161,24 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = 8 * cfg.DefaultGrant
 	}
-	w, err := store.Workload()
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	w.Skew() // counts the reference statistics here, once, so no join request pays the pass
-	mcfg := machine.DefaultConfig()
-	mcfg.D = cfg.D
-	calib := model.Calibrate(mcfg, cfg.CalibrationOps, 1)
 	// An indexed store widens the candidate set so `auto` can pick the
 	// index paths; an unindexed (or partially indexed, sharded) store
 	// plans over the four staging algorithms only.
-	var algs []join.Algorithm
-	if stats.Indexed {
-		algs = planner.IndexAlgorithms
-	}
 	s := &Server{
 		cfg:      cfg,
 		store:    store,
 		d:        cfg.D,
-		w:        w,
-		pl:       planner.New(calib, algs),
-		sim:      mcfg,
+		ops:      mstore.Operators(stats.Indexed),
 		adm:      NewAdmission(cfg.MemBudget, cfg.MaxQueue),
 		pool:     exec.NewPool(cfg.Workers),
 		start:    time.Now(),
 		reg:      metrics.New(),
 		counters: make(map[string]*metrics.Counter),
 		hists:    make(map[string]*metrics.Histogram),
+	}
+	if _, err := s.plan(context.Background(), cfg.DefaultGrant/int64(cfg.D), 0); err != nil {
+		s.Close()
+		return nil, err
 	}
 	if sr, ok := store.(mstore.ShardRunner); ok {
 		s.shardRunner = sr
@@ -223,20 +201,32 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Gauge("retry_after_hint_sec", func() float64 { return s.retryAfterHint().Seconds() })
 	// Outcome counters registered eagerly so /stats shows them at zero
 	// before the first request arrives — client/server reconciliation
-	// diffs these keys and must find them on both snapshots.
+	// diffs these keys and must find them on both snapshots. Every
+	// operator a request may name has its join_executed_* counter, and
+	// auto its own (a sharded auto join has no single operator).
 	for _, name := range []string{
 		"temp_relations_total",
 		"join_requests_total", "bad_requests", "errors_internal", "join_abandoned",
 		"rejected_saturated", "rejected_deadline", "rejected_too_large", "rejected_draining",
 		"lookups_total", "lookups_ok", "lookups_bad_request", "lookups_not_found",
 		"lookups_failed", "lookups_rejected_draining",
-		"join_executed_nested-loops", "join_executed_sort-merge",
-		"join_executed_grace", "join_executed_hybrid-hash", "join_executed_auto",
+		"join_executed_auto",
 		"radix_passes_total", "shard_adds_total", "shard_removes_total",
 	} {
 		s.add(name, 0)
 	}
+	for _, op := range mstore.Operators(true) {
+		s.add("join_executed_"+op.String(), 0)
+	}
 	return s, nil
+}
+
+// plan explains a join at the given grant under every operator the
+// store runs and returns the plans cheapest first: auto runs the first.
+// The store's profile prices the temp arena under TmpDir, where the
+// service's joins stage.
+func (s *Server) plan(ctx context.Context, mrproc int64, k int) ([]mstore.Plan, error) {
+	return mstore.Rank(s.store, mstore.JoinRequest{MRproc: mrproc, K: k, Pool: s.pool, Ctx: ctx, TmpDir: s.cfg.TmpDir}, s.ops)
 }
 
 // ShardManager is the optional membership-management capability of
@@ -386,8 +376,9 @@ func writeRetryError(rw http.ResponseWriter, status int, code, msg string, retry
 
 // JoinRequest is the wire form of one join query.
 type JoinRequest struct {
-	// Algorithm is "auto" (or empty) for a planner-chosen algorithm, or
-	// one of nested-loops, sort-merge, grace, hybrid-hash.
+	// Algorithm is "auto" (or empty) for the cheapest plan the store
+	// explains, or one of nested-loops, sort-merge, grace, hybrid-hash,
+	// index-nl, index-merge (the last two on an indexed store only).
 	Algorithm string `json:"algorithm"`
 	// MemBytes is the request's total memory grant — the unit of
 	// admission control. Zero selects the server default. Each of the D
@@ -399,7 +390,8 @@ type JoinRequest struct {
 	TimeoutMs int64 `json:"timeoutMs"`
 }
 
-// PlanEntry is one planner candidate in the response, cheapest first.
+// PlanEntry is one candidate plan in the response, cheapest first, with
+// the store's predicted wall-clock time for it.
 type PlanEntry struct {
 	Algorithm   string `json:"algorithm"`
 	PredictedNs int64  `json:"predictedNs"`
@@ -415,7 +407,7 @@ type JoinResponse struct {
 	QueueWaitNs int64       `json:"queueWaitNs"`
 	ElapsedNs   int64       `json:"elapsedNs"` // execution, excluding queue
 	Plan        []PlanEntry `json:"plan,omitempty"`
-	PredictedNs int64       `json:"predictedNs,omitempty"` // model's per-join virtual-time estimate
+	PredictedNs int64       `json:"predictedNs,omitempty"` // the store's wall-clock estimate for the plan auto ran
 	RadixPasses int64       `json:"radixPasses,omitempty"` // cache-conscious partitioning passes
 
 	// Shards carries the per-shard breakdown of a scatter-gather join
@@ -508,28 +500,24 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// Plan: cost the request through the calibrated model. The planner
-	// sees the exact store shape (measured skew and distinct counts; a
-	// sharded store contributes its merged workload). On a sharded store
-	// an auto request stays join.Auto — the router re-plans per shard
-	// against each shard's own workload, and the merged-view choice below
-	// is advisory (it still populates the response's plan table).
+	// Plan: the store explains the request under every operator it runs,
+	// read off its reference histogram and priced on its own measured
+	// profile; auto runs the cheapest. On a sharded store an auto request
+	// stays join.Auto — the router re-plans per shard through its
+	// PlanFunc, and the table below is advisory.
 	resp := JoinResponse{MemBytes: grant, MRproc: mrproc}
 	var alg join.Algorithm
 	if req.Algorithm == "" || req.Algorithm == "auto" {
-		choice, err := s.pl.ChooseFor(join.Request{
-			Config: s.sim,
-			Params: join.Params{Workload: s.w, MRproc: mrproc, K: req.K},
-		})
+		plans, err := s.plan(ctx, mrproc, req.K)
 		if err != nil {
 			s.inc("errors_internal")
 			writeError(rw, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
-		alg = choice.Best.Algorithm
-		resp.PredictedNs = int64(choice.Best.Predicted)
-		for _, c := range choice.Candidates {
-			resp.Plan = append(resp.Plan, PlanEntry{Algorithm: c.Algorithm.String(), PredictedNs: int64(c.Predicted)})
+		alg = plans[0].Algorithm
+		resp.PredictedNs = plans[0].PredictedNs
+		for _, p := range plans {
+			resp.Plan = append(resp.Plan, PlanEntry{Algorithm: p.Algorithm.String(), PredictedNs: p.PredictedNs})
 		}
 		s.inc("plan_choice_" + alg.String())
 		if s.shardRunner != nil {

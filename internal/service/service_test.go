@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ import (
 )
 
 // newTestServer creates a small database and a server over it. The
-// caller's cfg may pre-set budget/queue/grant knobs; Dir, D, and a fast
-// calibration are filled in here.
+// caller's cfg may pre-set budget/queue/grant knobs; Dir and D are
+// filled in here.
 func newTestServer(t *testing.T, objects int, cfg Config) *Server {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "db")
@@ -28,9 +29,6 @@ func newTestServer(t *testing.T, objects int, cfg Config) *Server {
 	db.Close() // the server maps it afresh
 	cfg.Dir = dir
 	cfg.D = 3
-	if cfg.CalibrationOps == 0 {
-		cfg.CalibrationOps = 60
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -519,5 +517,39 @@ func TestServeConcurrentClientsRace(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["pool_busy"]; !ok {
 		t.Fatalf("/stats gauges missing pool_busy: %v", snap.Gauges)
+	}
+}
+
+// TestStatsRegisterEveryOperatorCounter: a fresh server's /v1/stats
+// names a join_executed_* counter at 0 for auto and each of the six
+// operators a request may name, before any join, so reconciliation finds
+// every key on both of its snapshots.
+func TestStatsRegisterEveryOperatorCounter(t *testing.T) {
+	s := newTestServer(t, 300, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"auto", "nested-loops", "sort-merge", "grace", "hybrid-hash", "index-nl", "index-merge"}
+	for _, name := range names {
+		if v, ok := st.Counters["join_executed_"+name]; !ok || v != 0 {
+			t.Errorf("join_executed_%s = %d (present=%v), want 0 at startup", name, v, ok)
+		}
+	}
+	n := 0
+	for name := range st.Counters {
+		if strings.HasPrefix(name, "join_executed_") {
+			n++
+		}
+	}
+	if n != len(names) {
+		t.Errorf("%d join_executed_* counters, want %d", n, len(names))
 	}
 }

@@ -57,9 +57,6 @@ func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.P
 	}
 	cfg.Store = router
 	cfg.TmpDir = filepath.Join(base, "tmp")
-	if cfg.CalibrationOps == 0 {
-		cfg.CalibrationOps = 60
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,6 @@ func newSkewServer(t *testing.T, objects int, cfg Config) *Server {
 	db.Close()
 	cfg.Dir = dir
 	cfg.D = 3
-	if cfg.CalibrationOps == 0 {
-		cfg.CalibrationOps = 60
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

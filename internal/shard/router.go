@@ -66,9 +66,8 @@ func (h *handle) begin() bool {
 func (h *handle) end() { h.inflight.Done() }
 
 // workload lazily derives (and caches) the shard's planner view with its
-// reference statistics counted: the first caller — Router.Workload under
-// service.New, else the first auto-planned join — pays the scan and the
-// count; concurrent PlanFunc calls after it only read.
+// reference statistics counted: the first auto-planned join pays the
+// scan and the count; concurrent PlanFunc calls after it only read.
 func (h *handle) workload() (*relation.Workload, error) {
 	h.wOnce.Do(func() {
 		if h.w, h.wErr = h.db.Workload(); h.wErr == nil {
@@ -286,9 +285,7 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 			sub.Ctx = ctx
 			tel := &mstore.JoinTelemetry{}
 			sub.Telemetry = tel
-			if req.MRproc > 0 {
-				sub.MRproc = max(req.MRproc/int64(len(live)), 4096)
-			}
+			sub.MRproc = shareOf(req.MRproc, len(live))
 			if req.TmpDir != "" {
 				sub.TmpDir = filepath.Join(req.TmpDir, "shard-"+h.id)
 				if err := os.MkdirAll(sub.TmpDir, 0o755); err != nil {
@@ -346,6 +343,60 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 	return merged, details, nil
 }
 
+// shareOf is one of n shards' share of a positive grant, floored at one
+// page; 0 (unbounded) stays 0 on every shard.
+func shareOf(mrproc int64, n int) int64 {
+	if mrproc <= 0 {
+		return mrproc
+	}
+	return max(mrproc/int64(n), 4096)
+}
+
+// Explain implements mstore.Store: every live shard explains the request
+// at its share of the grant, as RunShards would run it, and the plans
+// fold — staged references, arena bytes and predicted time sum, since
+// the shards' morsels share one pool. Auto is not explainable: the
+// shards' PlanFunc choices are made at run time.
+func (r *Router) Explain(req mstore.JoinRequest) (mstore.Plan, error) {
+	shards, _, err := r.snapshot()
+	if err != nil {
+		return mstore.Plan{}, err
+	}
+	live := shards[:0]
+	for _, h := range shards {
+		if h.begin() {
+			live = append(live, h)
+		}
+	}
+	defer func() {
+		for _, h := range live {
+			h.end()
+		}
+	}()
+	if len(live) == 0 {
+		return mstore.Plan{}, fmt.Errorf("shard: no live shards")
+	}
+	if req.Pool == nil {
+		req.Pool = exec.NewPool(0)
+		defer req.Pool.Close()
+	}
+	sub := req
+	sub.MRproc = shareOf(req.MRproc, len(live))
+	var total mstore.Plan
+	for k, h := range live {
+		p, err := h.db.Explain(sub)
+		if err != nil {
+			return mstore.Plan{}, fmt.Errorf("shard %q: %w", h.id, err)
+		}
+		if k == 0 {
+			total = p
+		} else {
+			total.Fold(p)
+		}
+	}
+	return total, nil
+}
+
 // Lookup routes the (part, index) name to exactly one shard through the
 // consistent-hash ring, validates the bounds against that shard — not
 // against any global partition count — and dereferences there. The
@@ -389,64 +440,6 @@ func (r *Router) lookupOn(h *handle, part, index int) (mstore.LookupResult, erro
 	}
 	res.Shard = h.id
 	return res, nil
-}
-
-// Workload merges the shards' workloads into one planner view of the
-// logical relation: per-partition reference lists concatenate across
-// shards and NR sums. When every shard reports the same D and NS the
-// merge assumes the replicated-S layout Split produces and keeps NS
-// (each shard references the same S); otherwise NS sums. The merged
-// view is for costing only — per-shard planning (PlanFunc) sees each
-// shard's exact workload instead.
-func (r *Router) Workload() (*relation.Workload, error) {
-	shards, _, err := r.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("shard: no live shards")
-	}
-	var merged *relation.Workload
-	replicated := true
-	for _, h := range shards {
-		if !h.begin() {
-			continue
-		}
-		w, err := h.workload()
-		h.end()
-		if err != nil {
-			return nil, fmt.Errorf("shard %q: %w", h.id, err)
-		}
-		if merged == nil {
-			merged = &relation.Workload{Spec: w.Spec, Refs: make([][]relation.SPtr, w.Spec.D)}
-			for i := range merged.Refs {
-				if i < len(w.Refs) {
-					merged.Refs[i] = append([]relation.SPtr(nil), w.Refs[i]...)
-				}
-			}
-			continue
-		}
-		if w.Spec.D != merged.Spec.D || w.Spec.NS != merged.Spec.NS {
-			replicated = false
-		}
-		merged.Spec.NR += w.Spec.NR
-		if !replicated {
-			merged.Spec.NS += w.Spec.NS
-		}
-		if w.Spec.D > merged.Spec.D {
-			merged.Spec.D = w.Spec.D
-			grown := make([][]relation.SPtr, w.Spec.D)
-			copy(grown, merged.Refs)
-			merged.Refs = grown
-		}
-		for i, refs := range w.Refs {
-			merged.Refs[i] = append(merged.Refs[i], refs...)
-		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("shard: no live shards")
-	}
-	return merged, nil
 }
 
 // CountR totals R objects over live shards. Like Stats it reads the

@@ -442,50 +442,6 @@ func TestShardDrainMidJoinSoak(t *testing.T) {
 	}
 }
 
-// TestShardWorkloadMerge checks the merged planner view equals the
-// source's shape: NR sums across shards, replicated NS is not
-// double-counted, and per-partition reference lists carry every source
-// reference exactly once.
-func TestShardWorkloadMerge(t *testing.T) {
-	srcDir, m, _ := buildSharded(t, 2000, 4, 3)
-	src, err := mstore.OpenDB(srcDir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	srcW, err := src.Workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := openRouter(t, m, Config{})
-	w, err := r.Workload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Spec.NR != srcW.Spec.NR || w.Spec.NS != srcW.Spec.NS || w.Spec.D != srcW.Spec.D {
-		t.Fatalf("merged spec %+v, want %+v", w.Spec, srcW.Spec)
-	}
-	for part := range srcW.Refs {
-		if len(w.Refs[part]) != len(srcW.Refs[part]) {
-			t.Errorf("part %d: %d merged refs, want %d", part, len(w.Refs[part]), len(srcW.Refs[part]))
-		}
-		// Same multiset of referenced S objects per partition.
-		count := map[relation.SPtr]int{}
-		for _, ref := range srcW.Refs[part] {
-			count[ref]++
-		}
-		for _, ref := range w.Refs[part] {
-			count[ref]--
-		}
-		for ref, c := range count {
-			if c != 0 {
-				t.Fatalf("part %d: ref %+v multiset off by %d", part, ref, c)
-			}
-		}
-	}
-}
-
 // TestShardMapRoundTrip checks the on-disk format and its validation.
 func TestShardMapRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "map.json")

@@ -94,8 +94,8 @@ func TestChooseForMatchesMapBasedStatistics(t *testing.T) {
 		tc{"hot partition", spec(9001, 5002, func(s *relation.Spec) { s.Dist, s.HotFrac = relation.HotPartition, 0.5 }), 32 << 10},
 	)
 
-	// A seeded store, each shard of its 3-way split, and the router's
-	// merged view: workloads whose indexes come from mapped S partitions.
+	// A seeded store and each shard of its 3-way split: workloads whose
+	// indexes come from mapped S partitions.
 	base := t.TempDir()
 	srcDir := filepath.Join(base, "src")
 	db, err := mstore.CreateDB(srcDir, 4, 2000, 2000, 64, 23)
@@ -106,7 +106,7 @@ func TestChooseForMatchesMapBasedStatistics(t *testing.T) {
 	if err := db.BuildIndexes(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	storeW := func(name string, s mstore.Store) {
+	storeW := func(name string, s *mstore.DB) {
 		t.Helper()
 		w, err := s.Workload()
 		if err != nil {
@@ -131,12 +131,6 @@ func TestChooseForMatchesMapBasedStatistics(t *testing.T) {
 		defer sdb.Close()
 		storeW("shard "+sh.ID, sdb)
 	}
-	r, err := shard.Open(m, shard.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	storeW("router", r)
 
 	calibs := map[int]model.Calibration{}
 	for _, c := range cases {
