@@ -111,7 +111,6 @@ func cmdServe(args []string) {
 	grant := fs.Int64("grant", 0, "default per-request memory grant, bytes (0: default)")
 	maxQueue := fs.Int("maxqueue", 0, "admission queue bound (0: default, <0: no queue)")
 	timeout := fs.Duration("timeout", 0, "per-request timeout (0: default)")
-	calOps := fs.Int("calops", 0, "with -shard-map: calibration effort of the per-shard auto planner (0: default); a single store plans on its own measured profile")
 	workers := fs.Int("workers", 0, "size of the one morsel pool every join shares, single or sharded (0: GOMAXPROCS)")
 	drainWait := fs.Duration("drainwait", 30*time.Second, "graceful drain limit on SIGTERM")
 	fs.Parse(args)
@@ -124,16 +123,15 @@ func cmdServe(args []string) {
 		RequestTimeout: *timeout, Workers: *workers,
 	}
 	serving := *dir
+	var err error
 	if *shardMap != "" {
-		router, err := openRouter(*shardMap, *calOps)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store = router
+		cfg.Store, err = openRouter(*shardMap)
 		serving = *shardMap
 	} else {
-		cfg.Dir = *dir
-		cfg.D = *d
+		cfg.Store, err = mstore.OpenDB(*dir, *d)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	s, err := service.New(cfg)
 	if err != nil {
@@ -172,21 +170,22 @@ func cmdServe(args []string) {
 	fmt.Println("mmdb: drained, bye")
 }
 
+// routerCalOps is the calibration effort of the router's per-shard auto
+// planner; a single store plans on its own measured profile instead.
+const routerCalOps = 400
+
 // openRouter mounts a shard map behind the scatter-gather router, wiring
 // per-shard auto planning through the calibrated analytical model: each
 // shard's PlanFunc call costs that shard's own measured workload, so a
 // skewed shard may pick a different algorithm than its peers.
-func openRouter(mapPath string, calOps int) (*shard.Router, error) {
+func openRouter(mapPath string) (*shard.Router, error) {
 	m, err := shard.LoadMap(mapPath)
 	if err != nil {
 		return nil, err
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.D = m.Shards[0].D
-	if calOps <= 0 {
-		calOps = 400
-	}
-	calib := model.Calibrate(mcfg, calOps, 1)
+	calib := model.Calibrate(mcfg, routerCalOps, 1)
 	pl := planner.New(calib, nil)
 	plIdx := planner.New(calib, planner.IndexAlgorithms)
 	// The router is captured so each plan call can consult the live

@@ -135,32 +135,9 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) error {
 	if len(tasks) == 0 {
 		return ctx.Err()
 	}
-	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.pending.Store(int64(len(tasks)))
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	for _, fn := range tasks {
-		p.deques[p.rr] = append(p.deques[p.rr], morsel{j: j, fn: fn})
-		p.rr = (p.rr + 1) % p.workers
-		p.queued++
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.jobs.Add(1)
-
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		j.fail(ctx.Err())
-		<-j.done
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+	jb := p.Begin(ctx)
+	jb.Add(tasks...)
+	return jb.Wait()
 }
 
 // Job is a Run in progress whose task set can still grow: tasks added
@@ -171,9 +148,10 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) error {
 // data partition enqueues that partition's next stage immediately,
 // instead of waiting for a global barrier across all partitions.
 type Job struct {
-	p      *Pool
-	j      *job
-	waited atomic.Bool
+	p        *Pool
+	j        *job
+	accepted bool // the pool has queued one of the job's tasks (p.mu)
+	waited   atomic.Bool
 }
 
 // Begin opens a job with no tasks yet. The caller must eventually call
@@ -184,7 +162,6 @@ func (p *Pool) Begin(ctx context.Context) *Job {
 	// One "open" token keeps the job alive until Wait retires it, so an
 	// empty or still-filling job never closes done early.
 	j.pending.Store(1)
-	p.jobs.Add(1)
 	return &Job{p: p, j: j}
 }
 
@@ -206,6 +183,10 @@ func (jb *Job) Add(tasks ...Task) error {
 			jb.j.retire()
 		}
 		return ErrClosed
+	}
+	if !jb.accepted {
+		jb.accepted = true
+		p.jobs.Add(1)
 	}
 	for _, fn := range tasks {
 		p.deques[p.rr] = append(p.deques[p.rr], morsel{j: jb.j, fn: fn})
@@ -345,7 +326,8 @@ type Stats struct {
 	// to a job already failed or cancelled).
 	Executed int64 `json:"executed"`
 	Skipped  int64 `json:"skipped"`
-	// Jobs counts Run calls accepted.
+	// Jobs counts the jobs (Run calls and Begin jobs) whose tasks the
+	// pool accepted.
 	Jobs int64 `json:"jobs"`
 }
 

@@ -208,6 +208,9 @@ func TestRunAfterCloseFails(t *testing.T) {
 	if err := p.Run(context.Background(), []Task{func(int) error { return nil }}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
 	}
+	if jobs := p.Stats().Jobs; jobs != 0 {
+		t.Fatalf("a job refused by the closed pool counted: Jobs = %d", jobs)
+	}
 }
 
 func TestCloseDrainsQueuedWork(t *testing.T) {

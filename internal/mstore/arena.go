@@ -39,8 +39,8 @@ type tempArena struct {
 }
 
 // open creates the arena for n references; n == 0 creates nothing. The
-// file must not exist yet: two joins sharing an explicit TmpDir fail
-// here instead of truncating each other's live references.
+// file must not exist yet: a second arena in one directory fails here
+// instead of truncating the first one's live references.
 func (a *tempArena) open(n int) error {
 	if n == 0 {
 		return nil
@@ -48,7 +48,7 @@ func (a *tempArena) open(n int) error {
 	path := filepath.Join(a.dir, "arena.seg")
 	seg, err := create(path, headerSize+int64(n)*refBytes, os.O_EXCL)
 	if errors.Is(err, fs.ErrExist) {
-		return fmt.Errorf("mstore: temp arena name collision: %s exists (a TmpDir must be unique per concurrent Run)", path)
+		return fmt.Errorf("mstore: temp arena name collision: %s exists", path)
 	}
 	if err != nil {
 		return err

@@ -167,22 +167,62 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 	}
 }
 
-// TestArenaNameCollision: a file already carrying the arena's name —
-// what a second join sharing an explicit TmpDir would find — fails the
-// join with the collision error and is neither truncated nor removed.
+// TestArenaNameCollision: a second arena opened in the directory of a
+// live one fails with the collision error, and the first arena's file
+// is neither truncated nor removed: its references stay readable.
 func TestArenaNameCollision(t *testing.T) {
-	db := makeDB(t, 2000)
-	tmp := t.TempDir()
-	path := filepath.Join(tmp, "arena.seg")
-	live := []byte("another join's live references")
-	if err := os.WriteFile(path, live, 0o644); err != nil {
+	dir := t.TempDir()
+	first := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	if err := first.open(1000); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.Run(JoinRequest{Algorithm: join.Grace, K: 4, TmpDir: tmp})
-	if err == nil || !strings.Contains(err.Error(), "collision") {
-		t.Fatalf("join over an occupied TmpDir returned %v, want the collision error", err)
+	defer first.close()
+	for x := range first.refs {
+		first.refs[x] = ref{off: Ptr(x), rid: uint64(3 * x)}
 	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != string(live) {
-		t.Fatalf("the occupying file was touched: %q, %v", got, err)
+	path := filepath.Join(dir, "arena.seg")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	if err := second.open(10); err == nil || !strings.Contains(err.Error(), "collision") {
+		second.close()
+		t.Fatalf("a second arena in one directory opened with %v, want the collision error", err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+		t.Fatalf("the first arena's file changed: %v, %v", after, err)
+	}
+	for x, e := range first.refs {
+		if e != (ref{off: Ptr(x), rid: uint64(3 * x)}) {
+			t.Fatalf("the first arena's reference %d reads %+v", x, e)
+		}
+	}
+}
+
+// TestRunSharesTmpDir: concurrent Grace and hybrid-hash joins sharing one
+// explicit TmpDir each make their own directory under it, return the
+// ground truth, and leave the TmpDir empty.
+func TestRunSharesTmpDir(t *testing.T) {
+	db := makeDB(t, 4000)
+	want := db.ExpectedStats()
+	tmp := filepath.Join(t.TempDir(), "shared")
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := JoinRequest{Algorithm: join.Grace, K: 4, TmpDir: tmp}
+			if g%2 == 1 {
+				req = JoinRequest{Algorithm: join.HybridHash, MRproc: 16 << 10, TmpDir: tmp}
+			}
+			if st, err := db.Run(req); err != nil || st != want {
+				t.Errorf("%v sharing a TmpDir: %+v, %v; want %+v", req.Algorithm, st, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("shared TmpDir after the joins: %v, holding %v", err, left)
 	}
 }

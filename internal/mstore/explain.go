@@ -335,12 +335,7 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	// The fixed costs: a join's temp directory and one pool round trip,
 	// and an arena's life — create, map, unmap, unlink — empty and at the
 	// sample's size with every page faulted in, which prices a page.
-	if tmpDir == "" {
-		tmpDir = db.Dir
-	} else if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp(tmpDir, "tmp-")
+	dir, err := db.joinDir(tmpDir)
 	if err != nil {
 		return nil, err
 	}
@@ -352,12 +347,12 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	full := math.Inf(1)
 	for range fixedTries {
 		clock = time.Now()
-		sub, err := os.MkdirTemp(dir, "join-")
+		sub, err := db.joinDir(dir)
 		if err == nil {
 			err = p.Run(ctx, []exec.Task{func(int) error { return nil }})
 		}
 		if err == nil {
-			err = os.Remove(sub)
+			err = os.RemoveAll(sub)
 		}
 		if err != nil {
 			return nil, err

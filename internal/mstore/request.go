@@ -52,12 +52,10 @@ type JoinRequest struct {
 	// accumulate across joins, which is also a supported use.
 	Telemetry *JoinTelemetry
 
-	// TmpDir holds the join's temp arena; "" creates a fresh per-call
-	// directory under the db dir (removed on return). An explicit TmpDir
-	// must be unique per concurrent Run call: every join gives its arena
-	// the same name, so the second of two joins sharing a TmpDir fails
-	// with a collision error. Run leaves no temporary behind on any exit
-	// path.
+	// TmpDir is the directory under which Run makes the join's own
+	// directory (join-*) for its temp arena; "" makes it under the db
+	// dir. Concurrent joins may share a TmpDir, and Run removes the
+	// join's directory on every exit path.
 	TmpDir string
 
 	// Pool is the join's CPU parallelism: the work-stealing pool its
@@ -152,9 +150,9 @@ func (db *DB) CountS() int {
 
 // Run validates the request, derives its plan, and executes the
 // selected algorithm over the mapped store. It is safe for concurrent
-// use by multiple goroutines with the default TmpDir (each call gets a
-// fresh temp directory; the base relations are only read); concurrent
-// calls sharing req.Pool additionally share its CPU bound.
+// use by multiple goroutines (each call gets a fresh temp directory; the
+// base relations are only read); concurrent calls sharing req.Pool
+// additionally share its CPU bound.
 //
 // Everything the operators share is set up and torn down here, once:
 // the temp directory, the pool and the joinRun that owns the kernel,
@@ -163,16 +161,11 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 	if err := req.validate(db); err != nil {
 		return JoinStats{}, err
 	}
-	if req.TmpDir == "" {
-		dir, err := os.MkdirTemp(db.Dir, "tmp-")
-		if err != nil {
-			return JoinStats{}, err
-		}
-		defer os.RemoveAll(dir)
-		req.TmpDir = dir
-	} else if err := os.MkdirAll(req.TmpDir, 0o755); err != nil {
+	dir, err := db.joinDir(req.TmpDir)
+	if err != nil {
 		return JoinStats{}, err
 	}
+	defer os.RemoveAll(dir)
 	ctx := req.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -182,10 +175,9 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		p = exec.NewPool(0)
 		defer p.Close()
 	}
-	r := newJoinRun(ctx, db, p, req.Telemetry, req.TmpDir)
+	r := newJoinRun(ctx, db, p, req.Telemetry, dir)
 	defer r.tmp.close()
 
-	var err error
 	switch req.Algorithm {
 	case join.IndexNL:
 		err = r.indexNL()
@@ -201,6 +193,18 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		return JoinStats{}, err
 	}
 	return r.stats.total(), nil
+}
+
+// joinDir makes the directory a join's temporaries live in: a fresh
+// join-* directory under tmpDir, or under the store's directory when
+// tmpDir is "". The caller removes it.
+func (db *DB) joinDir(tmpDir string) (string, error) {
+	if tmpDir == "" {
+		tmpDir = db.Dir
+	} else if err := os.MkdirAll(tmpDir, 0o755); err != nil {
+		return "", err
+	}
+	return os.MkdirTemp(tmpDir, "join-")
 }
 
 // Workload converts the stored relations into the simulator's workload

@@ -148,7 +148,7 @@ func TestSkewGraceHeapFlatInR(t *testing.T) {
 // TestSkewConcurrentDefaultTmpDirGrace is the regression for the shared
 // default temp directory: two concurrent Grace joins with TmpDir left
 // empty used to write the same <db>/tmp/gr_j_b.seg files and corrupt
-// each other; per-call MkdirTemp keeps them disjoint and exact.
+// each other; each join's own directory keeps them disjoint and exact.
 func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 	db := zipfDB(t, 4000)
 	want := db.ExpectedStats()
@@ -174,7 +174,7 @@ func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "tmp-") {
+		if strings.HasPrefix(e.Name(), "join-") {
 			t.Fatalf("per-call temp dir %s left behind", e.Name())
 		}
 	}
@@ -220,8 +220,8 @@ func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 	}
 }
 
-// TestSkewExplicitTmpDirStillWorks: an explicit caller-unique TmpDir
-// keeps working (and is the caller's to clean up).
+// TestSkewExplicitTmpDirStillWorks: an explicit TmpDir keeps working,
+// and survives the join: Run removes only the directory it made.
 func TestSkewExplicitTmpDirStillWorks(t *testing.T) {
 	db := zipfDB(t, 1000)
 	want := db.ExpectedStats()

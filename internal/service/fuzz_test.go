@@ -22,12 +22,9 @@ func fuzzServer(tb testing.TB) (*Server, *httptest.Server) {
 		tb.Fatal(err)
 	}
 	db.Close()
-	s, err := New(Config{Dir: dir, D: 3})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s := serveDir(tb, dir, Config{})
 	ts := httptest.NewServer(s.Handler())
-	tb.Cleanup(func() { ts.Close(); s.Close() })
+	tb.Cleanup(ts.Close)
 	return s, ts
 }
 

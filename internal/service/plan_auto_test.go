@@ -34,7 +34,7 @@ func TestAutoAgreesWithExplain(t *testing.T) {
 		if len(jr.Plan) == 0 || jr.Algorithm != jr.Plan[0].Algorithm || jr.PredictedNs != jr.Plan[0].PredictedNs {
 			t.Fatalf("grant %d: ran %s predicted %d ns, plan table %+v", grant, jr.Algorithm, jr.PredictedNs, jr.Plan)
 		}
-		plans, err := mstore.Rank(s.store, mstore.JoinRequest{MRproc: grant / int64(s.cfg.D), Pool: s.pool}, mstore.Operators(false))
+		plans, err := mstore.Rank(s.store, mstore.JoinRequest{MRproc: grant / int64(s.d), Pool: s.pool}, mstore.Operators(false))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -405,9 +405,9 @@ func TestReconcile(t *testing.T) {
 			if bodies != e.seen.n(true, 200) {
 				t.Errorf("checked %d join bodies for %d 2xx joins", bodies, e.seen.n(true, 200))
 			}
-			if after.Admission.QueueDepth != 0 || after.Admission.UsedBytes != 0 || after.Gauges["admission_queue_depth"] != 0 {
-				t.Errorf("admission not empty after load: depth %d, used %d bytes, gauge %v",
-					after.Admission.QueueDepth, after.Admission.UsedBytes, after.Gauges["admission_queue_depth"])
+			if after.Admission.QueueDepth != 0 || after.Admission.UsedBytes != 0 {
+				t.Errorf("admission not empty after load: depth %d, used %d bytes",
+					after.Admission.QueueDepth, after.Admission.UsedBytes)
 			}
 			row.check(e, before, after)
 		})

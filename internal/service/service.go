@@ -8,13 +8,12 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mmjoin/internal/drain"
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/metrics"
@@ -25,26 +24,21 @@ import (
 // Config parameterizes one server. Zero values select the documented
 // defaults.
 type Config struct {
-	// Dir is the database directory and D its partition count. Required
-	// unless Store is set.
-	Dir string
-	D   int
-
-	// Store, when non-nil, is a pre-opened store the server serves
-	// instead of opening Dir — this is how the sharded scatter-gather
-	// router is mounted (`mmdb serve -shard-map`). The server takes
-	// ownership: Close closes it.
+	// Store is the store the server serves, required: an opened
+	// mstore.DB, or a sharded scatter-gather router (`mmdb serve
+	// -shard-map`). The server takes ownership: Close closes it.
 	Store mstore.Store
 
-	// TmpDir roots per-request spill directories (default Dir/tmp when
-	// Dir is set, else the OS temp dir).
+	// TmpDir is every join's JoinRequest.TmpDir: the directory under
+	// which each join makes, and removes, its own temp directory. ""
+	// puts each store's under that store's own directory.
 	TmpDir string
 
 	// MemBudget is the total bytes of join memory the service may have
 	// charged to concurrently executing joins (default 8·DefaultGrant).
 	MemBudget int64
 	// DefaultGrant is the per-request memory grant when the request does
-	// not name one (default 4 MiB · D).
+	// not name one (default 4 MiB · D, the store's partition count).
 	DefaultGrant int64
 	// MaxQueue bounds the admission wait queue; a full queue answers 429
 	// (default 64, negative disables queueing entirely).
@@ -62,19 +56,7 @@ type Config struct {
 
 func (cfg *Config) withDefaults() error {
 	if cfg.Store == nil {
-		if cfg.Dir == "" {
-			return fmt.Errorf("service: database dir or store required")
-		}
-		if cfg.D < 1 {
-			return fmt.Errorf("service: D=%d must be >= 1", cfg.D)
-		}
-	}
-	if cfg.TmpDir == "" {
-		if cfg.Dir != "" {
-			cfg.TmpDir = filepath.Join(cfg.Dir, "tmp")
-		} else {
-			cfg.TmpDir = filepath.Join(os.TempDir(), "mmjoin-serve")
-		}
+		return fmt.Errorf("service: store required")
 	}
 	// DefaultGrant and MemBudget default in New, once the store's D is
 	// known (a sharded store reports it from its shards).
@@ -87,10 +69,9 @@ func (cfg *Config) withDefaults() error {
 	return nil
 }
 
-// Server is the concurrent query service over one mapped database. All
-// endpoints are safe for concurrent use; joins execute real goroutine
-// parallelism over the shared read-only base relations, with per-request
-// temporary directories.
+// Server is the concurrent query service over one store. All endpoints
+// are safe for concurrent use; joins execute real goroutine parallelism
+// over the shared read-only base relations.
 type Server struct {
 	cfg   Config
 	store mstore.Store
@@ -99,21 +80,14 @@ type Server struct {
 	// detail, and live add/remove-with-drain membership management.
 	shardRunner mstore.ShardRunner
 	shardMgr    ShardManager
-	d           int              // addressable partition count (store's D)
-	ops         []join.Algorithm // the operators auto plans over
+	d           int // addressable partition count (store's D)
 	adm         *Admission
 	pool        *exec.Pool // morsel pool shared by all in-flight joins
 
 	start time.Time
-	// drainMu orders inflight.Add against Drain's draining transition:
-	// every request either registers with inflight before Drain flips the
-	// flag (and is therefore seen by inflight.Wait) or observes the flag
-	// and is rejected. It also keeps Add from running on a zero counter
-	// concurrently with Wait, which WaitGroup forbids.
-	drainMu  sync.Mutex
-	inflight sync.WaitGroup
-	draining atomic.Bool
-	reqSeq   atomic.Int64
+	// gate registers every request before it touches the store, so
+	// Drain cannot return while one might still read a mapping.
+	gate drain.Gate
 
 	// meanServiceNs is an EWMA of admitted-join execution time (the time
 	// a grant stays charged), the rate at which budget slots recycle. It
@@ -131,44 +105,30 @@ type Server struct {
 	hists    map[string]*metrics.Histogram
 }
 
-// New opens (or adopts) the store, explains a join at the default grant
-// once — which counts the store's reference histogram and measures its
-// cost profile, so that no request pays for either — and assembles the
+// New adopts the store, explains a join at the default grant once —
+// which counts the store's reference histogram and measures its cost
+// profile, so that no request pays for either — and assembles the
 // admission controller. Close releases the store.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 	store := cfg.Store
-	if store == nil {
-		db, err := mstore.OpenDB(cfg.Dir, cfg.D)
-		if err != nil {
-			return nil, err
-		}
-		store = db
-	}
-	stats := store.Stats()
-	if cfg.D == 0 {
-		cfg.D = stats.D
-	}
-	if cfg.D < 1 {
+	d := store.Stats().D
+	if d < 1 {
 		store.Close()
-		return nil, fmt.Errorf("service: store reports D=%d", cfg.D)
+		return nil, fmt.Errorf("service: store reports D=%d", d)
 	}
 	if cfg.DefaultGrant <= 0 {
-		cfg.DefaultGrant = int64(cfg.D) << 22
+		cfg.DefaultGrant = int64(d) << 22
 	}
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = 8 * cfg.DefaultGrant
 	}
-	// An indexed store widens the candidate set so `auto` can pick the
-	// index paths; an unindexed (or partially indexed, sharded) store
-	// plans over the four staging algorithms only.
 	s := &Server{
 		cfg:      cfg,
 		store:    store,
-		d:        cfg.D,
-		ops:      mstore.Operators(stats.Indexed),
+		d:        d,
 		adm:      NewAdmission(cfg.MemBudget, cfg.MaxQueue),
 		pool:     exec.NewPool(cfg.Workers),
 		start:    time.Now(),
@@ -176,7 +136,7 @@ func New(cfg Config) (*Server, error) {
 		counters: make(map[string]*metrics.Counter),
 		hists:    make(map[string]*metrics.Histogram),
 	}
-	if _, err := s.plan(context.Background(), cfg.DefaultGrant/int64(cfg.D), 0); err != nil {
+	if _, err := s.plan(context.Background(), cfg.DefaultGrant/int64(d), 0); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -186,18 +146,8 @@ func New(cfg Config) (*Server, error) {
 	if mgr, ok := store.(ShardManager); ok {
 		s.shardMgr = mgr
 	}
-	// Pool health as callback gauges: occupancy, queue depth, and steal
-	// count read live at every /stats snapshot.
-	s.reg.Gauge("pool_workers", func() float64 { return float64(s.pool.Stats().Workers) })
-	s.reg.Gauge("pool_busy", func() float64 { return float64(s.pool.Stats().Busy) })
-	s.reg.Gauge("pool_peak_busy", func() float64 { return float64(s.pool.Stats().PeakBusy) })
-	s.reg.Gauge("pool_queued_morsels", func() float64 { return float64(s.pool.Stats().Queued) })
-	s.reg.Gauge("pool_steals", func() float64 { return float64(s.pool.Stats().Steals) })
-	s.reg.Gauge("pool_executed_morsels", func() float64 { return float64(s.pool.Stats().Executed) })
-	// Admission occupancy as live gauges, so load tooling can watch the
-	// queue drain without diffing counters.
-	s.reg.Gauge("admission_queue_depth", func() float64 { return float64(s.adm.QueueDepth()) })
-	s.reg.Gauge("admission_used_bytes", func() float64 { return float64(s.adm.Stats().UsedBytes) })
+	// The pool and admission occupancy are typed blocks of /stats; the
+	// Retry-After hint is reported only here.
 	s.reg.Gauge("retry_after_hint_sec", func() float64 { return s.retryAfterHint().Seconds() })
 	// Outcome counters registered eagerly so /stats shows them at zero
 	// before the first request arrives — client/server reconciliation
@@ -222,11 +172,13 @@ func New(cfg Config) (*Server, error) {
 }
 
 // plan explains a join at the given grant under every operator the
-// store runs and returns the plans cheapest first: auto runs the first.
+// store runs now — the index joins only while every live shard carries
+// indexes — and returns the plans cheapest first: auto runs the first.
 // The store's profile prices the temp arena under TmpDir, where the
 // service's joins stage.
 func (s *Server) plan(ctx context.Context, mrproc int64, k int) ([]mstore.Plan, error) {
-	return mstore.Rank(s.store, mstore.JoinRequest{MRproc: mrproc, K: k, Pool: s.pool, Ctx: ctx, TmpDir: s.cfg.TmpDir}, s.ops)
+	req := mstore.JoinRequest{MRproc: mrproc, K: k, Pool: s.pool, Ctx: ctx, TmpDir: s.cfg.TmpDir}
+	return mstore.Rank(s.store, req, mstore.Operators(s.store.Stats().Indexed))
 }
 
 // ShardManager is the optional membership-management capability of
@@ -250,35 +202,10 @@ func (s *Server) Close() error {
 // ones and joins abandoned by their clients — has finished, or ctx
 // expires.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	s.draining.Store(true)
-	s.drainMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
+	if err := s.gate.Close(ctx); err != nil {
+		return fmt.Errorf("service: drain interrupted: %w", err)
 	}
-}
-
-// beginRequest registers one unit of in-flight work with the drain
-// waiter, or reports false if the server is draining. Callers that get
-// true must s.inflight.Done() when the work finishes; while their
-// registration is held, further inflight.Add calls (e.g. for a child
-// goroutine) are plain WaitGroup use and need no lock.
-func (s *Server) beginRequest() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining.Load() {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
+	return nil
 }
 
 // observe records a wall-clock duration in a named histogram, created on
@@ -453,15 +380,15 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	s.inc("join_requests_total")
 	// Register with the drain waiter before anything else: once past
 	// this point the request — including its admission wait and any
-	// join goroutine it spawns — is visible to Drain's inflight.Wait,
-	// so Drain cannot return (and the caller cannot unmap the db) while
-	// this request might still read it.
-	if !s.beginRequest() {
+	// join goroutine it spawns — is visible to Drain, so Drain cannot
+	// return (and the caller cannot unmap the db) while this request
+	// might still read it.
+	if !s.gate.Enter() {
 		s.inc("rejected_draining")
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 
 	var req JoinRequest
 	if r.Body != nil {
@@ -553,15 +480,14 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		details []mstore.ShardJoinStat
 		err     error
 	}
-	tmp := filepath.Join(s.cfg.TmpDir, fmt.Sprintf("req%d", s.reqSeq.Add(1)))
 	execStart := time.Now()
 	done := make(chan outcome, 1)
 	tel := &mstore.JoinTelemetry{}
-	// The handler's own registration is still held here, so this Add
-	// runs on a non-zero counter and needs no drainMu.
-	s.inflight.Add(1)
+	// The handler's own registration is still held here, so the join
+	// goroutine extends it and cannot be refused.
+	s.gate.Extend()
 	go func() {
-		defer s.inflight.Done()
+		defer s.gate.Exit()
 		// The grant is held from execStart until the join finishes — even
 		// when the client abandoned the request — so this is the honest
 		// slot-recycling time the Retry-After hint needs. Releasing before
@@ -576,7 +502,6 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 			}
 		}
 		defer release()
-		defer os.RemoveAll(tmp)
 		defer func() {
 			if v := recover(); v != nil {
 				done <- outcome{err: fmt.Errorf("join panicked: %v", v)}
@@ -593,7 +518,7 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		// charged at admission derives the join's K and resident prefix
 		// (through MRproc) and is held, unchanged, until the join ends.
 		jr := mstore.JoinRequest{
-			Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: tmp,
+			Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: s.cfg.TmpDir,
 			Telemetry: tel, Pool: s.pool, Ctx: ctx,
 		}
 		var out outcome
@@ -726,12 +651,12 @@ func (s *Server) handleLookup(rw http.ResponseWriter, r *http.Request) {
 	// drain waiter for the same unmap-safety reason joins do. Their
 	// drain rejections are counted apart from joins' so client-side
 	// accounting can reconcile each endpoint exactly.
-	if !s.beginRequest() {
+	if !s.gate.Enter() {
 		s.inc("lookups_rejected_draining")
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 	start := time.Now()
 	part, err1 := strconv.Atoi(r.URL.Query().Get("part"))
 	index, err2 := strconv.Atoi(r.URL.Query().Get("index"))
@@ -791,11 +716,11 @@ func (s *Server) handleShardsAdd(rw http.ResponseWriter, r *http.Request) {
 			"store is a single database; shard management needs -shard-map")
 		return
 	}
-	if !s.beginRequest() {
+	if !s.gate.Enter() {
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 	var req ShardAddRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(rw, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
@@ -825,11 +750,11 @@ func (s *Server) handleShardsRemove(rw http.ResponseWriter, r *http.Request) {
 			"store is a single database; shard management needs -shard-map")
 		return
 	}
-	if !s.beginRequest() {
+	if !s.gate.Enter() {
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 	id := r.PathValue("id")
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -871,7 +796,7 @@ type Stats struct {
 	// steal/executed counts.
 	Pool exec.Stats `json:"pool"`
 	// Gauges mirrors every gauge registered on the internal metrics
-	// registry (the pool gauges today), read live at snapshot time.
+	// registry (the Retry-After hint today), read live at snapshot time.
 	Gauges     map[string]float64        `json:"gauges"`
 	Counters   map[string]int64          `json:"counters"`
 	Histograms map[string]HistogramStats `json:"histograms"`
@@ -882,7 +807,7 @@ type Stats struct {
 func (s *Server) StatsSnapshot() Stats {
 	st := Stats{
 		UptimeSec:  time.Since(s.start).Seconds(),
-		Draining:   s.draining.Load(),
+		Draining:   s.gate.Closing(),
 		DB:         s.store.Stats(),
 		Admission:  s.adm.Stats(),
 		Pool:       s.pool.Stats(),
@@ -914,7 +839,7 @@ func (s *Server) handleStats(rw http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.gate.Closing() {
 		writeJSON(rw, http.StatusServiceUnavailable,
 			map[string]any{"status": "draining", "draining": true})
 		return

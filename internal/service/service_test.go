@@ -17,8 +17,8 @@ import (
 )
 
 // newTestServer creates a small database and a server over it. The
-// caller's cfg may pre-set budget/queue/grant knobs; Dir and D are
-// filled in here.
+// caller's cfg may pre-set budget/queue/grant knobs; Store is filled in
+// here.
 func newTestServer(t *testing.T, objects int, cfg Config) *Server {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "db")
@@ -27,13 +27,22 @@ func newTestServer(t *testing.T, objects int, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	db.Close() // the server maps it afresh
-	cfg.Dir = dir
-	cfg.D = 3
+	return serveDir(t, dir, cfg)
+}
+
+// serveDir opens the 3-partition database at dir and serves it.
+func serveDir(tb testing.TB, dir string, cfg Config) *Server {
+	tb.Helper()
+	db, err := mstore.OpenDB(dir, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Store = db
 	s, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	tb.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -41,7 +50,7 @@ func newTestServer(t *testing.T, objects int, cfg Config) *Server {
 // server itself exposes only the Store interface).
 func expectedStats(t *testing.T, s *Server) mstore.JoinStats {
 	t.Helper()
-	db, err := mstore.OpenDB(s.cfg.Dir, s.cfg.D)
+	db, err := mstore.OpenDB(s.store.Stats().Dir, s.d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +369,7 @@ type result2 struct {
 func waitDraining(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.draining.Load() {
+	for !s.gate.Closing() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -515,8 +524,8 @@ func TestServeConcurrentClientsRace(t *testing.T) {
 	if snap.Pool.Workers != 2 {
 		t.Fatalf("/stats pool %+v", snap.Pool)
 	}
-	if _, ok := snap.Gauges["pool_busy"]; !ok {
-		t.Fatalf("/stats gauges missing pool_busy: %v", snap.Gauges)
+	if snap.Pool.Executed < pool.Executed || snap.Pool.Jobs < pool.Jobs {
+		t.Fatalf("/stats pool %+v behind the pool's own %+v", snap.Pool, pool)
 	}
 }
 

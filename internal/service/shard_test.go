@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -30,6 +32,16 @@ func newShardedServer(t *testing.T, objects int, cfg Config) (*Server, *httptest
 // planning supplied by the caller.
 func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.PlanFunc) (*Server, *httptest.Server, *shard.Map, mstore.JoinStats) {
 	t.Helper()
+	base, m, want := splitShards(t, objects)
+	s, ts := serveShards(t, base, m, cfg, plan)
+	return s, ts, m, want
+}
+
+// splitShards splits one source database into 3 shards under a fresh
+// directory, returned with the shard map and the source's expected
+// stats.
+func splitShards(t *testing.T, objects int) (string, *shard.Map, mstore.JoinStats) {
+	t.Helper()
 	base := t.TempDir()
 	srcDir := filepath.Join(base, "src")
 	src, err := mstore.CreateDB(srcDir, 3, objects, objects, 32, 23)
@@ -48,6 +60,13 @@ func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.P
 	if err != nil {
 		t.Fatal(err)
 	}
+	return base, m, want
+}
+
+// serveShards mounts the shards of m behind a router and serves it, with
+// every join's temporaries under base/tmp.
+func serveShards(t *testing.T, base string, m *shard.Map, cfg Config, plan shard.PlanFunc) (*Server, *httptest.Server) {
+	t.Helper()
 	router, err := shard.Open(m, shard.Config{
 		MapPath:  filepath.Join(base, "shards.json"),
 		PlanFunc: plan,
@@ -64,7 +83,7 @@ func newPlannedShardedServer(t *testing.T, objects int, cfg Config, plan shard.P
 	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts, m, want
+	return s, ts
 }
 
 // expectedOver folds the ground truth of the given shards: what a join
@@ -97,7 +116,7 @@ func decodeError(t *testing.T, resp *http.Response) ErrorBody {
 // returns the single-store signature with a per-shard breakdown, for
 // concrete algorithms and for auto (per-shard planning).
 func TestShardedServiceJoin(t *testing.T) {
-	_, ts, _, want := newShardedServer(t, 900, Config{})
+	s, ts, _, want := newShardedServer(t, 900, Config{})
 	for _, alg := range []string{"auto", "grace", "hybrid-hash", "sort-merge", "nested-loops"} {
 		body, _ := json.Marshal(JoinRequest{Algorithm: alg})
 		resp, err := http.Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
@@ -136,6 +155,60 @@ func TestShardedServiceJoin(t *testing.T) {
 			t.Errorf("%s: shard pairs sum %d != %d", alg, sum, want.Pairs)
 		}
 	}
+	// Every shard's join made its directory under the server's TmpDir
+	// and removed it.
+	if left, err := os.ReadDir(s.cfg.TmpDir); err != nil || len(left) != 0 {
+		t.Fatalf("TmpDir after the joins: %v, holding %v", err, left)
+	}
+}
+
+// TestShardedAutoFollowsIndexedMembership: auto plans over the operators
+// the live shards run now. An indexed router that gains an unindexed
+// shard explains the four staging joins only, and all six again once
+// that shard has left.
+func TestShardedAutoFollowsIndexedMembership(t *testing.T) {
+	base, m, _ := splitShards(t, 600)
+	for _, e := range m.Shards[:2] {
+		db, err := mstore.OpenDB(e.Dir, e.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = db.BuildIndexes(context.Background(), nil)
+		db.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	indexed := *m
+	indexed.Shards = m.Shards[:2]
+	_, ts := serveShards(t, base, &indexed, Config{}, func(string, *relation.Workload, mstore.JoinRequest) (join.Algorithm, error) {
+		return join.Grace, nil
+	})
+	auto := func(event string, plans int) {
+		t.Helper()
+		resp, jr := postJoin(t, ts, JoinRequest{})
+		if resp.StatusCode != http.StatusOK || len(jr.Plan) != plans {
+			t.Fatalf("auto %s: status %d, %d plan entries; want 200 and %d", event, resp.StatusCode, len(jr.Plan), plans)
+		}
+	}
+	auto("on the indexed router", 6)
+	add, _ := json.Marshal(ShardAddRequest{ID: "shard-2", Dir: m.Shards[2].Dir, D: m.Shards[2].D})
+	resp, err := ts.Client().Post(ts.URL+"/v1/shards", "application/json", bytes.NewReader(add))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Body.Close(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("adding the unindexed shard: status %d", resp.StatusCode)
+	}
+	auto("after adding an unindexed shard", 4)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/shards/shard-2", nil)
+	if resp, err = ts.Client().Do(req); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Body.Close(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("removing the unindexed shard: status %d", resp.StatusCode)
+	}
+	auto("after removing it", 6)
 }
 
 // TestShardedServiceLookup checks /v1/lookup reports the answering

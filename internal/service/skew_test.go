@@ -43,14 +43,7 @@ func newSkewServer(t *testing.T, objects int, cfg Config) *Server {
 		}
 	}
 	db.Close()
-	cfg.Dir = dir
-	cfg.D = 3
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	return serveDir(t, dir, cfg)
 }
 
 // TestSkewServeGrantBoundedJoin: skewed joins under a small grant, with

@@ -3,12 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"mmjoin/internal/drain"
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/mstore"
@@ -33,37 +31,19 @@ type Config struct {
 	PlanFunc PlanFunc
 }
 
-// handle is one mounted shard: its mapped database and the PR-4 drain
-// discipline (register in-flight work under drainMu before checking the
-// draining flag, so a drain can never return while a request is about
-// to touch the mapping).
+// handle is one mounted shard: its mapped database and the gate every
+// request registers with before it touches the mapping, so a drain can
+// never return while one is about to.
 type handle struct {
-	id  string
-	dir string
-	db  *mstore.DB
-
-	drainMu  sync.Mutex
-	inflight sync.WaitGroup
-	draining atomic.Bool
+	id   string
+	dir  string
+	db   *mstore.DB
+	gate drain.Gate
 
 	wOnce sync.Once
 	w     *relation.Workload
 	wErr  error
 }
-
-// begin registers one unit of in-flight work, or reports false when the
-// shard is draining. Callers that get true must call end().
-func (h *handle) begin() bool {
-	h.drainMu.Lock()
-	defer h.drainMu.Unlock()
-	if h.draining.Load() {
-		return false
-	}
-	h.inflight.Add(1)
-	return true
-}
-
-func (h *handle) end() { h.inflight.Done() }
 
 // workload lazily derives (and caches) the shard's planner view with its
 // reference statistics counted: the first auto-planned join pays the
@@ -167,27 +147,15 @@ func (r *Router) RemoveShard(ctx context.Context, id string) error {
 	r.rebuildRingLocked()
 	r.mu.Unlock()
 
-	// Flip the drain flag under drainMu: every request either
-	// registered with inflight before this (and is waited for) or
-	// observes the flag in begin() and skips the shard.
-	h.drainMu.Lock()
-	h.draining.Store(true)
-	h.drainMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		h.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return h.db.Close()
-	case <-ctx.Done():
+	// Every request either registered with the gate before this (and is
+	// waited for) or finds it closing and skips the shard.
+	if err := h.gate.Close(ctx); err != nil {
 		r.mu.Lock()
 		r.detached = append(r.detached, h)
 		r.mu.Unlock()
-		return fmt.Errorf("shard: drain of %q interrupted: %w", id, ctx.Err())
+		return fmt.Errorf("shard: drain of %q interrupted: %w", id, err)
 	}
+	return h.db.Close()
 }
 
 // rebuildRingLocked recomputes the ring from the live membership.
@@ -198,6 +166,27 @@ func (r *Router) rebuildRingLocked() {
 		ids[i] = h.id
 	}
 	r.ring = newRing(ids, r.replicas)
+}
+
+// enter registers with the gate of every live shard and returns those
+// that accepted, fixing a request's participants — and so its grant
+// split — before any work starts. A draining shard is left out: the
+// request sees the post-removal relation. The caller exits each gate.
+func (r *Router) enter() ([]*handle, error) {
+	shards, _, err := r.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	live := shards[:0]
+	for _, h := range shards {
+		if h.gate.Enter() {
+			live = append(live, h)
+		}
+	}
+	if len(live) == 0 {
+		return nil, fmt.Errorf("shard: no live shards")
+	}
+	return live, nil
 }
 
 // snapshot returns the live membership and ring under the read lock.
@@ -220,8 +209,9 @@ func (r *Router) Run(req mstore.JoinRequest) (mstore.JoinStats, error) {
 }
 
 // RunShards executes one join scatter-gather: every live shard runs the
-// request over its own slice of R (with its share of the memory grant
-// and its own temp subdirectory), and the per-shard JoinStats fold —
+// request over its own slice of R (with its share of the memory grant;
+// req.TmpDir passes through, as each shard's Run makes its own directory
+// under it), and the per-shard JoinStats fold —
 // commutative sums — into one merged result that is bit-identical to a
 // single-store join over the same logical relation.
 //
@@ -240,22 +230,9 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 	if req.Algorithm == join.Auto && r.cfg.PlanFunc == nil {
 		return mstore.JoinStats{}, nil, fmt.Errorf("shard: auto requested but the router has no PlanFunc")
 	}
-	shards, _, err := r.snapshot()
+	live, err := r.enter()
 	if err != nil {
 		return mstore.JoinStats{}, nil, err
-	}
-	// Register with every shard's drain discipline up front, so the
-	// participant set — and therefore the grant split — is fixed before
-	// any work starts. Draining shards are excluded: the join computes
-	// the post-removal logical relation.
-	live := shards[:0]
-	for _, h := range shards {
-		if h.begin() {
-			live = append(live, h)
-		}
-	}
-	if len(live) == 0 {
-		return mstore.JoinStats{}, nil, fmt.Errorf("shard: no live shards")
 	}
 	if req.Pool == nil {
 		req.Pool = exec.NewPool(0)
@@ -280,20 +257,12 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 		wg.Add(1)
 		go func(i int, h *handle) {
 			defer wg.Done()
-			defer h.end()
+			defer h.gate.Exit()
 			sub := req // per-shard copy
 			sub.Ctx = ctx
 			tel := &mstore.JoinTelemetry{}
 			sub.Telemetry = tel
 			sub.MRproc = shareOf(req.MRproc, len(live))
-			if req.TmpDir != "" {
-				sub.TmpDir = filepath.Join(req.TmpDir, "shard-"+h.id)
-				if err := os.MkdirAll(sub.TmpDir, 0o755); err != nil {
-					results[i] = result{err: fmt.Errorf("shard %q: %w", h.id, err)}
-					cancel()
-					return
-				}
-			}
 			if sub.Algorithm == join.Auto {
 				w, err := h.workload()
 				if err == nil {
@@ -358,24 +327,15 @@ func shareOf(mrproc int64, n int) int64 {
 // the shards' morsels share one pool. Auto is not explainable: the
 // shards' PlanFunc choices are made at run time.
 func (r *Router) Explain(req mstore.JoinRequest) (mstore.Plan, error) {
-	shards, _, err := r.snapshot()
+	live, err := r.enter()
 	if err != nil {
 		return mstore.Plan{}, err
 	}
-	live := shards[:0]
-	for _, h := range shards {
-		if h.begin() {
-			live = append(live, h)
-		}
-	}
 	defer func() {
 		for _, h := range live {
-			h.end()
+			h.gate.Exit()
 		}
 	}()
-	if len(live) == 0 {
-		return mstore.Plan{}, fmt.Errorf("shard: no live shards")
-	}
 	if req.Pool == nil {
 		req.Pool = exec.NewPool(0)
 		defer req.Pool.Close()
@@ -421,11 +381,11 @@ func (r *Router) Lookup(part, index int) (mstore.LookupResult, error) {
 				break
 			}
 		}
-		if h == nil || !h.begin() {
+		if h == nil || !h.gate.Enter() {
 			continue // membership changed under us; re-route
 		}
 		res, err := r.lookupOn(h, part, index)
-		h.end()
+		h.gate.Exit()
 		return res, err
 	}
 	return mstore.LookupResult{}, fmt.Errorf("shard: lookup routing did not settle (membership churn)")
@@ -481,7 +441,7 @@ func (r *Router) Stats() mstore.StoreStats {
 		info := mstore.ShardInfo{
 			ID: h.id, Dir: h.dir, D: h.db.D, ObjSize: h.db.ObjSize,
 			NR: h.db.CountR(), NS: h.db.CountS(),
-			Draining: h.draining.Load(),
+			Draining: h.gate.Closing(),
 		}
 		st.Shards = append(st.Shards, info)
 		st.NR += info.NR

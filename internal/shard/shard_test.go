@@ -562,14 +562,13 @@ func TestShardRouterLeaksNoGoroutines(t *testing.T) {
 	if st, err := r.Run(mstore.JoinRequest{Algorithm: join.HybridHash, MRproc: 1 << 20}); err != nil || st != want {
 		t.Fatalf("join: %+v, %v; want %+v", st, err, want)
 	}
-	// A regular file where shard-1's subdirectory belongs fails that
-	// shard, while its peers run.
-	tmp := t.TempDir()
-	if err := os.WriteFile(filepath.Join(tmp, "shard-shard-1"), nil, 0o644); err != nil {
+	// A TmpDir that is a regular file fails every shard's Run.
+	tmp := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(tmp, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, TmpDir: tmp}); err == nil {
-		t.Fatal("join with an uncreatable shard temp dir succeeded")
+		t.Fatal("join under a TmpDir that is a regular file succeeded")
 	}
 	if err := r.RemoveShard(context.Background(), "shard-0"); err != nil {
 		t.Fatal(err)
