@@ -34,11 +34,6 @@ func (g *Gate) Enter() bool {
 	return true
 }
 
-// Extend registers one more unit for a caller that holds a registration
-// already, such as a goroutine the work hands off to. It cannot be
-// refused: the held registration keeps Close waiting.
-func (g *Gate) Extend() { g.inflight.Add(1) }
-
 // Exit ends one registered unit of work.
 func (g *Gate) Exit() { g.inflight.Done() }
 

@@ -8,15 +8,13 @@ import (
 )
 
 // TestGateCloseWaitsForRegisteredWork: Close refuses later Enters, waits
-// for every registered unit — an extended one included — and, when its
-// context ends first, returns the context's error with the gate left
-// closed.
+// for every registered unit and, when its context ends first, returns
+// the context's error with the gate left closed.
 func TestGateCloseWaitsForRegisteredWork(t *testing.T) {
 	var g Gate
-	if !g.Enter() || g.Closing() {
+	if !g.Enter() || !g.Enter() || g.Closing() {
 		t.Fatal("a zero gate refused work")
 	}
-	g.Extend()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := g.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {

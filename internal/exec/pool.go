@@ -217,20 +217,6 @@ func (jb *Job) Wait() error {
 	return jb.j.err
 }
 
-// RunRanges splits [0, n) into contiguous ranges of at most morsel
-// objects and runs fn over them as one job.
-func (p *Pool) RunRanges(ctx context.Context, n, morsel int, fn func(worker, lo, hi int) error) error {
-	if morsel < 1 {
-		morsel = 1
-	}
-	tasks := make([]Task, 0, (n+morsel-1)/morsel)
-	for lo := 0; lo < n; lo += morsel {
-		lo, hi := lo, min(lo+morsel, n)
-		tasks = append(tasks, func(w int) error { return fn(w, lo, hi) })
-	}
-	return p.Run(ctx, tasks)
-}
-
 // worker is one pool goroutine: pop own deque, steal, or sleep.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
@@ -239,7 +225,12 @@ func (p *Pool) worker(id int) {
 		if !ok {
 			return
 		}
-		if m.j.failed.Load() || m.j.ctx.Err() != nil {
+		if m.j.failed.Load() {
+			p.skipped.Add(1)
+		} else if err := m.j.ctx.Err(); err != nil {
+			// A skipped morsel leaves the job incomplete: it fails with
+			// the context's error, however Wait wakes.
+			m.j.fail(err)
 			p.skipped.Add(1)
 		} else {
 			if err := p.exec(m, id); err != nil {

@@ -107,7 +107,7 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 	leafKeys := func(l int) (lo, hi int) { // distinct-key groups of leaf l
 		return l * maxKeys, min((l+1)*maxKeys, nKeys)
 	}
-	err = p.RunRanges(ctx, nLeaves, bulkMorsel, func(_, lo, hi int) error {
+	err = p.Run(ctx, rangeTasks(nil, nLeaves, bulkMorsel, func(_, lo, hi int) error {
 		for l := lo; l < hi; l++ {
 			n := leafBase + Ptr(int64(l)*int64(nodeBytes))
 			gLo, gHi := leafKeys(l)
@@ -124,7 +124,7 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 			}
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 			lo = pn*perParent + min(pn, extra)
 			return lo, lo + perParent + boolInt(pn < extra)
 		}
-		err = p.RunRanges(ctx, parents, bulkMorsel, func(_, lo, hi int) error {
+		err = p.Run(ctx, rangeTasks(nil, parents, bulkMorsel, func(_, lo, hi int) error {
 			for pn := lo; pn < hi; pn++ {
 				n := levelBase + Ptr(int64(pn)*int64(nodeBytes))
 				cLo, cHi := childAt(pn)
@@ -165,7 +165,7 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 				}
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			return nil, err
 		}

@@ -117,9 +117,17 @@ func CreateDB(dir string, d, nr, ns, objSize int, seed int64) (*DB, error) {
 	return db, nil
 }
 
-// OpenDB maps an existing database (no pointer fixup: exact positioning).
+// OpenDB maps an existing database of d partitions (no pointer fixup:
+// exact positioning). A store with more partitions than d is refused:
+// half a store would answer lookups from the part it mapped and fail
+// every staging join on its dangling pointers.
 func OpenDB(dir string, d int) (*DB, error) {
 	db := &DB{Dir: dir, D: d}
+	for _, path := range []string{db.rPath(d), db.sPath(d)} {
+		if _, err := os.Stat(path); err == nil {
+			return nil, fmt.Errorf("mstore: %s holds more than %d partitions (%s exists)", dir, d, filepath.Base(path))
+		}
+	}
 	for j := 0; j < d; j++ {
 		seg, err := Open(db.sPath(j))
 		if err != nil {

@@ -110,7 +110,7 @@ func countHist(ctx context.Context, db *DB, p *exec.Pool, span func(i int) (int,
 	var tasks []exec.Task
 	for i, ri := range db.R {
 		from, to := span(i)
-		tasks = rangeTasks(tasks, to-from, func(w, lo, hi int) error {
+		tasks = rangeTasks(tasks, to-from, morselObjs, func(w, lo, hi int) error {
 			lo, hi = lo+from, hi+from
 			c := local[w]
 			if c == nil {

@@ -65,12 +65,12 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	for j, rel := range db.S {
 		items := make([]KV, rel.Count())
 		base := uint64(j) << 32
-		if err := p.RunRanges(ctx, len(items), morselObjs, func(_, lo, hi int) error {
+		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
 			for x := lo; x < hi; x++ {
 				items[x] = KV{Key: base | uint64(x), Val: rel.PtrAt(x)}
 			}
 			return nil
-		}); err != nil {
+		})); err != nil {
 			return err
 		}
 		t, err := db.buildOne(ctx, p, rel, items)
@@ -81,12 +81,12 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	}
 	for i, rel := range db.R {
 		items := make([]KV, rel.Count())
-		if err := p.RunRanges(ctx, len(items), morselObjs, func(_, lo, hi int) error {
+		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
 			for x := lo; x < hi; x++ {
 				items[x] = KV{Key: db.indexKeyOf(DecodeSPtr(rel.Object(x))), Val: rel.PtrAt(x)}
 			}
 			return nil
-		}); err != nil {
+		})); err != nil {
 			return err
 		}
 		t, err := db.buildOne(ctx, p, rel, items)

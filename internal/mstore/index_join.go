@@ -39,7 +39,7 @@ func (r *joinRun) indexNL() error {
 	db := r.db
 	var tasks []exec.Task
 	for i, ri := range db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error {
+		tasks = rangeTasks(tasks, ri.Count(), morselObjs, func(w, lo, hi int) error {
 			st := &r.stats[w].JoinStats
 			b := r.kern.newBatch()
 			for x := lo; x < hi; x++ {
@@ -70,7 +70,7 @@ func (r *joinRun) indexMerge() error {
 	var tasks []exec.Task
 	for i := range db.ridx {
 		for j := range db.sidx {
-			tasks = rangeTasks(tasks, db.S[j].Count(), func(w, lo, hi int) error {
+			tasks = rangeTasks(tasks, db.S[j].Count(), morselObjs, func(w, lo, hi int) error {
 				return r.kern.mergeCell(db, i, j, lo, hi, &r.stats[w].JoinStats)
 			})
 		}

@@ -57,20 +57,12 @@ func (s perWorker) total() JoinStats {
 	return t
 }
 
-// morselCount is the number of tasks rangeTasks emits for n objects.
-func morselCount(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + morselObjs - 1) / morselObjs
-}
-
-// rangeTasks appends one task per morselObjs-sized range of [0, n).
-// Empty inputs append nothing, and every emitted range is non-empty —
-// the pool never churns through zero-width morsels.
-func rangeTasks(tasks []exec.Task, n int, fn func(w, lo, hi int) error) []exec.Task {
-	for lo := 0; lo < n; lo += morselObjs {
-		hi := min(lo+morselObjs, n)
+// rangeTasks appends one task per range of at most size objects of
+// [0, n). Empty inputs append nothing, and every emitted range is
+// non-empty — the pool never churns through zero-width morsels.
+func rangeTasks(tasks []exec.Task, n, size int, fn func(w, lo, hi int) error) []exec.Task {
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
 		tasks = append(tasks, func(w int) error { return fn(w, lo, hi) })
 	}
 	return tasks
@@ -182,7 +174,7 @@ func (r *joinRun) staged(cfg staging) error {
 	sc := r.newScan(cfg, span)
 	var tasks []exec.Task
 	for i, ri := range r.db.R {
-		tasks = rangeTasks(tasks, ri.Count(), func(w, lo, hi int) error { return sc.morsel(w, i, lo, hi) })
+		tasks = rangeTasks(tasks, ri.Count(), morselObjs, func(w, lo, hi int) error { return sc.morsel(w, i, lo, hi) })
 	}
 	if err := r.p.Run(r.ctx, tasks); err != nil {
 		return err
@@ -354,7 +346,7 @@ func (s *stagedRun) refine(w, row, b0, span int) error {
 
 // scanProbe joins a destination in extent order, morsel-parallel.
 func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
-	return s.jb.Add(rangeTasks(nil, len(refs), func(w, lo, hi int) error {
+	return s.jb.Add(rangeTasks(nil, len(refs), morselObjs, func(w, lo, hi int) error {
 		s.kern.joinRefs(part, refs[lo:hi], &s.stats[w].JoinStats)
 		return nil
 	})...)

@@ -56,8 +56,8 @@ func (k *joinKernel) sWord(p SPtr) uint64 {
 	return binary.LittleEndian.Uint64(k.sv[p.Part][p.Off:])
 }
 
-// joinBatch folds R→S pairs in fixed-width batches. add records one
-// reference; flush runs the two stages: the gather loop issues every
+// joinBatch folds R→S pairs in fixed-width batches. addPair records
+// one reference; flush runs the two stages: the gather loop issues every
 // S-side read of the batch (independent loads — the misses overlap),
 // then the fold loop hashes against the already-loaded words. Callers
 // create one joinBatch per morsel (stack-sized) and must flush the tail
@@ -71,15 +71,7 @@ type joinBatch struct {
 
 func (k *joinKernel) newBatch() joinBatch { return joinBatch{k: k} }
 
-// add queues one R object's pair; obj must be an R-layout record
-// (S-pointer then R id).
-func (b *joinBatch) add(obj []byte, st *JoinStats) {
-	b.addPair(binary.LittleEndian.Uint64(obj[ridOffset:]), DecodeSPtr(obj), st)
-}
-
-// addPair queues one already-decoded (rid, S-pointer) pair — the entry
-// point for the index operators, whose probes yield S locations without
-// an R-layout record in hand.
+// addPair queues one decoded (rid, S-pointer) pair.
 func (b *joinBatch) addPair(rid uint64, p SPtr, st *JoinStats) {
 	b.ptr[b.n] = p
 	b.rid[b.n] = rid

@@ -501,29 +501,51 @@ func TestKernelOrderProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// morselCount is the number of tasks rangeTasks emits for n objects at
+// the morsel size.
+func morselCount(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n + morselObjs - 1) / morselObjs
+}
+
 // TestKernelRangeTasksNoEmptyMorsels pins the rangeTasks contract: no
-// tasks for empty inputs, exactly ⌈n/morselObjs⌉ otherwise, every range
+// tasks for empty inputs, exactly ⌈n/size⌉ otherwise, every range
 // non-empty and the union covering [0, n) exactly once.
 func TestKernelRangeTasksNoEmptyMorsels(t *testing.T) {
+	type tc struct{ n, size, want int }
+	var cases []tc
 	for _, n := range []int{-5, 0, 1, morselObjs - 1, morselObjs, morselObjs + 1, 3 * morselObjs} {
-		var covered int
-		tasks := rangeTasks(nil, n, func(_, lo, hi int) error {
+		cases = append(cases, tc{n, morselObjs, morselCount(n)})
+	}
+	cases = append(cases, tc{1000, 64, 16}, tc{2000, 10, 200}, tc{7, 1, 7})
+	for _, c := range cases {
+		seen := make([]int, max(c.n, 0))
+		tasks := rangeTasks(nil, c.n, c.size, func(_, lo, hi int) error {
 			if hi <= lo {
-				t.Fatalf("n=%d: empty morsel [%d, %d)", n, lo, hi)
+				t.Fatalf("n=%d size=%d: empty range [%d, %d)", c.n, c.size, lo, hi)
 			}
-			covered += hi - lo
+			if hi-lo > c.size {
+				t.Fatalf("n=%d size=%d: range [%d, %d) exceeds the size", c.n, c.size, lo, hi)
+			}
+			for x := lo; x < hi; x++ {
+				seen[x]++
+			}
 			return nil
 		})
-		if want := morselCount(n); len(tasks) != want {
-			t.Fatalf("n=%d: %d tasks, want %d", n, len(tasks), want)
+		if len(tasks) != c.want {
+			t.Fatalf("n=%d size=%d: %d tasks, want %d", c.n, c.size, len(tasks), c.want)
 		}
 		for _, task := range tasks {
 			if err := task(0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if want := max(n, 0); covered != want {
-			t.Fatalf("n=%d: covered %d objects", n, covered)
+		for x, k := range seen {
+			if k != 1 {
+				t.Fatalf("n=%d size=%d: object %d covered %d times", c.n, c.size, x, k)
+			}
 		}
 	}
 }

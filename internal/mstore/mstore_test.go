@@ -252,6 +252,29 @@ func TestDBCreateOpen(t *testing.T) {
 	}
 }
 
+// TestOpenDBRefusesShortD: a store opened with fewer partitions than it
+// holds is refused, not half-mapped; opened with its own D it is whole.
+func TestOpenDBRefusesShortD(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := CreateDB(dir, 4, 4000, 4000, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if short, err := OpenDB(dir, 2); err == nil {
+		short.Close()
+		t.Fatal("a D = 4 store opened with d = 2")
+	}
+	whole, err := OpenDB(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	if n := whole.CountR(); n != 4000 {
+		t.Fatalf("CountR = %d, want 4000", n)
+	}
+}
+
 func TestDBCreateValidation(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := CreateDB(dir, 4, 1000, 1000, 8, 1); err == nil {

@@ -152,7 +152,7 @@ func (t *RTree) ParallelIntersectJoin(ctx context.Context, p *exec.Pool, o *RTre
 	if len(tasks) == 0 {
 		return nil
 	}
-	return p.RunRanges(ctx, len(tasks), 1, func(worker, lo, hi int) error {
+	return p.Run(ctx, rangeTasks(nil, len(tasks), 1, func(worker, lo, hi int) error {
 		for x := lo; x < hi; x++ {
 			pr := tasks[x]
 			t.joinNodes(o, pr.a, pr.b, func(a, b SpatialEntry) bool {
@@ -161,5 +161,5 @@ func (t *RTree) ParallelIntersectJoin(ctx context.Context, p *exec.Pool, o *RTre
 			})
 		}
 		return nil
-	})
+	}))
 }

@@ -29,11 +29,6 @@ type Store interface {
 	// answered in LookupResult.Shard. Out-of-range names fail with
 	// errors wrapping ErrPartRange / ErrIndexRange.
 	Lookup(part, index int) (LookupResult, error)
-	// CountR and CountS total the stored objects. A sharded store sums
-	// over shards; with the replicated-S layout Split produces, CountS
-	// counts every replica.
-	CountR() int
-	CountS() int
 	// Stats describes the store's physical layout for /stats.
 	Stats() StoreStats
 	// Close releases every mapping (a sharded store closes all shards).

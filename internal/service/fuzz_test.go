@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -31,7 +32,7 @@ func fuzzServer(tb testing.TB) (*Server, *httptest.Server) {
 // FuzzJoinDecode throws arbitrary bytes at the /join decoder. The
 // contract under attack: malformed input is answered 400 (or another
 // well-defined client error), the server never panics, never answers
-// 5xx, and a rejected request never reaches the join goroutine — the
+// 5xx, and a rejected request never reaches the join — the
 // mapped store must be untouchable through garbage.
 func FuzzJoinDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
@@ -51,7 +52,7 @@ func FuzzJoinDecode(f *testing.F) {
 
 	s, ts := fuzzServer(f)
 	var joinsStarted atomic.Int64
-	s.preJoin = func() { joinsStarted.Add(1) }
+	s.preJoin = func(context.Context) { joinsStarted.Add(1) }
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		started := joinsStarted.Load()
@@ -67,7 +68,7 @@ func FuzzJoinDecode(f *testing.F) {
 			t.Errorf("body %q: status %d outside the contract", body, resp.StatusCode)
 		}
 		if resp.StatusCode == http.StatusBadRequest && joinsStarted.Load() != started {
-			t.Errorf("body %q: rejected 400 yet a join goroutine touched the mapping", body)
+			t.Errorf("body %q: rejected 400 yet a join touched the mapping", body)
 		}
 		if n := s.StatsSnapshot().Counters["panics_recovered"]; n != 0 {
 			t.Fatalf("body %q: handler panicked (%d recovered)", body, n)

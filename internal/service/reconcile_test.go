@@ -97,7 +97,7 @@ func (e *reconcileEnv) client(c int) func() {
 			case 0:
 				part = e.d // 400
 			case 1:
-				index = e.s.store.CountR() // 404
+				index = e.s.store.Stats().NR // 404
 			}
 			resp, err := e.ts.Client().Get(fmt.Sprintf("%s/v1/lookup?part=%d&index=%d", e.ts.URL, part, index))
 			if err != nil {

@@ -94,10 +94,10 @@ type Server struct {
 	// feeds the dynamic Retry-After hint.
 	meanServiceNs atomic.Int64
 
-	// preJoin, when set by tests, runs inside the join goroutine after
+	// preJoin, when set by tests, runs with the request's context after
 	// admission and before execution, making mid-join timing
 	// deterministic.
-	preJoin func()
+	preJoin func(context.Context)
 
 	mu       sync.Mutex // guards reg and the instrument maps
 	reg      *metrics.Registry
@@ -199,8 +199,8 @@ func (s *Server) Close() error {
 
 // Drain stops admitting new requests (joins answer 503, healthz reports
 // draining) and waits until every accepted request — including queued
-// ones and joins abandoned by their clients — has finished, or ctx
-// expires.
+// ones, and joins whose clients left, which stop at their next morsel
+// — has finished, or ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
 	if err := s.gate.Close(ctx); err != nil {
 		return fmt.Errorf("service: drain interrupted: %w", err)
@@ -379,10 +379,9 @@ func parseAlgorithm(name string) (join.Algorithm, bool) {
 func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	s.inc("join_requests_total")
 	// Register with the drain waiter before anything else: once past
-	// this point the request — including its admission wait and any
-	// join goroutine it spawns — is visible to Drain, so Drain cannot
-	// return (and the caller cannot unmap the db) while this request
-	// might still read it.
+	// this point the request — its admission wait and its join included
+	// — is visible to Drain, so Drain cannot return (and the caller
+	// cannot unmap the db) while this request might still read it.
 	if !s.gate.Enter() {
 		s.inc("rejected_draining")
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
@@ -404,7 +403,7 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	// controller charges — so an absurd wire value must be rejected
 	// here, not trusted. More buckets than R objects can never help;
 	// mstore additionally clamps K to the per-partition reference count.
-	if maxK := s.store.CountR(); req.K < 0 || req.K > maxK {
+	if maxK := s.store.Stats().NR; req.K < 0 || req.K > maxK {
 		s.inc("bad_requests")
 		writeError(rw, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("k=%d out of range [0..%d]", req.K, maxK))
@@ -472,94 +471,67 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	resp.QueueWaitNs = queueWait.Nanoseconds()
 	s.observe("admission_wait", queueWait)
 
-	// Execute on a child goroutine so client cancellation unblocks the
-	// handler; an abandoned join keeps its grant until it finishes (the
-	// memory truly is in use until then) and releases it on completion.
-	type outcome struct {
-		st      mstore.JoinStats
-		details []mstore.ShardJoinStat
-		err     error
-	}
+	// Execute on this handler's goroutine. The join's morsels run on the
+	// server's shared pool: however many joins are in flight, and however
+	// many shards each one scatters to, at most cfg.Workers goroutines
+	// execute morsels. The join stops between morsels once ctx is done,
+	// so a deadlined or abandoned request returns at its next morsel.
+	// The grant charged at admission derives the join's K and resident
+	// prefix (through MRproc) and is held, unchanged, until the join ends.
 	execStart := time.Now()
-	done := make(chan outcome, 1)
 	tel := &mstore.JoinTelemetry{}
-	// The handler's own registration is still held here, so the join
-	// goroutine extends it and cannot be refused.
-	s.gate.Extend()
-	go func() {
-		defer s.gate.Exit()
-		// The grant is held from execStart until the join finishes — even
-		// when the client abandoned the request — so this is the honest
-		// slot-recycling time the Retry-After hint needs. Releasing before
-		// the done-send below means a caller who has our 200 in hand
-		// observes the budget already balanced.
-		released := false
-		release := func() {
-			if !released {
-				released = true
-				s.recordServiceTime(time.Since(execStart))
-				s.adm.Release(grant)
-			}
-		}
-		defer release()
-		defer func() {
-			if v := recover(); v != nil {
-				done <- outcome{err: fmt.Errorf("join panicked: %v", v)}
-			}
-		}()
-		if s.preJoin != nil {
-			s.preJoin()
-		}
-		// The join's morsels run on the server's shared pool: however
-		// many joins are in flight, and however many shards each one
-		// scatters to, at most cfg.Workers goroutines execute morsels.
-		// Passing ctx aborts the join between morsels when the
-		// client abandons it, releasing the grant early. The grant
-		// charged at admission derives the join's K and resident prefix
-		// (through MRproc) and is held, unchanged, until the join ends.
-		jr := mstore.JoinRequest{
-			Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: s.cfg.TmpDir,
-			Telemetry: tel, Pool: s.pool, Ctx: ctx,
-		}
-		var out outcome
-		if s.shardRunner != nil {
-			out.st, out.details, out.err = s.shardRunner.RunShards(jr)
-		} else {
-			out.st, out.err = s.store.Run(jr)
-		}
-		s.foldTelemetry(tel)
-		release()
-		done <- out
-	}()
-
-	select {
-	case out := <-done:
-		elapsed := time.Since(execStart)
-		if out.err != nil {
-			s.inc("errors_internal")
-			writeError(rw, http.StatusInternalServerError, "internal", out.err.Error())
+	st, details, err := s.runJoin(execStart, grant, mstore.JoinRequest{
+		Algorithm: alg, MRproc: mrproc, K: req.K, TmpDir: s.cfg.TmpDir,
+		Telemetry: tel, Pool: s.pool, Ctx: ctx,
+	})
+	elapsed := time.Since(execStart)
+	s.foldTelemetry(tel)
+	if err != nil {
+		if ctx.Err() != nil {
+			s.inc("join_abandoned")
+			writeError(rw, http.StatusServiceUnavailable, "abandoned",
+				"request abandoned mid-join: "+ctx.Err().Error())
 			return
 		}
-		s.inc("join_executed_" + alg.String())
-		s.observe("join_latency_"+alg.String(), elapsed)
-		resp.Pairs = out.st.Pairs
-		resp.Signature = fmt.Sprintf("%016x", out.st.Signature)
-		resp.ElapsedNs = elapsed.Nanoseconds()
-		resp.RadixPasses = tel.RadixPasses.Load()
-		for _, det := range out.details {
-			resp.Shards = append(resp.Shards, ShardJoinDetail{
-				Shard: det.Shard, Algorithm: det.Algorithm,
-				Pairs: det.Pairs, Signature: fmt.Sprintf("%016x", det.Signature),
-				ElapsedNs: det.ElapsedNs, RadixPasses: det.RadixPasses,
-				TempFiles: det.TempFiles,
-			})
-		}
-		writeJSON(rw, http.StatusOK, resp)
-	case <-ctx.Done():
-		s.inc("join_abandoned")
-		writeError(rw, http.StatusServiceUnavailable, "abandoned",
-			"request abandoned mid-join: "+ctx.Err().Error())
+		s.inc("errors_internal")
+		writeError(rw, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
+	s.inc("join_executed_" + alg.String())
+	s.observe("join_latency_"+alg.String(), elapsed)
+	resp.Pairs = st.Pairs
+	resp.Signature = fmt.Sprintf("%016x", st.Signature)
+	resp.ElapsedNs = elapsed.Nanoseconds()
+	resp.RadixPasses = tel.RadixPasses.Load()
+	for _, det := range details {
+		resp.Shards = append(resp.Shards, ShardJoinDetail{
+			Shard: det.Shard, Algorithm: det.Algorithm,
+			Pairs: det.Pairs, Signature: fmt.Sprintf("%016x", det.Signature),
+			ElapsedNs: det.ElapsedNs, RadixPasses: det.RadixPasses,
+			TempFiles: det.TempFiles,
+		})
+	}
+	writeJSON(rw, http.StatusOK, resp)
+}
+
+// runJoin runs one admitted join and gives its grant back on every
+// return, a panic in the store included, before the caller writes the
+// response: a caller holding a 200 observes the budget balanced. The
+// grant's holding time, from execStart to the release, is the
+// slot-recycling time the Retry-After hint needs.
+func (s *Server) runJoin(execStart time.Time, grant int64, jr mstore.JoinRequest) (mstore.JoinStats, []mstore.ShardJoinStat, error) {
+	defer func() {
+		s.recordServiceTime(time.Since(execStart))
+		s.adm.Release(grant)
+	}()
+	if s.preJoin != nil {
+		s.preJoin(jr.Ctx)
+	}
+	if s.shardRunner != nil {
+		return s.shardRunner.RunShards(jr)
+	}
+	st, err := s.store.Run(jr)
+	return st, nil, err
 }
 
 // foldTelemetry rolls one finished join's counters into the server's

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,7 +145,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative k: status %d", resp.StatusCode)
 	}
-	resp, _ = postJoin(t, ts, JoinRequest{Algorithm: "grace", K: s.store.CountR() + 1})
+	resp, _ = postJoin(t, ts, JoinRequest{Algorithm: "grace", K: s.store.Stats().NR + 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("absurd k: status %d", resp.StatusCode)
 	}
@@ -215,45 +216,76 @@ func TestServeQueuedRequestWaits(t *testing.T) {
 }
 
 // TestServeCancellationMidJoin deadlines a request while its join is
-// executing: the handler answers 503, the abandoned join finishes in the
-// background, and its memory grant is returned.
+// executing: the join stops at its next morsel, the handler answers
+// 503, and the grant — charged while the join ran — is back before the
+// answer is.
 func TestServeCancellationMidJoin(t *testing.T) {
 	s := newTestServer(t, 300, Config{})
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	s.preJoin = func() {
-		once.Do(func() { close(entered) })
-		<-block
+	var charged atomic.Int64
+	s.preJoin = func(ctx context.Context) {
+		charged.Store(s.adm.Stats().UsedBytes)
+		<-ctx.Done()
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	done := make(chan int, 1)
-	go func() {
-		resp, _ := postJoin(t, ts, JoinRequest{TimeoutMs: 150})
-		done <- resp.StatusCode
-	}()
-	<-entered // the join goroutine is running
-	if code := <-done; code != http.StatusServiceUnavailable {
-		t.Fatalf("abandoned request: status %d, want 503", code)
+	if resp, _ := postJoin(t, ts, JoinRequest{TimeoutMs: 150}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("abandoned request: status %d, want 503", resp.StatusCode)
 	}
-	// The grant stays charged while the abandoned join still runs…
-	if st := s.adm.Stats(); st.UsedBytes == 0 {
-		t.Fatal("grant released while join still executing")
+	if charged.Load() == 0 {
+		t.Fatal("no grant charged while the join ran")
 	}
-	close(block)
-	// …and is returned once it completes (Drain waits for exactly that).
+	if st := s.adm.Stats(); st.UsedBytes != 0 {
+		t.Fatalf("abandoned join kept its grant past the answer: %+v", st)
+	}
+	if got := s.StatsSnapshot().Counters["join_abandoned"]; got != 1 {
+		t.Fatalf("join_abandoned = %d", got)
+	}
+}
+
+// panicStore is a store whose joins panic.
+type panicStore struct{ *mstore.DB }
+
+func (panicStore) Run(mstore.JoinRequest) (mstore.JoinStats, error) { panic("store fault") }
+
+// TestServeJoinPanicReturnsGrant: a join that panics in the store
+// unwinds through its handler to the panic isolation, which answers
+// 500 internal and counts it; the grant goes back on the way and Drain
+// does not wait on the request.
+func TestServeJoinPanicReturnsGrant(t *testing.T) {
+	db, err := mstore.CreateDB(filepath.Join(t.TempDir(), "db"), 3, 300, 300, 32, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: panicStore{db}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", strings.NewReader(`{"algorithm":"grace"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Fatalf("panicking join: status %d, body %+v (%v), want 500 internal", resp.StatusCode, env, err)
+	}
+	if st := s.adm.Stats(); st.UsedBytes != 0 {
+		t.Fatalf("panicking join kept its grant: %+v", st)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.adm.Stats(); st.UsedBytes != 0 {
-		t.Fatalf("abandoned join leaked its grant: %+v", st)
-	}
-	if got := s.StatsSnapshot().Counters["join_abandoned"]; got != 1 {
-		t.Fatalf("join_abandoned = %d", got)
+	c := s.StatsSnapshot().Counters
+	if c["panics_recovered"] != 1 || c["errors_internal"] != 0 {
+		t.Fatalf("panics_recovered = %d, errors_internal = %d, want 1 and 0", c["panics_recovered"], c["errors_internal"])
 	}
 }
 
@@ -264,7 +296,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	block := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	s.preJoin = func() {
+	s.preJoin = func(context.Context) {
 		once.Do(func() { close(entered) })
 		<-block
 	}
@@ -313,7 +345,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 // TestServeDrainWaitsForAdmissionQueuedJoin pins the drain/inflight
 // ordering: a request still waiting in the admission queue has not yet
-// spawned its join goroutine, but it registered with the drain waiter on
+// started its join, but it registered with the drain waiter on
 // arrival, so Drain must not return — and the caller must not unmap the
 // database — until that request has run to completion.
 func TestServeDrainWaitsForAdmissionQueuedJoin(t *testing.T) {
@@ -436,7 +468,7 @@ func TestServeStats(t *testing.T) {
 	if st.Admission.BudgetBytes != s.cfg.MemBudget || st.Admission.Admitted < 1 {
 		t.Fatalf("admission %+v", st.Admission)
 	}
-	if st.DB.NR != s.store.CountR() || st.DB.D != 3 {
+	if st.DB.NR != s.store.Stats().NR || st.DB.D != 3 {
 		t.Fatalf("db %+v", st.DB)
 	}
 	found := false

@@ -402,32 +402,6 @@ func (r *Router) lookupOn(h *handle, part, index int) (mstore.LookupResult, erro
 	return res, nil
 }
 
-// CountR totals R objects over live shards. Like Stats it reads the
-// members under the read lock: a shard is closed only after RemoveShard
-// or Close has taken it out of the membership under the write lock, so
-// no mapping read here can have been released.
-func (r *Router) CountR() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, h := range r.shards {
-		n += h.db.CountR()
-	}
-	return n
-}
-
-// CountS totals S objects over live shards (counting every replica in
-// the replicated-S layout).
-func (r *Router) CountS() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, h := range r.shards {
-		n += h.db.CountS()
-	}
-	return n
-}
-
 // Stats describes the sharded layout: one ShardInfo per live shard.
 // Shards own no pool, so every ShardInfo.Pool is zero.
 func (r *Router) Stats() mstore.StoreStats {

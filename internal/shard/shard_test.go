@@ -380,9 +380,9 @@ func TestShardDrainMidJoinSoak(t *testing.T) {
 		}(g)
 	}
 
-	// The service sizes every join request's K bound with CountR, so the
-	// totals are read while membership churns: they must never touch a
-	// shard's mapping after the removal has released it.
+	// The service sizes every join request's K bound with Stats().NR, so
+	// the totals are read while membership churns: they must never touch
+	// a shard's mapping after the removal has released it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -392,9 +392,9 @@ func TestShardDrainMidJoinSoak(t *testing.T) {
 				return
 			default:
 			}
-			if nr, ns := r.CountR(), r.CountS(); nr <= 0 || ns <= 0 {
+			if st := r.Stats(); st.NR <= 0 || st.NS <= 0 {
 				select {
-				case errc <- fmt.Errorf("CountR=%d CountS=%d with live shards", nr, ns):
+				case errc <- fmt.Errorf("NR=%d NS=%d with live shards", st.NR, st.NS):
 				default:
 				}
 				return
