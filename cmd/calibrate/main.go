@@ -17,7 +17,6 @@ import (
 	"mmjoin/internal/disk"
 	"mmjoin/internal/machine"
 	"mmjoin/internal/metrics"
-	"mmjoin/internal/model"
 	"mmjoin/internal/seg"
 )
 
@@ -31,7 +30,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 1a, 1b, or all")
 	ops := flag.Int("ops", 3000, "random I/Os measured per band size (1a)")
 	seed := flag.Int64("seed", 1, "random seed for access patterns")
-	jsonOut := flag.String("json", "", "also write the full calibration to this file (for optimizers)")
 	metricsPath := flag.String("metrics", "", "export Fig 1(a) per-band service-time telemetry to this JSONL file")
 	flag.IntVar(&parallelism, "parallel", runtime.GOMAXPROCS(0),
 		"host worker goroutines measuring dtt bands (>= 1; results are identical at any setting)")
@@ -43,20 +41,6 @@ func main() {
 	}
 
 	cfg := machine.DefaultConfig()
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
-		}
-		calib := model.CalibrateParallel(cfg, *ops, *seed, parallelism)
-		if err := calib.Write(f); err != nil {
-			fmt.Fprintln(os.Stderr, "calibrate:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("calibration written to %s\n\n", *jsonOut)
-	}
 	var reg *metrics.Registry
 	if *metricsPath != "" {
 		reg = metrics.New()

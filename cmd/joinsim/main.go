@@ -112,13 +112,10 @@ func main() {
 		fmt.Println()
 	}
 
-	var tl *trace.Log
-	if *showTrace {
-		tl = trace.New()
-		prm.Trace = tl
-	}
+	// The trace draws the phase events the registry records, so -trace
+	// attaches one even without -metrics.
 	var reg *metrics.Registry
-	if *metricsPath != "" {
+	if *metricsPath != "" || *showTrace {
 		reg = metrics.New()
 		prm.Metrics = reg
 		prm.MetricsTick = sim.Time(*metricsTick) * sim.Millisecond
@@ -166,13 +163,13 @@ func main() {
 	case join.Grace, join.HybridHash:
 		fmt.Printf("plan: K=%d TSIZE=%d\n", res.K, res.TSize)
 	}
-	if tl != nil {
+	if *showTrace {
 		fmt.Println("\nper-process timeline:")
-		if err := tl.Render(os.Stdout, 72); err != nil {
+		if err := trace.Render(os.Stdout, reg.Events(), 72); err != nil {
 			fatal(err)
 		}
 	}
-	if reg != nil {
+	if *metricsPath != "" {
 		if err := writeMetrics(reg, *metricsPath); err != nil {
 			fatal(err)
 		}

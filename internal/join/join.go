@@ -26,7 +26,6 @@ import (
 	"mmjoin/internal/relation"
 	"mmjoin/internal/seg"
 	"mmjoin/internal/sim"
-	"mmjoin/internal/trace"
 	"mmjoin/internal/vm"
 )
 
@@ -119,13 +118,10 @@ type Params struct {
 	// Dynix replacement of the paper's testbed and thrashes earlier.
 	Policy vm.Policy
 
-	// Trace, when non-nil, records per-process phase events.
-	Trace *trace.Log
-
 	// Metrics, when non-nil, receives the run's telemetry: disk and pager
-	// gauges sampled every MetricsTick of virtual time, plus the same
-	// phase events that go to Trace. MetricsTick 0 selects
-	// metrics.DefaultTick.
+	// gauges sampled every MetricsTick of virtual time, plus each
+	// process's phase events (trace.Render draws them). MetricsTick 0
+	// selects metrics.DefaultTick.
 	Metrics     *metrics.Registry
 	MetricsTick sim.Time
 }
@@ -457,14 +453,13 @@ func (r *runner) rprocDone(p *sim.Proc, i int) {
 }
 
 // markPhase records the latest completion time of a named pass and, when
-// tracing, the per-process event.
+// a registry is attached, the per-process event.
 func (r *runner) markPhase(p *sim.Proc, name string) {
 	if p.Now() > r.phases[name] {
 		r.phases[name] = p.Now()
 		ds := r.m.DiskStats()
 		r.phaseIO[name] = [2]int64{ds.Reads, ds.Writes}
 	}
-	r.prm.Trace.Add(p.Now(), p.Name(), name)
 	r.prm.Metrics.Event(p.Now(), p.Name(), name)
 }
 

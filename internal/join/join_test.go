@@ -9,7 +9,6 @@ import (
 	"mmjoin/internal/metrics"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/sim"
-	"mmjoin/internal/trace"
 )
 
 // smallCfg shrinks the disks so tests stay fast.
@@ -445,11 +444,11 @@ func TestResultInvariants(t *testing.T) {
 func TestTraceRecordsAllProcsAndPhases(t *testing.T) {
 	w := smallWorkload(2000, 42)
 	prm := smallParams(w, 96<<10)
-	tl := trace.New()
-	prm.Trace = tl
+	reg := metrics.New()
+	prm.Metrics = reg
 	mustRun(Grace, smallCfg(), prm)
 	procs := map[string]int{}
-	for _, ev := range tl.Events() {
+	for _, ev := range reg.Events() {
 		procs[ev.Proc]++
 	}
 	if len(procs) != 4 {

@@ -1,13 +1,13 @@
 // Package metrics is a lightweight observability registry for the
-// simulated machine: counters, callback gauges, sim-time histograms, a
-// phase-event stream unified with internal/trace, and a virtual-time
-// sampler that snapshots every registered gauge on a fixed tick. The
-// collected telemetry exports as JSONL or CSV (see export.go).
+// simulated machine: counters, callback gauges, sim-time histograms, the
+// phase-event stream internal/trace renders, and a virtual-time sampler
+// that snapshots every registered gauge on a fixed tick. The collected
+// telemetry exports as JSONL or CSV (see export.go).
 //
 // All instrumentation is zero-cost when no registry is attached: a nil
 // *Registry hands out nil *Counter/*Histogram values whose methods are
-// no-ops, in the same style as trace.Log. Hot paths therefore record
-// unconditionally and pay only a nil check when observability is off.
+// no-ops. Hot paths therefore record unconditionally and pay only a nil
+// check when observability is off.
 package metrics
 
 import (
@@ -66,7 +66,8 @@ type Sample struct {
 	Values map[string]float64
 }
 
-// Event is one phase mark mirrored from the trace layer.
+// Event is one phase mark: process Proc ended phase Label at virtual
+// time At.
 type Event struct {
 	At    sim.Time
 	Proc  string

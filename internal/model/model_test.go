@@ -1,9 +1,7 @@
 package model
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -453,47 +451,6 @@ func TestPredictTraditionalAlwaysAboveGrace(t *testing.T) {
 	}
 	if _, err := PredictHybridHash(c, bad); err == nil {
 		t.Error("sub-page memory accepted")
-	}
-}
-
-func TestCalibrationRoundTrip(t *testing.T) {
-	c := calibForTest(t)
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCalibration(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Predictions from the round-tripped calibration must match exactly.
-	in := defaultInputs(512 << 10)
-	a, err := PredictGrace(c, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PredictGrace(got, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Total != b.Total {
-		t.Errorf("prediction changed across round trip: %v vs %v", a.Total, b.Total)
-	}
-	if got.CS != c.CS || got.MTpp != c.MTpp || got.B != c.B {
-		t.Error("constants lost")
-	}
-}
-
-func TestReadCalibrationErrors(t *testing.T) {
-	if _, err := ReadCalibration(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadCalibration(strings.NewReader("{}")); err == nil {
-		t.Error("empty calibration accepted")
-	}
-	if _, err := ReadCalibration(strings.NewReader(
-		`{"pageBytes":4096,"heapPtrBytes":8,"dttr":{"x":[2,1],"y":[1,2]}}`)); err == nil {
-		t.Error("bad curve accepted")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 // than one value stores a btChainTag-tagged pointer to a chain of
 // fixed-capacity posting blocks instead of a direct value. Values must
 // therefore leave the tag bit clear, which every segment offset does.
+// There is no delete: like the segment it lives in, a tree only grows.
 type BTree struct {
 	seg       *Segment
 	hdr       Ptr
@@ -243,19 +244,6 @@ func (t *BTree) chainLen(ref Ptr) int {
 	return n
 }
 
-// freeChain returns a ref's posting blocks to the allocator.
-func (t *BTree) freeChain(ref Ptr) {
-	if ref&btChainTag == 0 {
-		return
-	}
-	blk := ref &^ btChainTag
-	for blk != 0 {
-		next := t.postNext(blk)
-		t.seg.Free(blk, btPostBytes)
-		blk = next
-	}
-}
-
 // search returns the index of the first key ≥ k in node n.
 func (t *BTree) search(n Ptr, k uint64) int {
 	lo, hi := 0, t.count(n)
@@ -341,7 +329,7 @@ func (t *BTree) insert(n Ptr, k uint64, v Ptr) (promoted uint64, right Ptr, grew
 		if i < t.count(n) && t.keyAt(n, i) == k {
 			return 0, 0, false, t.appendChain(n, i, v)
 		}
-		t.shiftIn(n, i, k, Ptr(v), true)
+		t.shiftIn(n, i, k, Ptr(v))
 		if t.count(n) <= t.maxKeys {
 			return 0, 0, false, nil
 		}
@@ -366,7 +354,7 @@ func (t *BTree) insert(n Ptr, k uint64, v Ptr) (promoted uint64, right Ptr, grew
 }
 
 // shiftIn inserts key k and value v at position i of leaf n.
-func (t *BTree) shiftIn(n Ptr, i int, k uint64, v Ptr, leaf bool) {
+func (t *BTree) shiftIn(n Ptr, i int, k uint64, v Ptr) {
 	c := t.count(n)
 	for j := c; j > i; j-- {
 		t.setKeyAt(n, j, t.keyAt(n, j-1))
@@ -481,168 +469,6 @@ func (it *btIter) ref() Ptr    { return it.t.refAt(it.n, it.i) }
 func (it *btIter) advance() {
 	it.i++
 	it.norm()
-}
-
-// Delete removes k and every value chained under it, returning false if
-// the key was absent. Underfull nodes are repaired by borrowing from or
-// merging with a sibling.
-func (t *BTree) Delete(k uint64) bool {
-	removed := t.delete(t.root(), k)
-	if removed == 0 {
-		return false
-	}
-	root := t.root()
-	if !t.isLeaf(root) && t.count(root) == 0 {
-		old := root
-		t.setRoot(t.refAt(root, 0))
-		t.seg.Free(old, int64(t.nodeBytes))
-	}
-	t.bumpCount(-removed)
-	return true
-}
-
-func (t *BTree) minKeys() int { return t.maxKeys / 2 }
-
-// delete removes k below n and returns the number of values removed (0
-// when k was absent — chained values all go with their key).
-func (t *BTree) delete(n Ptr, k uint64) int {
-	if t.isLeaf(n) {
-		i := t.search(n, k)
-		if i >= t.count(n) || t.keyAt(n, i) != k {
-			return 0
-		}
-		ref := t.refAt(n, i)
-		removed := t.chainLen(ref)
-		t.freeChain(ref)
-		c := t.count(n)
-		for j := i; j < c-1; j++ {
-			t.setKeyAt(n, j, t.keyAt(n, j+1))
-			t.setRefAt(n, j, t.refAt(n, j+1))
-		}
-		t.setCount(n, c-1)
-		return removed
-	}
-	i := t.search(n, k)
-	if i < t.count(n) && t.keyAt(n, i) == k {
-		i++
-	}
-	child := t.refAt(n, i)
-	removed := t.delete(child, k)
-	if removed == 0 {
-		return 0
-	}
-	if t.count(child) < t.minKeys() {
-		t.rebalance(n, i)
-	}
-	return removed
-}
-
-// rebalance repairs the underfull child at position i of parent n.
-func (t *BTree) rebalance(n Ptr, i int) {
-	child := t.refAt(n, i)
-	// Try borrowing from the left sibling.
-	if i > 0 {
-		left := t.refAt(n, i-1)
-		if t.count(left) > t.minKeys() {
-			t.borrowFromLeft(n, i, left, child)
-			return
-		}
-	}
-	// Try borrowing from the right sibling.
-	if i < t.count(n) {
-		right := t.refAt(n, i+1)
-		if t.count(right) > t.minKeys() {
-			t.borrowFromRight(n, i, child, right)
-			return
-		}
-	}
-	// Merge with a sibling.
-	if i > 0 {
-		t.merge(n, i-1)
-	} else {
-		t.merge(n, i)
-	}
-}
-
-func (t *BTree) borrowFromLeft(parent Ptr, i int, left, child Ptr) {
-	lc := t.count(left)
-	if t.isLeaf(child) {
-		t.shiftIn(child, 0, t.keyAt(left, lc-1), t.refAt(left, lc-1), true)
-		t.setCount(left, lc-1)
-		t.setKeyAt(parent, i-1, t.keyAt(child, 0))
-		return
-	}
-	// Rotate through the parent separator.
-	c := t.count(child)
-	for j := c; j > 0; j-- {
-		t.setKeyAt(child, j, t.keyAt(child, j-1))
-	}
-	for j := c + 1; j > 0; j-- {
-		t.setRefAt(child, j, t.refAt(child, j-1))
-	}
-	t.setKeyAt(child, 0, t.keyAt(parent, i-1))
-	t.setRefAt(child, 0, t.refAt(left, lc))
-	t.setCount(child, c+1)
-	t.setKeyAt(parent, i-1, t.keyAt(left, lc-1))
-	t.setCount(left, lc-1)
-}
-
-func (t *BTree) borrowFromRight(parent Ptr, i int, child, right Ptr) {
-	rc := t.count(right)
-	c := t.count(child)
-	if t.isLeaf(child) {
-		t.setKeyAt(child, c, t.keyAt(right, 0))
-		t.setRefAt(child, c, t.refAt(right, 0))
-		t.setCount(child, c+1)
-		for j := 0; j < rc-1; j++ {
-			t.setKeyAt(right, j, t.keyAt(right, j+1))
-			t.setRefAt(right, j, t.refAt(right, j+1))
-		}
-		t.setCount(right, rc-1)
-		t.setKeyAt(parent, i, t.keyAt(right, 0))
-		return
-	}
-	t.setKeyAt(child, c, t.keyAt(parent, i))
-	t.setRefAt(child, c+1, t.refAt(right, 0))
-	t.setCount(child, c+1)
-	t.setKeyAt(parent, i, t.keyAt(right, 0))
-	for j := 0; j < rc-1; j++ {
-		t.setKeyAt(right, j, t.keyAt(right, j+1))
-		t.setRefAt(right, j, t.refAt(right, j+1))
-	}
-	t.setRefAt(right, rc-1, t.refAt(right, rc))
-	t.setCount(right, rc-1)
-}
-
-// merge folds child i+1 of parent n into child i.
-func (t *BTree) merge(n Ptr, i int) {
-	left := t.refAt(n, i)
-	right := t.refAt(n, i+1)
-	lc, rc := t.count(left), t.count(right)
-	if t.isLeaf(left) {
-		for j := 0; j < rc; j++ {
-			t.setKeyAt(left, lc+j, t.keyAt(right, j))
-			t.setRefAt(left, lc+j, t.refAt(right, j))
-		}
-		t.setCount(left, lc+rc)
-		t.setNext(left, t.next(right))
-	} else {
-		t.setKeyAt(left, lc, t.keyAt(n, i))
-		for j := 0; j < rc; j++ {
-			t.setKeyAt(left, lc+1+j, t.keyAt(right, j))
-			t.setRefAt(left, lc+1+j, t.refAt(right, j))
-		}
-		t.setRefAt(left, lc+1+rc, t.refAt(right, rc))
-		t.setCount(left, lc+1+rc)
-	}
-	// Remove separator i and child i+1 from the parent.
-	pc := t.count(n)
-	for j := i; j < pc-1; j++ {
-		t.setKeyAt(n, j, t.keyAt(n, j+1))
-		t.setRefAt(n, j+1, t.refAt(n, j+2))
-	}
-	t.setCount(n, pc-1)
-	t.seg.Free(right, int64(t.nodeBytes))
 }
 
 // Verify checks structural invariants (key order within nodes, leaf

@@ -241,7 +241,8 @@ type LookupResult struct {
 
 // Lookup dereferences R[part][index]'s stored pointer through the
 // mapping — the single-object counterpart of the bulk joins. Bounds
-// failures wrap ErrPartRange / ErrIndexRange.
+// failures wrap ErrPartRange / ErrIndexRange; a stored pointer that no
+// S object holds fails as it fails a join, wrapping errBadPointer.
 func (db *DB) Lookup(part, index int) (LookupResult, error) {
 	if part < 0 || part >= len(db.R) {
 		return LookupResult{}, fmt.Errorf("%w: R%d, store has [0,%d)", ErrPartRange, part, len(db.R))
@@ -250,17 +251,23 @@ func (db *DB) Lookup(part, index int) (LookupResult, error) {
 	if index < 0 || index >= rel.Count() {
 		return LookupResult{}, fmt.Errorf("%w: R%d[%d], partition has %d objects", ErrIndexRange, part, index, rel.Count())
 	}
-	obj := rel.Object(index)
+	obj := rel.seg.Bytes(rel.PtrAt(index), rel.size) // index checked above
 	ptr := DecodeSPtr(obj)
 	if int(ptr.Part) >= len(db.S) {
-		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] points to partition %d", part, index, ptr.Part)
+		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] points to partition %d of %d: %w", part, index, ptr.Part, len(db.S), errBadPointer)
 	}
 	s := db.S[ptr.Part]
+	o := uint64(ptr.Off - s.data)
+	if o >= uint64(s.Count())*uint64(s.size) {
+		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] points to offset %d, outside S%d's objects: %w",
+			part, index, ptr.Off, ptr.Part, errBadPointer)
+	}
+	si := int(o / uint64(s.size))
 	return LookupResult{
 		RID:    binary.LittleEndian.Uint64(obj[ridOffset:]),
 		SPart:  ptr.Part,
-		SIndex: s.IndexOf(ptr.Off),
-		SWord:  binary.LittleEndian.Uint64(s.At(ptr.Off)),
+		SIndex: si,
+		SWord:  s.seg.U64(s.PtrAt(si)),
 	}, nil
 }
 

@@ -24,7 +24,7 @@ const maxCellBits = 12
 // errBadPointer marks a stored pointer no join can follow: its partition
 // is not below D, or its offset lies outside that S partition's objects.
 // The histogram pass caches it like a result, so every later staging
-// join on the handle fails the same way.
+// join on the handle fails the same way; Lookup fails such a row too.
 var errBadPointer = errors.New("dangling pointer")
 
 // errStale fails a join that finds a stored pointer the handle's

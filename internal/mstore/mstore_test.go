@@ -91,7 +91,11 @@ func TestSegmentGrowPreservesData(t *testing.T) {
 	s.Bytes(big, 2<<20)[0] = 1
 }
 
-func TestAllocFreeReuse(t *testing.T) {
+// TestAllocIgnoresReservedWord: header word 32 held a free-list head in
+// older builds, which left it nonzero after a free. Alloc must bump from
+// the top whatever the word holds, leave it as it is, and keep the
+// alignment and minimum size that place every object where it always was.
+func TestAllocIgnoresReservedWord(t *testing.T) {
 	s, err := Create(filepath.Join(t.TempDir(), "a"), 1<<16)
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +103,34 @@ func TestAllocFreeReuse(t *testing.T) {
 	defer s.Close()
 	a, _ := s.Alloc(100)
 	b, _ := s.Alloc(100)
-	s.Free(a, 100)
-	c, _ := s.Alloc(80) // fits in a's hole (first fit, split)
-	if c != a {
-		t.Errorf("hole not reused: %d vs %d", c, a)
+	if a != headerSize || b != a+104 {
+		t.Fatalf("Alloc(100) twice = %d, %d; want %d, %d", a, b, headerSize, headerSize+104)
 	}
-	_ = b
+	// What freeing a used to leave behind: a list head naming a, and a
+	// node at a that fits the next request.
+	s.PutU64(a, 0)
+	s.PutU64(a+8, 104)
+	for _, word := range []uint64{uint64(a), 1 << 40} {
+		binary.LittleEndian.PutUint64(s.data[32:], word)
+		top := s.allocTop()
+		c, err := s.Alloc(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != top {
+			t.Errorf("word 32 = %d: Alloc(80) = %d, want the old top %d", word, c, top)
+		}
+		if got := binary.LittleEndian.Uint64(s.data[32:]); got != word {
+			t.Errorf("Alloc rewrote word 32: %d, was %d", got, word)
+		}
+	}
+	for _, c := range []struct{ n, size int64 }{{1, 16}, {16, 16}, {17, 24}, {24, 24}} {
+		top := s.allocTop()
+		p, _ := s.Alloc(c.n)
+		if p != top || s.allocTop() != top+Ptr(c.size) {
+			t.Errorf("Alloc(%d) took [%d,%d), want [%d,%d)", c.n, p, s.allocTop(), top, top+Ptr(c.size))
+		}
+	}
 }
 
 func TestAllocErrors(t *testing.T) {
@@ -121,7 +147,7 @@ func TestAllocErrors(t *testing.T) {
 	s.Bytes(Ptr(s.Size()), 8)
 }
 
-// Property: alloc/free sequences never hand out overlapping live blocks.
+// Property: alloc sequences never hand out overlapping blocks.
 func TestQuickAllocatorNoOverlap(t *testing.T) {
 	f := func(ops []uint8) bool {
 		s, err := Create(filepath.Join(t.TempDir(), "q"), 1<<16)
@@ -135,11 +161,6 @@ func TestQuickAllocatorNoOverlap(t *testing.T) {
 		}
 		var live []block
 		for _, op := range ops {
-			if op%3 == 0 && len(live) > 0 {
-				s.Free(live[0].p, live[0].n)
-				live = live[1:]
-				continue
-			}
 			n := int64(op)%200 + 1
 			p, err := s.Alloc(n)
 			if err != nil {

@@ -203,3 +203,41 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupRejectsDanglingPointers: Lookup applies the histogram's rule
+// to the one pointer it follows, so a row that points into a relation
+// header, past the last object or outside the segment fails with the
+// dangling-pointer error instead of naming an S object that is not
+// there or panicking on the access.
+func TestLookupRejectsDanglingPointers(t *testing.T) {
+	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 100, 100, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s1 := db.S[1]
+	want, err := db.Lookup(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, off := range map[string]Ptr{
+		"in the relation header":    72,
+		"at the end of the objects": s1.PtrAt(s1.Count()),
+		"one object past the end":   s1.PtrAt(s1.Count() + 1),
+		"in the segment header":     8,
+		"outside the segment":       1 << 40,
+	} {
+		db.R[0].SetJoinAttr(3, SPtr{Part: 1, Off: off})
+		if res, err := db.Lookup(0, 3); !errors.Is(err, errBadPointer) {
+			t.Errorf("pointer %s: %+v, %v, want the dangling-pointer error", name, res, err)
+		}
+	}
+	db.R[0].SetJoinAttr(3, SPtr{Part: 2, Off: s1.PtrAt(0)})
+	if res, err := db.Lookup(0, 3); !errors.Is(err, errBadPointer) {
+		t.Errorf("pointer to partition 2 of 2: %+v, %v, want the dangling-pointer error", res, err)
+	}
+	db.R[0].SetJoinAttr(3, SPtr{Part: want.SPart, Off: db.S[want.SPart].PtrAt(want.SIndex)})
+	if got, err := db.Lookup(0, 3); err != nil || got != want {
+		t.Errorf("restored pointer: %+v, %v, want %+v", got, err, want)
+	}
+}

@@ -4,10 +4,13 @@
 // offsets and need neither relocation nor swizzling when the segment is
 // reopened — the paper's "exact positioning of data" approach.
 //
-// The package provides persistent segments with an in-segment allocator,
-// fixed-record relation heaps whose join attributes are virtual pointers
-// into another segment, and real parallel pointer-based joins (nested
-// loops, sort-merge, Grace) executed by goroutines over the mapped data.
+// The package provides append-only persistent segments with an
+// in-segment bump allocator, fixed-record relation heaps whose join
+// attributes are virtual pointers into another segment, and real
+// parallel pointer-based joins executed by goroutines over the mapped
+// data: nested loops, sort-merge, Grace and hybrid hash, the two index
+// joins over persistent B+trees (index nested loops and index merge),
+// and the R-tree intersection join.
 package mstore
 
 import (
@@ -26,20 +29,22 @@ func unsafeDataPtr(b []byte) unsafe.Pointer { return unsafe.Pointer(&b[0]) }
 // the segment header, so no object ever lives there).
 type Ptr uint64
 
+// Header layout. Word 32 is reserved: it once held a free-list head and
+// is neither read nor written now, though older files may carry a
+// nonzero value there.
 const (
-	magic         = 0x6D6D4A4F // "mmJO"
-	version       = 1
-	headerSize    = 64
-	offMagic      = 0
-	offVersion    = 4
-	offSize       = 8  // u64: usable segment size
-	offAllocTop   = 16 // u64: bump pointer
-	offRoot       = 24 // u64: application root object
-	offFree       = 32 // u64: head of the free list (Ptr)
-	offAuxRoot    = 40 // u64: secondary root (e.g. an index over the root relation)
-	minSegment    = 4096
-	allocAlign    = 8
-	freeNodeBytes = 16 // next Ptr + size u64
+	magic       = 0x6D6D4A4F // "mmJO"
+	version     = 1
+	headerSize  = 64
+	offMagic    = 0
+	offVersion  = 4
+	offSize     = 8  // u64: usable segment size
+	offAllocTop = 16 // u64: bump pointer
+	offRoot     = 24 // u64: application root object
+	offAuxRoot  = 40 // u64: secondary root (e.g. an index over the root relation)
+	minSegment  = 4096
+	allocAlign  = 8
+	minAlloc    = 16 // smallest allocation, so objects land where they always have
 )
 
 // Segment is a memory-mapped file whose contents persist across opens.
@@ -83,7 +88,6 @@ func create(path string, size int64, flag int) (*Segment, error) {
 	binary.LittleEndian.PutUint64(s.data[offSize:], uint64(size))
 	binary.LittleEndian.PutUint64(s.data[offAllocTop:], headerSize)
 	binary.LittleEndian.PutUint64(s.data[offRoot:], 0)
-	binary.LittleEndian.PutUint64(s.data[offFree:], 0)
 	binary.LittleEndian.PutUint64(s.data[offAuxRoot:], 0)
 	return s, nil
 }
@@ -271,42 +275,18 @@ func (s *Segment) allocTop() Ptr { return Ptr(binary.LittleEndian.Uint64(s.data[
 func (s *Segment) setAllocTop(p Ptr) {
 	binary.LittleEndian.PutUint64(s.data[offAllocTop:], uint64(p))
 }
-func (s *Segment) freeHead() Ptr     { return Ptr(binary.LittleEndian.Uint64(s.data[offFree:])) }
-func (s *Segment) setFreeHead(p Ptr) { binary.LittleEndian.PutUint64(s.data[offFree:], uint64(p)) }
 
-// Alloc reserves n bytes inside the segment and returns their virtual
-// pointer, first-fit from the persistent free list, then by bumping the
-// allocation top (growing the mapping if needed).
+// Alloc reserves n bytes at the allocation top and returns their
+// virtual pointer, growing the mapping if needed. Segments are
+// append-only: nothing is ever freed, so the top only moves up. Sizes are
+// rounded up to allocAlign and to at least minAlloc bytes.
 func (s *Segment) Alloc(n int64) (Ptr, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mstore: Alloc(%d)", n)
 	}
 	n = (n + allocAlign - 1) &^ (allocAlign - 1)
-	if n < freeNodeBytes {
-		n = freeNodeBytes
-	}
-	// First fit on the free list.
-	prev := Ptr(0)
-	for node := s.freeHead(); node != 0; {
-		next := Ptr(s.U64(node))
-		size := int64(s.U64(node + 8))
-		if size >= n {
-			if rem := size - n; rem >= freeNodeBytes {
-				// Split: keep the remainder on the list.
-				remNode := node + Ptr(n)
-				s.PutU64(remNode, uint64(next))
-				s.PutU64(remNode+8, uint64(rem))
-				next = remNode
-			}
-			if prev == 0 {
-				s.setFreeHead(next)
-			} else {
-				s.PutU64(prev, uint64(next))
-			}
-			return node, nil
-		}
-		prev = node
-		node = next
+	if n < minAlloc {
+		n = minAlloc
 	}
 	top := s.allocTop()
 	if int64(top)+n > s.Size() {
@@ -316,16 +296,4 @@ func (s *Segment) Alloc(n int64) (Ptr, error) {
 	}
 	s.setAllocTop(top + Ptr(n))
 	return top, nil
-}
-
-// Free returns the n bytes at p to the free list.
-func (s *Segment) Free(p Ptr, n int64) {
-	n = (n + allocAlign - 1) &^ (allocAlign - 1)
-	if n < freeNodeBytes {
-		n = freeNodeBytes
-	}
-	s.check(p, n)
-	s.PutU64(p, uint64(s.freeHead()))
-	s.PutU64(p+8, uint64(n))
-	s.setFreeHead(p)
 }

@@ -1,7 +1,8 @@
 // Package service exposes the memory-mapped store as a concurrent query
-// service: JSON-over-HTTP join, lookup, stats, and health endpoints, with
-// every join request flowing through the analytical planner (calibrated
-// cost-based algorithm choice) and an admission controller that treats
+// service: JSON-over-HTTP join, lookup, stats, and health endpoints.
+// An "auto" join runs the operator the store prices cheapest through
+// its own Explain (a sharded store re-plans each shard through its
+// PlanFunc), and every join passes an admission controller that treats
 // total mapped-join memory as a budget — the Grace-style memory
 // discipline of the paper's testbed applied to serving concurrent
 // traffic instead of a single batch join.

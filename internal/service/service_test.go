@@ -445,6 +445,38 @@ func TestServeLookup(t *testing.T) {
 	}
 }
 
+// TestServeLookupDanglingPointer: a row whose stored pointer no S object
+// holds is the store's fault, not the client's — 500 internal, counted
+// under lookups_failed — and neither names a made-up S object nor panics.
+// The pointers are rewritten under the live server: New's plan pass
+// already refuses a store that holds one.
+func TestServeLookupDanglingPointer(t *testing.T) {
+	s := newTestServer(t, 300, Config{})
+	db := s.store.(*mstore.DB)
+	s1 := db.S[1]
+	db.R[0].SetJoinAttr(4, mstore.SPtr{Part: 1, Off: s1.PtrAt(s1.Count())}) // past the last object
+	db.R[0].SetJoinAttr(5, mstore.SPtr{Part: 1, Off: 8})                    // in the segment header
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, index := range []int{4, 5} {
+		resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/lookup?part=0&index=%d", ts.URL, index))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "internal" {
+			t.Errorf("R0[%d]: status %d, %+v, %v; want 500 internal", index, resp.StatusCode, env, err)
+		}
+	}
+	c := s.StatsSnapshot().Counters
+	if c["lookups_failed"] != 2 || c["panics_recovered"] != 0 {
+		t.Errorf("lookups_failed = %d, panics_recovered = %d, want 2 and 0", c["lookups_failed"], c["panics_recovered"])
+	}
+}
+
 func TestServeStats(t *testing.T) {
 	s := newTestServer(t, 300, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -1,12 +1,12 @@
 // Package shard implements the sharded scatter-gather serving tier: a
 // Router fronts N independent memory-mapped stores (each with its own
-// segment directory, work-stealing exec pool, and byte-denominated
-// share of the join memory budget) behind the same mstore.Store
-// interface a single database satisfies. Joins scatter to every live
-// shard and the per-shard JoinStats — commutative sums — fold into one
-// bit-identical result; lookups route to exactly one shard through a
-// consistent-hash ring, so shard membership changes move only the keys
-// the departed or arrived shard owns.
+// segment directory and byte-denominated share of the join memory
+// budget; all of them run on the join's one exec pool) behind the same
+// mstore.Store interface a single database satisfies. Joins scatter to
+// every live shard and the per-shard JoinStats — commutative sums — fold
+// into one bit-identical result; lookups route to exactly one shard
+// through a consistent-hash ring, so shard membership changes move only
+// the keys the departed or arrived shard owns.
 //
 // The design follows the shape of near-optimal distributed binary
 // joins: R is partitioned across shards while the S side each R slice
@@ -20,10 +20,10 @@ import (
 	"sort"
 )
 
-// ringReplicas is the default number of virtual nodes one shard
-// projects onto the ring. More vnodes smooth the keyspace split; 64
-// keeps the worst shard within a few percent of fair share while the
-// ring stays small enough to rebuild on every membership change.
+// ringReplicas is the number of virtual nodes every shard projects onto
+// the ring. More vnodes smooth the keyspace split; 64 keeps the worst
+// shard within a few percent of fair share while the ring stays small
+// enough to rebuild on every membership change.
 const ringReplicas = 64
 
 // fnv64a is FNV-1a over a string, the ring's position hash.
@@ -51,14 +51,11 @@ type ring struct {
 	points []ringPoint
 }
 
-// newRing builds a ring with `replicas` virtual nodes per shard id.
-func newRing(ids []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = ringReplicas
-	}
-	r := &ring{points: make([]ringPoint, 0, len(ids)*replicas)}
+// newRing builds a ring with ringReplicas virtual nodes per shard id.
+func newRing(ids []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(ids)*ringReplicas)}
 	for _, id := range ids {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				pos: fnv64a(fmt.Sprintf("%s#%d", id, v)),
 				id:  id,

@@ -64,8 +64,6 @@ func (h *handle) workload() (*relation.Workload, error) {
 // concurrently with serving.
 type Router struct {
 	cfg Config
-	// replicas is the shard map's virtual-node count per shard (0: 64).
-	replicas int
 
 	mu     sync.RWMutex
 	shards []*handle // live membership, in add order
@@ -86,7 +84,7 @@ func Open(m *Map, cfg Config) (*Router, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, replicas: m.Replicas, ring: newRing(nil, m.Replicas)}
+	r := &Router{cfg: cfg, ring: newRing(nil)}
 	for _, e := range m.Shards {
 		if err := r.AddShard(e.ID, e.Dir, e.D); err != nil {
 			r.Close()
@@ -165,7 +163,7 @@ func (r *Router) rebuildRingLocked() {
 	for i, h := range r.shards {
 		ids[i] = h.id
 	}
-	r.ring = newRing(ids, r.replicas)
+	r.ring = newRing(ids)
 }
 
 // enter registers with the gate of every live shard and returns those
@@ -438,7 +436,7 @@ func (r *Router) Close() error {
 	r.shards, r.detached = nil, nil
 	closed := r.closed
 	r.closed = true
-	r.ring = newRing(nil, r.replicas)
+	r.ring = newRing(nil)
 	r.mu.Unlock()
 	if closed {
 		return nil

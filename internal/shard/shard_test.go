@@ -288,11 +288,11 @@ func errorsIs(err, target error) bool {
 // moves only the keys that shard owned.
 func TestShardRingStability(t *testing.T) {
 	ids := []string{"a", "b", "c", "d"}
-	r1 := newRing(ids, 64)
-	r2 := newRing([]string{"d", "c", "b", "a"}, 64) // order-independent
+	r1 := newRing(ids)
+	r2 := newRing([]string{"d", "c", "b", "a"}) // order-independent
 	counts := map[string]int{}
 	moved, kept := 0, 0
-	reduced := newRing([]string{"a", "b", "d"}, 64)
+	reduced := newRing([]string{"a", "b", "d"})
 	for i := 0; i < 4000; i++ {
 		key := lookupKey(i%7, i)
 		o1, _ := r1.owner(key)
@@ -446,7 +446,6 @@ func TestShardDrainMidJoinSoak(t *testing.T) {
 func TestShardMapRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "map.json")
 	m := &Map{
-		Replicas: 32,
 		Shards: []Entry{
 			{ID: "a", Dir: "/x/a", D: 4},
 			{ID: "b", Dir: "/x/b", D: 4},
@@ -459,7 +458,7 @@ func TestShardMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != MapSchema || len(got.Shards) != 2 || got.Replicas != 32 {
+	if got.Schema != MapSchema || len(got.Shards) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	for _, bad := range []*Map{
@@ -586,8 +585,9 @@ func TestShardRouterLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestShardMapIgnoresWorkersPerShard checks a map written when shards
-// owned pools still loads: encoding/json drops the retired
-// "workersPerShard" key and the rest of the map is unchanged.
+// owned pools and the ring's vnode count was configurable still loads:
+// encoding/json drops the retired "workersPerShard" and "replicas" keys
+// and the rest of the map is unchanged.
 func TestShardMapIgnoresWorkersPerShard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "map.json")
 	old := `{
@@ -607,11 +607,24 @@ func TestShardMapIgnoresWorkersPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Map{Schema: MapSchema, Replicas: 32, Shards: []Entry{
+	want := &Map{Schema: MapSchema, Shards: []Entry{
 		{ID: "a", Dir: "/x/a", D: 4},
 		{ID: "b", Dir: "/x/b", D: 4},
 	}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("old map loaded as %+v, want %+v", got, want)
+	}
+	// Written back, the map carries neither retired key.
+	if err := WriteMap(path, got); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"replicas"`, `"workersPerShard"`} {
+		if strings.Contains(string(b), key) {
+			t.Errorf("rewritten map still has %s:\n%s", key, b)
+		}
 	}
 }

@@ -23,20 +23,18 @@ type Entry struct {
 //
 //	{
 //	  "schema": "mmjoin-shardmap/v1",
-//	  "replicas": 64,
 //	  "shards": [
 //	    {"id": "shard-0", "dir": "/data/shard-0", "d": 4},
 //	    {"id": "shard-1", "dir": "/data/shard-1", "d": 4}
 //	  ]
 //	}
 //
-// Replicas is the virtual-node count per shard on the routing ring
-// (0: default 64). Shards own no pool, so the map sizes none; a
+// The routing ring always projects ringReplicas virtual nodes per shard,
+// and shards own no pool, so the map sizes neither: a "replicas" or
 // "workersPerShard" key in an older map is ignored.
 type Map struct {
-	Schema   string  `json:"schema"`
-	Replicas int     `json:"replicas,omitempty"`
-	Shards   []Entry `json:"shards"`
+	Schema string  `json:"schema"`
+	Shards []Entry `json:"shards"`
 }
 
 // Validate checks structural sanity: at least one shard, unique

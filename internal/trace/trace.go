@@ -1,7 +1,7 @@
-// Package trace records per-process event timelines from simulated join
-// executions and renders them as a text Gantt chart — the view the
-// paper's authors would have used to see staggered phases interleave and
-// disks hand work between processes.
+// Package trace renders the phase events of simulated join executions
+// as a text Gantt chart — the view the paper's authors would have used to
+// see staggered phases interleave and disks hand work between processes.
+// The events are the ones a run records in its metrics.Registry.
 package trace
 
 import (
@@ -10,57 +10,17 @@ import (
 	"sort"
 	"strings"
 
-	"mmjoin/internal/sim"
+	"mmjoin/internal/metrics"
 )
 
-// Event is one timeline mark.
-type Event struct {
-	At    sim.Time
-	Proc  string
-	Label string
-}
-
-// Log collects events. A nil *Log is a valid no-op sink, so callers can
-// trace unconditionally.
-type Log struct {
-	events []Event
-}
-
-// New returns an empty log.
-func New() *Log { return &Log{} }
-
-// Add records an event; nil logs ignore it.
-func (l *Log) Add(at sim.Time, proc, label string) {
-	if l == nil {
-		return
-	}
-	l.events = append(l.events, Event{At: at, Proc: proc, Label: label})
-}
-
-// Events returns the events sorted by time (stable across equal times).
-func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	out := append([]Event(nil), l.events...)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].At < out[b].At })
-	return out
-}
-
-// Len reports the number of recorded events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.events)
-}
-
-// Render writes a per-process timeline: one row per process, phases laid
-// out proportionally over width columns. Events with the same process
-// name share a row; each event label marks the END of the segment that
-// precedes it.
-func (l *Log) Render(w io.Writer, width int) error {
-	evs := l.Events()
+// Render writes a per-process timeline of evs: one row per process,
+// phases laid out proportionally over width columns. Events are ordered
+// by time, stably across equal times, without reordering evs itself.
+// Events with the same process name share a row; each event label marks
+// the END of the segment that precedes it.
+func Render(w io.Writer, evs []metrics.Event, width int) error {
+	evs = append([]metrics.Event(nil), evs...)
+	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
 	if len(evs) == 0 {
 		_, err := fmt.Fprintln(w, "(no events)")
 		return err
@@ -73,7 +33,7 @@ func (l *Log) Render(w io.Writer, width int) error {
 		end = 1
 	}
 	// Group by process, preserving first-seen order.
-	byProc := map[string][]Event{}
+	byProc := map[string][]metrics.Event{}
 	var order []string
 	for _, ev := range evs {
 		if _, seen := byProc[ev.Proc]; !seen {

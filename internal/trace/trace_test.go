@@ -4,52 +4,71 @@ import (
 	"strings"
 	"testing"
 
+	"mmjoin/internal/metrics"
 	"mmjoin/internal/sim"
 )
 
+// render renders evs at width and fails the test on an error.
+func render(t *testing.T, evs []metrics.Event, width int) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := Render(&sb, evs, width); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+func ev(at sim.Time, proc, label string) metrics.Event {
+	return metrics.Event{At: at, Proc: proc, Label: label}
+}
+
+// TestNilLogIsSafe: a run without a registry has no events, and they
+// render as such.
 func TestNilLogIsSafe(t *testing.T) {
-	var l *Log
-	l.Add(0, "p", "x") // must not panic
-	if l.Len() != 0 || l.Events() != nil {
-		t.Error("nil log should be empty")
+	var reg *metrics.Registry
+	reg.Event(0, "p", "x") // must not panic
+	if out := render(t, reg.Events(), 40); !strings.Contains(out, "no events") {
+		t.Errorf("output: %q", out)
 	}
 }
 
+// TestEventsSortedByTime: Render orders events by time, stably across
+// equal times, and leaves the caller's slice as it was.
 func TestEventsSortedByTime(t *testing.T) {
-	l := New()
-	l.Add(3*sim.Second, "b", "late")
-	l.Add(1*sim.Second, "a", "early")
-	l.Add(2*sim.Second, "a", "middle")
-	evs := l.Events()
-	if len(evs) != 3 || l.Len() != 3 {
-		t.Fatalf("%d events", len(evs))
+	evs := []metrics.Event{
+		ev(3*sim.Second, "a", "late"),
+		ev(1*sim.Second, "a", "early"),
+		ev(3*sim.Second, "a", "tie"),
+		ev(2*sim.Second, "a", "middle"),
 	}
-	if evs[0].Label != "early" || evs[1].Label != "middle" || evs[2].Label != "late" {
-		t.Errorf("order: %v", evs)
+	out := render(t, evs, 40)
+	var order []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[3] == "ends" {
+			order = append(order, f[2])
+		}
+	}
+	if got := strings.Join(order, " "); got != "early middle late tie" {
+		t.Errorf("legend order %q:\n%s", got, out)
+	}
+	if evs[0].Label != "late" || evs[1].Label != "early" {
+		t.Errorf("Render reordered its input: %v", evs)
 	}
 }
 
 func TestRenderEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := New().Render(&sb, 40); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "no events") {
-		t.Errorf("output: %q", sb.String())
+	if out := render(t, []metrics.Event{}, 40); !strings.Contains(out, "no events") {
+		t.Errorf("output: %q", out)
 	}
 }
 
 func TestRenderRowsAndLegend(t *testing.T) {
-	l := New()
-	l.Add(1*sim.Second, "Rproc0", "setup")
-	l.Add(4*sim.Second, "Rproc0", "pass0")
-	l.Add(2*sim.Second, "Rproc1", "setup")
-	l.Add(4*sim.Second, "Rproc1", "pass0")
-	var sb strings.Builder
-	if err := l.Render(&sb, 40); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := render(t, []metrics.Event{
+		ev(1*sim.Second, "Rproc0", "setup"),
+		ev(4*sim.Second, "Rproc0", "pass0"),
+		ev(2*sim.Second, "Rproc1", "setup"),
+		ev(4*sim.Second, "Rproc1", "pass0"),
+	}, 40)
 	for _, want := range []string{"Rproc0 |", "Rproc1 |", "a: setup", "b: pass0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -91,15 +110,11 @@ func TestRenderManySegmentsNoCollision(t *testing.T) {
 	// Regression: beyond 26 segments the legend reused letters (idx%26),
 	// attributing one mark to two different phases. Marks now extend
 	// through A-Z and 0-9 and the legend lists each distinctly.
-	l := New()
+	var evs []metrics.Event
 	for i := 0; i < 30; i++ {
-		l.Add(sim.Time(i+1)*sim.Second, "p", "seg")
+		evs = append(evs, ev(sim.Time(i+1)*sim.Second, "p", "seg"))
 	}
-	var sb strings.Builder
-	if err := l.Render(&sb, 120); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := render(t, evs, 120)
 	// Segment 26 must be marked 'A', not wrap to 'a'.
 	if !strings.Contains(out, "A: seg") {
 		t.Errorf("segment 26 not marked 'A':\n%s", out)
@@ -110,15 +125,11 @@ func TestRenderManySegmentsNoCollision(t *testing.T) {
 }
 
 func TestRenderLegendOverflowCapped(t *testing.T) {
-	l := New()
+	var evs []metrics.Event
 	for i := 0; i < 70; i++ {
-		l.Add(sim.Time(i+1)*sim.Second, "p", "seg")
+		evs = append(evs, ev(sim.Time(i+1)*sim.Second, "p", "seg"))
 	}
-	var sb strings.Builder
-	if err := l.Render(&sb, 200); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := render(t, evs, 200)
 	if !strings.Contains(out, "(+8 more segments)") {
 		t.Errorf("legend should cap 70 segments at 62 marks +8 overflow:\n%s", out)
 	}
@@ -129,13 +140,7 @@ func TestRenderLegendOverflowCapped(t *testing.T) {
 }
 
 func TestRenderClampssWidth(t *testing.T) {
-	l := New()
-	l.Add(sim.Second, "p", "x")
-	var sb strings.Builder
-	if err := l.Render(&sb, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(sb.String()) == 0 {
+	if out := render(t, []metrics.Event{ev(sim.Second, "p", "x")}, 1); len(out) == 0 {
 		t.Error("no output")
 	}
 }
