@@ -143,10 +143,9 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) error {
 // Job is a Run in progress whose task set can still grow: tasks added
 // with Add — including from inside one of the job's own tasks — join
 // the same job, and Wait blocks until every task, original or added,
-// has retired. It exists for pipelined operators (the MPSM-style
-// sort-merge) where the completion of one stage's last morsel for a
-// data partition enqueues that partition's next stage immediately,
-// instead of waiting for a global barrier across all partitions.
+// has retired. Every join is one: the last scan morsel of each of its
+// stores adds that store's finish tasks, and a finish may add more
+// morsels, instead of waiting for a global barrier across all of them.
 type Job struct {
 	p        *Pool
 	j        *job

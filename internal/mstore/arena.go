@@ -1,11 +1,7 @@
 package mstore
 
 import (
-	"errors"
-	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"slices"
 	"unsafe"
 )
@@ -39,17 +35,20 @@ type tempArena struct {
 }
 
 // open creates the arena for n references; n == 0 creates nothing. The
-// file must not exist yet: a second arena in one directory fails here
-// instead of truncating the first one's live references.
+// file is a fresh arena-*.seg in the arena's directory: a random name
+// made O_EXCL, so joins sharing a directory never share a file.
 func (a *tempArena) open(n int) error {
 	if n == 0 {
 		return nil
 	}
-	path := filepath.Join(a.dir, "arena.seg")
-	seg, err := create(path, headerSize+int64(n)*refBytes, os.O_EXCL)
-	if errors.Is(err, fs.ErrExist) {
-		return fmt.Errorf("mstore: temp arena name collision: %s exists", path)
+	if err := os.MkdirAll(a.dir, 0o755); err != nil {
+		return err
 	}
+	f, err := os.CreateTemp(a.dir, "arena-*.seg")
+	if err != nil {
+		return err
+	}
+	seg, err := create(f, headerSize+int64(n)*refBytes)
 	if err != nil {
 		return err
 	}

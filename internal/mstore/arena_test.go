@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -131,7 +130,7 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}
-		err := r.staged(cfg)
+		err := stagedJob(r, cfg)
 		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
 		done()
 		if err != nil {
@@ -167,9 +166,9 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 	}
 }
 
-// TestArenaNameCollision: a second arena opened in the directory of a
-// live one fails with the collision error, and the first arena's file
-// is neither truncated nor removed: its references stay readable.
+// TestArenaNameCollision: two live arenas in one directory are two
+// distinct arena-*.seg files, and opening the second neither truncates
+// nor removes the first: its references stay readable.
 func TestArenaNameCollision(t *testing.T) {
 	dir := t.TempDir()
 	first := tempArena{dir: dir, tel: &JoinTelemetry{}}
@@ -180,18 +179,17 @@ func TestArenaNameCollision(t *testing.T) {
 	for x := range first.refs {
 		first.refs[x] = ref{off: Ptr(x), rid: uint64(3 * x)}
 	}
-	path := filepath.Join(dir, "arena.seg")
-	before, err := os.Stat(path)
-	if err != nil {
+	second := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	if err := second.open(10); err != nil {
 		t.Fatal(err)
 	}
-	second := tempArena{dir: dir, tel: &JoinTelemetry{}}
-	if err := second.open(10); err == nil || !strings.Contains(err.Error(), "collision") {
-		second.close()
-		t.Fatalf("a second arena in one directory opened with %v, want the collision error", err)
+	defer second.close()
+	files, err := filepath.Glob(filepath.Join(dir, "arena-*.seg"))
+	if err != nil || len(files) != 2 || first.seg.path == second.seg.path {
+		t.Fatalf("two live arenas are the files %v (%v): want two distinct ones", files, err)
 	}
-	if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
-		t.Fatalf("the first arena's file changed: %v, %v", after, err)
+	if info, err := os.Stat(first.seg.path); err != nil || info.Size() != first.seg.Size() {
+		t.Fatalf("the first arena's file changed: %v, %v", info, err)
 	}
 	for x, e := range first.refs {
 		if e != (ref{off: Ptr(x), rid: uint64(3 * x)}) {
@@ -200,8 +198,26 @@ func TestArenaNameCollision(t *testing.T) {
 	}
 }
 
+// TestArenaOpenFailureLeavesNothing: an arena whose file cannot be
+// sized (2^48 bytes is past any file size ext4 or a mapping allows)
+// fails to open and leaves its directory empty.
+func TestArenaOpenFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	a := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	if err := a.open(1 << 44); err == nil {
+		a.close()
+		t.Fatal("an arena of 2^44 references opened")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("a failed open left %v (%v)", left, err)
+	}
+	if a.seg != nil || a.tel.TempFiles.Load() != 0 {
+		t.Fatal("a failed open counted or kept an arena")
+	}
+}
+
 // TestRunSharesTmpDir: concurrent Grace and hybrid-hash joins sharing one
-// explicit TmpDir each make their own directory under it, return the
+// explicit TmpDir each create their own arena file in it, return the
 // ground truth, and leave the TmpDir empty.
 func TestRunSharesTmpDir(t *testing.T) {
 	db := makeDB(t, 4000)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
 	"slices"
 	"time"
 
@@ -243,7 +242,7 @@ type profile struct {
 	posting   float64 // index-merge: join a pair through the leaf chains
 	touch     float64 // fault in, then drop, a staged reference's arena bytes
 	arena     float64 // create and map an arena, then unmap and unlink it
-	join      float64 // a join's temp directory and one pool round trip
+	join      float64 // a join's pool round trip
 }
 
 // predict prices p on a pool of workers: the per-reference work spreads
@@ -320,8 +319,8 @@ const pageRefs = 4096 / int(refBytes)
 // extent per S partition, as nested loops' rows lie, and is probed in
 // that order, then partitioned; the third stages into one extent per S
 // window and is finished by orderProbe. S is entered into the page table
-// first, as a join leaves it. The arena and the temp directories live
-// under tmpDir, or the store's directory when it is "".
+// first, as a join leaves it. The arenas live in tmpDir, or the store's
+// directory when it is "".
 func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*profile, error) {
 	pr := &profile{join: math.Inf(1), arena: math.Inf(1)}
 	var clock time.Time
@@ -332,14 +331,14 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 		return ns / float64(max(n, 1))
 	}
 
-	// The fixed costs: a join's temp directory and one pool round trip,
-	// and an arena's life — create, map, unmap, unlink — empty and at the
-	// sample's size with every page faulted in, which prices a page.
-	dir, err := db.joinDir(tmpDir)
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
+	one := exec.NewPool(1)
+	defer one.Close()
+	r := newJoinRun(ctx, db, one, nil, tmpDir)
+	defer r.tmp.close()
+
+	// The fixed costs: a join's pool round trip, and an arena's life —
+	// create, map, unmap, unlink — empty and at the sample's size with
+	// every page faulted in, which prices a page.
 	n := 0
 	for _, ri := range db.R {
 		n += min(ri.Count(), sampleObjs) / 3
@@ -347,19 +346,12 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	full := math.Inf(1)
 	for range fixedTries {
 		clock = time.Now()
-		sub, err := db.joinDir(dir)
-		if err == nil {
-			err = p.Run(ctx, []exec.Task{func(int) error { return nil }})
-		}
-		if err == nil {
-			err = os.RemoveAll(sub)
-		}
-		if err != nil {
+		if err := p.Run(ctx, []exec.Task{func(int) error { return nil }}); err != nil {
 			return nil, err
 		}
 		pr.join = min(pr.join, lap(1))
 		for _, size := range []int{1, n + pageRefs} {
-			a := tempArena{dir: dir, tel: &JoinTelemetry{}}
+			a := tempArena{dir: r.tmp.dir, tel: &JoinTelemetry{}}
 			if err := a.open(size); err != nil {
 				return nil, err
 			}
@@ -379,10 +371,6 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 		rel.populate()
 	}
 
-	one := exec.NewPool(1)
-	defer one.Close()
-	r := newJoinRun(ctx, db, one, nil, dir)
-	defer r.tmp.close()
 	scanThird := func(cfg staging, t int) (int, error) {
 		sc, scanned, span := r.newScan(cfg, 1), 0, sampleThird(db, t)
 		for i := range db.R {
@@ -398,6 +386,7 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	// each third out from its own: each third's R objects are then where
 	// a join finds R, read a while ago.
 	var thirds [3]*refHist
+	var err error
 	for t := range thirds {
 		if thirds[t], err = countHist(ctx, db, one, sampleThird(db, t)); err != nil {
 			return nil, err
@@ -460,15 +449,16 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	if err != nil {
 		return nil, err
 	}
-	s := &stagedRun{joinRun: r, staging: windows, jb: one.Begin(ctx)}
+	r.jb = one.Begin(ctx)
+	s := &stagedRun{joinRun: r, staging: windows}
 	for j := range db.D {
 		for b := range windows.k {
 			if lo, hi := windows.starts[j*windows.k+b], windows.starts[j*windows.k+b+1]; lo < hi {
-				_ = s.jb.Add(func(w int) error { return s.orderProbe(w, j, r.tmp.refs[lo:hi]) })
+				s.add(func(w int) error { return s.orderProbe(w, j, r.tmp.refs[lo:hi]) })
 			}
 		}
 	}
-	if err := s.jb.Wait(); err != nil { // a failed Add has failed the job
+	if err := r.jb.Wait(); err != nil {
 		return nil, err
 	}
 	pr.window = lap(nC)

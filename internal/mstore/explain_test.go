@@ -92,7 +92,7 @@ func TestExplainMatchesRun(t *testing.T) {
 						}
 
 						r, done := newTestRun(t, db, 2, nil)
-						if err := r.staged(cfg); err != nil {
+						if err := stagedJob(r, cfg); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						arena := int64(0)
@@ -179,7 +179,7 @@ func TestProfileMeasuredOnce(t *testing.T) {
 			t.Errorf("Explain %d: %+v, Explain %d: %+v", g, plans[g], g%len(stagingAlgs), plans[g%len(stagingAlgs)])
 		}
 	}
-	if left, _ := filepath.Glob(filepath.Join(db.Dir, "join-*")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(db.Dir, "arena-*.seg")); len(left) != 0 {
 		t.Errorf("the profile left %v behind", left)
 	}
 
@@ -210,7 +210,7 @@ func TestProfileMeasuredOnce(t *testing.T) {
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
 		t.Errorf("the profile's TmpDir: %v, holding %v", err, left)
 	}
-	if left, _ := filepath.Glob(filepath.Join(db.Dir, "join-*")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(db.Dir, "arena-*.seg")); len(left) != 0 {
 		t.Errorf("the profile left %v in the store's directory", left)
 	}
 }

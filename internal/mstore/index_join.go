@@ -35,7 +35,7 @@ import (
 // and probed through S's per-partition B-tree — a real root-to-leaf
 // descent per object, the cost the analytical model's index-probe term
 // prices.
-func (r *joinRun) indexNL() error {
+func (r *joinRun) indexNL() []exec.Task {
 	db := r.db
 	var tasks []exec.Task
 	for i, ri := range db.R {
@@ -55,7 +55,7 @@ func (r *joinRun) indexNL() error {
 			return nil
 		})
 	}
-	return r.p.Run(r.ctx, tasks)
+	return tasks
 }
 
 // indexMerge zips the two sides' leaf chains partition-locally: one
@@ -65,7 +65,7 @@ func (r *joinRun) indexNL() error {
 // space exactly, every morsel's output is disjoint and the fold is the
 // usual commutative sum — no global merge phase, no barrier between
 // cells (MPSM's shape on persistent indexes).
-func (r *joinRun) indexMerge() error {
+func (r *joinRun) indexMerge() []exec.Task {
 	db := r.db
 	var tasks []exec.Task
 	for i := range db.ridx {
@@ -75,7 +75,7 @@ func (r *joinRun) indexMerge() error {
 			})
 		}
 	}
-	return r.p.Run(r.ctx, tasks)
+	return tasks
 }
 
 // mergeCell is one index-merge morsel: the references of R partition i

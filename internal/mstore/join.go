@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"time"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/params"
@@ -84,27 +85,37 @@ type stageScratch struct {
 // 2 MiB L2 on the 2-CPU Xeon the benchmark was measured on.
 const windowBits = 20
 
-// joinRun is the state every operator shares, built once by DB.Run: the
-// pool and context, the batched kernel, the telemetry (which the temp
-// arena counts into), the temp arena and the per-worker accumulators.
+// joinRun is the state every operator shares, built once per part by
+// RunParts: the pool, context and job its tasks run in, the batched
+// kernel, the telemetry (which the temp arena counts into), the temp
+// arena and the per-worker accumulators.
 type joinRun struct {
 	db    *DB
 	ctx   context.Context
 	p     *exec.Pool
+	jb    *exec.Job
 	kern  *joinKernel
 	tel   *JoinTelemetry
 	tmp   tempArena
 	stats perWorker
+	// shard names the run in its errors (Part.Shard), and end is when
+	// its last task returned, in Unix nanoseconds.
+	shard string
+	end   atomic.Int64
 	// fanBits is the per-pass partitioning fan-out, log2, and windowBits
-	// the probe window, log2 bytes. DB.Run always sets params.Bits and
+	// the probe window, log2 bytes. RunParts always sets params.Bits and
 	// the windowBits constant; only in-package tests narrow them, to
 	// reach the deep refine and ordering recursions on small stores.
 	fanBits, windowBits int
 }
 
+// newJoinRun builds a run with its arena in tmpDir ("": db.Dir), no job.
 func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, tmpDir string) *joinRun {
 	if tel == nil {
 		tel = &JoinTelemetry{}
+	}
+	if tmpDir == "" {
+		tmpDir = db.Dir
 	}
 	return &joinRun{
 		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), tel: tel,
@@ -112,6 +123,27 @@ func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, t
 		stats:   make(perWorker, p.Workers()),
 		fanBits: params.Bits, windowBits: windowBits,
 	}
+}
+
+// add enqueues tasks on the run's job, each recording when it returned
+// and naming the run's shard in its error.
+func (r *joinRun) add(tasks ...exec.Task) {
+	for x, t := range tasks {
+		tasks[x] = func(w int) error {
+			err := t(w)
+			storeMax(&r.end, time.Now().UnixNano())
+			return r.named(err)
+		}
+	}
+	_ = r.jb.Add(tasks...) // a failed Add has failed the job; Wait reports it
+}
+
+// named prefixes err with the run's shard, if it has one.
+func (r *joinRun) named(err error) error {
+	if err != nil && r.shard != "" {
+		err = fmt.Errorf("shard %q: %w", r.shard, err)
+	}
+	return err
 }
 
 // staging configures the skeleton for one operator. Destinations form
@@ -133,7 +165,7 @@ type staging struct {
 	starts []int
 	// finish joins one non-empty final destination — an extent of the
 	// arena holding references into S partition part — on worker w. It
-	// may run the work inline or enqueue it on the stage's job.
+	// may run the work inline or add it to the run's job.
 	finish func(s *stagedRun, w, part int, refs []ref) error
 }
 
@@ -141,7 +173,6 @@ type staging struct {
 type stagedRun struct {
 	*joinRun
 	staging
-	jb *exec.Job
 }
 
 // staleRef reports a reference the scan found outside the handle's
@@ -153,54 +184,61 @@ func staleRef(i, x int, ptr SPtr) error {
 // staged is the one skeleton under nested loops, sort-merge, Grace and
 // hybrid hash. The histogram has been counted and the operator's
 // layout read off it, so the join opens its one exactly sized arena at
-// once → scan (resident references fold immediately through the batched
-// kernel, the rest are stored into their destination's extent) → one
-// finish task per first-pass destination, which returns at once when
-// its extent is empty. A k beyond the per-pass fan-out stages in coarse
-// groups of contiguous buckets that refine inside their finish task.
+// once and returns its scan: resident references fold immediately
+// through the batched kernel, the rest are stored into their
+// destination's extent. The scan's last morsel adds one finish task per
+// first-pass destination, which returns at once when its extent is
+// empty. A k beyond the per-pass fan-out stages in coarse groups of
+// contiguous buckets that refine inside their finish task.
 //
 // The scan checks every reference against the histogram it was laid out
 // from, so a pointer rewritten after the histogram was counted fails
 // the join with errStale rather than overrunning an extent: no claim may
 // run past its extent's end, and every claim cursor must reach it.
-func (r *joinRun) staged(cfg staging) error {
+func (r *joinRun) staged(cfg staging) ([]exec.Task, error) {
 	d, k := r.db.D, cfg.k
 	s := &stagedRun{joinRun: r, staging: cfg}
 	if err := r.tmp.open(s.starts[d*k]); err != nil {
-		return err
+		return nil, err
 	}
 	passes, span := params.Passes(k, r.fanBits)
 	storeMax(&r.tel.RadixPasses, int64(passes))
 	sc := r.newScan(cfg, span)
-	var tasks []exec.Task
-	for i, ri := range r.db.R {
-		tasks = rangeTasks(tasks, ri.Count(), morselObjs, func(w, lo, hi int) error { return sc.morsel(w, i, lo, hi) })
-	}
-	if err := r.p.Run(r.ctx, tasks); err != nil {
-		return err
-	}
-	if err := sc.settled(); err != nil {
-		return err
-	}
-	shift, groups := sc.shift, sc.groups
 
-	// Finish, one dynamic job: a destination's task may enqueue more
-	// (morsels) without a barrier across destinations. Tasks are
-	// enqueued in the paper's staggered phase order (§5.1) — row i takes
-	// group (i+t) mod groups at phase t — so concurrently executing
-	// tasks tend to touch different S partitions.
-	s.jb = r.p.Begin(r.ctx)
-	tasks = tasks[:0]
-	for t := 0; t < groups; t++ {
-		for row := 0; row < d; row++ {
-			g := (row + t) % groups
-			tasks = append(tasks, func(w int) error {
-				return s.refine(w, row, g<<shift, span)
-			})
+	// The finish: no barrier across destinations, as a destination's
+	// task may add more (morsels). Tasks are added in the paper's
+	// staggered phase order (§5.1) — row i takes group (i+t) mod groups
+	// at phase t — so concurrently executing tasks tend to touch
+	// different S partitions.
+	finish := func() error {
+		if err := sc.settled(); err != nil {
+			return err
 		}
+		var tasks []exec.Task
+		for t := 0; t < sc.groups; t++ {
+			for row := 0; row < d; row++ {
+				g := (row + t) % sc.groups
+				tasks = append(tasks, func(w int) error {
+					return s.refine(w, row, g<<sc.shift, span)
+				})
+			}
+		}
+		r.add(tasks...)
+		return nil
 	}
-	_ = s.jb.Add(tasks...) // a failed Add has failed the job; Wait reports it
-	return s.jb.Wait()
+	// An empty R has no scan morsel, and stages nothing to finish.
+	var tasks []exec.Task
+	var left atomic.Int64
+	for i, ri := range r.db.R {
+		tasks = rangeTasks(tasks, ri.Count(), morselObjs, func(w, lo, hi int) error {
+			if err := sc.morsel(w, i, lo, hi); err != nil || left.Add(-1) > 0 {
+				return err
+			}
+			return finish()
+		})
+	}
+	left.Store(int64(len(tasks)))
+	return tasks, nil
 }
 
 // scan is the staging scan of one configuration into the open arena.
@@ -346,10 +384,11 @@ func (s *stagedRun) refine(w, row, b0, span int) error {
 
 // scanProbe joins a destination in extent order, morsel-parallel.
 func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
-	return s.jb.Add(rangeTasks(nil, len(refs), morselObjs, func(w, lo, hi int) error {
+	s.add(rangeTasks(nil, len(refs), morselObjs, func(w, lo, hi int) error {
 		s.kern.joinRefs(part, refs[lo:hi], &s.stats[w].JoinStats)
 		return nil
 	})...)
+	return nil
 }
 
 // sortSplitCount picks how many address-range splits sort-merge gives

@@ -159,7 +159,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 			cancel()
 			return probe(s, w, part, refs)
 		}
-		err := r.staged(cfg)
+		err := stagedJob(r, cfg)
 		done()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: join cancelled inside refine returned %v", name, err)
@@ -188,7 +188,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 			mu.Unlock()
 			return err
 		}
-		err := r.staged(cfg)
+		err := stagedJob(r, cfg)
 		done()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: join cancelled inside the ordering returned %v", name, err)
@@ -204,7 +204,7 @@ func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
 	}
 }
 
-// newTestRun builds a joinRun over a fresh TmpDir the way DB.Run does,
+// newTestRun builds a joinRun over a fresh TmpDir the way RunParts does,
 // for tests that drive the skeleton directly: to narrow the per-pass
 // fan-out or the probe window, or wrap a finish — the things no request
 // can do — and to look at the arena before it is unlinked. The returned
@@ -223,6 +223,19 @@ func newTestRun(t testing.TB, db *DB, workers int, tel *JoinTelemetry) (*joinRun
 			t.Fatalf("temporaries left behind: %v", left)
 		}
 	}
+}
+
+// stagedJob runs one staging configuration on r the way RunParts runs
+// a staging part: the scan, and the finish tasks its last morsel adds,
+// in one job, waited on once.
+func stagedJob(r *joinRun, cfg staging) error {
+	r.jb = r.p.Begin(r.ctx)
+	tasks, err := r.staged(cfg)
+	if err != nil {
+		return err
+	}
+	r.add(tasks...)
+	return r.jb.Wait()
 }
 
 // histOf returns db's reference histogram, counting it through the
@@ -245,7 +258,7 @@ func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, tel *Joi
 	r, done := newTestRun(t, db, workers, tel)
 	defer done()
 	r.fanBits = fanBits
-	err := r.staged(cfg)
+	err := stagedJob(r, cfg)
 	return r.stats.total(), err
 }
 
@@ -393,7 +406,7 @@ func graceBuckets(t testing.TB, db *DB, k, windowBits int) *bucketSet {
 		bs.refs += int64(len(refs))
 		return nil
 	}
-	if err := r.staged(cfg); err != nil {
+	if err := stagedJob(r, cfg); err != nil {
 		t.Fatal(err)
 	}
 	r.windowBits = windowBits

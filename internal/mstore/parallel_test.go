@@ -116,7 +116,7 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 			return finish(s, w, part, refs)
 		}
 		r, done := newTestRun(t, db, 2, &tel)
-		err := r.staged(cfg)
+		err := stagedJob(r, cfg)
 		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
 		done()
 		if err != nil {

@@ -3,7 +3,7 @@ package mstore
 import (
 	"context"
 	"fmt"
-	"os"
+	"time"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
@@ -52,10 +52,10 @@ type JoinRequest struct {
 	// accumulate across joins, which is also a supported use.
 	Telemetry *JoinTelemetry
 
-	// TmpDir is the directory under which Run makes the join's own
-	// directory (join-*) for its temp arena; "" makes it under the db
-	// dir. Concurrent joins may share a TmpDir, and Run removes the
-	// join's directory on every exit path.
+	// TmpDir is the directory, made if missing, in which Run creates
+	// the join's temp arena, a fresh arena-*.seg; "" creates it in the
+	// db dir. Concurrent joins may share a TmpDir, and Run deletes the
+	// arena on every exit path.
 	TmpDir string
 
 	// Pool is the join's CPU parallelism: the work-stealing pool its
@@ -149,62 +149,103 @@ func (db *DB) CountS() int {
 }
 
 // Run validates the request, derives its plan, and executes the
-// selected algorithm over the mapped store. It is safe for concurrent
-// use by multiple goroutines (each call gets a fresh temp directory; the
-// base relations are only read); concurrent calls sharing req.Pool
-// additionally share its CPU bound.
-//
-// Everything the operators share is set up and torn down here, once:
-// the temp directory, the pool and the joinRun that owns the kernel,
-// the telemetry, the per-worker accumulators and the temp arena.
+// selected algorithm over the mapped store: RunParts with one part. It
+// is safe for concurrent use by multiple goroutines (each call gets its
+// own temp arena; the base relations are only read); concurrent calls
+// sharing req.Pool additionally share its CPU bound.
 func (db *DB) Run(req JoinRequest) (JoinStats, error) {
-	if err := req.validate(db); err != nil {
-		return JoinStats{}, err
-	}
-	dir, err := db.joinDir(req.TmpDir)
+	st, err := RunParts(req.Ctx, req.Pool, []Part{{DB: db, Req: req}})
 	if err != nil {
 		return JoinStats{}, err
 	}
-	defer os.RemoveAll(dir)
-	ctx := req.Ctx
+	return JoinStats{Pairs: st[0].Pairs, Signature: st[0].Signature}, nil
+}
+
+// Part is one store's share of a join RunParts executes.
+type Part struct {
+	DB  *DB
+	Req JoinRequest // its Ctx and Pool are ignored: RunParts' own run it
+	// Shard names the part in its ShardJoinStat and prefixes its errors
+	// (shard "id": …); "" adds no prefix.
+	Shard string
+}
+
+// RunParts executes one join over every part as one job on pool p,
+// driven by the calling goroutine. It runs each part's prologue —
+// validate, and for a staging join the histogram, the layout and the
+// arena — then adds every part's first tasks to one exec.Job and waits
+// once: a staging part's last scan morsel adds that part's finish
+// tasks, so no part waits on another. A failed prologue returns before
+// anything is added, so nothing is in flight; a failed task fails the
+// job, and its error is the one returned. Every part's arena is deleted
+// on return.
+//
+// A nil ctx is context.Background(), and a nil p a GOMAXPROCS pool made
+// for the call. Each part's ShardJoinStat holds its result, its
+// telemetry's counters and its ElapsedNs: from the call's start to the
+// return of the part's last task.
+func RunParts(ctx context.Context, p *exec.Pool, parts []Part) ([]ShardJoinStat, error) {
+	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := req.Pool
 	if p == nil {
 		p = exec.NewPool(0)
 		defer p.Close()
 	}
-	r := newJoinRun(ctx, db, p, req.Telemetry, dir)
-	defer r.tmp.close()
-
-	switch req.Algorithm {
-	case join.IndexNL:
-		err = r.indexNL()
-	case join.IndexMerge:
-		err = r.indexMerge()
-	default: // a staging join, by validate
-		var h *refHist
-		if h, err = db.histogram(ctx, p); err == nil {
-			err = r.staged(db.staging(h, req, p.Workers()))
+	jb := p.Begin(ctx)
+	runs := make([]*joinRun, 0, len(parts))
+	defer func() {
+		for _, r := range runs {
+			r.tmp.close()
+		}
+	}()
+	first := make([][]exec.Task, len(parts))
+	for i, pt := range parts {
+		r := newJoinRun(ctx, pt.DB, p, pt.Req.Telemetry, pt.Req.TmpDir)
+		r.jb, r.shard = jb, pt.Shard
+		runs = append(runs, r)
+		var err error
+		if first[i], err = r.tasks(pt.Req); err != nil {
+			return nil, r.named(err)
 		}
 	}
-	if err != nil {
-		return JoinStats{}, err
+	for i, r := range runs {
+		r.add(first[i]...)
 	}
-	return r.stats.total(), nil
+	if err := jb.Wait(); err != nil {
+		return nil, err
+	}
+	stats := make([]ShardJoinStat, len(parts))
+	for i, r := range runs {
+		st := r.stats.total()
+		stats[i] = ShardJoinStat{
+			Shard: r.shard, Algorithm: parts[i].Req.Algorithm.String(),
+			Pairs: st.Pairs, Signature: st.Signature,
+			ElapsedNs:   max(r.end.Load()-start.UnixNano(), 0),
+			RadixPasses: r.tel.RadixPasses.Load(), TempFiles: r.tel.TempFiles.Load(),
+		}
+	}
+	return stats, nil
 }
 
-// joinDir makes the directory a join's temporaries live in: a fresh
-// join-* directory under tmpDir, or under the store's directory when
-// tmpDir is "". The caller removes it.
-func (db *DB) joinDir(tmpDir string) (string, error) {
-	if tmpDir == "" {
-		tmpDir = db.Dir
-	} else if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return "", err
+// tasks runs req's prologue on the run and returns the join's first
+// tasks.
+func (r *joinRun) tasks(req JoinRequest) ([]exec.Task, error) {
+	if err := req.validate(r.db); err != nil {
+		return nil, err
 	}
-	return os.MkdirTemp(tmpDir, "join-")
+	switch req.Algorithm {
+	case join.IndexNL:
+		return r.indexNL(), nil
+	case join.IndexMerge:
+		return r.indexMerge(), nil
+	}
+	h, err := r.db.histogram(r.ctx, r.p) // a staging join, by validate
+	if err != nil {
+		return nil, err
+	}
+	return r.staged(r.db.staging(h, req, r.p.Workers()))
 }
 
 // Workload converts the stored relations into the simulator's workload

@@ -35,6 +35,26 @@ func TestRunExecutesEveryRealAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunIsOnePoolJob: a warm staging join — the handle's histogram
+// counted — is exactly one pool job, its finish tasks added to the
+// scan's job by the scan's last morsel, on every staging operator.
+func TestRunIsOnePoolJob(t *testing.T) {
+	db := testDB(t, 3, 30000)
+	want := db.ExpectedStats()
+	p := newPool(t, 2)
+	histOf(t, db)
+	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
+		before := p.Stats().Jobs
+		st, err := db.Run(JoinRequest{Algorithm: alg, MRproc: 8 << 10, Pool: p})
+		if err != nil || st != want {
+			t.Fatalf("%v: %+v, %v; want %+v", alg, st, err, want)
+		}
+		if jobs := p.Stats().Jobs - before; jobs != 1 {
+			t.Fatalf("%v: a warm join ran %d pool jobs, want 1", alg, jobs)
+		}
+	}
+}
+
 func TestRunRejectsNonExecutablePlans(t *testing.T) {
 	db := testDB(t, 2, 200)
 	if _, err := db.Run(JoinRequest{Algorithm: join.TraditionalGrace}); err == nil {

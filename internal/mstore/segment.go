@@ -62,25 +62,26 @@ func Create(path string, size int64) (*Segment, error) {
 	if size < minSegment {
 		size = minSegment
 	}
-	return create(path, (size+int64(headerSize)+4095)&^4095, os.O_TRUNC)
-}
-
-// create makes and maps a segment file of exactly size bytes, header
-// included. flag says what an existing file means: os.O_TRUNC replaces
-// it, os.O_EXCL fails — a join's temporary must never truncate a file
-// somebody else is using.
-func create(path string, size int64, flag int) (*Segment, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|flag, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("mstore: create %s: %w", path, err)
 	}
+	return create(f, (size+int64(headerSize)+4095)&^4095)
+}
+
+// create sizes the new file f to exactly size bytes, header included,
+// and maps it. A file it cannot size or map is closed and removed.
+func create(f *os.File, size int64) (*Segment, error) {
+	path := f.Name()
 	if err := f.Truncate(size); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, fmt.Errorf("mstore: size %s: %w", path, err)
 	}
 	s := &Segment{path: path, f: f}
 	if err := s.mmap(size); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, err
 	}
 	binary.LittleEndian.PutUint32(s.data[offMagic:], magic)

@@ -148,7 +148,7 @@ func TestSkewGraceHeapFlatInR(t *testing.T) {
 // TestSkewConcurrentDefaultTmpDirGrace is the regression for the shared
 // default temp directory: two concurrent Grace joins with TmpDir left
 // empty used to write the same <db>/tmp/gr_j_b.seg files and corrupt
-// each other; each join's own directory keeps them disjoint and exact.
+// each other; each join's own arena file keeps them disjoint and exact.
 func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 	db := zipfDB(t, 4000)
 	want := db.ExpectedStats()
@@ -168,14 +168,14 @@ func TestSkewConcurrentDefaultTmpDirGrace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The per-call directories are removed on return.
+	// The per-call arenas are deleted on return.
 	ents, err := os.ReadDir(db.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "join-") {
-			t.Fatalf("per-call temp dir %s left behind", e.Name())
+		if strings.HasPrefix(e.Name(), "arena-") {
+			t.Fatalf("per-call temp arena %s left behind", e.Name())
 		}
 	}
 }
@@ -200,7 +200,7 @@ func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 		return s.orderProbe(w, part, refs)
 	}
 	r, done := newTestRun(t, db, 2, tel)
-	err := r.staged(cfg)
+	err := stagedJob(r, cfg)
 	arenaBytes := r.tmp.seg.Size()
 	done()
 	if err != nil {

@@ -89,14 +89,16 @@ type ShardInfo struct {
 	Pool exec.Stats `json:"pool"`
 }
 
-// ShardJoinStat is one shard's contribution to a scatter-gather join:
-// the per-shard statistics and telemetry a router folds into the merged
-// response.
+// ShardJoinStat is one shard's contribution to a scatter-gather join,
+// as RunParts reports it: the per-shard statistics and telemetry a
+// router folds into the merged response.
 type ShardJoinStat struct {
 	Shard     string
 	Algorithm string // the algorithm this shard executed (per-shard planning may differ)
 	Pairs     int64
 	Signature uint64
+	// ElapsedNs runs from the start of the scatter (RunParts) to the
+	// return of the shard's last task.
 	ElapsedNs int64
 
 	RadixPasses int64

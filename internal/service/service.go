@@ -29,9 +29,9 @@ type Config struct {
 	// -shard-map`). The server takes ownership: Close closes it.
 	Store mstore.Store
 
-	// TmpDir is every join's JoinRequest.TmpDir: the directory under
-	// which each join makes, and removes, its own temp directory. ""
-	// puts each store's under that store's own directory.
+	// TmpDir is every join's JoinRequest.TmpDir: the directory in which
+	// each join creates, and deletes, its temp arena (arena-*.seg). ""
+	// puts each store's in that store's own directory.
 	TmpDir string
 
 	// MemBudget is the total bytes of join memory the service may have

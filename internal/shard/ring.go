@@ -4,9 +4,12 @@
 // budget; all of them run on the join's one exec pool) behind the same
 // mstore.Store interface a single database satisfies. Joins scatter to
 // every live shard and the per-shard JoinStats — commutative sums — fold
-// into one bit-identical result; lookups route to exactly one shard
-// through a consistent-hash ring, so shard membership changes move only
-// the keys the departed or arrived shard owns.
+// into one bit-identical result. A join is one pool job over every
+// shard (mstore.RunParts), driven by the caller's goroutine: the router
+// plans, splits the grant and folds, and starts no goroutine. Lookups
+// route to exactly one shard through a consistent-hash ring, so shard
+// membership changes move only the keys the departed or arrived shard
+// owns.
 //
 // The design follows the shape of near-optimal distributed binary
 // joins: R is partitioned across shards while the S side each R slice

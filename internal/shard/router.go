@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"mmjoin/internal/drain"
 	"mmjoin/internal/exec"
@@ -169,7 +168,7 @@ func (r *Router) rebuildRingLocked() {
 // enter registers with the gate of every live shard and returns those
 // that accepted, fixing a request's participants — and so its grant
 // split — before any work starts. A draining shard is left out: the
-// request sees the post-removal relation. The caller exits each gate.
+// request sees the post-removal relation. The caller exits them (exit).
 func (r *Router) enter() ([]*handle, error) {
 	shards, _, err := r.snapshot()
 	if err != nil {
@@ -185,6 +184,13 @@ func (r *Router) enter() ([]*handle, error) {
 		return nil, fmt.Errorf("shard: no live shards")
 	}
 	return live, nil
+}
+
+// exit leaves the gates enter registered with.
+func exit(live []*handle) {
+	for _, h := range live {
+		h.gate.Exit()
+	}
 }
 
 // snapshot returns the live membership and ring under the read lock.
@@ -207,20 +213,20 @@ func (r *Router) Run(req mstore.JoinRequest) (mstore.JoinStats, error) {
 }
 
 // RunShards executes one join scatter-gather: every live shard runs the
-// request over its own slice of R (with its share of the memory grant;
-// req.TmpDir passes through, as each shard's Run makes its own directory
-// under it), and the per-shard JoinStats fold —
+// request over its own slice of R, with its share of the memory grant
+// and req.TmpDir passed through, and the per-shard JoinStats fold —
 // commutative sums — into one merged result that is bit-identical to a
-// single-store join over the same logical relation.
+// single-store join over the same logical relation. The scatter is
+// mstore.RunParts, one part per shard: one pool job on req.Pool (nil:
+// one GOMAXPROCS pool for the call), driven by the calling goroutine,
+// so one pool bounds the CPU fan-out of the whole scatter. The first
+// failing shard's error is returned, naming it.
 //
 // Grant split: a positive req.MRproc is divided evenly across the
 // participating shards (each share floored at one page), so a shard's K
 // and resident-fraction derivations see the shard's true budget; 0
-// stays unbounded on every shard. Every shard's morsels run on req.Pool,
-// so one pool bounds the CPU fan-out of the whole scatter; a nil Pool
-// gets one GOMAXPROCS pool for this call, shared by the shards and
-// closed on return, as DB.Run does. req.Telemetry, when set, receives
-// the folded per-shard telemetry (TempFiles sums, RadixPasses maxes).
+// stays unbounded on every shard. req.Telemetry, when set, receives the
+// folded per-shard telemetry (TempFiles sums, RadixPasses maxes).
 //
 // With req.Algorithm == join.Auto each shard plans independently
 // through Config.PlanFunc against its own measured workload.
@@ -232,80 +238,33 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 	if err != nil {
 		return mstore.JoinStats{}, nil, err
 	}
-	if req.Pool == nil {
-		req.Pool = exec.NewPool(0)
-		defer req.Pool.Close()
-	}
-
-	baseCtx := req.Ctx
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(baseCtx)
-	defer cancel()
-
-	type result struct {
-		stat mstore.ShardJoinStat
-		tel  *mstore.JoinTelemetry
-		err  error
-	}
-	results := make([]result, len(live))
-	var wg sync.WaitGroup
+	defer exit(live)
+	parts := make([]mstore.Part, len(live))
 	for i, h := range live {
-		wg.Add(1)
-		go func(i int, h *handle) {
-			defer wg.Done()
-			defer h.gate.Exit()
-			sub := req // per-shard copy
-			sub.Ctx = ctx
-			tel := &mstore.JoinTelemetry{}
-			sub.Telemetry = tel
-			sub.MRproc = shareOf(req.MRproc, len(live))
-			if sub.Algorithm == join.Auto {
-				w, err := h.workload()
-				if err == nil {
-					sub.Algorithm, err = r.cfg.PlanFunc(h.id, w, sub)
-				}
-				if err != nil {
-					results[i] = result{err: fmt.Errorf("shard %q: planning: %w", h.id, err)}
-					cancel()
-					return
-				}
+		sub := req // per-shard copy
+		sub.Telemetry = &mstore.JoinTelemetry{}
+		sub.MRproc = shareOf(req.MRproc, len(live))
+		if sub.Algorithm == join.Auto {
+			w, err := h.workload()
+			if err == nil {
+				sub.Algorithm, err = r.cfg.PlanFunc(h.id, w, sub)
 			}
-			start := time.Now()
-			st, err := h.db.Run(sub)
 			if err != nil {
-				results[i] = result{err: fmt.Errorf("shard %q: %w", h.id, err)}
-				cancel()
-				return
+				return mstore.JoinStats{}, nil, fmt.Errorf("shard %q: planning: %w", h.id, err)
 			}
-			results[i] = result{
-				stat: mstore.ShardJoinStat{
-					Shard:       h.id,
-					Algorithm:   sub.Algorithm.String(),
-					Pairs:       st.Pairs,
-					Signature:   st.Signature,
-					ElapsedNs:   time.Since(start).Nanoseconds(),
-					RadixPasses: tel.RadixPasses.Load(),
-					TempFiles:   tel.TempFiles.Load(),
-				},
-				tel: tel,
-			}
-		}(i, h)
+		}
+		parts[i] = mstore.Part{DB: h.db, Req: sub, Shard: h.id}
 	}
-	wg.Wait()
-
+	details, err := mstore.RunParts(req.Ctx, req.Pool, parts)
+	if err != nil {
+		return mstore.JoinStats{}, nil, err
+	}
 	var merged mstore.JoinStats
-	details := make([]mstore.ShardJoinStat, 0, len(live))
-	for _, res := range results {
-		if res.err != nil {
-			return mstore.JoinStats{}, nil, res.err
-		}
-		merged.Fold(mstore.JoinStats{Pairs: res.stat.Pairs, Signature: res.stat.Signature})
+	for i, d := range details {
+		merged.Fold(mstore.JoinStats{Pairs: d.Pairs, Signature: d.Signature})
 		if req.Telemetry != nil {
-			req.Telemetry.Fold(res.tel)
+			req.Telemetry.Fold(parts[i].Req.Telemetry)
 		}
-		details = append(details, res.stat)
 	}
 	return merged, details, nil
 }
@@ -329,11 +288,7 @@ func (r *Router) Explain(req mstore.JoinRequest) (mstore.Plan, error) {
 	if err != nil {
 		return mstore.Plan{}, err
 	}
-	defer func() {
-		for _, h := range live {
-			h.gate.Exit()
-		}
-	}()
+	defer exit(live)
 	if req.Pool == nil {
 		req.Pool = exec.NewPool(0)
 		defer req.Pool.Close()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -526,30 +527,65 @@ func TestShardGrantSplitBounds(t *testing.T) {
 }
 
 // TestShardRunsOnCallersPool checks every shard's morsels run on the
-// request's pool: one worker bounds the whole scatter, the pool counts a
-// job from each shard, and the fold is still exact.
+// request's pool: one worker bounds the whole scatter, a warm join —
+// every shard's histogram counted — is exactly one pool job, and the
+// fold is still exact.
 func TestShardRunsOnCallersPool(t *testing.T) {
-	const shards = 3
-	_, m, want := buildSharded(t, 1500, 2, shards)
+	_, m, want := buildSharded(t, 1500, 2, 3)
 	r := openRouter(t, m, Config{})
 	p := exec.NewPool(1)
 	defer p.Close()
-	st, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, Pool: p})
+	jobs := int64(0)
+	for round := range 2 {
+		st, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, Pool: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != want {
+			t.Fatalf("round %d: merged %+v, want %+v", round, st, want)
+		}
+		ps := p.Stats()
+		if ps.PeakBusy > 1 || round == 1 && ps.Jobs-jobs != 1 {
+			t.Fatalf("round %d: the caller's pool ran %d jobs at peak occupancy %d, want 1 job on 1 worker", round, ps.Jobs-jobs, ps.PeakBusy)
+		}
+		jobs = ps.Jobs
+	}
+}
+
+// TestShardFailureNamesTheFailingShard: one R pointer of shard-2 moved
+// to a partition no store has fails the join with shard-2's own error,
+// never a sibling's cancellation, and no shard's temp arena — shards 0
+// and 1 open theirs before shard-2's histogram fails — is left behind.
+func TestShardFailureNamesTheFailingShard(t *testing.T) {
+	_, m, _ := buildSharded(t, 60000, 2, 3)
+	rel := m.Shards[2]
+	db, err := mstore.OpenDB(rel.Dir, rel.D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != want {
-		t.Fatalf("merged %+v, want %+v", st, want)
+	db.R[0].SetJoinAttr(0, mstore.SPtr{Part: 99})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
-	ps := p.Stats()
-	if ps.Jobs < shards || ps.PeakBusy > 1 {
-		t.Fatalf("caller's pool ran %d jobs at peak occupancy %d, want >= %d jobs on 1 worker", ps.Jobs, ps.PeakBusy, shards)
+	r := openRouter(t, m, Config{})
+	p := exec.NewPool(2)
+	defer p.Close()
+	for range 5 {
+		_, err := r.Run(mstore.JoinRequest{Algorithm: join.Grace, MRproc: 1 << 20, Pool: p})
+		if err == nil || !strings.HasPrefix(err.Error(), `shard "shard-2": `) || errors.Is(err, context.Canceled) {
+			t.Fatalf("a bad pointer in shard-2 failed the join with %v", err)
+		}
+	}
+	for _, e := range m.Shards {
+		if left, _ := filepath.Glob(filepath.Join(e.Dir, "arena-*.seg")); len(left) != 0 {
+			t.Fatalf("temp arenas left behind: %v", left)
+		}
 	}
 }
 
 // TestShardRouterLeaksNoGoroutines checks the pool a nil-Pool join makes
 // is closed on every exit: after a successful join, a join that fails
-// because one shard's temp subdirectory cannot be created, a removal and
+// because no shard's temp arena can be created, a removal and
 // Close, the goroutine count returns to where it started.
 func TestShardRouterLeaksNoGoroutines(t *testing.T) {
 	_, m, want := buildSharded(t, 900, 2, 3)
