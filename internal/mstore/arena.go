@@ -24,8 +24,8 @@ const refBytes = int64(unsafe.Sizeof(ref{}))
 // the size the layout gives it and never grown or remapped. The
 // stages address it as extents — index ranges of refs — so a
 // measured-empty destination is a zero-length range and costs nothing,
-// and re-partitioning (refine, orderProbe) permutes an extent in place
-// instead of allocating the next one. close unmaps and unlinks without
+// and orderProbe's re-partitioning permutes an extent in place instead
+// of allocating the next one. close unmaps and unlinks without
 // syncing: nothing ever reopens a temporary.
 type tempArena struct {
 	dir  string
@@ -75,23 +75,17 @@ func (a *tempArena) close() {
 // sums of the class sizes, which is what lets every displaced reference
 // find a free slot in its own class: a cycle-leader permutation with
 // one cursor per class, one class call and one 16-byte move per
-// placement, no second copy. Bounds that undercount a class — a layout
-// gone stale — make it stop and return false before any move leaves
-// the class's range.
-func partition(refs []ref, bounds []int, class func(ref) int) bool {
+// placement, no second copy.
+func partition(refs []ref, bounds []int, class func(ref) int) {
 	next := slices.Clone(bounds[:len(bounds)-1])
 	for c := range next {
 		for end := bounds[c+1]; next[c] < end; next[c]++ {
 			e := refs[next[c]]
 			for to := class(e); to != c; to = class(e) {
-				if next[to] == bounds[to+1] {
-					return false
-				}
 				e, refs[next[to]] = refs[next[to]], e
 				next[to]++
 			}
 			refs[next[c]] = e
 		}
 	}
-	return true
 }

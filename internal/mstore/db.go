@@ -253,16 +253,11 @@ func (db *DB) Lookup(part, index int) (LookupResult, error) {
 	}
 	obj := rel.seg.Bytes(rel.PtrAt(index), rel.size) // index checked above
 	ptr := DecodeSPtr(obj)
-	if int(ptr.Part) >= len(db.S) {
-		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] points to partition %d of %d: %w", part, index, ptr.Part, len(db.S), errBadPointer)
+	si, err := db.sObject(ptr)
+	if err != nil {
+		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] %w", part, index, err)
 	}
 	s := db.S[ptr.Part]
-	o := uint64(ptr.Off - s.data)
-	if o >= uint64(s.Count())*uint64(s.size) {
-		return LookupResult{}, fmt.Errorf("mstore: R%d[%d] points to offset %d, outside S%d's objects: %w",
-			part, index, ptr.Off, ptr.Part, errBadPointer)
-	}
-	si := int(o / uint64(s.size))
 	return LookupResult{
 		RID:    binary.LittleEndian.Uint64(obj[ridOffset:]),
 		SPart:  ptr.Part,
@@ -295,14 +290,8 @@ func (db *DB) Verify() error {
 	for i, rel := range db.R {
 		for x := 0; x < rel.Count(); x++ {
 			obj := rel.Object(x)
-			ptr := DecodeSPtr(obj)
-			if int(ptr.Part) >= db.D {
-				return fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, ptr.Part)
-			}
-			s := db.S[ptr.Part]
-			idx := s.IndexOf(ptr.Off)
-			if idx < 0 || idx >= s.Count() || s.PtrAt(idx) != ptr.Off {
-				return fmt.Errorf("mstore: R%d[%d] has dangling pointer %d/%d", i, x, ptr.Part, ptr.Off)
+			if _, err := db.sObject(DecodeSPtr(obj)); err != nil {
+				return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
 			}
 			rid := binary.LittleEndian.Uint64(obj[ridOffset:])
 			if _, dup := seen[rid]; dup {

@@ -28,31 +28,30 @@ import (
 // its predicted wall-clock time.
 type Plan struct {
 	Algorithm join.Algorithm
-	// K is the bucket count of each S partition's row (nested loops: its
-	// origin buckets; 0 for the index joins and a fully resident hybrid
-	// hash) and F0 hybrid hash's resident fraction.
+	// K is the bucket count of each S partition's row — the destinations
+	// the scan stages into (nested loops: its origin buckets; 0 for the
+	// index joins and a fully resident hybrid hash) — and F0 hybrid
+	// hash's resident fraction.
 	K  int
 	F0 float64
 	// Resident references join during the scan; Staged ones go through
 	// the temp arena, a file of ArenaBytes (0 when nothing stages).
 	Resident, Staged int64
 	ArenaBytes       int64
-	// RadixPasses is the partitioning pass count (params.Passes over K).
 	// Moves counts the reference moves of the in-place partition passes
-	// after the scan: refine's, and the ordering of each extent down to
-	// S windows (orderProbe), read off the span of cells it covers.
-	RadixPasses int
-	Moves       int64
+	// after the scan, which order each extent down to S windows
+	// (orderProbe), read off the span of cells it covers.
+	Moves int64
 	// PredictedNs is the predicted wall-clock time of the join on its
 	// pool, in nanoseconds.
 	PredictedNs int64
 }
 
 // Fold adds another shard's plan into p. The counts and the predicted
-// time sum, since the shards of a router share one pool; K, F0 and
-// RadixPasses keep the largest shard's.
+// time sum, since the shards of a router share one pool; K and F0 keep
+// the largest shard's.
 func (p *Plan) Fold(q Plan) {
-	p.K, p.F0, p.RadixPasses = max(p.K, q.K), max(p.F0, q.F0), max(p.RadixPasses, q.RadixPasses)
+	p.K, p.F0 = max(p.K, q.K), max(p.F0, q.F0)
 	p.Resident += q.Resident
 	p.Staged += q.Staged
 	p.ArenaBytes += q.ArenaBytes
@@ -119,7 +118,7 @@ func (db *DB) Explain(req JoinRequest) (Plan, error) {
 	if req.Algorithm != join.IndexNL && req.Algorithm != join.IndexMerge {
 		key := db.planKey(h, req, p.Workers())
 		c := h.layout(key).planCounts
-		plan.K, plan.F0, plan.RadixPasses, plan.Moves = c.k, key.f0, c.passes, c.moves
+		plan.K, plan.F0, plan.Moves = c.k, key.f0, c.moves
 		plan.Resident -= c.staged
 		plan.Staged = c.staged
 		if c.staged > 0 {
@@ -133,7 +132,7 @@ func (db *DB) Explain(req JoinRequest) (Plan, error) {
 // planCounts is what one staging configuration does to the histogram's
 // references: a Plan's counts less what the request alone determines.
 type planCounts struct {
-	k, passes     int
+	k             int
 	staged, moves int64
 }
 
@@ -146,8 +145,9 @@ type layout struct {
 
 // maxLayoutBytes bounds the memory a histogram's layout cache holds. A
 // layout's cell tables take 4 B a cell (64 KiB at D = 4) and its extent
-// bounds 8 B a bucket, and a request's K may reach |R|/D, so the cache
-// is bounded by bytes, not keys: a layout that would overflow it starts
+// bounds 8 B a bucket, at most 2^params.Bits buckets a row for Grace and
+// hybrid hash (DB.plan), so a layout grows with D and the cache is
+// bounded by bytes, not keys: a layout that would overflow it starts
 // the cache over, and one larger than the bound alone is not cached.
 const maxLayoutBytes = 1 << 20
 
@@ -186,16 +186,13 @@ func (cfg staging) bytes() int {
 	return n
 }
 
-// count reads cfg's work off the histogram. A staged reference moves
-// once per refine level (passes − 1). When the finish orders (orderProbe)
-// each extent's references move once more per params.Bits of its span
-// beyond a window; the span is the extent's cells', which bounds the
-// span of its references from above.
+// count reads cfg's work off the histogram. When the finish orders
+// (orderProbe) each extent's references move once per params.Bits of its
+// span beyond a window; the span is the extent's cells', which bounds
+// the span of its references from above.
 func (h *refHist) count(cfg staging, orders bool) planCounts {
 	d, k := h.d, cfg.k
 	c := planCounts{k: k, staged: int64(cfg.starts[d*k])}
-	c.passes, _ = params.Passes(k, params.Bits)
-	c.moves = int64(c.passes-1) * c.staged
 	if !orders {
 		return c
 	}
@@ -372,7 +369,7 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	}
 
 	scanThird := func(cfg staging, t int) (int, error) {
-		sc, scanned, span := r.newScan(cfg, 1), 0, sampleThird(db, t)
+		sc, scanned, span := r.newScan(cfg), 0, sampleThird(db, t)
 		for i := range db.R {
 			lo, hi := span(i)
 			if err := sc.morsel(0, i, lo, hi); err != nil {

@@ -20,8 +20,9 @@ type JoinTelemetry struct {
 	// operator keeps all its destinations, at every stage, in one arena
 	// file, so a join adds 1 — or 0 when it staged nothing.
 	TempFiles atomic.Int64
-	// RadixPasses is the partitioning pass count the staged joins ran
-	// (params.Passes): 1 until K exceeds 2^params.Bits.
+	// RadixPasses is 1 once a staging join has run: the scan is its one
+	// partitioning pass. It stays only because the benchmark harness
+	// (benchmark/lib.go) reads it, and goes with the four fields below.
 	RadixPasses atomic.Int64
 
 	// Restages, RestagedRefs, StreamProbes and PeakTableBytes are always

@@ -21,11 +21,29 @@ import (
 // D = 4 its per-cell counts take 4 × 4096 × 8 B = 128 KiB per handle.
 const maxCellBits = 12
 
-// errBadPointer marks a stored pointer no join can follow: its partition
-// is not below D, or its offset lies outside that S partition's objects.
-// The histogram pass caches it like a result, so every later staging
-// join on the handle fails the same way; Lookup fails such a row too.
+// errBadPointer marks a stored pointer that names no S object (see
+// DB.sObject). The histogram pass caches it like a result, so every
+// later staging join on the handle fails the same way; Lookup, Verify
+// and Workload fail such a row too.
 var errBadPointer = errors.New("dangling pointer")
+
+// sObject returns the index of the S object a stored pointer names. It
+// is the one pointer rule, which the histogram, Lookup, Verify and
+// Workload all apply: the partition is below D, and the offset lies
+// inside that partition's objects, on an object's first byte. A pointer
+// that breaks it fails wrapping errBadPointer.
+func (db *DB) sObject(ptr SPtr) (int, error) {
+	if int(ptr.Part) >= len(db.S) {
+		return 0, fmt.Errorf("points to partition %d of %d: %w", ptr.Part, len(db.S), errBadPointer)
+	}
+	s := db.S[ptr.Part]
+	o, size := uint64(ptr.Off-s.data), uint64(s.size)
+	if o >= uint64(s.Count())*size || o%size != 0 {
+		return 0, fmt.Errorf("points to offset %d, not the start of one of S%d's %d-byte objects in [%d, %d): %w",
+			ptr.Off, ptr.Part, size, s.data, uint64(s.data)+uint64(s.Count())*size, errBadPointer)
+	}
+	return int(o / size), nil
+}
 
 // errStale fails a join that finds a stored pointer the handle's
 // histogram did not count: one was rewritten after the handle's first
@@ -120,17 +138,12 @@ func countHist(ctx context.Context, db *DB, p *exec.Pool, span func(i int) (int,
 			row := c.rows[i*d : i*d+d]
 			for x := lo; x < hi; x++ {
 				ptr := DecodeSPtr(ri.Object(x))
-				if int(ptr.Part) >= d {
-					return fmt.Errorf("mstore: R%d[%d] points to partition %d of %d: %w", i, x, ptr.Part, d, errBadPointer)
+				if _, err := db.sObject(ptr); err != nil {
+					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
 				}
 				g := geo[ptr.Part]
-				o := uint64(ptr.Off - g.base)
-				if o >= g.span {
-					return fmt.Errorf("mstore: R%d[%d] points to offset %d, outside S%d's objects [%d, %d): %w",
-						i, x, ptr.Off, ptr.Part, g.base, uint64(g.base)+g.span, errBadPointer)
-				}
 				row[ptr.Part]++
-				c.cells[ptr.Part][o>>g.shift]++
+				c.cells[ptr.Part][uint64(ptr.Off-g.base)>>g.shift]++
 			}
 			return nil
 		})
@@ -195,9 +208,9 @@ type rowMap struct {
 // nestedLoops (§5.1): own-partition references join during the scan,
 // the rest sub-partition into RP<i,j> — row j, bucket i — laid out from
 // the |Ri,j| totals and probed in staggered order. Each map is one cell
-// (a shift of 64 maps every offset to cell 0). Past one pass's fan-out
-// neighbouring origins share a destination (see staging.maps); up to it
-// the mapping is the identity.
+// (a shift of 64 maps every offset to cell 0). The scan fans out to at
+// most 2^params.Bits destinations a row, so past that neighbouring
+// origins share a destination; up to it the mapping is the identity.
 func (h *refHist) nestedLoops() staging {
 	d := h.d
 	k := min(d, 1<<params.Bits)

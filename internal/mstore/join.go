@@ -70,7 +70,7 @@ func rangeTasks(tasks []exec.Task, n, size int, fn func(w, lo, hi int) error) []
 }
 
 // stageScratch is one worker's private buffer for the scan morsel it is
-// running: the morsel's non-resident references and their first-pass
+// running: the morsel's non-resident references and their
 // destinations, decoded once, plus a per-destination count and write
 // cursor. cnt is all zero between morsels.
 type stageScratch struct {
@@ -102,10 +102,11 @@ type joinRun struct {
 	// its last task returned, in Unix nanoseconds.
 	shard string
 	end   atomic.Int64
-	// fanBits is the per-pass partitioning fan-out, log2, and windowBits
-	// the probe window, log2 bytes. RunParts always sets params.Bits and
-	// the windowBits constant; only in-package tests narrow them, to
-	// reach the deep refine and ordering recursions on small stores.
+	// fanBits is the fan-out of one level of orderWindows' in-place
+	// ordering, log2, and windowBits the probe window, log2 bytes.
+	// RunParts always sets params.Bits and the windowBits constant; only
+	// in-package tests narrow them, to reach the deep ordering recursion
+	// on small stores.
 	fanBits, windowBits int
 }
 
@@ -154,18 +155,14 @@ type staging struct {
 	// maps[i][j] places Ri's references into S partition j: a bucket of
 	// row j, or resident — joined during the scan, never staged. An
 	// operator whose maps do not depend on the origin shares one []rowMap
-	// across every i. A staged reference no longer knows i, and refine
-	// re-derives buckets from maps[0][row], so an operator whose maps do
-	// depend on it (nested loops) must keep k within one pass's fan-out.
+	// across every i.
 	maps [][]rowMap
 	// starts lays every destination out in the arena: (row, b) owns
-	// refs[starts[row·k+b] : starts[row·k+b+1]]. Buckets of a row are
-	// adjacent, so a coarse group of them is one extent too, at every
-	// level of refinement.
+	// refs[starts[row·k+b] : starts[row·k+b+1]].
 	starts []int
-	// finish joins one non-empty final destination — an extent of the
-	// arena holding references into S partition part — on worker w. It
-	// may run the work inline or add it to the run's job.
+	// finish joins one non-empty destination — an extent of the arena
+	// holding references into S partition part — on worker w. It may run
+	// the work inline or add it to the run's job.
 	finish func(s *stagedRun, w, part int, refs []ref) error
 }
 
@@ -186,10 +183,9 @@ func staleRef(i, x int, ptr SPtr) error {
 // layout read off it, so the join opens its one exactly sized arena at
 // once and returns its scan: resident references fold immediately
 // through the batched kernel, the rest are stored into their
-// destination's extent. The scan's last morsel adds one finish task per
-// first-pass destination, which returns at once when its extent is
-// empty. A k beyond the per-pass fan-out stages in coarse groups of
-// contiguous buckets that refine inside their finish task.
+// destination's extent. The scan is the only partitioning pass: its
+// destinations are the final extents, and its last morsel adds one
+// finish task per non-empty one.
 //
 // The scan checks every reference against the histogram it was laid out
 // from, so a pointer rewritten after the histogram was counted fails
@@ -201,26 +197,27 @@ func (r *joinRun) staged(cfg staging) ([]exec.Task, error) {
 	if err := r.tmp.open(s.starts[d*k]); err != nil {
 		return nil, err
 	}
-	passes, span := params.Passes(k, r.fanBits)
-	storeMax(&r.tel.RadixPasses, int64(passes))
-	sc := r.newScan(cfg, span)
+	r.tel.RadixPasses.Store(1)
+	sc := r.newScan(cfg)
 
 	// The finish: no barrier across destinations, as a destination's
 	// task may add more (morsels). Tasks are added in the paper's
-	// staggered phase order (§5.1) — row i takes group (i+t) mod groups
-	// at phase t — so concurrently executing tasks tend to touch
-	// different S partitions.
+	// staggered phase order (§5.1) — row i takes bucket (i+t) mod k at
+	// phase t — so concurrently executing tasks tend to touch different
+	// S partitions.
 	finish := func() error {
 		if err := sc.settled(); err != nil {
 			return err
 		}
 		var tasks []exec.Task
-		for t := 0; t < sc.groups; t++ {
+		for t := 0; t < k; t++ {
 			for row := 0; row < d; row++ {
-				g := (row + t) % sc.groups
-				tasks = append(tasks, func(w int) error {
-					return s.refine(w, row, g<<sc.shift, span)
-				})
+				x := row*k + (row+t)%k
+				if lo, hi := s.starts[x], s.starts[x+1]; lo < hi {
+					tasks = append(tasks, func(w int) error {
+						return s.finish(s, w, row, s.tmp.refs[lo:hi])
+					})
+				}
 			}
 		}
 		r.add(tasks...)
@@ -242,34 +239,26 @@ func (r *joinRun) staged(cfg staging) ([]exec.Task, error) {
 }
 
 // scan is the staging scan of one configuration into the open arena.
-// First-pass destinations are the final buckets themselves when span is
-// 1, else one per contiguous group of span buckets; each has a claim
-// cursor running over its extent, up to end.
+// Destination (row, b) has a claim cursor running over its extent,
+// from starts[row·k+b] up to starts[row·k+b+1].
 type scan struct {
 	r       *joinRun
 	maps    [][]rowMap
-	shift   int // log2 of the span of final buckets one group covers
-	groups  int // first-pass destinations per S partition
+	k       int
+	starts  []int
 	cur     []atomic.Int64
-	end     []int
 	scratch []*stageScratch // per worker
 }
 
-// newScan sets cfg's claim cursors for a first pass whose groups cover
-// span final buckets each.
-func (r *joinRun) newScan(cfg staging, span int) *scan {
-	d, k := r.db.D, cfg.k
-	shift := bits.TrailingZeros(uint(span))
-	groups := (k + span - 1) >> shift
+// newScan sets cfg's claim cursors at the starts of their extents.
+func (r *joinRun) newScan(cfg staging) *scan {
 	s := &scan{
-		r: r, maps: cfg.maps, shift: shift, groups: groups,
-		cur: make([]atomic.Int64, d*groups), end: make([]int, d*groups),
+		r: r, maps: cfg.maps, k: cfg.k, starts: cfg.starts,
+		cur:     make([]atomic.Int64, r.db.D*cfg.k),
 		scratch: make([]*stageScratch, r.p.Workers()),
 	}
-	for g := range s.cur {
-		base, b := g/groups*k, (g%groups)<<shift
-		s.cur[g].Store(int64(cfg.starts[base+b]))
-		s.end[g] = cfg.starts[base+min(b+span, k)]
+	for x := range s.cur {
+		s.cur[x].Store(int64(cfg.starts[x]))
 	}
 	return s
 }
@@ -307,7 +296,7 @@ func (s *scan) morsel(w, i, lo, hi int) error {
 			batch.addPair(ridFromObj(obj), ptr, st)
 			continue
 		}
-		g := int(ptr.Part)*s.groups + int(b)>>s.shift
+		g := int(ptr.Part)*s.k + int(b)
 		sc.refs[n], sc.dst[n] = ref{off: ptr.Off, rid: ridFromObj(obj)}, int32(g)
 		sc.cnt[g]++
 		n++
@@ -320,9 +309,9 @@ func (s *scan) morsel(w, i, lo, hi int) error {
 	for x, g := range sc.dst[:n] {
 		if c := sc.cnt[g]; c != 0 {
 			to := int(s.cur[g].Add(int64(c)))
-			if to > s.end[g] {
+			if to > s.starts[g+1] {
 				s.scratch[w] = nil
-				return fmt.Errorf("%w: more references into S%d than it counted", errStale, int(g)/s.groups)
+				return fmt.Errorf("%w: more references into S%d than it counted", errStale, int(g)/s.k)
 			}
 			sc.pos[g] = to - c
 			sc.cnt[g] = 0
@@ -336,45 +325,8 @@ func (s *scan) morsel(w, i, lo, hi int) error {
 // settled checks that every claim cursor reached its extent's end.
 func (s *scan) settled() error {
 	for g := range s.cur {
-		if int(s.cur[g].Load()) != s.end[g] {
-			return fmt.Errorf("%w: fewer references into S%d than it counted", errStale, g/s.groups)
-		}
-	}
-	return nil
-}
-
-// refine finishes the extent holding row's final buckets [b0, b0+span).
-// A final bucket (span 1) goes to the operator's finish; a coarse group
-// is partitioned in place into at most 2^fanBits sub-groups and
-// recurses, all within one task — plain moves, no atomics — so a group
-// whose references are ready finishes while other groups are still
-// partitioning. Sub-group boundaries are the layout's own starts, and a
-// staged reference's bucket is one shift and one table lookup away.
-func (s *stagedRun) refine(w, row, b0, span int) error {
-	base, bEnd := row*s.k, min(b0+span, s.k)
-	lo, hi := s.starts[base+b0], s.starts[base+bEnd]
-	if lo == hi {
-		return nil
-	}
-	refs := s.tmp.refs[lo:hi]
-	if span == 1 {
-		return s.finish(s, w, row, refs)
-	}
-	sub := max(span>>s.fanBits, 1)
-	subShift := bits.TrailingZeros(uint(sub))
-	var bounds []int
-	for b := b0; b < bEnd; b += sub {
-		bounds = append(bounds, s.starts[base+b]-lo)
-	}
-	m := &s.maps[0][row]
-	if !partition(refs, append(bounds, hi-lo), func(e ref) int {
-		return (int(m.bucket[uint64(e.off-m.base)>>m.shift]) - b0) >> subShift
-	}) {
-		return fmt.Errorf("%w: a bucket of S%d holds more references than it counted", errStale, row)
-	}
-	for b := b0; b < bEnd; b += sub {
-		if err := s.refine(w, row, b, sub); err != nil {
-			return err
+		if int(s.cur[g].Load()) != s.starts[g+1] {
+			return fmt.Errorf("%w: fewer references into S%d than it counted", errStale, g/s.k)
 		}
 	}
 	return nil
@@ -448,7 +400,7 @@ func (s *stagedRun) orderWindows(w, part int, refs []ref, lo Ptr, width int) err
 	for c := 1; c < len(bounds); c++ {
 		bounds[c] += bounds[c-1]
 	}
-	partition(refs, bounds, class) // exact bounds: it cannot fail
+	partition(refs, bounds, class)
 	for c := range len(bounds) - 1 {
 		if bounds[c] == bounds[c+1] {
 			continue

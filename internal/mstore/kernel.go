@@ -18,9 +18,10 @@ import "encoding/binary"
 //     2^windowBits bytes of S and feeds each window to joinRefs, so the
 //     gathers of one stretch hit one cache-sized part of S — with no
 //     table, no sort and zero allocations for an extent within a window.
-//   - params.Passes (internal/params) splits a k-way bucket fan-out into
-//     passes of at most 2^params.Bits destinations each, so every scatter
-//     pass's working set of destination pages stays cache-sized.
+//   - the staging scan is a join's one scatter pass, to at most
+//     2^params.Bits destinations a row (DB.plan), so its working set of
+//     destination pages stays cache-sized; orderProbe's in-place
+//     ordering fans out as far per level.
 //
 // Every kernel is gated on bit-identical Pairs/Signature against the
 // straight-line reference loops kept in kernel_test.go: the signatures

@@ -36,9 +36,9 @@ func segFiles(t testing.TB, dir string) []string {
 // independently computed ground truth, leave the retired probe-table
 // counters at zero, create at most 2·D temp files (the index operators
 // none), and leave an explicit TmpDir without a single temporary
-// segment — the one temp arena is the behaviour under test. K=600
-// partitions in two passes; deeper pass counts are
-// TestKernelMultiPassDeep's job.
+// segment — the one temp arena is the behaviour under test. K=600 is
+// past one scan's fan-out; TestKernelKBeyondOnePass is that regime's
+// own test.
 func TestKernelSignatureGrid(t *testing.T) {
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace,
 		join.HybridHash, join.IndexNL, join.IndexMerge}
@@ -136,40 +136,15 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 	}
 }
 
-// TestKernelCancelInsideRefineLeavesNoTemporaries cancels a join from
-// inside its finish in two places. Refine: in a multi-pass join the
-// first final bucket to reach its finish — its group partitioned in
-// place, its siblings still waiting — cancels the context, so the
-// remaining groups' tasks are dropped with the arena fully written and
-// partly permuted. Ordering: at a 4 KiB window every Grace bucket of
-// the store spans many windows, and the cancel lands just before
-// orderProbe partitions one, so the finish itself must notice it
-// between classes and return context.Canceled. Either way the join
-// fails with context.Canceled and the TmpDir is left empty.
-func TestKernelCancelInsideRefineLeavesNoTemporaries(t *testing.T) {
+// TestKernelCancelInsideOrderingLeavesNoTemporaries cancels a join from
+// inside its finish: at a 4 KiB window every Grace bucket of the store
+// spans many windows, and the cancel lands just before orderProbe
+// partitions one, so the finish itself must notice it between classes
+// and return context.Canceled. The join fails with context.Canceled and
+// the TmpDir is left empty.
+func TestKernelCancelInsideOrderingLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000)
 	h := histOf(t, db)
-	for name, cfg := range map[string]staging{"grace": h.grace(300), "hybrid-hash": h.hybridHash(300, 0.3)} {
-		var tel JoinTelemetry
-		r, done := newTestRun(t, db, 2, &tel)
-		ctx, cancel := context.WithCancel(r.ctx)
-		r.ctx, r.fanBits = ctx, 4
-		probe := cfg.finish
-		cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
-			cancel()
-			return probe(s, w, part, refs)
-		}
-		err := stagedJob(r, cfg)
-		done()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: join cancelled inside refine returned %v", name, err)
-		}
-		if tel.TempFiles.Load() != 1 || tel.RadixPasses.Load() != 3 {
-			t.Fatalf("%s: %d temp files, %d passes: the test no longer lands inside a refine",
-				name, tel.TempFiles.Load(), tel.RadixPasses.Load())
-		}
-	}
-
 	for name, cfg := range map[string]staging{"sort-merge": h.grace(h.sortSplits(2)), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		r, done := newTestRun(t, db, 2, &tel)
@@ -281,30 +256,69 @@ func extentWidth(refs []ref) (lo Ptr, width int) {
 	return lo, bits.Len64(uint64(hi - lo))
 }
 
-// TestKernelMultiPassDeep drives the partitioning through three radix
-// passes (K=300 at a 4-bit fan-out, which only an in-package caller can
-// select; 2 passes at the constant 8) on both corpora — the regime
-// where intermediate scatter files are created, refined, and deleted
-// inside the finish tasks.
-func TestKernelMultiPassDeep(t *testing.T) {
+// stagedK is the destinations a row that a request's K stages into: K
+// within one scan's fan-out, else ⌈K/span⌉ for the span of buckets the
+// rules' first pass groups (params.Passes).
+func stagedK(k int) int {
+	if k <= 1<<params.Bits {
+		return k
+	}
+	_, span := params.Passes(k, params.Bits)
+	return (k + span - 1) / span
+}
+
+// TestKernelKBeyondOnePass: a K past one scan's fan-out (K = 300, and
+// K = |R|/D, the cap params.Cap applies) stages into ⌈K/span⌉
+// destinations a row, the count the rules' first pass reaches: Explain
+// reports it, the layout the scan stages into has it, and Run is exact
+// on both corpora. Run in-package at a 2-bit fan-out and a 256 B window,
+// the finish of those few wide extents recurses through several levels
+// of orderWindows and stays exact.
+func TestKernelKBeyondOnePass(t *testing.T) {
 	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
 		h := histOf(t, db)
-		for name, cfg := range map[string]staging{"grace": h.grace(300), "hybrid-hash": h.hybridHash(300, 0.3)} {
-			for _, bits := range []int{4, params.Bits} {
+		for _, k := range []int{300, db.CountR() / db.D} {
+			wantK := stagedK(k)
+			// 24,000 of a partition's 1000·64 S bytes: 0.3 resident.
+			for _, req := range []JoinRequest{{Algorithm: join.Grace, K: k}, {Algorithm: join.HybridHash, K: k, MRproc: 24000}} {
+				name := fmt.Sprintf("%v K=%d", req.Algorithm, k)
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-					var tel JoinTelemetry
-					got, err := runStaged(t, db, cfg, bits, w, &tel)
+					req.Pool = newPool(t, w)
+					plan, err := db.Explain(req)
 					if err != nil {
-						t.Fatalf("%s bits=%d w=%d: %v", name, bits, w, err)
+						t.Fatalf("%s w=%d: %v", name, w, err)
 					}
-					if got != want {
-						t.Fatalf("%s bits=%d w=%d: got %+v want %+v", name, bits, w, got, want)
+					if cfg := db.staging(h, req, w); plan.K != wantK || cfg.k != plan.K {
+						t.Fatalf("%s w=%d: explained K=%d, the scan stages into %d a row, want %d", name, w, plan.K, cfg.k, wantK)
 					}
-					if passes, _ := params.Passes(300, bits); tel.RadixPasses.Load() != int64(passes) {
-						t.Fatalf("%s bits=%d: ran %d passes, want %d", name, bits, tel.RadixPasses.Load(), passes)
+					if got, err := db.Run(req); err != nil || got != want {
+						t.Fatalf("%s w=%d: %+v, %v; want %+v", name, w, got, err, want)
 					}
+				}
+
+				r, done := newTestRun(t, db, 2, nil)
+				r.fanBits, r.windowBits = 2, 8
+				cfg := db.staging(h, req, 2)
+				levels := 0
+				probe := cfg.finish
+				var mu sync.Mutex
+				cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+					_, width := extentWidth(refs)
+					mu.Lock()
+					levels = max(levels, (width-s.windowBits+s.fanBits-1)/s.fanBits)
+					mu.Unlock()
+					return probe(s, w, part, refs)
+				}
+				err := stagedJob(r, cfg)
+				got := r.stats.total()
+				done()
+				if err != nil || got != want {
+					t.Fatalf("%s at a 2-bit fan-out: %+v, %v; want %+v", name, got, err, want)
+				}
+				if levels < 2 {
+					t.Fatalf("%s: the widest extent needs %d ordering levels, the case is meant to reach 2", name, levels)
 				}
 			}
 		}
@@ -564,7 +578,7 @@ func TestKernelRangeTasksNoEmptyMorsels(t *testing.T) {
 }
 
 // TestKernelSharedPoolGrid runs the grid's extremes on one shared pool
-// to confirm the pipelined sort-merge job and the radix refine tasks
+// to confirm the pipelined sort-merge job and Grace's ordering tasks
 // coexist with other joins on the same workers.
 func TestKernelSharedPoolGrid(t *testing.T) {
 	db := makeDB(t, 6000)

@@ -27,7 +27,9 @@ import (
 //     rules the simulator and the model use (internal/params) at each
 //     partition's expected load |R|/D: f0 = min(1, 0.8·MRproc/(|Sj|·s)),
 //     K = ⌈Fuzz·(1−f0)·|RSi|·r / MRproc⌉, and K = 0 when f0 = 1.
-//   - K overrides that derivation exactly as in join.Params.
+//   - K overrides that derivation as in join.Params, up to one scan's
+//     fan-out: past 2^params.Bits the scan stages into ⌈K/span⌉
+//     destinations a row (DB.plan), and the finish orders each in place.
 //
 // The pointer vocabularies map as follows: the simulator's
 // relation.SPtr{Part, Index} addresses S objects by index, the store's
@@ -45,11 +47,13 @@ type JoinRequest struct {
 	MRproc int64
 
 	// K is the Grace/hybrid-hash bucket count; 0 derives it from MRproc.
+	// Past 2^params.Bits it is cut to the destinations one scan fans out
+	// to (DB.plan), which Explain's Plan.K reports.
 	K int
 
-	// Telemetry, when non-nil, receives the join's counters (temp files
-	// and radix passes). The struct must be zero-valued or the counts
-	// accumulate across joins, which is also a supported use.
+	// Telemetry, when non-nil, receives the join's counters. The struct
+	// must be zero-valued or the counts accumulate across joins, which is
+	// also a supported use.
 	Telemetry *JoinTelemetry
 
 	// TmpDir is the directory, made if missing, in which Run creates
@@ -100,13 +104,24 @@ func (req *JoinRequest) validate(db *DB) error {
 // average S partition. K is capped at one bucket per expected reference:
 // bucket state (D·K counters and extent bounds) is sized by K and not
 // covered by the grant, so more buckets than references never pay.
+//
+// The scan is a join's one partitioning pass, and the K it stages into
+// is the count the rules' first pass would reach: K itself within
+// 2^params.Bits, else ⌈K/span⌉ groups of span buckets (params.Passes).
+// The finish orders every extent in place into S windows (orderProbe),
+// which is what the rules' further passes would do.
 func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 	refs, size := float64(db.CountR())/float64(db.D), int64(db.ObjSize)
 	f0 := 0.0
 	if alg == join.HybridHash {
 		f0 = params.Resident(mrproc, float64(db.CountS())/float64(db.D), size)
 	}
-	return params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs), f0
+	k = params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs)
+	if k > 1<<params.Bits {
+		_, span := params.Passes(k, params.Bits)
+		k = (k + span - 1) / span
+	}
+	return k, f0
 }
 
 // planKey derives the configuration a staging request runs on a pool of
@@ -222,8 +237,8 @@ func RunParts(ctx context.Context, p *exec.Pool, parts []Part) ([]ShardJoinStat,
 		stats[i] = ShardJoinStat{
 			Shard: r.shard, Algorithm: parts[i].Req.Algorithm.String(),
 			Pairs: st.Pairs, Signature: st.Signature,
-			ElapsedNs:   max(r.end.Load()-start.UnixNano(), 0),
-			RadixPasses: r.tel.RadixPasses.Load(), TempFiles: r.tel.TempFiles.Load(),
+			ElapsedNs: max(r.end.Load()-start.UnixNano(), 0),
+			TempFiles: r.tel.TempFiles.Load(),
 		}
 	}
 	return stats, nil
@@ -278,13 +293,9 @@ func (db *DB) Workload() (*relation.Workload, error) {
 		refs := make([]relation.SPtr, rel.Count())
 		for x := range refs {
 			ptr := DecodeSPtr(rel.Object(x))
-			if int(ptr.Part) >= db.D {
-				return nil, fmt.Errorf("mstore: R%d[%d] points to partition %d", i, x, ptr.Part)
-			}
-			s := db.S[ptr.Part]
-			idx := s.IndexOf(ptr.Off)
-			if idx < 0 || idx >= s.Count() {
-				return nil, fmt.Errorf("mstore: R%d[%d] points to S%d[%d] of %d", i, x, ptr.Part, idx, s.Count())
+			idx, err := db.sObject(ptr)
+			if err != nil {
+				return nil, fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
 			}
 			refs[x] = relation.SPtr{Part: int32(ptr.Part), Index: int32(idx)}
 		}

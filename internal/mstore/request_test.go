@@ -83,8 +83,13 @@ func TestRequestDerivesGraceParameters(t *testing.T) {
 	if k, _ := db.plan(join.Grace, 3, 4096); k != 3 {
 		t.Errorf("explicit K overridden to %d", k)
 	}
-	if k, _ := db.plan(join.Grace, 5000, 4096); k != 1000 {
-		t.Errorf("explicit K = %d past |R|/D, want the cap 1000", k)
+	// Past one scan's fan-out K is the count of its destinations a row:
+	// the cap 1000 takes two passes of span 256, so ⌈1000/256⌉ = 4.
+	if k, _ := db.plan(join.Grace, 5000, 4096); k != 4 {
+		t.Errorf("explicit K = %d past |R|/D, want the cap 1000 cut to 4 destinations", k)
+	}
+	if k, _ := db.plan(join.Grace, 256, 4096); k != 256 {
+		t.Errorf("explicit K = %d at one scan's fan-out, want 256", k)
 	}
 	// Hybrid-hash residency: the share of one S partition that fits in
 	// 0.8 of the grant, and K shrunk to the overflow:
@@ -221,6 +226,33 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 		if n := histPassesOf(db); n != 1 {
 			t.Errorf("pointer %s: %d histogram counts, want 1", name, n)
 		}
+	}
+}
+
+// TestMisalignedPointerIsOneAnswer: a stored pointer inside S's objects
+// but off an object boundary — 8 bytes into S0[3] — names no S object,
+// and every reader of stored pointers says so the same way: a staging
+// join (through the histogram), Lookup, Verify and Workload all fail
+// wrapping the dangling-pointer error, rather than folding the middle of
+// S0[3] or answering S0[3].
+func TestMisalignedPointerIsOneAnswer(t *testing.T) {
+	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 100, 100, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.R[0].SetJoinAttr(0, SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8})
+	if st, err := db.Run(JoinRequest{Algorithm: join.Grace}); !errors.Is(err, errBadPointer) {
+		t.Errorf("grace: %+v, %v, want the dangling-pointer error", st, err)
+	}
+	if res, err := db.Lookup(0, 0); !errors.Is(err, errBadPointer) {
+		t.Errorf("lookup: %+v, %v, want the dangling-pointer error", res, err)
+	}
+	if err := db.Verify(); !errors.Is(err, errBadPointer) {
+		t.Errorf("verify: %v, want the dangling-pointer error", err)
+	}
+	if _, err := db.Workload(); !errors.Is(err, errBadPointer) {
+		t.Errorf("workload: %v, want the dangling-pointer error", err)
 	}
 }
 

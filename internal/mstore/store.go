@@ -100,9 +100,7 @@ type ShardJoinStat struct {
 	// ElapsedNs runs from the start of the scatter (RunParts) to the
 	// return of the shard's last task.
 	ElapsedNs int64
-
-	RadixPasses int64
-	TempFiles   int64
+	TempFiles int64
 }
 
 // ShardRunner is the optional capability of sharded stores: Run with

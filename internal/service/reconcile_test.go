@@ -165,7 +165,7 @@ func (e *reconcileEnv) sample() {
 	defer e.sampleMu.Unlock()
 	st := e.s.StatsSnapshot()
 	for _, name := range []string{
-		"join_requests_total", "lookups_total", "temp_relations_total", "radix_passes_total",
+		"join_requests_total", "lookups_total", "temp_relations_total",
 	} {
 		if v := st.Counters[name]; v < e.last[name] {
 			e.t.Errorf("counter %s went backwards: %d -> %d", name, e.last[name], v)

@@ -161,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		"lookups_total", "lookups_ok", "lookups_bad_request", "lookups_not_found",
 		"lookups_failed", "lookups_rejected_draining",
 		"join_executed_auto",
-		"radix_passes_total", "shard_adds_total", "shard_removes_total",
+		"shard_adds_total", "shard_removes_total",
 	} {
 		s.add(name, 0)
 	}
@@ -335,7 +335,6 @@ type JoinResponse struct {
 	ElapsedNs   int64       `json:"elapsedNs"` // execution, excluding queue
 	Plan        []PlanEntry `json:"plan,omitempty"`
 	PredictedNs int64       `json:"predictedNs,omitempty"` // the store's wall-clock estimate for the plan auto ran
-	RadixPasses int64       `json:"radixPasses,omitempty"` // cache-conscious partitioning passes
 
 	// Shards carries the per-shard breakdown of a scatter-gather join
 	// (sharded stores only): which algorithm each shard planned, its
@@ -346,32 +345,23 @@ type JoinResponse struct {
 
 // ShardJoinDetail is one shard's contribution on the wire.
 type ShardJoinDetail struct {
-	Shard       string `json:"shard"`
-	Algorithm   string `json:"algorithm"`
-	Pairs       int64  `json:"pairs"`
-	Signature   string `json:"signature"` // hex, same encoding as the merged one
-	ElapsedNs   int64  `json:"elapsedNs"`
-	RadixPasses int64  `json:"radixPasses,omitempty"`
-	TempFiles   int64  `json:"tempFiles,omitempty"`
+	Shard     string `json:"shard"`
+	Algorithm string `json:"algorithm"`
+	Pairs     int64  `json:"pairs"`
+	Signature string `json:"signature"` // hex, same encoding as the merged one
+	ElapsedNs int64  `json:"elapsedNs"`
+	TempFiles int64  `json:"tempFiles,omitempty"`
 }
 
-// executable maps wire names onto the store's runnable algorithms.
-// index-nl and index-merge parse unconditionally; the store rejects
-// them with a client error when it has no persistent indexes.
+// parseAlgorithm maps a wire name onto the operator of that name among
+// every one a store may run (mstore.Operators). index-nl and index-merge
+// parse unconditionally; the store rejects them with a client error when
+// it has no persistent indexes.
 func parseAlgorithm(name string) (join.Algorithm, bool) {
-	switch name {
-	case "nested-loops":
-		return join.NestedLoops, true
-	case "sort-merge":
-		return join.SortMerge, true
-	case "grace":
-		return join.Grace, true
-	case "hybrid-hash":
-		return join.HybridHash, true
-	case "index-nl":
-		return join.IndexNL, true
-	case "index-merge":
-		return join.IndexMerge, true
+	for _, op := range mstore.Operators(true) {
+		if op.String() == name {
+			return op, true
+		}
 	}
 	return 0, false
 }
@@ -397,12 +387,10 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// K sizes real per-partition bucket state in Grace/hybrid-hash
-	// (D·K counters per scan worker plus D·K+1 extent bounds of the one
-	// temp arena), entirely outside the memory grant the admission
-	// controller charges — so an absurd wire value must be rejected
-	// here, not trusted. More buckets than R objects can never help;
-	// mstore additionally clamps K to the per-partition reference count.
+	// More buckets than R objects can never help, so a wire K outside
+	// [0, |R|] is a client error. Inside it mstore bounds the bucket
+	// state K sizes itself: a join stages into at most 2^params.Bits
+	// destinations a row, whatever K asks for.
 	if maxK := s.store.Stats().NR; req.K < 0 || req.K > maxK {
 		s.inc("bad_requests")
 		writeError(rw, http.StatusBadRequest, "bad_request",
@@ -502,13 +490,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	resp.Pairs = st.Pairs
 	resp.Signature = fmt.Sprintf("%016x", st.Signature)
 	resp.ElapsedNs = elapsed.Nanoseconds()
-	resp.RadixPasses = tel.RadixPasses.Load()
 	for _, det := range details {
 		resp.Shards = append(resp.Shards, ShardJoinDetail{
 			Shard: det.Shard, Algorithm: det.Algorithm,
 			Pairs: det.Pairs, Signature: fmt.Sprintf("%016x", det.Signature),
-			ElapsedNs: det.ElapsedNs, RadixPasses: det.RadixPasses,
-			TempFiles: det.TempFiles,
+			ElapsedNs: det.ElapsedNs, TempFiles: det.TempFiles,
 		})
 	}
 	writeJSON(rw, http.StatusOK, resp)
@@ -538,7 +524,6 @@ func (s *Server) runJoin(execStart time.Time, grant int64, jr mstore.JoinRequest
 // /stats counters.
 func (s *Server) foldTelemetry(tel *mstore.JoinTelemetry) {
 	s.add("temp_relations_total", tel.TempFiles.Load())
-	s.add("radix_passes_total", tel.RadixPasses.Load())
 }
 
 // recordServiceTime folds one admitted join's grant-holding time into

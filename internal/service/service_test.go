@@ -125,6 +125,23 @@ func TestServeJoinEachAlgorithm(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithmNamesEveryOperator: every operator a store may run
+// parses from its own name, and no other name parses: not auto, which
+// the handler takes before parsing, not the simulator's analytical
+// baseline, and not an unknown or miscased one, which answer 400.
+func TestParseAlgorithmNamesEveryOperator(t *testing.T) {
+	for _, op := range mstore.Operators(true) {
+		if got, ok := parseAlgorithm(op.String()); !ok || got != op {
+			t.Errorf("%q parses to %v (%v), want itself", op.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"auto", "traditional-grace", "Grace", "hash", ""} {
+		if got, ok := parseAlgorithm(name); ok {
+			t.Errorf("%q parses to %v", name, got)
+		}
+	}
+}
+
 func TestServeRejectsBadRequests(t *testing.T) {
 	s := newTestServer(t, 300, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -139,8 +156,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized grant: status %d", resp.StatusCode)
 	}
-	// Wire K sizes bucket state outside the admission grant, so absurd
-	// values are rejected instead of trusted.
+	// A wire K outside [0, |R|] is a client error.
 	resp, _ = postJoin(t, ts, JoinRequest{Algorithm: "grace", K: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative k: status %d", resp.StatusCode)

@@ -99,11 +99,6 @@ func TestShardScatterGatherBitIdentical(t *testing.T) {
 		if refold != st {
 			t.Fatalf("%v: detail refold %+v != merged %+v", alg, refold, st)
 		}
-		// Passes fold as a max: three shards that each partition in one
-		// pass (K <= 256 here) are a one-pass join, not a three-pass one.
-		if alg == join.Grace && tel.RadixPasses.Load() != 1 {
-			t.Errorf("sharded grace reports %d radix passes, want 1", tel.RadixPasses.Load())
-		}
 	}
 }
 
