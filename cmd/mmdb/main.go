@@ -301,7 +301,7 @@ func cmdJoin(args []string) {
 	dir := fs.String("dir", "", "database directory")
 	alg := fs.String("alg", "all", "algorithm: all, auto (planner-chosen), nested-loops, sort-merge, grace, hybrid-hash, index-nl, index-merge")
 	d := fs.Int("d", 4, "partitions the database was created with")
-	k := fs.Int("k", 0, "Grace bucket count (0: derive from -mrproc)")
+	k := fs.Int("k", 0, "Grace and hybrid-hash bucket count, folded past 256 to the destinations one scan fans out to (0: derive from -mrproc)")
 	mrproc := fs.Int64("mrproc", 1<<20, "private memory grant per partition goroutine, bytes")
 	workers := fs.Int("workers", 0, "morsel-pool size, the CPU parallelism (0: GOMAXPROCS)")
 	fs.Parse(args)

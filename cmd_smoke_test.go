@@ -103,6 +103,12 @@ func TestCmdJoinsimSmoke(t *testing.T) {
 			t.Errorf("missing %q in output:\n%s", want, out)
 		}
 	}
+	// K = 376 is past one scan's fan-out (2^8); the simulator hashes into
+	// K buckets in one pass, and the model prices no other.
+	out = runCmd(t, bin, "-alg", "grace", "-objects", "20000", "-d", "2", "-mem-frac", "0.0016")
+	if !strings.Contains(out, "plan: K=376") || strings.Contains(out, "radix pass") {
+		t.Errorf("grace at K = 376 output:\n%s", out)
+	}
 	out = runCmd(t, bin, "-alg", "sort-merge", "-objects", "8000", "-policy", "fifo", "-dist", "local")
 	if !strings.Contains(out, "IRUN=") {
 		t.Errorf("sort-merge output:\n%s", out)

@@ -58,8 +58,9 @@ const (
 const (
 	// NLStarvedBand bounds |relative error| for nested loops in the
 	// memory-starved regime (fractions ≤ NLStarvedMax), where the
-	// paper's own agreement claim lives. Beyond it MSproc exceeds |Si|
-	// and the model's divergence is documented as out of scope.
+	// paper's own agreement claim lives. Beyond it the Sproc's MRproc
+	// grant exceeds |Si| and the model's divergence is documented as out
+	// of scope.
 	NLStarvedBand = 0.15
 	NLStarvedMax  = 0.20
 

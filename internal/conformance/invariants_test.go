@@ -183,7 +183,6 @@ func (e *modelExperiment) predict(t *testing.T, alg join.Algorithm, frac float64
 		return nil, err
 	}
 	in.MRproc = int64(frac * float64(in.NR*in.R))
-	in.MSproc = in.MRproc
 	ch, err := planner.New(e.calib, []join.Algorithm{alg}).Choose(in)
 	if err != nil {
 		return nil, err

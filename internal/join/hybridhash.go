@@ -15,7 +15,7 @@ import (
 func (r *runner) runGrace() {
 	maxRS := float64(slices.Max(r.w.RSCounts()))
 	k := params.Cap(params.Buckets(r.prm.K, 0, maxRS, r.r, r.prm.MRproc), maxRS)
-	r.hashJoin("grace-phase", 0, k, params.TableSize(r.prm.TSize, maxRS, k))
+	r.hashJoin("grace-phase", 0, k, params.TableSize(maxRS, k))
 }
 
 // runHybridHash executes a parallel pointer-based hybrid-hash join — the
@@ -34,9 +34,9 @@ func (r *runner) runHybridHash() {
 	for j := 0; j < r.d; j++ {
 		maxS = max(maxS, r.w.SizeS(j))
 	}
-	f0 := params.Resident(r.prm.MSproc, float64(maxS), r.s)
+	f0 := params.Resident(r.prm.MRproc, float64(maxS), r.s)
 	k := params.Buckets(r.prm.K, f0, maxRS, r.r, r.prm.MRproc)
-	r.hashJoin("hh-phase", f0, k, params.TableSize(r.prm.TSize, (1-f0)*maxRS, k))
+	r.hashJoin("hh-phase", f0, k, params.TableSize((1-f0)*maxRS, k))
 }
 
 // hashJoin runs the partitioning passes with join attributes hashed into

@@ -91,8 +91,7 @@ func (a Algorithm) String() string {
 type Params struct {
 	Workload *relation.Workload
 
-	MRproc int64 // private memory per Rproc, bytes
-	MSproc int64 // private memory per Sproc, bytes; 0 ⇒ same as MRproc
+	MRproc int64 // private memory per Rproc and per Sproc, bytes
 	G      int64 // shared request buffer size, bytes; 0 ⇒ one page
 
 	// Stagger enables the phase offsets of pass 1 that eliminate disk
@@ -104,14 +103,15 @@ type Params struct {
 	// difference); sort-merge and Grace always synchronize.
 	SyncPhases bool
 
-	// Sort-merge tuning; zero values select the paper's rules
-	// (IRUN = M/(r+hp), NRUNABL = M/3B, NRUNLAST = M/2B; params.Runs).
-	IRun, NRunABL, NRunLast int
+	// Sort-merge's merge fan-ins; zero values select the paper's rules
+	// (NRUNABL = M/3B, NRUNLAST = M/2B; params.Runs). IRUN is always
+	// M/(r+hp).
+	NRunABL, NRunLast int
 
-	// Grace and hybrid-hash tuning; zero values select
-	// K = ⌈Fuzz·(1−f0)·|RSi|·r / M⌉ (params.Buckets, f0 = 0 for Grace)
-	// and TSIZE ≈ bucket objects / 4 (params.TableSize).
-	K, TSize int
+	// K is the Grace and hybrid-hash bucket count; zero selects
+	// K = ⌈Fuzz·(1−f0)·|RSi|·r / M⌉ (params.Buckets, f0 = 0 for Grace).
+	// TSIZE is always ≈ bucket objects / 4 (params.TableSize).
+	K int
 
 	// Policy selects the pagers' replacement algorithm. The default LRU
 	// approximates a mature Unix pager; FIFO approximates the "simple"
@@ -136,9 +136,6 @@ func (prm *Params) withDefaults(cfg machine.Config) error {
 	}
 	if prm.MRproc < int64(cfg.B()) {
 		return fmt.Errorf("join: MRproc=%d smaller than one page (%d)", prm.MRproc, cfg.B())
-	}
-	if prm.MSproc == 0 {
-		prm.MSproc = prm.MRproc
 	}
 	if prm.G == 0 {
 		prm.G = int64(cfg.B())
@@ -339,7 +336,7 @@ func (r *runner) reserve(p *sim.Proc, pg *vm.Pager, want int) int {
 func (r *runner) spawnSprocs() {
 	for j := 0; j < r.d; j++ {
 		j := j
-		pg := r.newPager(fmt.Sprintf("Sproc%d", j), r.prm.MSproc)
+		pg := r.newPager(fmt.Sprintf("Sproc%d", j), r.prm.MRproc)
 		r.m.K.Spawn(fmt.Sprintf("Sproc%d", j), func(p *sim.Proc) {
 			for {
 				msg := r.sReq[j].Recv(p)

@@ -1,12 +1,14 @@
 package join
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"mmjoin/internal/machine"
 	"mmjoin/internal/metrics"
+	"mmjoin/internal/params"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/sim"
 )
@@ -177,17 +179,19 @@ func TestGraceParameterRules(t *testing.T) {
 	}
 }
 
+// TestGraceExplicitKAndTSizeHonored: an explicit K is run as given, and
+// TSIZE follows it by the shared rule.
 func TestGraceExplicitKAndTSizeHonored(t *testing.T) {
 	w := smallWorkload(2000, 9)
 	prm := smallParams(w, 128<<10)
 	prm.K = 7
-	prm.TSize = 64
 	res := mustRun(Grace, smallCfg(), prm)
-	if res.K != 7 || res.TSize != 64 {
-		t.Errorf("K=%d TSize=%d, want 7/64", res.K, res.TSize)
+	maxRS := float64(slices.Max(w.RSCounts()))
+	if want := params.TableSize(maxRS, 7); res.K != 7 || res.TSize != want {
+		t.Errorf("K=%d TSize=%d, want 7/%d", res.K, res.TSize, want)
 	}
 	if sig, _ := w.JoinSignature(); sig != res.Signature {
-		t.Error("explicit K/TSIZE changed the join result")
+		t.Error("explicit K changed the join result")
 	}
 }
 
@@ -349,7 +353,7 @@ func TestHybridHashMatchesOtherAlgorithms(t *testing.T) {
 }
 
 func TestHybridHashDegeneratesWithAmpleMemory(t *testing.T) {
-	// With MSproc covering all of S, everything joins immediately:
+	// With the Sproc grant covering all of S, everything joins immediately:
 	// K = 0 overflow buckets, and hybrid beats Grace (no RS traffic).
 	w := smallWorkload(6000, 22)
 	mem := int64(2 << 20)
@@ -584,9 +588,6 @@ func TestRequestValidateFoldsDefaults(t *testing.T) {
 	req := Request{Algorithm: Grace, Config: smallCfg(), Params: smallParams(w, 96<<10)}
 	if err := req.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if req.MSproc != req.MRproc {
-		t.Errorf("MSproc not defaulted: %d", req.MSproc)
 	}
 	if req.G != int64(smallCfg().B()) {
 		t.Errorf("G not defaulted: %d", req.G)

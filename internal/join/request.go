@@ -27,7 +27,7 @@ type Request struct {
 }
 
 // Validate checks the request and folds derived defaults into it in
-// place (MSproc, G — the same derivations Run applies). It is
+// place (G — the same derivation Run applies). It is
 // idempotent; callers that only execute the request need not call it.
 func (req *Request) Validate() error {
 	switch req.Algorithm {

@@ -49,7 +49,7 @@ func (r *runner) sortRS(rp *rproc, rsObjs []pendingJoin, mergeSeg *seg.Segment) 
 
 	// Pass 2: heap-sort runs of IRUN objects in place.
 	n := len(rsObjs)
-	irun, nrunABL, nrunLast := params.Runs(r.prm.IRun, r.prm.NRunABL, r.prm.NRunLast,
+	irun, nrunABL, nrunLast := params.Runs(r.prm.NRunABL, r.prm.NRunLast,
 		r.prm.MRproc, r.r, int64(r.m.Cfg.HeapPtrBytes), r.b)
 	if irun > r.res.IRun {
 		r.res.IRun = irun

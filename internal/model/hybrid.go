@@ -22,15 +22,14 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	rpi := q.ri*in.Skew - rii
 	rsi := q.ri * in.Skew
 
-	f0 := params.Resident(in.MSproc, q.sj, in.S)
+	f0 := params.Resident(in.MRproc, q.sj, in.S)
 	k := params.Buckets(in.K, f0, rsi, in.R, in.MRproc)
-	passes, kEff := radixPlan(k)
 	over := 1 - f0 // overflow fraction
 	prpi := pages(rpi*float64(in.R), c.B)
 	prsi := pages(over*rsi*float64(in.R), c.B)
 	priiOver := pages(over*rii*float64(in.R), c.B)
 
-	p := &Prediction{K: k, TSize: params.TableSize(in.TSize, over*rsi, k)}
+	p := &Prediction{K: k, TSize: params.TableSize(over*rsi, k)}
 
 	// Setup matches Grace (the RS mapping is just smaller).
 	p.add("setup", sim.Time(d*(c.OpenMap.Eval(q.pri)+c.OpenMap.Eval(q.psi)+
@@ -45,7 +44,7 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	if k > 0 {
 		p.add("pass0 write RSi", sim.Time((priiOver+float64(k))*c.DTTW.Eval(band0)))
 		fill0 := (d - 1) / (float64(c.B) / float64(in.R))
-		thrash0 := GraceThrash(int(over*rii), kEff, int(q.frames), in.D, fill0)
+		thrash0 := GraceThrash(int(over*rii), k, int(q.frames), in.D, fill0)
 		p.add("pass0 thrash", sim.Time(thrash0*(c.DTTR.Eval(band0)+c.DTTW.Eval(band0))))
 	}
 	p.add("resident Si faults", sim.Time(f0*q.psi*c.DTTR.Eval(band0)))
@@ -56,17 +55,8 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	if k > 0 {
 		p.add("pass1 write RSi", sim.Time((over*prpi+float64(k))*c.DTTW.Eval(band1)))
 		fill1 := 1 / (float64(c.B) / float64(in.R))
-		thrash1 := GraceThrash(int(over*rpi), kEff, int(q.frames), 1, fill1)
+		thrash1 := GraceThrash(int(over*rpi), k, int(q.frames), 1, fill1)
 		p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
-		// Extra radix passes on the overflow portion (see PredictGrace);
-		// zero when the overflow bucket count fits one pass's fan-out.
-		if passes > 1 {
-			extra := float64(passes - 1)
-			p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+
-				(prsi+float64(kEff))*c.DTTW.Eval(band1))))
-			p.add("radix pass cpu", sim.Time(extra*over*rsi)*c.Hash+
-				sim.Time(extra*over*rsi*float64(in.R)*c.MTpp))
-		}
 	}
 
 	// Probe: overflow buckets and the corresponding (1−f0)·PSi suffix.

@@ -15,6 +15,11 @@ import (
 // same dttr-calibrated dereference cost and Mackert–Lohman residency
 // model as every data-page fault.
 
+// indexFanout is the per-node key capacity of the store's persistent
+// B-tree indexes: btMaxKeys(4096), the executor's 4 KiB node
+// (mstore.indexNodeBytes).
+const indexFanout = 253
+
 // indexGeom is the derived shape of one per-partition B-tree: leaf and
 // upper-level page counts and the descent height, for n indexed values
 // at fanout f with one page per node.
@@ -52,7 +57,7 @@ func PredictIndexNL(c Calibration, in Inputs) (*Prediction, error) {
 	}
 	q := derive(c, in)
 	d := float64(in.D)
-	f := float64(in.IndexFanout)
+	f := float64(indexFanout)
 	rsi := q.ri // probes issued per Rproc
 	distinct := rsi
 	if in.DistinctS > 0 {
@@ -76,10 +81,10 @@ func PredictIndexNL(c Calibration, in Inputs) (*Prediction, error) {
 	// min(leaves, distinct) of them ever needed — the same LRU estimate
 	// as a data-page stream, with the buffer shared against S's data.
 	leafDistinct := math.Min(math.Max(1, leafPages), distinct)
-	p.add("index leaves", sim.Time(Ylru(rsi, math.Max(1, leafPages), leafDistinct, q.sframes, rsi)*c.DTTR.Eval(band)))
+	p.add("index leaves", sim.Time(Ylru(rsi, math.Max(1, leafPages), leafDistinct, q.frames, rsi)*c.DTTR.Eval(band)))
 	// The S objects themselves, exactly as the probe phase of every
 	// other algorithm prices them.
-	p.add("read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.sframes, rsi)*c.DTTR.Eval(band)))
+	p.add("read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.frames, rsi)*c.DTTR.Eval(band)))
 
 	// CPU: the descent — log2(f) binary-search compares per level —
 	// plus the usual per-object mapping/transfer accounting.
@@ -103,7 +108,7 @@ func PredictIndexMerge(c Calibration, in Inputs) (*Prediction, error) {
 	}
 	q := derive(c, in)
 	d := float64(in.D)
-	f := float64(in.IndexFanout)
+	f := float64(indexFanout)
 	rsi := q.ri
 	distinct := rsi
 	if in.DistinctS > 0 {
@@ -128,7 +133,7 @@ func PredictIndexMerge(c Calibration, in Inputs) (*Prediction, error) {
 	// random within the partition, LRU-modeled like any pointer stream.
 	p.add("read Ri", sim.Time(Ylru(q.ri, q.pri, q.ri, q.frames, q.ri)*c.DTTR.Eval(band)))
 	// Matching S objects, as in every probe phase.
-	p.add("read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.sframes, rsi)*c.DTTR.Eval(band)))
+	p.add("read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.frames, rsi)*c.DTTR.Eval(band)))
 
 	// CPU: the zip advances one cursor per compared key — ri + NS/D·D
 	// compares per Rproc — plus per-pair transfer and mapping.

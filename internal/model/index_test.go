@@ -45,30 +45,6 @@ func TestPredictIndexConsistency(t *testing.T) {
 	}
 }
 
-func TestPredictIndexFanoutValidation(t *testing.T) {
-	c := calibForTest(t)
-	in := defaultInputs(1 << 20)
-	in.IndexFanout = -1
-	if _, err := PredictIndexNL(c, in); err == nil {
-		t.Error("negative fanout accepted")
-	}
-	// Zero defaults to the B-tree's real fanout; higher fanout means a
-	// shallower descent and fewer leaves, so it must not cost more.
-	def, err := PredictIndexNL(c, defaultInputs(1<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := defaultInputs(1 << 20)
-	wide.IndexFanout = 1024
-	w, err := PredictIndexNL(c, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Total > def.Total {
-		t.Errorf("wider fanout costs more: %v > %v", w.Total, def.Total)
-	}
-}
-
 // denseProbeInputs is the index paths' winning regime: probes dense
 // relative to the partition's pages (every fault amortizes over many
 // probes) at memory scarce enough that the grid and staging plans pay

@@ -18,7 +18,9 @@ type Inputs struct {
 	D      int
 	Skew   float64 // max |Ri,j| / (|Ri|/D); 1.0 for uniform references
 
-	MRproc, MSproc, G int64
+	// MRproc is each Rproc's memory and each Sproc's; G is the shared
+	// request buffer (0 ⇒ one page).
+	MRproc, G int64
 
 	// DistinctS is the number of distinct S objects referenced per
 	// partition (the Mackert–Lohman i parameter). Zero selects the
@@ -26,16 +28,10 @@ type Inputs struct {
 	// is accurate for uniform workloads but pessimistic under Zipf.
 	DistinctS int64
 
-	// Sort-merge tuning (0 ⇒ paper defaults).
-	IRun, NRunABL, NRunLast int
-	// Grace tuning (0 ⇒ paper defaults).
-	K, TSize int
-
-	// IndexFanout is the per-node key capacity of the store's persistent
-	// B-tree indexes, used by the index-path predictions. Zero selects
-	// the executor's 4 KiB-node capacity (253 keys; see
-	// mstore.indexNodeBytes and btMaxKeys).
-	IndexFanout int
+	// Sort-merge's merge fan-ins (0 ⇒ the paper's rules, params.Runs).
+	NRunABL, NRunLast int
+	// Grace and hybrid hash's bucket count (0 ⇒ params.Buckets).
+	K int
 }
 
 func (in *Inputs) withDefaults(c Calibration) error {
@@ -48,31 +44,10 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	if in.Skew == 0 {
 		in.Skew = 1
 	}
-	if in.MSproc == 0 {
-		in.MSproc = in.MRproc
-	}
 	if in.G == 0 {
 		in.G = c.B
 	}
-	if in.IndexFanout < 0 {
-		return fmt.Errorf("model: negative index fanout %d", in.IndexFanout)
-	}
-	if in.IndexFanout == 0 {
-		in.IndexFanout = 253 // btMaxKeys(4096), the executor's node size
-	}
 	return nil
-}
-
-// radixPlan is the partitioning plan the store's executor runs for a
-// k-way fan-out, read from the function the executor itself calls: the
-// pass count, and the per-pass fan-out the urn-model thrash terms see
-// (a scatter pass never targets more than 2^params.Bits destinations at
-// once, so they see that, not the full K). Extra passes cost nothing
-// until K exceeds that reach, which keeps every paper-conformance
-// prediction (K ≤ 256) untouched.
-func radixPlan(k int) (passes, kEff int) {
-	passes, _ = params.Passes(k, params.Bits)
-	return passes, min(k, 1<<params.Bits)
 }
 
 // Component is one named term of a prediction.
@@ -130,7 +105,6 @@ type quantities struct {
 	pri, psi float64 // pages
 	gObjs    float64 // objects per G buffer exchange
 	frames   float64 // MRproc/B
-	sframes  float64 // MSproc/B
 }
 
 func derive(c Calibration, in Inputs) quantities {
@@ -141,7 +115,6 @@ func derive(c Calibration, in Inputs) quantities {
 	q.psi = pages(q.sj*float64(in.S), c.B)
 	q.gObjs = math.Max(1, float64(in.G)/float64(in.R+in.Ptr+in.S))
 	q.frames = math.Max(1, float64(in.MRproc)/float64(c.B))
-	q.sframes = math.Max(1, float64(in.MSproc)/float64(c.B))
 	return q
 }
 
@@ -179,7 +152,7 @@ func PredictNestedLoops(c Calibration, in Inputs) (*Prediction, error) {
 	band0 := q.pri + q.psi + prpi
 	p.add("pass0 read Ri", sim.Time(q.pri*c.DTTR.Eval(band0)))
 	p.add("pass0 write RPi", sim.Time(prpi*c.DTTW.Eval(band0)))
-	p.add("pass0 read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.sframes, rii)*c.DTTR.Eval(band0)))
+	p.add("pass0 read Si", sim.Time(Ylru(rsi, q.psi, distinct, q.frames, rii)*c.DTTR.Eval(band0)))
 
 	// Pass 1: RPi read sequentially, Si read randomly.
 	band1 := q.psi + prpi
@@ -188,9 +161,10 @@ func PredictNestedLoops(c Calibration, in Inputs) (*Prediction, error) {
 	// formula (which charges pass 1 as if the Sproc buffer were cold):
 	// passes 0 and 1 are one reference stream and the buffer already
 	// holds the pages faulted during pass 0, so pass 1 faults are
-	// Ylru(x0+x1) − Ylru(x0). It matters once MSproc approaches |Si|.
-	pass1Faults := Ylru(rsi, q.psi, distinct, q.sframes, rii+rpi) -
-		Ylru(rsi, q.psi, distinct, q.sframes, rii)
+	// Ylru(x0+x1) − Ylru(x0). It matters once the Sproc's
+	// MRproc grant approaches |Si|.
+	pass1Faults := Ylru(rsi, q.psi, distinct, q.frames, rii+rpi) -
+		Ylru(rsi, q.psi, distinct, q.frames, rii)
 	p.add("pass1 read Si", sim.Time(pass1Faults*c.DTTR.Eval(band1)))
 
 	// CPU: moves, buffer transfers, context switches, partition mapping.
@@ -205,7 +179,7 @@ func PredictNestedLoops(c Calibration, in Inputs) (*Prediction, error) {
 // smPlan is the executable sort-merge's run plan (params.Runs) plus the
 // merge passes it implies for rsi objects: NPASS and LRUN.
 func smPlan(c Calibration, in Inputs, rsi float64) (irun, nrunABL, npass, lrun int) {
-	irun, nrunABL, nrunLast := params.Runs(in.IRun, in.NRunABL, in.NRunLast, in.MRproc, in.R, c.HP, c.B)
+	irun, nrunABL, nrunLast := params.Runs(in.NRunABL, in.NRunLast, in.MRproc, in.R, c.HP, c.B)
 	runs := int(math.Ceil(rsi / float64(irun)))
 	if runs < 1 {
 		runs = 1
@@ -320,8 +294,7 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	prsi := pages(rsi*float64(in.R), c.B)
 
 	k := params.Cap(params.Buckets(in.K, 0, rsi, in.R, in.MRproc), rsi)
-	passes, kEff := radixPlan(k)
-	p := &Prediction{K: k, TSize: params.TableSize(in.TSize, rsi, k)}
+	p := &Prediction{K: k, TSize: params.TableSize(rsi, k)}
 
 	// Setup: Ri, Si opened; RSi+RPi created; RSi re-opened for pass 1+j.
 	p.add("setup", sim.Time(d*(c.OpenMap.Eval(q.pri)+c.OpenMap.Eval(q.psi)+
@@ -337,7 +310,7 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	// write plus one extra read. Fill rate: the D−1 RPi,j streams fill a
 	// fresh page every B/r objects each, per hashed object.
 	fill0 := (d - 1) / (float64(c.B) / float64(in.R))
-	thrash0 := GraceThrash(int(rii), kEff, int(q.frames), in.D, fill0)
+	thrash0 := GraceThrash(int(rii), k, int(q.frames), in.D, fill0)
 	p.add("pass0 thrash", sim.Time(thrash0*(c.DTTR.Eval(band0)+c.DTTW.Eval(band0))))
 
 	// Pass 1.
@@ -347,23 +320,8 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	// The same urn argument applies while hashing RPi,j into RSj's
 	// buckets (the companion stream is the sequential RPi read).
 	fill1 := 1 / (float64(c.B) / float64(in.R))
-	thrash1 := GraceThrash(int(rpi), kEff, int(q.frames), 1, fill1)
+	thrash1 := GraceThrash(int(rpi), k, int(q.frames), 1, fill1)
 	p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
-
-	// Extra radix passes: once K exceeds the 2^params.Bits per-pass reach,
-	// the partitioner re-reads and re-scatters every spilled reference
-	// (passes−1) more times — each pass a sequential re-read plus a
-	// rewrite of the RSi spill and up to kEff partial destination pages,
-	// plus one more bucket-hash and move per reference. This is the price
-	// paid for the capped fan-out the thrash terms above benefit from;
-	// the component is exactly zero when K ≤ 2^params.Bits.
-	if passes > 1 {
-		extra := float64(passes - 1)
-		p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+
-			(prsi+float64(kEff))*c.DTTW.Eval(band1))))
-		p.add("radix pass cpu", sim.Time(extra*rsi)*c.Hash+
-			sim.Time(extra*rsi*float64(in.R)*c.MTpp))
-	}
 
 	// Pass 1+j: read each bucket and the corresponding Si range; the
 	// band approximates half the objects resident in the hash table.

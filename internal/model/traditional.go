@@ -29,11 +29,7 @@ func PredictTraditionalGrace(c Calibration, in Inputs) (*Prediction, error) {
 	sForeign := q.sj - sLocal
 
 	k := params.Buckets(in.K, 0, q.sj, in.S+c.HP, in.MRproc)
-	tsize := in.TSize
-	if tsize <= 0 {
-		tsize = 16
-	}
-	p := &Prediction{K: k, TSize: tsize}
+	p := &Prediction{K: k, TSize: 16}
 
 	prh := pages(q.ri*in.Skew*float64(in.R), c.B)
 	psh := pages(q.sj*float64(in.S), c.B)

@@ -244,14 +244,19 @@ func TestProfileHotWindowPastAMorsel(t *testing.T) {
 // TestLayoutCacheBoundedByBytes: the layouts of client-chosen Ks up to
 // |R|/D stay within maxLayoutBytes on the handle, and the cache's byte
 // count is what its layouts hold. Past one scan's fan-out a layout holds
-// the scan's destinations, not K buckets.
+// the scan's ⌈K/2^8⌉ destinations, not K buckets (|R|/D = 10,000 folds
+// once).
 func TestLayoutCacheBoundedByBytes(t *testing.T) {
 	db := testDB(t, 4, 40000)
 	h := histOf(t, db)
 	for k := 1; k <= db.CountR()/db.D; k += 997 {
 		l := h.layout(db.planKey(h, JoinRequest{Algorithm: join.Grace, K: k}, 1))
-		if l.k != stagedK(k) {
-			t.Fatalf("K=%d: the layout has K=%d, want %d", k, l.k, stagedK(k))
+		want := k
+		if k > 256 {
+			want = (k + 255) / 256
+		}
+		if l.k != want {
+			t.Fatalf("K=%d: the layout has K=%d, want %d", k, l.k, want)
 		}
 		h.layoutsMu.Lock()
 		held, n := h.layoutBytes, 0

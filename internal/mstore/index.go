@@ -39,11 +39,6 @@ func (db *DB) indexKeyOf(ptr SPtr) uint64 {
 // sides).
 func (db *DB) HasIndexes() bool { return len(db.ridx) == db.D && len(db.sidx) == db.D }
 
-// RIndex and SIndex expose the attached per-partition trees (nil when
-// the store is unindexed); read-only access for tools and tests.
-func (db *DB) RIndex(i int) *BTree { return db.ridx[i] }
-func (db *DB) SIndex(j int) *BTree { return db.sidx[j] }
-
 // BuildIndexes bulk-loads a B-tree per partition of both relations on
 // the pool (nil ⇒ ephemeral) and persists each head in its segment's
 // AuxRoot. It is a no-op if indexes are already attached; a segment

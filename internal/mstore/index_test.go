@@ -31,18 +31,18 @@ func TestBuildIndexesVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < db.D; j++ {
-		if err := db.SIndex(j).Verify(); err != nil {
+		if err := db.sidx[j].Verify(); err != nil {
 			t.Fatalf("S%d: %v", j, err)
 		}
-		if got, want := db.SIndex(j).Len(), db.S[j].Count(); got != want {
+		if got, want := db.sidx[j].Len(), db.S[j].Count(); got != want {
 			t.Fatalf("S%d index Len = %d, want %d", j, got, want)
 		}
 	}
 	for i := 0; i < db.D; i++ {
-		if err := db.RIndex(i).Verify(); err != nil {
+		if err := db.ridx[i].Verify(); err != nil {
 			t.Fatalf("R%d: %v", i, err)
 		}
-		if got, want := db.RIndex(i).Len(), db.R[i].Count(); got != want {
+		if got, want := db.ridx[i].Len(), db.R[i].Count(); got != want {
 			t.Fatalf("R%d index Len = %d, want %d", i, got, want)
 		}
 	}

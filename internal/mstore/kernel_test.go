@@ -256,31 +256,19 @@ func extentWidth(refs []ref) (lo Ptr, width int) {
 	return lo, bits.Len64(uint64(hi - lo))
 }
 
-// stagedK is the destinations a row that a request's K stages into: K
-// within one scan's fan-out, else ⌈K/span⌉ for the span of buckets the
-// rules' first pass groups (params.Passes).
-func stagedK(k int) int {
-	if k <= 1<<params.Bits {
-		return k
-	}
-	_, span := params.Passes(k, params.Bits)
-	return (k + span - 1) / span
-}
-
-// TestKernelKBeyondOnePass: a K past one scan's fan-out (K = 300, and
-// K = |R|/D, the cap params.Cap applies) stages into ⌈K/span⌉
-// destinations a row, the count the rules' first pass reaches: Explain
-// reports it, the layout the scan stages into has it, and Run is exact
-// on both corpora. Run in-package at a 2-bit fan-out and a 256 B window,
-// the finish of those few wide extents recurses through several levels
-// of orderWindows and stays exact.
+// TestKernelKBeyondOnePass: a K past one scan's fan-out stages into
+// ⌈K/2^8⌉ destinations a row — 2 at K = 300, and ⌈(|R|/D)/256⌉ at the
+// cap params.Cap applies: Explain reports it, the layout the scan stages
+// into has it, and Run is exact on both corpora. Run in-package at a
+// 2-bit fan-out and a 256 B window, the finish of those few wide extents
+// recurses through several levels of orderWindows and stays exact.
 func TestKernelKBeyondOnePass(t *testing.T) {
 	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
 		h := histOf(t, db)
-		for _, k := range []int{300, db.CountR() / db.D} {
-			wantK := stagedK(k)
+		for _, c := range []struct{ k, wantK int }{{300, 2}, {db.CountR() / db.D, (db.CountR()/db.D + 255) / 256}} {
+			k, wantK := c.k, c.wantK
 			// 24,000 of a partition's 1000·64 S bytes: 0.3 resident.
 			for _, req := range []JoinRequest{{Algorithm: join.Grace, K: k}, {Algorithm: join.HybridHash, K: k, MRproc: 24000}} {
 				name := fmt.Sprintf("%v K=%d", req.Algorithm, k)

@@ -28,8 +28,9 @@ import (
 //     partition's expected load |R|/D: f0 = min(1, 0.8·MRproc/(|Sj|·s)),
 //     K = ⌈Fuzz·(1−f0)·|RSi|·r / MRproc⌉, and K = 0 when f0 = 1.
 //   - K overrides that derivation as in join.Params, up to one scan's
-//     fan-out: past 2^params.Bits the scan stages into ⌈K/span⌉
-//     destinations a row (DB.plan), and the finish orders each in place.
+//     fan-out: past 2^params.Bits it folds by ceiling division by
+//     2^params.Bits until it fits (DB.plan), and the finish orders each
+//     destination in place.
 //
 // The pointer vocabularies map as follows: the simulator's
 // relation.SPtr{Part, Index} addresses S objects by index, the store's
@@ -47,8 +48,9 @@ type JoinRequest struct {
 	MRproc int64
 
 	// K is the Grace/hybrid-hash bucket count; 0 derives it from MRproc.
-	// Past 2^params.Bits it is cut to the destinations one scan fans out
-	// to (DB.plan), which Explain's Plan.K reports.
+	// Past 2^params.Bits it folds, by ceiling division by 2^params.Bits
+	// until it fits, to the destinations one scan fans out to (DB.plan),
+	// which Explain's Plan.K reports.
 	K int
 
 	// Telemetry, when non-nil, receives the join's counters. The struct
@@ -105,11 +107,11 @@ func (req *JoinRequest) validate(db *DB) error {
 // bucket state (D·K counters and extent bounds) is sized by K and not
 // covered by the grant, so more buckets than references never pay.
 //
-// The scan is a join's one partitioning pass, and the K it stages into
-// is the count the rules' first pass would reach: K itself within
-// 2^params.Bits, else ⌈K/span⌉ groups of span buckets (params.Passes).
-// The finish orders every extent in place into S windows (orderProbe),
-// which is what the rules' further passes would do.
+// The scan is a join's one partitioning pass and fans out to at most
+// 2^params.Bits destinations a row, so a K past that folds by ceiling
+// division by 2^params.Bits until it fits (K = 300 stages into 2
+// destinations a row). The finish orders every extent in place into S
+// windows (orderProbe), so a coarser extent costs no second pass.
 func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 	refs, size := float64(db.CountR())/float64(db.D), int64(db.ObjSize)
 	f0 := 0.0
@@ -117,9 +119,8 @@ func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 		f0 = params.Resident(mrproc, float64(db.CountS())/float64(db.D), size)
 	}
 	k = params.Cap(params.Buckets(k, f0, refs, size, mrproc), refs)
-	if k > 1<<params.Bits {
-		_, span := params.Passes(k, params.Bits)
-		k = (k + span - 1) / span
+	for k > 1<<params.Bits {
+		k = (k + 1<<params.Bits - 1) >> params.Bits
 	}
 	return k, f0
 }

@@ -1,6 +1,6 @@
 // Package params holds the parameter rules of the pointer joins, each
-// written once as a pure function of sizes and memory: the radix pass
-// plan, the bucket count K with its fuzz pad (§7), hybrid hash's
+// written once as a pure function of sizes and memory: the scan's
+// fan-out, the bucket count K with its fuzz pad (§7), hybrid hash's
 // resident fraction f0, the hash-table size TSIZE, and sort-merge's run
 // sizes IRUN and NRUN (§6). The simulator (internal/join), the analytical
 // model (internal/model) and the store (internal/mstore) all call them,
@@ -28,22 +28,6 @@ const Fuzz = 1.2
 // headroom is the share of a grant hybrid hash lets its resident S
 // prefix fill, so that immediate joins against it re-fault rarely.
 const headroom = 0.8
-
-// Passes splits a k-way partitioning fan-out into the fewest passes of
-// at most 1<<bits destinations each. It returns the pass count and the
-// top-pass group span — the number of final buckets one first-pass
-// group covers ((2^bits)^(passes−1); span 1 means the first pass
-// scatters straight into final buckets, the single-pass common case).
-func Passes(k, bits int) (passes, span int) {
-	// int64: reach overshoots k by up to 2^bits, past a 32-bit int.
-	maxFan, sp := int64(1)<<bits, int64(1)
-	passes = 1
-	for reach := maxFan; reach < int64(k) && sp < 1<<40; reach *= maxFan {
-		passes++
-		sp *= maxFan
-	}
-	return passes, int(sp)
-}
 
 // Buckets is the bucket count K of Grace (f0 = 0) and of hybrid hash's
 // overflow: an explicit k > 0 as given, else K = ⌈Fuzz·(1−f0)·refs·bytes
@@ -80,14 +64,10 @@ func Resident(mem int64, objs float64, size int64) float64 {
 	return min(max(headroom*float64(mem)/(objs*float64(size)), 0), 1)
 }
 
-// TableSize is TSIZE, the chain count of a bucket's hash table: an
-// explicit tsize > 0 as given, else the smallest power of two, at least
-// 16, that reaches a quarter of the average bucket when refs references
-// spread over k buckets.
-func TableSize(tsize int, refs float64, k int) int {
-	if tsize > 0 {
-		return tsize
-	}
+// TableSize is TSIZE, the chain count of a bucket's hash table: the
+// smallest power of two, at least 16, that reaches a quarter of the
+// average bucket when refs references spread over k buckets.
+func TableSize(refs float64, k int) int {
 	avg := 0
 	if k > 0 {
 		avg = int(refs / float64(k))
@@ -103,12 +83,10 @@ func TableSize(tsize int, refs float64, k int) int {
 // of obj bytes, heap pointers of hp bytes and pages of page bytes:
 // IRUN = M/(r+hp) objects per heap-sorted run, at least 1; NRUNABL =
 // M/3B runs merged per pass before the last and NRUNLAST = M/2B runs
-// left for the joining merge, each at least 2. An explicit value > 0
-// replaces its derivation; the floors hold either way.
-func Runs(irun, nrunABL, nrunLast int, mem, obj, hp, page int64) (int, int, int) {
-	if irun <= 0 {
-		irun = int(mem / (obj + hp))
-	}
+// left for the joining merge, each at least 2. An explicit nrunABL or
+// nrunLast > 0 replaces its derivation; the floors hold either way.
+func Runs(nrunABL, nrunLast int, mem, obj, hp, page int64) (int, int, int) {
+	irun := int(mem / (obj + hp))
 	if nrunABL <= 0 {
 		nrunABL = int(mem / (3 * page))
 	}

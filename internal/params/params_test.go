@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-// TestPasses pins the pass structure the store executes and the model
-// prices.
-func TestPasses(t *testing.T) {
-	cases := []struct {
-		k, bits      int
-		passes, span int
-	}{
-		{0, 8, 1, 1},
-		{1, 8, 1, 1},
-		{256, 8, 1, 1},
-		{257, 8, 2, 256},
-		{65536, 8, 2, 256},
-		{65537, 8, 3, 65536},
-		{16, 4, 1, 1},
-		{17, 4, 2, 16},
-		{300, 4, 3, 256},
-		{300, 12, 1, 1},
-	}
-	for _, c := range cases {
-		passes, span := Passes(c.k, c.bits)
-		if passes != c.passes || span != c.span {
-			t.Errorf("Passes(%d, %d) = (%d, %d), want (%d, %d)",
-				c.k, c.bits, passes, span, c.passes, c.span)
-		}
-	}
-}
-
 func TestBuckets(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -112,28 +85,26 @@ func TestResident(t *testing.T) {
 
 func TestTableSize(t *testing.T) {
 	cases := []struct {
-		tsize int
-		refs  float64
-		k     int
-		want  int
+		refs float64
+		k    int
+		want int
 	}{
-		{0, 0, 1, 16},
-		{0, 1000, 0, 16}, // no buckets: the floor
-		{0, 64, 1, 16},   // a quarter is 16 already
-		{0, 68, 1, 32},   // 17 > 16: next power of two
-		{0, 128, 1, 32},
-		{0, 129, 1, 32}, // 129/4 = 32 in integers
-		{0, 4096, 4, 256},
-		{0, 1 << 20, 1, 1 << 18},
-		{100, 1 << 20, 1, 100}, // explicit, not rounded
+		{0, 1, 16},
+		{1000, 0, 16}, // no buckets: the floor
+		{64, 1, 16},   // a quarter is 16 already
+		{68, 1, 32},   // 17 > 16: next power of two
+		{128, 1, 32},
+		{129, 1, 32}, // 129/4 = 32 in integers
+		{4096, 4, 256},
+		{1 << 20, 1, 1 << 18},
 	}
 	for _, c := range cases {
-		got := TableSize(c.tsize, c.refs, c.k)
+		got := TableSize(c.refs, c.k)
 		if got != c.want {
-			t.Errorf("TableSize(%d, %g, %d) = %d, want %d", c.tsize, c.refs, c.k, got, c.want)
+			t.Errorf("TableSize(%g, %d) = %d, want %d", c.refs, c.k, got, c.want)
 		}
-		if c.tsize == 0 && (got < 16 || got&(got-1) != 0) {
-			t.Errorf("TableSize(0, %g, %d) = %d: not a power of two of at least 16", c.refs, c.k, got)
+		if got < 16 || got&(got-1) != 0 {
+			t.Errorf("TableSize(%g, %d) = %d: not a power of two of at least 16", c.refs, c.k, got)
 		}
 	}
 }
@@ -141,19 +112,19 @@ func TestTableSize(t *testing.T) {
 func TestRuns(t *testing.T) {
 	cases := []struct {
 		name                        string
-		irun, nrunABL, nrunLast     int
+		nrunABL, nrunLast           int
 		mem                         int64
 		wantIRun, wantABL, wantLast int
 	}{
 		// 1 MiB grant, 128 B objects, 8 B heap pointers, 4 KiB pages.
-		{"derived", 0, 0, 0, 1 << 20, 7710, 85, 128},
-		{"one page: the floors", 0, 0, 0, 4096, 30, 2, 2},
-		{"smaller than one object: IRUN 1", 0, 0, 0, 100, 1, 2, 2},
-		{"explicit values honoured", 50, 9, 3, 1 << 20, 50, 9, 3},
-		{"explicit values keep the floors", 0, 1, 1, 1 << 20, 7710, 2, 2},
+		{"derived", 0, 0, 1 << 20, 7710, 85, 128},
+		{"one page: the floors", 0, 0, 4096, 30, 2, 2},
+		{"smaller than one object: IRUN 1", 0, 0, 100, 1, 2, 2},
+		{"explicit fan-ins honoured", 9, 3, 1 << 20, 7710, 9, 3},
+		{"explicit fan-ins keep the floors", 1, 1, 1 << 20, 7710, 2, 2},
 	}
 	for _, c := range cases {
-		irun, abl, last := Runs(c.irun, c.nrunABL, c.nrunLast, c.mem, 128, 8, 4096)
+		irun, abl, last := Runs(c.nrunABL, c.nrunLast, c.mem, 128, 8, 4096)
 		if irun != c.wantIRun || abl != c.wantABL || last != c.wantLast {
 			t.Errorf("%s: Runs = (%d, %d, %d), want (%d, %d, %d)",
 				c.name, irun, abl, last, c.wantIRun, c.wantABL, c.wantLast)

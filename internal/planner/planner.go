@@ -106,9 +106,9 @@ func InputsFor(req join.Request) (model.Inputs, error) {
 		D:         spec.D,
 		Skew:      w.Skew(),
 		DistinctS: int64(maxDistinct),
-		MRproc:    req.MRproc, MSproc: req.MSproc, G: req.G,
-		IRun: req.IRun, NRunABL: req.NRunABL, NRunLast: req.NRunLast,
-		K: req.K, TSize: req.TSize,
+		MRproc:    req.MRproc, G: req.G,
+		NRunABL: req.NRunABL, NRunLast: req.NRunLast,
+		K: req.K,
 	}, nil
 }
 
@@ -161,7 +161,6 @@ func (pl *Planner) Crossovers(in model.Inputs, lo, hi, step int64) ([]Crossover,
 	for mem := lo; mem <= hi; mem += step {
 		in := in
 		in.MRproc = mem
-		in.MSproc = 0 // rederive from MRproc
 		choice, err := pl.Choose(in)
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ import (
 	"mmjoin/internal/machine"
 	"mmjoin/internal/model"
 	"mmjoin/internal/relation"
-	"mmjoin/internal/sim"
 )
 
 func testCalib(t *testing.T) model.Calibration {
@@ -232,49 +231,6 @@ func TestChooseForRegimes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSortedInputsFavorSortMerge: telling the planner the relation is
-// already in long runs (IRun = NR, i.e. pass 0 produces one run and
-// merging disappears) must strictly cheapen sort-merge while leaving
-// the other plans untouched — and at scarce memory sort-merge must win
-// outright.
-func TestSortedInputsFavorSortMerge(t *testing.T) {
-	pl := New(testCalib(t), nil)
-	relBytes := int64(8000 * relation.DefaultSpec().RSize)
-	mrproc := relBytes / 50
-
-	unsorted, err := pl.ChooseFor(regimeReq(t, mrproc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := regimeReq(t, mrproc)
-	req.IRun = 8000 // presorted: the whole relation is one initial run
-	sorted, err := pl.ChooseFor(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cost := func(c *Choice, alg join.Algorithm) sim.Time {
-		for _, cd := range c.Candidates {
-			if cd.Algorithm == alg {
-				return cd.Predicted
-			}
-		}
-		t.Fatalf("%v not among candidates", alg)
-		return 0
-	}
-	if s, u := cost(sorted, join.SortMerge), cost(unsorted, join.SortMerge); s > u {
-		t.Errorf("sorted input made sort-merge dearer: %v > %v", s, u)
-	}
-	for _, alg := range []join.Algorithm{join.NestedLoops, join.Grace, join.HybridHash} {
-		if s, u := cost(sorted, alg), cost(unsorted, alg); s != u {
-			t.Errorf("IRun leaked into %v: %v != %v", alg, s, u)
-		}
-	}
-	if sorted.Best.Algorithm != join.SortMerge {
-		t.Errorf("scarce memory + presorted runs: best = %v, want sort-merge", sorted.Best.Algorithm)
 	}
 }
 

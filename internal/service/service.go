@@ -418,7 +418,8 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	// read off its reference histogram and priced on its own measured
 	// profile; auto runs the cheapest. On a sharded store an auto request
 	// stays join.Auto — the router re-plans per shard through its
-	// PlanFunc, and the table below is advisory.
+	// PlanFunc, and the table below is advisory: plan_choice_* then
+	// counts each shard's pick once the join has run.
 	resp := JoinResponse{MemBytes: grant, MRproc: mrproc}
 	var alg join.Algorithm
 	if req.Algorithm == "" || req.Algorithm == "auto" {
@@ -433,8 +434,9 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		for _, p := range plans {
 			resp.Plan = append(resp.Plan, PlanEntry{Algorithm: p.Algorithm.String(), PredictedNs: p.PredictedNs})
 		}
-		s.inc("plan_choice_" + alg.String())
-		if s.shardRunner != nil {
+		if s.shardRunner == nil {
+			s.inc("plan_choice_" + alg.String())
+		} else {
 			alg = join.Auto
 		}
 	} else {
@@ -487,6 +489,11 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	}
 	s.inc("join_executed_" + alg.String())
 	s.observe("join_latency_"+alg.String(), elapsed)
+	if alg == join.Auto {
+		for _, det := range details {
+			s.inc("plan_choice_" + det.Algorithm)
+		}
+	}
 	resp.Pairs = st.Pairs
 	resp.Signature = fmt.Sprintf("%016x", st.Signature)
 	resp.ElapsedNs = elapsed.Nanoseconds()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mmjoin/internal/exec"
@@ -209,6 +210,40 @@ func TestShardedAutoFollowsIndexedMembership(t *testing.T) {
 		t.Fatalf("removing the unindexed shard: status %d", resp.StatusCode)
 	}
 	auto("after removing it", 6)
+}
+
+// TestShardedAutoCountsWhatShardsRan: on a router an auto join runs
+// each shard's PlanFunc pick, not the plan table's head, so
+// plan_choice_* counts one pick per shard and nothing for the table.
+func TestShardedAutoCountsWhatShardsRan(t *testing.T) {
+	_, ts, _, _ := newPlannedShardedServer(t, 600, Config{}, func(string, *relation.Workload, mstore.JoinRequest) (join.Algorithm, error) {
+		return join.NestedLoops, nil
+	})
+	resp, jr := postJoin(t, ts, JoinRequest{})
+	if resp.StatusCode != http.StatusOK || len(jr.Shards) != 3 {
+		t.Fatalf("auto: status %d, %d shards", resp.StatusCode, len(jr.Shards))
+	}
+	if jr.Plan[0].Algorithm == "nested-loops" {
+		t.Fatalf("the plan table's head is nested-loops; the case needs the shards' pick to differ from it")
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := st.Counters["plan_choice_nested-loops"]; v != 3 {
+		t.Errorf("plan_choice_nested-loops = %d, want 3 (one a shard)", v)
+	}
+	for name, v := range st.Counters {
+		if strings.HasPrefix(name, "plan_choice_") && name != "plan_choice_nested-loops" && v != 0 {
+			t.Errorf("%s = %d, want 0: no shard ran it", name, v)
+		}
+	}
 }
 
 // TestShardedServiceLookup checks /v1/lookup reports the answering

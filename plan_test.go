@@ -52,9 +52,9 @@ func mapInputs(req join.Request) model.Inputs {
 		NR: int64(w.Spec.NR), NS: int64(w.Spec.NS),
 		R: int64(w.Spec.RSize), S: int64(w.Spec.SSize), Ptr: int64(w.Spec.PtrSize),
 		D: d, Skew: skew, DistinctS: int64(maxDistinct),
-		MRproc: req.MRproc, MSproc: req.MSproc, G: req.G,
-		IRun: req.IRun, NRunABL: req.NRunABL, NRunLast: req.NRunLast,
-		K: req.K, TSize: req.TSize,
+		MRproc: req.MRproc, G: req.G,
+		NRunABL: req.NRunABL, NRunLast: req.NRunLast,
+		K: req.K,
 	}
 }
 
