@@ -53,7 +53,7 @@ func BenchmarkFig1aDiskTransfer(b *testing.B) {
 	cfg := machine.DefaultConfig()
 	var pts []disk.DTTPoint
 	for i := 0; i < b.N; i++ {
-		pts = disk.MeasureDTT(cfg.Disk, disk.StandardBands, 2000, 1)
+		pts = disk.MeasureDTT(cfg.Disk, disk.StandardBands, 2000, 1, nil)
 	}
 	for _, pt := range pts {
 		b.Logf("band %6d  dttr %6.2fms  dttw %6.2fms", pt.Band,
@@ -92,7 +92,7 @@ func fig5(b *testing.B, alg join.Algorithm) {
 	var pts []core.Comparison
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = sweep.Memory(e, alg, nil)
+		pts, err = sweep.Fig5(e, alg, sweep.Fig5Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"mmjoin/internal/disk"
 	"mmjoin/internal/machine"
@@ -20,25 +19,12 @@ import (
 	"mmjoin/internal/seg"
 )
 
-// parallelism is the -parallel flag: host workers measuring dtt bands.
-// Results are identical at any setting. Telemetry export (-metrics)
-// keeps the band measurements sequential so the JSONL stream stays in
-// band order.
-var parallelism int
-
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 1a, 1b, or all")
 	ops := flag.Int("ops", 3000, "random I/Os measured per band size (1a)")
 	seed := flag.Int64("seed", 1, "random seed for access patterns")
 	metricsPath := flag.String("metrics", "", "export Fig 1(a) per-band service-time telemetry to this JSONL file")
-	flag.IntVar(&parallelism, "parallel", runtime.GOMAXPROCS(0),
-		"host worker goroutines measuring dtt bands (>= 1; results are identical at any setting)")
 	flag.Parse()
-
-	if parallelism < 1 {
-		fmt.Fprintf(os.Stderr, "calibrate: -parallel must be >= 1, got %d\n", parallelism)
-		os.Exit(2)
-	}
 
 	cfg := machine.DefaultConfig()
 	var reg *metrics.Registry
@@ -76,15 +62,7 @@ func main() {
 func fig1a(cfg machine.Config, ops int, seed int64, reg *metrics.Registry) {
 	fmt.Println("Fig 1(a): disk transfer time (ms per 4K block) vs band size")
 	fmt.Println("band(blocks)    dttr      dttw")
-	var pts []disk.DTTPoint
-	if reg != nil {
-		// A shared registry's registration order must stay deterministic,
-		// so instrumented measurement runs bands sequentially.
-		pts = disk.MeasureDTTInstrumented(cfg.Disk, disk.StandardBands, ops, seed, reg)
-	} else {
-		pts = disk.MeasureDTTParallel(cfg.Disk, disk.StandardBands, ops, seed, parallelism)
-	}
-	for _, pt := range pts {
+	for _, pt := range disk.MeasureDTT(cfg.Disk, disk.StandardBands, ops, seed, reg) {
 		fmt.Printf("%12d  %6.2f    %6.2f\n", pt.Band, pt.Read.Milliseconds(), pt.Write.Milliseconds())
 	}
 }

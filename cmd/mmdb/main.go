@@ -348,11 +348,21 @@ func cmdJoin(args []string) {
 		run(plans[0].Algorithm, fmt.Sprintf("  (predicted %v)", time.Duration(plans[0].PredictedNs).Round(time.Microsecond)))
 		return
 	}
-	for _, a := range ops {
-		if *alg == "all" || *alg == a.String() {
+	if *alg == "all" {
+		for _, a := range ops {
 			run(a, "")
 		}
+		return
 	}
+	// Any operator name runs: Run itself refuses an index join on a
+	// store without indexes.
+	for _, a := range mstore.Operators(true) {
+		if *alg == a.String() {
+			run(a, "")
+			return
+		}
+	}
+	fatal(fmt.Errorf("join: unknown -alg %q (want all, auto or one of %v)", *alg, mstore.Operators(true)))
 }
 
 func fatal(err error) {

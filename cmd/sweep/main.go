@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"mmjoin/internal/core"
 	"mmjoin/internal/join"
@@ -32,24 +31,13 @@ import (
 // telemetry file per data point: <base>.<alg>.<frac>.jsonl.
 var metricsBase string
 
-// parallelism is the -parallel flag: host workers per sweep. Results are
-// identical at any setting; only wall-clock changes.
-var parallelism int
-
 func main() {
 	fig := flag.String("fig", "all", "experiment: 5a, 5b, 5c, all, contention, speedup, scaleup, hybrid, dist")
 	objects := flag.Int("objects", 102400, "objects per relation (paper: 102400)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	flag.IntVar(&parallelism, "parallel", runtime.GOMAXPROCS(0),
-		"host worker goroutines running sweep points (>= 1; results are identical at any setting)")
 	flag.StringVar(&metricsBase, "metrics", "",
 		"telemetry base path for the Fig 5 sweeps (writes BASE.<alg>.<frac>.jsonl per point)")
 	flag.Parse()
-
-	if parallelism < 1 {
-		fmt.Fprintf(os.Stderr, "sweep: -parallel must be >= 1, got %d\n", parallelism)
-		os.Exit(2)
-	}
 
 	cfg := machine.DefaultConfig()
 	spec := relation.DefaultSpec()
@@ -106,7 +94,7 @@ func fig5(cfg machine.Config, spec relation.Spec, alg join.Algorithm) {
 		fatal(err)
 	}
 	fmt.Println("MRproc/|R|   experiment(s)    model(s)   error    detail")
-	opts := sweep.Fig5Options{Parallelism: parallelism}
+	var opts sweep.Fig5Options
 	if metricsBase != "" {
 		opts.Instrument = func(float64) *metrics.Registry { return metrics.New() }
 		opts.OnPoint = func(c core.Comparison, reg *metrics.Registry) error {
@@ -137,7 +125,7 @@ func contention(cfg machine.Config, spec relation.Spec) {
 	if err != nil {
 		fatal(err)
 	}
-	pts, err := sweep.Contention(e, 0.10, sweep.Options{Parallelism: parallelism})
+	pts, err := sweep.Contention(e, 0.10)
 	if err != nil {
 		fatal(err)
 	}
@@ -153,7 +141,7 @@ func speedup(cfg machine.Config, spec relation.Spec) {
 	fmt.Println("§9 extension: speedup — fixed problem, growing D (memory fraction 0.05)")
 	ds := []int{1, 2, 4, 8}
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace} {
-		times, err := sweep.Speedup(cfg, spec, alg, ds, 0.05, sweep.Options{Parallelism: parallelism})
+		times, err := sweep.Speedup(cfg, spec, alg, ds, 0.05)
 		if err != nil {
 			fatal(err)
 		}
@@ -171,7 +159,7 @@ func scaleup(cfg machine.Config, spec relation.Spec) {
 	fmt.Printf("§9 extension: scaleup — %d objects per partition, growing D\n", per)
 	ds := []int{1, 2, 4, 8}
 	for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace} {
-		times, err := sweep.Scaleup(cfg, spec, alg, ds, per, 0.1, sweep.Options{Parallelism: parallelism})
+		times, err := sweep.Scaleup(cfg, spec, alg, ds, per, 0.1)
 		if err != nil {
 			fatal(err)
 		}
@@ -201,7 +189,7 @@ func fatal(err error) {
 func dist(cfg machine.Config, spec relation.Spec) {
 	fmt.Println("§9 extension: reference-distribution study (memory fraction 0.05)")
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
-	pts, err := sweep.Dist(cfg, spec, algs, 0.05, sweep.Options{Parallelism: parallelism})
+	pts, err := sweep.Dist(cfg, spec, algs, 0.05)
 	if err != nil {
 		fatal(err)
 	}

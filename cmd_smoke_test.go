@@ -52,18 +52,9 @@ func TestCmdCalibrateSmoke(t *testing.T) {
 	if !strings.Contains(out, "dttr") || !strings.Contains(out, "dttw") {
 		t.Errorf("fig 1a output:\n%s", out)
 	}
-	// Parallel band measurement prints the same table shape.
-	out = runCmd(t, bin, "-fig", "1a", "-ops", "300", "-parallel", "2")
-	if !strings.Contains(out, "dttr") || !strings.Contains(out, "dttw") {
-		t.Errorf("fig 1a -parallel output:\n%s", out)
-	}
 	// Unknown figure fails.
 	if err := exec.Command(bin, "-fig", "9z").Run(); err == nil {
 		t.Error("unknown figure accepted")
-	}
-	// -parallel below 1 is rejected.
-	if err := exec.Command(bin, "-fig", "1b", "-parallel", "0").Run(); err == nil {
-		t.Error("-parallel 0 accepted")
 	}
 }
 
@@ -80,18 +71,6 @@ func TestCmdSweepSmoke(t *testing.T) {
 	out = runCmd(t, bin, "-fig", "dist", "-objects", "8000")
 	if !strings.Contains(out, "zipf") {
 		t.Errorf("dist output:\n%s", out)
-	}
-	// An explicit worker count works and prints the same table shape.
-	out = runCmd(t, bin, "-fig", "5b", "-objects", "8000", "-parallel", "2")
-	if !strings.Contains(out, "sort-merge") || !strings.Contains(out, "NPASS") {
-		t.Errorf("fig 5b -parallel output:\n%s", out)
-	}
-	// -parallel below 1 is rejected.
-	if err := exec.Command(bin, "-fig", "5b", "-parallel", "0").Run(); err == nil {
-		t.Error("-parallel 0 accepted")
-	}
-	if err := exec.Command(bin, "-fig", "5b", "-parallel", "-3").Run(); err == nil {
-		t.Error("negative -parallel accepted")
 	}
 }
 
@@ -134,6 +113,18 @@ func TestCmdMmdbSmoke(t *testing.T) {
 	out = runCmd(t, bin, "join", "-dir", dir, "-alg", "auto")
 	if strings.Count(out, "plan:") != 4 || !strings.Contains(out, "(predicted ") || strings.Contains(out, "MISMATCH") {
 		t.Errorf("auto join output:\n%s", out)
+	}
+	// A misspelt name, a simulator-only algorithm and an index join on
+	// this unindexed store each fail, rather than run nothing and exit 0.
+	for a, want := range map[string]string{
+		"grce":              "index-merge]",
+		"traditional-grace": "unknown -alg",
+		"index-nl":          "needs persistent indexes",
+	} {
+		out, err := exec.Command(bin, "join", "-dir", dir, "-alg", a).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), want) {
+			t.Errorf("join -alg %s: err %v, want a failure naming %q:\n%s", a, err, want, out)
+		}
 	}
 	// Missing -dir fails.
 	if err := exec.Command(bin, "join").Run(); err == nil {

@@ -1,8 +1,8 @@
 // Optimizer: use the analytical model as a query optimizer's cost
 // filter — the application the paper names as the model's most important
-// consumer. For a grid of memory budgets and relation sizes, the model
-// alone (no execution) picks the cheapest pointer-based join; a few
-// points are then verified against the simulated machine.
+// consumer. For a grid of memory budgets, the planner ranks the
+// pointer-based joins by the model alone (no execution); a few points
+// are then verified against the simulated machine.
 //
 // Run with: go run ./examples/optimizer
 package main
@@ -15,6 +15,7 @@ import (
 	"mmjoin/internal/join"
 	"mmjoin/internal/machine"
 	"mmjoin/internal/model"
+	"mmjoin/internal/planner"
 	"mmjoin/internal/relation"
 	"mmjoin/internal/sim"
 )
@@ -24,22 +25,7 @@ func main() {
 	calib := model.Calibrate(cfg, 2000, 1)
 
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace}
-	predict := func(alg join.Algorithm, in model.Inputs) sim.Time {
-		var pr *model.Prediction
-		var err error
-		switch alg {
-		case join.NestedLoops:
-			pr, err = model.PredictNestedLoops(calib, in)
-		case join.SortMerge:
-			pr, err = model.PredictSortMerge(calib, in)
-		case join.Grace:
-			pr, err = model.PredictGrace(calib, in)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return pr.Total
-	}
+	pl := planner.New(calib, algs)
 
 	fmt.Println("model-only plan choice (|R|=|S|=102400 x 128B, D=4):")
 	fmt.Println("memory/proc   nested-loops   sort-merge        grace   -> choice")
@@ -50,19 +36,17 @@ func main() {
 			NR: 102400, NS: 102400, R: 128, S: 128, Ptr: 8, D: 4,
 			MRproc: int64(f * float64(totalBytes)),
 		}
-		best := algs[0]
-		var bestT sim.Time = sim.MaxTime
-		var times []sim.Time
-		for _, alg := range algs {
-			t := predict(alg, in)
-			times = append(times, t)
-			if t < bestT {
-				bestT, best = t, alg
-			}
+		ch, err := pl.Choose(in)
+		if err != nil {
+			log.Fatal(err)
+		}
+		predicted := map[join.Algorithm]sim.Time{}
+		for _, c := range ch.Candidates {
+			predicted[c.Algorithm] = c.Predicted
 		}
 		fmt.Printf("%8.0f KB  %11.1fs  %11.1fs  %11.1fs   -> %s\n",
-			float64(in.MRproc)/1024, times[0].Seconds(), times[1].Seconds(),
-			times[2].Seconds(), best)
+			float64(in.MRproc)/1024, predicted[join.NestedLoops].Seconds(),
+			predicted[join.SortMerge].Seconds(), predicted[join.Grace].Seconds(), ch.Best.Algorithm)
 	}
 
 	// Spot-check the optimizer's picks against the simulated machine at

@@ -1,9 +1,7 @@
 package conformance
 
 import (
-	"flag"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -11,13 +9,6 @@ import (
 	"mmjoin/internal/join"
 	"mmjoin/internal/sweep"
 )
-
-// sweepParallel is the host worker count for the panel sweeps (the
-// simulated results are identical at any setting; this only changes
-// wall-clock). Override with: go test ./internal/conformance -args
-// -sweep.parallel=1.
-var sweepParallel = flag.Int("sweep.parallel", runtime.GOMAXPROCS(0),
-	"host worker goroutines per conformance sweep panel")
 
 // The three panel tests share one experiment (workload generation plus
 // machine calibration) and re-run the paper's sweeps through
@@ -45,7 +36,7 @@ func experiment(t *testing.T) *core.Experiment {
 
 func sweepPanel(t *testing.T, alg join.Algorithm) []core.Comparison {
 	t.Helper()
-	cs, err := sweep.Memory(experiment(t), alg, nil, sweep.Options{Parallelism: *sweepParallel})
+	cs, err := sweep.Fig5(experiment(t), alg, sweep.Fig5Options{})
 	if err != nil {
 		t.Fatalf("sweep %v: %v", alg, err)
 	}

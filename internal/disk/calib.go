@@ -3,9 +3,6 @@ package disk
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mmjoin/internal/metrics"
 	"mmjoin/internal/sim"
@@ -25,21 +22,14 @@ type DTTPoint struct {
 // StandardBands are the band sizes sampled for Fig. 1(a) reproductions.
 var StandardBands = []int{1, 100, 400, 800, 1600, 3200, 4800, 6400, 8000, 9600, 11200, 12800}
 
-// MeasureDTT measures dttr/dttw for each band size on a fresh drive with
-// the given configuration. opsPerBand bounds the I/Os issued per band size
-// (more gives smoother averages). The measurement is deterministic for a
-// fixed seed.
-func MeasureDTT(cfg Config, bands []int, opsPerBand int, seed int64) []DTTPoint {
-	return MeasureDTTInstrumented(cfg, bands, opsPerBand, seed, nil)
-}
-
-// MeasureDTTInstrumented is MeasureDTT with per-measurement telemetry:
-// each (band size, direction) pair runs on its own drive named
-// calib.b<band>.<read|write>, so the registry collects one set of
-// service-time histograms and counters per point. A nil registry reduces
-// to the plain measurement.
-func MeasureDTTInstrumented(cfg Config, bands []int, opsPerBand int, seed int64,
-	reg *metrics.Registry) []DTTPoint {
+// MeasureDTT measures dttr/dttw for each band size, in band order. Each
+// (band size, direction) pair runs on its own fresh drive with the given
+// configuration, named calib.b<band>.<read|write>, so a non-nil registry
+// collects one set of service-time histograms and counters per point; a
+// nil one attaches nothing. opsPerBand bounds the I/Os issued per band
+// size (more gives smoother averages). The measurement is deterministic
+// for a fixed seed, and the registry changes no point.
+func MeasureDTT(cfg Config, bands []int, opsPerBand int, seed int64, reg *metrics.Registry) []DTTPoint {
 	points := make([]DTTPoint, 0, len(bands))
 	for _, band := range bands {
 		points = append(points, DTTPoint{
@@ -48,49 +38,6 @@ func MeasureDTTInstrumented(cfg Config, bands []int, opsPerBand int, seed int64,
 			Write: measureOne(cfg, fmt.Sprintf("calib.b%d.write", band), band, opsPerBand, seed+1, true, reg),
 		})
 	}
-	return points
-}
-
-// MeasureDTTParallel is MeasureDTT running band measurements across
-// parallelism host workers (zero or negative selects GOMAXPROCS). Every
-// band runs on its own fresh drive with a band-local seed, so the
-// returned points are identical to the sequential measurement no matter
-// the worker count or completion order. There is no instrumented
-// variant: a shared registry's registration order would depend on host
-// scheduling, so telemetry keeps the sequential path.
-func MeasureDTTParallel(cfg Config, bands []int, opsPerBand int, seed int64, parallelism int) []DTTPoint {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(bands) {
-		w = len(bands)
-	}
-	if w <= 1 {
-		return MeasureDTT(cfg, bands, opsPerBand, seed)
-	}
-	points := make([]DTTPoint, len(bands))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(bands) {
-					return
-				}
-				band := bands[i]
-				points[i] = DTTPoint{
-					Band:  band,
-					Read:  measureOne(cfg, fmt.Sprintf("calib.b%d.read", band), band, opsPerBand, seed, false, nil),
-					Write: measureOne(cfg, fmt.Sprintf("calib.b%d.write", band), band, opsPerBand, seed+1, true, nil),
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return points
 }
 

@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -294,7 +296,7 @@ func TestMeasureDTTShape(t *testing.T) {
 		t.Skip("calibration sweep")
 	}
 	cfg := DefaultConfig()
-	pts := MeasureDTT(cfg, []int{1, 1600, 12800}, 2000, 1)
+	pts := MeasureDTT(cfg, []int{1, 1600, 12800}, 2000, 1, nil)
 	if len(pts) != 3 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -322,26 +324,56 @@ func TestMeasureDTTShape(t *testing.T) {
 
 func TestMeasureDTTDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	a := MeasureDTT(cfg, []int{100}, 300, 42)
-	b := MeasureDTT(cfg, []int{100}, 300, 42)
+	a := MeasureDTT(cfg, []int{100}, 300, 42, nil)
+	b := MeasureDTT(cfg, []int{100}, 300, 42, nil)
 	if a[0] != b[0] {
 		t.Errorf("calibration not deterministic: %+v vs %+v", a[0], b[0])
 	}
 }
 
-func TestMeasureDTTParallelMatchesSequential(t *testing.T) {
+// TestMeasureDTTInstrumentedMatchesPlain checks that attaching a
+// registry changes no measured point, and that the registry receives one
+// stalls counter per drive, in band order, and the drive's service-time
+// observations.
+func TestMeasureDTTInstrumentedMatchesPlain(t *testing.T) {
 	cfg := smallConfig()
 	bands := []int{1, 100, 400, 1600}
-	want := MeasureDTT(cfg, bands, 300, 42)
-	for _, par := range []int{2, 4, 0} { // 0 selects GOMAXPROCS
-		got := MeasureDTTParallel(cfg, bands, 300, 42, par)
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d points, want %d", par, len(got), len(want))
+	want := MeasureDTT(cfg, bands, 300, 42, nil)
+	reg := metrics.New()
+	got := MeasureDTT(cfg, bands, 300, 42, reg)
+	if len(got) != len(want) {
+		t.Fatalf("%d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("band %d: %+v with a registry, want %+v", want[i].Band, got[i], want[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("parallelism %d band %d: %+v, want %+v", par, want[i].Band, got[i], want[i])
+	}
+
+	var drives, counters []string
+	for _, band := range bands {
+		for _, dir := range []string{"read", "write"} {
+			drives = append(drives, fmt.Sprintf("calib.b%d.%s", band, dir))
+		}
+	}
+	for _, c := range reg.Counters() {
+		counters = append(counters, c.Name())
+	}
+	if len(counters) != len(drives) {
+		t.Fatalf("counters %v, want one per drive %v", counters, drives)
+	}
+	for i, d := range drives {
+		if counters[i] != d+".stalls" {
+			t.Errorf("counter %d is %q, want %q", i, counters[i], d+".stalls")
+		}
+		var observed int64
+		for _, h := range reg.Histograms() {
+			if strings.HasPrefix(h.Name(), d+".") {
+				observed += h.Count()
 			}
+		}
+		if observed == 0 {
+			t.Errorf("%s: no service time observed", d)
 		}
 	}
 }

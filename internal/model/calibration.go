@@ -34,17 +34,10 @@ type Calibration struct {
 // costs by timed map operations, and the CPU constants as a
 // microbenchmark would report them (here: read from the configuration).
 // opsPerBand controls calibration effort; seed fixes the random access
-// patterns.
+// patterns. The bands are measured one after another on the calling
+// goroutine.
 func Calibrate(cfg machine.Config, opsPerBand int, seed int64) Calibration {
-	return CalibrateParallel(cfg, opsPerBand, seed, 1)
-}
-
-// CalibrateParallel is Calibrate with the dtt band measurements spread
-// across parallelism host workers (zero or negative selects GOMAXPROCS).
-// The result is identical to Calibrate for any worker count: each band
-// measures on its own drive with a band-local seed.
-func CalibrateParallel(cfg machine.Config, opsPerBand int, seed int64, parallelism int) Calibration {
-	dtt := disk.MeasureDTTParallel(cfg.Disk, disk.StandardBands, opsPerBand, seed, parallelism)
+	dtt := disk.MeasureDTT(cfg.Disk, disk.StandardBands, opsPerBand, seed, nil)
 	setup := seg.MeasureSetup(cfg.Disk, cfg.Setup, seg.StandardSetupSizes)
 
 	bands := make([]float64, len(dtt))

@@ -1,135 +1,48 @@
 package sweep
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Options tunes host-side execution of a sweep. Sweep points are
-// embarrassingly parallel — every point builds its own simulation kernel,
-// disks, and pagers, and workloads are shared read-only — so they can run
-// on several host goroutines while preserving the sequential sweep's
-// observable behavior: results come back in point order, per-point hooks
-// fire in point order on the calling goroutine, and every simulated
-// result is bit-identical to a sequential run (the simulator itself is
-// deterministic in virtual time; only host wall-clock changes).
-type Options struct {
-	// Parallelism is the number of host worker goroutines running sweep
-	// points. Zero or negative selects runtime.GOMAXPROCS(0); one runs
-	// the sweep sequentially on the calling goroutine.
-	Parallelism int
-}
-
-// opt collapses an optional trailing Options argument.
-func opt(opts []Options) Options {
-	if len(opts) > 0 {
-		return opts[0]
-	}
-	return Options{}
-}
-
-// workers resolves the worker count for n points.
-func (o Options) workers(n int) int {
-	w := o.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// errPointSkipped marks a point never run because an earlier failure
-// cancelled the sweep. It is internal: the collector always reaches the
-// causing point (a lower index) first, so this sentinel never escapes.
-var errPointSkipped = errors.New("sweep: point skipped after earlier failure")
-
-// forEach runs point(i) for every i in [0, n) on the resolved number of
-// workers, then calls emit(i) — if non-nil — for each point in ascending
-// order on the calling goroutine. Workers pull indexes from a shared
-// counter, so points start in ascending order; the first failing point
-// (in point order) cancels the sweep — no new points start, in-flight
-// ones finish — and its error is returned. An emit error cancels the
-// same way. With one worker this degenerates to the plain sequential
-// loop, point and emit strictly interleaved.
-func forEach(o Options, n int, point func(i int) error, emit func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if o.workers(n) == 1 {
-		for i := 0; i < n; i++ {
-			if err := point(i); err != nil {
-				return err
-			}
-			if emit != nil {
-				if err := emit(i); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
+// forEach runs point(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines. Sweep points are embarrassingly parallel — each builds its
+// own simulation kernel, disks and pagers, and workloads are shared
+// read-only — and the simulator runs on a virtual clock, so the worker
+// count changes wall-clock only, never a result. Workers pull indexes
+// from a shared counter, so points start in ascending order and every
+// index below a pulled one has been pulled too. Once a point fails no
+// new point starts (in-flight ones finish), and the error of the
+// lowest-indexed failing point is returned: the one a sequential loop
+// would have stopped at.
+func forEach(n int, point func(i int) error) error {
 	var (
-		next  atomic.Int64
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		errs  = make([]error, n)
-		ready = make([]chan struct{}, n)
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+		errs = make([]error, n)
 	)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	for g := 0; g < o.workers(n); g++ {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if stop.Load() {
-					errs[i] = errPointSkipped
-				} else {
-					errs[i] = point(i)
-					if errs[i] != nil {
-						stop.Store(true)
-					}
+				if errs[i] = point(i); errs[i] != nil {
+					stop.Store(true)
 				}
-				close(ready[i])
 			}
 		}()
 	}
-
-	// Collect in point order: indexes are pulled monotonically, so a
-	// skipped point always has a lower-indexed point that failed — the
-	// first real error is deterministic regardless of worker timing.
-	var firstErr error
-	for i := 0; i < n; i++ {
-		<-ready[i]
-		if firstErr != nil {
-			continue
-		}
-		if err := errs[i]; err != nil {
-			if !errors.Is(err, errPointSkipped) {
-				firstErr = err
-			}
-			continue
-		}
-		if emit != nil {
-			if err := emit(i); err != nil {
-				firstErr = err
-				stop.Store(true)
-			}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }

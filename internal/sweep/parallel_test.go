@@ -14,22 +14,39 @@ import (
 	"mmjoin/internal/machine"
 	"mmjoin/internal/metrics"
 	"mmjoin/internal/relation"
+	"mmjoin/internal/sim"
 )
 
-// parallelisms are the worker counts the determinism tests compare: the
-// sequential baseline, a fixed small pool, and whatever this host offers.
-func parallelisms() []int {
-	ps := []int{1, 2}
-	if g := runtime.GOMAXPROCS(0); g > 2 {
-		ps = append(ps, g)
-	}
-	return ps
+// atProcs runs f with GOMAXPROCS set to n, the sweep's worker count,
+// and restores the old value.
+func atProcs[T any](n int, f func() (T, error)) (T, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
 }
 
-// TestParallelDeterminism asserts the tentpole guarantee: a host-parallel
-// sweep returns field-for-field identical results to the sequential one,
-// for every panel and study, at every worker count. Simulated time is
-// virtual, so nothing about host scheduling may leak into the output.
+// sameAtProcs fails t unless f returns deeply equal results at
+// GOMAXPROCS 2 and 4 as at 1, the one-worker loop.
+func sameAtProcs[T any](t *testing.T, f func() (T, error)) {
+	t.Helper()
+	base, err := atProcs(1, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 4} {
+		got, err := atProcs(n, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("GOMAXPROCS %d diverged from 1:\n got %+v\nwant %+v", n, got, base)
+		}
+	}
+}
+
+// TestParallelDeterminism asserts that a sweep returns field-for-field
+// identical results whatever its worker count, for every panel and
+// study. Simulated time is virtual, so nothing about host scheduling may
+// leak into the output.
 func TestParallelDeterminism(t *testing.T) {
 	e := testExperiment(t, 2000)
 	cfg := machine.DefaultConfig()
@@ -40,87 +57,32 @@ func TestParallelDeterminism(t *testing.T) {
 	t.Run("fig5", func(t *testing.T) {
 		fracs := []float64{0.03, 0.05, 0.10, 0.20}
 		for _, alg := range []join.Algorithm{join.Grace, join.SortMerge} {
-			base, err := Fig5(e, alg, Fig5Options{Fractions: fracs, Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, par := range parallelisms()[1:] {
-				got, err := Fig5(e, alg, Fig5Options{Fractions: fracs, Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("%v: parallelism %d diverged from sequential:\n got %+v\nwant %+v",
-						alg, par, got, base)
-				}
-			}
+			sameAtProcs(t, func() ([]core.Comparison, error) {
+				return Fig5(e, alg, Fig5Options{Fractions: fracs})
+			})
 		}
 	})
 
 	t.Run("contention", func(t *testing.T) {
-		base, err := Contention(e, 0.10, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range parallelisms()[1:] {
-			got, err := Contention(e, 0.10, Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("parallelism %d diverged: got %+v want %+v", par, got, base)
-			}
-		}
+		sameAtProcs(t, func() ([]ContentionPoint, error) { return Contention(e, 0.10) })
 	})
 
 	t.Run("speedup", func(t *testing.T) {
-		ds := []int{1, 2, 4}
-		base, err := Speedup(cfg, spec, join.Grace, ds, 0.05, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range parallelisms()[1:] {
-			got, err := Speedup(cfg, spec, join.Grace, ds, 0.05, Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("parallelism %d diverged: got %v want %v", par, got, base)
-			}
-		}
+		sameAtProcs(t, func() (map[int]sim.Time, error) {
+			return Speedup(cfg, spec, join.Grace, []int{1, 2, 4}, 0.05)
+		})
 	})
 
 	t.Run("scaleup", func(t *testing.T) {
-		ds := []int{1, 2}
-		base, err := Scaleup(cfg, spec, join.Grace, ds, 2000, 0.05, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range parallelisms()[1:] {
-			got, err := Scaleup(cfg, spec, join.Grace, ds, 2000, 0.05, Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("parallelism %d diverged: got %v want %v", par, got, base)
-			}
-		}
+		sameAtProcs(t, func() (map[int]sim.Time, error) {
+			return Scaleup(cfg, spec, join.Grace, []int{1, 2}, 2000, 0.05)
+		})
 	})
 
 	t.Run("dist", func(t *testing.T) {
-		base, err := Dist(cfg, spec, []join.Algorithm{join.Grace}, 0.05, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range parallelisms()[1:] {
-			got, err := Dist(cfg, spec, []join.Algorithm{join.Grace}, 0.05, Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("parallelism %d diverged: got %+v want %+v", par, got, base)
-			}
-		}
+		sameAtProcs(t, func() ([]DistPoint, error) {
+			return Dist(cfg, spec, []join.Algorithm{join.Grace}, 0.05)
+		})
 	})
 }
 
@@ -131,8 +93,7 @@ func TestParallelHookOrder(t *testing.T) {
 	fracs := []float64{0.03, 0.05, 0.10, 0.20, 0.30}
 	var seen []float64
 	pts, err := Fig5(e, join.Grace, Fig5Options{
-		Fractions:   fracs,
-		Parallelism: 4,
+		Fractions: fracs,
 		OnPoint: func(c core.Comparison, _ *metrics.Registry) error {
 			seen = append(seen, c.MemFrac)
 			return nil
@@ -154,25 +115,28 @@ func TestParallelHookOrder(t *testing.T) {
 	}
 }
 
-// TestForEachCancellation checks the worker pool's failure semantics:
+// TestForEachCancellation checks the worker loop's failure semantics:
 // the error of the lowest-indexed failing point is returned, points
 // before it all run, and no point starts after the failure is observed.
 func TestForEachCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := forEach(Options{Parallelism: 3}, 64, func(i int) error {
-		ran.Add(1)
-		if i == 5 {
-			return fmt.Errorf("point %d: %w", i, boom)
-		}
-		if i > 5 {
-			// Later points take real time, as sweep points do: with empty
-			// ones the other workers can drain all 64 indexes before the
-			// failing worker is scheduled again to record its error.
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}, nil)
+	_, err := atProcs(3, func() (struct{}, error) {
+		return struct{}{}, forEach(64, func(i int) error {
+			ran.Add(1)
+			if i == 5 {
+				return fmt.Errorf("point %d: %w", i, boom)
+			}
+			if i > 5 {
+				// Later points take real time, as sweep points do: with
+				// empty ones the other workers can drain all 64 indexes
+				// before the failing worker is scheduled again to record
+				// its error.
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		})
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -184,33 +148,18 @@ func TestForEachCancellation(t *testing.T) {
 
 	// Two failures: the lowest point index wins regardless of timing.
 	errA, errB := errors.New("a"), errors.New("b")
-	err = forEach(Options{Parallelism: 4}, 8, func(i int) error {
-		switch i {
-		case 2:
-			return errA
-		case 3:
-			return errB
-		}
-		return nil
-	}, nil)
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want lowest-index error %v", err, errA)
-	}
-
-	// An emit error cancels too, and emit stops firing afterwards.
-	var emitted []int
-	err = forEach(Options{Parallelism: 2}, 32, func(i int) error { return nil },
-		func(i int) error {
-			emitted = append(emitted, i)
-			if i == 1 {
-				return boom
+	_, err = atProcs(4, func() (struct{}, error) {
+		return struct{}{}, forEach(8, func(i int) error {
+			switch i {
+			case 2:
+				return errA
+			case 3:
+				return errB
 			}
 			return nil
 		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("emit err = %v, want %v", err, boom)
-	}
-	if len(emitted) != 2 || emitted[0] != 0 || emitted[1] != 1 {
-		t.Errorf("emit calls %v, want [0 1]", emitted)
+	})
+	if !errors.Is(err, errA) {
+		t.Fatalf("err = %v, want lowest-index error %v", err, errA)
 	}
 }

@@ -41,28 +41,20 @@ func Fig5Fractions(alg join.Algorithm) []float64 {
 }
 
 // Fig5Options tunes one panel run. The zero value selects the paper's
-// fractions with no per-point instrumentation, running points across
-// GOMAXPROCS host workers.
+// fractions with no per-point instrumentation.
 type Fig5Options struct {
 	// Fractions overrides the panel's memory fractions (nil selects
 	// Fig5Fractions for the algorithm).
 	Fractions []float64
-	// Parallelism is the number of host workers running points (see
-	// Options.Parallelism; zero selects GOMAXPROCS). Whatever the
-	// setting, results, Instrument, and OnPoint keep panel order and the
-	// simulated numbers are identical to a sequential run.
-	Parallelism int
-	// Instrument, when non-nil, is called for each point and returns the
-	// telemetry registry to attach to that point's run (nil attaches
-	// none). Sequential sweeps interleave it with the points; parallel
-	// sweeps call it for every fraction up front, in panel order, always
-	// from the calling goroutine.
+	// Instrument, when non-nil, is called for each fraction, in panel
+	// order on the calling goroutine before any point runs, and returns
+	// the telemetry registry to attach to that point's run (nil attaches
+	// none).
 	Instrument func(frac float64) *metrics.Registry
-	// OnPoint, when non-nil, is called after each point — in panel
-	// order, from the calling goroutine — with its comparison and the
-	// registry Instrument returned (nil without Instrument). Returning
-	// an error aborts the sweep: no new points start, though points
-	// already in flight on other workers run to completion.
+	// OnPoint, when non-nil, is called for each point once the whole
+	// panel has run — in panel order, on the calling goroutine — with its
+	// comparison and the registry Instrument returned (nil without
+	// Instrument). The first error it returns is Fig5's.
 	OnPoint func(c core.Comparison, reg *metrics.Registry) error
 }
 
@@ -73,46 +65,34 @@ func Fig5(e *core.Experiment, alg join.Algorithm, opts Fig5Options) ([]core.Comp
 	if fracs == nil {
 		fracs = Fig5Fractions(alg)
 	}
-	o := Options{Parallelism: opts.Parallelism}
-	n := len(fracs)
-	out := make([]core.Comparison, n)
-	regs := make([]*metrics.Registry, n)
-	sequential := o.workers(n) == 1
-	if opts.Instrument != nil && !sequential {
+	out := make([]core.Comparison, len(fracs))
+	regs := make([]*metrics.Registry, len(fracs))
+	if opts.Instrument != nil {
 		for i, f := range fracs {
 			regs[i] = opts.Instrument(f)
 		}
 	}
-	err := forEach(o, n, func(i int) error {
-		f := fracs[i]
-		prm := e.ParamsForFraction(f)
-		if opts.Instrument != nil && sequential {
-			regs[i] = opts.Instrument(f)
-		}
+	err := forEach(len(fracs), func(i int) error {
+		prm := e.ParamsForFraction(fracs[i])
 		prm.Metrics = regs[i]
 		c, err := e.Compare(alg, prm)
 		if err != nil {
-			return fmt.Errorf("sweep: %v at %.3f: %w", alg, f, err)
+			return fmt.Errorf("sweep: %v at %.3f: %w", alg, fracs[i], err)
 		}
 		out[i] = *c
 		return nil
-	}, func(i int) error {
-		if opts.OnPoint == nil {
-			return nil
-		}
-		return opts.OnPoint(out[i], regs[i])
 	})
 	if err != nil {
 		return nil, err
 	}
+	if opts.OnPoint != nil {
+		for i := range out {
+			if err := opts.OnPoint(out[i], regs[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return out, nil
-}
-
-// Memory runs Compare across the given memory fractions (Fig. 5's
-// procedure without instrumentation). A nil fracs selects the paper's
-// panel for the algorithm.
-func Memory(e *core.Experiment, alg join.Algorithm, fracs []float64, opts ...Options) ([]core.Comparison, error) {
-	return Fig5(e, alg, Fig5Options{Fractions: fracs, Parallelism: opt(opts).Parallelism})
 }
 
 // ContentionVariant is one arm of the §5.1 staggering/synchronization
@@ -141,10 +121,10 @@ type ContentionPoint struct {
 // Contention runs the §5.1 ablation for nested loops at the given memory
 // fraction: pass-1 phase staggering on/off and per-phase synchronization
 // on/off. The first returned point is the paper's variant.
-func Contention(e *core.Experiment, frac float64, opts ...Options) ([]ContentionPoint, error) {
+func Contention(e *core.Experiment, frac float64) ([]ContentionPoint, error) {
 	vs := ContentionVariants()
 	out := make([]ContentionPoint, len(vs))
-	err := forEach(opt(opts), len(vs), func(i int) error {
+	err := forEach(len(vs), func(i int) error {
 		v := vs[i]
 		prm := e.ParamsForFraction(frac)
 		prm.Stagger = v.Stagger
@@ -155,7 +135,7 @@ func Contention(e *core.Experiment, frac float64, opts ...Options) ([]Contention
 		}
 		out[i] = ContentionPoint{ContentionVariant: v, Elapsed: res.Elapsed}
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -166,52 +146,37 @@ func Contention(e *core.Experiment, frac float64, opts ...Options) ([]Contention
 // problem size fixed, returning elapsed times keyed by D — the paper's
 // planned speedup experiment (§9).
 func Speedup(base machine.Config, spec relation.Spec, alg join.Algorithm,
-	ds []int, memFrac float64, opts ...Options) (map[int]sim.Time, error) {
-	times := make([]sim.Time, len(ds))
-	err := forEach(opt(opts), len(ds), func(i int) error {
-		cfg := base
-		cfg.D = ds[i]
+	ds []int, memFrac float64) (map[int]sim.Time, error) {
+	return overD(base, alg, ds, memFrac, func(d int) relation.Spec {
 		sp := spec
-		sp.D = ds[i]
-		w, err := relation.Generate(sp)
-		if err != nil {
-			return err
-		}
-		mem := int64(memFrac * float64(int64(sp.NR)*int64(sp.RSize)))
-		res, err := join.Request{
-			Algorithm: alg,
-			Config:    cfg,
-			Params:    join.Params{Workload: w, MRproc: mem, Stagger: true},
-		}.Run()
-		if err != nil {
-			return err
-		}
-		times[i] = res.Elapsed
-		return nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]sim.Time, len(ds))
-	for i, d := range ds {
-		out[d] = times[i]
-	}
-	return out, nil
+		sp.D = d
+		return sp
+	})
 }
 
 // Scaleup grows the problem with D (NR = NS = perPartition·D) and returns
 // elapsed times keyed by D; flat times mean perfect scaleup.
 func Scaleup(base machine.Config, spec relation.Spec, alg join.Algorithm,
-	ds []int, perPartition int, memFrac float64, opts ...Options) (map[int]sim.Time, error) {
-	times := make([]sim.Time, len(ds))
-	err := forEach(opt(opts), len(ds), func(i int) error {
-		d := ds[i]
-		cfg := base
-		cfg.D = d
+	ds []int, perPartition int, memFrac float64) (map[int]sim.Time, error) {
+	return overD(base, alg, ds, memFrac, func(d int) relation.Spec {
 		sp := spec
 		sp.D = d
 		sp.NR = perPartition * d
 		sp.NS = perPartition * d
+		return sp
+	})
+}
+
+// overD runs alg once per D in ds on the workload specAt(D) generates,
+// granting each Rproc memFrac of |R|, and returns elapsed times keyed
+// by D.
+func overD(base machine.Config, alg join.Algorithm, ds []int, memFrac float64,
+	specAt func(d int) relation.Spec) (map[int]sim.Time, error) {
+	times := make([]sim.Time, len(ds))
+	err := forEach(len(ds), func(i int) error {
+		cfg := base
+		cfg.D = ds[i]
+		sp := specAt(ds[i])
 		w, err := relation.Generate(sp)
 		if err != nil {
 			return err
@@ -227,7 +192,7 @@ func Scaleup(base machine.Config, spec relation.Spec, alg join.Algorithm,
 		}
 		times[i] = res.Elapsed
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +214,7 @@ type DistPoint struct {
 // Dist runs every algorithm across reference distributions at the given
 // memory fraction, reporting measured times and workload skew.
 func Dist(cfg machine.Config, base relation.Spec, algs []join.Algorithm,
-	memFrac float64, opts ...Options) ([]DistPoint, error) {
+	memFrac float64) ([]DistPoint, error) {
 	specs := []relation.Spec{base}
 	zipf := base
 	zipf.Dist = relation.Zipf
@@ -263,7 +228,7 @@ func Dist(cfg machine.Config, base relation.Spec, algs []join.Algorithm,
 	specs = append(specs, zipf, local, hot)
 
 	out := make([]DistPoint, len(specs))
-	err := forEach(opt(opts), len(specs), func(i int) error {
+	err := forEach(len(specs), func(i int) error {
 		spec := specs[i]
 		w, err := relation.Generate(spec)
 		if err != nil {
@@ -288,7 +253,7 @@ func Dist(cfg machine.Config, base relation.Spec, algs []join.Algorithm,
 		}
 		out[i] = pt
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func testExperiment(t *testing.T, nr int) *core.Experiment {
 
 func TestMemoryDefaults(t *testing.T) {
 	e := testExperiment(t, 2000)
-	pts, err := Memory(e, join.Grace, []float64{0.05, 0.2})
+	pts, err := Fig5(e, join.Grace, Fig5Options{Fractions: []float64{0.05, 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
