@@ -2,13 +2,20 @@ package mstore
 
 import (
 	"cmp"
+	"context"
+	"errors"
 	"math/rand"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"unsafe"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 )
 
@@ -55,9 +62,10 @@ func TestArenaPartitionInPlace(t *testing.T) {
 // a random many-to-one bucket map that leaves destinations empty, and a
 // random resident-cell prefix per S partition) at workers {1, 2, 4, 8},
 // the scan's k destinations a row are the extents handed to finish: they
-// tile the arena exactly — no gap, no overlap, arena bytes = staged
-// references × 16 + header — and each holds exactly the multiset of
-// references the scan should have staged there.
+// tile the arena exactly — no gap, no overlap, the arena's refs exactly
+// the staged references, as the layout's last start says — and each
+// holds exactly the multiset of references the scan should have staged
+// there.
 // Under -race it is also the proof that concurrent morsels claiming
 // runs of one extent never share a slot.
 func TestArenaExtentsTileExactly(t *testing.T) {
@@ -121,14 +129,14 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 			return nil
 		}
 		err := stagedJob(r, cfg)
-		arenaRefs, arenaBytes := len(r.tmp.refs), r.tmp.seg.Size()
+		arenaRefs := len(r.tmp.refs)
 		done()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if arenaRefs != staged || arenaBytes != headerSize+int64(staged)*refBytes {
-			t.Fatalf("trial %d: arena holds %d references in %d bytes, want %d references × 16 + header",
-				trial, arenaRefs, arenaBytes, staged)
+		if arenaRefs != staged || cfg.starts[db.D*k] != staged {
+			t.Fatalf("trial %d: arena holds %d references and the layout %d, want the %d staged",
+				trial, arenaRefs, cfg.starts[db.D*k], staged)
 		}
 		slices.SortFunc(got, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
 		next := 0
@@ -156,12 +164,14 @@ func TestArenaExtentsTileExactly(t *testing.T) {
 	}
 }
 
-// TestArenaNameCollision: two live arenas in one directory are two
-// distinct arena-*.seg files, and opening the second neither truncates
-// nor removes the first: its references stay readable.
+// TestArenaNameCollision: two live arenas drawn from one set in one
+// directory are distinct mappings, opening the second leaves the
+// first's references intact, and neither shows a file in the directory.
 func TestArenaNameCollision(t *testing.T) {
 	dir := t.TempDir()
-	first := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	var set arenaSet
+	defer set.close()
+	first := tempArena{set: &set, dir: dir, tel: &JoinTelemetry{}}
 	if err := first.open(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +179,16 @@ func TestArenaNameCollision(t *testing.T) {
 	for x := range first.refs {
 		first.refs[x] = ref{off: Ptr(x), rid: uint64(3 * x)}
 	}
-	second := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	second := tempArena{set: &set, dir: dir, tel: &JoinTelemetry{}}
 	if err := second.open(10); err != nil {
 		t.Fatal(err)
 	}
 	defer second.close()
-	files, err := filepath.Glob(filepath.Join(dir, "arena-*.seg"))
-	if err != nil || len(files) != 2 || first.seg.path == second.seg.path {
-		t.Fatalf("two live arenas are the files %v (%v): want two distinct ones", files, err)
+	if lo, hi := span(first.seg.data), span(second.seg.data); lo[0] < hi[1] && hi[0] < lo[1] {
+		t.Fatalf("two live arenas share memory: %x and %x", lo, hi)
 	}
-	if info, err := os.Stat(first.seg.path); err != nil || info.Size() != first.seg.Size() {
-		t.Fatalf("the first arena's file changed: %v, %v", info, err)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("two live arenas show the files %v (%v): want none", files, err)
 	}
 	for x, e := range first.refs {
 		if e != (ref{off: Ptr(x), rid: uint64(3 * x)}) {
@@ -188,12 +197,20 @@ func TestArenaNameCollision(t *testing.T) {
 	}
 }
 
+// span is the address range [lo, hi) of b's bytes.
+func span(b []byte) [2]uintptr {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return [2]uintptr{lo, lo + uintptr(len(b))}
+}
+
 // TestArenaOpenFailureLeavesNothing: an arena whose file cannot be
 // sized (2^48 bytes is past any file size ext4 or a mapping allows)
 // fails to open and leaves its directory empty.
 func TestArenaOpenFailureLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
-	a := tempArena{dir: dir, tel: &JoinTelemetry{}}
+	var set arenaSet
+	defer set.close()
+	a := tempArena{set: &set, dir: dir, tel: &JoinTelemetry{}}
 	if err := a.open(1 << 44); err == nil {
 		a.close()
 		t.Fatal("an arena of 2^44 references opened")
@@ -201,8 +218,212 @@ func TestArenaOpenFailureLeavesNothing(t *testing.T) {
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 		t.Fatalf("a failed open left %v (%v)", left, err)
 	}
-	if a.seg != nil || a.tel.TempFiles.Load() != 0 {
+	if a.seg != nil || a.tel.TempFiles.Load() != 0 || idleArenas(&set) != 0 {
 		t.Fatal("a failed open counted or kept an arena")
+	}
+}
+
+// idleArenas is how many arenas set keeps mapped.
+func idleArenas(set *arenaSet) int {
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	return len(set.idle)
+}
+
+// TestArenaReusedAcrossJoins: a handle keeps its arena mapped between
+// joins. Its first staging join creates one, a second that fits
+// creates none, and one that stages more than the idle arena holds
+// replaces it — nested loops stages only the references that leave
+// their partition, Grace all of them — so the set holds one arena after
+// every join, every answer is exact, and no arena file is ever visible.
+func TestArenaReusedAcrossJoins(t *testing.T) {
+	db := makeDB(t, 4000)
+	want := db.ExpectedStats()
+	for x, step := range []struct {
+		alg   join.Algorithm
+		files int64
+	}{
+		{join.NestedLoops, 1}, // the handle's first arena
+		{join.Grace, 1},       // stages all 4000: replaces it
+		{join.Grace, 0},
+		{join.NestedLoops, 0}, // fits in Grace's
+		{join.Grace, 0},
+	} {
+		var tel JoinTelemetry
+		st, err := db.Run(JoinRequest{Algorithm: step.alg, Telemetry: &tel})
+		if err != nil || st != want {
+			t.Fatalf("join %d (%v): %+v, %v; want %+v", x, step.alg, st, err, want)
+		}
+		if got := tel.TempFiles.Load(); got != step.files {
+			t.Fatalf("join %d (%v) created %d arenas, want %d", x, step.alg, got, step.files)
+		}
+		if n := idleArenas(&db.arenas); n != 1 {
+			t.Fatalf("join %d (%v): the handle keeps %d arenas, want 1", x, step.alg, n)
+		}
+		if left := arenaFiles(t, db.Dir); len(left) != 0 {
+			t.Fatalf("join %d (%v) left %v", x, step.alg, left)
+		}
+	}
+}
+
+// TestConcurrentJoinsTakeDistinctArenas: eight goroutines running
+// Grace and hybrid-hash joins three times each on one handle, sharing
+// one TmpDir, never hold the same arena memory while both are live —
+// each run's arena mapping is checked against every other live run's —
+// and every answer is exact. Afterwards the handle keeps at most eight
+// arenas and the TmpDir shows none. Under -race it is also the proof
+// that a reused arena is handed to one join at a time.
+func TestConcurrentJoinsTakeDistinctArenas(t *testing.T) {
+	db := makeDB(t, 4000)
+	want := db.ExpectedStats()
+	h := histOf(t, db)
+	p := newPool(t, 2)
+	tmp := filepath.Join(t.TempDir(), "shared")
+	var mu sync.Mutex
+	live := map[*joinRun][2]uintptr{}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := JoinRequest{Algorithm: join.Grace, K: 4}
+			if g%2 == 1 {
+				req = JoinRequest{Algorithm: join.HybridHash, MRproc: 16 << 10}
+			}
+			for range 3 {
+				cfg := db.staging(h, req, p.Workers())
+				finish := cfg.finish
+				cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
+					mine := span(s.tmp.seg.data)
+					mu.Lock()
+					for other, rg := range live {
+						if other != s.joinRun && rg[0] < mine[1] && mine[0] < rg[1] {
+							t.Errorf("two live joins share arena memory: %x and %x", mine, rg)
+						}
+					}
+					live[s.joinRun] = mine
+					mu.Unlock()
+					return finish(s, w, part, refs)
+				}
+				r := newJoinRun(context.Background(), db, p, nil, tmp)
+				err := stagedJob(r, cfg)
+				mu.Lock()
+				delete(live, r)
+				mu.Unlock()
+				r.tmp.close()
+				if st := r.stats.total(); err != nil || st != want {
+					t.Errorf("%v: %+v, %v; want %+v", req.Algorithm, st, err, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := idleArenas(&db.arenas); n < 1 || n > 8 {
+		t.Fatalf("the handle keeps %d arenas after eight concurrent joins", n)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Fatalf("shared TmpDir after the joins: %v, holding %v", err, left)
+	}
+}
+
+// arenaFiles lists the arena files in dir.
+func arenaFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "arena-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// arenaMappings returns the lines of /proc/self/maps that map an arena
+// file of dir.
+func arenaMappings(t *testing.T, dir string) []string {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, filepath.Join(dir, "arena-")) {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestDBCloseReleasesArenas: after a finished join and a cancelled one,
+// the handle still maps the arena they shared; Close unmaps it, and an
+// arena a run still holds when Close runs is unmapped when the run
+// returns it.
+func TestDBCloseReleasesArenas(t *testing.T) {
+	db := makeDB(t, 4000)
+	held := newJoinRun(context.Background(), db, newPool(t, 1), nil, "")
+	if err := held.tmp.open(5000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Run(JoinRequest{Algorithm: join.Grace}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.Run(JoinRequest{Algorithm: join.SortMerge, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a cancelled join returned %v", err)
+	}
+	if got := arenaMappings(t, db.Dir); len(got) != 2 {
+		t.Fatalf("before Close the handle maps the arenas %q, want the idle one and the held one", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := arenaMappings(t, db.Dir); len(got) != 1 {
+		t.Fatalf("after Close the handle maps the arenas %q, want only the held one", got)
+	}
+	held.tmp.close()
+	if got := arenaMappings(t, db.Dir); len(got) != 0 {
+		t.Fatalf("an arena returned after Close is still mapped: %q", got)
+	}
+}
+
+// killedJoinDir names, in the environment of the child process
+// TestKilledJoinLeavesNoArena starts, the directory the child joins in.
+const killedJoinDir = "MSTORE_TEST_KILLED_JOIN_DIR"
+
+// TestKilledJoinLeavesNoArena: a process killed in the middle of a
+// staging join leaves no arena file behind, because the arena's file is
+// unlinked as soon as it is mapped. The test runs itself again as a
+// child, which builds a store and starts a Grace join with its temp
+// arena in a directory of the parent's, then SIGKILLs itself from the
+// join's first finish, when the arena holds every staged reference.
+func TestKilledJoinLeavesNoArena(t *testing.T) {
+	if dir := os.Getenv(killedJoinDir); dir != "" {
+		db, err := CreateDB(filepath.Join(dir, "db"), 4, 4000, 4000, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := histOf(t, db).grace(4)
+		cfg.finish = func(*stagedRun, int, int, []ref) error {
+			return syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		}
+		p := exec.NewPool(1)
+		t.Fatalf("the join outlived SIGKILL: %v", stagedJob(newJoinRun(context.Background(), db, p, nil, filepath.Join(dir, "tmp")), cfg))
+	}
+	dir := t.TempDir()
+	child := osexec.Command(os.Args[0], "-test.run=^TestKilledJoinLeavesNoArena$")
+	child.Env = append(os.Environ(), killedJoinDir+"="+dir)
+	out, err := child.CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
+		t.Fatalf("the child was not killed mid-join: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tmp")); err != nil {
+		t.Fatalf("the child never made its arena directory: %v\n%s", err, out)
+	}
+	for _, sub := range []string{"db", "tmp"} {
+		if left := arenaFiles(t, filepath.Join(dir, sub)); len(left) != 0 {
+			t.Fatalf("a join killed mid-way left %v in %s", left, sub)
+		}
 	}
 }
 

@@ -38,6 +38,10 @@ type DB struct {
 	profMu     sync.Mutex
 	prof       *profile
 	profPasses int
+
+	// The temp arenas the handle's finished staging joins left mapped for
+	// the next ones (arena.go); Close unmaps them.
+	arenas arenaSet
 }
 
 // ridOffset is where the 8-byte R id lives inside an R object, right
@@ -162,9 +166,10 @@ func OpenDB(dir string, d int) (*DB, error) {
 func (db *DB) rPath(i int) string { return filepath.Join(db.Dir, fmt.Sprintf("R%d.seg", i)) }
 func (db *DB) sPath(j int) string { return filepath.Join(db.Dir, fmt.Sprintf("S%d.seg", j)) }
 
-// Close unmaps all segments.
+// Close unmaps all segments and every idle temp arena; an arena a join
+// still holds is unmapped when that join returns it.
 func (db *DB) Close() error {
-	var first error
+	first := db.arenas.close()
 	for _, rel := range append(append([]*Relation(nil), db.R...), db.S...) {
 		if rel == nil {
 			continue

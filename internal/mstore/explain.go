@@ -35,7 +35,8 @@ type Plan struct {
 	K  int
 	F0 float64
 	// Resident references join during the scan; Staged ones go through
-	// the temp arena, a file of ArenaBytes (0 when nothing stages).
+	// the temp arena, filling ArenaBytes of it (0 when nothing stages):
+	// the size a cold arena is created at, which a reused one may pass.
 	Resident, Staged int64
 	ArenaBytes       int64
 	// Moves counts the reference moves of the in-place partition passes
@@ -228,7 +229,9 @@ func (h *refHist) count(cfg staging, orders bool) planCounts {
 // (measureProfile): nanoseconds of one worker per reference for each
 // step of a join, and per join for its fixed costs. The arena's page
 // faults and its teardown are the kernel's, one page at a time whatever
-// the pool: touch and arena are serial.
+// the pool: touch and arena are serial. Both price a cold arena, the one
+// a handle's first staging join creates; a warm join reuses its
+// handle's and pays neither, which Explain does not yet discount.
 type profile struct {
 	resident  float64 // scan a resident reference, then gather and fold it
 	stage     float64 // scan a staged reference, then claim and write its slot
@@ -237,8 +240,8 @@ type profile struct {
 	partition float64 // move a reference in an in-place partition pass
 	descent   float64 // index-nl: descend S's B-tree for a reference
 	posting   float64 // index-merge: join a pair through the leaf chains
-	touch     float64 // fault in, then drop, a staged reference's arena bytes
-	arena     float64 // create and map an arena, then unmap and unlink it
+	touch     float64 // fault in, then drop, a staged reference's cold arena bytes
+	arena     float64 // create, map and unlink a cold arena, then unmap it
 	join      float64 // a join's pool round trip
 }
 
@@ -333,9 +336,10 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 	r := newJoinRun(ctx, db, one, nil, tmpDir)
 	defer r.tmp.close()
 
-	// The fixed costs: a join's pool round trip, and an arena's life —
-	// create, map, unmap, unlink — empty and at the sample's size with
-	// every page faulted in, which prices a page.
+	// The fixed costs: a join's pool round trip, and a cold arena's life
+	// — create, map, unlink, unmap — drawn from and released through an
+	// empty set, empty and at the sample's size with every page faulted
+	// in, which prices a page.
 	n := 0
 	for _, ri := range db.R {
 		n += min(ri.Count(), sampleObjs) / 3
@@ -348,7 +352,8 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 		}
 		pr.join = min(pr.join, lap(1))
 		for _, size := range []int{1, n + pageRefs} {
-			a := tempArena{dir: r.tmp.dir, tel: &JoinTelemetry{}}
+			var cold arenaSet
+			a := tempArena{set: &cold, dir: r.tmp.dir, tel: &JoinTelemetry{}}
 			if err := a.open(size); err != nil {
 				return nil, err
 			}
@@ -356,6 +361,7 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 				a.refs[x] = ref{}
 			}
 			a.close()
+			cold.close()
 			if size == 1 {
 				pr.arena = min(pr.arena, lap(1))
 			} else {

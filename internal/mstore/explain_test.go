@@ -37,10 +37,11 @@ func hotKeyDB(db *DB) *DB {
 // unbounded through a page to one that makes hybrid hash fully resident
 // (f0 = 1), with the derived K and an explicit one past a pass's
 // fan-out, Explain reports the configuration read afresh off the
-// histogram — K,
-// f0, staged references and arena bytes — and Run then stages exactly
-// that: one arena file exactly when a reference stages, of the bytes
-// Explain names, with the exact result.
+// histogram — K, f0, staged references and arena bytes — and Run then
+// stages exactly that: one arena created exactly when a reference
+// stages (every Run is in a fresh TmpDir, where no idle arena can be
+// reused), its references filling the bytes Explain names, with the
+// exact result.
 func TestExplainMatchesRun(t *testing.T) {
 	p := newPool(t, 2)
 	for _, d := range []int{1, 3, 4} {
@@ -93,8 +94,8 @@ func TestExplainMatchesRun(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						arena := int64(0)
-						if r.tmp.seg != nil {
-							arena = r.tmp.seg.Size()
+						if n := len(r.tmp.refs); n > 0 {
+							arena = headerSize + int64(n)*refBytes
 						}
 						done()
 						if arena != plan.ArenaBytes {

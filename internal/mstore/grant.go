@@ -16,9 +16,11 @@ import "sync/atomic"
 // concurrently running morsels record without locks; a server folds
 // them into its /stats counters after the join.
 type JoinTelemetry struct {
-	// TempFiles counts temporary files actually created. Every staging
-	// operator keeps all its destinations, at every stage, in one arena
-	// file, so a join adds 1 — or 0 when it staged nothing.
+	// TempFiles counts the temp arenas created. Every staging operator
+	// keeps all its destinations, at every stage, in one arena, which it
+	// takes from its handle's idle arenas when one in its directory is
+	// large enough: a handle's first staging join adds 1, a warm one 0,
+	// and one that stages more than any idle arena holds 1 again.
 	TempFiles atomic.Int64
 	// RadixPasses is 1 once a staging join has run: the scan is its one
 	// partitioning pass. It stays only because the benchmark harness

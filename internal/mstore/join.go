@@ -120,7 +120,7 @@ func newJoinRun(ctx context.Context, db *DB, p *exec.Pool, tel *JoinTelemetry, t
 	}
 	return &joinRun{
 		db: db, ctx: ctx, p: p, kern: newJoinKernel(db), tel: tel,
-		tmp:     tempArena{dir: tmpDir, tel: tel},
+		tmp:     tempArena{set: &db.arenas, dir: tmpDir, tel: tel},
 		stats:   make(perWorker, p.Workers()),
 		fanBits: params.Bits, windowBits: windowBits,
 	}

@@ -58,10 +58,12 @@ type JoinRequest struct {
 	// also a supported use.
 	Telemetry *JoinTelemetry
 
-	// TmpDir is the directory, made if missing, in which Run creates
-	// the join's temp arena, a fresh arena-*.seg; "" creates it in the
-	// db dir. Concurrent joins may share a TmpDir, and Run deletes the
-	// arena on every exit path.
+	// TmpDir is the directory, made if missing, whose file system holds
+	// the join's temp arena; "" uses the db dir. Run reuses an idle
+	// arena its handle keeps mapped from an earlier join in the same
+	// directory, or creates a fresh arena-*.seg there and unlinks it as
+	// soon as it is mapped, so the directory never shows one. Concurrent
+	// joins may share a TmpDir; each holds its own arena.
 	TmpDir string
 
 	// Pool is the join's CPU parallelism: the work-stealing pool its
@@ -193,8 +195,8 @@ type Part struct {
 // once: a staging part's last scan morsel adds that part's finish
 // tasks, so no part waits on another. A failed prologue returns before
 // anything is added, so nothing is in flight; a failed task fails the
-// job, and its error is the one returned. Every part's arena is deleted
-// on return.
+// job, and its error is the one returned. Every part's arena goes back
+// to its handle's set on return.
 //
 // A nil ctx is context.Background(), and a nil p a GOMAXPROCS pool made
 // for the call. Each part's ShardJoinStat holds its result, its

@@ -184,17 +184,6 @@ func (s *Segment) unmap() error {
 	return first
 }
 
-// Delete unmaps the segment and removes its backing file (deleteMap).
-// Nothing is synced: the pages of a file about to be unlinked have no
-// reader left to be durable for.
-func (s *Segment) Delete() error {
-	err := s.unmap()
-	if rmErr := os.Remove(s.path); err == nil {
-		err = rmErr
-	}
-	return err
-}
-
 // Grow remaps the segment with at least min usable bytes. Virtual
 // pointers remain valid because they are offsets; only the Go-side slice
 // changes.

@@ -29,9 +29,10 @@ type Config struct {
 	// -shard-map`). The server takes ownership: Close closes it.
 	Store mstore.Store
 
-	// TmpDir is every join's JoinRequest.TmpDir: the directory in which
-	// each join creates, and deletes, its temp arena (arena-*.seg). ""
-	// puts each store's in that store's own directory.
+	// TmpDir is every join's JoinRequest.TmpDir: the directory whose file
+	// system holds the temp arenas, which each store handle keeps mapped
+	// between joins and whose files are unlinked as soon as they are
+	// mapped. "" puts each store's in that store's own directory.
 	TmpDir string
 
 	// MemBudget is the total bytes of join memory the service may have
