@@ -291,7 +291,7 @@ func TestConcurrentJoinsTakeDistinctArenas(t *testing.T) {
 				req = JoinRequest{Algorithm: join.HybridHash, MRproc: 16 << 10}
 			}
 			for range 3 {
-				cfg := db.staging(h, req, p.Workers())
+				cfg := h.layout(db.planKey(req, p.Workers())).cfg
 				finish := cfg.finish
 				cfg.finish = func(s *stagedRun, w, part int, refs []ref) error {
 					mine := span(s.tmp.seg.data)

@@ -25,8 +25,8 @@ type DB struct {
 	ridx, sidx []*BTree
 
 	// The reference histogram (hist.go), or the bad pointer that stopped
-	// it, set by the handle's first staging join; histPasses counts the
-	// counts begun. All three are guarded by histMu.
+	// it, set by the handle's first join or Explain of a plan that stages;
+	// histPasses counts the counts begun. All three are guarded by histMu.
 	histMu     sync.Mutex
 	hist       *refHist
 	histErr    error

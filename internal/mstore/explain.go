@@ -16,16 +16,16 @@ import (
 
 // Explain is the store's own cost model, built the way the paper builds
 // its own (Fig. 1): measure the machine's functions, then predict by
-// counting. The counts are read off the handle's reference histogram
-// (hist.go), the table Run lays its arena out from, so they are exactly
-// what a join will scan, stage, reorder and probe. The unit costs come
+// counting. The counts are |R| and what the handle's reference histogram
+// (hist.go), the table Run lays a staging arena out from, says a join
+// will stage, reorder and probe. The unit costs come
 // from a profile the handle measures once on its own relations, timing
 // its own kernels over a sample of them. No cost is typed in: the
 // simulator and the disk model (internal/model) price the paper's 1996
 // machine and stay the reproduction; this model prices the store.
 
-// Plan is one join as Run would execute it, read off the histogram, with
-// its predicted wall-clock time.
+// Plan is one join as Run would execute it, with its predicted
+// wall-clock time.
 type Plan struct {
 	Algorithm join.Algorithm
 	// K is the bucket count of each S partition's row — the destinations
@@ -88,12 +88,12 @@ func Rank(st Store, req JoinRequest, algs []join.Algorithm) ([]Plan, error) {
 
 // Explain returns the plan Run would execute for req, without running
 // it, and its predicted wall-clock time on req.Pool (nil: a GOMAXPROCS
-// pool, as Run makes). The handle's first call counts its histogram and
-// measures its profile, each once — concurrent first callers wait on
-// one, and a measurement its context stops caches nothing; later calls
-// read both and lay out no arena. The profile prices the temp arena on
-// the file system joins stage into: under req.TmpDir when it is set,
-// else under the store's directory, as Run does.
+// pool, as Run makes). The handle's first call measures its profile and
+// its first of a plan that stages counts its histogram, each once —
+// concurrent first callers wait on one, and a measurement its context
+// stops caches nothing; later calls lay out no arena. The profile prices
+// the temp arena on the file system joins stage into: under req.TmpDir
+// when it is set, else under the store's directory, as Run does.
 func (db *DB) Explain(req JoinRequest) (Plan, error) {
 	if err := req.validate(db); err != nil {
 		return Plan{}, err
@@ -107,24 +107,27 @@ func (db *DB) Explain(req JoinRequest) (Plan, error) {
 		p = exec.NewPool(0)
 		defer p.Close()
 	}
-	h, err := db.histogram(ctx, p)
-	if err != nil {
-		return Plan{}, err
+	plan := Plan{Algorithm: req.Algorithm, Resident: int64(db.CountR())}
+	var key planKey // the index joins' stays zero: they stage nothing
+	if req.Algorithm != join.IndexNL && req.Algorithm != join.IndexMerge {
+		key = db.planKey(req, p.Workers())
+		plan.K, plan.F0 = key.k, key.f0
+	}
+	if key.k > 0 {
+		h, err := db.histogram(ctx, p)
+		if err != nil {
+			return Plan{}, err
+		}
+		c := h.layout(key).planCounts
+		plan.Resident -= c.staged
+		plan.Staged, plan.Moves = c.staged, c.moves
+		if c.staged > 0 {
+			plan.ArenaBytes = headerSize + c.staged*refBytes
+		}
 	}
 	pr, err := db.profile(ctx, p, req.TmpDir)
 	if err != nil {
 		return Plan{}, err
-	}
-	plan := Plan{Algorithm: req.Algorithm, Resident: int64(h.refs())}
-	if req.Algorithm != join.IndexNL && req.Algorithm != join.IndexMerge {
-		key := db.planKey(h, req, p.Workers())
-		c := h.layout(key).planCounts
-		plan.K, plan.F0, plan.Moves = c.k, key.f0, c.moves
-		plan.Resident -= c.staged
-		plan.Staged = c.staged
-		if c.staged > 0 {
-			plan.ArenaBytes = headerSize + c.staged*refBytes
-		}
 	}
 	plan.PredictedNs = pr.predict(plan, p.Workers())
 	return plan, nil
@@ -132,10 +135,7 @@ func (db *DB) Explain(req JoinRequest) (Plan, error) {
 
 // planCounts is what one staging configuration does to the histogram's
 // references: a Plan's counts less what the request alone determines.
-type planCounts struct {
-	k             int
-	staged, moves int64
-}
+type planCounts struct{ staged, moves int64 }
 
 // layout is one staging configuration read off the histogram, with its
 // counts. Joins share it read-only.
@@ -193,7 +193,7 @@ func (cfg staging) bytes() int {
 // the span of its references from above.
 func (h *refHist) count(cfg staging, orders bool) planCounts {
 	d, k := h.d, cfg.k
-	c := planCounts{k: k, staged: int64(cfg.starts[d*k])}
+	c := planCounts{staged: int64(cfg.starts[d*k])}
 	if !orders {
 		return c
 	}
@@ -386,8 +386,8 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 		return scanned, sc.settled()
 	}
 	// Count every third's histogram before anything is timed, and lay
-	// each third out from its own: each third's R objects are then where
-	// a join finds R, read a while ago.
+	// the staged thirds out from their own: each third's R objects are
+	// then where a join finds R, read a while ago.
 	var thirds [3]*refHist
 	var err error
 	for t := range thirds {
@@ -395,7 +395,7 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 			return nil, err
 		}
 	}
-	floor, rows, windows := thirds[0].hybridHash(0, 1), thirds[1].grace(1), thirds[2].windows(r.windowBits)
+	floor, rows, windows := db.floor(), thirds[1].grace(1), thirds[2].windows(r.windowBits)
 	// stage opens cfg's arena, faults it in (the faults are priced as
 	// touch) and scans third t into it, timing the scan.
 	var stageNs float64

@@ -61,7 +61,10 @@ func TestExplainMatchesRun(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						cfg := h.configure(db.planKey(h, req, p.Workers()))
+						cfg := db.floor()
+						if key := db.planKey(req, p.Workers()); key.k > 0 {
+							cfg = h.configure(key)
+						}
 						staged := int64(cfg.starts[d*cfg.k])
 						_, f0 := db.plan(alg, k, mrproc)
 						if alg != join.HybridHash {
@@ -251,13 +254,13 @@ func TestLayoutCacheBoundedByBytes(t *testing.T) {
 	db := testDB(t, 4, 40000)
 	h := histOf(t, db)
 	for k := 1; k <= db.CountR()/db.D; k += 997 {
-		l := h.layout(db.planKey(h, JoinRequest{Algorithm: join.Grace, K: k}, 1))
+		l := h.layout(db.planKey(JoinRequest{Algorithm: join.Grace, K: k}, 1))
 		want := k
 		if k > 256 {
 			want = (k + 255) / 256
 		}
-		if l.k != want {
-			t.Fatalf("K=%d: the layout has K=%d, want %d", k, l.k, want)
+		if l.cfg.k != want {
+			t.Fatalf("K=%d: the layout has K=%d, want %d", k, l.cfg.k, want)
 		}
 		h.layoutsMu.Lock()
 		held, n := h.layoutBytes, 0

@@ -5,17 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
-	"mmjoin/internal/params"
 )
 
-// A staging join is four steps: histogram → layout → scan → finish.
-// The histogram is counted once per handle; each operator reads its
-// destinations and the arena layout off it (this file), so a join's
-// only pass over R is the scan that stages (joinRun.staged).
+// A pointer join's plan key follows from the request and |R| alone
+// (DB.planKey). K = 0 is the floor, which stages nothing and reads no
+// histogram (DB.floor); any other join is four steps: histogram →
+// layout → scan → finish. The histogram is counted once per handle; each
+// operator reads its destinations and the arena layout off it (this
+// file), so a join's only pass over R is the scan (joinRun.staged).
 
 // maxCellBits caps a row of the reference histogram at 2^12 cells: at
 // D = 4 its per-cell counts take 4 × 4096 × 8 B = 128 KiB per handle.
@@ -23,13 +25,13 @@ const maxCellBits = 12
 
 // errBadPointer marks a stored pointer that names no S object (see
 // DB.sObject). The histogram pass caches it like a result, so every
-// later staging join on the handle fails the same way; Lookup, Verify
-// and Workload fail such a row too.
+// later staging join on the handle fails the same way; the scan,
+// Lookup, Verify and Workload fail such a row too.
 var errBadPointer = errors.New("dangling pointer")
 
 // sObject returns the index of the S object a stored pointer names. It
-// is the one pointer rule, which the histogram, Lookup, Verify and
-// Workload all apply: the partition is below D, and the offset lies
+// is the one pointer rule, which the histogram, the scan, Lookup, Verify
+// and Workload all apply: the partition is below D, and the offset lies
 // inside that partition's objects, on an object's first byte. A pointer
 // that breaks it fails wrapping errBadPointer.
 func (db *DB) sObject(ptr SPtr) (int, error) {
@@ -45,18 +47,21 @@ func (db *DB) sObject(ptr SPtr) (int, error) {
 	return int(o / size), nil
 }
 
-// errStale fails a join that finds a stored pointer the handle's
-// histogram did not count: one was rewritten after the handle's first
-// staging join.
+// errStale fails a staging join whose claim cursors find a destination
+// holding more or fewer references than the handle's histogram counted:
+// a pointer was rewritten, to another S object, after the count.
 var errStale = errors.New("mstore: stored pointers changed since the handle counted its reference histogram (Relation.SetJoinAttr is build-time only; reopen the store)")
 
 // cellGeo is the cell grid over one S partition's object area: cell c
 // covers the byte offsets [base + c<<shift, base + (c+1)<<shift), and
-// an offset is an object's only if off − base < span.
+// an offset starts an object only if o = off − base < span and the
+// object size divides o: iff o·inv rotated right by tz is at most lim
+// (Hacker's Delight §10-17), where inv inverts the size's odd part mod
+// 2^64 and tz is its trailing zero bits, so the scan takes no division.
 type cellGeo struct {
-	base  Ptr
-	span  uint64
-	shift uint
+	base           Ptr
+	span, inv, lim uint64
+	tz, shift      uint
 }
 
 // newCellGeo lays at most 2^maxCellBits cells over rel's objects, each
@@ -64,9 +69,15 @@ type cellGeo struct {
 // two within one object, so a small partition gets at most two cells
 // per object.
 func newCellGeo(rel *Relation) cellGeo {
-	span := uint64(rel.Count()) * uint64(rel.size)
-	shift := max(bits.Len64(span)-maxCellBits, bits.Len64(uint64(rel.size))-1)
-	return cellGeo{base: rel.data, span: span, shift: uint(shift)}
+	size := uint64(rel.size)
+	span := uint64(rel.Count()) * size
+	shift := max(bits.Len64(span)-maxCellBits, bits.Len64(size)-1)
+	tz := bits.TrailingZeros64(size)
+	inv := size >> tz // correct in its low 3 bits; each Newton step doubles them
+	for range 5 {
+		inv *= 2 - (size>>tz)*inv
+	}
+	return cellGeo{base: rel.data, span: span, inv: inv, lim: ^uint64(0) / size, tz: uint(tz), shift: uint(shift)}
 }
 
 func (g cellGeo) cells() int { return int((g.span + 1<<g.shift - 1) >> g.shift) }
@@ -179,22 +190,13 @@ type planKey struct {
 	f0  float64
 }
 
-// configure reads the configuration key names off the histogram.
-// Sort-merge is Grace at its split count.
+// configure reads the configuration a staging key (k > 0) names off the
+// histogram. Sort-merge is Grace at its split count.
 func (h *refHist) configure(key planKey) staging {
 	if key.alg == join.NestedLoops {
-		return h.nestedLoops()
+		return h.nestedLoops(key.k)
 	}
 	return h.hybridHash(key.k, key.f0)
-}
-
-// refs is |R|: every reference the histogram counted.
-func (h *refHist) refs() int {
-	n := 0
-	for _, c := range h.rows {
-		n += c
-	}
-	return n
 }
 
 // rowMap places one R partition's references into one S partition: the
@@ -209,11 +211,10 @@ type rowMap struct {
 // the rest sub-partition into RP<i,j> — row j, bucket i — laid out from
 // the |Ri,j| totals and probed in staggered order. Each map is one cell
 // (a shift of 64 maps every offset to cell 0). The scan fans out to at
-// most 2^params.Bits destinations a row, so past that neighbouring
-// origins share a destination; up to it the mapping is the identity.
-func (h *refHist) nestedLoops() staging {
+// most k = min(D, 2^params.Bits) destinations a row: past that,
+// neighbouring origins share one; up to it the mapping is the identity.
+func (h *refHist) nestedLoops(k int) staging {
 	d := h.d
-	k := min(d, 1<<params.Bits)
 	cfg := staging{k: k, maps: make([][]rowMap, d), starts: make([]int, d*k+1), finish: (*stagedRun).scanProbe}
 	resident := []int32{-1}
 	for i := range d {
@@ -234,14 +235,17 @@ func (h *refHist) nestedLoops() staging {
 	return cfg
 }
 
-// sortSplits is sort-merge's bucket count on a pool of workers. Sort-
-// merge (§5.2) is Grace at sortSplitCount buckets: every reference stages
-// into RSj — its S partition's row — already split into address ranges,
-// so the first level of ordering RSj by S address is done by the scan,
-// and each split orders the rest independently, in parallel with the
-// others.
-func (h *refHist) sortSplits(workers int) int {
-	return sortSplitCount(workers, h.d, h.refs()/h.d)
+// floor is hybrid hash at f0 = 1, key.k = 0: every reference joins
+// during the scan and nothing stages. Each S partition is one resident
+// cell (a shift of 64, as in nestedLoops) over its extent, so the floor
+// reads no histogram; its scan still applies the whole pointer rule.
+func (db *DB) floor() staging {
+	row := make([]rowMap, db.D)
+	for j, rel := range db.S {
+		row[j] = rowMap{cellGeo: newCellGeo(rel), bucket: []int32{-1}}
+		row[j].shift = 64
+	}
+	return staging{maps: slices.Repeat([][]rowMap{row}, db.D), starts: []int{0}}
 }
 
 // grace (§5.3) is hybrid hash with nothing resident.
@@ -251,16 +255,12 @@ func (h *refHist) grace(k int) staging { return h.hybridHash(k, 0) }
 // — f0 of its object area, rounded up to a cell boundary — join during
 // the scan; the cells past it are cut into k address-ordered buckets,
 // equi-depth (cutCells), each ordered into S windows and probed in
-// place. k = 0 comes only with f0 = 1: every reference is resident and
-// nothing stages.
+// place. k ≥ 1: f0 = 1 is the floor (DB.floor).
 func (h *refHist) hybridHash(k int, f0 float64) staging {
 	tables := make([][]int32, h.d)
 	for j, cnt := range h.cells {
 		g, t := h.geo[j], make([]int32, len(cnt))
-		resident := len(cnt)
-		if k > 0 {
-			resident = min(int((uint64(f0*float64(g.span))+1<<g.shift-1)>>g.shift), len(cnt))
-		}
+		resident := min(int((uint64(f0*float64(g.span))+1<<g.shift-1)>>g.shift), len(cnt))
 		for c := range resident {
 			t[c] = -1
 		}
@@ -288,11 +288,7 @@ func (h *refHist) byCell(k int, tables [][]int32) staging {
 		}
 	}
 	prefixSums(starts)
-	maps := make([][]rowMap, h.d)
-	for i := range maps {
-		maps[i] = row
-	}
-	return staging{k: k, maps: maps, starts: starts}
+	return staging{k: k, maps: slices.Repeat([][]rowMap{row}, h.d), starts: starts}
 }
 
 // cutCells assigns cells holding cnt[c] references each to k buckets in

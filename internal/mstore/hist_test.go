@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +14,10 @@ import (
 )
 
 var stagingAlgs = []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
+
+// floorReq is the floor: hybrid hash at a grant that keeps all of S
+// resident (f0 = 1, K = 0), so it stages nothing.
+var floorReq = JoinRequest{Algorithm: join.HybridHash, MRproc: 1 << 40}
 
 // histPassesOf reads how many histogram counts the handle has begun.
 func histPassesOf(db *DB) int {
@@ -61,6 +66,72 @@ func TestHistogramCountedOnce(t *testing.T) {
 	}
 }
 
+// TestFloorReadsNoHistogram: on a fresh indexed handle, the floor's
+// join, its Explain and Explain of index-merge count no histogram and
+// answer as a counted one does — the exact result; K = 0, F0 = 1 (0 for
+// index-merge) and all |R| references resident. The first Explain of a
+// plan that stages counts it, once, and the join after it reads it.
+func TestFloorReadsNoHistogram(t *testing.T) {
+	db := indexedDB(t, makeDB(t, 6000))
+	want, nr := db.ExpectedStats(), int64(db.CountR())
+	if st, err := db.Run(floorReq); err != nil || st != want {
+		t.Fatalf("floor join: %+v, %v, want %+v", st, err, want)
+	}
+	for _, req := range []JoinRequest{floorReq, {Algorithm: join.IndexMerge}} {
+		plan, err := db.Explain(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f0 := 1.0
+		if req.Algorithm == join.IndexMerge {
+			f0 = 0
+		}
+		if plan.K != 0 || plan.F0 != f0 || plan.Resident != nr || plan.Staged != 0 || plan.ArenaBytes != 0 || plan.Moves != 0 {
+			t.Fatalf("%v: explained %+v, want K=0 F0=%g and all %d references resident", req.Algorithm, plan, f0, nr)
+		}
+	}
+	if n := histPassesOf(db); n != 0 {
+		t.Fatalf("the floor and the index joins counted the histogram %d times, want none", n)
+	}
+	grace := JoinRequest{Algorithm: join.Grace, K: 4}
+	if plan, err := db.Explain(grace); err != nil || plan.Staged != nr {
+		t.Fatalf("grace: explained %+v, %v, want all %d references staged", plan, err, nr)
+	}
+	if st, err := db.Run(grace); err != nil || st != want {
+		t.Fatalf("grace join: %+v, %v, want %+v", st, err, want)
+	}
+	if n := histPassesOf(db); n != 1 {
+		t.Fatalf("a staging Explain and join counted the histogram %d times, want once", n)
+	}
+}
+
+// TestScanPointerRuleIsSObjects: the scan tests a pointer's offset
+// without a division, so at object sizes with and without an odd factor
+// it must accept exactly the offsets DB.sObject accepts — every object's
+// first byte and nothing else, from a stretch before S0's objects to one
+// past them — and fail every other with sObject's error.
+func TestScanPointerRuleIsSObjects(t *testing.T) {
+	for _, size := range []int{MinObjSize, 24, 40, 64, 100, 128} {
+		db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 20, 20, size, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, done := newTestRun(t, db, 1, nil)
+		floor, s0 := db.floor(), db.S[0]
+		for off := s0.data - Ptr(2*size); off < s0.PtrAt(s0.Count())+Ptr(2*size); off++ {
+			ptr := SPtr{Part: 0, Off: off}
+			db.R[0].SetJoinAttr(0, ptr)
+			_, want := db.sObject(ptr)
+			got := r.newScan(floor).morsel(0, 0, 0, 1)
+			if (got == nil) != (want == nil) || got != nil && !strings.Contains(got.Error(), want.Error()) {
+				t.Fatalf("size %d, offset %d: the scan says %v, sObject %v", size, off, got, want)
+			}
+		}
+		done()
+		db.Close()
+	}
+}
+
 // TestHistogramCancelledCountIsNotCached: a join cancelled inside the
 // histogram pass fails with context.Canceled and leaves nothing cached,
 // so the handle's next join counts again and is exact.
@@ -101,16 +172,20 @@ func TestHistogramCancelledCountIsNotCached(t *testing.T) {
 // references are resident, so its two one-sided moves reach each scan
 // check alone: a resident reference made foreign overfills a
 // destination (a claim runs past its extent's end), a foreign one made
-// resident underfills one (a cursor stops short of it).
+// resident underfills one (a cursor stops short of it). A pointer moved
+// 8 bytes into its own object stays in its cell, so every count still
+// matches: the scan's own pointer rule fails it with errBadPointer.
 func TestRunRejectsPointerRewrittenAfterHistogram(t *testing.T) {
 	for _, c := range []struct {
 		name     string
-		from, to uint32
+		from, to uint32 // from == to: misalign the pointer in place
 		algs     []join.Algorithm
+		want     error
 	}{
-		{"foreign to foreign", 2, 3, stagingAlgs},
-		{"resident to foreign", 1, 2, []join.Algorithm{join.NestedLoops}},
-		{"foreign to resident", 2, 1, []join.Algorithm{join.NestedLoops}},
+		{"foreign to foreign", 2, 3, stagingAlgs, errStale},
+		{"resident to foreign", 1, 2, []join.Algorithm{join.NestedLoops}, errStale},
+		{"foreign to resident", 2, 1, []join.Algorithm{join.NestedLoops}, errStale},
+		{"misaligned in its cell", 2, 2, stagingAlgs, errBadPointer},
 	} {
 		db := makeDB(t, 4000)
 		if _, err := db.Run(JoinRequest{Algorithm: join.Grace, K: 4}); err != nil {
@@ -120,10 +195,15 @@ func TestRunRejectsPointerRewrittenAfterHistogram(t *testing.T) {
 		for db.R[1].JoinAttr(x).Part != c.from {
 			x++
 		}
-		db.R[1].SetJoinAttr(x, SPtr{Part: c.to, Off: db.S[c.to].PtrAt(0)})
+		ptr := SPtr{Part: c.to, Off: db.S[c.to].PtrAt(0)}
+		if c.from == c.to {
+			ptr = db.R[1].JoinAttr(x)
+			ptr.Off += 8
+		}
+		db.R[1].SetJoinAttr(x, ptr)
 		for _, alg := range c.algs {
-			if _, err := db.Run(JoinRequest{Algorithm: alg, K: 4}); !errors.Is(err, errStale) {
-				t.Errorf("%s: %v after the rewrite: %v, want the stale-histogram error", c.name, alg, err)
+			if st, err := db.Run(JoinRequest{Algorithm: alg, K: 4}); !errors.Is(err, c.want) {
+				t.Errorf("%s: %v after the rewrite: %+v, %v, want %v", c.name, alg, st, err, c.want)
 			}
 		}
 	}

@@ -30,8 +30,8 @@ import (
 // nested loops probes it as it lies; sort-merge, Grace and hybrid hash
 // order it in place into cache-sized S windows first. That shape is
 // written once, in joinRun.staged; the operators are configurations
-// (staging) read off the handle's reference histogram (hist.go), and the
-// inner loops live in the kernel layer (kernel.go).
+// (staging) read off the handle's reference histogram (hist.go) or S's
+// extents (the floor), and the inner loops live in kernel.go.
 
 // morselObjs is the fixed morsel size: the number of objects one
 // work-stealing task covers. Around 4k objects a morsel is a few
@@ -172,25 +172,19 @@ type stagedRun struct {
 	staging
 }
 
-// staleRef reports a reference the scan found outside the handle's
-// histogram: R_i[x] now holds ptr.
-func staleRef(i, x int, ptr SPtr) error {
-	return fmt.Errorf("%w: R%d[%d] points to %d/%d", errStale, i, x, ptr.Part, ptr.Off)
-}
-
 // staged is the one skeleton under nested loops, sort-merge, Grace and
-// hybrid hash. The histogram has been counted and the operator's
-// layout read off it, so the join opens its one exactly sized arena at
-// once and returns its scan: resident references fold immediately
-// through the batched kernel, the rest are stored into their
-// destination's extent. The scan is the only partitioning pass: its
-// destinations are the final extents, and its last morsel adds one
+// hybrid hash. The operator's layout is known — read off the histogram,
+// or the floor's, which stages nothing — so the join opens its one
+// exactly sized arena at once and returns its scan: resident references
+// fold immediately through the batched kernel, the rest are stored into
+// their destination's extent. The scan is the only partitioning pass:
+// its destinations are the final extents, and its last morsel adds one
 // finish task per non-empty one.
 //
-// The scan checks every reference against the histogram it was laid out
-// from, so a pointer rewritten after the histogram was counted fails
-// the join with errStale rather than overrunning an extent: no claim may
-// run past its extent's end, and every claim cursor must reach it.
+// The scan applies sObject's rule to every reference (errBadPointer) and
+// checks every claim against the histogram, so a pointer moved to another
+// S object after the count fails errStale rather than overrun an extent:
+// no claim may run past its extent's end, every cursor must reach it.
 func (r *joinRun) staged(cfg staging) ([]exec.Task, error) {
 	d, k := r.db.D, cfg.k
 	s := &stagedRun{joinRun: r, staging: cfg}
@@ -282,14 +276,12 @@ func (s *scan) morsel(w, i, lo, hi int) error {
 		obj := ri.Object(x)
 		ptr := DecodeSPtr(obj)
 		if int(ptr.Part) >= d {
-			s.scratch[w] = nil
-			return staleRef(i, x, ptr)
+			return s.badRef(w, i, x, ptr)
 		}
 		m := &maps[ptr.Part]
 		o := uint64(ptr.Off - m.base)
-		if o >= m.span {
-			s.scratch[w] = nil
-			return staleRef(i, x, ptr)
+		if o >= m.span || bits.RotateLeft64(o*m.inv, -int(m.tz)) > m.lim {
+			return s.badRef(w, i, x, ptr)
 		}
 		b := m.bucket[o>>m.shift]
 		if b < 0 {
@@ -322,6 +314,14 @@ func (s *scan) morsel(w, i, lo, hi int) error {
 	return nil
 }
 
+// badRef fails worker w's morsel at R_i[x] = ptr, which the scan's
+// checks reject, with sObject's error, as every reader of ptr reports it.
+func (s *scan) badRef(w, i, x int, ptr SPtr) error {
+	s.scratch[w] = nil
+	_, err := s.r.db.sObject(ptr)
+	return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+}
+
 // settled checks that every claim cursor reached its extent's end.
 func (s *scan) settled() error {
 	for g := range s.cur {
@@ -343,12 +343,12 @@ func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
 	return nil
 }
 
-// sortSplitCount picks how many address-range splits sort-merge gives
-// each S partition's references: enough tasks to occupy the pool across
-// all D partitions (with headroom for stealing), but never splits
-// smaller than a morsel at count references per partition (|R|/D). One
-// worker gets one split per partition — exactly a sequential in-place
-// ordering.
+// sortSplitCount is sort-merge's bucket count (§5.2: Grace at this count,
+// each split of a row ordered on its own): enough tasks to occupy the
+// pool across all D partitions (with headroom for stealing), but never
+// splits smaller than a morsel at count references per partition
+// (|R|/D). One worker gets one split per partition — exactly a
+// sequential in-place ordering.
 func sortSplitCount(workers, d, count int) int {
 	s := (4*workers + d - 1) / d
 	if maxS := count/morselObjs + 1; s > maxS {

@@ -145,7 +145,7 @@ func TestKernelCancelMidScanLeavesNoTemporaries(t *testing.T) {
 func TestKernelCancelInsideOrderingLeavesNoTemporaries(t *testing.T) {
 	db := makeDB(t, 20000)
 	h := histOf(t, db)
-	for name, cfg := range map[string]staging{"sort-merge": h.grace(h.sortSplits(2)), "grace": h.grace(4)} {
+	for name, cfg := range map[string]staging{"sort-merge": layoutOf(t, db, JoinRequest{Algorithm: join.SortMerge}, 2), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		r, done := newTestRun(t, db, 2, &tel)
 		ctx, cancel := context.WithCancel(r.ctx)
@@ -227,6 +227,12 @@ func histOf(t testing.TB, db *DB) *refHist {
 	return h
 }
 
+// layoutOf is the configuration Run stages req into on a pool of
+// workers, for a request that stages.
+func layoutOf(t testing.TB, db *DB, req JoinRequest, workers int) staging {
+	return histOf(t, db).layout(db.planKey(req, workers)).cfg
+}
+
 // runStaged runs one staging configuration at the given fan-out.
 func runStaged(t *testing.T, db *DB, cfg staging, fanBits, workers int, tel *JoinTelemetry) (JoinStats, error) {
 	t.Helper()
@@ -266,7 +272,6 @@ func TestKernelKBeyondOnePass(t *testing.T) {
 	for _, mk := range []func(testing.TB, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 4000)
 		want := db.ExpectedStats()
-		h := histOf(t, db)
 		for _, c := range []struct{ k, wantK int }{{300, 2}, {db.CountR() / db.D, (db.CountR()/db.D + 255) / 256}} {
 			k, wantK := c.k, c.wantK
 			// 24,000 of a partition's 1000·64 S bytes: 0.3 resident.
@@ -278,7 +283,7 @@ func TestKernelKBeyondOnePass(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s w=%d: %v", name, w, err)
 					}
-					if cfg := db.staging(h, req, w); plan.K != wantK || cfg.k != plan.K {
+					if cfg := layoutOf(t, db, req, w); plan.K != wantK || cfg.k != plan.K {
 						t.Fatalf("%s w=%d: explained K=%d, the scan stages into %d a row, want %d", name, w, plan.K, cfg.k, wantK)
 					}
 					if got, err := db.Run(req); err != nil || got != want {
@@ -288,7 +293,7 @@ func TestKernelKBeyondOnePass(t *testing.T) {
 
 				r, done := newTestRun(t, db, 2, nil)
 				r.fanBits, r.windowBits = 2, 8
-				cfg := db.staging(h, req, 2)
+				cfg := layoutOf(t, db, req, 2)
 				levels := 0
 				probe := cfg.finish
 				var mu sync.Mutex

@@ -105,7 +105,7 @@ func TestNestedLoopsSkewHeavy(t *testing.T) {
 	// nested-loops scan; sort-merge and Grace stage all of R.
 	staged := map[string]int{"nested-loops": 4000 - db.R[0].Count(), "sort-merge": 4000, "grace": 4000}
 	h := histOf(t, db)
-	for name, cfg := range map[string]staging{"nested-loops": h.nestedLoops(), "sort-merge": h.grace(h.sortSplits(2)), "grace": h.grace(4)} {
+	for name, cfg := range map[string]staging{"nested-loops": layoutOf(t, db, JoinRequest{Algorithm: join.NestedLoops}, 2), "sort-merge": layoutOf(t, db, JoinRequest{Algorithm: join.SortMerge}, 2), "grace": h.grace(4)} {
 		var tel JoinTelemetry
 		var mu sync.Mutex
 		rows := map[int]int{} // row → references its non-empty destinations hold

@@ -150,8 +150,8 @@ func (r *Relation) JoinAttr(i int) SPtr { return DecodeSPtr(r.Object(i)) }
 
 // SetJoinAttr stores the S-pointer into object i. It is build-time
 // only: a DB handle counts its reference histogram once, at its first
-// staging join, and lays out every later join from it, so a pointer
-// rewritten after that join makes the handle's staging joins fail with
-// a stale-histogram error. Rewrite before the first join, or close the
-// store and reopen it (OpenDB) to join the rewritten pointers.
+// join that stages, and lays out every later one from it, so a pointer
+// moved to another S object after that join makes the handle's staging
+// joins fail with a stale-histogram error. Rewrite before the first
+// join, or close the store and reopen it (OpenDB) to join the new ones.
 func (r *Relation) SetJoinAttr(i int, p SPtr) { EncodeSPtr(r.Object(i), p) }

@@ -127,25 +127,21 @@ func (db *DB) plan(alg join.Algorithm, k int, mrproc int64) (int, float64) {
 	return k, f0
 }
 
-// planKey derives the configuration a staging request runs on a pool of
-// workers: nested loops' is fixed, sort-merge's bucket count follows the
-// pool, and Grace's and hybrid hash's K and f0 follow the grant.
-func (db *DB) planKey(h *refHist, req JoinRequest, workers int) planKey {
+// planKey derives the configuration a pointer join runs on a pool of
+// workers from the request and |R| alone: nested loops' K is fixed,
+// sort-merge's follows the pool, and Grace's and hybrid hash's K and f0
+// the grant. K = 0 is the floor (hybrid hash at f0 = 1).
+func (db *DB) planKey(req JoinRequest, workers int) planKey {
 	key := planKey{alg: req.Algorithm}
 	switch req.Algorithm {
 	case join.NestedLoops:
+		key.k = min(db.D, 1<<params.Bits)
 	case join.SortMerge:
-		key.k = h.sortSplits(workers)
+		key.k = sortSplitCount(workers, db.D, db.CountR()/db.D)
 	default: // join.Grace, join.HybridHash
 		key.k, key.f0 = db.plan(req.Algorithm, req.K, req.MRproc)
 	}
 	return key
-}
-
-// staging returns a staging join's configuration, read off the
-// histogram once per key.
-func (db *DB) staging(h *refHist, req JoinRequest, workers int) staging {
-	return h.layout(db.planKey(h, req, workers)).cfg
 }
 
 // CountR returns the total number of R objects across partitions.
@@ -259,11 +255,15 @@ func (r *joinRun) tasks(req JoinRequest) ([]exec.Task, error) {
 	case join.IndexMerge:
 		return r.indexMerge(), nil
 	}
-	h, err := r.db.histogram(r.ctx, r.p) // a staging join, by validate
+	key := r.db.planKey(req, r.p.Workers()) // a pointer join, by validate
+	if key.k == 0 {
+		return r.staged(r.db.floor())
+	}
+	h, err := r.db.histogram(r.ctx, r.p)
 	if err != nil {
 		return nil, err
 	}
-	return r.staged(r.db.staging(h, req, r.p.Workers()))
+	return r.staged(h.layout(key).cfg)
 }
 
 // Workload converts the stored relations into the simulator's workload
@@ -278,7 +278,7 @@ func (r *joinRun) tasks(req JoinRequest) ([]exec.Task, error) {
 // reader. The shard router calls it once per shard, at the shard's first
 // auto join, for its PlanFunc, and shares the result between requests; a
 // caller that asks again pays both again. The store's own planning
-// (Explain) reads the histogram instead and needs no workload.
+// (Explain) reads |R| and the histogram instead and needs no workload.
 func (db *DB) Workload() (*relation.Workload, error) {
 	if len(db.R) != db.D || len(db.S) != db.D {
 		return nil, fmt.Errorf("mstore: %d/%d relations for D=%d", len(db.R), len(db.S), db.D)

@@ -205,10 +205,12 @@ func TestWorkloadRejectsDanglingPointers(t *testing.T) {
 }
 
 // TestRunRejectsDanglingPointers mirrors TestWorkloadRejectsDanglingPointers
-// for the staging joins: the histogram pass rejects such a pointer, and
+// for the pointer joins: the histogram pass rejects such a pointer, and
 // caches the verdict, so every staging operator fails on the handle and
-// keeps failing without counting again — none reads the segment header
-// or the slack space after the last object as an S word.
+// keeps failing without counting again, and the floor's scan (hybrid
+// hash with all of S resident) rejects it on every try without counting
+// at all — none reads the segment header or the slack space after the
+// last object as an S word.
 func TestRunRejectsDanglingPointers(t *testing.T) {
 	for name, off := range map[string]func(s *Relation) Ptr{
 		"before the first object": func(s *Relation) Ptr { return s.PtrAt(0) - Ptr(s.size) },
@@ -216,10 +218,15 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 	} {
 		db := testDB(t, 2, 100)
 		db.R[1].SetJoinAttr(5, SPtr{Part: 0, Off: off(db.S[0])})
-		for _, alg := range []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash} {
+		reqs := []JoinRequest{floorReq}
+		for _, alg := range stagingAlgs {
+			reqs = append(reqs, JoinRequest{Algorithm: alg})
+		}
+		for _, req := range reqs {
 			for try := range 2 {
-				if st, err := db.Run(JoinRequest{Algorithm: alg}); !errors.Is(err, errBadPointer) {
-					t.Errorf("pointer %s, %v (join %d): %+v, %v, want the dangling-pointer error", name, alg, try+1, st, err)
+				if st, err := db.Run(req); !errors.Is(err, errBadPointer) {
+					t.Errorf("pointer %s, %v MRproc=%d (join %d): %+v, %v, want the dangling-pointer error",
+						name, req.Algorithm, req.MRproc, try+1, st, err)
 				}
 			}
 		}
@@ -232,9 +239,9 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 // TestMisalignedPointerIsOneAnswer: a stored pointer inside S's objects
 // but off an object boundary — 8 bytes into S0[3] — names no S object,
 // and every reader of stored pointers says so the same way: a staging
-// join (through the histogram), Lookup, Verify and Workload all fail
-// wrapping the dangling-pointer error, rather than folding the middle of
-// S0[3] or answering S0[3].
+// join (through the histogram), the floor (through its scan), Lookup,
+// Verify and Workload all fail wrapping the dangling-pointer error,
+// rather than folding the middle of S0[3] or answering S0[3].
 func TestMisalignedPointerIsOneAnswer(t *testing.T) {
 	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 100, 100, 64, 7)
 	if err != nil {
@@ -242,8 +249,10 @@ func TestMisalignedPointerIsOneAnswer(t *testing.T) {
 	}
 	defer db.Close()
 	db.R[0].SetJoinAttr(0, SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8})
-	if st, err := db.Run(JoinRequest{Algorithm: join.Grace}); !errors.Is(err, errBadPointer) {
-		t.Errorf("grace: %+v, %v, want the dangling-pointer error", st, err)
+	for _, req := range []JoinRequest{{Algorithm: join.Grace}, floorReq} {
+		if st, err := db.Run(req); !errors.Is(err, errBadPointer) {
+			t.Errorf("%v MRproc=%d: %+v, %v, want the dangling-pointer error", req.Algorithm, req.MRproc, st, err)
+		}
 	}
 	if res, err := db.Lookup(0, 0); !errors.Is(err, errBadPointer) {
 		t.Errorf("lookup: %+v, %v, want the dangling-pointer error", res, err)

@@ -106,10 +106,11 @@ type Server struct {
 	hists    map[string]*metrics.Histogram
 }
 
-// New adopts the store, explains a join at the default grant once —
-// which counts the store's reference histogram and measures its cost
-// profile, so that no request pays for either — and assembles the
-// admission controller. Close releases the store.
+// New adopts the store, ranks every operator for a join at the default
+// grant once — Rank explains the staging operators too, which counts the
+// store's reference histogram, and measures its cost profile, so that no
+// request pays for either — and assembles the admission controller.
+// Close releases the store.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
