@@ -1,8 +1,8 @@
 // Package exec is the morsel-driven execution layer of the mapped
-// store: a work-stealing pool of a fixed number of goroutines onto
-// which joins (and any other bulk operation) submit fine-grained tasks
-// — "morsels", fixed-size object ranges in the style of Leis et al.'s
-// morsel-driven parallelism and of Albutiu et al.'s MPSM join.
+// store: a pool of a fixed number of goroutines onto which joins (and
+// any other bulk operation) submit fine-grained tasks — "morsels",
+// fixed-size object ranges in the style of Leis et al.'s morsel-driven
+// parallelism and of Albutiu et al.'s MPSM join.
 //
 // The pool decouples CPU parallelism from data layout: the paper's
 // structural parallelism runs one process per disk partition (D of
@@ -12,6 +12,12 @@
 // GOMAXPROCS), and one pool can be shared by all in-flight joins of a
 // server so the total CPU fan-out stays bounded by the host.
 //
+// Each job keeps one stack of queued tasks, and a worker takes the
+// newest task of the oldest job that has any: a join that begins while
+// another runs waits for the older one's queued morsels instead of
+// taking its workers, and within a job a task added by a running task
+// runs next (depth first).
+//
 // Scheduling is deterministic-result by construction, not
 // deterministic-order: callers must make morsel results order
 // independent (the store's JoinStats are commutative sums, so they are
@@ -19,10 +25,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -35,59 +43,22 @@ var ErrClosed = errors.New("exec: pool is closed")
 // index per-worker accumulators without synchronization.
 type Task func(worker int) error
 
-// job tracks one Run call: its remaining morsels, its first error, and
-// a failed flag that makes workers skip the job's queued morsels.
-type job struct {
-	ctx     context.Context
-	pending atomic.Int64
-	done    chan struct{}
-	failed  atomic.Bool
-	mu      sync.Mutex
-	err     error
-}
-
-// fail records the job's first error and marks it failed so queued
-// morsels are skipped instead of executed.
-func (j *job) fail(err error) {
-	j.mu.Lock()
-	if j.err == nil {
-		j.err = err
-	}
-	j.mu.Unlock()
-	j.failed.Store(true)
-}
-
-// retire accounts one morsel as finished (executed or skipped).
-func (j *job) retire() {
-	if j.pending.Add(-1) == 0 {
-		close(j.done)
-	}
-}
-
-type morsel struct {
-	j  *job
-	fn Task
-}
-
-// Pool is a work-stealing pool of a fixed number of worker goroutines.
-// Morsels are distributed round-robin across per-worker deques; a
-// worker pops its own deque LIFO (locality) and steals FIFO from a
-// victim's head when empty. Many Run calls may be in flight at once —
-// their morsels interleave on the same workers, which is exactly how a
-// server bounds total CPU fan-out across concurrent joins.
+// Pool is a fixed number of worker goroutines serving jobs oldest
+// first. Many Run calls may be in flight at once — they share the same
+// workers, which is exactly how a server bounds total CPU fan-out
+// across concurrent joins.
 type Pool struct {
 	workers int
 
-	mu     sync.Mutex // guards deques, queued, busy, rr, closed, and the cond
+	mu     sync.Mutex // guards open, queued, busy, peak, closed, every Job's tasks and accepted, and the cond
 	cond   *sync.Cond
-	deques [][]morsel
+	open   []*Job // jobs with queued tasks, oldest (lowest seq) first
 	queued int
 	busy   int
 	peak   int
-	rr     int
 	closed bool
 
-	steals   atomic.Int64
+	seq      atomic.Uint64
 	executed atomic.Int64
 	skipped  atomic.Int64
 	jobs     atomic.Int64
@@ -100,7 +71,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, deques: make([][]morsel, workers)}
+	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -147,21 +118,30 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) error {
 // stores adds that store's finish tasks, and a finish may add more
 // morsels, instead of waiting for a global barrier across all of them.
 type Job struct {
-	p        *Pool
-	j        *job
-	accepted bool // the pool has queued one of the job's tasks (p.mu)
-	waited   atomic.Bool
+	p   *Pool
+	ctx context.Context
+	seq uint64 // Begin order: a lower seq is served first
+
+	tasks    []Task // queued tasks, newest last (p.mu)
+	accepted bool   // the pool has queued one of the job's tasks (p.mu)
+
+	pending atomic.Int64 // unretired tasks, plus Wait's open token
+	done    chan struct{}
+	failed  atomic.Bool
+	waited  atomic.Bool
+	mu      sync.Mutex // guards err
+	err     error
 }
 
 // Begin opens a job with no tasks yet. The caller must eventually call
 // Wait exactly once; Add may be called any number of times before the
 // final task retires (in particular, from inside the job's own tasks).
 func (p *Pool) Begin(ctx context.Context) *Job {
-	j := &job{ctx: ctx, done: make(chan struct{})}
+	jb := &Job{p: p, ctx: ctx, seq: p.seq.Add(1), done: make(chan struct{})}
 	// One "open" token keeps the job alive until Wait retires it, so an
 	// empty or still-filling job never closes done early.
-	j.pending.Store(1)
-	return &Job{p: p, j: j}
+	jb.pending.Store(1)
+	return jb
 }
 
 // Add enqueues more tasks onto the job. Safe to call from inside one of
@@ -172,14 +152,14 @@ func (jb *Job) Add(tasks ...Task) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	jb.j.pending.Add(int64(len(tasks)))
+	jb.pending.Add(int64(len(tasks)))
 	p := jb.p
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		jb.j.fail(ErrClosed)
+		jb.fail(ErrClosed)
 		for range tasks {
-			jb.j.retire()
+			jb.retire()
 		}
 		return ErrClosed
 	}
@@ -187,11 +167,13 @@ func (jb *Job) Add(tasks ...Task) error {
 		jb.accepted = true
 		p.jobs.Add(1)
 	}
-	for _, fn := range tasks {
-		p.deques[p.rr] = append(p.deques[p.rr], morsel{j: jb.j, fn: fn})
-		p.rr = (p.rr + 1) % p.workers
-		p.queued++
+	if len(jb.tasks) == 0 {
+		// A job without queued tasks (re)enters open in Begin order.
+		i, _ := slices.BinarySearchFunc(p.open, jb.seq, func(o *Job, seq uint64) int { return cmp.Compare(o.seq, seq) })
+		p.open = slices.Insert(p.open, i, jb)
 	}
+	jb.tasks = append(jb.tasks, tasks...)
+	p.queued += len(tasks)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	return nil
@@ -204,98 +186,103 @@ func (jb *Job) Wait() error {
 	if jb.waited.Swap(true) {
 		panic("exec: Job.Wait called twice")
 	}
-	jb.j.retire()
+	jb.retire()
 	select {
-	case <-jb.j.done:
-	case <-jb.j.ctx.Done():
-		jb.j.fail(jb.j.ctx.Err())
-		<-jb.j.done
+	case <-jb.done:
+	case <-jb.ctx.Done():
+		jb.fail(jb.ctx.Err())
+		<-jb.done
 	}
-	jb.j.mu.Lock()
-	defer jb.j.mu.Unlock()
-	return jb.j.err
+	jb.mu.Lock()
+	defer jb.mu.Unlock()
+	return jb.err
 }
 
-// worker is one pool goroutine: pop own deque, steal, or sleep.
+// fail records the job's first error and marks it failed so queued
+// morsels are skipped instead of executed.
+func (jb *Job) fail(err error) {
+	jb.mu.Lock()
+	if jb.err == nil {
+		jb.err = err
+	}
+	jb.mu.Unlock()
+	jb.failed.Store(true)
+}
+
+// retire accounts one morsel as finished (executed or skipped).
+func (jb *Job) retire() {
+	if jb.pending.Add(-1) == 0 {
+		close(jb.done)
+	}
+}
+
+// worker is one pool goroutine: take the next morsel or sleep.
 func (p *Pool) worker(id int) {
 	defer p.wg.Done()
 	for {
-		m, ok := p.next(id)
+		jb, fn, ok := p.next()
 		if !ok {
 			return
 		}
-		if m.j.failed.Load() {
+		if jb.failed.Load() {
 			p.skipped.Add(1)
-		} else if err := m.j.ctx.Err(); err != nil {
+		} else if err := jb.ctx.Err(); err != nil {
 			// A skipped morsel leaves the job incomplete: it fails with
 			// the context's error, however Wait wakes.
-			m.j.fail(err)
+			jb.fail(err)
 			p.skipped.Add(1)
 		} else {
-			if err := p.exec(m, id); err != nil {
-				m.j.fail(err)
+			if err := p.exec(fn, id); err != nil {
+				jb.fail(err)
 			}
 			p.executed.Add(1)
 		}
 		p.mu.Lock()
 		p.busy--
 		p.mu.Unlock()
-		m.j.retire()
+		jb.retire()
 	}
 }
 
 // exec runs one morsel, converting a panic into an error so a bad task
 // fails its own job instead of killing the shared pool (and with it the
 // whole server).
-func (p *Pool) exec(m morsel, id int) (err error) {
+func (p *Pool) exec(fn Task, id int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("exec: task panicked: %v", v)
 		}
 	}()
-	return m.fn(id)
+	return fn(id)
 }
 
-// next blocks until a morsel is available (marking the worker busy) or
+// next blocks until a morsel is available — the newest task of the
+// oldest open job — and marks the worker busy, or reports false once
 // the pool is closed with nothing left to drain.
-func (p *Pool) next(id int) (morsel, bool) {
+func (p *Pool) next() (*Job, Task, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if q := p.deques[id]; len(q) > 0 {
-			// A dequeued slot is cleared: the backing array outlives the
-			// job, and a stale morsel would keep its closure — and the
-			// finished join's state — reachable.
-			m := q[len(q)-1] // own work: LIFO for locality
-			q[len(q)-1] = morsel{}
-			p.deques[id] = q[:len(q)-1]
-			return p.take(m), true
-		}
-		for off := 1; off < p.workers; off++ {
-			v := (id + off) % p.workers
-			if q := p.deques[v]; len(q) > 0 {
-				m := q[0] // steal: FIFO from the victim's head
-				q[0] = morsel{}
-				p.deques[v] = q[1:]
-				p.steals.Add(1)
-				return p.take(m), true
-			}
-		}
+	for len(p.open) == 0 {
 		if p.closed {
-			return morsel{}, false
+			return nil, nil, false
 		}
 		p.cond.Wait()
 	}
-}
-
-// take accounts a dequeued morsel (p.mu held).
-func (p *Pool) take(m morsel) morsel {
+	jb := p.open[0]
+	n := len(jb.tasks) - 1
+	fn := jb.tasks[n]
+	// A dequeued slot is cleared, and so is a drained job's place in
+	// open: a stale entry would keep the closure — and the finished
+	// join's state — reachable.
+	jb.tasks[n] = nil
+	jb.tasks = jb.tasks[:n]
+	if n == 0 {
+		p.open = slices.Delete(p.open, 0, 1)
+	}
 	p.queued--
 	p.busy++
-	if p.busy > p.peak {
-		p.peak = p.busy
-	}
-	return m
+	p.peak = max(p.peak, p.busy)
+	return jb, fn, true
 }
 
 // Stats is a point-in-time snapshot of the pool's counters.
@@ -308,9 +295,11 @@ type Stats struct {
 	// (occupancy); PeakBusy is its high-water mark, always ≤ Workers.
 	Busy     int `json:"busy"`
 	PeakBusy int `json:"peakBusy"`
-	// Queued is the current depth of the morsel queue across all deques.
+	// Queued is the number of morsels queued across all jobs.
 	Queued int `json:"queued"`
-	// Steals counts morsels a worker took from another worker's deque.
+	// Steals is always 0: no worker owns a queue to steal from. It
+	// stays only because the benchmark harness (benchmark/lib.go,
+	// benchmark/serve.go) still reads it.
 	Steals int64 `json:"steals"`
 	// Executed and Skipped count retired morsels (skipped ones belonged
 	// to a job already failed or cancelled).
@@ -331,7 +320,6 @@ func (p *Pool) Stats() Stats {
 		Busy:     busy,
 		PeakBusy: peak,
 		Queued:   queued,
-		Steals:   p.steals.Load(),
 		Executed: p.executed.Load(),
 		Skipped:  p.skipped.Load(),
 		Jobs:     p.jobs.Load(),

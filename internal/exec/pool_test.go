@@ -99,10 +99,12 @@ func TestRunReturnsFirstErrorAndSkipsRest(t *testing.T) {
 	defer p.Close()
 	boom := errors.New("boom")
 	var after atomic.Int64
-	tasks := []Task{func(int) error { return boom }}
+	var tasks []Task
 	for i := 0; i < 500; i++ {
 		tasks = append(tasks, func(int) error { after.Add(1); return nil })
 	}
+	// Failing task last: a job's newest task runs first.
+	tasks = append(tasks, func(int) error { return boom })
 	if err := p.Run(context.Background(), tasks); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -137,7 +139,7 @@ func TestRunCancellationSkipsQueuedButWaitsForInflight(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tasks = append(tasks, func(int) error { ran.Store(true); return nil })
 	}
-	// A worker pops its own deque LIFO, so the last-submitted task runs
+	// A job's newest task runs first, so the last-submitted task runs
 	// first on a 1-worker pool; the rest stay queued behind it.
 	tasks = append(tasks, func(int) error {
 		close(started)
@@ -189,29 +191,75 @@ func TestJobCancelledBeforeWaitFails(t *testing.T) {
 	}
 }
 
-func TestStealingBalancesOneHotDeque(t *testing.T) {
-	// One job whose tasks all land ahead of a sleeping worker: with
-	// round-robin distribution over 4 workers and tasks that block until
-	// everyone participates, stealing must occur for the job to finish.
-	const workers = 4
-	p := NewPool(workers)
+// TestBothWorkersTakeOneJob: the workers of a 2-worker pool share one
+// job's tasks — each of its two tasks waits until the other has begun.
+func TestBothWorkersTakeOneJob(t *testing.T) {
+	p := NewPool(2)
 	defer p.Close()
-	var participated sync.Map
-	err := p.Run(context.Background(), repeat(400, func(w int) error {
-		participated.Store(w, true)
-		time.Sleep(100 * time.Microsecond)
-		return nil
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	var ids [2]atomic.Int32
+	err := p.Run(context.Background(), repeat(2, func(w int) error {
+		ids[w].Add(1)
+		arrived.Done()
+		select {
+		case <-both:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("the other task never began")
+		}
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	participated.Range(func(any, any) bool { n++; return true })
-	if n < 2 {
-		t.Skipf("only %d workers participated (single-CPU scheduling)", n)
+	if ids[0].Load() != 1 || ids[1].Load() != 1 {
+		t.Fatalf("tasks per worker %d, %d; want 1, 1", ids[0].Load(), ids[1].Load())
 	}
-	if p.Stats().Steals == 0 {
-		t.Log("note: no steals observed; round-robin kept deques balanced")
+}
+
+// TestOlderJobRunsFirst: a job that begins while an older one still has
+// queued tasks waits for them, even for a task the older job adds after
+// the newer job queued its own.
+func TestOlderJobRunsFirst(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	ctx := context.Background()
+	var log []string // appended by the one worker only
+	logs := func(name string) Task {
+		return func(int) error { log = append(log, name); return nil }
+	}
+	started, newerQueued := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	older := p.Begin(ctx)
+	blockFirst := func(w int) error {
+		logs("older")(w)
+		first.Do(func() {
+			close(started)
+			<-newerQueued
+			_ = older.Add(logs("older")) // a failed Add fails the job; Wait reports it
+		})
+		return nil
+	}
+	if err := older.Add(repeat(3, blockFirst)...); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	newer := p.Begin(ctx)
+	if err := newer.Add(repeat(3, logs("newer"))...); err != nil {
+		t.Fatal(err)
+	}
+	close(newerQueued)
+	if err := older.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := newer.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"older", "older", "older", "older", "newer", "newer", "newer"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log %v, want %v", log, want)
 	}
 }
 
@@ -321,8 +369,8 @@ func TestJobErrorSkipsLaterAdds(t *testing.T) {
 	boom := errors.New("boom")
 	var after atomic.Int64
 	jb := p.Begin(context.Background())
-	// One batch, failing task last: the 1-worker pool pops its own deque
-	// LIFO, so the failure lands before the bulk of the queued tasks.
+	// One batch, failing task last: a job's newest task runs first, so
+	// the failure lands before the bulk of the queued tasks.
 	tasks := make([]Task, 0, 101)
 	for i := 0; i < 100; i++ {
 		tasks = append(tasks, func(int) error { after.Add(1); return nil })
@@ -361,7 +409,7 @@ func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
 
 // TestPoolRetainsNoFinishedTasks checks a long-lived pool lets go of a
 // job once Run returns: the state its tasks captured is collectable,
-// whether a worker popped them from its own deque or stole them.
+// whichever worker took them.
 func TestPoolRetainsNoFinishedTasks(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()

@@ -152,24 +152,6 @@ func (r *Registry) Sample(at sim.Time) {
 	r.samples = append(r.samples, Sample{At: at, Values: vals})
 }
 
-// GaugeValues reads every registered gauge and dynamic emitter once and
-// returns the values keyed by name, without appending to the sampled
-// time series — the form wall-clock consumers (a server's /stats) use,
-// where there is no virtual timeline to sample against.
-func (r *Registry) GaugeValues() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	vals := make(map[string]float64, len(r.gauges))
-	for _, g := range r.gauges {
-		vals[g.name] = g.fn()
-	}
-	for _, d := range r.dynamics {
-		d(func(name string, v float64) { vals[name] = v })
-	}
-	return vals
-}
-
 // Samples returns the collected time series.
 func (r *Registry) Samples() []Sample {
 	if r == nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // The joins are morsel-driven: each pass decomposes into fixed-size
-// object-range tasks pulled by a work-stealing pool (internal/exec)
+// object-range tasks pulled by a shared pool (internal/exec)
 // whose size is the host CPU parallelism, independent of D. The paper's
 // structural parallelism — one Rproc per disk partition — survives as
 // the shape of the task lists (per-partition scans, staggered finish
@@ -23,7 +23,7 @@ import (
 // Every morsel folds into a per-worker JoinStats accumulator and the
 // accumulators are summed at the end. Pairs and Signature are
 // commutative sums, so results are bit-identical at any worker count
-// and under any steal schedule.
+// and in any order the pool runs them.
 //
 // The paper's three pointer joins are one shape (§5): scan Ri, join
 // what is local, stage the rest by S address, finish each staged run —
@@ -34,7 +34,7 @@ import (
 // extents (the floor), and the inner loops live in kernel.go.
 
 // morselObjs is the fixed morsel size: the number of objects one
-// work-stealing task covers. Around 4k objects a morsel is a few
+// pool task covers. Around 4k objects a morsel is a few
 // hundred microseconds of work — coarse enough that pool bookkeeping
 // (two mutex ops per morsel) vanishes, fine enough to balance skew.
 const morselObjs = 4096
@@ -345,7 +345,7 @@ func (s *stagedRun) scanProbe(_, part int, refs []ref) error {
 
 // sortSplitCount is sort-merge's bucket count (§5.2: Grace at this count,
 // each split of a row ordered on its own): enough tasks to occupy the
-// pool across all D partitions (with headroom for stealing), but never
+// pool across all D partitions (with headroom for balance), but never
 // splits smaller than a morsel at count references per partition
 // (|R|/D). One worker gets one split per partition — exactly a
 // sequential in-place ordering.

@@ -66,7 +66,7 @@ type JoinRequest struct {
 	// joins may share a TmpDir; each holds its own arena.
 	TmpDir string
 
-	// Pool is the join's CPU parallelism: the work-stealing pool its
+	// Pool is the join's CPU parallelism: the morsel pool its
 	// morsels run on; nil runs them on a GOMAXPROCS pool made for the
 	// call. It is orthogonal to the memory model — MRproc grants memory
 	// per data partition (the paper's Rproc), while the pool's size only

@@ -140,36 +140,3 @@ func (pl *Planner) Choose(in model.Inputs) (*Choice, error) {
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].Predicted < cands[b].Predicted })
 	return &Choice{Best: cands[0], Candidates: cands}, nil
 }
-
-// Crossover is a memory boundary at which the best plan changes.
-type Crossover struct {
-	MRproc int64          // smallest memory at which After wins
-	Before join.Algorithm // best plan below the boundary
-	After  join.Algorithm // best plan at and above it
-}
-
-// Crossovers sweeps per-process memory from lo to hi bytes (inclusive,
-// in steps) and reports every point where the winning plan changes —
-// the decision boundaries an optimizer would cache per machine.
-func (pl *Planner) Crossovers(in model.Inputs, lo, hi, step int64) ([]Crossover, error) {
-	if lo < 1 || hi < lo || step < 1 {
-		return nil, fmt.Errorf("planner: bad sweep [%d,%d] step %d", lo, hi, step)
-	}
-	var out []Crossover
-	var prev join.Algorithm
-	first := true
-	for mem := lo; mem <= hi; mem += step {
-		in := in
-		in.MRproc = mem
-		choice, err := pl.Choose(in)
-		if err != nil {
-			return nil, err
-		}
-		best := choice.Best.Algorithm
-		if !first && best != prev {
-			out = append(out, Crossover{MRproc: mem, Before: prev, After: best})
-		}
-		prev, first = best, false
-	}
-	return out, nil
-}

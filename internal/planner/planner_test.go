@@ -70,22 +70,20 @@ func TestNestedLoopsWinsWithAmpleMemory(t *testing.T) {
 	if got := choice.Best.Algorithm; got != join.NestedLoops && got != join.HybridHash {
 		t.Errorf("best with ample memory = %v, want an immediate-join plan", got)
 	}
-}
-
-func TestCrossoversExist(t *testing.T) {
-	pl := New(testCalib(t), []join.Algorithm{join.NestedLoops, join.Grace})
-	xs, err := pl.Crossovers(inputs(0), 64<<10, 16<<20, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xs) == 0 {
-		t.Fatal("no crossover between grace and nested loops across the memory range")
-	}
-	// The boundary must hand over from the hash plan to nested loops as
-	// memory grows.
-	last := xs[len(xs)-1]
-	if last.After != join.NestedLoops {
-		t.Errorf("final winner = %v, want nested-loops", last.After)
+	// Between Grace and nested loops alone, the winner hands over from
+	// the hash plan to nested loops as memory grows.
+	two := New(testCalib(t), []join.Algorithm{join.NestedLoops, join.Grace})
+	for _, c := range []struct {
+		mem  int64
+		want join.Algorithm
+	}{{64 << 10, join.Grace}, {16 << 20, join.NestedLoops}} {
+		choice, err := two.Choose(inputs(c.mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := choice.Best.Algorithm; got != c.want {
+			t.Errorf("{nested loops, Grace} at %d bytes: best = %v, want %v", c.mem, got, c.want)
+		}
 	}
 }
 
@@ -97,10 +95,6 @@ func TestErrors(t *testing.T) {
 	empty := New(testCalib(t), []join.Algorithm{})
 	if _, err := empty.Choose(inputs(1 << 20)); err == nil {
 		t.Error("empty candidate set accepted")
-	}
-	good := New(testCalib(t), nil)
-	if _, err := good.Crossovers(inputs(0), 0, 10, 1); err == nil {
-		t.Error("bad sweep bounds accepted")
 	}
 }
 

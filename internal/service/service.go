@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"strconv"
@@ -48,7 +49,7 @@ type Config struct {
 	// (default 30s; requests may shorten it per call).
 	RequestTimeout time.Duration
 
-	// Workers sizes the work-stealing morsel pool shared by every
+	// Workers sizes the morsel pool shared by every
 	// in-flight join (default GOMAXPROCS). However many joins run
 	// concurrently, at most Workers goroutines execute join morsels at
 	// any instant — the pool, not the request count, bounds CPU fan-out.
@@ -100,9 +101,8 @@ type Server struct {
 	// deterministic.
 	preJoin func(context.Context)
 
-	mu       sync.Mutex // guards reg and the instrument maps
-	reg      *metrics.Registry
-	counters map[string]*metrics.Counter
+	mu       sync.Mutex // guards the instrument maps
+	counters map[string]int64
 	hists    map[string]*metrics.Histogram
 }
 
@@ -134,8 +134,7 @@ func New(cfg Config) (*Server, error) {
 		adm:      NewAdmission(cfg.MemBudget, cfg.MaxQueue),
 		pool:     exec.NewPool(cfg.Workers),
 		start:    time.Now(),
-		reg:      metrics.New(),
-		counters: make(map[string]*metrics.Counter),
+		counters: make(map[string]int64),
 		hists:    make(map[string]*metrics.Histogram),
 	}
 	if _, err := s.plan(context.Background(), cfg.DefaultGrant/int64(d), 0); err != nil {
@@ -148,9 +147,6 @@ func New(cfg Config) (*Server, error) {
 	if mgr, ok := store.(ShardManager); ok {
 		s.shardMgr = mgr
 	}
-	// The pool and admission occupancy are typed blocks of /stats; the
-	// Retry-After hint is reported only here.
-	s.reg.Gauge("retry_after_hint_sec", func() float64 { return s.retryAfterHint().Seconds() })
 	// Outcome counters registered eagerly so /stats shows them at zero
 	// before the first request arrives — client/server reconciliation
 	// diffs these keys and must find them on both snapshots. Every
@@ -217,7 +213,7 @@ func (s *Server) observe(name string, d time.Duration) {
 	defer s.mu.Unlock()
 	h, ok := s.hists[name]
 	if !ok {
-		h = s.reg.Histogram(name)
+		h = new(metrics.Histogram)
 		s.hists[name] = h
 	}
 	h.Observe(sim.Time(d))
@@ -230,13 +226,8 @@ func (s *Server) inc(name string) { s.add(name, 1) }
 // (thread-safe).
 func (s *Server) add(name string, d int64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = s.reg.Counter(name)
-		s.counters[name] = c
-	}
-	c.Add(d)
+	s.counters[name] += d
+	s.mu.Unlock()
 }
 
 // Handler returns the service's HTTP mux. The surface is versioned
@@ -368,6 +359,11 @@ func parseAlgorithm(name string) (join.Algorithm, bool) {
 	return 0, false
 }
 
+// maxBodyBytes bounds the request body a handler reads: a join or
+// shard-add request is a few hundred bytes, and an unbounded decode
+// would let one client make the server buffer any amount of memory.
+const maxBodyBytes = 64 << 10
+
 func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	s.inc("join_requests_total")
 	// Register with the drain waiter before anything else: once past
@@ -383,7 +379,8 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 
 	var req JoinRequest
 	if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		body := http.MaxBytesReader(rw, r.Body, maxBodyBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			s.inc("bad_requests")
 			writeError(rw, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 			return
@@ -688,7 +685,7 @@ func (s *Server) handleShardsAdd(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Exit()
 	var req ShardAddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(rw, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 		return
 	}
@@ -759,10 +756,10 @@ type Stats struct {
 	Admission AdmissionStats    `json:"admission"`
 	// Pool is the process's one morsel pool, single or sharded:
 	// occupancy (Busy/PeakBusy vs Workers), morsel queue depth, and
-	// steal/executed counts.
+	// executed/skipped counts.
 	Pool exec.Stats `json:"pool"`
-	// Gauges mirrors every gauge registered on the internal metrics
-	// registry (the Retry-After hint today), read live at snapshot time.
+	// Gauges holds the Retry-After hint, read at snapshot time; the
+	// pool and admission occupancy are the typed blocks above.
 	Gauges     map[string]float64        `json:"gauges"`
 	Counters   map[string]int64          `json:"counters"`
 	Histograms map[string]HistogramStats `json:"histograms"`
@@ -777,15 +774,12 @@ func (s *Server) StatsSnapshot() Stats {
 		DB:         s.store.Stats(),
 		Admission:  s.adm.Stats(),
 		Pool:       s.pool.Stats(),
-		Gauges:     s.reg.GaugeValues(),
-		Counters:   make(map[string]int64),
+		Gauges:     map[string]float64{"retry_after_hint_sec": s.retryAfterHint().Seconds()},
 		Histograms: make(map[string]HistogramStats),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, c := range s.counters {
-		st.Counters[name] = c.Value()
-	}
+	st.Counters = maps.Clone(s.counters)
 	for name, h := range s.hists {
 		st.Histograms[name] = HistogramStats{
 			Count:  h.Count(),

@@ -528,6 +528,42 @@ func TestServeStats(t *testing.T) {
 	if !found {
 		t.Fatalf("no join latency histogram: %+v", st.Histograms)
 	}
+	if h := st.Gauges["retry_after_hint_sec"]; h < 1 {
+		t.Fatalf("gauges %+v: retry_after_hint_sec below the 1 s floor", st.Gauges)
+	}
+}
+
+// TestOversizedBodyIsBadRequest: a request body past maxBodyBytes
+// answers 400 bad_request however it would parse — 2 MiB of spaces
+// before "{}" is a valid join request — and a join's counts in
+// bad_requests, so the client's ledger reconciles with /v1/stats.
+func TestOversizedBodyIsBadRequest(t *testing.T) {
+	body := strings.Repeat(" ", 2<<20) + "{}"
+	s := newTestServer(t, 300, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	seen := tally{answers: map[answer]int64{}, bodies: map[joinBody]int64{}}
+	before := s.StatsSnapshot()
+	resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := decodeError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
+		t.Fatalf("oversized join: status %d code %q", resp.StatusCode, e.Code)
+	}
+	seen.record(answer{join: true, status: resp.StatusCode}, nil)
+	reconcile(t, before, s.StatsSnapshot(), &seen)
+
+	// A shard add that would otherwise reach AddShard (and fail 409).
+	add := strings.Repeat(" ", 2<<20) + `{"id":"x","dir":"/nope","d":1}`
+	_, sts, _, _ := newShardedServer(t, 300, Config{})
+	resp, err = sts.Client().Post(sts.URL+"/v1/shards", "application/json", strings.NewReader(add))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := decodeError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
+		t.Fatalf("oversized shard add: status %d code %q", resp.StatusCode, e.Code)
+	}
 }
 
 // TestServeConcurrentClientsRace is the -race stress test: many clients
