@@ -313,11 +313,11 @@ func cmdJoin(args []string) {
 		fatal(err)
 	}
 	defer db.Close()
-	want := db.ExpectedStats()
 	pool := exec.NewPool(*workers)
 	defer pool.Close()
 
 	req := mstore.JoinRequest{MRproc: *mrproc, K: *k, Pool: pool}
+	var want *mstore.JoinStats
 	run := func(a join.Algorithm, note string) {
 		req.Algorithm = a
 		start := time.Now()
@@ -325,12 +325,19 @@ func cmdJoin(args []string) {
 		if err != nil {
 			fatal(err)
 		}
+		elapsed := time.Since(start)
+		if want == nil {
+			// The ground truth follows every stored pointer unchecked:
+			// count it once a join has accepted them.
+			exp := db.ExpectedStats()
+			want = &exp
+		}
 		ok := "OK"
-		if st != want {
+		if st != *want {
 			ok = "MISMATCH"
 		}
 		fmt.Printf("%-12s  %8d pairs  %10v  verification %s%s\n",
-			a, st.Pairs, time.Since(start).Round(time.Microsecond), ok, note)
+			a, st.Pairs, elapsed.Round(time.Microsecond), ok, note)
 	}
 	ops := mstore.Operators(db.HasIndexes())
 	if *alg == "auto" {

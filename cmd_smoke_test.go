@@ -14,6 +14,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"mmjoin/internal/mstore"
 )
 
 // buildCmd compiles ./cmd/<name> into a temp dir and returns the binary
@@ -129,6 +131,24 @@ func TestCmdMmdbSmoke(t *testing.T) {
 	// Missing -dir fails.
 	if err := exec.Command(bin, "join").Run(); err == nil {
 		t.Error("missing -dir accepted")
+	}
+	// A stored pointer into partition 7 of 4 fails the join as a
+	// dangling pointer, exit 1, as verify reports it: no panic.
+	db, err := mstore.OpenDB(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.R[0].SetJoinAttr(0, mstore.SPtr{Part: 7})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	cmd := exec.Command(bin, "join", "-dir", dir)
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), "dangling pointer") ||
+		strings.Contains(stderr.String(), "panic") {
+		t.Errorf("join over a dangling pointer: %v, exit %d, want exit 1 naming the dangling pointer:\n%s", err, code, stderr.String())
 	}
 }
 

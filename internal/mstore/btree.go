@@ -209,19 +209,19 @@ func (t *BTree) appendChain(n Ptr, i int, v Ptr) error {
 
 // forEachValue calls fn for every value stored under one leaf ref — the
 // direct value, or every posting-chain member — stopping early if fn
-// returns false; it reports whether the walk ran to completion.
-func (t *BTree) forEachValue(ref Ptr, fn func(v Ptr) bool) bool {
+// returns false.
+func (t *BTree) forEachValue(ref Ptr, fn func(v Ptr) bool) {
 	if ref&btChainTag == 0 {
-		return fn(ref)
+		fn(ref)
+		return
 	}
 	for blk := ref &^ btChainTag; blk != 0; blk = t.postNext(blk) {
 		for i, c := 0, t.postCount(blk); i < c; i++ {
 			if !fn(t.postVal(blk, i)) {
-				return false
+				return
 			}
 		}
 	}
-	return true
 }
 
 // firstValue returns the first value under a leaf ref.
@@ -261,17 +261,8 @@ func (t *BTree) search(n Ptr, k uint64) int {
 // Get returns a value stored under k (the first in chain order when the
 // key holds several).
 func (t *BTree) Get(k uint64) (Ptr, bool) {
-	n := t.root()
-	for !t.isLeaf(n) {
-		i := t.search(n, k)
-		if i < t.count(n) && t.keyAt(n, i) == k {
-			i++ // equal keys route right in internal nodes
-		}
-		n = t.refAt(n, i)
-	}
-	i := t.search(n, k)
-	if i < t.count(n) && t.keyAt(n, i) == k {
-		return t.firstValue(t.refAt(n, i)), true
+	if it := t.iter(k, k); it.valid() {
+		return t.firstValue(it.ref()), true
 	}
 	return 0, false
 }
@@ -279,20 +270,11 @@ func (t *BTree) Get(k uint64) (Ptr, bool) {
 // Postings calls fn for every value stored under k, stopping early if fn
 // returns false; it reports whether k was present.
 func (t *BTree) Postings(k uint64, fn func(v Ptr) bool) bool {
-	n := t.root()
-	for !t.isLeaf(n) {
-		i := t.search(n, k)
-		if i < t.count(n) && t.keyAt(n, i) == k {
-			i++
-		}
-		n = t.refAt(n, i)
+	it := t.iter(k, k)
+	if it.valid() {
+		t.forEachValue(it.ref(), fn)
 	}
-	i := t.search(n, k)
-	if i >= t.count(n) || t.keyAt(n, i) != k {
-		return false
-	}
-	t.forEachValue(t.refAt(n, i), fn)
-	return true
+	return it.valid()
 }
 
 // Insert stores v under k; duplicate keys extend the key's posting
@@ -337,7 +319,7 @@ func (t *BTree) insert(n Ptr, k uint64, v Ptr) (promoted uint64, right Ptr, grew
 	}
 	i := t.search(n, k)
 	if i < t.count(n) && t.keyAt(n, i) == k {
-		i++ // equal keys route right, like Get
+		i++ // equal keys route right, like iter
 	}
 	childPromoted, childRight, childGrew, err := t.insert(t.refAt(n, i), k, v)
 	if err != nil {
@@ -414,22 +396,11 @@ func (t *BTree) splitInternal(n Ptr) (uint64, Ptr, bool, error) {
 	return promoted, right, true, nil
 }
 
-// Range calls fn for every (key, value) with lo ≤ key ≤ hi in ascending
-// key order (a duplicated key yields one call per chained value),
-// stopping early if fn returns false.
-func (t *BTree) Range(lo, hi uint64, fn func(k uint64, v Ptr) bool) {
-	for it := t.iter(lo, hi); it.valid(); it.advance() {
-		k := it.key()
-		if !t.forEachValue(it.ref(), func(v Ptr) bool { return fn(k, v) }) {
-			return
-		}
-	}
-}
-
 // btIter streams the leaf-chain entries of [lo, hi] in ascending key
 // order: one entry per distinct key, with ref() exposing the raw leaf
 // ref (expand duplicates through forEachValue). It is the cursor the
-// index-merge join zips two trees with.
+// index-merge join zips two trees with, and Get and Postings read the
+// one entry of [k, k] through it.
 type btIter struct {
 	t  *BTree
 	n  Ptr
@@ -437,13 +408,15 @@ type btIter struct {
 	hi uint64
 }
 
-// iter positions a cursor at the first key ≥ lo.
+// iter positions a cursor at the first key ≥ lo: the tree's one
+// root-to-leaf descent for reads, on which equal keys route right in
+// internal nodes.
 func (t *BTree) iter(lo, hi uint64) btIter {
 	n := t.root()
 	for !t.isLeaf(n) {
 		i := t.search(n, lo)
 		if i < t.count(n) && t.keyAt(n, i) == lo {
-			i++
+			i++ // equal keys route right in internal nodes
 		}
 		n = t.refAt(n, i)
 	}

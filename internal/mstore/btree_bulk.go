@@ -33,7 +33,10 @@ const bulkMorsel = 16
 // tasks on p (nil ⇒ an ephemeral GOMAXPROCS pool). The item slice is
 // reordered (stably, by key). Leaves are packed full: the load writes
 // the minimal number of nodes, and a later Insert into a full leaf
-// simply splits it.
+// simply splits it. Each internal key is the first key under the child
+// to its right, the separator Insert's splits promote, so Get, Postings
+// and the merge cursor find every key through the one read descent
+// (BTree.iter: equal keys route right).
 func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes int, items []KV) (*BTree, error) {
 	if nodeBytes == 0 {
 		nodeBytes = 4096

@@ -1,6 +1,7 @@
 package mstore
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -20,6 +21,20 @@ func newTreeSeg(t *testing.T, nodeBytes int) (*Segment, *BTree) {
 		t.Fatal(err)
 	}
 	return s, tree
+}
+
+// scanTree reads every (key, value) with lo ≤ key ≤ hi off the merge cursor
+// in ascending key order, a duplicated key once per chained value.
+func scanTree(tree *BTree, lo, hi uint64) []KV {
+	var out []KV
+	for it := tree.iter(lo, hi); it.valid(); it.advance() {
+		k := it.key()
+		tree.forEachValue(it.ref(), func(v Ptr) bool {
+			out = append(out, KV{Key: k, Val: v})
+			return true
+		})
+	}
+	return out
 }
 
 func TestBTreeCreateErrors(t *testing.T) {
@@ -92,18 +107,13 @@ func TestBTreeDuplicateChains(t *testing.T) {
 			t.Fatalf("value %d missing from chain", v*8)
 		}
 	}
-	// Get returns some chained value; Range expands the chain, one
-	// callback per stored value.
+	// Get returns some chained value; the cursor's entry expands to the
+	// chain, one value per stored value.
 	if v, ok := tree.Get(7); !ok || !got[v] {
 		t.Errorf("Get(7) = %d,%v", v, ok)
 	}
-	visits := 0
-	tree.Range(0, 100, func(k uint64, v Ptr) bool {
-		visits++
-		return true
-	})
-	if visits != dups {
-		t.Errorf("Range visited %d values, want %d", visits, dups)
+	if visits := len(scanTree(tree, 0, 100)); visits != dups {
+		t.Errorf("scan visited %d values, want %d", visits, dups)
 	}
 	// A tagged value (chain bit set) must still be rejected.
 	if err := tree.Insert(9, btChainTag|64); err == nil {
@@ -139,18 +149,14 @@ func TestBTreeDuplicateZipf(t *testing.T) {
 			t.Fatalf("key %d: %d values, want %d", k, n, want)
 		}
 	}
-	// Range expands every chain: 6000 callbacks, keys non-decreasing.
-	var seen []uint64
-	tree.Range(0, 1<<62, func(k uint64, v Ptr) bool {
-		seen = append(seen, k)
-		return true
-	})
+	// A full scan expands every chain: 6000 values, keys non-decreasing.
+	seen := scanTree(tree, 0, 1<<62)
 	if len(seen) != 6000 {
-		t.Fatalf("Range visited %d values, want 6000", len(seen))
+		t.Fatalf("scan visited %d values, want 6000", len(seen))
 	}
 	for i := 1; i < len(seen); i++ {
-		if seen[i] < seen[i-1] {
-			t.Fatalf("Range out of order at %d", i)
+		if seen[i].Key < seen[i-1].Key {
+			t.Fatalf("scan out of order at %d", i)
 		}
 	}
 }
@@ -161,27 +167,12 @@ func TestBTreeRange(t *testing.T) {
 		tree.Insert(k*2, Ptr(k))
 	}
 	var got []uint64
-	tree.Range(100, 120, func(k uint64, v Ptr) bool {
-		got = append(got, k)
-		return true
-	})
+	for _, kv := range scanTree(tree, 100, 120) {
+		got = append(got, kv.Key)
+	}
 	want := []uint64{100, 102, 104, 106, 108, 110, 112, 114, 116, 118, 120}
-	if len(got) != len(want) {
-		t.Fatalf("Range got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range got %v", got)
-		}
-	}
-	// Early stop.
-	count := 0
-	tree.Range(0, 1<<62, func(uint64, Ptr) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Errorf("early stop visited %d", count)
+	if !slices.Equal(got, want) {
+		t.Fatalf("scan [100, 120] got %v", got)
 	}
 }
 
@@ -299,11 +290,7 @@ func TestQuickBTreeRange(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		var got []uint64
-		tree.Range(lo, hi, func(k uint64, v Ptr) bool {
-			got = append(got, k)
-			return true
-		})
+		got := scanTree(tree, lo, hi)
 		want := 0
 		for k := range keys {
 			if k >= lo && k <= hi {
@@ -314,7 +301,7 @@ func TestQuickBTreeRange(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
+			if got[i].Key <= got[i-1].Key {
 				return false
 			}
 		}
@@ -337,16 +324,80 @@ func TestBTreeLargeScaleAndDepth(t *testing.T) {
 	if err := tree.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// Full ordered scan via Range.
+	// Full ordered scan through the merge cursor.
 	prev := -1
-	tree.Range(0, 1<<62, func(k uint64, v Ptr) bool {
-		if int(k) != prev+1 {
-			t.Fatalf("scan gap at %d", k)
+	for _, kv := range scanTree(tree, 0, 1<<62) {
+		if int(kv.Key) != prev+1 {
+			t.Fatalf("scan gap at %d", kv.Key)
 		}
-		prev = int(k)
-		return true
-	})
+		prev = int(kv.Key)
+	}
 	if prev != 19999 {
 		t.Fatalf("scan ended at %d", prev)
+	}
+}
+
+// TestBTreeReadsAtEveryEdge: Get, Postings and the merge cursor read
+// through one descent, so on trees of depth 1, 2 and at least 3, built
+// by Insert and by BulkLoadBTree, all three agree with a shadow map on a
+// key below the first, on every stored key, between every two keys and
+// above the last. Every third key holds a posting chain.
+func TestBTreeReadsAtEveryEdge(t *testing.T) {
+	for n, depth := range map[int]int{4: 1, 20: 2, 400: 3} {
+		shadow := map[uint64][]Ptr{}
+		var items []KV
+		var keys []uint64
+		for x := 1; x <= n; x++ {
+			k := uint64(10 * x)
+			keys = append(keys, k)
+			for c := range 1 + 2*boolInt(x%3 == 0) {
+				items = append(items, KV{Key: k, Val: Ptr(8 * (len(items) + c + 1))})
+				shadow[k] = append(shadow[k], items[len(items)-1].Val)
+			}
+		}
+		probes := []uint64{0, 5, uint64(10*n + 5), ^uint64(0)}
+		for k := range shadow {
+			probes = append(probes, k, k+5)
+		}
+		seg, inserted := newTreeSeg(t, 128)
+		for _, kv := range items {
+			if err := inserted.Insert(kv.Key, kv.Val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded, err := BulkLoadBTree(context.Background(), nil, seg, 128, slices.Clone(items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tree := range map[string]*BTree{"inserted": inserted, "bulk-loaded": loaded} {
+			levels := 1
+			for node := tree.root(); !tree.isLeaf(node); node = tree.refAt(node, 0) {
+				levels++
+			}
+			if levels != depth && (depth < 3 || levels < 3) {
+				t.Fatalf("%s, %d keys: depth %d, want %d", name, n, levels, depth)
+			}
+			for _, k := range probes {
+				want := shadow[k]
+				v, ok := tree.Get(k)
+				if ok != (len(want) > 0) || ok && !slices.Contains(want, v) {
+					t.Errorf("%s depth %d: Get(%d) = %d, %v, want one of %v", name, depth, k, v, ok, want)
+				}
+				var got []Ptr
+				present := tree.Postings(k, func(v Ptr) bool { got = append(got, v); return true })
+				slices.Sort(got)
+				if present != (len(want) > 0) || !slices.Equal(got, want) {
+					t.Errorf("%s depth %d: Postings(%d) = %v, %v, want %v", name, depth, k, got, present, want)
+				}
+				it := tree.iter(k, ^uint64(0))
+				next, _ := slices.BinarySearch(keys, k) // the first key ≥ k
+				if it.valid() != (next < n) || it.valid() && it.key() != keys[next] {
+					t.Errorf("%s depth %d: iter(%d) starts at valid=%v, want the key at %d of %v", name, depth, k, it.valid(), next, n)
+				}
+				if exact := tree.iter(k, k); exact.valid() != (len(want) > 0) {
+					t.Errorf("%s depth %d: iter(%d, %d) valid=%v, want %v", name, depth, k, k, exact.valid(), len(want) > 0)
+				}
+			}
+		}
 	}
 }

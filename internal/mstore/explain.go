@@ -95,9 +95,6 @@ func Rank(st Store, req JoinRequest, algs []join.Algorithm) ([]Plan, error) {
 // the temp arena on the file system joins stage into: under req.TmpDir
 // when it is set, else under the store's directory, as Run does.
 func (db *DB) Explain(req JoinRequest) (Plan, error) {
-	if err := req.validate(db); err != nil {
-		return Plan{}, err
-	}
 	ctx := req.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -107,22 +104,16 @@ func (db *DB) Explain(req JoinRequest) (Plan, error) {
 		p = exec.NewPool(0)
 		defer p.Close()
 	}
-	plan := Plan{Algorithm: req.Algorithm, Resident: int64(db.CountR())}
-	var key planKey // the index joins' stays zero: they stage nothing
-	if req.Algorithm != join.IndexNL && req.Algorithm != join.IndexMerge {
-		key = db.planKey(req, p.Workers())
-		plan.K, plan.F0 = key.k, key.f0
+	key, l, err := db.configure(ctx, p, req)
+	if err != nil {
+		return Plan{}, err
 	}
-	if key.k > 0 {
-		h, err := db.histogram(ctx, p)
-		if err != nil {
-			return Plan{}, err
-		}
-		c := h.layout(key).planCounts
-		plan.Resident -= c.staged
-		plan.Staged, plan.Moves = c.staged, c.moves
-		if c.staged > 0 {
-			plan.ArenaBytes = headerSize + c.staged*refBytes
+	plan := Plan{Algorithm: req.Algorithm, K: key.k, F0: key.f0, Resident: int64(db.CountR())}
+	if l != nil {
+		plan.Resident -= l.staged
+		plan.Staged, plan.Moves = l.staged, l.moves
+		if l.staged > 0 {
+			plan.ArenaBytes = headerSize + l.staged*refBytes
 		}
 	}
 	pr, err := db.profile(ctx, p, req.TmpDir)
@@ -480,9 +471,12 @@ func measureProfile(ctx context.Context, db *DB, p *exec.Pool, tmpDir string) (*
 				if m++; m%step != 0 {
 					continue
 				}
-				ptr := SPtr{Part: uint32(j), Off: e.off}
-				if _, ok := db.sidx[j].Get(db.indexKeyOf(ptr)); !ok {
-					return nil, fmt.Errorf("mstore: key %d missing from S%d index", db.indexKeyOf(ptr), j)
+				key, err := db.indexKeyOf(SPtr{Part: uint32(j), Off: e.off})
+				if err != nil {
+					return nil, err
+				}
+				if _, ok := db.sidx[j].Get(key); !ok {
+					return nil, fmt.Errorf("mstore: key %d missing from S%d index", key, j)
 				}
 			}
 		}

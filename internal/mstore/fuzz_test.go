@@ -2,14 +2,16 @@ package mstore
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // FuzzBTree drives one persistent B-tree with an arbitrary operation
 // tape — inserts (with duplicate keys, so posting chains grow), posting
-// counts and point lookups — against a shadow multimap, then compares a
-// full ordered scan. Keys are drawn from a 32-value space so chains and
-// splits are both exercised by short tapes.
+// counts and point lookups — against a shadow multimap, then compares
+// the merge cursor's scans of the full key space and of [lo, hi] ranges
+// drawn from the tape. Keys are drawn from a 32-value space so chains
+// and splits are both exercised by short tapes.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -87,19 +89,33 @@ func FuzzBTree(f *testing.F) {
 				}
 			}
 		}
-		// Full scan: every value once, keys non-decreasing.
-		seen := 0
-		var prev uint64
-		tree.Range(0, ^uint64(0), func(k uint64, v Ptr) bool {
-			if seen > 0 && k < prev {
-				t.Fatalf("scan out of order: %d after %d", k, prev)
+		// A scan of [lo, hi] yields every shadow value under a key in it
+		// once, keys non-decreasing: the full key space, then ranges
+		// (reaching past both ends of the key space) read off the tape.
+		check := func(lo, hi uint64) {
+			got := scanTree(tree, lo, hi)
+			want := 0
+			for k, vs := range shadow {
+				if lo <= k && k <= hi {
+					want += len(vs)
+				}
 			}
-			prev = k
-			seen++
-			return true
-		})
-		if seen != total {
-			t.Fatalf("scan visited %d values, shadow %d", seen, total)
+			if len(got) != want {
+				t.Fatalf("scan [%d, %d] visited %d values, shadow %d", lo, hi, len(got), want)
+			}
+			for x, kv := range got {
+				if kv.Key < lo || kv.Key > hi || x > 0 && kv.Key < got[x-1].Key {
+					t.Fatalf("scan [%d, %d]: key %d at %d out of range or order", lo, hi, kv.Key, x)
+				}
+				if !slices.Contains(shadow[kv.Key], kv.Val) {
+					t.Fatalf("scan [%d, %d]: value %d not under key %d in shadow", lo, hi, kv.Val, kv.Key)
+				}
+			}
+		}
+		check(0, ^uint64(0))
+		for x := 0; x+1 < len(ops) && x < 128; x += 2 {
+			lo, hi := uint64(ops[x]%34), uint64(ops[x+1]%34)
+			check(min(lo, hi), max(lo, hi))
 		}
 	})
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // A pointer join's plan key follows from the request and |R| alone
-// (DB.planKey). K = 0 is the floor, which stages nothing and reads no
+// (DB.planKey), and its layout from the key (DB.configure, which Run and
+// Explain share). K = 0 is the floor, which stages nothing and reads no
 // histogram (DB.floor); any other join is four steps: histogram →
 // layout → scan → finish. The histogram is counted once per handle; each
 // operator reads its destinations and the arena layout off it (this

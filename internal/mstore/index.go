@@ -15,12 +15,12 @@ import (
 //	key(R[i] row obj) = key of the S row obj points to (duplicate-heavy:
 //	                    many R rows share a target, Zipf-skewed under -skew)
 //
-// The key is computable from an R row's stored pointer alone (IndexOf is
-// offset arithmetic), so index builds and index-merge scans never fault
-// S's object pages. Each tree lives inside its relation's own segment
-// with its head in the segment AuxRoot — reopening the store finds the
-// indexes by exact positioning, no pointer fixup, the same claim the
-// relations themselves test.
+// The key is computable from an R row's stored pointer alone (DB.sObject
+// is offset arithmetic), so index builds and index-merge scans never
+// fault S's object pages. Each tree lives inside its relation's own
+// segment with its head in the segment AuxRoot — reopening the store
+// finds the indexes by exact positioning, no pointer fixup, the same
+// claim the relations themselves test.
 
 // indexNodeBytes is the node size of relation indexes: one page, the
 // layout the analytical model's index-probe term assumes.
@@ -29,9 +29,12 @@ const indexNodeBytes = 4096
 // indexKeyOf names the S object ptr references: partition in the high
 // word, row index in the low word — ascending key order is exactly
 // (partition, row) order, which makes per-partition key ranges
-// contiguous for the merge join.
-func (db *DB) indexKeyOf(ptr SPtr) uint64 {
-	return uint64(ptr.Part)<<32 | uint64(db.S[ptr.Part].IndexOf(ptr.Off))
+// contiguous for the merge join. It applies the one pointer rule
+// (DB.sObject): a pointer that names no S object fails, wrapping
+// errBadPointer, as it fails every other reader.
+func (db *DB) indexKeyOf(ptr SPtr) (uint64, error) {
+	x, err := db.sObject(ptr)
+	return uint64(ptr.Part)<<32 | uint64(x), err
 }
 
 // HasIndexes reports whether every partition of both relations has an
@@ -78,7 +81,11 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 		items := make([]KV, rel.Count())
 		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
 			for x := lo; x < hi; x++ {
-				items[x] = KV{Key: db.indexKeyOf(DecodeSPtr(rel.Object(x))), Val: rel.PtrAt(x)}
+				k, err := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
+				if err != nil {
+					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+				}
+				items[x] = KV{Key: k, Val: rel.PtrAt(x)}
 			}
 			return nil
 		})); err != nil {
@@ -165,7 +172,10 @@ func (db *DB) VerifyIndexes() error {
 	}
 	for i, rel := range db.R {
 		for x := 0; x < rel.Count(); x++ {
-			k := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
+			k, err := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
+			if err != nil {
+				return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+			}
 			found := false
 			db.ridx[i].Postings(k, func(v Ptr) bool {
 				found = v == rel.PtrAt(x)

@@ -31,10 +31,10 @@ import (
 // anything from the grant.
 
 // indexNL scans R in morsels; each object's join attribute is turned
-// into its canonical index key (pure offset arithmetic, no S access)
-// and probed through S's per-partition B-tree — a real root-to-leaf
-// descent per object, the cost the analytical model's index-probe term
-// prices.
+// into its canonical index key (pure offset arithmetic, no S access,
+// under the pointer rule every join applies) and probed through S's
+// per-partition B-tree — a real root-to-leaf descent per object, the
+// cost the analytical model's index-probe term prices.
 func (r *joinRun) indexNL() []exec.Task {
 	db := r.db
 	var tasks []exec.Task
@@ -45,9 +45,13 @@ func (r *joinRun) indexNL() []exec.Task {
 			for x := lo; x < hi; x++ {
 				obj := ri.Object(x)
 				ptr := DecodeSPtr(obj)
-				off, ok := db.sidx[ptr.Part].Get(db.indexKeyOf(ptr))
+				key, err := db.indexKeyOf(ptr)
+				if err != nil {
+					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+				}
+				off, ok := db.sidx[ptr.Part].Get(key)
 				if !ok {
-					return fmt.Errorf("mstore: R%d[%d] key %d missing from S%d index", i, x, db.indexKeyOf(ptr), ptr.Part)
+					return fmt.Errorf("mstore: R%d[%d] key %d missing from S%d index", i, x, key, ptr.Part)
 				}
 				b.addPair(ridFromObj(obj), SPtr{Part: ptr.Part, Off: off}, st)
 			}

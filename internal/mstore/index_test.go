@@ -208,15 +208,13 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			}
 		}
 		// Ordered scan agrees with the incremental tree's key sequence.
-		var bk, ik []uint64
-		tree.Range(0, 1<<62, func(k uint64, v Ptr) bool { bk = append(bk, k); return true })
-		inc.Range(0, 1<<62, func(k uint64, v Ptr) bool { ik = append(ik, k); return true })
+		bk, ik := scanTree(tree, 0, 1<<62), scanTree(inc, 0, 1<<62)
 		if len(bk) != len(ik) {
 			t.Fatalf("w=%d: scan lengths %d vs %d", workers, len(bk), len(ik))
 		}
 		for x := range bk {
-			if bk[x] != ik[x] {
-				t.Fatalf("w=%d: scan diverges at %d: %d vs %d", workers, x, bk[x], ik[x])
+			if bk[x].Key != ik[x].Key {
+				t.Fatalf("w=%d: scan diverges at %d: %d vs %d", workers, x, bk[x].Key, ik[x].Key)
 			}
 		}
 	}

@@ -71,24 +71,32 @@ func TestSegmentGrowPreservesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer func() { s.Close() }()
 	p, _ := s.Alloc(16)
 	s.PutU64(p, 42)
-	if err := s.Grow(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if s.Size() < 1<<20 {
-		t.Errorf("size %d after grow", s.Size())
-	}
-	if s.U64(p) != 42 {
-		t.Error("data lost across grow")
-	}
-	// Alloc that exceeds current size grows implicitly.
+	// An Alloc past the current size grows and remaps the segment.
 	big, err := s.Alloc(2 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Size() < int64(big)+2<<20 {
+		t.Errorf("size %d after allocating [%d, %d)", s.Size(), big, int64(big)+2<<20)
+	}
+	if s.U64(p) != 42 {
+		t.Error("data lost across grow")
+	}
 	s.Bytes(big, 2<<20)[0] = 1
+	// The grown size is the header's, so the segment reopens.
+	path := s.Path()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	if s.U64(p) != 42 || s.Bytes(big, 1)[0] != 1 {
+		t.Error("data lost across grow and reopen")
+	}
 }
 
 // TestAllocIgnoresReservedWord: header word 32 held a free-list head in
@@ -434,8 +442,8 @@ func TestDBVerify(t *testing.T) {
 }
 
 func TestRelationSurvivesSegmentGrow(t *testing.T) {
-	// Virtual pointers are offsets: growing (remapping) the segment must
-	// not invalidate a relation built before the grow.
+	// Virtual pointers are offsets: an Alloc that grows (remaps) the
+	// segment must not invalidate a relation built before the grow.
 	s, err := Create(filepath.Join(t.TempDir(), "g"), 8192)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +456,7 @@ func TestRelationSurvivesSegmentGrow(t *testing.T) {
 	obj := make([]byte, 32)
 	EncodeSPtr(obj, SPtr{Part: 3, Off: 777})
 	rel.Append(obj)
-	if err := s.Grow(1 << 21); err != nil {
+	if _, err := s.Alloc(1 << 21); err != nil {
 		t.Fatal(err)
 	}
 	if got := rel.JoinAttr(0); got.Part != 3 || got.Off != 777 {

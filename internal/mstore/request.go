@@ -246,24 +246,40 @@ func RunParts(ctx context.Context, p *exec.Pool, parts []Part) ([]ShardJoinStat,
 // tasks runs req's prologue on the run and returns the join's first
 // tasks.
 func (r *joinRun) tasks(req JoinRequest) ([]exec.Task, error) {
-	if err := req.validate(r.db); err != nil {
+	_, l, err := r.db.configure(r.ctx, r.p, req)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	switch req.Algorithm {
-	case join.IndexNL:
+	case req.Algorithm == join.IndexNL:
 		return r.indexNL(), nil
-	case join.IndexMerge:
+	case req.Algorithm == join.IndexMerge:
 		return r.indexMerge(), nil
 	}
-	key := r.db.planKey(req, r.p.Workers()) // a pointer join, by validate
+	return r.staged(l.cfg)
+}
+
+// configure is the one derivation of the configuration req runs on a
+// pool p: it validates req and returns its plan key and layout — none
+// for an index join, which stages nothing; the floor's, which counts
+// nothing, when the key's K is 0; otherwise the layout read off the
+// handle's histogram, counted at its first use. Run executes exactly
+// this layout and Explain prices it.
+func (db *DB) configure(ctx context.Context, p *exec.Pool, req JoinRequest) (planKey, *layout, error) {
+	if err := req.validate(db); err != nil {
+		return planKey{}, nil, err
+	}
+	if req.Algorithm == join.IndexNL || req.Algorithm == join.IndexMerge {
+		return planKey{alg: req.Algorithm}, nil, nil
+	}
+	key := db.planKey(req, p.Workers())
 	if key.k == 0 {
-		return r.staged(r.db.floor())
+		return key, &layout{cfg: db.floor()}, nil
 	}
-	h, err := r.db.histogram(r.ctx, r.p)
+	h, err := db.histogram(ctx, p)
 	if err != nil {
-		return nil, err
+		return planKey{}, nil, err
 	}
-	return r.staged(h.layout(key).cfg)
+	return key, h.layout(key), nil
 }
 
 // Workload converts the stored relations into the simulator's workload

@@ -1,6 +1,7 @@
 package mstore
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -238,30 +239,54 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 
 // TestMisalignedPointerIsOneAnswer: a stored pointer inside S's objects
 // but off an object boundary — 8 bytes into S0[3] — names no S object,
-// and every reader of stored pointers says so the same way: a staging
-// join (through the histogram), the floor (through its scan), Lookup,
-// Verify and Workload all fail wrapping the dangling-pointer error,
-// rather than folding the middle of S0[3] or answering S0[3].
+// nor does one into partition 5 of 2, and every reader of stored
+// pointers says so the same way: a staging join (through the
+// histogram), the floor (through its scan), Lookup, Verify, Workload and
+// the index build all fail wrapping the dangling-pointer error, rather
+// than folding the middle of S0[3], answering S0[3] or indexing past D.
+// On a store indexed before the pointer was rewritten, index nested
+// loops and VerifyIndexes, which follow it, fail the same way.
 func TestMisalignedPointerIsOneAnswer(t *testing.T) {
-	db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 100, 100, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.R[0].SetJoinAttr(0, SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8})
-	for _, req := range []JoinRequest{{Algorithm: join.Grace}, floorReq} {
-		if st, err := db.Run(req); !errors.Is(err, errBadPointer) {
-			t.Errorf("%v MRproc=%d: %+v, %v, want the dangling-pointer error", req.Algorithm, req.MRproc, st, err)
+	for name, bad := range map[string]func(db *DB) SPtr{
+		"8 bytes into S0[3]": func(db *DB) SPtr { return SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8} },
+		"partition 5 of 2":   func(db *DB) SPtr { return SPtr{Part: 5, Off: db.S[0].PtrAt(3)} },
+	} {
+		db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 100, 100, 64, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res, err := db.Lookup(0, 0); !errors.Is(err, errBadPointer) {
-		t.Errorf("lookup: %+v, %v, want the dangling-pointer error", res, err)
-	}
-	if err := db.Verify(); !errors.Is(err, errBadPointer) {
-		t.Errorf("verify: %v, want the dangling-pointer error", err)
-	}
-	if _, err := db.Workload(); !errors.Is(err, errBadPointer) {
-		t.Errorf("workload: %v, want the dangling-pointer error", err)
+		defer db.Close()
+		good := db.R[0].JoinAttr(0)
+		db.R[0].SetJoinAttr(0, bad(db))
+		for _, req := range []JoinRequest{{Algorithm: join.Grace}, floorReq} {
+			if st, err := db.Run(req); !errors.Is(err, errBadPointer) {
+				t.Errorf("%s: %v MRproc=%d: %+v, %v, want the dangling-pointer error", name, req.Algorithm, req.MRproc, st, err)
+			}
+		}
+		if res, err := db.Lookup(0, 0); !errors.Is(err, errBadPointer) {
+			t.Errorf("%s: lookup: %+v, %v, want the dangling-pointer error", name, res, err)
+		}
+		if err := db.Verify(); !errors.Is(err, errBadPointer) {
+			t.Errorf("%s: verify: %v, want the dangling-pointer error", name, err)
+		}
+		if _, err := db.Workload(); !errors.Is(err, errBadPointer) {
+			t.Errorf("%s: workload: %v, want the dangling-pointer error", name, err)
+		}
+		if err := db.BuildIndexes(context.Background(), nil); !errors.Is(err, errBadPointer) || db.HasIndexes() {
+			t.Errorf("%s: index build: %v (indexed %v), want the dangling-pointer error", name, err, db.HasIndexes())
+		}
+
+		db.R[0].SetJoinAttr(0, good)
+		if err := db.BuildIndexes(context.Background(), nil); err != nil {
+			t.Fatalf("%s: index build of the restored store: %v", name, err)
+		}
+		db.R[0].SetJoinAttr(0, bad(db))
+		if st, err := db.Run(JoinRequest{Algorithm: join.IndexNL}); !errors.Is(err, errBadPointer) {
+			t.Errorf("%s: index-nl: %+v, %v, want the dangling-pointer error", name, st, err)
+		}
+		if err := db.VerifyIndexes(); !errors.Is(err, errBadPointer) {
+			t.Errorf("%s: verify indexes: %v, want the dangling-pointer error", name, err)
+		}
 	}
 }
 

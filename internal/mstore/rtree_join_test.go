@@ -10,9 +10,9 @@ import (
 	"mmjoin/internal/exec"
 )
 
-// spatialPairSet collects (a.Item, b.Item) pairs as a multiset keyed by
-// the two virtual pointers — the order-insensitive result shape both
-// join variants must agree on.
+// spatialPair keys a multiset of (a.Item, b.Item) pairs by the two
+// virtual pointers — the order-insensitive result shape the join must
+// reproduce at every worker count.
 type spatialPair struct{ a, b Ptr }
 
 func bruteSpatialJoin(as, bs []SpatialEntry) map[spatialPair]int {
@@ -59,6 +59,43 @@ func buildRTreePair(t *testing.T, na, nb, fa, fb int, seed int64) (*RTree, *RTre
 	return ta, tb, refA, refB
 }
 
+// joinPairs runs the intersection join of ta and tb on a pool of
+// workers, each worker counting into its own multiset, and folds them.
+func joinPairs(t *testing.T, ta, tb *RTree, workers int) map[spatialPair]int {
+	t.Helper()
+	p := exec.NewPool(workers)
+	defer p.Close()
+	per := make([]map[spatialPair]int, p.Workers())
+	for i := range per {
+		per[i] = map[spatialPair]int{}
+	}
+	if err := ta.ParallelIntersectJoin(context.Background(), p, tb, func(w int, a, b SpatialEntry) {
+		per[w][spatialPair{a.Item, b.Item}]++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[spatialPair]int{}
+	for _, m := range per {
+		for k, n := range m {
+			got[k] += n
+		}
+	}
+	return got
+}
+
+// samePairs fails unless got and want are the same multiset.
+func samePairs(t *testing.T, workers int, got, want map[spatialPair]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("workers=%d: %d distinct pairs, want %d", workers, len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("workers=%d: pair %v reported %d times, want %d", workers, k, got[k], n)
+		}
+	}
+}
+
 func TestRTreeIntersectJoinMatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -73,34 +110,25 @@ func TestRTreeIntersectJoinMatchesBruteForce(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ta, tb, refA, refB := buildRTreePair(t, tc.na, tc.nb, tc.fa, tc.fb, tc.seed)
-			want := bruteSpatialJoin(refA, refB)
-			got := map[spatialPair]int{}
-			ta.IntersectJoin(tb, func(a, b SpatialEntry) bool {
-				got[spatialPair{a.Item, b.Item}]++
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%d distinct pairs, want %d", len(got), len(want))
+			if tc.name == "asymmetric-sizes" && ta.Height() == tb.Height() {
+				t.Fatalf("heights %d and %d, want unequal", ta.Height(), tb.Height())
 			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Fatalf("pair %v reported %d times, want %d", k, got[k], n)
-				}
+			want := bruteSpatialJoin(refA, refB)
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				samePairs(t, workers, joinPairs(t, ta, tb, workers), want)
+				samePairs(t, workers, joinPairs(t, tb, ta, workers), swapPairs(want))
 			}
 		})
 	}
 }
 
-func TestRTreeIntersectJoinEarlyStop(t *testing.T) {
-	ta, tb, _, _ := buildRTreePair(t, 400, 400, 8, 8, 5)
-	count := 0
-	ta.IntersectJoin(tb, func(a, b SpatialEntry) bool {
-		count++
-		return count < 9
-	})
-	if count != 9 {
-		t.Errorf("early stop visited %d pairs", count)
+// swapPairs is the result of the join with its two sides exchanged.
+func swapPairs(m map[spatialPair]int) map[spatialPair]int {
+	out := make(map[spatialPair]int, len(m))
+	for k, n := range m {
+		out[spatialPair{k.b, k.a}] = n
 	}
+	return out
 }
 
 func TestRTreeIntersectJoinEmpty(t *testing.T) {
@@ -118,50 +146,24 @@ func TestRTreeIntersectJoinEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]*RTree{{empty, one}, {one, empty}, {empty, empty}} {
-		pair[0].IntersectJoin(pair[1], func(a, b SpatialEntry) bool {
-			t.Error("empty join produced a pair")
-			return false
-		})
-		if err := pair[0].ParallelIntersectJoin(context.Background(), nil, pair[1], func(int, SpatialEntry, SpatialEntry) {
-			t.Error("empty parallel join produced a pair")
-		}); err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			if got := joinPairs(t, pair[0], pair[1], workers); len(got) != 0 {
+				t.Errorf("workers=%d: an empty side joined %v", workers, got)
+			}
 		}
+	}
+	if got := joinPairs(t, one, one, 1); len(got) != 1 || got[spatialPair{7, 7}] != 1 {
+		t.Errorf("a one-entry tree joined with itself: %v, want the one pair", got)
 	}
 }
 
-// The parallel descent must report the same pair multiset as the
-// sequential one for every worker count, including under the race
-// detector (per-worker accumulation, folded after the barrier).
+// The parallel descent must report the same pair multiset for every
+// worker count, including under the race detector (per-worker
+// accumulation, folded after the barrier).
 func TestRTreeParallelIntersectJoinGrid(t *testing.T) {
 	ta, tb, refA, refB := buildRTreePair(t, 1200, 1500, 8, 8, 6)
 	want := bruteSpatialJoin(refA, refB)
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		p := exec.NewPool(workers)
-		per := make([]map[spatialPair]int, p.Workers())
-		for i := range per {
-			per[i] = map[spatialPair]int{}
-		}
-		err := ta.ParallelIntersectJoin(context.Background(), p, tb, func(w int, a, b SpatialEntry) {
-			per[w][spatialPair{a.Item, b.Item}]++
-		})
-		p.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[spatialPair]int{}
-		for _, m := range per {
-			for k, n := range m {
-				got[k] += n
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d distinct pairs, want %d", workers, len(got), len(want))
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("workers=%d: pair %v reported %d times, want %d", workers, k, got[k], n)
-			}
-		}
+		samePairs(t, workers, joinPairs(t, ta, tb, workers), want)
 	}
 }

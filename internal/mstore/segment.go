@@ -5,12 +5,19 @@
 // reopened — the paper's "exact positioning of data" approach.
 //
 // The package provides append-only persistent segments with an
-// in-segment bump allocator, fixed-record relation heaps whose join
-// attributes are virtual pointers into another segment, and real
-// parallel pointer-based joins executed by goroutines over the mapped
-// data: nested loops, sort-merge, Grace and hybrid hash, the two index
-// joins over persistent B+trees (index nested loops and index merge),
-// and the R-tree intersection join.
+// in-segment bump allocator (which grows a segment, remapping it, only
+// while it is built), fixed-record relation heaps whose join attributes
+// are virtual pointers into another segment, and real parallel
+// pointer-based joins run on a morsel pool over the mapped data: nested
+// loops, sort-merge, Grace and hybrid hash, the two index joins over
+// persistent B+trees (index nested loops and index merge), and the
+// R-tree intersection join.
+//
+// Each read-side decision is made in one place: DB.sObject is the one
+// pointer rule every reader of a stored pointer applies, DB.configure
+// the one derivation of a join's layout that Run executes and Explain
+// prices, BTree.iter the one root-to-leaf descent of the B-tree's reads,
+// and RTree.expand the one step of the intersection join.
 package mstore
 
 import (
@@ -184,31 +191,6 @@ func (s *Segment) unmap() error {
 	return first
 }
 
-// Grow remaps the segment with at least min usable bytes. Virtual
-// pointers remain valid because they are offsets; only the Go-side slice
-// changes.
-func (s *Segment) Grow(min int64) error {
-	if min <= s.Size() {
-		return nil
-	}
-	size := s.Size()
-	for size < min {
-		size *= 2
-	}
-	if err := syscall.Munmap(s.data); err != nil {
-		return fmt.Errorf("mstore: munmap for grow: %w", err)
-	}
-	s.data = nil
-	if err := s.f.Truncate(size); err != nil {
-		return fmt.Errorf("mstore: grow %s: %w", s.path, err)
-	}
-	if err := s.mmap(size); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(s.data[offSize:], uint64(size))
-	return nil
-}
-
 // check panics on out-of-range access — the mapped equivalent of a
 // segmentation fault, which is a programming error.
 func (s *Segment) check(p Ptr, n int64) {
@@ -267,9 +249,12 @@ func (s *Segment) setAllocTop(p Ptr) {
 }
 
 // Alloc reserves n bytes at the allocation top and returns their
-// virtual pointer, growing the mapping if needed. Segments are
-// append-only: nothing is ever freed, so the top only moves up. Sizes are
-// rounded up to allocAlign and to at least minAlloc bytes.
+// virtual pointer. Segments are append-only: nothing is ever freed, so
+// the top only moves up. Sizes are rounded up to allocAlign and to at
+// least minAlloc bytes. When the bytes do not fit, Alloc doubles the
+// file until they do and remaps it: virtual pointers stay valid, as they
+// are offsets, but slices into the old mapping do not, so a segment
+// allocates only while it is built, with no reader.
 func (s *Segment) Alloc(n int64) (Ptr, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mstore: Alloc(%d)", n)
@@ -279,10 +264,22 @@ func (s *Segment) Alloc(n int64) (Ptr, error) {
 		n = minAlloc
 	}
 	top := s.allocTop()
-	if int64(top)+n > s.Size() {
-		if err := s.Grow(int64(top) + n); err != nil {
+	if end := int64(top) + n; end > s.Size() {
+		size := s.Size()
+		for size < end {
+			size *= 2
+		}
+		if err := syscall.Munmap(s.data); err != nil {
+			return 0, fmt.Errorf("mstore: munmap for grow: %w", err)
+		}
+		s.data = nil
+		if err := s.f.Truncate(size); err != nil {
+			return 0, fmt.Errorf("mstore: grow %s: %w", s.path, err)
+		}
+		if err := s.mmap(size); err != nil {
 			return 0, err
 		}
+		binary.LittleEndian.PutUint64(s.data[offSize:], uint64(size))
 	}
 	s.setAllocTop(top + Ptr(n))
 	return top, nil

@@ -204,6 +204,42 @@ func TestShardSplitShapes(t *testing.T) {
 	}
 }
 
+// TestShardSplitRefusesBadPointers: Split resolves every stored pointer
+// by the source's own rule, so a pointer 8 bytes into S0[3] or into
+// partition 5 of 2, which a join over the source refuses, fails the
+// split naming R0[0], before any shard is written, instead of being
+// re-encoded as S0[3] or indexing past the replicas.
+func TestShardSplitRefusesBadPointers(t *testing.T) {
+	for name, bad := range map[string]func(db *mstore.DB) mstore.SPtr{
+		"8 bytes into S0[3]": func(db *mstore.DB) mstore.SPtr { return mstore.SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8} },
+		"partition 5 of 2":   func(db *mstore.DB) mstore.SPtr { return mstore.SPtr{Part: 5, Off: db.S[0].PtrAt(3)} },
+	} {
+		base := t.TempDir()
+		srcDir := filepath.Join(base, "src")
+		src, err := mstore.CreateDB(srcDir, 2, 100, 100, 64, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.R[0].SetJoinAttr(0, bad(src))
+		if _, err := src.Run(mstore.JoinRequest{Algorithm: join.Grace}); err == nil {
+			t.Fatalf("%s: the source's join succeeded", name)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+		outs := []string{filepath.Join(base, "a"), filepath.Join(base, "b")}
+		m, err := Split(srcDir, 2, outs)
+		if err == nil || !strings.Contains(err.Error(), "R0[0]") || !strings.Contains(err.Error(), "dangling pointer") {
+			t.Errorf("%s: split returned %v, %v; want an error naming R0[0] as a dangling pointer", name, m, err)
+		}
+		for _, out := range outs {
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%s: the failed split left %s behind (%v)", name, out, err)
+			}
+		}
+	}
+}
+
 // TestShardLookupRouting checks lookups land on exactly the ring owner,
 // report the answering shard, and validate bounds against the routed
 // shard rather than any global shape.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"mmjoin/internal/mstore"
+	"mmjoin/internal/relation"
 )
 
 // Split rewrites one mapped database into len(outDirs) shard databases
@@ -21,7 +22,10 @@ import (
 //
 // Pointers are re-encoded through (partition, index) rather than copied
 // as raw offsets, so the split is correct even if replica segment
-// layout ever diverges from the source's. The merged scatter-gather
+// layout ever diverges from the source's. The source's Workload
+// resolves them under the pointer rule every join applies, so a stored
+// pointer that names no S object fails the split, naming its R object,
+// before any shard is written. The merged scatter-gather
 // join over the shards is bit-identical (Pairs and Signature) to the
 // single-store join over the source, which is the invariant the Shard
 // conformance tests pin.
@@ -37,11 +41,15 @@ func Split(srcDir string, srcD int, outDirs []string) (*Map, error) {
 		return nil, err
 	}
 	defer src.Close()
+	w, err := src.Workload()
+	if err != nil {
+		return nil, err
+	}
 
 	n := len(outDirs)
 	m := &Map{Schema: MapSchema}
 	for k, out := range outDirs {
-		if err := splitOne(src, out, k, n); err != nil {
+		if err := splitOne(src, w.Refs, out, k, n); err != nil {
 			return nil, fmt.Errorf("shard %d (%s): %w", k, out, err)
 		}
 		m.Shards = append(m.Shards, Entry{ID: fmt.Sprintf("shard-%d", k), Dir: out, D: srcD})
@@ -49,8 +57,9 @@ func Split(srcDir string, srcD int, outDirs []string) (*Map, error) {
 	return m, nil
 }
 
-// splitOne materializes shard k of n under out.
-func splitOne(src *mstore.DB, out string, k, n int) error {
+// splitOne materializes shard k of n under out; refs[i][x] names the S
+// object R_i[x] points to.
+func splitOne(src *mstore.DB, refs [][]relation.SPtr, out string, k, n int) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -115,9 +124,8 @@ func splitOne(src *mstore.DB, out string, k, n int) error {
 				continue
 			}
 			copy(obj, srcR.Object(x))
-			ptr := mstore.DecodeSPtr(obj)
-			idx := src.S[ptr.Part].IndexOf(ptr.Off)
-			mstore.EncodeSPtr(obj, mstore.SPtr{Part: ptr.Part, Off: newS[ptr.Part].PtrAt(idx)})
+			ref := refs[i][x]
+			mstore.EncodeSPtr(obj, mstore.SPtr{Part: uint32(ref.Part), Off: newS[ref.Part].PtrAt(int(ref.Index))})
 			if _, err := rel.Append(obj); err != nil {
 				closeAll()
 				return err
