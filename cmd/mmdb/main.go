@@ -308,6 +308,14 @@ func cmdJoin(args []string) {
 	if *dir == "" {
 		fatal(fmt.Errorf("join: -dir required"))
 	}
+	// Deferred first, so it runs last: after every line is printed and
+	// the store is closed, a mismatched line fails the command.
+	mismatched := false
+	defer func() {
+		if mismatched {
+			fatal(fmt.Errorf("join: verification mismatch"))
+		}
+	}()
 	db, err := mstore.OpenDB(*dir, *d)
 	if err != nil {
 		fatal(err)
@@ -327,14 +335,14 @@ func cmdJoin(args []string) {
 		}
 		elapsed := time.Since(start)
 		if want == nil {
-			// The ground truth follows every stored pointer unchecked:
-			// count it once a join has accepted them.
+			// The ground truth reads every object: count it after the
+			// first join, so that join times the store as opened.
 			exp := db.ExpectedStats()
 			want = &exp
 		}
 		ok := "OK"
 		if st != *want {
-			ok = "MISMATCH"
+			ok, mismatched = "MISMATCH", true
 		}
 		fmt.Printf("%-12s  %8d pairs  %10v  verification %s%s\n",
 			a, st.Pairs, elapsed.Round(time.Microsecond), ok, note)

@@ -150,6 +150,26 @@ func TestCmdMmdbSmoke(t *testing.T) {
 		strings.Contains(stderr.String(), "panic") {
 		t.Errorf("join over a dangling pointer: %v, exit %d, want exit 1 naming the dangling pointer:\n%s", err, code, stderr.String())
 	}
+	// On a store indexed before that rewrite, index merge never follows
+	// the pointer and counts |R| pairs; the ground truth, which skips the
+	// dangling pointer, counts one fewer, so the line reads MISMATCH and
+	// the join exits 1 after printing it: no panic.
+	dir = filepath.Join(t.TempDir(), "indexed")
+	runCmd(t, bin, "create", "-dir", dir, "-objects", "8000")
+	runCmd(t, bin, "index", "-dir", dir)
+	if db, err = mstore.OpenDB(dir, 4); err != nil {
+		t.Fatal(err)
+	}
+	db.R[0].SetJoinAttr(0, mstore.SPtr{Part: 7})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cmd = exec.Command(bin, "join", "-dir", dir, "-alg", "index-merge")
+	joined, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(string(joined), "index-merge") ||
+		!strings.Contains(string(joined), "verification MISMATCH") || strings.Contains(string(joined), "panic") {
+		t.Errorf("index-merge over a stale index: %v, exit %d, want exit 1 after a MISMATCH line:\n%s", err, code, joined)
+	}
 }
 
 // TestCmdMmdbServeSmoke drives the query service end to end: start on an

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -89,17 +90,16 @@ func main() {
 			binary.LittleEndian.PutUint64(term[termDFOff:], df+1)
 		}
 	}
-	// Index: term hash → term pointer, tree persisted inside S0's segment.
+	// Index: term hash → term pointer, bulk-loaded from S0's complete
+	// term set and persisted inside S0's segment.
+	items := make([]mstore.KV, db.S[0].Count())
+	for x := range items {
+		items[x] = mstore.KV{Key: binary.LittleEndian.Uint64(db.S[0].Object(x)[termHashOff:]), Val: db.S[0].PtrAt(x)}
+	}
 	seg0 := db.S[0].Segment()
-	tree, err := mstore.CreateBTree(seg0, 512)
+	tree, err := mstore.BulkLoadBTree(context.Background(), nil, seg0, 512, items)
 	if err != nil {
 		log.Fatal(err)
-	}
-	for x := 0; x < db.S[0].Count(); x++ {
-		obj := db.S[0].Object(x)
-		if err := tree.Insert(binary.LittleEndian.Uint64(obj[termHashOff:]), db.S[0].PtrAt(x)); err != nil {
-			log.Fatal(err)
-		}
 	}
 	seg0.SetAuxRoot(tree.Head())
 	fmt.Printf("built: %d postings over %d terms (%d partitions), B-tree of %d keys\n",

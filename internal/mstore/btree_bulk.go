@@ -30,22 +30,20 @@ const bulkMorsel = 16
 
 // BulkLoadBTree builds a B-tree over items inside seg with the given
 // node size (0 ⇒ one 4K page), running the sort and the node fills as
-// tasks on p (nil ⇒ an ephemeral GOMAXPROCS pool). The item slice is
-// reordered (stably, by key). Leaves are packed full: the load writes
-// the minimal number of nodes, and a later Insert into a full leaf
-// simply splits it. Each internal key is the first key under the child
-// to its right, the separator Insert's splits promote, so Get, Postings
-// and the merge cursor find every key through the one read descent
-// (BTree.iter: equal keys route right).
+// tasks on p (nil ⇒ an ephemeral GOMAXPROCS pool), and is the only way
+// to make one. Persist the returned Head pointer (for example via
+// Segment.SetAuxRoot) to reopen the tree later. The item slice is
+// reordered (stably, by key). Leaves are packed full, so the load
+// writes the minimal number of nodes; no items make one empty leaf.
+// Each internal key is the first key under the child to its right, so
+// Get, Postings and the merge cursor find every key through the one
+// read descent (BTree.iter: equal keys route right).
 func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes int, items []KV) (*BTree, error) {
 	if nodeBytes == 0 {
 		nodeBytes = 4096
 	}
-	if nodeBytes < minNodeSize {
-		return nil, fmt.Errorf("mstore: btree node %d below minimum %d", nodeBytes, minNodeSize)
-	}
 	maxKeys := btMaxKeys(nodeBytes)
-	if maxKeys < 3 {
+	if maxKeys < 3 { // below 88 bytes, negative sizes included
 		return nil, fmt.Errorf("mstore: btree node %d too small for 3 keys", nodeBytes)
 	}
 	for _, kv := range items {
@@ -60,11 +58,10 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(items) == 0 {
-		return CreateBTree(seg, nodeBytes)
-	}
-	if err := sortKV(ctx, p, items); err != nil {
-		return nil, err
+	if len(items) > 0 {
+		if err := sortKV(ctx, p, items); err != nil {
+			return nil, err
+		}
 	}
 
 	// Group layout: starts[g] is the first item of distinct-key group g,
@@ -95,7 +92,7 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 	seg.PutU32(hdr+btOffMagic, btMagic)
 	seg.PutU32(hdr+btOffNode, uint32(nodeBytes))
 
-	nLeaves := (nKeys + maxKeys - 1) / maxKeys
+	nLeaves := max(1, (nKeys+maxKeys-1)/maxKeys) // no items: one empty leaf
 	leafBase, err := seg.Alloc(int64(nLeaves) * int64(nodeBytes))
 	if err != nil {
 		return nil, err
@@ -136,10 +133,11 @@ func BulkLoadBTree(ctx context.Context, p *exec.Pool, seg *Segment, nodeBytes in
 	// whose children are split evenly (every parent keeps ≥ 2 children),
 	// filled in parallel before the next level is derived from it.
 	childBase, childCount := leafBase, nLeaves
-	firstKey := make([]uint64, nLeaves) // first key under each child subtree
-	for l := 0; l < nLeaves; l++ {
-		gLo, _ := leafKeys(l)
-		firstKey[l] = items[starts[gLo]].Key
+	// firstKey is the first key under each child subtree; leaf g/maxKeys
+	// starts at group g.
+	firstKey := make([]uint64, nLeaves)
+	for g := 0; g < nKeys; g += maxKeys {
+		firstKey[g/maxKeys] = items[starts[g]].Key
 	}
 	for childCount > 1 {
 		fan := maxKeys + 1

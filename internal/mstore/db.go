@@ -215,18 +215,22 @@ func pairHash(rid uint64, sWord uint64) uint64 {
 }
 
 // ExpectedStats computes the canonical join result directly from the
-// stored pointers (the ground truth all algorithms must reproduce).
+// stored pointers (the ground truth all algorithms must reproduce). It
+// resolves each pointer by the one pointer rule (DB.sObject): a pointer
+// that names no S object adds no pair, so a join that counts it differs
+// from this answer instead of crashing it.
 func (db *DB) ExpectedStats() JoinStats {
 	var st JoinStats
-	for i := range db.R {
-		rel := db.R[i]
+	for _, rel := range db.R {
 		for x := 0; x < rel.Count(); x++ {
 			obj := rel.Object(x)
 			ptr := DecodeSPtr(obj)
-			s := db.S[ptr.Part].At(ptr.Off)
+			if _, err := db.sObject(ptr); err != nil {
+				continue
+			}
 			st.Pairs++
 			st.Signature += pairHash(binary.LittleEndian.Uint64(obj[ridOffset:]),
-				binary.LittleEndian.Uint64(s))
+				binary.LittleEndian.Uint64(db.S[ptr.Part].At(ptr.Off)))
 		}
 	}
 	return st

@@ -1,85 +1,78 @@
 package mstore
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+
+	"mmjoin/internal/exec"
 )
 
-// FuzzBTree drives one persistent B-tree with an arbitrary operation
-// tape — inserts (with duplicate keys, so posting chains grow), posting
-// counts and point lookups — against a shadow multimap, then compares
-// the merge cursor's scans of the full key space and of [lo, hi] ranges
-// drawn from the tape. Keys are drawn from a 32-value space so chains
-// and splits are both exercised by short tapes.
+// FuzzBTree turns an arbitrary tape into a multiset of items — byte i
+// is value 1000+8i under key byte>>3, so a 32-value key space and long
+// posting chains from short tapes — bulk-loads it at 128-byte nodes on
+// 1 and GOMAXPROCS workers, requires the two segments byte-identical,
+// and checks Len, Verify, Get and Postings against a shadow multimap,
+// then the merge cursor's scans of the full key space and of [lo, hi]
+// ranges drawn from the tape.
 func FuzzBTree(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}) // one hot key
 	f.Add([]byte{0, 4, 8, 12, 2, 6, 10, 14, 1, 5, 9, 13})
+	pools := []*exec.Pool{exec.NewPool(1), exec.NewPool(runtime.GOMAXPROCS(0))}
+	f.Cleanup(func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<10 {
 			t.Skip("cap work per input")
 		}
-		seg, err := Create(filepath.Join(t.TempDir(), "bt"), 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
-		// 128-byte nodes force splits within a few dozen inserts.
-		tree, err := CreateBTree(seg, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
 		shadow := map[uint64][]Ptr{}
-		total := 0
-		next := Ptr(1000)
+		items := make([]KV, len(ops))
 		for i, op := range ops {
-			k := uint64(op >> 3 % 32)
-			switch op % 4 {
-			case 0, 1: // bias toward growth
-				v := next
-				next += 8
-				if err := tree.Insert(k, v); err != nil {
-					t.Fatalf("op %d: Insert(%d): %v", i, k, err)
-				}
-				shadow[k] = append(shadow[k], v)
-				total++
-			case 2:
-				n := 0
-				tree.Postings(k, func(Ptr) bool { n++; return true })
-				if n != len(shadow[k]) {
-					t.Fatalf("op %d: Postings(%d) visited %d values, shadow %d", i, k, n, len(shadow[k]))
-				}
-			case 3:
-				v, ok := tree.Get(k)
-				if ok != (len(shadow[k]) > 0) {
-					t.Fatalf("op %d: Get(%d) present=%v, shadow %d values", i, k, ok, len(shadow[k]))
-				}
-				if ok {
-					found := false
-					for _, want := range shadow[k] {
-						if v == want {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("op %d: Get(%d) = %d not in shadow", i, k, v)
-					}
-				}
+			items[i] = KV{Key: uint64(op >> 3), Val: Ptr(1000 + 8*i)}
+			shadow[items[i].Key] = append(shadow[items[i].Key], items[i].Val)
+		}
+		var segs []*Segment
+		var tree *BTree
+		for w, p := range pools {
+			seg, err := Create(filepath.Join(t.TempDir(), fmt.Sprintf("bt%d", w)), 1<<16)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tree.Len() != total {
-				t.Fatalf("op %d: Len=%d, shadow %d", i, tree.Len(), total)
+			defer seg.Close()
+			if tree, err = BulkLoadBTree(context.Background(), p, seg, 128, slices.Clone(items)); err != nil {
+				t.Fatal(err)
 			}
+			segs = append(segs, seg)
+		}
+		if !bytes.Equal(segs[0].data, segs[1].data) {
+			t.Fatalf("segments differ between %d and %d workers", pools[0].Workers(), pools[1].Workers())
+		}
+		if tree.Len() != len(items) {
+			t.Fatalf("Len=%d, shadow %d", tree.Len(), len(items))
 		}
 		if err := tree.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		// Per-key postings must be the shadow's exact multiset.
-		for k, want := range shadow {
+		// Every key of the space and two past it: Get names a shadow
+		// value, Postings yields the shadow's exact multiset.
+		for k := uint64(0); k < 34; k++ {
+			want := shadow[k]
+			if v, ok := tree.Get(k); ok != (len(want) > 0) || ok && !slices.Contains(want, v) {
+				t.Fatalf("Get(%d) = %d, %v; shadow %v", k, v, ok, want)
+			}
 			got := map[Ptr]int{}
-			tree.Postings(k, func(v Ptr) bool { got[v]++; return true })
+			if present := tree.Postings(k, func(v Ptr) bool { got[v]++; return true }); present != (len(want) > 0) {
+				t.Fatalf("Postings(%d) present=%v, shadow %d values", k, present, len(want))
+			}
 			for _, v := range want {
 				got[v]--
 			}

@@ -46,7 +46,9 @@ func (db *DB) HasIndexes() bool { return len(db.ridx) == db.D && len(db.sidx) ==
 // the pool (nil ⇒ ephemeral) and persists each head in its segment's
 // AuxRoot. It is a no-op if indexes are already attached; a segment
 // whose AuxRoot is occupied by something else (e.g. an application
-// R-tree) is an error — the store's aux slot is taken.
+// R-tree) is an error — the store's aux slot is taken. Every R key is
+// resolved before the first tree is allocated, so a dangling pointer
+// fails the build with every segment as it was.
 func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	if db.HasIndexes() {
 		return nil
@@ -57,6 +59,23 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	rItems := make([][]KV, db.D)
+	for i, rel := range db.R {
+		items := make([]KV, rel.Count())
+		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
+			for x := lo; x < hi; x++ {
+				k, err := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
+				if err != nil {
+					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+				}
+				items[x] = KV{Key: k, Val: rel.PtrAt(x)}
+			}
+			return nil
+		})); err != nil {
+			return err
+		}
+		rItems[i] = items
 	}
 	ridx := make([]*BTree, db.D)
 	sidx := make([]*BTree, db.D)
@@ -78,20 +97,7 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 		sidx[j] = t
 	}
 	for i, rel := range db.R {
-		items := make([]KV, rel.Count())
-		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
-			for x := lo; x < hi; x++ {
-				k, err := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
-				if err != nil {
-					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
-				}
-				items[x] = KV{Key: k, Val: rel.PtrAt(x)}
-			}
-			return nil
-		})); err != nil {
-			return err
-		}
-		t, err := db.buildOne(ctx, p, rel, items)
+		t, err := db.buildOne(ctx, p, rel, rItems[i])
 		if err != nil {
 			return fmt.Errorf("mstore: index R%d: %w", i, err)
 		}
@@ -105,7 +111,7 @@ func (db *DB) buildOne(ctx context.Context, p *exec.Pool, rel *Relation, items [
 	seg := rel.Segment()
 	if aux := seg.AuxRoot(); aux != 0 {
 		if t, err := OpenBTree(seg, aux); err == nil && t.Len() == rel.Count() {
-			return t, nil // already indexed (e.g. concurrent open built it)
+			return t, nil // a retry after a partly persisted build: this tree is done
 		}
 		return nil, fmt.Errorf("aux root %d already occupied", aux)
 	}

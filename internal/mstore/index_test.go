@@ -1,11 +1,15 @@
 package mstore
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mmjoin/internal/exec"
@@ -149,30 +153,26 @@ func TestIndexReopenUnindexedStore(t *testing.T) {
 	}
 }
 
-// TestBulkLoadMatchesIncremental: bulk load and one-at-a-time insert
-// over the same duplicate-heavy item set must agree on Len, Verify, and
-// the per-key value multisets — at several worker counts, since the
-// bulk layout must be worker-count independent.
+// TestBulkLoadMatchesIncremental: a bulk load over a duplicate-heavy
+// item set must agree with a shadow map on Len, Verify, the per-key
+// value multisets and the ordered key sequence — at several worker
+// counts, since the bulk layout must be worker-count independent.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	zipf := rand.NewZipf(rng, 1.2, 3, 300)
 	const n = 5000
 	items := make([]KV, n)
+	ref := map[uint64]map[Ptr]int{}
+	var keys []uint64 // the scan's key sequence, one key per value
 	for x := range items {
 		items[x] = KV{Key: zipf.Uint64(), Val: Ptr(8 * (x + 8))}
-	}
-
-	ref := map[uint64]map[Ptr]int{}
-	_, inc := newTreeSeg(t, indexNodeBytes)
-	for _, kv := range items {
-		if err := inc.Insert(kv.Key, kv.Val); err != nil {
-			t.Fatal(err)
+		if ref[items[x].Key] == nil {
+			ref[items[x].Key] = map[Ptr]int{}
 		}
-		if ref[kv.Key] == nil {
-			ref[kv.Key] = map[Ptr]int{}
-		}
-		ref[kv.Key][kv.Val]++
+		ref[items[x].Key][items[x].Val]++
+		keys = append(keys, items[x].Key)
 	}
+	slices.Sort(keys)
 
 	var heads []Ptr
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
@@ -189,8 +189,8 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		heads = append(heads, tree.Head())
-		if tree.Len() != inc.Len() {
-			t.Fatalf("w=%d: Len %d != incremental %d", workers, tree.Len(), inc.Len())
+		if tree.Len() != n {
+			t.Fatalf("w=%d: Len %d, want %d", workers, tree.Len(), n)
 		}
 		if err := tree.Verify(); err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
@@ -207,14 +207,14 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 				}
 			}
 		}
-		// Ordered scan agrees with the incremental tree's key sequence.
-		bk, ik := scanTree(tree, 0, 1<<62), scanTree(inc, 0, 1<<62)
-		if len(bk) != len(ik) {
-			t.Fatalf("w=%d: scan lengths %d vs %d", workers, len(bk), len(ik))
+		// The ordered scan yields every key once per value, ascending.
+		bk := scanTree(tree, 0, 1<<62)
+		if len(bk) != len(keys) {
+			t.Fatalf("w=%d: scan length %d, want %d", workers, len(bk), len(keys))
 		}
 		for x := range bk {
-			if bk[x].Key != ik[x].Key {
-				t.Fatalf("w=%d: scan diverges at %d: %d vs %d", workers, x, bk[x].Key, ik[x].Key)
+			if bk[x].Key != keys[x] {
+				t.Fatalf("w=%d: scan diverges at %d: %d, want %d", workers, x, bk[x].Key, keys[x])
 			}
 		}
 	}
@@ -289,6 +289,47 @@ func TestIndexJoinMatchesOtherKernels(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%v: stats %+v, want %+v", alg, got, want)
+		}
+	}
+}
+
+// TestFailedIndexBuildLeavesNoTrees: an index build that meets a
+// dangling pointer resolves every R key before it allocates the first
+// tree, so it fails with the store's segment files byte-for-byte as
+// they were and every aux root still free.
+func TestFailedIndexBuildLeavesNoTrees(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := CreateDB(dir, 4, 2000, 2000, 32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.R[0].SetJoinAttr(0, SPtr{Part: 7, Off: db.S[0].PtrAt(0)})
+	files := func() map[string][]byte {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil || len(paths) != 2*db.D {
+			t.Fatalf("segment files %v, %v", paths, err)
+		}
+		out := map[string][]byte{}
+		for _, p := range paths {
+			if out[p], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	before := files()
+	if err := db.BuildIndexes(context.Background(), nil); !errors.Is(err, errBadPointer) || db.HasIndexes() {
+		t.Fatalf("index build: %v (indexed %v), want the dangling-pointer error", err, db.HasIndexes())
+	}
+	for p, b := range files() {
+		if !bytes.Equal(b, before[p]) {
+			t.Errorf("%s changed (%d bytes, was %d)", filepath.Base(p), len(b), len(before[p]))
+		}
+	}
+	for _, rel := range append(slices.Clone(db.R), db.S...) {
+		if aux := rel.Segment().AuxRoot(); aux != 0 {
+			t.Errorf("%s: aux root %d taken", filepath.Base(rel.Segment().Path()), aux)
 		}
 	}
 }

@@ -290,6 +290,30 @@ func TestMisalignedPointerIsOneAnswer(t *testing.T) {
 	}
 }
 
+// TestExpectedStatsSkipsDanglingPointers: the ground truth applies the
+// one pointer rule too, so a row whose pointer names no S object — one
+// into partition 7 of 4, one 8 bytes into S0[3] — adds no pair, rather
+// than panicking or folding the middle of an object.
+func TestExpectedStatsSkipsDanglingPointers(t *testing.T) {
+	for name, bad := range map[string]func(db *DB) SPtr{
+		"partition 7 of 4":   func(db *DB) SPtr { return SPtr{Part: 7, Off: db.S[0].PtrAt(3)} },
+		"8 bytes into S0[3]": func(db *DB) SPtr { return SPtr{Part: 0, Off: db.S[0].PtrAt(3) + 8} },
+	} {
+		db := testDB(t, 4, 400)
+		want := db.ExpectedStats()
+		row, err := db.Lookup(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Pairs--
+		want.Signature -= pairHash(row.RID, row.SWord)
+		db.R[0].SetJoinAttr(0, bad(db))
+		if got := db.ExpectedStats(); got != want || got.Pairs != int64(db.CountR()-1) {
+			t.Errorf("pointer %s: %+v, want %+v (|R| − 1 pairs)", name, got, want)
+		}
+	}
+}
+
 // TestLookupRejectsDanglingPointers: Lookup applies the histogram's rule
 // to the one pointer it follows, so a row that points into a relation
 // header, past the last object or outside the segment fails with the

@@ -13,11 +13,14 @@
 // persistent B+trees (index nested loops and index merge), and the
 // R-tree intersection join.
 //
+// Each pointer structure has one builder, run once over its complete
+// item set: BulkLoadBTree for the B+tree, BuildRTree (STR) for the R-tree.
 // Each read-side decision is made in one place: DB.sObject is the one
-// pointer rule every reader of a stored pointer applies, DB.configure
-// the one derivation of a join's layout that Run executes and Explain
-// prices, BTree.iter the one root-to-leaf descent of the B-tree's reads,
-// and RTree.expand the one step of the intersection join.
+// pointer rule every reader of a stored pointer applies (ExpectedStats
+// included), DB.configure the one derivation of a join's layout that
+// Run executes and Explain prices, BTree.iter the one root-to-leaf
+// descent of the B-tree's reads, and RTree.expand the one step of the
+// intersection join.
 package mstore
 
 import (
