@@ -302,7 +302,7 @@ func cmdJoin(args []string) {
 	alg := fs.String("alg", "all", "algorithm: all, auto (planner-chosen), nested-loops, sort-merge, grace, hybrid-hash, index-nl, index-merge")
 	d := fs.Int("d", 4, "partitions the database was created with")
 	k := fs.Int("k", 0, "Grace and hybrid-hash bucket count, folded past 256 to the destinations one scan fans out to (0: derive from -mrproc)")
-	mrproc := fs.Int64("mrproc", 1<<20, "private memory grant per partition goroutine, bytes")
+	mrproc := fs.Int64("mrproc", 1<<20, "a named grace or hybrid-hash join's grant per partition goroutine, bytes; auto plans without one")
 	workers := fs.Int("workers", 0, "morsel-pool size, the CPU parallelism (0: GOMAXPROCS)")
 	fs.Parse(args)
 	if *dir == "" {
@@ -349,9 +349,11 @@ func cmdJoin(args []string) {
 	}
 	ops := mstore.Operators(db.HasIndexes())
 	if *alg == "auto" {
-		// Explain the join under every operator — the store's own plan,
-		// priced on its measured profile — and run the cheapest, as the
-		// service's auto does.
+		// Explain the join under every operator with no grant — the
+		// store's own plan, priced on its measured profile — and run the
+		// cheapest there, as the service's auto does: nothing meters
+		// memory while a join runs, so -mrproc shapes no auto plan.
+		req.MRproc = 0
 		plans, err := mstore.Rank(db, req, ops)
 		if err != nil {
 			fatal(err)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -116,6 +117,12 @@ func TestCmdMmdbSmoke(t *testing.T) {
 	if strings.Count(out, "plan:") != 4 || !strings.Contains(out, "(predicted ") || strings.Contains(out, "MISMATCH") {
 		t.Errorf("auto join output:\n%s", out)
 	}
+	// Auto plans with no grant whatever -mrproc says: at one page a
+	// partition hybrid hash is still the floor, staging nothing.
+	out = runCmd(t, bin, "join", "-dir", dir, "-alg", "auto", "-mrproc", "4096")
+	if !regexp.MustCompile(`plan: hybrid-hash .*\(staged 0, arena 0 B\)`).MatchString(out) || !strings.Contains(out, "verification OK") {
+		t.Errorf("auto join at -mrproc 4096 output:\n%s", out)
+	}
 	// A misspelt name, a simulator-only algorithm and an index join on
 	// this unindexed store each fail, rather than run nothing and exit 0.
 	for a, want := range map[string]string{
@@ -212,6 +219,16 @@ func TestCmdMmdbServeSmoke(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"pairs": 5000`) {
 		t.Fatalf("join round-trip: status %d body %s", resp.StatusCode, body)
+	}
+	// Auto is charged the grant it names but plans and runs with none.
+	resp, err = http.Post(base+"/v1/join", "application/json", strings.NewReader(`{"algorithm":"auto","memBytes":16384}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"mrprocBytes": 0`) {
+		t.Fatalf("auto join at 16 KiB: status %d body %s", resp.StatusCode, body)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

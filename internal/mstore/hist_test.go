@@ -15,9 +15,9 @@ import (
 
 var stagingAlgs = []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
 
-// floorReq is the floor: hybrid hash at a grant that keeps all of S
-// resident (f0 = 1, K = 0), so it stages nothing.
-var floorReq = JoinRequest{Algorithm: join.HybridHash, MRproc: 1 << 40}
+// floorReq is the floor: hybrid hash with no grant, unbounded, keeps all
+// of S resident (f0 = 1, K = 0), so it stages nothing.
+var floorReq = JoinRequest{Algorithm: join.HybridHash}
 
 // histPassesOf reads how many histogram counts the handle has begun.
 func histPassesOf(db *DB) int {
@@ -202,7 +202,7 @@ func TestRunRejectsPointerRewrittenAfterHistogram(t *testing.T) {
 		}
 		db.R[1].SetJoinAttr(x, ptr)
 		for _, alg := range c.algs {
-			if st, err := db.Run(JoinRequest{Algorithm: alg, K: 4}); !errors.Is(err, c.want) {
+			if st, err := db.Run(JoinRequest{Algorithm: alg, K: 4, MRproc: 4096}); !errors.Is(err, c.want) {
 				t.Errorf("%s: %v after the rewrite: %+v, %v, want %v", c.name, alg, st, err, c.want)
 			}
 		}

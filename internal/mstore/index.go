@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mmjoin/internal/exec"
 )
@@ -46,9 +47,10 @@ func (db *DB) HasIndexes() bool { return len(db.ridx) == db.D && len(db.sidx) ==
 // the pool (nil ⇒ ephemeral) and persists each head in its segment's
 // AuxRoot. It is a no-op if indexes are already attached; a segment
 // whose AuxRoot is occupied by something else (e.g. an application
-// R-tree) is an error — the store's aux slot is taken. Every R key is
-// resolved before the first tree is allocated, so a dangling pointer
-// fails the build with every segment as it was.
+// R-tree) is an error — the store's aux slot is taken. Every aux root is
+// checked and every R key resolved before the first tree is allocated,
+// so a taken slot or a dangling pointer fails the build with every
+// segment as it was.
 func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	if db.HasIndexes() {
 		return nil
@@ -60,67 +62,71 @@ func (db *DB) BuildIndexes(ctx context.Context, p *exec.Pool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rItems := make([][]KV, db.D)
-	for i, rel := range db.R {
-		items := make([]KV, rel.Count())
-		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
+	// One tree per relation partition: S0 … S(D−1), then R0 … R(D−1).
+	rels := append(slices.Clone(db.S), db.R...)
+	name := func(n int) string {
+		if n < db.D {
+			return fmt.Sprintf("S%d", n)
+		}
+		return fmt.Sprintf("R%d", n-db.D)
+	}
+	trees := make([]*BTree, len(rels))
+	for n, rel := range rels {
+		var err error
+		if trees[n], err = heldTree(rel); err != nil {
+			return fmt.Errorf("mstore: index %s: %w", name(n), err)
+		}
+	}
+	items := make([][]KV, len(rels))
+	for n, rel := range rels {
+		if trees[n] != nil {
+			continue
+		}
+		items[n] = make([]KV, rel.Count())
+		if err := p.Run(ctx, rangeTasks(nil, rel.Count(), morselObjs, func(_, lo, hi int) error {
 			for x := lo; x < hi; x++ {
-				k, err := db.indexKeyOf(DecodeSPtr(rel.Object(x)))
-				if err != nil {
-					return fmt.Errorf("mstore: R%d[%d] %w", i, x, err)
+				k := uint64(n)<<32 | uint64(x) // an S row's own name
+				if n >= db.D {
+					var err error
+					if k, err = db.indexKeyOf(DecodeSPtr(rel.Object(x))); err != nil {
+						return fmt.Errorf("mstore: %s[%d] %w", name(n), x, err)
+					}
 				}
-				items[x] = KV{Key: k, Val: rel.PtrAt(x)}
+				items[n][x] = KV{Key: k, Val: rel.PtrAt(x)}
 			}
 			return nil
 		})); err != nil {
 			return err
 		}
-		rItems[i] = items
 	}
-	ridx := make([]*BTree, db.D)
-	sidx := make([]*BTree, db.D)
-	for j, rel := range db.S {
-		items := make([]KV, rel.Count())
-		base := uint64(j) << 32
-		if err := p.Run(ctx, rangeTasks(nil, len(items), morselObjs, func(_, lo, hi int) error {
-			for x := lo; x < hi; x++ {
-				items[x] = KV{Key: base | uint64(x), Val: rel.PtrAt(x)}
-			}
-			return nil
-		})); err != nil {
-			return err
+	for n, rel := range rels {
+		if trees[n] != nil {
+			continue
 		}
-		t, err := db.buildOne(ctx, p, rel, items)
+		t, err := BulkLoadBTree(ctx, p, rel.Segment(), indexNodeBytes, items[n])
 		if err != nil {
-			return fmt.Errorf("mstore: index S%d: %w", j, err)
+			return fmt.Errorf("mstore: index %s: %w", name(n), err)
 		}
-		sidx[j] = t
+		rel.Segment().SetAuxRoot(t.Head())
+		trees[n] = t
 	}
-	for i, rel := range db.R {
-		t, err := db.buildOne(ctx, p, rel, rItems[i])
-		if err != nil {
-			return fmt.Errorf("mstore: index R%d: %w", i, err)
-		}
-		ridx[i] = t
-	}
-	db.ridx, db.sidx = ridx, sidx
+	db.sidx, db.ridx = trees[:db.D:db.D], trees[db.D:]
 	return nil
 }
 
-func (db *DB) buildOne(ctx context.Context, p *exec.Pool, rel *Relation, items []KV) (*BTree, error) {
-	seg := rel.Segment()
-	if aux := seg.AuxRoot(); aux != 0 {
-		if t, err := OpenBTree(seg, aux); err == nil && t.Len() == rel.Count() {
-			return t, nil // a retry after a partly persisted build: this tree is done
-		}
-		return nil, fmt.Errorf("aux root %d already occupied", aux)
+// heldTree is the one test of a relation's aux root, before a build and
+// at open: 0 is free (nil, nil); a complete tree of the relation — one
+// entry per row, which a retried build keeps after a partly persisted
+// one — is returned; any other value means the slot is taken.
+func heldTree(rel *Relation) (*BTree, error) {
+	aux := rel.Segment().AuxRoot()
+	if aux == 0 {
+		return nil, nil
 	}
-	t, err := BulkLoadBTree(ctx, p, seg, indexNodeBytes, items)
-	if err != nil {
-		return nil, err
+	if t, err := OpenBTree(rel.Segment(), aux); err == nil && t.Len() == rel.Count() {
+		return t, nil
 	}
-	seg.SetAuxRoot(t.Head())
-	return t, nil
+	return nil, fmt.Errorf("aux root %d already occupied", aux)
 }
 
 // attachIndexes opens the persisted per-partition trees if every
@@ -130,34 +136,15 @@ func (db *DB) buildOne(ctx context.Context, p *exec.Pool, rel *Relation, items [
 // and an aux root holding a different structure (the gis example keeps
 // an R-tree there) is skipped the same way.
 func (db *DB) attachIndexes() {
-	open := func(rel *Relation) *BTree {
-		aux := rel.Segment().AuxRoot()
-		if aux == 0 {
-			return nil
-		}
-		t, err := OpenBTree(rel.Segment(), aux)
-		if err != nil || t.Len() != rel.Count() {
-			return nil
-		}
-		return t
-	}
-	ridx := make([]*BTree, 0, db.D)
-	sidx := make([]*BTree, 0, db.D)
-	for _, rel := range db.S {
-		t := open(rel)
+	trees := make([]*BTree, 0, 2*db.D)
+	for _, rel := range append(slices.Clone(db.S), db.R...) {
+		t, _ := heldTree(rel)
 		if t == nil {
 			return
 		}
-		sidx = append(sidx, t)
+		trees = append(trees, t)
 	}
-	for _, rel := range db.R {
-		t := open(rel)
-		if t == nil {
-			return
-		}
-		ridx = append(ridx, t)
-	}
-	db.ridx, db.sidx = ridx, sidx
+	db.sidx, db.ridx = trees[:db.D:db.D], trees[db.D:]
 }
 
 // VerifyIndexes cross-checks the attached trees against the relations:

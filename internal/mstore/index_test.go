@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"mmjoin/internal/exec"
@@ -293,43 +294,103 @@ func TestIndexJoinMatchesOtherKernels(t *testing.T) {
 	}
 }
 
-// TestFailedIndexBuildLeavesNoTrees: an index build that meets a
-// dangling pointer resolves every R key before it allocates the first
-// tree, so it fails with the store's segment files byte-for-byte as
-// they were and every aux root still free.
-func TestFailedIndexBuildLeavesNoTrees(t *testing.T) {
+// TestRetriedIndexBuildKeepsCompleteTrees: a store whose build persisted
+// every tree but R2's opens unindexed, and the next build keeps each
+// complete tree where it is and builds R2's alone.
+func TestRetriedIndexBuildKeepsCompleteTrees(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := CreateDB(dir, 4, 2000, 2000, 32, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.BuildIndexes(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	db.R[2].Segment().SetAuxRoot(0)
+	rels := func(db *DB) []*Relation { return append(slices.Clone(db.R), db.S...) }
+	var before []Ptr
+	for _, rel := range rels(db) {
+		before = append(before, rel.Segment().AuxRoot())
+	}
+	db.Close()
+	if db, err = OpenDB(dir, 4); err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
-	db.R[0].SetJoinAttr(0, SPtr{Part: 7, Off: db.S[0].PtrAt(0)})
-	files := func() map[string][]byte {
-		paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-		if err != nil || len(paths) != 2*db.D {
-			t.Fatalf("segment files %v, %v", paths, err)
+	if db.HasIndexes() {
+		t.Fatal("a store missing R2's tree opened indexed")
+	}
+	if err := db.BuildIndexes(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for n, rel := range rels(db) {
+		if aux := rel.Segment().AuxRoot(); n == 2 && aux == 0 || n != 2 && aux != before[n] {
+			t.Errorf("%s: aux root %d, was %d", filepath.Base(rel.Segment().Path()), aux, before[n])
 		}
-		out := map[string][]byte{}
-		for _, p := range paths {
-			if out[p], err = os.ReadFile(p); err != nil {
-				t.Fatal(err)
+	}
+	if err := db.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedIndexBuildLeavesNoTrees: an index build checks every aux
+// root and resolves every R key before it allocates the first tree, so a
+// dangling pointer, or R3's aux slot taken by a foreign pointer, fails
+// it with the store's segment files byte-for-byte as they were and
+// every aux root as it was.
+func TestFailedIndexBuildLeavesNoTrees(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(db *DB)
+		is    error // the error wrapped, when there is a sentinel
+		want  string
+	}{
+		{"dangling pointer", func(db *DB) {
+			db.R[0].SetJoinAttr(0, SPtr{Part: 7, Off: db.S[0].PtrAt(0)})
+		}, errBadPointer, "R0[0]"},
+		{"R3's aux root taken", func(db *DB) {
+			db.R[3].Segment().SetAuxRoot(db.R[3].PtrAt(5))
+		}, nil, "index R3: aux root"},
+	} {
+		dir := filepath.Join(t.TempDir(), "db")
+		db, err := CreateDB(dir, 4, 2000, 2000, 32, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.spoil(db)
+		rels := append(slices.Clone(db.R), db.S...)
+		auxes := func() (out []Ptr) {
+			for _, rel := range rels {
+				out = append(out, rel.Segment().AuxRoot())
+			}
+			return out
+		}
+		files := func() map[string][]byte {
+			paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+			if err != nil || len(paths) != 2*db.D {
+				t.Fatalf("segment files %v, %v", paths, err)
+			}
+			out := map[string][]byte{}
+			for _, p := range paths {
+				if out[p], err = os.ReadFile(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		before, auxBefore := files(), auxes()
+		err = db.BuildIndexes(context.Background(), nil)
+		if err == nil || c.is != nil && !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.want) || db.HasIndexes() {
+			t.Errorf("%s: index build: %v (indexed %v), want an error naming %q", c.name, err, db.HasIndexes(), c.want)
+		}
+		for p, b := range files() {
+			if !bytes.Equal(b, before[p]) {
+				t.Errorf("%s: %s changed (%d bytes, was %d)", c.name, filepath.Base(p), len(b), len(before[p]))
 			}
 		}
-		return out
-	}
-	before := files()
-	if err := db.BuildIndexes(context.Background(), nil); !errors.Is(err, errBadPointer) || db.HasIndexes() {
-		t.Fatalf("index build: %v (indexed %v), want the dangling-pointer error", err, db.HasIndexes())
-	}
-	for p, b := range files() {
-		if !bytes.Equal(b, before[p]) {
-			t.Errorf("%s changed (%d bytes, was %d)", filepath.Base(p), len(b), len(before[p]))
+		if got := auxes(); !slices.Equal(got, auxBefore) {
+			t.Errorf("%s: aux roots %v, were %v", c.name, got, auxBefore)
 		}
-	}
-	for _, rel := range append(slices.Clone(db.R), db.S...) {
-		if aux := rel.Segment().AuxRoot(); aux != 0 {
-			t.Errorf("%s: aux root %d taken", filepath.Base(rel.Segment().Path()), aux)
-		}
+		db.Close()
 	}
 }

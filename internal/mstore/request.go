@@ -44,7 +44,7 @@ type JoinRequest struct {
 	// resident prefix — and is not metered while the join runs: every
 	// finish orders its extent in place in the temp arena, so no
 	// structure grows with a bucket. Zero means unbounded: one bucket,
-	// nothing resident.
+	// everything resident, so hybrid hash is the floor (K = 0).
 	MRproc int64
 
 	// K is the Grace/hybrid-hash bucket count; 0 derives it from MRproc.
@@ -58,12 +58,13 @@ type JoinRequest struct {
 	// also a supported use.
 	Telemetry *JoinTelemetry
 
-	// TmpDir is the directory, made if missing, whose file system holds
-	// the join's temp arena; "" uses the db dir. Run reuses an idle
-	// arena its handle keeps mapped from an earlier join in the same
-	// directory, or creates a fresh arena-*.seg there and unlinks it as
-	// soon as it is mapped, so the directory never shows one. Concurrent
-	// joins may share a TmpDir; each holds its own arena.
+	// TmpDir is the directory, made if missing by a join that stages,
+	// whose file system holds the join's temp arena; "" uses the db dir.
+	// Run reuses an idle arena its handle keeps mapped from an earlier
+	// join in the same directory, or creates a fresh arena-*.seg there
+	// and unlinks it as soon as it is mapped, so the directory never
+	// shows one. Concurrent joins may share a TmpDir; each holds its own
+	// arena.
 	TmpDir string
 
 	// Pool is the join's CPU parallelism: the morsel pool its
@@ -105,9 +106,11 @@ func (req *JoinRequest) validate(db *DB) error {
 // plan derives a staged hash join's bucket count K and resident fraction
 // f0 (hybrid hash only; Grace keeps nothing resident) with the shared
 // rules, at the expected reference load |R|/D of a partition and the
-// average S partition. K is capped at one bucket per expected reference:
-// bucket state (D·K counters and extent bounds) is sized by K and not
-// covered by the grant, so more buckets than references never pay.
+// average S partition; at MRproc 0 that is K = 1 for Grace and the
+// floor (f0 = 1, K = 0) for hybrid hash. K is capped at one bucket per
+// expected reference: bucket state (D·K counters and extent bounds) is
+// sized by K and not covered by the grant, so more buckets than
+// references never pay.
 //
 // The scan is a join's one partitioning pass and fans out to at most
 // 2^params.Bits destinations a row, so a K past that folds by ceiling

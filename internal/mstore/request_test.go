@@ -23,6 +23,18 @@ func testDB(t *testing.T, d, n int) *DB {
 func TestRunExecutesEveryRealAlgorithm(t *testing.T) {
 	db := testDB(t, 3, 3000)
 	want := db.ExpectedStats()
+	// No grant is unbounded: hybrid hash is the floor whatever K asks
+	// for — exact, no arena, no histogram count.
+	for _, k := range []int{0, 37} {
+		tel := &JoinTelemetry{}
+		st, err := db.Run(JoinRequest{Algorithm: join.HybridHash, K: k, Telemetry: tel})
+		if err != nil || st != want {
+			t.Fatalf("hybrid hash, no grant, K=%d: %+v, %v, want %+v", k, st, err, want)
+		}
+		if n, h := tel.TempFiles.Load(), histPassesOf(db); n != 0 || h != 0 {
+			t.Errorf("hybrid hash, no grant, K=%d: %d temp files, %d histogram counts, want none", k, n, h)
+		}
+	}
 	for _, alg := range []join.Algorithm{
 		join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash,
 	} {
@@ -101,9 +113,9 @@ func TestRequestDerivesGraceParameters(t *testing.T) {
 	if k, f0 := db.plan(join.HybridHash, 0, 1<<30); k != 0 || f0 != 1 {
 		t.Errorf("ample-memory hybrid (K, f0) = (%d, %g), want (0, 1)", k, f0)
 	}
-	// Zero is unbounded: one bucket, nothing resident.
-	if k, f0 := db.plan(join.HybridHash, 0, 0); k != 1 || f0 != 0 {
-		t.Errorf("unbounded hybrid (K, f0) = (%d, %g), want (1, 0)", k, f0)
+	// Zero is unbounded: everything resident, so hybrid hash is the floor.
+	if k, f0 := db.plan(join.HybridHash, 0, 0); k != 0 || f0 != 1 {
+		t.Errorf("unbounded hybrid (K, f0) = (%d, %g), want (0, 1)", k, f0)
 	}
 }
 
@@ -221,7 +233,8 @@ func TestRunRejectsDanglingPointers(t *testing.T) {
 		db.R[1].SetJoinAttr(5, SPtr{Part: 0, Off: off(db.S[0])})
 		reqs := []JoinRequest{floorReq}
 		for _, alg := range stagingAlgs {
-			reqs = append(reqs, JoinRequest{Algorithm: alg})
+			// A quarter of each S partition resident: hybrid hash stages.
+			reqs = append(reqs, JoinRequest{Algorithm: alg, MRproc: 512})
 		}
 		for _, req := range reqs {
 			for try := range 2 {

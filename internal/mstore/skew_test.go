@@ -221,12 +221,12 @@ func TestSkewEmptyBucketsCreateNoFiles(t *testing.T) {
 }
 
 // TestSkewExplicitTmpDirStillWorks: an explicit TmpDir keeps working,
-// and survives the join: Run removes only the directory it made.
+// and survives the join.
 func TestSkewExplicitTmpDirStillWorks(t *testing.T) {
 	db := zipfDB(t, 1000)
 	want := db.ExpectedStats()
 	tmp := filepath.Join(t.TempDir(), "mine")
-	st, err := db.Run(JoinRequest{Algorithm: join.HybridHash, K: 2, TmpDir: tmp})
+	st, err := db.Run(JoinRequest{Algorithm: join.HybridHash, K: 2, MRproc: 4096, TmpDir: tmp})
 	if err != nil {
 		t.Fatal(err)
 	}

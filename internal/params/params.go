@@ -6,7 +6,9 @@
 // model (internal/model) and the store (internal/mstore) all call them,
 // each with its own inputs — the simulator the largest |RSi|, the model
 // the skewed |RSi|, the store |R|/D — so the plan one of them prices is
-// the plan the others execute.
+// the plan the others execute. A grant of 0 is unbounded: one bucket,
+// everything resident. Only the store passes one; the others reject a
+// grant below a page.
 package params
 
 import "math"
@@ -55,11 +57,11 @@ func Cap(k int, refs float64) int {
 
 // Resident is hybrid hash's resident fraction f0 (Shekita and Carey):
 // the share of an S partition of objs objects of size bytes that fits
-// in 0.8 of a grant of mem bytes, clamped to [0, 1]. A grant of 0 keeps
-// nothing resident.
+// in 0.8 of a grant of mem bytes, clamped to [0, 1]. A grant of 0 is
+// unbounded, as in Buckets: everything stays resident.
 func Resident(mem int64, objs float64, size int64) float64 {
 	if mem <= 0 {
-		return 0
+		return 1
 	}
 	return min(max(headroom*float64(mem)/(objs*float64(size)), 0), 1)
 }

@@ -67,8 +67,8 @@ func TestResident(t *testing.T) {
 		{"0.8 of the grant over the partition", 8000, 1000, 32, 0.2, 1e-15},
 		{"exactly fits at 1/0.8 of the partition", 40000, 1000, 32, 1, 0},
 		{"clamped to 1", 1 << 30, 1000, 32, 1, 0},
-		{"no grant, nothing resident", 0, 1000, 32, 0, 0},
-		{"negative grant, nothing resident", -5, 1000, 32, 0, 0},
+		{"no grant is unbounded: everything resident", 0, 1000, 32, 1, 0},
+		{"negative grant is unbounded: everything resident", -5, 1000, 32, 1, 0},
 		{"empty partition fits", 4096, 0, 32, 1, 0},
 	}
 	for _, c := range cases {
@@ -80,6 +80,10 @@ func TestResident(t *testing.T) {
 	// At f0 = 1 the bucket rule has nothing left to bucket.
 	if k := Buckets(0, Resident(40000, 1000, 32), 1000, 32, 40000); k != 0 {
 		t.Errorf("a fully resident partition derives K = %d, want 0", k)
+	}
+	// No grant is unbounded to both rules: hybrid hash buckets nothing.
+	if k := Buckets(0, Resident(0, 1000, 32), 1000, 32, 0); k != 0 {
+		t.Errorf("an unbounded grant derives hybrid K = %d, want 0", k)
 	}
 }
 

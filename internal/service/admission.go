@@ -1,11 +1,12 @@
 // Package service exposes the memory-mapped store as a concurrent query
 // service: JSON-over-HTTP join, lookup, stats, and health endpoints.
 // An "auto" join runs the operator the store prices cheapest through
-// its own Explain (a sharded store re-plans each shard through its
-// PlanFunc), and every join passes an admission controller that treats
-// total mapped-join memory as a budget — the Grace-style memory
-// discipline of the paper's testbed applied to serving concurrent
-// traffic instead of a single batch join.
+// its own Explain with no grant, since nothing meters memory while a
+// join runs (a sharded store re-plans each shard through its PlanFunc
+// at the shard's grant share), and every join passes an admission
+// controller that treats total mapped-join memory as a budget — the
+// Grace-style memory discipline of the paper's testbed applied to
+// serving concurrent traffic instead of a single batch join.
 package service
 
 import (

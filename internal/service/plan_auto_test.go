@@ -19,14 +19,26 @@ import (
 // TestAutoAgreesWithExplain: the service's auto join runs the first
 // entry of its plan table and reports that entry's prediction; the table
 // is every operator the store runs, cheapest first, exactly as the store
-// explains them at the request's grant — the HTTP layer adds admission
-// and execution, never a different plan.
+// explains them with no grant (MRproc 0) — the HTTP layer adds admission
+// and execution, never a different plan. Nothing meters memory while a
+// join runs, so the grant a request is charged moves neither the table
+// nor the join: from one page a partition to 4 MiB the table is the same
+// and the response reports MRproc 0.
 func TestAutoAgreesWithExplain(t *testing.T) {
 	s := newTestServer(t, 1500, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, grant := range []int64{64 << 10, 256 << 10, 4 << 20} {
+	plans, err := mstore.Rank(s.store, mstore.JoinRequest{Pool: s.pool}, mstore.Operators(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		if i > 0 && p.PredictedNs < plans[i-1].PredictedNs {
+			t.Errorf("plan[%d] predicted %d ns after %d ns", i, p.PredictedNs, plans[i-1].PredictedNs)
+		}
+	}
+	for _, grant := range []int64{int64(s.d) * 4096, 256 << 10, 4 << 20} {
 		resp, jr := postJoin(t, ts, JoinRequest{Algorithm: "auto", MemBytes: grant})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("grant %d: status %d", grant, resp.StatusCode)
@@ -34,19 +46,15 @@ func TestAutoAgreesWithExplain(t *testing.T) {
 		if len(jr.Plan) == 0 || jr.Algorithm != jr.Plan[0].Algorithm || jr.PredictedNs != jr.Plan[0].PredictedNs {
 			t.Fatalf("grant %d: ran %s predicted %d ns, plan table %+v", grant, jr.Algorithm, jr.PredictedNs, jr.Plan)
 		}
-		plans, err := mstore.Rank(s.store, mstore.JoinRequest{MRproc: grant / int64(s.d), Pool: s.pool}, mstore.Operators(false))
-		if err != nil {
-			t.Fatal(err)
+		if jr.MRproc != 0 || jr.MemBytes != grant {
+			t.Errorf("grant %d: reported mrprocBytes %d, memBytes %d; want 0 and the grant charged", grant, jr.MRproc, jr.MemBytes)
 		}
 		if len(jr.Plan) != len(plans) {
 			t.Fatalf("grant %d: %d plan entries, the store explains %d operators", grant, len(jr.Plan), len(plans))
 		}
 		for i, p := range plans {
 			if want := (PlanEntry{Algorithm: p.Algorithm.String(), PredictedNs: p.PredictedNs}); jr.Plan[i] != want {
-				t.Errorf("grant %d: plan[%d] = %+v, the store explains %+v", grant, i, jr.Plan[i], want)
-			}
-			if i > 0 && p.PredictedNs < plans[i-1].PredictedNs {
-				t.Errorf("grant %d: plan[%d] predicted %d ns after %d ns", grant, i, p.PredictedNs, plans[i-1].PredictedNs)
+				t.Errorf("grant %d: plan[%d] = %+v, the store explains %+v with no grant", grant, i, jr.Plan[i], want)
 			}
 		}
 	}

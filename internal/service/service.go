@@ -106,10 +106,10 @@ type Server struct {
 	hists    map[string]*metrics.Histogram
 }
 
-// New adopts the store, ranks every operator for a join at the default
-// grant once — Rank explains the staging operators too, which counts the
-// store's reference histogram, and measures its cost profile, so that no
-// request pays for either — and assembles the admission controller.
+// New adopts the store, ranks every operator once as auto does — Rank
+// explains the staging operators too, which counts the store's reference
+// histogram, and measures its cost profile, so that no request pays for
+// either — and assembles the admission controller.
 // Close releases the store.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
@@ -137,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 		counters: make(map[string]int64),
 		hists:    make(map[string]*metrics.Histogram),
 	}
-	if _, err := s.plan(context.Background(), cfg.DefaultGrant/int64(d), 0); err != nil {
+	if _, err := s.plan(context.Background(), 0); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -169,13 +169,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// plan explains a join at the given grant under every operator the
-// store runs now — the index joins only while every live shard carries
-// indexes — and returns the plans cheapest first: auto runs the first.
-// The store's profile prices the temp arena under TmpDir, where the
-// service's joins stage.
-func (s *Server) plan(ctx context.Context, mrproc int64, k int) ([]mstore.Plan, error) {
-	req := mstore.JoinRequest{MRproc: mrproc, K: k, Pool: s.pool, Ctx: ctx, TmpDir: s.cfg.TmpDir}
+// plan explains a join with no grant (MRproc 0: nothing meters memory
+// while a join runs) under every operator the store runs now — the
+// index joins only while every live shard carries indexes — and returns
+// the plans cheapest first: auto runs the first. The store's profile
+// prices the temp arena under TmpDir, where the service's joins stage.
+func (s *Server) plan(ctx context.Context, k int) ([]mstore.Plan, error) {
+	req := mstore.JoinRequest{K: k, Pool: s.pool, Ctx: ctx, TmpDir: s.cfg.TmpDir}
 	return mstore.Rank(s.store, req, mstore.Operators(s.store.Stats().Indexed))
 }
 
@@ -301,8 +301,11 @@ type JoinRequest struct {
 	// index-nl, index-merge (the last two on an indexed store only).
 	Algorithm string `json:"algorithm"`
 	// MemBytes is the request's total memory grant — the unit of
-	// admission control. Zero selects the server default. Each of the D
-	// partition goroutines receives MemBytes/D as its MRproc.
+	// admission control. Zero selects the server default. A named grace
+	// or hybrid-hash join gives each of the D partition goroutines
+	// MemBytes/D as its MRproc; a single store's auto plans and runs
+	// with none (MRproc 0), and a sharded auto hands each shard its
+	// share to plan with.
 	MemBytes int64 `json:"memBytes"`
 	// K overrides the Grace/hybrid bucket count (0: derive from grant).
 	K int `json:"k"`
@@ -321,9 +324,9 @@ type PlanEntry struct {
 type JoinResponse struct {
 	Algorithm   string      `json:"algorithm"`
 	Pairs       int64       `json:"pairs"`
-	Signature   string      `json:"signature"` // hex, order-independent
-	MemBytes    int64       `json:"memBytes"`  // granted (charged) bytes
-	MRproc      int64       `json:"mrprocBytes"`
+	Signature   string      `json:"signature"`   // hex, order-independent
+	MemBytes    int64       `json:"memBytes"`    // granted (charged) bytes
+	MRproc      int64       `json:"mrprocBytes"` // the join's MRproc: 0 for a single store's auto
 	QueueWaitNs int64       `json:"queueWaitNs"`
 	ElapsedNs   int64       `json:"elapsedNs"` // execution, excluding queue
 	Plan        []PlanEntry `json:"plan,omitempty"`
@@ -414,15 +417,16 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// Plan: the store explains the request under every operator it runs,
-	// read off its reference histogram and priced on its own measured
-	// profile; auto runs the cheapest. On a sharded store an auto request
-	// stays join.Auto — the router re-plans per shard through its
-	// PlanFunc, and the table below is advisory: plan_choice_* then
-	// counts each shard's pick once the join has run.
-	resp := JoinResponse{MemBytes: grant, MRproc: mrproc}
+	// with no grant, read off its reference histogram and priced on its
+	// own measured profile; auto runs the cheapest, at MRproc 0 too. On a
+	// sharded store an auto request stays join.Auto — the router re-plans
+	// per shard through its PlanFunc at the grant's share, and the table
+	// below is advisory: plan_choice_* then counts each shard's pick once
+	// the join has run.
+	resp := JoinResponse{MemBytes: grant}
 	var alg join.Algorithm
 	if req.Algorithm == "" || req.Algorithm == "auto" {
-		plans, err := s.plan(ctx, mrproc, req.K)
+		plans, err := s.plan(ctx, req.K)
 		if err != nil {
 			s.inc("errors_internal")
 			writeError(rw, http.StatusInternalServerError, "internal", err.Error())
@@ -435,6 +439,7 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		}
 		if s.shardRunner == nil {
 			s.inc("plan_choice_" + alg.String())
+			mrproc = 0
 		} else {
 			alg = join.Auto
 		}
@@ -448,7 +453,7 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp.Algorithm = alg.String()
+	resp.Algorithm, resp.MRproc = alg.String(), mrproc
 
 	// Admission: charge the grant against the shared memory budget.
 	admStart := time.Now()
@@ -465,8 +470,9 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 	// many shards each one scatters to, at most cfg.Workers goroutines
 	// execute morsels. The join stops between morsels once ctx is done,
 	// so a deadlined or abandoned request returns at its next morsel.
-	// The grant charged at admission derives the join's K and resident
-	// prefix (through MRproc) and is held, unchanged, until the join ends.
+	// The grant charged at admission is held, unchanged, until the join
+	// ends; through MRproc it derives a named join's K and resident
+	// prefix, while a single store's auto runs at MRproc 0, as planned.
 	execStart := time.Now()
 	tel := &mstore.JoinTelemetry{}
 	st, details, err := s.runJoin(execStart, grant, mstore.JoinRequest{
